@@ -324,16 +324,15 @@ def run_condensation(
     condensation_timescale: float,
     cloud_rh_threshold: float,
     stats: Optional[KernelStats] = None,
-    tile: Optional[Tuple[int, int]] = None,
     registry: Optional[KernelRegistry] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(dT, dQ, precip, cloud) via the tiled saturation + condensation
     kernels.  Saturation humidity runs as an MDRange over (ncol, nlev) —
-    the two-dimensional tiled launch — then the per-column condensation
-    chunk kernel consumes it."""
+    the two-dimensional launch, tiled to the space's lanes — then the
+    per-column condensation chunk kernel consumes it."""
     reg = registry if registry is not None else ATM_KERNELS
     qsat = np.zeros_like(state.q)
-    policy = MDRangePolicy((state.ncol, state.nlev), tile=tile)
+    policy = MDRangePolicy((state.ncol, state.nlev))
     reg.launch(
         space, reg.register(saturation_kernel), policy,
         qsat, state.t, state.p, stats=stats,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -36,7 +37,7 @@ from .sphere import (
     xyz_to_lonlat,
 )
 
-__all__ = ["IcosahedralGrid", "icosahedral_counts"]
+__all__ = ["IcosahedralGrid", "TRSKTables", "icosahedral_counts"]
 
 
 def icosahedral_counts(level: int) -> Tuple[int, int, int]:
@@ -91,6 +92,23 @@ def _subdivide(verts: np.ndarray, faces: np.ndarray) -> Tuple[np.ndarray, np.nda
     return np.array(new_verts), new_faces
 
 
+@dataclass(frozen=True)
+class TRSKTables:
+    """Static gather/scatter tables the TRSK operators read every call:
+    pure functions of one grid's mesh arrays, built once per grid object
+    (:attr:`IcosahedralGrid.trsk_tables`) instead of once per operator call.
+    """
+
+    c1: np.ndarray         # (ne,) contiguous edge_cells[:, 0]
+    c2: np.ndarray         # (ne,) contiguous edge_cells[:, 1]
+    t1: np.ndarray         # (ne,) contiguous edge_dual[:, 0]
+    t2: np.ndarray         # (ne,) contiguous edge_dual[:, 1]
+    ee_mask: np.ndarray    # (ne, 10) edge_edges >= 0
+    ee_index: np.ndarray   # (ne, 10) edge_edges with the -1 padding -> 0
+    kite_sum: np.ndarray   # (nd,) sum_k dual_kite[:, k]
+    ke_weight: np.ndarray  # (ne,) 0.25 * le * de
+
+
 @dataclass
 class IcosahedralGrid:
     """The fully assembled C-grid mesh; build with :meth:`build`."""
@@ -138,6 +156,22 @@ class IcosahedralGrid:
     @property
     def mean_cell_spacing_km(self) -> float:
         return float(np.sqrt(self.area_cell.mean()) / 1000.0)
+
+    @cached_property
+    def trsk_tables(self) -> TRSKTables:
+        """This grid's :class:`TRSKTables`, built on first use and owned
+        by the grid object (no table is ever shared between grids)."""
+        mask = self.edge_edges >= 0
+        return TRSKTables(
+            c1=np.ascontiguousarray(self.edge_cells[:, 0]),
+            c2=np.ascontiguousarray(self.edge_cells[:, 1]),
+            t1=np.ascontiguousarray(self.edge_dual[:, 0]),
+            t2=np.ascontiguousarray(self.edge_dual[:, 1]),
+            ee_mask=mask,
+            ee_index=np.where(mask, self.edge_edges, 0),
+            kite_sum=np.sum(self.dual_kite, axis=1),
+            ke_weight=0.25 * self.le * self.de,
+        )
 
     # -- construction ------------------------------------------------------
 

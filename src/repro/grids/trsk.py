@@ -16,7 +16,12 @@ operators GRIST-class dycores are built from:
 
 All operators are vectorized gather/scatter over the mesh arrays (numpy
 ``add.at`` scatters), per the HPC-python guidance: no python-level loops in
-the time-stepping path.
+the time-stepping path.  The static index columns, masks and geometric
+weights they gather through are not rebuilt per call: they live in the
+grid's own :class:`~repro.grids.icos.TRSKTables`
+(``grid.trsk_tables``, built once per grid object), and each operator does
+exactly the float operations, in the same order, that the mesh arrays
+themselves would give.
 """
 
 from __future__ import annotations
@@ -41,16 +46,18 @@ __all__ = [
 def divergence(grid: IcosahedralGrid, u: np.ndarray) -> np.ndarray:
     """Divergence at cells of a normal-component edge field (1/s if u is
     velocity; flux divergence if u is already a flux)."""
+    tb = grid.trsk_tables
     flux = grid.le * u
     div = np.zeros(grid.n_cells, dtype=np.float64)
-    np.add.at(div, grid.edge_cells[:, 0], flux)
-    np.add.at(div, grid.edge_cells[:, 1], -flux)
+    np.add.at(div, tb.c1, flux)
+    np.add.at(div, tb.c2, -flux)
     return div / grid.area_cell
 
 
 def gradient(grid: IcosahedralGrid, phi: np.ndarray) -> np.ndarray:
     """Normal gradient at edges of a cell field (c1 -> c2 direction)."""
-    return (phi[grid.edge_cells[:, 1]] - phi[grid.edge_cells[:, 0]]) / grid.de
+    tb = grid.trsk_tables
+    return (phi[tb.c2] - phi[tb.c1]) / grid.de
 
 
 def curl(grid: IcosahedralGrid, u: np.ndarray) -> np.ndarray:
@@ -61,44 +68,47 @@ def curl(grid: IcosahedralGrid, u: np.ndarray) -> np.ndarray:
     (the primal-edge normal), and orientation gives +1 for the vertex on
     the +tangent side.
     """
+    tb = grid.trsk_tables
     circ = grid.de * u
     zeta = np.zeros(grid.n_dual, dtype=np.float64)
-    np.add.at(zeta, grid.edge_dual[:, 1], circ)
-    np.add.at(zeta, grid.edge_dual[:, 0], -circ)
+    np.add.at(zeta, tb.t2, circ)
+    np.add.at(zeta, tb.t1, -circ)
     return zeta / grid.area_dual
 
 
 def tangential(grid: IcosahedralGrid, u: np.ndarray) -> np.ndarray:
     """Tangential component at edges reconstructed from normal components."""
-    ee = grid.edge_edges
-    mask = ee >= 0
-    vals = u[np.where(mask, ee, 0)]
-    return np.sum(grid.edge_weights * np.where(mask, vals, 0.0), axis=1)
+    tb = grid.trsk_tables
+    vals = u[tb.ee_index]
+    return np.sum(grid.edge_weights * np.where(tb.ee_mask, vals, 0.0), axis=1)
 
 
 def cell_to_edge(grid: IcosahedralGrid, phi: np.ndarray) -> np.ndarray:
     """Two-point average of a cell field onto edges."""
-    return 0.5 * (phi[grid.edge_cells[:, 0]] + phi[grid.edge_cells[:, 1]])
+    tb = grid.trsk_tables
+    return 0.5 * (phi[tb.c1] + phi[tb.c2])
 
 
 def dual_to_edge(grid: IcosahedralGrid, psi: np.ndarray) -> np.ndarray:
     """Two-point average of a dual-vertex field onto edges."""
-    return 0.5 * (psi[grid.edge_dual[:, 0]] + psi[grid.edge_dual[:, 1]])
+    tb = grid.trsk_tables
+    return 0.5 * (psi[tb.t1] + psi[tb.t2])
 
 
 def cell_to_dual(grid: IcosahedralGrid, phi: np.ndarray) -> np.ndarray:
     """Kite-area-weighted average of a cell field onto dual vertices (the
     thickness average used in the PV definition)."""
     weighted = np.sum(grid.dual_kite * phi[grid.tri], axis=1)
-    return weighted / np.sum(grid.dual_kite, axis=1)
+    return weighted / grid.trsk_tables.kite_sum
 
 
 def kinetic_energy_cell(grid: IcosahedralGrid, u: np.ndarray) -> np.ndarray:
     """Kinetic energy per unit mass at cells: K_c = sum_e (le de / 4) u^2 / A_c."""
-    contrib = 0.25 * grid.le * grid.de * u * u
+    tb = grid.trsk_tables
+    contrib = tb.ke_weight * u * u
     ke = np.zeros(grid.n_cells, dtype=np.float64)
-    np.add.at(ke, grid.edge_cells[:, 0], contrib)
-    np.add.at(ke, grid.edge_cells[:, 1], contrib)
+    np.add.at(ke, tb.c1, contrib)
+    np.add.at(ke, tb.c2, contrib)
     return ke / grid.area_cell
 
 
@@ -106,10 +116,11 @@ def laplacian_edge(grid: IcosahedralGrid, u: np.ndarray) -> np.ndarray:
     """Vector Laplacian of an edge velocity field:
     ``lap(u) = grad(div u) - curl_perp(curl u)`` (the del^2 used for
     horizontal hyper-/diffusion in dycores)."""
+    tb = grid.trsk_tables
     div = divergence(grid, u)
     zeta = curl(grid, u)
     grad_div = gradient(grid, div)
     # curl-perp at edge: tangential derivative of zeta along the edge,
     # i.e. (zeta_t2 - zeta_t1)/le.
-    dzeta = (zeta[grid.edge_dual[:, 1]] - zeta[grid.edge_dual[:, 0]]) / grid.le
+    dzeta = (zeta[tb.t2] - zeta[tb.t1]) / grid.le
     return grad_div - dzeta

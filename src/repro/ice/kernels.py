@@ -114,16 +114,16 @@ def run_thermodynamics(
     conductivity: float,
     h_min: float,
     stats: Optional[KernelStats] = None,
-    tile: Optional[Tuple[int, int]] = None,
     registry: Optional[KernelRegistry] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(thickness, concentration, tsurf) after one thermodynamic step,
-    dispatched as a tiled MDRange over the (nlat, nlon) surface."""
+    dispatched as an MDRange over the (nlat, nlon) surface, one tile per
+    lane of ``space``."""
     reg = registry if registry is not None else ICE_KERNELS
     th_out = np.zeros_like(thickness)
     cn_out = np.zeros_like(concentration)
     ts_out = np.zeros_like(tsurf)
-    policy = MDRangePolicy(thickness.shape, tile=tile)
+    policy = MDRangePolicy(thickness.shape)
     reg.launch(
         space, reg.register(thermo_kernel), policy,
         th_out, cn_out, ts_out,

@@ -291,19 +291,21 @@ def _fit_line(sizes: Sequence[int], times: Sequence[float]) -> Tuple[float, floa
     """Least-squares ``t = intercept + slope * n``; clamped physical.
 
     With a single size the intercept is pinned to zero.  A non-positive
-    fitted slope (clock-resolution noise) falls back to the secant through
-    the origin and the largest size.
+    fitted slope (clock-resolution noise) or a negative intercept (the
+    larger size is slower per point, e.g. it left the cache) falls back to
+    the secant through the origin and the largest size — clamping the
+    intercept alone would keep the steeper slope and over-price every size.
     """
     if len(sizes) == 1:
         return 0.0, max(times[0] / sizes[0], _ZERO_S)
     ns = np.asarray(sizes, dtype=float)
     ts = np.asarray(times, dtype=float)
     slope, intercept = np.polyfit(ns, ts, 1)
-    if not math.isfinite(slope) or slope <= 0.0:
+    if not math.isfinite(slope) or slope <= 0.0 or intercept < 0.0:
         k = int(np.argmax(ns))
         slope = max(ts[k] / ns[k], _ZERO_S)
         intercept = 0.0
-    return max(float(intercept), 0.0), max(float(slope), _ZERO_S)
+    return float(intercept), max(float(slope), _ZERO_S)
 
 
 # ---------------------------------------------------------------------------

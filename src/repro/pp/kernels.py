@@ -28,6 +28,7 @@ iteration counts/shapes are recorded on the returned :class:`TileProfile`.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -101,9 +102,15 @@ class MDRangePolicy:
     extents:
         Iteration extents per dimension, e.g. ``(nz, ny, nx)``.
     tile:
-        Tile shape; defaults to the full extent in every dimension but the
-        first (so tiles are "pencils" along the leading dimension, the
-        layout-friendly choice for LayoutRight data).
+        Explicit tile shape, honoured unchanged by every launch.  With
+        ``tile=None`` the shape depends on who asks: ``parallel_for``
+        resolves it against the execution space (:meth:`tiles` with a
+        ``space`` — one tile per lane along the leading dimension, full
+        extent in the others, the same cut ``ExecutionSpace.chunks``
+        makes of a flat range), while the policy's own space-independent
+        default (:attr:`effective_tile`, used by ``parallel_reduce``) is
+        "pencils": extent 1 along the leading dimension, full extent in
+        the others.
     """
 
     extents: Tuple[int, ...]
@@ -126,24 +133,27 @@ class MDRangePolicy:
             return self.tile
         return (1,) + tuple(max(1, e) for e in self.extents[1:])
 
-    def tiles(self) -> List[Tuple[np.ndarray, ...]]:
-        """All tiles, each a tuple of per-dimension index arrays."""
+    def tiles(
+        self, space: Optional[ExecutionSpace] = None
+    ) -> List[Tuple[np.ndarray, ...]]:
+        """All tiles, each a tuple of per-dimension index arrays.
+
+        With ``tile=None`` and a ``space``, the leading dimension is cut
+        by ``space.chunks`` (one tile per lane) instead of into pencils.
+        """
+        def cut(extent: int, t: int) -> List[np.ndarray]:
+            return [
+                np.arange(s, min(s + t, extent), dtype=np.int64)
+                for s in range(0, extent, t)
+            ]
+
         tile = self.effective_tile
-        per_dim: List[List[np.ndarray]] = []
-        for extent, t in zip(self.extents, tile):
-            starts = range(0, extent, t)
-            per_dim.append([np.arange(s, min(s + t, extent), dtype=np.int64) for s in starts])
-        out: List[Tuple[np.ndarray, ...]] = []
-
-        def rec(dim: int, prefix: Tuple[np.ndarray, ...]) -> None:
-            if dim == len(per_dim):
-                out.append(prefix)
-                return
-            for idx in per_dim[dim]:
-                rec(dim + 1, prefix + (idx,))
-
-        rec(0, ())
-        return out
+        if self.tile is None and space is not None:
+            lead = list(space.chunks(self.extents[0]))
+        else:
+            lead = cut(self.extents[0], tile[0])
+        rest = [cut(e, t) for e, t in zip(self.extents[1:], tile[1:])]
+        return list(itertools.product(lead, *rest))
 
     @property
     def n_iterations(self) -> int:
@@ -193,11 +203,15 @@ def parallel_for(
 
     ``policy`` is either an int ``n`` (flat range; functor receives an index
     array) or an :class:`MDRangePolicy` (functor receives one index array
-    per dimension).  Returns a :class:`TileProfile` when ``profile=True``
-    and the policy is an MDRange.
+    per dimension).  Both are cut to fit the space: a flat range into
+    ``space.chunks(n)``, an MDRange without an explicit ``tile`` into one
+    tile per lane along its leading dimension (``Serial`` launches one
+    tile, ``ProcPool(2)`` two); an explicit ``tile`` is honoured unchanged.
+    Returns a :class:`TileProfile` when ``profile=True`` and the policy is
+    an MDRange.
     """
     if isinstance(policy, MDRangePolicy):
-        tiles = policy.tiles()
+        tiles = policy.tiles(space)
         t0 = time.perf_counter() if stats is not None else 0.0
         space.run_tiles(functor, tiles)
         elapsed = time.perf_counter() - t0 if stats is not None else 0.0
@@ -233,8 +247,10 @@ def parallel_reduce(
     **pure** with respect to its array arguments (Kokkos reducer contract) —
     backends may evaluate chunks in worker processes.  ``combine`` need not
     be commutative: partials are combined in a fixed-order pairwise tree
-    over the space-independent :func:`reduction_chunks` decomposition, so
-    results are reproducible bit-for-bit on every space.
+    over a space-independent decomposition (:func:`reduction_chunks`, or
+    the MDRange's own ``tile`` / pencil default — never the lane-sized
+    tiles ``parallel_for`` uses, because here the tiles fix the combine
+    tree), so results are reproducible bit-for-bit on every space.
 
     An empty iteration space — flat ``n == 0`` **or** an MDRange with any
     zero extent — raises ``ValueError``: with a caller-supplied ``combine``

@@ -145,3 +145,147 @@ def test_laplacian_smooths(icos4):
     lap = trsk.laplacian_edge(icos4, u)
     de_dt = np.sum(icos4.le * icos4.de * u * lap)
     assert de_dt < 0
+
+
+# -- cached TRSK tables: bitwise equal to the mesh arrays they replace -----------
+#
+# The operators read static index columns / masks / weights from
+# ``grid.trsk_tables``.  The literal, table-free forms below are the
+# reference: same float operations in the same order, so the comparison is
+# exact (``tobytes``: signed zeros count too).
+
+
+def _ref_divergence(g, u):
+    flux = g.le * u
+    div = np.zeros(g.n_cells, dtype=np.float64)
+    np.add.at(div, g.edge_cells[:, 0], flux)
+    np.add.at(div, g.edge_cells[:, 1], -flux)
+    return div / g.area_cell
+
+
+def _ref_gradient(g, phi):
+    return (phi[g.edge_cells[:, 1]] - phi[g.edge_cells[:, 0]]) / g.de
+
+
+def _ref_curl(g, u):
+    circ = g.de * u
+    zeta = np.zeros(g.n_dual, dtype=np.float64)
+    np.add.at(zeta, g.edge_dual[:, 1], circ)
+    np.add.at(zeta, g.edge_dual[:, 0], -circ)
+    return zeta / g.area_dual
+
+
+def _ref_tangential(g, u):
+    ee = g.edge_edges
+    mask = ee >= 0
+    vals = u[np.where(mask, ee, 0)]
+    return np.sum(g.edge_weights * np.where(mask, vals, 0.0), axis=1)
+
+
+def _ref_cell_to_edge(g, phi):
+    return 0.5 * (phi[g.edge_cells[:, 0]] + phi[g.edge_cells[:, 1]])
+
+
+def _ref_dual_to_edge(g, psi):
+    return 0.5 * (psi[g.edge_dual[:, 0]] + psi[g.edge_dual[:, 1]])
+
+
+def _ref_cell_to_dual(g, phi):
+    weighted = np.sum(g.dual_kite * phi[g.tri], axis=1)
+    return weighted / np.sum(g.dual_kite, axis=1)
+
+
+def _ref_kinetic_energy_cell(g, u):
+    contrib = 0.25 * g.le * g.de * u * u
+    ke = np.zeros(g.n_cells, dtype=np.float64)
+    np.add.at(ke, g.edge_cells[:, 0], contrib)
+    np.add.at(ke, g.edge_cells[:, 1], contrib)
+    return ke / g.area_cell
+
+
+def _ref_laplacian_edge(g, u):
+    zeta = _ref_curl(g, u)
+    grad_div = _ref_gradient(g, _ref_divergence(g, u))
+    dzeta = (zeta[g.edge_dual[:, 1]] - zeta[g.edge_dual[:, 0]]) / g.le
+    return grad_div - dzeta
+
+
+_EDGE_OPS = ["divergence", "curl", "tangential", "kinetic_energy_cell", "laplacian_edge"]
+_CELL_OPS = ["gradient", "cell_to_edge", "cell_to_dual"]
+
+
+@pytest.fixture(scope="module")
+def small_grids(icos3):
+    from repro.grids import IcosahedralGrid
+
+    return [IcosahedralGrid.build(1), IcosahedralGrid.build(2), icos3]
+
+
+def test_cached_operators_equal_uncached_reference_bitwise(small_grids):
+    for g in small_grids:
+        # The 12 pentagons are in play: their 60 edges have a padded slot.
+        assert int(np.sum(g.cell_nedges == 5)) == 12
+        assert int((g.edge_edges < 0).any(axis=1).sum()) == 60
+        rng = np.random.default_rng(100 + g.level)
+        fields = {
+            **{op: rng.standard_normal(g.n_edges) for op in _EDGE_OPS},
+            **{op: rng.standard_normal(g.n_cells) for op in _CELL_OPS},
+            "dual_to_edge": rng.standard_normal(g.n_dual),
+        }
+        for op, x in fields.items():
+            got = getattr(trsk, op)(g, x)
+            ref = globals()[f"_ref_{op}"](g, x)
+            assert np.array_equal(got, ref), (g.level, op)
+            assert got.tobytes() == ref.tobytes(), (g.level, op)
+
+
+def test_trsk_tables_belong_to_one_grid():
+    """Tables are owned by the grid object: built once, never shared —
+    not between two grids of one process, not through a partition."""
+    from repro.grids import IcosahedralGrid, IcosPartition
+
+    a = IcosahedralGrid.build(2)
+    b = IcosahedralGrid.build(2, radius=2.0 * a.radius)
+    c = IcosahedralGrid.build(1)
+    assert a.trsk_tables is a.trsk_tables  # built once
+    for other in (b, c):
+        assert other.trsk_tables is not a.trsk_tables
+        for name in ("c1", "c2", "t1", "t2", "ee_mask", "ee_index", "kite_sum", "ke_weight"):
+            assert not np.shares_memory(
+                getattr(other.trsk_tables, name), getattr(a.trsk_tables, name)
+            ), name
+    # Same connectivity, different geometry: each grid reads its own weights.
+    assert np.array_equal(a.trsk_tables.c1, b.trsk_tables.c1)
+    assert np.array_equal(b.trsk_tables.ke_weight, 0.25 * b.le * b.de)
+    assert not np.array_equal(a.trsk_tables.ke_weight, b.trsk_tables.ke_weight)
+    assert c.trsk_tables.c1.shape == (c.n_edges,) != a.trsk_tables.c1.shape
+    u = np.random.default_rng(7).standard_normal(b.n_edges)
+    assert np.array_equal(trsk.kinetic_energy_cell(b, u), _ref_kinetic_energy_cell(b, u))
+
+    # A repaired partition keeps pointing at its own grid (and its tables).
+    part = IcosPartition.build(a, 4)
+    shrunk = part.shrink([1])
+    assert shrunk.grid is a and shrunk.grid.trsk_tables is a.trsk_tables
+    other = IcosPartition.from_owners(b, shrunk.owners, shrunk.n_ranks)
+    assert other.grid.trsk_tables is b.trsk_tables
+
+
+def test_cached_tables_keep_dycore_invariants():
+    """Mass to round-off and an energy-neutral Coriolis term, on a grid
+    whose tables were already warm before the dycore saw it."""
+    from repro.atm.dycore import ShallowWaterDycore, williamson_tc2
+    from repro.grids import IcosahedralGrid
+
+    g = IcosahedralGrid.build(2)
+    _ = g.trsk_tables
+    dyc = ShallowWaterDycore(g)
+    state = williamson_tc2(g)
+    state.u = state.u + np.random.default_rng(3).standard_normal(g.n_edges)
+    mass0 = dyc.total_mass(state)
+    dt = dyc.max_stable_dt(state)
+    for _ in range(5):
+        state = dyc.step_rk4(state, dt)
+    assert abs(dyc.total_mass(state) - mass0) < 1e-12 * abs(mass0)
+    u = state.u
+    e = np.sum(g.le * g.de * u * trsk.tangential(g, u))
+    assert abs(e) < 1e-10 * np.sum(g.le * g.de * u * u)

@@ -125,6 +125,16 @@ class TestFit:
         assert intercept == 0.0
         assert slope == pytest.approx(1e-4 / 1000)
 
+    def test_fit_line_negative_intercept_falls_back_to_secant(self):
+        # The larger size is slower per point (it left the cache): the
+        # joint fit has intercept < 0; clamping it alone would leave a
+        # slope that over-prices both sizes.
+        sizes, times = (1000, 4000), (1e-4, 6e-4)
+        intercept, slope = _fit_line(sizes, times)
+        assert intercept == 0.0
+        assert slope == pytest.approx(6e-4 / 4000)
+        assert all(slope * n <= t * 1.5 for n, t in zip(sizes, times))
+
     def test_compute_bound_overhead_from_synthetic_line(self):
         """fma8 at reference rates is compute-bound: 16/3.2e9 s/iter of
         flops vs 24/1.6e10 of bytes -> overhead = slope / (flops term)."""

@@ -113,9 +113,16 @@ def test_mdrange_tiles_cover_space():
 
 
 def test_mdrange_default_tile_is_pencils():
+    """The policy's own, space-independent default (what ``parallel_reduce``
+    decomposes by) is pencils; resolved against a space it is one tile per
+    lane along the leading dimension; an explicit tile ignores the space."""
     policy = MDRangePolicy(extents=(4, 6))
     assert policy.effective_tile == (1, 6)
     assert len(policy.tiles()) == 4
+    assert [tuple(len(ix) for ix in t) for t in policy.tiles(Serial())] == [(4, 6)]
+    assert [tuple(len(ix) for ix in t) for t in policy.tiles(HostThreads(2))] == [(2, 6), (2, 6)]
+    explicit = MDRangePolicy(extents=(4, 6), tile=(1, 3))
+    assert len(explicit.tiles(Serial())) == len(explicit.tiles()) == 8
 
 
 def test_mdrange_validation():
@@ -279,6 +286,15 @@ def _bit_tile(kz, jy, out):
     out[np.ix_(kz, jy)] = np.cos(kz[:, None] * 0.1) + jy[None, :] * 0.01
 
 
+def _bit_tile_nd(kz, jy, *rest):
+    """``_bit_tile`` for any rank >= 2: trailing dimensions are ignored."""
+    _bit_tile(kz, jy, rest[-1])
+
+
+def _bit_tile_partial(kz, jy, x):
+    return x[np.ix_(kz, jy)].sum()
+
+
 @pytest.fixture(scope="module")
 def procpool():
     space = ProcPool(2)
@@ -323,6 +339,62 @@ def test_mdrange_bitwise_across_all_backends(all_backends):
             ref = out
         else:
             assert np.array_equal(out, ref), space.name
+
+
+@pytest.fixture(scope="module")
+def lane_spaces(procpool):
+    return [Serial(), HostThreads(4), procpool]
+
+
+@pytest.mark.parametrize("extents", [(24, 40), (3, 5), (1, 7, 2)])
+def test_mdrange_default_tile_is_one_tile_per_lane(lane_spaces, extents):
+    """A default-tile MDRange ``parallel_for`` runs ``min(lanes, extent[0])``
+    tiles on every space and writes the bits explicit pencil tiles write."""
+    pencils = MDRangePolicy(extents, tile=(1,) + extents[1:])
+    ref = np.zeros(extents[:2])
+    parallel_for(Serial(), pencils, BoundKernel(_bit_tile_nd, (ref,)))
+    for space in lane_spaces:
+        out = np.zeros(extents[:2])
+        prof = parallel_for(
+            space, MDRangePolicy(extents), BoundKernel(_bit_tile_nd, (out,)), profile=True
+        )
+        assert prof.n_tiles == min(space.lanes, extents[0]), space.name
+        assert prof.total_iterations == int(np.prod(extents)), space.name
+        assert np.array_equal(out, ref), space.name
+
+
+def test_mdrange_default_tile_zero_extent_runs_zero_tiles(lane_spaces):
+    for space in lane_spaces:
+        for extents in [(0, 4), (4, 0)]:
+            prof = parallel_for(
+                space, MDRangePolicy(extents), BoundKernel(_bit_tile, (np.zeros(extents),)),
+                profile=True,
+            )
+            assert prof.n_tiles == 0, (space.name, extents)
+
+
+def test_mdrange_reduce_decomposition_is_not_lane_dependent(lane_spaces):
+    """``parallel_reduce`` keeps the policy's space-independent tiles: an
+    order-sensitive combine over a default-tile MDRange returns the
+    identical value on 1, 4 and 2 lanes."""
+    x = np.random.default_rng(13).standard_normal((37, 11))
+
+    def combine(a, b):
+        return a + 2.0 * b
+
+    got = [
+        parallel_reduce(
+            space, MDRangePolicy(x.shape), BoundKernel(_bit_tile_partial, (x,)), combine=combine
+        )
+        for space in lane_spaces
+    ]
+    assert got[0] == got[1] == got[2]
+    # ... and it is the pencil decomposition, not one lane-sized tile.
+    pencils = [x[i].sum() for i in range(x.shape[0])]
+    while len(pencils) > 1:
+        nxt = [combine(a, b) for a, b in zip(pencils[0::2], pencils[1::2])]
+        pencils = nxt + pencils[len(nxt) * 2:]
+    assert got[0] == pencils[0]
 
 
 def test_reduce_non_commutative_combine_pins_order(all_backends):
