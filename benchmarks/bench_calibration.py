@@ -79,7 +79,7 @@ def _bench_document(table: CalibrationTable, fresh, tmp_path) -> PerfBaseline:
         kind="wall",
         unit="s",
     )
-    return doc
+    return doc.stamp_host()
 
 
 def test_table_fits_every_probe(fit):

@@ -325,7 +325,7 @@ def _bench_document(maps, router, tmp_path):
     Router.from_file(path)
     doc.record("wall.router_load_ms", (time.perf_counter() - t0) * 1e3,
                kind="wall", unit="ms")
-    return doc
+    return doc.stamp_host()
 
 
 def test_emit_bench_coupler_json(maps, router, tmp_path, report_dir):

@@ -183,7 +183,7 @@ def _bench_document():
     doc.record("wall.fleet_step_sequential_ms", t_seq * 1e3, kind="wall", unit="ms")
     doc.record("speedup.batched_vs_sequential", t_seq / t_batch, kind="wall",
                unit="x")
-    return doc
+    return doc.stamp_host()
 
 
 def test_emit_bench_ensemble_json(report_dir):

@@ -257,12 +257,11 @@ def _bench_document(tmp_path):
         t_procs, _ = _time_heavy(pool, x)
     finally:
         pool.runtime.shutdown()
-    doc.record("host.cores", multiprocessing.cpu_count(), kind="wall")
     doc.record("wall.heavy_serial_ms", t_serial * 1e3, kind="wall", unit="ms")
     doc.record("wall.heavy_procs_ms", t_procs * 1e3, kind="wall", unit="ms")
     doc.record("speedup.procs_vs_serial", t_serial / t_procs, kind="speedup",
                unit="x")
-    return doc
+    return doc.stamp_host()
 
 
 def test_emit_bench_pp_json(tmp_path, report_dir):

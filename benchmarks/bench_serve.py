@@ -131,7 +131,7 @@ def _bench_document(base: Path) -> PerfBaseline:
     doc.record("wall.twin_run_s", t_twin, kind="wall", unit="s")
     doc.record("wall.kill_recovery_overhead", t_hurt / t_twin, kind="wall",
                unit="x")
-    return doc
+    return doc.stamp_host()
 
 
 @pytest.fixture(scope="module")

@@ -145,7 +145,7 @@ def _bench_document(component_results, coupled_results):
     for label, r in coupled_results.items():
         doc.record(f"sypd.coupled_{label}", r.modeled[-1],
                    kind="model", unit="SYPD")
-    return doc
+    return doc.stamp_host()
 
 
 def test_emit_bench_scaling_json(component_results, coupled_results, report_dir):

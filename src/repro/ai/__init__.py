@@ -11,6 +11,7 @@ from .layers import (
     ResidualDense,
     ResUnit,
     Tanh,
+    Transpose,
 )
 from .network import Sequential, build_radiation_mlp, build_tendency_cnn
 from .optim import SGD, Adam, clip_grad_norm
@@ -28,6 +29,7 @@ __all__ = [
     "ResUnit",
     "ResidualDense",
     "Flatten",
+    "Transpose",
     "Sequential",
     "build_tendency_cnn",
     "build_radiation_mlp",

@@ -9,8 +9,11 @@ and Flatten.  Every layer exposes ``forward``/``backward``/``parameters``
 and every backward pass is verified against finite differences in the
 test suite.
 
-Shapes: Conv1d works on ``(batch, channels, levels)``; Dense on
-``(batch, features)``.
+Shapes: Conv1d, ReLU and ResUnit work channels-last, on ``(batch, levels,
+channels)``, so a convolution's GEMM output is the next layer's input with
+no transpose in between; Dense works on ``(batch, features)``.
+:class:`Transpose` converts from and to the ``(batch, channels, levels)``
+layout the physics suite, the training archive and saved weights use.
 """
 
 from __future__ import annotations
@@ -33,11 +36,16 @@ __all__ = [
     "ResUnit",
     "ResidualDense",
     "Flatten",
+    "Transpose",
     "row_stable_matmul",
 ]
 
-#: Fixed GEMM row-block size for :func:`row_stable_matmul`.
-_ROW_BLOCK = 32
+#: Fixed GEMM row-block size for :func:`row_stable_matmul`.  256 is the
+#: largest block whose CNN and MLP outputs are byte-identical to the
+#: original 32-row block on the OpenBLAS this repo is measured with (512
+#: is not), so trained weights and state digests did not move with it;
+#: ``tests/test_atm_ai_physics.py`` pins the trained-weight digest.
+_ROW_BLOCK = 256
 
 
 def row_stable_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -46,23 +54,23 @@ def row_stable_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     BLAS picks its kernel (and with it the per-row accumulation order)
     from the full problem shape, so ``(a @ w)[i]`` can differ in the last
     ulp between batch sizes — e.g. the small-N and single-row paths.
-    Computing in fixed ``_ROW_BLOCK``-row chunks (zero-padding the tail
-    chunk) pins the kernel choice, so every row's result depends only on
-    that row and ``w``.  This is what makes cross-member *batched*
-    ensemble inference bitwise-identical to per-member inference.
+    Every GEMM issued here has exactly ``_ROW_BLOCK`` rows: whole blocks
+    are computed straight into the result, the tail is zero-padded to a
+    full block.  That pins the kernel choice, so a row's bits depend only
+    on that row and ``w`` (each output element reduces over ``a``'s
+    columns in BLAS's fixed order for that one shape).  This is what
+    makes cross-member *batched* ensemble inference bitwise-identical to
+    per-member inference.
     """
-    m = a.shape[0]
-    if m == _ROW_BLOCK:
-        return a @ w
+    m, k = a.shape
     out = np.empty((m, w.shape[1]), dtype=np.result_type(a, w))
-    for i in range(0, m, _ROW_BLOCK):
-        chunk = a[i:i + _ROW_BLOCK]
-        rows = chunk.shape[0]
-        if rows < _ROW_BLOCK:
-            pad = np.zeros((_ROW_BLOCK - rows, a.shape[1]), dtype=a.dtype)
-            out[i:i + rows] = (np.concatenate([chunk, pad]) @ w)[:rows]
-        else:
-            out[i:i + rows] = chunk @ w
+    full = m - m % _ROW_BLOCK
+    for i in range(0, full, _ROW_BLOCK):
+        np.matmul(a[i:i + _ROW_BLOCK], w, out=out[i:i + _ROW_BLOCK])
+    if full < m:
+        tail = np.zeros((_ROW_BLOCK, k), dtype=a.dtype)
+        tail[:m - full] = a[full:]
+        out[full:] = (tail @ w)[:m - full]
     return out
 
 
@@ -116,7 +124,9 @@ class Dense(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        return row_stable_matmul(x, self.w.value) + self.b.value
+        out = row_stable_matmul(x, self.w.value)
+        out += self.b.value
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         assert self._x is not None, "forward before backward"
@@ -131,9 +141,16 @@ class Dense(Layer):
 class Conv1d(Layer):
     """Same-padded 1-D convolution over the vertical (level) axis.
 
-    Input ``(batch, c_in, L)`` -> output ``(batch, c_out, L)``; odd kernel
-    sizes only (symmetric padding).  Implemented with
-    ``sliding_window_view`` + einsum: no python loops over levels.
+    Channels-last: input ``(batch, L, c_in)`` -> output ``(batch, L,
+    c_out)``; odd kernel sizes only (symmetric padding).  The weight
+    keeps the ``(c_out, c_in, kernel)`` shape saved suites use.
+
+    ``forward`` is one im2col GEMM: ``kernel`` shifted slabs of ``x`` are
+    written into a ``(batch, L, c_in, kernel)`` buffer, whose free reshape
+    to ``(batch*L, c_in*kernel)`` has one row per output position with
+    the reduction axis ordered channel-major, tap-minor — the order of
+    ``w.reshape(c_out, c_in*kernel)``.  The GEMM result *is* the output
+    (bias added in place), so nothing is transposed between layers.
     """
 
     def __init__(self, c_in: int, c_out: int, kernel: int = 3, rng_key: str = "conv") -> None:
@@ -148,56 +165,80 @@ class Conv1d(Layer):
         self.kernel = kernel
         self._x: Optional[np.ndarray] = None
 
-    def _window(self, x: np.ndarray) -> np.ndarray:
-        pad = self.kernel // 2
-        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
-        # (batch, c_in, L, kernel)
-        return np.lib.stride_tricks.sliding_window_view(xp, self.kernel, axis=2)
+    def _im2col(self, x: np.ndarray) -> np.ndarray:
+        """``(batch*L, c_in*kernel)`` patch matrix of a zero-padded ``x``."""
+        b, length, c = x.shape
+        k = self.kernel
+        if k == 1:
+            return x.reshape(b * length, c)
+        cols = np.empty((b, length, c, k), dtype=x.dtype)
+        for tap in range(k):
+            # Output level l reads input level l + shift; rows that would
+            # read past either end of the column see the zero padding.
+            shift = tap - k // 2
+            lo = min(max(-shift, 0), length)
+            hi = max(min(length - shift, length), lo)
+            cols[:, :lo, :, tap] = 0.0
+            cols[:, hi:, :, tap] = 0.0
+            cols[:, lo:hi, :, tap] = x[:, lo + shift:hi + shift]
+        return cols.reshape(b * length, c * k)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 3:
-            raise ValueError("Conv1d expects (batch, channels, levels)")
+            raise ValueError("Conv1d expects (batch, levels, channels)")
         self._x = x
-        win = self._window(x)
-        # Explicit im2col GEMM: one row-stable matmul with a fixed
-        # (c_in*kernel) reduction order per output row.  Unlike einsum's
-        # optimizer — which may pick different contraction paths at
-        # different batch sizes — this keeps each row's result
-        # bit-identical whether the row is computed alone or inside a
-        # larger (ensemble) batch.
-        b, c, length, k = win.shape
-        cols = win.transpose(0, 2, 1, 3).reshape(b * length, c * k)
-        w_mat = self.w.value.reshape(self.w.value.shape[0], c * k)
-        out = row_stable_matmul(cols, w_mat.T)
-        return out.reshape(b, length, -1).transpose(0, 2, 1) + self.b.value[None, :, None]
+        # One row-stable matmul with a fixed (c_in*kernel) reduction order
+        # per output row.  Unlike einsum's optimizer — which may pick
+        # different contraction paths at different batch sizes — this
+        # keeps each row's result bit-identical whether the row is
+        # computed alone or inside a larger (ensemble) batch.
+        w_mat = self.w.value.reshape(self.w.value.shape[0], -1)
+        out = row_stable_matmul(self._im2col(x), w_mat.T)
+        out += self.b.value
+        return out.reshape(x.shape[0], x.shape[1], -1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         assert self._x is not None, "forward before backward"
-        win = self._window(self._x)
+        # Training is off every timed path, so the contractions stay in
+        # (batch, channels, levels) order with a C-contiguous grad_out:
+        # numpy's summation order follows the memory layout, and this is
+        # the one trained weights have always come from.
+        x = self._x.transpose(0, 2, 1)
+        grad_out = np.ascontiguousarray(grad_out.transpose(0, 2, 1))
+        pad = self.kernel // 2
+        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+        win = np.lib.stride_tricks.sliding_window_view(xp, self.kernel, axis=2)
         self.w.grad += np.einsum("bclk,bol->ock", win, grad_out, optimize=True)
         self.b.grad += grad_out.sum(axis=(0, 2))
         # Input gradient: correlate grad_out with the flipped kernel.
-        pad = self.kernel // 2
         gp = np.pad(grad_out, ((0, 0), (0, 0), (pad, pad)))
         gwin = np.lib.stride_tricks.sliding_window_view(gp, self.kernel, axis=2)
         w_flip = self.w.value[:, :, ::-1]
-        return np.einsum("bolk,ock->bcl", gwin, w_flip, optimize=True)
+        grad_in = np.einsum("bolk,ock->bcl", gwin, w_flip, optimize=True)
+        return grad_in.transpose(0, 2, 1)
 
     def parameters(self) -> List[Parameter]:
         return [self.w, self.b]
 
 
 class ReLU(Layer):
+    """``max(x, 0)`` with ``-0.0 -> +0.0`` and ``NaN -> 0.0``: value-
+    identical to ``np.where(x > 0, x, 0.0)``."""
+
     def __init__(self) -> None:
-        self._mask: Optional[np.ndarray] = None
+        self._y: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        # fmax drops the NaN operand; adding +0.0 clears the sign of a
+        # -0.0 that fmax may hand through and changes nothing else.
+        y = np.fmax(x, 0.0)
+        y += 0.0
+        self._y = y
+        return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        assert self._mask is not None
-        return np.where(self._mask, grad_out, 0.0)
+        assert self._y is not None
+        return np.where(self._y > 0, grad_out, 0.0)
 
 
 class Tanh(Layer):
@@ -253,7 +294,8 @@ class ResUnit(Layer):
     """Residual unit: ``y = x + Conv(ReLU(Conv(x)))`` (two conv layers).
 
     Five of these plus a stem conv give the paper's "five ResUnits within
-    an 11-layer deep CNN".
+    an 11-layer deep CNN".  Channels-last like :class:`Conv1d`:
+    ``(batch, L, channels)`` in and out.
     """
 
     def __init__(self, channels: int, kernel: int = 3, rng_key: str = "res") -> None:
@@ -305,3 +347,14 @@ class Flatten(Layer):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         assert self._shape is not None
         return grad_out.reshape(self._shape)
+
+
+class Transpose(Layer):
+    """Swap the last two axes: ``(batch, channels, levels)`` <->
+    ``(batch, levels, channels)``.  A view both ways, no copy."""
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return x.transpose(0, 2, 1)
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        return grad_out.transpose(0, 2, 1)

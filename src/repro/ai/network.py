@@ -25,6 +25,7 @@ from .layers import (
     ReLU,
     ResidualDense,
     ResUnit,
+    Transpose,
 )
 
 __all__ = ["Sequential", "build_tendency_cnn", "build_radiation_mlp"]
@@ -90,12 +91,19 @@ def build_tendency_cnn(
 
     Input ``(batch, in_channels, levels)`` = (U, V, T, Q, P) columns;
     output ``(batch, out_channels, levels)`` = (dU, dV, dT, dQ) tendencies.
+    The layers in between run channels-last (``(batch, levels, width)``);
+    the two :class:`Transpose` views here are the only layout changes.
     """
-    layers: List[Layer] = [Conv1d(in_channels, width, kernel, rng_key="tend.stem"), ReLU()]
+    layers: List[Layer] = [
+        Transpose(),
+        Conv1d(in_channels, width, kernel, rng_key="tend.stem"),
+        ReLU(),
+    ]
     for i in range(n_res_units):
         layers.append(ResUnit(width, kernel, rng_key=f"tend.res{i}"))
         layers.append(ReLU())
     layers.append(Conv1d(width, out_channels, 1, rng_key="tend.head"))
+    layers.append(Transpose())
     return Sequential(layers)
 
 

@@ -261,12 +261,12 @@ class AIPhysicsSuite:
         if tend.x_norm is None or rad.x_norm is None:
             raise RuntimeError("train the suite before saving it")
         # Architecture metadata to rebuild the nets at load time.
-        stem = tend.model.layers[0]
+        stem_w = tend.model.parameters()[0].value  # (width, 5, kernel)
         # Radiation input is (5 * levels + 2) features: recover levels.
         n_rad_in = int(rad.x_norm.mean.shape[-1])
         meta = {
             "levels": (n_rad_in - 2) // 5,
-            "width": int(stem.w.value.shape[0]),
+            "width": int(stem_w.shape[0]),
             "n_res_units": sum(1 for l in tend.model.layers if hasattr(l, "conv1")),
         }
         payload = {

@@ -78,6 +78,16 @@ class PerfBaseline:
             raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
         self.metrics[name] = {"value": float(value), "kind": kind, "unit": unit}
 
+    def stamp_host(self) -> "PerfBaseline":
+        """Record ``host.cores`` (kind ``wall`` — informational, but it
+        switches the speedup floor and documents where measurements came
+        from) unless the suite already did.  The one home of the stamp:
+        :func:`emit` and every suite's document builder call it, so the
+        emitted file and an in-test gate see the same metric set."""
+        if "host.cores" not in self.metrics:
+            self.record("host.cores", float(os.cpu_count() or 1), kind="wall")
+        return self
+
     def to_json(self) -> str:
         return json.dumps(
             {"version": _VERSION, "suite": self.suite, "metrics": self.metrics},
@@ -116,15 +126,13 @@ def emit(
 ) -> Path:
     """The one way a benchmark suite writes its ``BENCH_<suite>.json``.
 
-    Stamps ``host.cores`` (kind ``wall`` — informational, but it switches
-    the speedup-floor and documents where measurements came from) unless
-    the suite already recorded it, writes ``BENCH_<suite>.json`` under
-    ``directory``, verifies the document round-trips, and returns the
-    path.  ``echo=True`` prints the ``[bench-json] <path>`` line the CI
-    logs grep for.
+    Stamps host metadata (:meth:`PerfBaseline.stamp_host`), writes
+    ``BENCH_<suite>.json`` under ``directory``, verifies the document
+    round-trips, and returns the path.  ``echo=True`` prints the
+    ``[bench-json] <path>`` line the CI logs grep for.
     """
-    if host_metadata and "host.cores" not in doc.metrics:
-        doc.record("host.cores", float(os.cpu_count() or 1), kind="wall")
+    if host_metadata:
+        doc.stamp_host()
     out = doc.write(Path(directory) / f"BENCH_{doc.suite}.json")
     if PerfBaseline.from_file(out).metrics != doc.metrics:
         raise RuntimeError(f"{out}: emitted document did not round-trip")

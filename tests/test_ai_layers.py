@@ -1,4 +1,7 @@
-"""Gradient checks (finite differences) and behavior tests for every layer."""
+"""Gradient checks (finite differences) and behavior tests for every layer.
+
+Conv1d, ReLU and ResUnit are channels-last: ``(batch, levels, channels)``.
+"""
 
 import numpy as np
 import pytest
@@ -13,7 +16,10 @@ from repro.ai import (
     ResUnit,
     Sequential,
     Tanh,
+    Transpose,
 )
+from repro.ai import layers as layers_mod
+from repro.ai.layers import row_stable_matmul
 
 
 def _loss_and_grad(layer, x):
@@ -83,11 +89,86 @@ class TestDense:
         _check_param_grads(layer, x)
 
 
+#: The GEMM shapes (k, n) the AI suite really runs: CNN stem, wide conv and
+#: head as im2col, then the MLP's input, hidden and output layers.
+SUITE_GEMMS = [(15, 128), (384, 128), (128, 4), (152, 160), (160, 160), (160, 2)]
+
+
+class TestRowStableMatmul:
+    @pytest.mark.parametrize("k,n", SUITE_GEMMS)
+    def test_row_bits_independent_of_batch(self, k, n):
+        """A row computed alone and inside 7-, 162-, 324- and 4860-row
+        batches (a tail, < 1 block, > 1 block, 18 blocks + tail) has the
+        same bytes."""
+        rng = np.random.default_rng([k, n])
+        a = rng.standard_normal((4860, k))
+        w = rng.standard_normal((k, n))
+        full = row_stable_matmul(a, w)
+        assert full.shape == (4860, n)
+        for m in (7, 162, 324):
+            assert row_stable_matmul(a[:m], w).tobytes() == full[:m].tobytes()
+        for i in (0, 6, 161, 255, 256, 323, 4859):
+            alone = row_stable_matmul(a[i:i + 1], w)
+            assert alone.tobytes() == full[i:i + 1].tobytes(), i
+
+    @pytest.mark.parametrize("m", [1, 255, 256, 257, 512, 700])
+    def test_blocking_cases(self, m):
+        """m < block, exact multiples and tail-padded sizes agree with a
+        plain matmul to rounding and with each other bitwise."""
+        block = layers_mod._ROW_BLOCK
+        assert block == 256
+        rng = np.random.default_rng(m)
+        a = rng.standard_normal((m, 24))
+        w = rng.standard_normal((24, 5))
+        out = row_stable_matmul(a, w)
+        assert np.allclose(out, a @ w, rtol=1e-13, atol=1e-13)
+        padded = np.concatenate([a, np.zeros((3 * block - m, 24))])
+        assert row_stable_matmul(padded, w)[:m].tobytes() == out.tobytes()
+
+    def test_empty_batch(self):
+        out = row_stable_matmul(np.zeros((0, 6)), np.ones((6, 3)))
+        assert out.shape == (0, 3)
+
+    def test_strided_weight_equals_contiguous(self):
+        """Conv1d passes ``w.reshape(c_out, -1).T`` — a strided view."""
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((300, 384))
+        w_t = rng.standard_normal((128, 384)).T
+        assert not w_t.flags.c_contiguous
+        out = row_stable_matmul(a, w_t)
+        assert out.tobytes() == row_stable_matmul(a, np.ascontiguousarray(w_t)).tobytes()
+
+    def test_result_dtype(self):
+        a32 = np.ones((5, 4), dtype=np.float32)
+        w32 = np.ones((4, 3), dtype=np.float32)
+        assert row_stable_matmul(a32, w32).dtype == np.float32
+        assert row_stable_matmul(a32, w32.astype(np.float64)).dtype == np.float64
+        assert row_stable_matmul(a32.astype(np.float64), w32).dtype == np.float64
+        assert np.array_equal(row_stable_matmul(a32, w32), np.full((5, 3), 4.0))
+
+
+def _conv1d_reference(layer, x_cl):
+    """The literal forward the channels-last rewrite must reproduce bit for
+    bit: pad -> sliding_window_view -> strided im2col gather -> one GEMM
+    (reduction channel-major, tap-minor) -> transpose -> bias, all on
+    ``(batch, channels, levels)``."""
+    x = np.ascontiguousarray(x_cl.transpose(0, 2, 1))
+    pad = layer.kernel // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, layer.kernel, axis=2)
+    b, c, length, k = win.shape
+    cols = win.transpose(0, 2, 1, 3).reshape(b * length, c * k)
+    w_mat = layer.w.value.reshape(layer.w.value.shape[0], c * k)
+    out = row_stable_matmul(cols, w_mat.T)
+    out = out.reshape(b, length, -1).transpose(0, 2, 1) + layer.b.value[None, :, None]
+    return np.ascontiguousarray(out.transpose(0, 2, 1))
+
+
 class TestConv1d:
     def test_shapes_same_padding(self, rng):
         layer = Conv1d(2, 5, kernel=3)
-        y = layer.forward(rng.standard_normal((4, 2, 30)))
-        assert y.shape == (4, 5, 30)
+        y = layer.forward(rng.standard_normal((4, 30, 2)))
+        assert y.shape == (4, 30, 5)
 
     def test_odd_kernel_required(self):
         with pytest.raises(ValueError):
@@ -100,21 +181,47 @@ class TestConv1d:
     def test_matches_numpy_correlate(self, rng):
         """Single-channel conv equals scipy-style 'same' correlation."""
         layer = Conv1d(1, 1, kernel=3)
-        x = rng.standard_normal((1, 1, 16))
+        x = rng.standard_normal((1, 16, 1))
         w = layer.w.value[0, 0]
-        y = layer.forward(x)[0, 0]
-        ref = np.correlate(np.pad(x[0, 0], 1), w, mode="valid") + layer.b.value[0]
+        y = layer.forward(x)[0, :, 0]
+        ref = np.correlate(np.pad(x[0, :, 0], 1), w, mode="valid") + layer.b.value[0]
         assert np.allclose(y, ref)
+
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("length", [1, 2, 30])
+    @pytest.mark.parametrize("batch", [1, 162, 324])
+    def test_forward_bitwise_equals_reference(self, kernel, length, batch):
+        rng = np.random.default_rng([kernel, length, batch])
+        layer = Conv1d(5, 24, kernel=kernel)
+        layer.b.value[:] = rng.standard_normal(24)
+        x = rng.standard_normal((batch, length, 5))
+        y = layer.forward(x)
+        assert y.shape == (batch, length, 24)
+        assert y.flags.c_contiguous
+        assert y.tobytes() == _conv1d_reference(layer, x).tobytes()
+
+    def test_forward_accepts_transposed_view(self, rng):
+        """The CNN's stem sees the Transpose view of a (b, c, L) array."""
+        layer = Conv1d(5, 8, kernel=3)
+        x = rng.standard_normal((7, 5, 30)).transpose(0, 2, 1)
+        assert layer.forward(x).tobytes() == _conv1d_reference(layer, x).tobytes()
+
+    def test_wide_layer_bitwise_equals_reference(self):
+        """The paper-size 128 -> 128 conv at the ensemble's 324 rows."""
+        rng = np.random.default_rng(11)
+        layer = Conv1d(128, 128, kernel=3)
+        x = rng.standard_normal((324, 30, 128))
+        assert layer.forward(x).tobytes() == _conv1d_reference(layer, x).tobytes()
 
     def test_gradients(self, rng):
         layer = Conv1d(2, 3, kernel=3)
-        x = rng.standard_normal((2, 2, 9))
+        x = rng.standard_normal((2, 9, 2))
         _check_input_grad(layer, x)
         _check_param_grads(layer, x)
 
     def test_kernel1_gradients(self, rng):
         layer = Conv1d(3, 2, kernel=1)
-        x = rng.standard_normal((2, 3, 7))
+        x = rng.standard_normal((2, 7, 3))
         _check_input_grad(layer, x)
         _check_param_grads(layer, x)
 
@@ -126,6 +233,20 @@ class TestActivations:
         assert np.array_equal(layer.forward(x), [[0.0, 0.5, 2.0]])
         g = layer.backward(np.ones_like(x))
         assert np.array_equal(g, [[0.0, 1.0, 1.0]])
+
+    def test_relu_special_values_match_where(self):
+        """Sign bit included: -0.0 -> +0.0, NaN -> 0.0, like
+        ``np.where(x > 0, x, 0.0)`` — at a length that exercises both the
+        SIMD body and the scalar tail of the ufunc loops."""
+        specials = np.array([-1.0, -0.0, 0.0, 1.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324])
+        x = np.tile(specials, 15)[:131]
+        layer = ReLU()
+        y = layer.forward(x)
+        assert y.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+        assert not np.signbit(y).any()
+        assert x.tobytes() == np.tile(specials, 15)[:131].tobytes()  # input untouched
+        g = layer.backward(np.ones_like(x))
+        assert np.array_equal(g, np.where(x > 0, 1.0, 0.0))
 
     def test_tanh_gradient(self, rng):
         layer = Tanh()
@@ -150,7 +271,7 @@ class TestLayerNorm:
 class TestResUnits:
     def test_res_unit_gradients(self, rng):
         layer = ResUnit(3, kernel=3)
-        x = rng.standard_normal((2, 3, 8))
+        x = rng.standard_normal((2, 8, 3))
         _check_input_grad(layer, x, tol=1e-4)
         _check_param_grads(layer, x, tol=1e-4)
 
@@ -164,7 +285,7 @@ class TestResUnits:
         layer = ResUnit(2)
         layer.conv2.w.value[:] = 0.0
         layer.conv2.b.value[:] = 0.0
-        x = rng.standard_normal((1, 2, 6))
+        x = rng.standard_normal((1, 6, 2))
         assert np.allclose(layer.forward(x), x)
 
 
@@ -175,6 +296,15 @@ class TestFlattenSequential:
         y = layer.forward(x)
         assert y.shape == (2, 12)
         assert layer.backward(y).shape == x.shape
+
+    def test_transpose_is_a_view_both_ways(self, rng):
+        layer = Transpose()
+        x = rng.standard_normal((2, 3, 4))
+        y = layer.forward(x)
+        assert y.shape == (2, 4, 3) and np.shares_memory(x, y)
+        assert np.array_equal(y, np.swapaxes(x, 1, 2))
+        g = layer.backward(y)
+        assert g.shape == x.shape and np.array_equal(g, x)
 
     def test_sequential_composes(self, rng):
         net = Sequential([Dense(4, 8), ReLU(), Dense(8, 2)])

@@ -1,6 +1,10 @@
 """Tests for the AI physics suite: training protocol, skill, and the
 drop-in replacement contract (slow nets kept tiny)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -65,6 +69,64 @@ class TestTraining:
         skill = trained_suite.skill(small_archive, idx)
         assert skill["radiation"] > 0.5
         assert skill["tendency"] > 0.2
+
+
+#: Prints the BLAS build + runtime kernel, then the SHA-256 of every
+#: trained parameter (tendency CNN, then radiation MLP, ``parameters()``
+#: order) of the suite the coupled-model benchmark trains for seed 0.
+_TRAIN_DIGEST_SCRIPT = """
+import ctypes, hashlib
+import numpy as np
+from repro.atm import AIPhysicsSuite, generate_training_archive
+
+blas = "unknown"
+for path in {l.split()[-1] for l in open("/proc/self/maps") if "openblas" in l}:
+    for name in ("scipy_openblas_get_config64_", "openblas_get_config64_", "openblas_get_config"):
+        fn = getattr(ctypes.CDLL(path), name, None)
+        if fn is not None:
+            fn.restype = ctypes.c_char_p
+            blas = fn().decode()
+            break
+print(f"numpy {np.__version__} / {blas}")
+archive = generate_training_archive(n_days=8, steps_per_day=4, ncol_per_step=8, nlev=30, seed=0)
+suite = AIPhysicsSuite.train(archive, epochs=1, width=128, seed=0)
+h = hashlib.sha256()
+for trainer in (suite.tendency_trainer, suite.radiation_trainer):
+    for p in trainer.model.parameters():
+        h.update(p.value.tobytes())
+print(h.hexdigest())
+"""
+
+#: Recorded at commit 7e65a03 (``(batch, channels, levels)`` layers, 32-row
+#: GEMM block) with one BLAS thread.  Bits depend on the BLAS kernel, so
+#: the digest only binds on the build it was recorded with.
+_FROZEN_TRAIN = {
+    "blas": "numpy 2.4.6 / OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY"
+            " SkylakeX MAX_THREADS=64",
+    "sha256": "56c30e2676c2470208c10d5658bda45193f89b6d4532e425d4d5fd8ac64e20eb",
+}
+
+
+class TestTrainingIsFrozen:
+    def test_benchmark_size_training_matches_recorded_weights(self):
+        """Layer rewrites must keep ``backward`` arithmetic — and the
+        forward bits it trains through — exactly: same weights, byte for
+        byte, as before the layers went channels-last."""
+        if not os.path.exists("/proc/self/maps"):
+            pytest.skip("needs /proc to identify the BLAS build")
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _TRAIN_DIGEST_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        blas, digest = proc.stdout.strip().splitlines()[-2:]
+        if blas != _FROZEN_TRAIN["blas"]:
+            pytest.skip(f"digest was recorded on another BLAS build: {blas!r}")
+        assert digest == _FROZEN_TRAIN["sha256"]
 
 
 class TestInference:

@@ -212,6 +212,20 @@ class TestEmit:
         emit(doc, tmp_path, echo=False)
         assert doc.metrics["host.cores"]["value"] == 64.0
 
+    def test_stamp_host_is_the_emit_stamp(self, tmp_path):
+        """A document built for an in-test gate (stamped, never emitted)
+        carries the same metric set as the emitted file, so a baseline
+        written by ``emit`` never reports ``host.cores`` as MISSING."""
+        built = _doc(a=(1.0, "count"))
+        assert built.stamp_host() is built
+        emitted = _doc(a=(1.0, "count"))
+        emit(emitted, tmp_path, echo=False)
+        assert built.metrics == emitted.metrics
+        built.stamp_host()  # idempotent
+        assert built.metrics == emitted.metrics
+        comparison = compare_baselines(built, PerfBaseline.from_file(tmp_path / "BENCH_t.json"))
+        assert comparison.ok and not comparison.missing
+
     def test_host_metadata_opt_out(self, tmp_path):
         doc = _doc(a=(1.0, "count"))
         emit(doc, tmp_path, host_metadata=False, echo=False)
