@@ -4,7 +4,7 @@ Earth system model (SC '25) rebuilt from scratch in Python.
 Subpackages
 -----------
 ``repro.utils``
-    GPTL-style timers, SYPD conversions, constants, deterministic RNG.
+    Namelists, SYPD conversions, constants, deterministic RNG.
 ``repro.parallel``
     Simulated MPI runtime, decompositions, halo exchange, topology tools.
 ``repro.pp``

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..grids import trsk
 from ..grids.icos import IcosahedralGrid
-from ..utils.timers import TimerRegistry
+from ..obs import NULL_OBS
 from ..utils.units import RHO_AIR
 from .columns import ColumnState, pressure_levels, reference_profiles
 from .dycore import ShallowWaterDycore, williamson_tc2
@@ -78,11 +78,10 @@ class GristModel:
         self,
         config: GristConfig | None = None,
         physics: Optional[PhysicsSuite] = None,
-        timers: Optional[TimerRegistry] = None,
     ) -> None:
         self.config = config if config is not None else GristConfig()
         self.physics: PhysicsSuite = physics if physics is not None else ConventionalPhysics()
-        self.timers = timers if timers is not None else TimerRegistry()
+        self.obs = NULL_OBS
         self._initialized = False
         self._finalized = False
 
@@ -142,8 +141,8 @@ class GristModel:
     def set_context(self, ctx) -> None:
         """Bind the shared ComponentContext: kernel dispatch moves onto the
         context's execution space and the atm kernels join the shared
-        hash registry."""
-        self._ctx = ctx
+        hash registry; phases trace on the context's obs handle."""
+        self.obs = ctx.obs
         if hasattr(self.physics, "bind"):
             self.physics.bind(ctx.space, ctx.metrics, registry=ctx.kernels)
         from . import kernels as _k
@@ -227,10 +226,9 @@ class GristModel:
             self.run(max(1, int(round(dt / self.dt_model))))
             return
         self._check_alive()
-        with self.timers.timed("atm_run"):
-            self._dynamics_substeps()
-            with self.timers.timed("atm_physics"):
-                self._physics_step(self.dt_model)
+        self._dynamics_substeps()
+        with self.obs.span("atm.physics"):
+            self._physics_step(self.dt_model)
         self.time += self.dt_model
         self.n_steps += 1
 
@@ -241,17 +239,15 @@ class GristModel:
         two halves compose bitwise-identically to :meth:`step` when the
         tendencies come from the same physics suite."""
         self._check_alive()
-        with self.timers.timed("atm_run"):
-            self._dynamics_substeps()
-            return self.current_columns()
+        self._dynamics_substeps()
+        return self.current_columns()
 
     def complete_step(self, tend: PhysicsTendencies) -> None:
         """Second half of one model step: apply externally computed physics
         tendencies (e.g. a cross-member batched slice) and tick the clock."""
         self._check_alive()
-        with self.timers.timed("atm_run"):
-            with self.timers.timed("atm_physics"):
-                self._apply_physics(tend, self.dt_model)
+        with self.obs.span("atm.physics"):
+            self._apply_physics(tend, self.dt_model)
         self.time += self.dt_model
         self.n_steps += 1
 
@@ -366,13 +362,13 @@ class GristModel:
 
     def _dynamics_substeps(self) -> None:
         """The dynamics half of one model step (dycore + tracer bundles)."""
-        with self.timers.timed("atm_dycore"):
+        with self.obs.span("atm.dycore"):
             for _ in range(DYCORE_SUBSTEPS):
                 if self._si is not None:
                     self.swe = self._si.step(self.swe, self.dt_dycore)
                 else:
                     self.swe = self.dycore.step_rk4(self.swe, self.dt_dycore)
-        with self.timers.timed("atm_tracer"):
+        with self.obs.span("atm.tracer"):
             for _ in range(TRACER_SUBSTEPS):
                 self._advect_tracer(self.dt_tracer)
 

@@ -540,7 +540,6 @@ def _print_pool_stats(pstats) -> None:
 
 def _cmd_run_coupled(args: argparse.Namespace) -> int:
     from repro.esm import AP3ESM, atm_snapshot
-    from repro.utils import get_timing
 
     if args.faults:
         return _cmd_chaos(args)
@@ -582,9 +581,7 @@ def _cmd_run_coupled(args: argparse.Namespace) -> int:
           f"cloud {snap['cloud_fraction'].mean():.2f} | "
           f"SST {sst[wet].min():.1f}..{sst[wet].max():.1f} C | "
           f"ice {model.ice.total_area() / 1e12:.2f} Mkm^2")
-    rep = get_timing([model.timers], "cpl_run",
-                     simulated_days=model.n_couplings * model.dt_couple / 86400.0)
-    print(f"throughput: {rep.sypd:.1f} SYPD on this machine")
+    print(f"throughput: {model.sypd():.1f} SYPD on this machine")
     _print_pool_stats(model.pool_stats())
     if args.coupler_cache or args.prune_fields:
         creport = model.coupler_report()

@@ -30,6 +30,7 @@ in-flight ocean state and the two schedules are bitwise identical.
 from __future__ import annotations
 
 import math
+import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Optional
@@ -51,8 +52,11 @@ from ..obs import NULL_OBS, Obs
 from ..ocn import LicomConfig, LicomModel
 from ..pp import ExecutionSpace, make_backend
 from ..resilience.config import ResilienceConfig
-from ..utils.timers import TimerRegistry
-from ..utils.units import LATENT_HEAT_VAPORIZATION, STEFAN_BOLTZMANN
+from ..utils.units import (
+    LATENT_HEAT_VAPORIZATION,
+    STEFAN_BOLTZMANN,
+    sypd_from_walltime,
+)
 from .component import ComponentContext, precision_policy
 from .scheduler import PAPER_DOMAINS, TaskDomainScheduler, TaskHandle
 
@@ -147,8 +151,10 @@ class AP3ESM:
         coupler_cache: Optional[CouplerCache] = None,
     ) -> None:
         self.config = config if config is not None else AP3ESMConfig()
-        self.timers = TimerRegistry()
         self.obs = obs if obs is not None else NULL_OBS
+        #: Wall seconds spent inside :meth:`step_coupling` — the one clock
+        #: :meth:`sypd` reads.
+        self.wall_s = 0.0
         self._space = space
         #: Warm CouplerCache handed in by a session driver (EnsembleRun):
         #: all instances share one content-addressed table instead of each
@@ -187,7 +193,6 @@ class AP3ESM:
         self.atm = GristModel(
             GristConfig(level=cfg.atm_level, nlev=cfg.atm_nlev),
             physics=physics,
-            timers=self.timers,
         )
         self.atm.init()
         if self.guarded_physics is not None:
@@ -196,10 +201,9 @@ class AP3ESM:
             self.guarded_physics.step_fn = lambda: self.atm.n_steps
         self.ocn = LicomModel(
             LicomConfig(nlon=cfg.ocn_nlon, nlat=cfg.ocn_nlat, n_levels=cfg.ocn_levels),
-            timers=self.timers,
         )
         self.ocn.init()
-        self.ice = CiceModel(self.ocn.grid, timers=self.timers)
+        self.ice = CiceModel(self.ocn.grid)
         self.ice.init()
 
         # Remap operators between the two grids.
@@ -213,9 +217,7 @@ class AP3ESM:
         ocean_frac = self.o2a.apply(self.ocn.grid.mask.reshape(-1).astype(float))
         self.ocean_frac_atm = np.clip(ocean_frac, 0.0, 1.0)
         self.land_mask_atm = self.ocean_frac_atm < 0.5
-        self.lnd = LandModel(
-            atm_grid.n_cells, land_mask=self.land_mask_atm, timers=self.timers
-        )
+        self.lnd = LandModel(atm_grid.n_cells, land_mask=self.land_mask_atm)
         self.lnd.init()
 
         # ONE shared context for all four components: execution space,
@@ -243,18 +245,16 @@ class AP3ESM:
         for comp in self.components:
             comp.set_context(self.ctx)
 
-        # Task-domain scheduler (§5.1.2).  The ocean gets its own timer
-        # registry in concurrent mode: the shared one is stack-based and
-        # not thread-safe.
+        # Task-domain scheduler (§5.1.2).  The ocean's phase spans go to
+        # the lane its unit runs on — the domain-2 fork in concurrent
+        # mode, where the shared tracer stack is another thread's state.
         self.scheduler = TaskDomainScheduler(
             PAPER_DOMAINS,
             obs=self.obs,
             concurrent=cfg.concurrent_domains,
             watchdog_s=res.watchdog_s if res.enabled else None,
         )
-        if cfg.concurrent_domains:
-            self.ocn.timers = TimerRegistry()
-        self.ocn_timers = self.ocn.timers
+        self.ocn.obs = self.scheduler.domain_obs("domain2")
 
         # Coupler clock: one tick per atmosphere coupling interval, with
         # the ocean alarm at the paper's 5:1 frequency ratio.
@@ -356,6 +356,11 @@ class AP3ESM:
         process pool, or ``None`` when the backend is not ``procs``."""
         return self._owned_pool.stats if self._owned_pool is not None else None
 
+    def sypd(self) -> float:
+        """Simulated years per wall-clock day so far (§6): the coupler
+        clock over the wall seconds spent in :meth:`step_coupling`."""
+        return sypd_from_walltime(self.clock.time, self.wall_s)
+
     # -- coupling loop ---------------------------------------------------------------
 
     def step_coupling(self) -> None:
@@ -369,26 +374,28 @@ class AP3ESM:
         self._check()
         cfg = self.config
         obs = self.obs
-        with self.timers.timed("cpl_run"), obs.span(
-            "cpl.step", coupling=self.n_couplings
-        ):
-            # Publish the lagged ocean export at the coupling whose
-            # advance will ring the alarm, *before* domain 1 reads it.
-            if self._pending is not None and self.clock.will_ring("cpl_ocn"):
-                self._publish_ocean()
+        t0 = time.perf_counter()
+        try:
+            with obs.span("cpl.step", coupling=self.n_couplings):
+                # Publish the lagged ocean export at the coupling whose
+                # advance will ring the alarm, *before* domain 1 reads it.
+                if self._pending is not None and self.clock.will_ring("cpl_ocn"):
+                    self._publish_ocean()
 
-            to_ocn, i2x = self.scheduler.execute("domain1", self._domain1_unit)
+                to_ocn, i2x = self.scheduler.execute("domain1", self._domain1_unit)
 
-            self.clock.advance()
-            if self.clock.ringing("cpl_ocn"):
-                forcing = self.exchange.transfer(
-                    "x2o", self._ocean_forcing(to_ocn, i2x)
-                )
-                self._pending = self.scheduler.launch(
-                    "domain2", lambda dom_obs: self._ocean_unit(dom_obs, forcing)
-                )
-                obs.counter("ocn.couplings").inc()
-                obs.counter("ocn.steps").inc(self.ocn_steps_per_coupling)
+                self.clock.advance()
+                if self.clock.ringing("cpl_ocn"):
+                    forcing = self.exchange.transfer(
+                        "x2o", self._ocean_forcing(to_ocn, i2x)
+                    )
+                    self._pending = self.scheduler.launch(
+                        "domain2", lambda dom_obs: self._ocean_unit(dom_obs, forcing)
+                    )
+                    obs.counter("ocn.couplings").inc()
+                    obs.counter("ocn.steps").inc(self.ocn_steps_per_coupling)
+        finally:
+            self.wall_s += time.perf_counter() - t0
         obs.counter("cpl.steps").inc()
         obs.counter("atm.steps").inc(cfg.atm_steps_per_coupling)
         self.n_couplings += 1

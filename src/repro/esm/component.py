@@ -33,13 +33,7 @@ from typing import Any, Dict, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
-from ..pp import (
-    ExecutionSpace,
-    KernelMetrics,
-    KernelRegistry,
-    KernelStats,
-    Serial,
-)
+from ..pp import ExecutionSpace, KernelMetrics, KernelRegistry, Serial
 from ..precision import Precision, PrecisionPolicy
 
 __all__ = [
@@ -119,9 +113,6 @@ class ComponentContext:
             self.obs = NULL_OBS
         if self.metrics.obs is None:
             self.metrics.obs = self.obs
-
-    def kernel_stats(self, kernel: str) -> KernelStats:
-        return self.metrics.stats(kernel)
 
     # -- the mixed-precision state path (§5.2.3) ---------------------------
 

@@ -48,7 +48,6 @@ from ..coupler import CouplerCache
 from ..obs import NULL_OBS, Obs
 from ..pp import make_backend
 from ..utils.rng import seeded
-from ..utils.timers import get_timing
 from .ap3esm import AP3ESM, AP3ESMConfig
 
 __all__ = [
@@ -521,18 +520,20 @@ class EnsembleRun:
         sypds: List[float] = []
         per_member: List[Dict[str, float]] = []
         for k, m in enumerate(self.members):
-            rep = get_timing([m.timers], "cpl_run", simulated_days)
+            # The member's own clock over its own wall: a member
+            # quarantined early is not credited the survivors' couplings.
+            sypd = m.sypd()
             row = {
                 "member": float(k),
-                "sypd": rep.sypd,
-                "wall_s": rep.max_seconds,
+                "sypd": sypd,
+                "wall_s": m.wall_s,
                 "couplings": float(m.n_couplings),
             }
             if sup is not None:
                 row["alive"] = 1.0 if sup.alive[k] else 0.0
             per_member.append(row)
             if sup is None or sup.alive[k]:
-                sypds.append(rep.sypd)
+                sypds.append(sypd)
         t_bot = np.stack([m.atm.t_col[:, -1] for _, m in live])
         spread_t = float(t_bot.std(axis=0).mean()) if len(live) > 1 else 0.0
         out: Dict[str, object] = {

@@ -235,9 +235,10 @@ class TaskDomainScheduler:
 
     # -- execution ---------------------------------------------------------
 
-    def _obs_for(self, name: str) -> Any:
-        """Launched domains get their own forked rank when concurrent:
-        the tracer/timer stacks are per-thread state."""
+    def domain_obs(self, name: str) -> Any:
+        """The handle a launched domain traces on — its own forked rank
+        when concurrent (the tracer stack is per-thread state), the
+        scheduler's handle otherwise."""
         if not self.concurrent:
             return self.obs
         handle = self._domain_obs.get(name)
@@ -273,7 +274,7 @@ class TaskDomainScheduler:
                 except BaseException as exc:
                     _tag_domain(exc, domain.name)
                     raise
-        domain_obs = self._obs_for(name)
+        domain_obs = self.domain_obs(name)
 
         def run() -> Any:
             with domain_obs.span(f"cpl.domain.{domain.name}"):

@@ -19,9 +19,9 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..grids.tripolar import TripolarGrid
+from ..obs import NULL_OBS
 from ..ocn.metrics import CGridMetrics
 from ..pp import ExecutionSpace, KernelStats, Serial
-from ..utils.timers import TimerRegistry
 from .kernels import run_thermodynamics
 
 __all__ = ["CiceConfig", "CiceModel"]
@@ -50,11 +50,10 @@ class CiceModel:
         self,
         grid: TripolarGrid,
         config: CiceConfig | None = None,
-        timers: Optional[TimerRegistry] = None,
     ) -> None:
         self.grid = grid
         self.config = config if config is not None else CiceConfig()
-        self.timers = timers if timers is not None else TimerRegistry()
+        self.obs = NULL_OBS
         self._space: ExecutionSpace = Serial()
         self._kmetrics = None  # Optional[repro.pp.KernelMetrics]
         self._kernels = None  # Optional[repro.pp.KernelRegistry]
@@ -98,7 +97,7 @@ class CiceModel:
     def set_context(self, ctx) -> None:
         """Bind the shared ComponentContext: thermodynamics dispatches on
         the context's space and joins the shared hash registry."""
-        self._ctx = ctx
+        self.obs = ctx.obs
         self._space = ctx.space
         self._kmetrics = ctx.metrics
         self._kernels = ctx.kernels
@@ -163,11 +162,10 @@ class CiceModel:
         self._check()
         if dt is None:
             raise ValueError("the ice component needs an explicit coupling dt")
-        with self.timers.timed("ice_run"):
-            with self.timers.timed("ice_thermo"):
-                self._thermodynamics(dt)
-            with self.timers.timed("ice_dynamics"):
-                self._dynamics(dt)
+        with self.obs.span("ice.thermo"):
+            self._thermodynamics(dt)
+        with self.obs.span("ice.dynamics"):
+            self._dynamics(dt)
         self.time += dt
         self.n_steps += 1
 

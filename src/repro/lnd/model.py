@@ -21,7 +21,6 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..pp import ExecutionSpace, KernelStats, Serial
-from ..utils.timers import TimerRegistry
 from .kernels import run_bucket
 
 __all__ = ["LandConfig", "LandModel"]
@@ -53,7 +52,6 @@ class LandModel:
         n_cells: int,
         land_mask: Optional[np.ndarray] = None,
         config: LandConfig | None = None,
-        timers: Optional[TimerRegistry] = None,
     ) -> None:
         if n_cells < 1:
             raise ValueError("n_cells must be >= 1")
@@ -64,7 +62,6 @@ class LandModel:
         if self.land_mask.shape != (n_cells,):
             raise ValueError("land_mask must have one entry per cell")
         self.config = config if config is not None else LandConfig()
-        self.timers = timers if timers is not None else TimerRegistry()
         self._space: ExecutionSpace = Serial()
         self._kmetrics = None  # Optional[repro.pp.KernelMetrics]
         self._kernels = None  # Optional[repro.pp.KernelRegistry]
@@ -90,7 +87,6 @@ class LandModel:
     def set_context(self, ctx) -> None:
         """Bind the shared ComponentContext: the bucket kernel dispatches
         on the context's space and joins the shared hash registry."""
-        self._ctx = ctx
         self._space = ctx.space
         self._kmetrics = ctx.metrics
         self._kernels = ctx.kernels
@@ -171,18 +167,17 @@ class LandModel:
             if np.asarray(arr).shape != (self.n_cells,):
                 raise ValueError(f"{name} must have one entry per cell")
         cfg = self.config
-        with self.timers.timed("lnd_run"):
-            # The whole bucket update is pointwise over cells; dispatch it
-            # through the portable kernel on the bound execution space.
-            self.tskin, self.bucket, self.snow, runoff, evap, albedo = run_bucket(
-                self._space,
-                self.tskin, self.bucket, self.snow, self.land_mask,
-                np.asarray(gsw, dtype=float), np.asarray(glw, dtype=float),
-                np.asarray(precip, dtype=float), np.asarray(t_air, dtype=float),
-                dt, cfg, stats=self._kernel_stats("lnd.bucket"),
-                registry=self._kernels,
-            )
-            self.runoff_total += np.where(self.land_mask, runoff, 0.0)
+        # The whole bucket update is pointwise over cells; dispatch it
+        # through the portable kernel on the bound execution space.
+        self.tskin, self.bucket, self.snow, runoff, evap, albedo = run_bucket(
+            self._space,
+            self.tskin, self.bucket, self.snow, self.land_mask,
+            np.asarray(gsw, dtype=float), np.asarray(glw, dtype=float),
+            np.asarray(precip, dtype=float), np.asarray(t_air, dtype=float),
+            dt, cfg, stats=self._kernel_stats("lnd.bucket"),
+            registry=self._kernels,
+        )
+        self.runoff_total += np.where(self.land_mask, runoff, 0.0)
         self.time += dt
         self.n_steps += 1
         return {

@@ -8,6 +8,7 @@ script.  See :class:`Obs` for the facade components accept, and
 
 from .core import NULL_OBS, Obs, PrefixedObs
 from .export import (
+    TimingReport,
     chrome_trace_events,
     coupler_fastpath,
     kernel_measurements,
@@ -32,6 +33,7 @@ __all__ = [
     "write_chrome_trace",
     "text_report",
     "timing_summary",
+    "TimingReport",
     "coupler_fastpath",
     "kernel_measurements",
 ]

@@ -17,8 +17,7 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
-from ..utils.timers import TimingReport
-from .export import text_report, timing_summary, write_chrome_trace
+from .export import TimingReport, text_report, timing_summary, write_chrome_trace
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .tracer import Tracer
 
@@ -172,13 +171,14 @@ class PrefixedObs:
 
     Records through the *base* tracer/metrics (so exports aggregate all
     members in one place) but under ``<prefix>.<name>``.  Everything not
-    name-shaped — exports, forks' bookkeeping, ``tracer``/``metrics``
-    attributes — delegates to the base handle unchanged.
+    name-shaped — exports, ``tracer``/``metrics`` attributes — delegates
+    to the base handle unchanged.
     """
 
     def __init__(self, base: Obs, prefix: str) -> None:
         self._base = base
         self.prefix = prefix
+        self._forks: Dict[int, "PrefixedObs"] = {}
 
     @property
     def enabled(self) -> bool:
@@ -209,6 +209,24 @@ class PrefixedObs:
         if not self._base.enabled:
             return self._base
         return PrefixedObs(self._base, self._name(prefix))
+
+    def fork(self, rank: int) -> "PrefixedObs":
+        """Per-rank child of *this view* (idempotent per rank): keeps the
+        prefix and owns its tracer.  Two views forking one rank — two
+        ensemble members' ocean domains — run on two threads, and a
+        tracer stack is per-thread state, so a rank another view already
+        holds moves to the next free one.
+        """
+        child = self._forks.get(rank)
+        if child is None:
+            base, free = self._base, rank
+            with base._lock:
+                while free in base._children:
+                    free += 1
+                lane = Obs(clock=base._clock, enabled=base.enabled, rank=free)
+                base._children[free] = lane
+            child = self._forks[rank] = PrefixedObs(lane, self.prefix)
+        return child
 
     def __getattr__(self, attr: str):
         return getattr(self._base, attr)

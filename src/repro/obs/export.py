@@ -9,24 +9,25 @@ Three output formats, matching how the paper's numbers were consumed:
 * :func:`text_report` — a per-rank plain-text report: the nested span
   aggregate (GPTL-style) plus the metrics table;
 * :func:`timing_summary` — the ``getTiming`` equivalent: max-across-ranks
-  wall time of one span and the derived SYPD, via
-  :func:`repro.utils.timers.get_timing`.
+  wall time of one span and the derived SYPD.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 
-from ..utils.timers import TimingReport, get_timing
-from .metrics import MetricsRegistry
+from ..utils.units import SECONDS_PER_DAY, sdpd_from_sypd, sypd_from_walltime
+from .metrics import Histogram, MetricsRegistry
 from .tracer import Tracer
 
 __all__ = [
     "chrome_trace_events",
     "write_chrome_trace",
     "text_report",
+    "TimingReport",
     "timing_summary",
     "resilience_interventions",
     "coupler_fastpath",
@@ -182,6 +183,37 @@ def write_chrome_trace(
     return path
 
 
+def _span_table(tracer: Tracer, indent: int = 2) -> str:
+    """The GPTL-style nested table: one row per distinct ``Span.path``
+    with calls/total/mean/min/max, children indented under their parent
+    in first-completion order.  An ancestor that never closed (a report
+    printed from inside it) is listed with zero calls."""
+    root: Dict[str, tuple] = {}  # name -> (Histogram of durations, children)
+    for span in tracer.spans:
+        children = root
+        for part in span.path:
+            node = children.get(part)
+            if node is None:
+                node = children[part] = (Histogram(part), {})
+            stats, children = node
+        stats.observe(span.duration)
+    lines = [
+        f"{'span':<40}{'calls':>8}{'total(s)':>14}{'mean(s)':>14}"
+        f"{'min(s)':>14}{'max(s)':>14}"
+    ]
+
+    def walk(children: Dict[str, tuple], depth: int) -> None:
+        for name, (h, sub) in children.items():
+            lines.append(
+                f"{' ' * (indent * depth) + name:<40}{h.count:>8}"
+                f"{h.sum:>14.6f}{h.mean:>14.6f}{h.min:>14.6f}{h.max:>14.6f}"
+            )
+            walk(sub, depth + 1)
+
+    walk(root, 0)
+    return "\n".join(lines)
+
+
 def text_report(
     tracers: Iterable[Tracer],
     metrics: Optional[Iterable[MetricsRegistry]] = None,
@@ -193,7 +225,7 @@ def text_report(
     by_rank: Dict[int, MetricsRegistry] = {m.rank: m for m in metric_list}
     for tracer in tracer_list:
         sections.append(f"== rank {tracer.rank} ==")
-        sections.append(tracer.to_timer_registry().report())
+        sections.append(_span_table(tracer))
         reg = by_rank.get(tracer.rank)
         if reg is not None and reg.names():
             sections.append(reg.report())
@@ -239,6 +271,27 @@ def text_report(
     return "\n".join(sections)
 
 
+@dataclass(frozen=True)
+class TimingReport:
+    """Result of :func:`timing_summary`: the ``getTiming``-script equivalent."""
+
+    timer: str
+    n_ranks: int
+    max_seconds: float
+    min_seconds: float
+    mean_seconds: float
+    simulated_days: float
+    sypd: float
+    sdpd: float
+
+    def __str__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"{self.timer}: max {self.max_seconds:.4f}s over {self.n_ranks} "
+            f"ranks for {self.simulated_days:.2f} simulated days "
+            f"-> {self.sypd:.3f} SYPD ({self.sdpd:.1f} SDPD)"
+        )
+
+
 def timing_summary(
     tracers: Iterable[Tracer],
     span: str,
@@ -246,9 +299,26 @@ def timing_summary(
 ) -> TimingReport:
     """``getTiming``-compatible SYPD summary over one span name.
 
-    Each tracer degrades to its timer registry; :func:`get_timing` then
-    applies the paper's max-across-ranks convention.
+    Mirrors the paper's measurement mechanism: "Wall-clock time measurements
+    are obtained using timers ... with the maximum value across all MPI ranks
+    recorded to account for potential load imbalance."  Ranks that never
+    opened ``span`` (a forked task-domain lane) do not take part;
+    ``KeyError`` when no rank did.
     """
-    return get_timing(
-        [t.to_timer_registry() for t in tracers], span, simulated_days
+    if simulated_days <= 0:
+        raise ValueError("simulated_days must be positive")
+    found = [t.find(span) for t in tracers]
+    totals = [sum(s.duration for s in spans) for spans in found if spans]
+    if not totals:
+        raise KeyError(span)
+    sypd = sypd_from_walltime(simulated_days * SECONDS_PER_DAY, max(totals))
+    return TimingReport(
+        timer=span,
+        n_ranks=len(totals),
+        max_seconds=max(totals),
+        min_seconds=min(totals),
+        mean_seconds=sum(totals) / len(totals),
+        simulated_days=simulated_days,
+        sypd=sypd,
+        sdpd=sdpd_from_sypd(sypd),
     )

@@ -3,16 +3,14 @@
 The paper instruments every component phase with GPTL timers and reads
 them back through ``getTiming``; this module is the structured superset:
 each measurement is a :class:`Span` — a named, nestable interval with
-attributes — rather than only an accumulated total.  A finished trace can
-be *degraded* back to a :class:`~repro.utils.timers.TimerRegistry`
-(:meth:`Tracer.to_timer_registry`), so everything the flat timers could
-report (totals, counts, min/max, SYPD via ``get_timing``) still works,
-while the spans additionally carry start/end times, per-call attributes,
-and the full nesting path needed for Chrome-trace export.
+attributes — rather than only an accumulated total.  Everything GPTL reports (nested
+totals, counts, min/max, SYPD) is a view over ``Span.path`` in
+:mod:`repro.obs.export`; the spans additionally carry start/end times,
+per-call attributes, and the nesting path Chrome-trace export needs.
 
-Like :class:`~repro.utils.timers.TimerRegistry`, the tracer takes an
-injectable zero-argument clock, so simulated executions driven by the
-machine model's virtual clock use the same accounting path as real runs.
+The tracer takes an injectable zero-argument clock, so simulated
+executions driven by the machine model's virtual clock use the same
+accounting path as real runs.
 """
 
 from __future__ import annotations
@@ -20,8 +18,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
-
-from ..utils.timers import TimerRegistry
 
 __all__ = ["Span", "Tracer"]
 
@@ -52,6 +48,24 @@ class Span:
     @property
     def end(self) -> float:
         return self.start + self.duration
+
+
+class _SpanCtx:
+    """``with tracer.span(...)``: one module-level class, because
+    defining it per call cost ten times the span it opened."""
+
+    __slots__ = ("_tracer", "_name", "_attrs")
+
+    def __init__(self, tracer: "Tracer", name: str, attrs: Dict[str, Any]) -> None:
+        self._tracer = tracer
+        self._name = name
+        self._attrs = attrs
+
+    def __enter__(self) -> None:
+        self._tracer.begin(self._name, **self._attrs)
+
+    def __exit__(self, *exc) -> None:
+        self._tracer.end(self._name)
 
 
 class Tracer:
@@ -105,21 +119,7 @@ class Tracer:
 
     def span(self, name: str, **attrs: Any):
         """Context-manager form: ``with tracer.span("atm_run", steps=4): ...``."""
-        tracer = self
-
-        class _Ctx:
-            def __enter__(self) -> None:
-                tracer.begin(name, **attrs)
-
-            def __exit__(self, *exc) -> None:
-                tracer.end(name)
-
-        return _Ctx()
-
-    @property
-    def active(self) -> Optional[str]:
-        """Name of the innermost open span, or None."""
-        return self._stack[-1][0] if self._stack else None
+        return _SpanCtx(self, name, attrs)
 
     # -- queries -----------------------------------------------------------
 
@@ -130,24 +130,3 @@ class Tracer:
     def total(self, name: str) -> float:
         """Accumulated duration of all spans named ``name``."""
         return sum(s.duration for s in self.find(name))
-
-    def to_timer_registry(self) -> TimerRegistry:
-        """Aggregate the finished spans into a GPTL-style registry.
-
-        The resulting registry has the same nested structure, totals,
-        counts, and min/max a :class:`TimerRegistry` would have recorded
-        for the same execution — the tracer strictly subsumes it.
-        """
-        reg = TimerRegistry()
-        # Completion order is children-before-parents; creation order of
-        # registry nodes does not matter for the aggregate statistics.
-        for span in self.spans:
-            node = reg._root
-            for part in span.path:
-                child = node.children.get(part)
-                if child is None:
-                    child = type(node)(name=part)
-                    node.children[part] = child
-                node = child
-            node.record(span.duration)
-        return reg

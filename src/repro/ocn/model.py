@@ -23,7 +23,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..grids.tripolar import TripolarGrid
-from ..utils.timers import TimerRegistry
+from ..obs import NULL_OBS
 from .barotropic import BarotropicSolver, BarotropicState
 from .baroclinic import BaroclinicSolver
 from .compress import Compressor
@@ -57,10 +57,9 @@ class LicomModel:
     def __init__(
         self,
         config: LicomConfig | None = None,
-        timers: Optional[TimerRegistry] = None,
     ) -> None:
         self.config = config if config is not None else LicomConfig()
-        self.timers = timers if timers is not None else TimerRegistry()
+        self.obs = NULL_OBS
         self._initialized = False
         self._finalized = False
 
@@ -130,8 +129,10 @@ class LicomModel:
 
     def set_context(self, ctx) -> None:
         """Bind the shared ComponentContext: the ocean kernels join the
-        shared hash registry and dispatch on the context's space."""
-        self._ctx = ctx
+        shared hash registry and dispatch on the context's space; phases
+        trace on its obs handle (the coupled driver rebinds ``obs`` to
+        the domain-2 lane when the ocean runs on its own thread)."""
+        self.obs = ctx.obs
         from . import kernels as _k
 
         for fn in (_k.eos_kernel, _k.canuto_kernel, _k.baroclinic_pressure_kernel):
@@ -202,30 +203,29 @@ class LicomModel:
             self.run(max(1, int(round(dt / self.dt_baroclinic))))
             return
         self._check_alive()
-        with self.timers.timed("ocn_run"):
-            with self.timers.timed("ocn_barotropic"):
-                for _ in range(BAROTROPIC_SUBSTEPS):
-                    self.bt, _ = self.barotropic.step(
-                        self.bt, self.dt_barotropic, self.taux, self.tauy
-                    )
-            with self.timers.timed("ocn_baroclinic"):
-                self.u, self.v = self.baroclinic.step(
-                    self.u, self.v, self.t, self.s, self.dt_baroclinic,
-                    self.taux, self.tauy,
+        with self.obs.span("ocn.barotropic"):
+            for _ in range(BAROTROPIC_SUBSTEPS):
+                self.bt, _ = self.barotropic.step(
+                    self.bt, self.dt_barotropic, self.taux, self.tauy
                 )
-            with self.timers.timed("ocn_tracer"):
-                u_tot = self.u + self.bt.u[None]
-                v_tot = self.v + self.bt.v[None]
-                self.t, self.s = self.tracers.step(
-                    self.t, self.s, u_tot, v_tot, self.dt_tracer,
-                    surface_heat_flux=self.heat_flux,
-                    surface_fresh_flux=self.fresh_flux,
-                )
-                # Seawater cannot cool below freezing; the deficit is the
-                # ice-formation signal exported to the sea-ice component.
-                self.t = np.where(
-                    self.mask3d, np.maximum(self.t, T_FREEZE), self.t
-                )
+        with self.obs.span("ocn.baroclinic"):
+            self.u, self.v = self.baroclinic.step(
+                self.u, self.v, self.t, self.s, self.dt_baroclinic,
+                self.taux, self.tauy,
+            )
+        with self.obs.span("ocn.tracer"):
+            u_tot = self.u + self.bt.u[None]
+            v_tot = self.v + self.bt.v[None]
+            self.t, self.s = self.tracers.step(
+                self.t, self.s, u_tot, v_tot, self.dt_tracer,
+                surface_heat_flux=self.heat_flux,
+                surface_fresh_flux=self.fresh_flux,
+            )
+            # Seawater cannot cool below freezing; the deficit is the
+            # ice-formation signal exported to the sea-ice component.
+            self.t = np.where(
+                self.mask3d, np.maximum(self.t, T_FREEZE), self.t
+            )
         self.time += self.dt_baroclinic
         self.n_steps += 1
 

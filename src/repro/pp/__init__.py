@@ -22,7 +22,7 @@ from .kernels import (
 from .backends import BACKEND_PORTFOLIO, make_backend, select_backend
 from .procpool import PoolStats, ProcPool, ProcPoolRuntime, ProcPoolSpace, SharedView
 from .registry import HybridDispatcher, KernelRegistry, kernel_hash
-from .stats import KernelMetrics, ObsKernelStats, publish_tile_profile
+from .stats import KernelMetrics, ObsKernelStats
 from .swgomp import OffloadStats, TargetLoop, target
 from .view import (
     Layout,
@@ -60,7 +60,6 @@ __all__ = [
     "BACKEND_PORTFOLIO",
     "KernelMetrics",
     "ObsKernelStats",
-    "publish_tile_profile",
     "target",
     "TargetLoop",
     "OffloadStats",

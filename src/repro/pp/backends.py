@@ -13,8 +13,7 @@ with the implementation label the paper would use.
 
 This lives in ``repro.pp`` because the choice is component-agnostic: the
 same execution space is shared by every component through the
-``ComponentContext`` (see :mod:`repro.esm.component`).  ``ocn.backends``
-re-exports these names for backward compatibility.
+``ComponentContext`` (see :mod:`repro.esm.component`).
 """
 
 from __future__ import annotations

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from .execspace import KernelStats
-from .kernels import TileProfile
 
-__all__ = ["ObsKernelStats", "KernelMetrics", "publish_tile_profile"]
+__all__ = ["ObsKernelStats", "KernelMetrics"]
 
 
 @dataclass
@@ -75,23 +74,3 @@ class KernelMetrics:
             }
             for name, acc in sorted(self._stats.items())
         }
-
-    def publish_totals(self) -> None:
-        """Snapshot cumulative totals as gauges (call once at finalize)."""
-        if self.obs is None:
-            return
-        for name, acc in self._stats.items():
-            self.obs.gauge(f"pp.{name}.iterations_total").set(float(acc.iterations))
-
-
-def publish_tile_profile(obs: Any, kernel: str, profile: TileProfile) -> None:
-    """Record an MDRange tiling profile as gauges on ``obs``.
-
-    Publishes ``pp.tile.<kernel>.{tiles,iterations,imbalance}`` so a
-    trace shows how a tiled launch decomposed, not just that it ran.
-    """
-    if obs is None:
-        return
-    obs.gauge(f"pp.tile.{kernel}.tiles").set(float(profile.n_tiles))
-    obs.gauge(f"pp.tile.{kernel}.iterations").set(float(profile.total_iterations))
-    obs.gauge(f"pp.tile.{kernel}.imbalance").set(float(profile.imbalance))

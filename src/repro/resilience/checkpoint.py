@@ -36,6 +36,7 @@ try:  # POSIX; the lock degrades to a no-op where flock is unavailable
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
+from ..obs import NULL_OBS
 from .errors import CheckpointError
 
 __all__ = ["CheckpointManager"]
@@ -61,7 +62,7 @@ class CheckpointManager:
             raise ValueError("keep must be >= 1")
         self.root = Path(root)
         self.keep = keep
-        self.obs = obs
+        self.obs = obs if obs is not None else NULL_OBS
         self.root.mkdir(parents=True, exist_ok=True)
 
     # -- write -------------------------------------------------------------
@@ -72,8 +73,6 @@ class CheckpointManager:
         ``saver(directory)`` must materialize the state under the given
         (staging) directory; the manager then manifests and publishes it.
         """
-        if self.obs is None:
-            return self._save(saver, step)
         with self.obs.span("resilience.checkpoint", step=step):
             path = self._save(saver, step)
         self.obs.counter("resilience.checkpoints_written").inc()
@@ -204,8 +203,7 @@ class CheckpointManager:
                 self.validate(ckpt)
                 return ckpt
             except CheckpointError:
-                if self.obs is not None:
-                    self.obs.counter("resilience.checkpoint_fallbacks").inc()
+                self.obs.counter("resilience.checkpoint_fallbacks").inc()
         return None
 
     def restore_latest_valid(self, loader: Callable[[Path], None]) -> Path:
@@ -218,9 +216,7 @@ class CheckpointManager:
         """
         from ..io.restart import RestartError
 
-        span = (self.obs.span("resilience.restore")
-                if self.obs is not None else _NULL_CTX)
-        with span:
+        with self.obs.span("resilience.restore"):
             tried = 0
             for ckpt in reversed(self.checkpoints()):
                 tried += 1
@@ -228,11 +224,9 @@ class CheckpointManager:
                     self.validate(ckpt)
                     loader(ckpt)
                 except (CheckpointError, RestartError):
-                    if self.obs is not None:
-                        self.obs.counter("resilience.checkpoint_fallbacks").inc()
+                    self.obs.counter("resilience.checkpoint_fallbacks").inc()
                     continue
-                if self.obs is not None:
-                    self.obs.counter("resilience.restores").inc()
+                self.obs.counter("resilience.restores").inc()
                 return ckpt
         raise CheckpointError(
             "no valid checkpoint to restore from",
@@ -243,14 +237,3 @@ class CheckpointManager:
         """Alias for :meth:`restore_latest_valid` — the restore half of
         the repo-wide ``to_file``/``from_file`` persistence convention."""
         return self.restore_latest_valid(loader)
-
-
-class _Null:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return None
-
-
-_NULL_CTX = _Null()

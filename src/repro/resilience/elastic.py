@@ -45,6 +45,7 @@ import numpy as np
 from ..coupler.gsmap import GlobalSegMap
 from ..coupler.router import Router
 from ..grids.remap import index_remap
+from ..obs import NULL_OBS
 from ..io.subfile import SubfileLayout, read_subfiles, write_subfiles
 from ..parallel.comm import RankFailure, SimWorld
 from ..parallel.decomp import partition_cells_contiguous, shrink_owners
@@ -203,7 +204,7 @@ class ElasticFieldRun:
         self.faults = faults
         self.n_spares = n_spares
         self.n_io_groups = n_io_groups
-        self.obs = obs
+        self.obs = obs if obs is not None else NULL_OBS
         self.timeout = timeout
         self.perf_estimate = perf_estimate
 
@@ -339,22 +340,15 @@ class ElasticFieldRun:
             cells_migrated=cells_migrated,
             **self._degraded_sypd(len(dead)),
         )
-        if self.obs is not None:
-            self.obs.counter("resilience.recoveries").inc()
-            self.obs.counter("resilience.ranks_lost").inc(len(dead))
-            self.obs.counter("resilience.replayed_steps").inc(
-                failed_epoch_steps
+        self.obs.counter("resilience.recoveries").inc()
+        self.obs.counter("resilience.ranks_lost").inc(len(dead))
+        self.obs.counter("resilience.replayed_steps").inc(failed_epoch_steps)
+        self.obs.gauge("resilience.recovery.n_ranks").set(new_world.n_ranks)
+        if event.sypd_degraded is not None:
+            self.obs.gauge("resilience.recovery.sypd_degraded").set(
+                event.sypd_degraded
             )
-            self.obs.gauge("resilience.recovery.n_ranks").set(
-                new_world.n_ranks
-            )
-            if event.sypd_degraded is not None:
-                self.obs.gauge("resilience.recovery.sypd_degraded").set(
-                    event.sypd_degraded
-                )
-                self.obs.gauge("resilience.recovery.slowdown").set(
-                    event.slowdown
-                )
+            self.obs.gauge("resilience.recovery.slowdown").set(event.slowdown)
         return new_world, new_owners, new_shards, event
 
     def _degraded_sypd(self, n_lost: int) -> Dict[str, Optional[float]]:
@@ -411,17 +405,12 @@ class ElasticFieldRun:
                     outcome.dead[0],
                     f"elastic run at step {step} (policy=abort)",
                 )
-            span = (
-                self.obs.span(
-                    "resilience.recovery",
-                    policy=self.policy.value,
-                    dead=list(outcome.dead),
-                    step=step,
-                )
-                if self.obs is not None
-                else _NULL_CTX
-            )
-            with span:
+            with self.obs.span(
+                "resilience.recovery",
+                policy=self.policy.value,
+                dead=list(outcome.dead),
+                step=step,
+            ):
                 world, owners, shards, event = self._recover(
                     world, outcome.dead, owners, ckpt_shards,
                     manager, ckpt_step, n_do,
@@ -441,14 +430,3 @@ class ElasticFieldRun:
             mass_initial=mass0,
             mass_final=float(final.sum()),
         )
-
-
-class _Null:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return None
-
-
-_NULL_CTX = _Null()

@@ -1,8 +1,7 @@
-"""Shared utilities: timers, units/constants, deterministic RNG."""
+"""Shared utilities: namelists, units/constants, deterministic RNG."""
 
 from .namelist import NamelistError, parse_namelist, read_namelist, write_namelist
 from .rng import derive_seed, seeded
-from .timers import TimerRegistry, TimingReport, get_timing
 from .units import (
     DAYS_PER_YEAR,
     EARTH_OMEGA,
@@ -19,13 +18,10 @@ from .units import (
 )
 
 __all__ = [
-    "TimerRegistry",
     "parse_namelist",
     "read_namelist",
     "write_namelist",
     "NamelistError",
-    "TimingReport",
-    "get_timing",
     "seeded",
     "derive_seed",
     "DAYS_PER_YEAR",

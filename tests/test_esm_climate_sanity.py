@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from repro.esm import AP3ESM, AP3ESMConfig, atm_snapshot
+from repro.obs import Obs
 
 
 @pytest.fixture(scope="module")
 def ten_day_run():
-    model = AP3ESM(AP3ESMConfig(atm_level=3, ocn_nlon=48, ocn_nlat=32, ocn_levels=6))
+    model = AP3ESM(AP3ESMConfig(atm_level=3, ocn_nlon=48, ocn_nlat=32, ocn_levels=6),
+                   obs=Obs())
     model.init()
     wet = model.ocn.mask3d[0]
     area = model.ocn.metrics.area
@@ -79,8 +81,17 @@ def test_no_extreme_winds(ten_day_run):
 
 
 def test_timers_account_everything(ten_day_run):
-    """The coupled timer dominates and includes every component timer."""
+    """The coupling-step span contains every component span and they
+    account for it; each component's phases fit inside its span."""
     model, _, _, _ = ten_day_run
-    total = model.timers.total("cpl_run")
-    parts = sum(model.timers.total(n) for n in ("atm_run", "ocn_run", "ice_run", "lnd_run"))
-    assert total >= parts * 0.95
+    total = model.obs.tracer.total
+    parts = sum(total(n) for n in ("atm.run", "ocn.run", "ice.step", "lnd.step"))
+    assert 0.9 * total("cpl.step") <= parts <= total("cpl.step")
+    for parent, phases in {
+        "atm.run": ("atm.dycore", "atm.tracer", "atm.physics"),
+        "ocn.run": ("ocn.barotropic", "ocn.baroclinic", "ocn.tracer"),
+        "ice.step": ("ice.thermo", "ice.dynamics"),
+    }.items():
+        assert 0.0 < sum(total(p) for p in phases) <= total(parent), parent
+    # SYPD reads the same wall the span measured (two clock reads apart).
+    assert model.wall_s == pytest.approx(total("cpl.step"), rel=0.02)

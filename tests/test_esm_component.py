@@ -15,6 +15,7 @@ from repro.esm import (
     paper_layout,
     precision_policy,
 )
+from repro.obs import Obs
 from repro.precision import Precision
 
 TINY = dict(atm_level=3, ocn_nlon=48, ocn_nlat=32, ocn_levels=5)
@@ -153,12 +154,39 @@ class TestConcurrentSchedule:
         assert m.pool_stats() is None  # no config-owned pool was built
 
     def test_ocean_gets_private_timers_when_concurrent(self):
-        m = AP3ESM(AP3ESMConfig(concurrent_domains=True, **TINY))
-        m.init()
-        assert m.ocn.timers is not m.timers
-        s = AP3ESM(AP3ESMConfig(**TINY))
-        s.init()
-        assert s.ocn.timers is s.timers
+        """The tracer stack is per-thread state: the ocean's phase spans
+        sit on the forked domain-2 rank when it runs on its own thread,
+        on rank 0 otherwise — nested under ``ocn.run`` either way."""
+        for concurrent, ocn_rank in ((True, 2), (False, 0)):
+            obs = Obs()
+            m = AP3ESM(AP3ESMConfig(concurrent_domains=concurrent, **TINY), obs=obs)
+            m.init()
+            m.run_couplings(6)
+            m.finalize()
+            for phase in ("ocn.barotropic", "ocn.baroclinic", "ocn.tracer"):
+                spans = [s for o in obs.all_ranks() for s in o.tracer.find(phase)]
+                assert spans, phase
+                assert {s.rank for s in spans} == {ocn_rank}, phase
+                assert {s.parent for s in spans} == {"ocn.run"}, phase
+            assert not any(o.tracer._stack for o in obs.all_ranks())
+
+    @pytest.mark.parametrize("concurrent", [False, True])
+    def test_obs_on_off_is_bitwise_neutral(self, concurrent):
+        """Tracing only observes: the same config with ``obs=None`` and
+        ``obs=Obs()`` ends in the same bytes on either schedule."""
+        states = []
+        for obs in (None, Obs()):
+            m = AP3ESM(
+                AP3ESMConfig(concurrent_domains=concurrent, **TINY), obs=obs
+            )
+            m.init()
+            m.run_couplings(10)
+            states.append({
+                f"{c.name}.{k}": np.ascontiguousarray(v).tobytes()
+                for c in m.components for k, v in c.state().items()
+            })
+            m.finalize()
+        assert states[0] == states[1]
 
 
 class TestPrecisionCoupled:

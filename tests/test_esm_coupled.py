@@ -5,11 +5,13 @@ import pytest
 
 from repro.esm import AP3ESM, AP3ESMConfig, surface_kinetic_energy, surface_rossby_number
 from repro.esm.diagnostics import atm_snapshot, cold_wake, wind_speed_10m
+from repro.obs import Obs
 
 
 @pytest.fixture(scope="module")
 def coupled():
-    m = AP3ESM(AP3ESMConfig(atm_level=3, ocn_nlon=64, ocn_nlat=48, ocn_levels=8))
+    m = AP3ESM(AP3ESMConfig(atm_level=3, ocn_nlon=64, ocn_nlat=48, ocn_levels=8),
+               obs=Obs())
     m.init()
     m.run_couplings(12)
     return m
@@ -69,10 +71,24 @@ class TestDriver:
             m.step_coupling()
 
     def test_timers_cover_components(self, coupled):
-        names = set(coupled.timers.names())
-        assert {"cpl_run", "atm_run", "ocn_run", "ice_run", "lnd_run"} <= names
-        # Coupled time includes all component time.
-        assert coupled.timers.total("cpl_run") >= coupled.timers.total("atm_run")
+        """Every component phase is a span nested under the driver's
+        component span, which is nested under the coupling step."""
+        tracer = coupled.obs.tracer
+        parents = {
+            "atm.dycore": "atm.run", "atm.tracer": "atm.run", "atm.physics": "atm.run",
+            "ocn.barotropic": "ocn.run", "ocn.baroclinic": "ocn.run",
+            "ocn.tracer": "ocn.run",
+            "ice.thermo": "ice.step", "ice.dynamics": "ice.step",
+        }
+        for phase, parent in parents.items():
+            spans = tracer.find(phase)
+            assert spans, phase
+            assert {s.parent for s in spans} == {parent}, phase
+            assert {s.path[0] for s in spans} == {"cpl.step"}, phase
+        assert tracer.find("lnd.step")
+        # Coupled time includes all component time, and is what SYPD reads.
+        assert tracer.total("cpl.step") >= tracer.total("atm.run")
+        assert coupled.sypd() > 0
 
 
 class TestDiagnostics:

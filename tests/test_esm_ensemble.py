@@ -260,6 +260,37 @@ class TestEnsembleObservability:
         assert "ensemble.sypd.mean" in names
         assert "ensemble.spread.t_bot" in names
 
+    def test_concurrent_members_keep_prefix_on_their_own_ocean_lane(self):
+        """A forked view keeps its prefix and no two threads share a
+        tracer stack: each member's domain-2 spans sit, prefixed, on a
+        lane of that member's own, and every lane nests cleanly."""
+        obs = Obs()
+        ens = EnsembleRun(
+            EnsembleConfig(base=_small_config(concurrent_domains=True), members=2),
+            obs=obs,
+        )
+        ens.init()
+        ens.run_couplings(6)
+        ens.finalize()
+        lanes = {}
+        for handle in obs.all_ranks():
+            tracer = handle.tracer
+            assert not tracer._stack
+            for span in tracer.spans:
+                if span.depth:
+                    assert any(
+                        p.path == span.path[:-1]
+                        and p.start <= span.start and span.end <= p.end
+                        for p in tracer.spans
+                    ), (handle.rank, span.path)
+            for k in (0, 1):
+                if tracer.find(f"member.{k}.ocn.barotropic"):
+                    lanes.setdefault(k, set()).add(handle.rank)
+            if handle.rank != 0:
+                assert all(s.name.startswith("member.") for s in tracer.spans)
+        assert set(lanes) == {0, 1}
+        assert lanes[0].isdisjoint(lanes[1]) and 0 not in lanes[0] | lanes[1]
+
     def test_batched_counters_recorded(self):
         obs = Obs()
         ens = EnsembleRun(

@@ -293,6 +293,18 @@ class TestSupervisorObservability:
         assert metrics.get("ensemble.supervisor.quarantines").value == 1.0
         assert metrics.get("ensemble.supervisor.events").value == 1.0
 
+    def test_quarantined_member_sypd_uses_its_own_clock(self):
+        """Regression: every member's wall was divided into the survivors'
+        simulated days, so a member quarantined early reported the
+        survivors' couplings over its own (shorter) wall."""
+        faulted = _fleet(members=3, policy="quarantine", plan=NAN_PLAN)
+        for row, m in zip(faulted.summary()["members"], faulted.members):
+            assert row["wall_s"] == m.wall_s > 0
+            # sypd * wall = simulated seconds / 365, per member.
+            assert row["sypd"] * row["wall_s"] * 365.0 == \
+                pytest.approx(m.clock.time)
+        assert faulted.members[2].clock.time < faulted.members[0].clock.time
+
     def test_counters_render_in_interventions_report(self):
         from repro.obs.export import resilience_interventions, text_report
 

@@ -17,6 +17,7 @@ from repro.obs import (
     Obs,
     Tracer,
     chrome_trace_events,
+    text_report,
     timing_summary,
     write_chrome_trace,
 )
@@ -78,23 +79,30 @@ class TestTracer:
         assert span.start == pytest.approx(0.0)
         assert span.duration == pytest.approx(123.456)
 
-    def test_to_timer_registry_subsumes_flat_timers(self):
+    def test_text_report_golden_shape(self):
+        """The nested table straight off ``Span.path``: a header, one row
+        per distinct path, indentation = depth, calls/total/mean/min/max."""
         clock = FakeClock()
-        tracer = Tracer(clock=clock)
+        tracer = Tracer(clock=clock, rank=3)
         for elapsed in (1.0, 3.0):
             with tracer.span("run"):
                 with tracer.span("atm"):
-                    clock.advance(elapsed)
-        reg = tracer.to_timer_registry()
-        assert reg.total("run") == pytest.approx(4.0)
-        assert reg.total("atm") == pytest.approx(4.0)
-        node = reg._find(reg._root, "atm")
-        assert node.count == 2
-        assert node.min == pytest.approx(1.0)
-        assert node.max == pytest.approx(3.0)
-        # "atm" is nested under "run" in the registry tree too.
-        run_node = reg._find(reg._root, "run")
-        assert "atm" in run_node.children
+                    with tracer.span("dycore"):
+                        clock.advance(elapsed)
+                with tracer.span("ocn"):
+                    clock.advance(0.5)
+        lines = text_report([tracer]).splitlines()
+        assert lines[0] == "== rank 3 =="
+        assert lines[1].split() == [
+            "span", "calls", "total(s)", "mean(s)", "min(s)", "max(s)"
+        ]
+        rows = [(len(ln) - len(ln.lstrip()), ln.split()) for ln in lines[2:]]
+        assert rows == [
+            (0, ["run", "2", "5.000000", "2.500000", "1.500000", "3.500000"]),
+            (2, ["atm", "2", "4.000000", "2.000000", "1.000000", "3.000000"]),
+            (4, ["dycore", "2", "4.000000", "2.000000", "1.000000", "3.000000"]),
+            (2, ["ocn", "2", "1.000000", "0.500000", "0.500000", "0.500000"]),
+        ]
 
     def test_timing_summary_matches_get_timing(self):
         tracers = []
@@ -106,8 +114,21 @@ class TestTracer:
             tracers.append(tracer)
         rep = timing_summary(tracers, "run_loop", simulated_days=1.0)
         assert rep.max_seconds == pytest.approx(20.0)
+        assert rep.min_seconds == pytest.approx(10.0)
+        assert rep.mean_seconds == pytest.approx(15.0)
         assert rep.n_ranks == 3
+        # 1 simulated day in 20 s wall -> 86400/20 = 4320 SDPD -> /365 SYPD
         assert rep.sdpd == pytest.approx(4320.0)
+        assert rep.sypd == pytest.approx(4320.0 / 365.0)
+        # A lane that never opened the span (a forked task domain) sits out.
+        idle = Tracer(clock=FakeClock(), rank=9)
+        assert timing_summary(tracers + [idle], "run_loop", 1.0).n_ranks == 3
+        with pytest.raises(ValueError):
+            timing_summary(tracers, "run_loop", simulated_days=0.0)
+        with pytest.raises(KeyError):
+            timing_summary(tracers, "missing", simulated_days=1.0)
+        with pytest.raises(KeyError):
+            timing_summary([], "run_loop", simulated_days=1.0)
 
 
 class TestChromeTrace:

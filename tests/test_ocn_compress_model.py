@@ -145,9 +145,20 @@ class TestLicomModel:
         assert rep["packed_bytes"] < rep["full_bytes"]
         assert 0.2 < rep["reduction"] < 0.6
 
-    def test_timers(self, model):
-        names = set(model.timers.names())
-        assert {"ocn_run", "ocn_barotropic", "ocn_baroclinic", "ocn_tracer"} <= names
+    def test_timers(self):
+        """The inner phases are spans on the handle the context binds:
+        one of each per baroclinic step."""
+        from repro.esm import ComponentContext
+        from repro.obs import Obs
+
+        obs = Obs()
+        m = LicomModel(LicomConfig(nlon=32, nlat=24, n_levels=4))
+        m.set_context(ComponentContext(obs=obs))
+        m.init()
+        m.run(2)
+        for name in ("ocn.barotropic", "ocn.baroclinic", "ocn.tracer"):
+            assert len(obs.tracer.find(name)) == 2, name
+            assert obs.tracer.total(name) > 0, name
 
     def test_lifecycle(self):
         m = LicomModel(LicomConfig(nlon=48, nlat=32, n_levels=5))

@@ -117,25 +117,8 @@ class TestBackendSelection:
 
 
 def test_ocn_backends_shim_removed():
-    """The PR-5 deprecation cycle is complete: the old
-    ``repro.ocn.backends`` names now raise a hard error that points the
-    caller at ``repro.pp`` instead of forwarding with a warning."""
-    import importlib
-    import warnings
-
-    from repro.ocn import backends as shim
-
-    with pytest.raises(ImportError, match=r"repro\.pp"):
-        shim.select_backend
-    with pytest.raises(ImportError, match=r"BACKEND_PORTFOLIO"):
-        shim.BACKEND_PORTFOLIO
+    """The old ``repro.ocn.backends`` module is gone; backend selection
+    lives in ``repro.pp``."""
     with pytest.raises(ImportError):
-        from repro.ocn.backends import select_backend  # noqa: F401
-    with pytest.raises(AttributeError):
-        shim.not_a_backend_name
-    # The removed names no longer advertise themselves.
-    assert "select_backend" not in dir(importlib.import_module("repro.ocn.backends"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # plain module import stays silent
-        importlib.reload(shim)
+        import repro.ocn.backends  # noqa: F401
 

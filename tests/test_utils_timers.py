@@ -1,8 +1,15 @@
-"""Tests for the GPTL-style timer registry and getTiming aggregation."""
+"""The GPTL timer contract, checked on the one clock that is left.
+
+``repro.utils.timers`` is gone; what its registry promised — accumulate,
+nest, refuse a wrong stop, report calls/min/max, max-across-ranks SYPD —
+is now the :class:`repro.obs.Obs` facade's job.  These tests keep their
+ids and drive that facade (``tests/test_obs.py`` covers the tracer and
+the exporters underneath it).
+"""
 
 import pytest
 
-from repro.utils import TimerRegistry, get_timing
+from repro.obs import Obs
 
 
 class FakeClock:
@@ -18,69 +25,56 @@ class FakeClock:
         self.t += dt
 
 
+def _rows(report: str):
+    """(indent, name, calls, total, mean, min, max) per span-table row."""
+    lines = report.splitlines()
+    table = lines[lines.index("== rank 0 ==") + 2:]
+    return [(len(ln) - len(ln.lstrip()), *ln.split()) for ln in table]
+
+
 def test_start_stop_accumulates():
     clock = FakeClock()
-    reg = TimerRegistry(clock=clock)
-    reg.start("run")
-    clock.advance(2.5)
-    reg.stop("run")
-    reg.start("run")
-    clock.advance(1.5)
-    reg.stop("run")
-    assert reg.total("run") == pytest.approx(4.0)
+    obs = Obs(clock=clock)
+    for elapsed in (2.5, 1.5):
+        obs.tracer.begin("run")
+        clock.advance(elapsed)
+        obs.tracer.end("run")
+    assert obs.tracer.total("run") == pytest.approx(4.0)
+    assert len(obs.tracer.find("run")) == 2
 
 
 def test_nesting_structure_and_report():
     clock = FakeClock()
-    reg = TimerRegistry(clock=clock)
-    reg.start("run")
-    reg.start("atm")
-    clock.advance(1.0)
-    reg.stop("atm")
-    reg.start("ocn")
-    clock.advance(2.0)
-    reg.stop("ocn")
-    reg.stop("run")
-    assert reg.total("run") == pytest.approx(3.0)
-    assert reg.total("atm") == pytest.approx(1.0)
-    report = reg.report()
-    assert "atm" in report and "ocn" in report
-    assert set(reg.names()) == {"run", "atm", "ocn"}
+    obs = Obs(clock=clock)
+    with obs.span("run"):
+        with obs.span("atm"):
+            clock.advance(1.0)
+        with obs.span("ocn"):
+            clock.advance(2.0)
+    assert obs.tracer.total("run") == pytest.approx(3.0)
+    assert obs.tracer.total("atm") == pytest.approx(1.0)
+    assert [(r[0], r[1]) for r in _rows(obs.report())] == [
+        (0, "run"), (2, "atm"), (2, "ocn"),
+    ]
 
 
 def test_stop_wrong_timer_raises():
-    reg = TimerRegistry(clock=FakeClock())
-    reg.start("a")
+    obs = Obs(clock=FakeClock())
+    obs.tracer.begin("a")
     with pytest.raises(RuntimeError, match="nesting violation"):
-        reg.stop("b")
-
-
-def test_double_start_raises():
-    clock = FakeClock()
-    reg = TimerRegistry(clock=clock)
-    reg.start("a")
-    with pytest.raises(RuntimeError, match="already running"):
-        reg.start("a")
-
-
-def test_add_direct_credit():
-    reg = TimerRegistry(clock=FakeClock())
-    reg.add("model_run", 10.0)
-    reg.add("model_run", 5.0)
-    assert reg.total("model_run") == pytest.approx(15.0)
-    node = reg._find(reg._root, "model_run")
-    assert node.count == 2
-    assert node.max == pytest.approx(10.0)
-    assert node.min == pytest.approx(5.0)
+        obs.tracer.end("b")
+    # The refused stop left "a" open; it still closes cleanly.
+    assert obs.tracer.end("a").name == "a"
 
 
 def test_get_timing_uses_max_across_ranks():
-    regs = []
-    for seconds in (10.0, 20.0, 15.0):
-        reg = TimerRegistry(clock=FakeClock())
-        reg.add("run_loop", seconds)
-        regs.append(reg)
-    rep = get_timing(regs, "run_loop", simulated_days=1.0)
+    clock = FakeClock()
+    obs = Obs(clock=clock)
+    for rank, seconds in ((0, 10.0), (1, 20.0), (2, 15.0)):
+        handle = obs if rank == 0 else obs.fork(rank)
+        with handle.span("run_loop"):
+            clock.advance(seconds)
+    rep = obs.timing("run_loop", simulated_days=1.0)
     assert rep.max_seconds == pytest.approx(20.0)
     assert rep.n_ranks == 3
     # 1 simulated day in 20 s wall -> 86400/20 = 4320 SDPD -> /365 SYPD
@@ -89,47 +83,59 @@ def test_get_timing_uses_max_across_ranks():
 
 
 def test_get_timing_rejects_bad_inputs():
-    reg = TimerRegistry(clock=FakeClock())
-    reg.add("run", 1.0)
+    clock = FakeClock()
+    obs = Obs(clock=clock)
+    with obs.span("run"):
+        clock.advance(1.0)
     with pytest.raises(ValueError):
-        get_timing([reg], "run", simulated_days=0.0)
-    with pytest.raises(ValueError):
-        get_timing([], "run", simulated_days=1.0)
+        obs.timing("run", simulated_days=0.0)
     with pytest.raises(KeyError):
-        get_timing([reg], "missing", simulated_days=1.0)
+        obs.timing("missing", simulated_days=1.0)
+    with pytest.raises(KeyError):
+        Obs(clock=clock).timing("run", simulated_days=1.0)
 
 
 def test_timed_context_manager():
     clock = FakeClock()
-    reg = TimerRegistry(clock=clock)
-    with reg.timed("step"):
+    obs = Obs(clock=clock)
+    with obs.span("step"):
         clock.advance(0.5)
-    assert reg.total("step") == pytest.approx(0.5)
+    assert obs.tracer.total("step") == pytest.approx(0.5)
+    # A body that raises still closes its span.
+    with pytest.raises(ZeroDivisionError):
+        with obs.span("step"):
+            clock.advance(0.25)
+            1 / 0
+    assert obs.tracer.total("step") == pytest.approx(0.75)
+    assert not obs.tracer._stack
 
 
 def test_unrecorded_timer_min_is_finite():
     """Regression: a never-recorded node reported min = inf, which leaked
-    into reports and min-across-ranks aggregates."""
-    from repro.utils.timers import TimerNode
-
-    node = TimerNode(name="never")
-    assert node.min == 0.0
-    assert node.max == 0.0
-    # First record seeds min/max with the observation, not the default.
-    node.record(2.0)
-    assert node.min == pytest.approx(2.0)
-    assert node.max == pytest.approx(2.0)
+    into reports.  A report printed from inside an open span lists that
+    span with zero calls and finite statistics."""
+    clock = FakeClock()
+    obs = Obs(clock=clock)
+    with obs.span("outer"):
+        with obs.span("inner"):
+            clock.advance(2.0)
+        rows = _rows(obs.report())
+    assert rows == [
+        (0, "outer", "0", "0.000000", "0.000000", "0.000000", "0.000000"),
+        (2, "inner", "1", "2.000000", "2.000000", "2.000000", "2.000000"),
+    ]
 
 
 def test_report_surfaces_min_max():
     """Regression: report() omitted the min/max columns GPTL prints."""
     clock = FakeClock()
-    reg = TimerRegistry(clock=clock)
+    obs = Obs(clock=clock)
     for elapsed in (1.0, 3.0):
-        with reg.timed("phase"):
+        with obs.span("phase"):
             clock.advance(elapsed)
-    report = reg.report()
-    header = report.splitlines()[0]
+    report = obs.report()
+    header = report.splitlines()[1]
     assert "min(s)" in header and "max(s)" in header
-    row = report.splitlines()[1]
-    assert "1.000000" in row and "3.000000" in row
+    assert _rows(report) == [
+        (0, "phase", "2", "4.000000", "2.000000", "1.000000", "3.000000"),
+    ]
