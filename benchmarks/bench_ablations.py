@@ -14,13 +14,17 @@ Each ablation removes one mechanism and measures the damage:
 * **face pruning** — exchange bytes with and without it.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.bench import banner, format_table
 from repro.grids import IcosPartition, trsk
 from repro.machine import (
+    CalibrationTable,
     CouplingSpec,
+    CPE_PROCESSOR,
     MPE_PROCESSOR,
     PerfModel,
     ProcessorSpec,
@@ -28,7 +32,7 @@ from repro.machine import (
     sunway_oceanlight,
 )
 from repro.parallel import partition_cells_contiguous, partition_cells_space_filling
-from repro.pp import CPECluster, HybridDispatcher, Serial
+from repro.pp import ExecutionSpace, HybridDispatcher, Serial
 
 
 @pytest.fixture(scope="module")
@@ -113,12 +117,22 @@ class TestCacheTerm:
 
 class TestHybridSplit:
     def test_balanced_beats_device_only(self, emit_report):
-        host, dev = Serial(), CPECluster(64)
-        hybrid = HybridDispatcher(host, dev).rebalanced()
-        device_only = HybridDispatcher(host, dev, device_fraction=1.0)
+        """Priced on the descriptors Table 2 is regenerated from; the
+        executor side only says who gets which iterations."""
         n, fpi = 10_000_000, 50.0
-        t_h = hybrid.modeled_time(fpi, n)
-        t_d = device_only.modeled_time(fpi, n)
+        table = CalibrationTable.from_file(Path(__file__).parents[1] / "CALIBRATION.json")
+        launch_s = table.for_intensity(fpi, 0.0).per_launch_s
+
+        def modeled_s(device_fraction):
+            split = HybridDispatcher(Serial(), ExecutionSpace("cut", lanes=64), device_fraction)
+            host_idx, dev_idx = split.split(n)
+            return max(
+                proc.roofline_s(fpi * len(idx), 0.0) + launch_s if len(idx) else 0.0
+                for proc, idx in ((CPE_PROCESSOR, dev_idx), (MPE_PROCESSOR, host_idx))
+            )
+
+        t_h = modeled_s(CPE_PROCESSOR.flops / (CPE_PROCESSOR.flops + MPE_PROCESSOR.flops))
+        t_d = modeled_s(1.0)
         emit_report(
             "ablation_hybrid_split",
             "\n".join([

@@ -3,8 +3,8 @@
 
 A steady zonal wind-stress pattern (easterlies / westerlies / easterlies)
 spins up subtropical gyres; the western sides of the basins intensify —
-the classic Stommel signature — and the non-ocean-point compression
-reports its memory saving along the way.
+the classic Stommel signature — and the memory ledger reports what
+non-ocean-point compression would save on this mask.
 
 Run:  python examples/ocean_gyre.py
 """
@@ -18,14 +18,14 @@ DAYS = 30
 
 
 def main() -> None:
-    model = LicomModel(LicomConfig(nlon=96, nlat=64, n_levels=10, compressed=True))
+    model = LicomModel(LicomConfig(nlon=96, nlat=64, n_levels=10))
     model.init()
     print(f"ocean grid {model.grid.nlon}x{model.grid.nlat}x{model.grid.n_levels}; "
           f"ocean fraction {model.grid.ocean_fraction:.2f}, "
           f"3-D wet fraction {model.grid.wet_fraction_3d():.2f}")
     rep = model.memory_report()
-    print(f"non-ocean-point removal: {100 * rep['reduction']:.0f}% of the state "
-          f"bytes removed ({rep['full_bytes'] / 1e6:.1f} -> "
+    print(f"non-ocean-point removal would drop {100 * rep['reduction']:.0f}% of the "
+          f"state bytes ({rep['full_bytes'] / 1e6:.1f} -> "
           f"{rep['packed_bytes'] / 1e6:.1f} MB)")
 
     # Idealized zonal wind stress: trades / westerlies / polar easterlies.

@@ -59,7 +59,7 @@ def _add_core_group(p: argparse.ArgumentParser) -> None:
     core.add_argument("--restart-dir", default=None,
                       help="write a restart set here at the end")
     core.add_argument("--backend", default="serial",
-                      choices=("serial", "threads", "cpe", "gpu", "procs"),
+                      choices=("serial", "procs"),
                       help="execution backend for component kernels; 'procs' "
                            "fans kernels across host cores via a shared-memory "
                            "process pool, bitwise-identical to 'serial'")

@@ -14,14 +14,20 @@ served: the key *is* the owner arrays.
 Entries are plain ``.npz`` files written via the existing
 :meth:`GlobalSegMap.to_file`/:meth:`Router.to_file` persistence, plus a
 JSON sidecar recording the build wall-time so warm hits can report
-``coupler.cache.build_time_saved``.
+``coupler.cache.build_time_saved``.  An entry is published temp-file →
+``os.replace``, so a reader never sees a half-written table; an entry
+that is unreadable anyway (truncated by a crash of an older writer, a
+full disk) is a miss: it is rebuilt and overwritten.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Union
@@ -32,6 +38,10 @@ from .gsmap import GlobalSegMap
 from .router import Router
 
 __all__ = ["CouplerCache"]
+
+
+#: What ``np.load`` raises on a truncated or otherwise damaged ``.npz``.
+_UNREADABLE = (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile, zlib.error)
 
 
 def _content_key(kind: str, *parts) -> str:
@@ -99,28 +109,34 @@ class CouplerCache:
         key = self.router_key(
             src_grid, dst_grid, src.owner_array(), dst.owner_array()
         )
-        path = self.root / f"router-{key}.npz"
-        if path.exists():
-            return self._hit(key, path, Router.from_file)
-        t0 = time.perf_counter()
-        router = Router.build(src, dst)
-        self._miss(key, path, router.to_file, time.perf_counter() - t0)
-        return router
+        return self._get(
+            key, self.root / f"router-{key}.npz", Router.from_file,
+            lambda: Router.build(src, dst),
+        )
 
     def get_gsmap(self, grid: str, owners: np.ndarray) -> GlobalSegMap:
         """The cached equivalent of ``GlobalSegMap.from_owners(owners)``."""
         key = self.gsmap_key(grid, owners)
-        path = self.root / f"gsmap-{key}.npz"
+        return self._get(
+            key, self.root / f"gsmap-{key}.npz", GlobalSegMap.from_file,
+            lambda: GlobalSegMap.from_owners(owners),
+        )
+
+    def _get(self, key: str, path: Path, loader, build):
         if path.exists():
-            return self._hit(key, path, GlobalSegMap.from_file)
+            try:
+                return self._hit(path, loader)
+            except _UNREADABLE:
+                pass  # torn entry: rebuild over it
         t0 = time.perf_counter()
-        gsmap = GlobalSegMap.from_owners(owners)
-        self._miss(key, path, gsmap.to_file, time.perf_counter() - t0)
-        return gsmap
+        table = build()
+        self._miss(key, path, table.to_file, time.perf_counter() - t0)
+        return table
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _hit(self, key: str, path: Path, loader):
+    def _hit(self, path: Path, loader):
+        table = loader(path)
         self.hits += 1
         saved = self._recorded_build_time(path)
         self.build_time_saved_s += saved
@@ -129,11 +145,17 @@ class CouplerCache:
             self.obs.gauge("coupler.cache.build_time_saved").set(
                 self.build_time_saved_s
             )
-        return loader(path)
+        return table
 
     def _miss(self, key: str, path: Path, saver, build_s: float) -> None:
         self.misses += 1
-        saver(path)
+        # numpy appends ".npz" to any other suffix, so the temp name keeps it.
+        tmp = path.with_name(f".{os.getpid()}-{path.name}")
+        try:
+            saver(tmp)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
         path.with_suffix(".json").write_text(
             json.dumps({"key": key, "build_s": build_s})
         )

@@ -103,9 +103,8 @@ class AP3ESMConfig:
     #: Directory for content-addressed offline GSMap/Router construction;
     #: None disables the coupler cache (and the compiled plans).
     coupler_cache_dir: Optional[str] = None
-    #: Execution backend for every component kernel: 'serial' (default),
-    #: 'threads'/'cpe'/'gpu' (modeled spaces), or 'procs' — the real
-    #: shared-memory process pool, bitwise-identical to 'serial'.
+    #: Executor for every component kernel: 'serial' (default) or 'procs'
+    #: — the shared-memory process pool, bitwise-identical to 'serial'.
     backend: str = "serial"
     #: Worker/lane count for the chosen backend; 0 = backend default
     #: (all host cores for 'procs').

@@ -85,7 +85,7 @@ class ComponentContext:
     ----------
     space:
         The execution space every component's kernels dispatch on
-        (:func:`repro.pp.select_backend` picks it per machine).
+        (:func:`repro.pp.make_backend` builds it from the config name).
     kernels:
         The shared hash-based registry; each component registers its
         kernels here at ``set_context`` so the coupled system has one

@@ -51,12 +51,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-# Submodule imports (not the pp package) keep this importable from
-# machine/__init__ while pp/__init__ itself is mid-import (pp.backends
-# imports machine.spec).
-from ..pp.execspace import ExecutionSpace, Serial
-from ..pp.kernels import BoundKernel, MDRangePolicy, parallel_for
-from ..pp.stats import KernelMetrics
+from ..pp import BoundKernel, ExecutionSpace, KernelMetrics, MDRangePolicy, Serial, parallel_for
+from .spec import ProcessorSpec
 
 __all__ = [
     "CalibrationError",
@@ -167,21 +163,19 @@ PROBES: Dict[str, KernelProbe] = {
 
 
 @dataclass(frozen=True)
-class ReferenceRates:
-    """Nominal sustained host rates theoretical roofline time is computed
-    against (the :func:`repro.pp.Serial` lane rate and a commodity-DRAM
-    stream bandwidth).  Stored in the table so a fit is reproducible."""
+class ReferenceRates(ProcessorSpec):
+    """The host descriptor theoretical roofline time is computed against
+    (one nominal 3.2 GFLOP/s lane and a commodity-DRAM stream bandwidth).
+    Only the two rates are its identity; they are stored in the table so
+    a fit is reproducible."""
 
+    name: str = "reference-host"
     flops: float = 3.2e9
     mem_bw: float = 1.6e10
 
     def __post_init__(self) -> None:
         if self.flops <= 0 or self.mem_bw <= 0:
             raise CalibrationError("reference rates must be positive")
-
-    def roofline_s(self, flops: float, bytes_: float) -> float:
-        """Theoretical seconds for ``flops`` + ``bytes_`` of streamed work."""
-        return max(flops / self.flops, bytes_ / self.mem_bw)
 
     def payload(self) -> Dict[str, float]:
         return {"flops": self.flops, "mem_bw": self.mem_bw}
@@ -359,9 +353,8 @@ class KernelCalibration:
 
     def modeled_s(self, n: int, reference: ReferenceRates) -> float:
         """Calibrated prediction of one launch over ``n`` iterations."""
-        per_iter = max(
-            self.flops_per_iter / reference.flops,
-            self.bytes_per_iter / (reference.mem_bw * self.bandwidth_scale),
+        per_iter = reference.roofline_s(
+            self.flops_per_iter, self.bytes_per_iter, reference.mem_bw * self.bandwidth_scale
         )
         return self.per_launch_s + n * per_iter * self.overhead_factor
 
@@ -562,11 +555,8 @@ def calibrate(
             bandwidth_scale = min(max(achieved_bw / reference.mem_bw, 1e-3), 1e3)
         else:
             bandwidth_scale = 1.0
-        scaled_roofline = max(
-            m.flops_per_iter / reference.flops,
-            m.bytes_per_iter / (reference.mem_bw * bandwidth_scale)
-            if m.bytes_per_iter > 0
-            else 0.0,
+        scaled_roofline = reference.roofline_s(
+            m.flops_per_iter, m.bytes_per_iter, reference.mem_bw * bandwidth_scale
         )
         if scaled_roofline <= 0.0:
             raise CalibrationError(f"{name}: probe has no accountable work")

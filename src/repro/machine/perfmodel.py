@@ -4,10 +4,11 @@ This is the substitute for running on the real Sunway OceanLight / ORISE
 machines.  Time per simulated day of a component is assembled from first
 principles:
 
-* **compute** — roofline per process: ``max(flops / proc.flops, bytes /
-  mem_bw)`` per phase step, with a cache bonus when the per-process working
-  set fits in fast memory (this term produces the super-linear 118 %
-  efficiency the paper measures for the OCN MPE curve);
+* **compute** — roofline per process
+  (:meth:`~repro.machine.spec.ProcessorSpec.roofline_s`: ``max(flops /
+  proc.flops, bytes / mem_bw)``) per phase step, with a cache bonus when
+  the per-process working set fits in fast memory (this term produces the
+  super-linear 118 % efficiency the paper measures for the OCN MPE curve);
 * **halo exchange** — perimeter-scaled message sizes from the 2-D
   decomposition, priced with the LogGP models in
   :mod:`repro.parallel.collectives`;
@@ -249,11 +250,11 @@ class PerfModel:
             flops = points_local * phase.flops_per_point
             bytes_ = points_local * phase.bytes_per_point
             if self.calibration is None:
-                t_step = max(flops / proc.flops, bytes_ / mem_bw)
+                t_step = proc.roofline_s(flops, bytes_, mem_bw)
             else:
                 entry = self.calibration.for_phase(phase)
                 t_step = (
-                    max(flops / proc.flops, bytes_ / (mem_bw * entry.bandwidth_scale))
+                    proc.roofline_s(flops, bytes_, mem_bw * entry.bandwidth_scale)
                     * entry.overhead_factor
                     + entry.per_launch_s
                 )

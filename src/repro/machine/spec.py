@@ -25,8 +25,9 @@ class ProcessorSpec:
     """One schedulable processing element class (MPE core, CG, or GPU).
 
     ``flops`` / ``mem_bw`` are *sustained* rates for stencil-dominated
-    climate kernels, not peaks: the model is roofline-style, so kernel time
-    is ``max(flops_needed / flops, bytes_needed / mem_bw)``.
+    climate kernels, not peaks.  This is the one device descriptor: the
+    execution spaces of :mod:`repro.pp` only cut and run loops, and every
+    modeled kernel time comes from :meth:`roofline_s`.
     """
 
     name: str
@@ -34,6 +35,16 @@ class ProcessorSpec:
     mem_bw: float           # sustained bytes/s to its main memory
     cache_bytes: float = 0  # fast-memory capacity (LDM / L2 / HBM cache)
     cache_speedup: float = 1.0  # mem_bw multiplier when working set fits
+
+    def roofline_s(self, flops: float, bytes_: float, mem_bw: Optional[float] = None) -> float:
+        """Seconds for ``flops`` of arithmetic over ``bytes_`` of traffic:
+        ``max(flops / self.flops, bytes_ / mem_bw)``.  ``mem_bw`` defaults
+        to the main-memory rate; callers that know better (working set in
+        cache, a fitted bandwidth scale) pass the effective rate.
+        """
+        if flops < 0 or bytes_ < 0:
+            raise ValueError("flops and bytes_ must be >= 0")
+        return max(flops / self.flops, bytes_ / (self.mem_bw if mem_bw is None else mem_bw))
 
     def calibrated(
         self, flops_scale: float = 1.0, mem_bw_scale: float = 1.0

@@ -5,10 +5,12 @@ Substep hierarchy per §6.1: **barotropic : baroclinic : tracer =
 baroclinic step, tracers at the baroclinic step), with the absolute step
 set by the barotropic CFL of the grid in use.
 
-The model runs either on the full (nlev, nlat, nlon) box or in
-**compressed mode** (§5.2.2), where every prognostic field is stored
-packed on wet points and unpacked only at the solver boundary — the memory
-ledger exposes the ~30-40 % resident-state saving.
+The model steps on the full (nlev, nlat, nlon) box.  The §5.2.2
+non-ocean-point removal exists here as kernels that run on packed wet
+points (:mod:`repro.ocn.compress`, :mod:`repro.ocn.kernels`) and as the
+memory ledger :meth:`LicomModel.memory_report`, which states the ~30-40 %
+resident-state saving packing would give; stepping on packed fields is not
+implemented.
 
 Boundary exchange: imports wind stress, net heat flux, and freshwater
 flux from the coupler; exports SST, SSH, surface currents, and the
@@ -43,7 +45,6 @@ class LicomConfig:
     nlat: int = 64
     n_levels: int = 20
     cfl: float = 0.6
-    compressed: bool = False
     start_time: float = 0.0
     initial_t_surface: float = 18.0   # deg C
     initial_s: float = 35.0           # psu
@@ -101,8 +102,6 @@ class LicomModel:
         self.u = np.zeros(shape3)
         self.v = np.zeros(shape3)
         self.bt = BarotropicState.zeros(self.metrics.shape)
-
-        self.compressor = Compressor(self.mask3d) if cfg.compressed else None
 
         # Forcing slots (set by import_state).
         self.taux = np.zeros(self.metrics.shape)
@@ -274,10 +273,10 @@ class LicomModel:
     # -- compression ledger ------------------------------------------------------------
 
     def memory_report(self) -> Dict[str, float]:
-        """Resident prognostic-state bytes, full vs compressed (§5.2.2)."""
-        n_fields = 4  # t, s, u, v
-        comp = self.compressor if self.compressor is not None else Compressor(self.mask3d)
-        full, packed = comp.memory_bytes(n_fields=n_fields)
+        """Resident prognostic-state bytes, full vs packed on wet points
+        (§5.2.2)."""
+        comp = Compressor(self.mask3d)
+        full, packed = comp.memory_bytes(n_fields=4)  # t, s, u, v
         return {
             "full_bytes": float(full),
             "packed_bytes": float(packed),

@@ -1,15 +1,9 @@
-"""Performance-portability layer: Kokkos-style Views/execution spaces/
-parallel dispatch, the hash-based kernel registry (Sunway TMP workaround),
-and the SWGOMP directive-style loop offload."""
+"""Performance-portability layer: execution spaces (executors — what a
+device costs lives in :mod:`repro.machine`), Kokkos-style parallel
+dispatch and Views, the hash-based kernel registry (Sunway TMP
+workaround), and the SWGOMP directive-style loop offload."""
 
-from .execspace import (
-    CPECluster,
-    ExecutionSpace,
-    GPUDevice,
-    HostThreads,
-    KernelStats,
-    Serial,
-)
+from .execspace import ExecutionSpace, KernelStats, Serial
 from .kernels import (
     BoundKernel,
     MDRangePolicy,
@@ -19,7 +13,7 @@ from .kernels import (
     parallel_scan,
     reduction_chunks,
 )
-from .backends import BACKEND_PORTFOLIO, make_backend, select_backend
+from .backends import make_backend
 from .procpool import PoolStats, ProcPool, ProcPoolRuntime, ProcPoolSpace, SharedView
 from .registry import HybridDispatcher, KernelRegistry, kernel_hash
 from .stats import KernelMetrics, ObsKernelStats
@@ -36,9 +30,6 @@ from .view import (
 __all__ = [
     "ExecutionSpace",
     "Serial",
-    "HostThreads",
-    "CPECluster",
-    "GPUDevice",
     "KernelStats",
     "MDRangePolicy",
     "TileProfile",
@@ -56,8 +47,6 @@ __all__ = [
     "KernelRegistry",
     "kernel_hash",
     "HybridDispatcher",
-    "select_backend",
-    "BACKEND_PORTFOLIO",
     "KernelMetrics",
     "ObsKernelStats",
     "target",

@@ -1,4 +1,4 @@
-"""Execution spaces: where (and in what shape) a parallel kernel runs.
+"""Execution spaces: how a parallel launch is cut, and where it runs.
 
 The paper's portability claim is that the *same* kernels execute on a
 Sunway CG (1 MPE + 64 CPEs), on an ORISE GPU, or serially on a host CPU.
@@ -6,39 +6,30 @@ We reproduce that contract: an :class:`ExecutionSpace` turns an iteration
 range into a set of **chunks** (what a CPE, a GPU thread block, or the
 single serial lane would own) and executes a vectorized functor over each
 chunk.  Because the chunks partition the index space and the functor is
-applied to disjoint slices, every space produces bit-identical results —
+applied to disjoint slices, every cut produces bit-identical results —
 the property tested by ``tests/test_pp_kernels.py`` and claimed in §5.3.
 
-Each space also carries the *cost parameters* the machine model uses to
-price a kernel on that hardware (lanes, per-lane throughput, launch
-overhead), so that "which backend is faster" is a modeled quantity, not a
-hard-coded answer.
-
-Execution is factored into four overridable hooks (``run_chunks`` /
-``map_chunks`` / ``run_tiles`` / ``map_tiles``): the base class executes
-every chunk or tile serially in-process, while a *real* backend — the
-shared-memory :func:`repro.pp.procpool.ProcPool` — overrides them to fan
-the same decomposition across host cores.  The kernel layer
+A space is an **executor** and nothing else: a name, a lane count and
+four overridable hooks (``run_chunks`` / ``map_chunks`` / ``run_tiles`` /
+``map_tiles``).  What a device *costs* is a descriptor's business —
+:class:`repro.machine.ProcessorSpec` prices a kernel, and nothing in
+``repro.pp`` returns modeled seconds.  The base class executes every
+chunk or tile serially in-process; the one other executor — the
+shared-memory :func:`repro.pp.procpool.ProcPool` — overrides the hooks to
+fan the same decomposition across host cores.  The kernel layer
 (:mod:`repro.pp.kernels`) decides *what* the chunks are; the space
 decides only *where* they execute, which is how the serial path stays
-bitwise-identical when a parallel backend is swapped in.
+bitwise-identical when the parallel executor is swapped in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = [
-    "ExecutionSpace",
-    "Serial",
-    "HostThreads",
-    "CPECluster",
-    "GPUDevice",
-    "KernelStats",
-]
+__all__ = ["ExecutionSpace", "Serial", "KernelStats"]
 
 
 @dataclass
@@ -63,24 +54,19 @@ class KernelStats:
 
 @dataclass(frozen=True)
 class ExecutionSpace:
-    """Base class: a named set of parallel lanes with cost parameters.
+    """A named cut of the iteration space into ``lanes`` chunks.
 
-    Parameters
-    ----------
-    name:
-        Human-readable space name.
-    lanes:
-        Number of concurrent hardware lanes (CPEs, SIMT threads, ...).
-    flops_per_lane:
-        Sustained FLOP/s per lane — used only by the cost model.
-    launch_overhead_s:
-        Fixed kernel launch cost in modeled seconds.
+    ``ExecutionSpace("cut", lanes=64)`` cuts every launch the way one
+    64-CPE cluster would and runs the chunks serially in-process — the
+    form the cut-independence tests and the §5.3 benchmark use.
     """
 
     name: str
     lanes: int
-    flops_per_lane: float
-    launch_overhead_s: float
+
+    def __post_init__(self) -> None:
+        if self.lanes < 1:
+            raise ValueError("lanes must be >= 1")
 
     def chunks(self, n: int) -> Iterator[np.ndarray]:
         """Partition ``range(n)`` into per-lane contiguous index chunks.
@@ -133,57 +119,7 @@ class ExecutionSpace:
         """``[functor(*tile) for tile in tiles]``, in tile order."""
         return [functor(*tile) for tile in tiles]
 
-    def modeled_time(self, flops: float, n_launches: int = 1) -> float:
-        """Modeled seconds to execute ``flops`` spread over all lanes."""
-        if flops < 0:
-            raise ValueError("flops must be >= 0")
-        return n_launches * self.launch_overhead_s + flops / (
-            self.lanes * self.flops_per_lane
-        )
-
 
 def Serial() -> ExecutionSpace:
-    """Single host lane (the MPE-only baseline in the paper's Table 2)."""
-    return ExecutionSpace("Serial", lanes=1, flops_per_lane=3.2e9, launch_overhead_s=0.0)
-
-
-def HostThreads(n_threads: int = 8) -> ExecutionSpace:
-    """Multicore host backend (OpenMP on a commodity CPU)."""
-    if n_threads < 1:
-        raise ValueError("n_threads must be >= 1")
-    return ExecutionSpace(
-        "HostThreads", lanes=n_threads, flops_per_lane=3.2e9, launch_overhead_s=2e-6
-    )
-
-
-@dataclass(frozen=True)
-class _CPEClusterSpace(ExecutionSpace):
-    """ExecutionSpace plus the CPE local-device-memory capacity."""
-
-    ldm_bytes: int = 256 * 1024
-
-
-def CPECluster(n_cpes: int = 64, ldm_bytes: int = 256 * 1024) -> ExecutionSpace:
-    """One Sunway SW26010P core group: 64 CPEs, 256 KB LDM each.
-
-    The LDM capacity bounds the tile size :func:`repro.pp.kernels.parallel_for`
-    may hand to one CPE when tiling is requested.
-    """
-    if n_cpes < 1:
-        raise ValueError("n_cpes must be >= 1")
-    return _CPEClusterSpace(
-        "CPECluster",
-        lanes=n_cpes,
-        flops_per_lane=1.1e10,
-        launch_overhead_s=5e-6,
-        ldm_bytes=ldm_bytes,
-    )
-
-
-def GPUDevice(n_threads: int = 4096) -> ExecutionSpace:
-    """One ORISE HIP accelerator (MI60-class SIMT device)."""
-    if n_threads < 1:
-        raise ValueError("n_threads must be >= 1")
-    return ExecutionSpace(
-        "GPUDevice", lanes=n_threads, flops_per_lane=1.6e9, launch_overhead_s=1e-5
-    )
+    """Single host lane: every launch is one chunk, run in-process."""
+    return ExecutionSpace("Serial", lanes=1)

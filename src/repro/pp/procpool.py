@@ -1,9 +1,9 @@
 """ProcPool: a real multi-core execution backend for the pp layer.
 
-Every other :class:`~repro.pp.execspace.ExecutionSpace` *models* parallel
-cost while executing chunks serially in numpy.  ``ProcPool`` actually
-occupies the host: a persistent ``multiprocessing`` worker pool executes
-chunks and tiles concurrently, with kernel array arguments staged into
+The base :class:`~repro.pp.execspace.ExecutionSpace` executes its chunks
+serially in-process.  ``ProcPool`` actually occupies the host: a
+persistent ``multiprocessing`` worker pool executes chunks and tiles
+concurrently, with kernel array arguments staged into
 ``multiprocessing.shared_memory`` segments so workers map them zero-copy
 (:class:`SharedView`).  Dispatch goes through the same four execution
 hooks every space implements, so ``parallel_for`` / ``parallel_reduce`` /
@@ -479,7 +479,5 @@ def ProcPool(n_workers: Optional[int] = None) -> ProcPoolSpace:
     return ProcPoolSpace(
         name="ProcPool",
         lanes=n,
-        flops_per_lane=3.2e9,
-        launch_overhead_s=5e-5,
         runtime=ProcPoolRuntime(n),
     )

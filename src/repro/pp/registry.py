@@ -14,8 +14,9 @@ failure mode the real system must guard against.
 
 It also implements the **hybrid host-device parallelism** of §5.3: a
 :class:`HybridDispatcher` splits one iteration space between a host space
-and a device space in a tunable ratio, which is how the port keeps the MPE
-busy while the CPEs work.
+and a device space in a given ratio, which is how the port keeps the MPE
+busy while the CPEs work.  Which ratio balances two devices is a pricing
+question: derive it from their :class:`repro.machine.ProcessorSpec` rates.
 """
 
 from __future__ import annotations
@@ -56,17 +57,15 @@ class KernelRegistry:
     Registries are cheap per-context objects: every
     :class:`~repro.esm.component.ComponentContext` owns one, and the
     component modules expose ``make_*_registry()`` factories so
-    concurrent model instances (ensemble members) never share launch
-    bookkeeping.  ``launch_counts`` records per-kernel launches through
-    *this* registry — the state that would alias across instances if the
-    registries were process-global singletons.
+    concurrent model instances (ensemble members) never share a kernel
+    table.  Launch bookkeeping is the ``stats=`` accumulator's job
+    (:class:`repro.pp.stats.KernelMetrics` on the same context).
     """
 
     def __init__(self, name: Optional[str] = None) -> None:
         self.name = name
         self._table: Dict[int, Callable] = {}
         self._names: Dict[int, str] = {}
-        self.launch_counts: Dict[str, int] = {}
 
     def register(self, fn: Callable, name: Optional[str] = None) -> int:
         """Register ``fn``; returns its hash handle.
@@ -108,10 +107,7 @@ class KernelRegistry:
         backends can ship registered kernels to workers; serial behavior
         is unchanged (``BoundKernel(fn, args)(*idx) == fn(*idx, *args)``).
         """
-        fn = self.lookup(handle)
-        kname = self._names[handle]
-        self.launch_counts[kname] = self.launch_counts.get(kname, 0) + 1
-        return parallel_for(space, policy, BoundKernel(fn, args), **kwargs)
+        return parallel_for(space, policy, BoundKernel(self.lookup(handle), args), **kwargs)
 
     def __len__(self) -> int:
         return len(self._table)
@@ -130,9 +126,7 @@ class HybridDispatcher:
         The two execution spaces sharing the work.
     device_fraction:
         Fraction of iterations sent to the device; the remainder runs on
-        the host concurrently.  The optimal split equalizes the two
-        modeled finish times; :meth:`balanced_fraction` computes it from
-        the spaces' modeled throughputs.
+        the host.
     """
 
     host: ExecutionSpace
@@ -158,19 +152,3 @@ class HybridDispatcher:
             parallel_for(self.device, len(dev_idx), lambda c: functor(dev_idx[c]))
         if len(host_idx):
             parallel_for(self.host, len(host_idx), lambda c: functor(host_idx[c]))
-
-    def modeled_time(self, flops_per_iter: float, n: int) -> float:
-        """Modeled wall time: max of the two concurrent parts."""
-        host_idx, dev_idx = self.split(n)
-        t_dev = self.device.modeled_time(flops_per_iter * len(dev_idx)) if len(dev_idx) else 0.0
-        t_host = self.host.modeled_time(flops_per_iter * len(host_idx)) if len(host_idx) else 0.0
-        return max(t_dev, t_host)
-
-    def balanced_fraction(self) -> float:
-        """Device fraction that equalizes modeled host/device finish time."""
-        dev_rate = self.device.lanes * self.device.flops_per_lane
-        host_rate = self.host.lanes * self.host.flops_per_lane
-        return dev_rate / (dev_rate + host_rate)
-
-    def rebalanced(self) -> "HybridDispatcher":
-        return HybridDispatcher(self.host, self.device, self.balanced_fraction())

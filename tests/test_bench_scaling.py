@@ -1,5 +1,8 @@
 """Tests for the scaling-study runners and paper reference data."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -126,6 +129,22 @@ class TestCoupled:
         cpl = coupled_curve("3v2")
         # At 17M cores: coupled 0.71 vs ATM-alone 1.16 published.
         assert cpl.modeled[3] < atm.modeled[3]
+
+
+def test_model_metrics_equal_committed_baseline_exactly(all_results):
+    """Every modeled second goes through ``ProcessorSpec.roofline_s``: the
+    gated ``model`` metrics of BENCH_scaling.json must not move by a bit."""
+    baseline = Path(__file__).parents[1] / "benchmarks" / "baselines" / "BENCH_scaling.json"
+    want = {
+        name: m["value"]
+        for name, m in json.loads(baseline.read_text())["metrics"].items()
+        if m["kind"] == "model"
+    }
+    got = {f"sypd.coupled_{label}": coupled_curve(label).modeled[-1] for label in ("3v2", "1v1")}
+    for key, r in all_results.items():
+        got[f"sypd.{key}"] = r.modeled[-1]
+        got[f"prediction_error.{key}"] = r.max_prediction_error()
+    assert len(want) == 16 and got == want
 
 
 class TestWeakScaling:

@@ -247,6 +247,13 @@ class TestRearrangePlan:
         assert all(SimWorld(N_RANKS, timeout=5.0).run(program))
 
 
+def _same_router(a, b):
+    return a.send.keys() == b.send.keys() and all(
+        np.array_equal(a.send[k], b.send[k]) and np.array_equal(a.recv[k], b.recv[k])
+        for k in a.send
+    )
+
+
 class TestCouplerCache:
     def test_miss_then_hit(self, tmp_path, maps):
         src, dst = maps
@@ -255,13 +262,25 @@ class TestCouplerCache:
         assert (cache.hits, cache.misses) == (0, 1)
         r2 = cache.get_router("g1", "g2", src, dst)
         assert (cache.hits, cache.misses) == (1, 1)
-        assert r2.n_pairs == r1.n_pairs
-        for key in r1.send:
-            assert np.array_equal(r2.send[key], r1.send[key])
-            assert np.array_equal(r2.recv[key], r1.recv[key])
+        assert _same_router(r2, r1)
         assert cache.build_time_saved_s >= 0.0
         stats = cache.stats()
         assert stats["hits"] == 1.0 and stats["entries"] >= 1.0
+
+    def test_torn_entry_is_a_miss_and_gets_repaired(self, tmp_path, maps):
+        """A half-written ``.npz`` (crash mid-save) must not brick the
+        directory: the next lookup rebuilds over it."""
+        src, dst = maps
+        CouplerCache(tmp_path).get_router("g1", "g2", src, dst)
+        (entry,) = tmp_path.glob("router-*.npz")
+        entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
+        cache = CouplerCache(tmp_path)
+        assert _same_router(cache.get_router("g1", "g2", src, dst), Router.build(src, dst))
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert _same_router(Router.from_file(entry), Router.build(src, dst))
+        assert [q.name for q in tmp_path.glob("*.npz")] == [entry.name]  # no temp left
+        cache.get_router("g1", "g2", src, dst)
+        assert (cache.hits, cache.misses) == (1, 1)
 
     def test_gsmap_roundtrip(self, tmp_path):
         owners = np.arange(12) % 3

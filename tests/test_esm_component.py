@@ -145,9 +145,9 @@ class TestConcurrentSchedule:
             procs.finalize()
 
     def test_explicit_space_wins_over_config_backend(self):
-        from repro.pp import HostThreads
+        from repro.pp import ExecutionSpace
 
-        space = HostThreads(4)
+        space = ExecutionSpace("cut", lanes=4)
         m = AP3ESM(AP3ESMConfig(backend="procs", **TINY), space=space)
         m.init()
         assert m.ctx.space is space

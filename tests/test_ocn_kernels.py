@@ -1,5 +1,5 @@
 """Tests for the LICOMK++-style portable ocean kernels: bit-identical to
-the plain-numpy solvers on every execution space, with and without
+the plain-numpy solvers however the launch is cut, with and without
 non-ocean-point compression (the §5.3 x §5.2.2 composition)."""
 
 import numpy as np
@@ -7,10 +7,12 @@ import pytest
 
 from repro.ocn import BaroclinicSolver, CGridMetrics, Compressor, MixingParams, canuto_kappa, linear_eos
 from repro.ocn.kernels import OCEAN_KERNELS, run_canuto, run_eos, run_pressure
-from repro.pp import CPECluster, GPUDevice, HostThreads, Serial
+from repro.pp import ExecutionSpace, Serial, make_backend
 
-SPACES = [Serial(), HostThreads(4), CPECluster(64), GPUDevice(512)]
-IDS = [s.name for s in SPACES]
+# A device is a lane count: the ids name the hardware each cut stands for
+# (and keep the test ids these cases had when each had its own constructor).
+SPACES = [Serial()] + [ExecutionSpace("cut", lanes=k) for k in (4, 64, 512)]
+IDS = ["Serial", "HostThreads", "CPECluster", "GPUDevice"]
 
 
 @pytest.fixture(scope="module")
@@ -79,41 +81,18 @@ def test_kernels_are_registered():
 
 
 class TestBackendSelection:
-    """§5.1.1's implementation portfolio: pick the backend per machine."""
-
-    def test_sunway_selects_athread(self):
-        from repro.machine import sunway_oceanlight
-        from repro.pp import select_backend
-
-        label, space = select_backend(sunway_oceanlight())
-        assert label == "athread"
-        assert space.name == "CPECluster"
-        assert space.lanes == 64
-
-    def test_orise_selects_hip(self):
-        from repro.machine import orise
-        from repro.pp import select_backend
-
-        label, space = select_backend(orise())
-        assert label == "hip"
-        assert space.name == "GPUDevice"
+    """The executors a run can select: both give the reference answer."""
 
     def test_selected_backend_runs_the_kernels(self, fields):
-        """Whatever the portfolio picks, the kernels produce the reference
-        answer — the point of performance portability."""
-        from repro.machine import orise, sunway_oceanlight
-        from repro.pp import select_backend
-
         _, _, t, s = fields
         ref = linear_eos(t, s)
-        for machine in (sunway_oceanlight(), orise()):
-            _, space = select_backend(machine)
-            assert np.array_equal(run_eos(space, t, s), ref)
-
-    def test_portfolio_labels_documented(self):
-        from repro.pp import BACKEND_PORTFOLIO
-
-        assert {"athread", "hip", "kokkos-host", "serial"} <= set(BACKEND_PORTFOLIO)
+        for name in ("serial", "procs"):
+            space = make_backend(name, 2)
+            try:
+                assert np.array_equal(run_eos(space, t, s), ref)
+            finally:
+                if name == "procs":
+                    space.runtime.shutdown()
 
 
 def test_ocn_backends_shim_removed():

@@ -1,16 +1,17 @@
 """Tests for space-polymorphic parallel dispatch (the §5.3 portability claim:
-identical results on every execution space)."""
+identical results however the launch is cut, wherever the chunks run)."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.machine import CPE_PROCESSOR
 from repro.pp import (
     BoundKernel,
-    CPECluster,
-    GPUDevice,
-    HostThreads,
+    ExecutionSpace,
     KernelStats,
     MDRangePolicy,
     ProcPool,
@@ -20,10 +21,18 @@ from repro.pp import (
     parallel_scan,
 )
 
-SPACES = [Serial(), HostThreads(4), CPECluster(64), GPUDevice(256)]
+
+def cut(lanes):
+    return ExecutionSpace("cut", lanes=lanes)
 
 
-@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.name)
+# A device is a lane count: the ids name the hardware each cut stands for
+# (and keep the test ids these cases had when each had its own constructor).
+SPACES = [Serial(), cut(4), cut(64), cut(256)]
+IDS = ["Serial", "HostThreads", "CPECluster", "GPUDevice"]
+
+
+@pytest.mark.parametrize("space", SPACES, ids=IDS)
 def test_parallel_for_covers_range(space):
     n = 1000
     out = np.zeros(n)
@@ -35,26 +44,28 @@ def test_parallel_for_covers_range(space):
     assert np.array_equal(out, np.arange(n) * 2.0)
 
 
+def _every_launch_kind(space, n=20_000):
+    """Flat for, default-tile MDRange for, reduce and scan on ``space``."""
+    x = np.random.default_rng(11).standard_normal(n)
+    flat = np.zeros(n)
+    parallel_for(space, n, BoundKernel(_bit_body, (flat, x)))
+    tiled = np.zeros((70, 11))
+    parallel_for(space, MDRangePolicy((70, 11)), BoundKernel(_bit_tile, (tiled,)))
+    total = parallel_reduce(space, n, BoundKernel(_bit_partial, (x,)))
+    return flat, tiled, np.asarray(total), parallel_scan(space, n, x)
+
+
 def test_all_spaces_bit_identical():
-    """The portability contract: the same kernel on every space produces
-    bit-identical output."""
-    n = 777
-    x = np.linspace(0.0, 1.0, n)
-    results = []
-    for space in SPACES:
-        out = np.zeros(n)
-
-        def body(idx):
-            out[idx] = np.sin(x[idx]) * np.exp(-x[idx])
-
-        parallel_for(space, n, body)
-        results.append(out.copy())
-    for r in results[1:]:
-        assert np.array_equal(r, results[0])
+    """The portability contract is independence of the cut: every launch
+    kind gives Serial()'s bits in 1, 2, 7, 64 and 4096 chunks."""
+    want = _every_launch_kind(Serial(), n=5000)
+    for lanes in (1, 2, 7, 64, 4096):
+        for got, ref in zip(_every_launch_kind(cut(lanes), n=5000), want):
+            assert np.array_equal(got, ref), lanes
 
 
 def test_chunks_partition_disjoint():
-    space = CPECluster(64)
+    space = cut(64)
     seen = np.zeros(1000, dtype=int)
     for chunk in space.chunks(1000):
         seen[chunk] += 1
@@ -62,7 +73,7 @@ def test_chunks_partition_disjoint():
 
 
 def test_chunks_fewer_iterations_than_lanes():
-    space = GPUDevice(4096)
+    space = cut(4096)
     chunks = list(space.chunks(10))
     total = np.concatenate(chunks)
     assert np.array_equal(np.sort(total), np.arange(10))
@@ -72,7 +83,7 @@ def test_chunks_zero_iterations():
     assert list(Serial().chunks(0)) == []
 
 
-@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.name)
+@pytest.mark.parametrize("space", SPACES, ids=IDS)
 def test_parallel_reduce_sum(space):
     n = 500
     x = np.arange(n, dtype=float)
@@ -85,7 +96,7 @@ def test_parallel_reduce_deterministic_across_spaces():
     and remain deterministic per space."""
     rng = np.random.default_rng(7)
     x = rng.standard_normal(10_000) * 1e8
-    space = CPECluster(64)
+    space = cut(64)
     a = parallel_reduce(space, len(x), lambda idx: x[idx].sum())
     b = parallel_reduce(space, len(x), lambda idx: x[idx].sum())
     assert a == b
@@ -93,7 +104,7 @@ def test_parallel_reduce_deterministic_across_spaces():
 
 def test_parallel_reduce_max_combine():
     x = np.array([3.0, 9.0, 1.0, 7.0])
-    space = HostThreads(2)
+    space = cut(2)
     result = parallel_reduce(space, 4, lambda idx: x[idx].max(), combine=np.maximum)
     assert result == 9.0
 
@@ -120,7 +131,7 @@ def test_mdrange_default_tile_is_pencils():
     assert policy.effective_tile == (1, 6)
     assert len(policy.tiles()) == 4
     assert [tuple(len(ix) for ix in t) for t in policy.tiles(Serial())] == [(4, 6)]
-    assert [tuple(len(ix) for ix in t) for t in policy.tiles(HostThreads(2))] == [(2, 6), (2, 6)]
+    assert [tuple(len(ix) for ix in t) for t in policy.tiles(cut(2))] == [(2, 6), (2, 6)]
     explicit = MDRangePolicy(extents=(4, 6), tile=(1, 3))
     assert len(explicit.tiles(Serial())) == len(explicit.tiles()) == 8
 
@@ -164,7 +175,7 @@ def test_kernel_stats_accumulate():
     assert stats.iterations == 30
 
 
-@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.name)
+@pytest.mark.parametrize("space", SPACES, ids=IDS)
 def test_parallel_scan_matches_numpy(space):
     rng = np.random.default_rng(0)
     x = rng.integers(0, 100, 333).astype(float)
@@ -177,15 +188,20 @@ def test_parallel_scan_matches_numpy(space):
 @given(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=128))
 def test_scan_property_any_size_any_lanes(n, lanes):
     x = np.ones(n)
-    got = parallel_scan(HostThreads(lanes), n, x)
+    got = parallel_scan(cut(lanes), n, x)
     assert np.array_equal(got, np.arange(n, dtype=float))
 
 
 def test_modeled_time_monotone_in_flops():
-    space = CPECluster(64)
-    assert space.modeled_time(1e9) < space.modeled_time(2e9)
+    """Modeled seconds come from the device descriptor; a space has none."""
+    assert CPE_PROCESSOR.roofline_s(1e9, 0.0) < CPE_PROCESSOR.roofline_s(2e9, 0.0)
+    assert CPE_PROCESSOR.roofline_s(1.0, 8e9) == 8e9 / CPE_PROCESSOR.mem_bw
+    assert CPE_PROCESSOR.roofline_s(1.0, 8e9, mem_bw=1e9) == 8.0
     with pytest.raises(ValueError):
-        space.modeled_time(-1.0)
+        CPE_PROCESSOR.roofline_s(-1.0, 0.0)
+    assert [f.name for f in dataclasses.fields(ExecutionSpace)] == ["name", "lanes"]
+    with pytest.raises(ValueError):
+        cut(0)
 
 
 def test_parallel_scan_empty_range():
@@ -208,14 +224,14 @@ def test_parallel_scan_fewer_elements_than_lanes():
     """A single occupied tile (every other lane's chunk empty) must not
     perturb the serial prefix sum."""
     x = np.array([3.0, 1.0, 4.0])
-    got = parallel_scan(CPECluster(64), 3, x)
+    got = parallel_scan(cut(64), 3, x)
     assert np.array_equal(got, np.array([0.0, 3.0, 4.0]))
 
 
 def test_parallel_scan_vector_values():
     """Scan over per-row vectors (the rearranger offset pattern)."""
     x = np.arange(12, dtype=float).reshape(6, 2)
-    got = parallel_scan(GPUDevice(4), 6, x)
+    got = parallel_scan(cut(4), 6, x)
     want = np.cumsum(x, axis=0) - x
     assert np.array_equal(got, want)
 
@@ -248,7 +264,7 @@ def test_mdrange_zero_extents_are_legal_and_produce_zero_tiles():
         MDRangePolicy(extents=(3, -1))
 
 
-@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.name)
+@pytest.mark.parametrize("space", SPACES, ids=IDS)
 def test_parallel_for_empty_flat_and_mdrange_consistent(space):
     """A flat n=0 and a zero-extent MDRange both call the functor zero
     times (and never with an empty index array)."""
@@ -258,7 +274,7 @@ def test_parallel_for_empty_flat_and_mdrange_consistent(space):
     assert calls == []
 
 
-@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.name)
+@pytest.mark.parametrize("space", SPACES, ids=IDS)
 def test_parallel_reduce_empty_flat_and_mdrange_consistent(space):
     """Flat n=0 and zero-extent MDRange raise the same documented error."""
     with pytest.raises(ValueError, match="no reduction identity"):
@@ -310,23 +326,10 @@ def all_backends(procpool):
 def test_for_reduce_scan_bitwise_across_all_backends(all_backends):
     """§5.1's validation property, now including a backend that really
     executes on separate processes: identical bits from every space."""
-    rng = np.random.default_rng(11)
-    n = 20_000
-    x = rng.standard_normal(n)
-    ref_out = None
-    ref_sum = None
-    ref_scan = None
+    want = _every_launch_kind(Serial())
     for space in all_backends:
-        out = np.zeros(n)
-        parallel_for(space, n, BoundKernel(_bit_body, (out, x)))
-        total = parallel_reduce(space, n, BoundKernel(_bit_partial, (x,)))
-        scanned = parallel_scan(space, n, x)
-        if ref_out is None:
-            ref_out, ref_sum, ref_scan = out, total, scanned
-        else:
-            assert np.array_equal(out, ref_out), space.name
-            assert total == ref_sum, space.name
-            assert np.array_equal(scanned, ref_scan), space.name
+        for got, ref in zip(_every_launch_kind(space), want):
+            assert np.array_equal(got, ref), space.name
 
 
 def test_mdrange_bitwise_across_all_backends(all_backends):
@@ -343,7 +346,7 @@ def test_mdrange_bitwise_across_all_backends(all_backends):
 
 @pytest.fixture(scope="module")
 def lane_spaces(procpool):
-    return [Serial(), HostThreads(4), procpool]
+    return [Serial(), cut(4), procpool]
 
 
 @pytest.mark.parametrize("extents", [(24, 40), (3, 5), (1, 7, 2)])

@@ -3,14 +3,20 @@
 import numpy as np
 import pytest
 
+from repro.machine import CPE_PROCESSOR, MPE_PROCESSOR
 from repro.pp import (
-    CPECluster,
+    ExecutionSpace,
     HybridDispatcher,
     KernelRegistry,
     Serial,
     kernel_hash,
     target,
 )
+
+
+def cpe_cut(n_cpes=64):
+    """The cut one Sunway core group makes of a launch."""
+    return ExecutionSpace("cut", lanes=n_cpes)
 
 
 def _axpy(idx, y, a, x):
@@ -57,7 +63,7 @@ class TestKernelRegistry:
         h = reg.register(_axpy)
         y = np.zeros(100)
         x = np.ones(100)
-        reg.launch(CPECluster(8), h, 100, y, 2.0, x)
+        reg.launch(cpe_cut(8), h, 100, y, 2.0, x)
         assert np.all(y == 2.0)
 
     def test_decorator_form(self):
@@ -74,35 +80,42 @@ class TestKernelRegistry:
 
 class TestHybridDispatcher:
     def test_split_partitions_range(self):
-        d = HybridDispatcher(Serial(), CPECluster(64), device_fraction=0.8)
+        d = HybridDispatcher(Serial(), cpe_cut(64), device_fraction=0.8)
         host, dev = d.split(100)
         assert len(dev) == 80 and len(host) == 20
         assert np.array_equal(np.sort(np.concatenate([host, dev])), np.arange(100))
 
     def test_run_covers_everything(self):
-        d = HybridDispatcher(Serial(), CPECluster(64), device_fraction=0.7)
+        d = HybridDispatcher(Serial(), cpe_cut(64), device_fraction=0.7)
         out = np.zeros(1000)
         d.run(1000, lambda idx: out.__setitem__(idx, 1.0))
         assert np.all(out == 1.0)
 
     def test_fraction_bounds(self):
         with pytest.raises(ValueError):
-            HybridDispatcher(Serial(), CPECluster(), device_fraction=1.5)
+            HybridDispatcher(Serial(), cpe_cut(), device_fraction=1.5)
+
+    #: The split that equalizes finish times hands each side work in
+    #: proportion to its rate — a property of the device descriptors.
+    BALANCED = CPE_PROCESSOR.flops / (CPE_PROCESSOR.flops + MPE_PROCESSOR.flops)
 
     def test_balanced_fraction_optimal(self):
         """The balanced split's modeled time must beat lopsided splits."""
-        host, dev = Serial(), CPECluster(64)
-        d = HybridDispatcher(host, dev).rebalanced()
         n, fpi = 1_000_000, 100.0
-        t_bal = d.modeled_time(fpi, n)
+
+        def modeled_s(fraction):
+            host, dev = HybridDispatcher(Serial(), cpe_cut(), fraction).split(n)
+            return max(
+                CPE_PROCESSOR.roofline_s(fpi * len(dev), 0.0),
+                MPE_PROCESSOR.roofline_s(fpi * len(host), 0.0),
+            )
+
         for frac in (0.5, 0.99, 1.0):
-            other = HybridDispatcher(host, dev, device_fraction=frac)
-            assert t_bal <= other.modeled_time(fpi, n) + 1e-12
+            assert modeled_s(self.BALANCED) <= modeled_s(frac) + 1e-12
 
     def test_device_dominates_balanced_fraction(self):
-        d = HybridDispatcher(Serial(), CPECluster(64))
-        # 64 CPEs at 11 GF vs 1 MPE lane at 3.2 GF: fraction near 1.
-        assert 0.98 < d.balanced_fraction() < 1.0
+        # One core group at 156 GF vs its MPE at 1.2 GF: fraction near 1.
+        assert 0.98 < self.BALANCED < 1.0
 
 
 class TestSWGOMP:
@@ -115,7 +128,7 @@ class TestSWGOMP:
         u2 = np.zeros((100, 4))
         f = np.random.default_rng(0).standard_normal((100, 4))
         relax(u1, f)  # plain host call
-        relax.offload(CPECluster(16), u2, f)
+        relax.offload(cpe_cut(16), u2, f)
         assert np.array_equal(u1, u2)
 
     def test_offload_writes_through_views(self):
@@ -124,7 +137,7 @@ class TestSWGOMP:
             x += 1.0
 
         x = np.zeros(37)
-        bump.offload(CPECluster(8), x)
+        bump.offload(cpe_cut(8), x)
         assert np.all(x == 1.0)
 
     def test_chunked_schedule(self):
@@ -153,7 +166,7 @@ class TestSWGOMP:
             x *= 2.0
 
         x = np.arange(10.0)
-        ok.offload(CPECluster(4), x, validate=True)
+        ok.offload(cpe_cut(4), x, validate=True)
         assert np.array_equal(x, np.arange(10.0) * 2)
 
     def test_validate_catches_conflict(self):
@@ -164,7 +177,7 @@ class TestSWGOMP:
 
         x = np.arange(10.0)
         with pytest.raises(RuntimeError, match="not conflict-free"):
-            bad.offload(CPECluster(4), x, validate=True)
+            bad.offload(cpe_cut(4), x, validate=True)
 
     def test_bad_schedule_rejected(self):
         with pytest.raises(ValueError):
@@ -176,7 +189,7 @@ class TestSWGOMP:
 class TestHybridDispatcherSplitRatios:
     @pytest.mark.parametrize("fraction", [0.0, 0.25, 0.5, 0.9, 1.0])
     def test_split_ratio_honoured(self, fraction):
-        d = HybridDispatcher(Serial(), CPECluster(64), device_fraction=fraction)
+        d = HybridDispatcher(Serial(), cpe_cut(64), device_fraction=fraction)
         n = 1000
         host, dev = d.split(n)
         assert len(dev) == int(round(n * fraction))
@@ -189,14 +202,14 @@ class TestHybridDispatcherSplitRatios:
     def test_extreme_fractions_still_run_everything(self):
         for fraction in (0.0, 1.0):
             d = HybridDispatcher(
-                Serial(), CPECluster(64), device_fraction=fraction
+                Serial(), cpe_cut(64), device_fraction=fraction
             )
             out = np.zeros(137)
             d.run(137, lambda idx: out.__setitem__(idx, out[idx] + 1.0))
             assert np.all(out == 1.0)
 
     def test_split_empty_range(self):
-        d = HybridDispatcher(Serial(), CPECluster(64), device_fraction=0.5)
+        d = HybridDispatcher(Serial(), cpe_cut(64), device_fraction=0.5)
         host, dev = d.split(0)
         assert len(host) == 0 and len(dev) == 0
         d.run(0, lambda idx: (_ for _ in ()).throw(AssertionError))

@@ -110,3 +110,12 @@ class TestConfigIntegration:
         model.init()
         model.run_couplings(2)
         assert np.isfinite(model.atm.swe.h).all()
+
+    def test_namelist_backend_that_is_not_an_executor_fails_at_init(self, tmp_path):
+        path = tmp_path / "gpu.nml"
+        path.write_text("&ap3esm_nml\n atm_level = 2\n backend = 'gpu'\n/")
+        from repro.esm import AP3ESM
+
+        model = AP3ESM(AP3ESMConfig.from_namelist(path))
+        with pytest.raises(ValueError, match="expected 'serial' or 'procs'"):
+            model.init()
