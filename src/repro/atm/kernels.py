@@ -219,7 +219,7 @@ def make_atm_registry(name: str = "atm") -> KernelRegistry:
     """A fresh registry with every atmosphere kernel pre-registered.
 
     Each model instance (each ensemble member) gets its own registry via
-    its :class:`~repro.esm.component.ComponentContext`, so per-kernel
+    its :class:`~repro.component.ComponentContext`, so per-kernel
     launch bookkeeping never aliases across concurrent experiments.
     """
     reg = KernelRegistry(name=name)

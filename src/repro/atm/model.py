@@ -26,10 +26,11 @@ from typing import Dict, Optional, Protocol
 
 import numpy as np
 
+from ..component import ComponentBase
 from ..grids import trsk
 from ..grids.icos import IcosahedralGrid
-from ..obs import NULL_OBS
 from ..utils.units import RHO_AIR
+from . import kernels as _k
 from .columns import ColumnState, pressure_levels, reference_profiles
 from .dycore import ShallowWaterDycore, williamson_tc2
 from .physics import ConventionalPhysics, PhysicsTendencies
@@ -65,7 +66,7 @@ class GristConfig:
     time_scheme: str = "rk4"
 
 
-class GristModel:
+class GristModel(ComponentBase):
     """The atmosphere component.
 
     Lifecycle: ``init()`` -> ``run(n)``/``step()`` -> ``finalize()``;
@@ -73,6 +74,16 @@ class GristModel:
     """
 
     name = "atm"
+    STATE = {
+        "h": "swe.h", "u": "swe.u",
+        "t_col": "t_col", "q_col": "q_col",
+        "tracer": "tracer", "tskin": "tskin",
+    }
+    RESTART_EXTRA = ("ice_fraction",)
+    KERNELS = (
+        _k.radiation_kernel, _k.surface_flux_kernel, _k.convective_kernel,
+        _k.saturation_kernel, _k.condensation_kernel,
+    )
 
     def __init__(
         self,
@@ -81,9 +92,7 @@ class GristModel:
     ) -> None:
         self.config = config if config is not None else GristConfig()
         self.physics: PhysicsSuite = physics if physics is not None else ConventionalPhysics()
-        self.obs = NULL_OBS
-        self._initialized = False
-        self._finalized = False
+        super().__init__()
 
     # -- CPL7 contract ---------------------------------------------------------
 
@@ -139,45 +148,11 @@ class GristModel:
     # -- Component protocol (shared context + uniform coupling surface) -----------
 
     def set_context(self, ctx) -> None:
-        """Bind the shared ComponentContext: kernel dispatch moves onto the
-        context's execution space and the atm kernels join the shared
-        hash registry; phases trace on the context's obs handle."""
-        self.obs = ctx.obs
+        """Bind the shared ComponentContext; the physics suite dispatches
+        on the same space, stats pool and registry."""
+        super().set_context(ctx)
         if hasattr(self.physics, "bind"):
             self.physics.bind(ctx.space, ctx.metrics, registry=ctx.kernels)
-        from . import kernels as _k
-
-        for fn in (
-            _k.radiation_kernel, _k.surface_flux_kernel, _k.convective_kernel,
-            _k.saturation_kernel, _k.condensation_kernel,
-        ):
-            ctx.kernels.register(fn)
-
-    def pre_coupling(self, imports: Dict[str, np.ndarray]) -> None:
-        self.import_state(imports)
-
-    def post_coupling(self) -> Dict[str, np.ndarray]:
-        return self.export_state()
-
-    def state(self) -> Dict[str, np.ndarray]:
-        """The prognostic state (what restarts save and the precision
-        policy round-trips)."""
-        self._check_alive()
-        return {
-            "h": self.swe.h, "u": self.swe.u,
-            "t_col": self.t_col, "q_col": self.q_col,
-            "tracer": self.tracer, "tskin": self.tskin,
-        }
-
-    def set_state(self, state: Dict[str, np.ndarray]) -> None:
-        self._check_alive()
-        if "h" in state:
-            self.swe.h = state["h"]
-        if "u" in state:
-            self.swe.u = state["u"]
-        for key in ("t_col", "q_col", "tracer", "tskin"):
-            if key in state:
-                setattr(self, key, state[key])
 
     # -- boundary exchange -------------------------------------------------------
 
@@ -251,51 +226,7 @@ class GristModel:
         self.time += self.dt_model
         self.n_steps += 1
 
-    def run(self, n_steps: int) -> None:
-        for _ in range(n_steps):
-            self.step()
-
-    # -- restart I/O (subfile format, §5.2.5) -------------------------------------------
-
-    def save_restart(self, directory) -> None:
-        """Write the prognostic state as a subfile restart set."""
-        self._check_alive()
-        from ..io.restart import save_restart
-
-        save_restart(
-            directory,
-            fields={
-                "h": self.swe.h, "u": self.swe.u,
-                "t_col": self.t_col, "q_col": self.q_col,
-                "tracer": self.tracer, "tskin": self.tskin,
-                "ice_fraction": self.ice_fraction,
-            },
-            scalars={"time": self.time, "n_steps": float(self.n_steps)},
-        )
-
-    def load_restart(self, directory) -> None:
-        """Restore the prognostic state bit-exactly from a restart set."""
-        self._check_alive()
-        from ..io.restart import load_restart
-
-        fields, scalars = load_restart(directory)
-        self.swe.h = fields["h"]
-        self.swe.u = fields["u"]
-        self.t_col = fields["t_col"]
-        self.q_col = fields["q_col"]
-        self.tracer = fields["tracer"]
-        self.tskin = fields["tskin"]
-        self.ice_fraction = fields["ice_fraction"]
-        self.time = scalars["time"]
-        self.n_steps = int(scalars["n_steps"])
-
     # -- internals ------------------------------------------------------------------
-
-    def _check_alive(self) -> None:
-        if not self._initialized:
-            raise RuntimeError("model not initialized (call init())")
-        if self._finalized:
-            raise RuntimeError("model already finalized")
 
     def _cell_winds(self) -> tuple[np.ndarray, np.ndarray]:
         """Reconstruct (east, north) cell winds from edge normals:

@@ -603,9 +603,8 @@ def _cmd_run_coupled(args: argparse.Namespace) -> int:
                           f"slot(s) ({t['bytes_saved'] / 1e6:.2f} MB) "
                           f"never exchanged")
     if args.restart_dir:
-        model.atm.save_restart(f"{args.restart_dir}/atm")
-        model.ocn.save_restart(f"{args.restart_dir}/ocn")
-        print(f"restart written to {args.restart_dir}/(atm|ocn)")
+        model.save_restart(args.restart_dir)
+        print(f"restart written to {args.restart_dir}/(atm|ocn|ice|lnd|cpl)")
     model.finalize()
     if obs is not None:
         path = obs.write_chrome_trace(args.trace)

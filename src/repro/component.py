@@ -1,4 +1,4 @@
-"""The Component protocol and the shared ComponentContext.
+"""The Component protocol, the shared ComponentContext and ComponentBase.
 
 §4's portability story is that *every* component runs through one
 Kokkos-style kernel layer; §5.3's precision story is one model-wide
@@ -12,6 +12,12 @@ module defines that contract:
   (``init`` / ``finalize``), coupling (``pre_coupling`` / ``step`` /
   ``post_coupling``), prognostic state access (``state`` /
   ``set_state``), restart I/O, and context binding;
+* :class:`ComponentBase` — that protocol's plumbing, written once: a
+  model declares ``name``, ``STATE``, ``RESTART_EXTRA`` and ``KERNELS``
+  and inherits ``state`` / ``set_state`` / ``save_restart`` /
+  ``load_restart`` / ``set_context`` / ``pre_coupling`` /
+  ``post_coupling`` / ``run`` and the liveness check, so every
+  ``state()`` key is restartable by construction;
 * :class:`ComponentContext` — ONE shared execution space, ONE shared
   kernel registry (the §5.3 hash table), ONE precision policy, and ONE
   observability handle, bound into every component by the coupled
@@ -24,20 +30,27 @@ module defines that contract:
 
 State keys are namespaced ``<component>.<variable>`` when the policy is
 applied, so one policy spans the whole coupled system.
+
+This module sits *below* the component packages (``repro.atm`` / ``ocn``
+/ ``ice`` / ``lnd`` import it; it imports none of them and nothing from
+``repro.esm``, which re-exports its public names).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Protocol, runtime_checkable
+from typing import Any, Callable, Dict, Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
-from ..pp import ExecutionSpace, KernelMetrics, KernelRegistry, Serial
-from ..precision import Precision, PrecisionPolicy
+from .io import restart as _restart
+from .obs import NULL_OBS
+from .pp import ExecutionSpace, KernelMetrics, KernelRegistry, Serial
+from .precision import Precision, PrecisionPolicy
 
 __all__ = [
     "Component",
+    "ComponentBase",
     "ComponentContext",
     "default_mixed_policy",
     "precision_policy",
@@ -103,14 +116,10 @@ class ComponentContext:
     space: ExecutionSpace = field(default_factory=Serial)
     kernels: KernelRegistry = field(default_factory=KernelRegistry)
     precision: PrecisionPolicy = field(default_factory=PrecisionPolicy)
-    obs: Any = None
+    obs: Any = NULL_OBS
     metrics: KernelMetrics = field(default_factory=KernelMetrics)
 
     def __post_init__(self) -> None:
-        if self.obs is None:
-            from ..obs import NULL_OBS
-
-            self.obs = NULL_OBS
         if self.metrics.obs is None:
             self.metrics.obs = self.obs
 
@@ -153,6 +162,120 @@ class ComponentContext:
         report["n_fp32"] = float(n_fp32)
         report["n_fp32_groupscaled"] = float(n_groupscaled)
         return report
+
+
+class ComponentBase:
+    """The :class:`Component` plumbing, written once.
+
+    A model declares its schema and writes only ``init`` / ``finalize`` /
+    ``step`` / ``import_state`` / ``export_state`` and its physics:
+
+    ``name``
+        The component's namespace (``atm`` / ``ocn`` / ``ice`` / ``lnd``).
+    ``STATE``
+        Prognostic key -> attribute path of the live array, resolved at
+        call time (``"h": "swe.h"``, ``"eta": "bt.eta"``).  It is what
+        ``state()`` returns, ``set_state()`` accepts, restarts save and
+        the precision policy round-trips.
+    ``RESTART_EXTRA``
+        Plain attributes a restart carries beyond ``STATE`` (boundary
+        forcing held between couplings).
+    ``KERNELS``
+        The pp kernels ``set_context`` registers in the bound context's
+        hash table.
+
+    ``init()`` must set ``time``, ``n_steps`` and ``_initialized``.
+    """
+
+    name: str
+    STATE: Dict[str, str] = {}
+    RESTART_EXTRA: Tuple[str, ...] = ()
+    KERNELS: Tuple[Callable, ...] = ()
+
+    _initialized = False
+    _finalized = False
+
+    def __init__(self) -> None:
+        # Standalone default: a private serial context.  The base binding
+        # on purpose — a subclass's set_context extension (atm's
+        # physics.bind) applies to contexts the caller hands in, not to
+        # this default, so a suite constructed on its own space keeps it.
+        ComponentBase.set_context(self, ComponentContext())
+
+    def set_context(self, ctx: "ComponentContext") -> None:
+        """Bind a (shared) context: phases trace on its obs handle
+        (``obs`` stays reassignable — the coupled driver moves the ocean
+        onto the domain-2 lane), kernels dispatch on its space, count in
+        its metrics pool and join its hash registry."""
+        self.obs = ctx.obs
+        self._space = ctx.space
+        self._kmetrics = ctx.metrics
+        self._kernels = ctx.kernels
+        for fn in self.KERNELS:
+            ctx.kernels.register(fn)
+
+    def pre_coupling(self, imports: Dict[str, np.ndarray]) -> None:
+        self.import_state(imports)
+
+    def post_coupling(self) -> Dict[str, np.ndarray]:
+        return self.export_state()
+
+    def run(self, n_steps: int) -> None:
+        for _ in range(n_steps):
+            self.step()
+
+    # -- prognostic state --------------------------------------------------
+
+    def _slot(self, path: str) -> Tuple[Any, str]:
+        """(owner object, attribute name) of a dotted attribute path."""
+        *parents, leaf = path.split(".")
+        owner = self
+        for attr in parents:
+            owner = getattr(owner, attr)
+        return owner, leaf
+
+    def state(self) -> Dict[str, np.ndarray]:
+        """The prognostic state as live arrays (what restarts save and
+        the precision policy round-trips)."""
+        self._check_alive()
+        return {k: getattr(*self._slot(p)) for k, p in self.STATE.items()}
+
+    def set_state(self, state: Dict[str, np.ndarray]) -> None:
+        """Rebind the given prognostic arrays; a partial dict leaves the
+        rest untouched and unknown keys are ignored."""
+        self._check_alive()
+        for key, value in state.items():
+            if key in self.STATE:
+                setattr(*self._slot(self.STATE[key]), value)
+
+    # -- restart I/O (subfile format, §5.2.5) ------------------------------
+
+    def save_restart(self, directory) -> None:
+        """Write ``state()`` + ``RESTART_EXTRA`` and the clock scalars as
+        a subfile restart set."""
+        fields = self.state()
+        fields.update((k, getattr(self, k)) for k in self.RESTART_EXTRA)
+        _restart.save_restart(
+            directory,
+            fields=fields,
+            scalars={"time": self.time, "n_steps": float(self.n_steps)},
+        )
+
+    def load_restart(self, directory) -> None:
+        """Restore the component bit-exactly from a restart set."""
+        self._check_alive()
+        fields, scalars = _restart.load_restart(directory)
+        self.set_state({k: fields[k] for k in self.STATE})
+        for key in self.RESTART_EXTRA:
+            setattr(self, key, fields[key])
+        self.time = scalars["time"]
+        self.n_steps = int(scalars["n_steps"])
+
+    def _check_alive(self) -> None:
+        if not self._initialized:
+            raise RuntimeError("model not initialized (call init())")
+        if self._finalized:
+            raise RuntimeError("model already finalized")
 
 
 def default_mixed_policy(group_size: int = 64) -> PrecisionPolicy:

@@ -7,7 +7,7 @@ from .ensemble import (
     EnsembleRun,
     LockstepAtmospheres,
 )
-from .component import (
+from ..component import (
     Component,
     ComponentContext,
     default_mixed_policy,

@@ -12,9 +12,10 @@ Wiring follows the paper:
 * exchanged bundles pass through the pruned field registry, and the
   atmosphere<->ocean grid change goes through the sparse remap matrices
   (global flux fixer applied to the heat/water fluxes);
-* all four components implement the :class:`repro.esm.component.Component`
-  protocol and share ONE :class:`ComponentContext` (execution space,
-  kernel registry, precision policy, obs handle).
+* all four components inherit :class:`repro.component.ComponentBase` (the
+  :class:`~repro.component.Component` protocol's plumbing) and share ONE
+  :class:`ComponentContext` (execution space, kernel registry, precision
+  policy, obs handle).
 
 Task-domain placement (§5.1.2: domain 1 = coupler+atm+ice+lnd, domain 2 =
 ocn) is executed by a :class:`repro.esm.scheduler.TaskDomainScheduler`:
@@ -38,6 +39,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..atm import GristConfig, GristModel
+from ..component import ComponentContext, precision_policy
 from ..coupler import (
     Clock,
     CoupledExchange,
@@ -57,7 +59,6 @@ from ..utils.units import (
     STEFAN_BOLTZMANN,
     sypd_from_walltime,
 )
-from .component import ComponentContext, precision_policy
 from .scheduler import PAPER_DOMAINS, TaskDomainScheduler, TaskHandle
 
 __all__ = ["AP3ESMConfig", "AP3ESM"]
@@ -337,12 +338,7 @@ class AP3ESM:
         self._wait_ocean()
         self.scheduler.shutdown()
         with self.obs.span("esm.finalize"):
-            out = {
-                "atm": self.atm.finalize(),
-                "ocn": self.ocn.finalize(),
-                "ice": self.ice.finalize(),
-                "lnd": self.lnd.finalize(),
-            }
+            out = {comp.name: comp.finalize() for comp in self.components}
         if self._owned_pool is not None:
             st = self._owned_pool.stats
             self.obs.gauge("pp.procpool.dispatches_total").set(float(st.dispatches))
@@ -705,10 +701,8 @@ class AP3ESM:
         from ..io.restart import save_restart
 
         base = Path(directory)
-        self.atm.save_restart(base / "atm")
-        self.ocn.save_restart(base / "ocn")
-        self.ice.save_restart(base / "ice")
-        self.lnd.save_restart(base / "lnd")
+        for comp in self.components:
+            comp.save_restart(base / comp.name)
         save_restart(
             base / "cpl",
             # Iterate the fields actually present: a pruned run publishes
@@ -733,10 +727,8 @@ class AP3ESM:
         from ..io.restart import load_restart
 
         base = Path(directory)
-        self.atm.load_restart(base / "atm")
-        self.ocn.load_restart(base / "ocn")
-        self.ice.load_restart(base / "ice")
-        self.lnd.load_restart(base / "lnd")
+        for comp in self.components:
+            comp.load_restart(base / comp.name)
         fields, scalars = load_restart(base / "cpl")
         self.clock.time = scalars["time"]
         self.clock.step_count = int(scalars["step_count"])

@@ -623,10 +623,7 @@ class EnsembleRun:
                 try:
                     m.checkpoints.validate(ckpt)
                 except CheckpointError:
-                    if self.obs is not None:
-                        self.obs.counter(
-                            "resilience.checkpoint_fallbacks"
-                        ).inc()
+                    self.obs.counter("resilience.checkpoint_fallbacks").inc()
                     continue
                 steps.add(m.checkpoints.step_of(ckpt))
             common = steps if common is None else (common & steps)
@@ -646,9 +643,8 @@ class EnsembleRun:
             if self.lockstep is not None:
                 self.lockstep.clear_credits(m.atm)
         self.n_couplings = step
-        if self.obs is not None:
-            self.obs.counter("resilience.restores").inc()
-            self.obs.gauge("ensemble.recovered_to").set(float(step))
+        self.obs.counter("resilience.restores").inc()
+        self.obs.gauge("ensemble.recovered_to").set(float(step))
         return step
 
     # -- restart I/O -------------------------------------------------------

@@ -33,6 +33,8 @@ from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..obs import NULL_OBS
+
 __all__ = [
     "TaskDomain",
     "TaskHandle",
@@ -117,7 +119,7 @@ class TaskHandle:
         self._future = future
         self._name = name
         self._watchdog_s = watchdog_s
-        self._obs = obs
+        self._obs = obs if obs is not None else NULL_OBS
 
     def done(self) -> bool:
         return self._future is None or self._future.done()
@@ -125,8 +127,7 @@ class TaskHandle:
     def _watchdog_abort(self) -> "None":
         from ..resilience.errors import WatchdogTimeout
 
-        if self._obs is not None:
-            self._obs.counter("resilience.watchdog_aborts").inc()
+        self._obs.counter("resilience.watchdog_aborts").inc()
         raise WatchdogTimeout(self._name or "<task>", self._watchdog_s)
 
     def wait(self) -> None:
@@ -179,17 +180,13 @@ class TaskDomainScheduler:
         concurrent: bool = False,
         watchdog_s: Optional[float] = None,
     ) -> None:
-        if obs is None:
-            from ..obs import NULL_OBS
-
-            obs = NULL_OBS
         self.domains: Tuple[TaskDomain, ...] = tuple(domains)
         if not self.domains:
             raise ValueError("need at least one task domain")
         self._by_name = {d.name: d for d in self.domains}
         if len(self._by_name) != len(self.domains):
             raise ValueError("task-domain names must be unique")
-        self.obs = obs
+        self.obs = obs if obs is not None else NULL_OBS
         self.concurrent = bool(concurrent)
         self.watchdog_s = watchdog_s
         self._executor: Optional[ThreadPoolExecutor] = (

@@ -18,11 +18,10 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from ..component import ComponentBase
 from ..grids.tripolar import TripolarGrid
-from ..obs import NULL_OBS
 from ..ocn.metrics import CGridMetrics
-from ..pp import ExecutionSpace, KernelStats, Serial
-from .kernels import run_thermodynamics
+from .kernels import run_thermodynamics, thermo_kernel
 
 __all__ = ["CiceConfig", "CiceModel"]
 
@@ -41,10 +40,16 @@ class CiceConfig:
     start_time: float = 0.0
 
 
-class CiceModel:
+class CiceModel(ComponentBase):
     """The sea-ice component (mirrors the ocean grid)."""
 
     name = "ice"
+    STATE = {
+        "thickness": "thickness",
+        "concentration": "concentration",
+        "tsurf": "tsurf",
+    }
+    KERNELS = (thermo_kernel,)
 
     def __init__(
         self,
@@ -53,14 +58,7 @@ class CiceModel:
     ) -> None:
         self.grid = grid
         self.config = config if config is not None else CiceConfig()
-        self.obs = NULL_OBS
-        self._space: ExecutionSpace = Serial()
-        self._kmetrics = None  # Optional[repro.pp.KernelMetrics]
-        self._kernels = None  # Optional[repro.pp.KernelRegistry]
-        self._initialized = False
-
-    def _kernel_stats(self, kernel: str) -> Optional[KernelStats]:
-        return self._kmetrics.stats(kernel) if self._kmetrics is not None else None
+        super().__init__()
 
     def init(self) -> None:
         self.metrics = CGridMetrics.build(self.grid)
@@ -85,66 +83,27 @@ class CiceModel:
         self._initialized = True
 
     def finalize(self) -> Dict[str, float]:
-        self._check()
+        self._check_alive()
         return {
             "steps": float(self.n_steps),
             "ice_volume": self.total_volume(),
             "ice_area": self.total_area(),
         }
 
-    # -- Component protocol (shared context + uniform coupling surface) --------
-
-    def set_context(self, ctx) -> None:
-        """Bind the shared ComponentContext: thermodynamics dispatches on
-        the context's space and joins the shared hash registry."""
-        self.obs = ctx.obs
-        self._space = ctx.space
-        self._kmetrics = ctx.metrics
-        self._kernels = ctx.kernels
-        from .kernels import thermo_kernel
-
-        ctx.kernels.register(thermo_kernel)
-
-    def pre_coupling(self, imports: Dict[str, np.ndarray]) -> None:
-        self.import_state(imports)
-
-    def post_coupling(self) -> Dict[str, np.ndarray]:
-        return self.export_state()
-
-    def state(self) -> Dict[str, np.ndarray]:
-        """The prognostic state (what restarts save and the precision
-        policy round-trips)."""
-        self._check()
-        return {
-            "thickness": self.thickness,
-            "concentration": self.concentration,
-            "tsurf": self.tsurf,
-        }
-
-    def set_state(self, state: Dict[str, np.ndarray]) -> None:
-        self._check()
-        for key in ("thickness", "concentration", "tsurf"):
-            if key in state:
-                setattr(self, key, state[key])
-
     # -- boundary exchange -----------------------------------------------------
 
     def import_state(self, fields: Dict[str, np.ndarray]) -> None:
-        self._check()
+        self._check_alive()
         shape = self.metrics.shape
-        mapping = {
-            "sst": "sst", "freezing": "freezing", "gsw": "gsw", "glw": "glw",
-            "t_air": "t_air", "u_drift": "u_drift", "v_drift": "v_drift",
-        }
-        for key, attr in mapping.items():
+        for key in ("sst", "freezing", "gsw", "glw", "t_air", "u_drift", "v_drift"):
             if key in fields:
                 arr = np.asarray(fields[key])
                 if arr.shape != shape:
                     raise ValueError(f"{key} must be (nlat, nlon)")
-                setattr(self, attr, arr)
+                setattr(self, key, arr)
 
     def export_state(self) -> Dict[str, np.ndarray]:
-        self._check()
+        self._check_alive()
         return {
             "ice_fraction": self.concentration.copy(),
             "ice_thickness": self.thickness.copy(),
@@ -159,7 +118,7 @@ class CiceModel:
     # -- stepping -----------------------------------------------------------------
 
     def step(self, dt: Optional[float] = None) -> None:
-        self._check()
+        self._check_alive()
         if dt is None:
             raise ValueError("the ice component needs an explicit coupling dt")
         with self.obs.span("ice.thermo"):
@@ -182,7 +141,7 @@ class CiceModel:
             self.thickness, self.concentration, self.tsurf,
             self.gsw, self.glw, self.t_air, freezing, self.grid.mask,
             dt, cfg.conductivity, cfg.h_min,
-            stats=self._kernel_stats("ice.thermo"), registry=self._kernels,
+            stats=self._kmetrics.stats("ice.thermo"), registry=self._kernels,
         )
 
     def _dynamics(self, dt: float) -> None:
@@ -209,35 +168,6 @@ class CiceModel:
             setattr(self, name, np.where(self.grid.mask, np.maximum(c_new, 0.0), 0.0))
         self.concentration = np.clip(self.concentration, 0.0, 1.0)
 
-    # -- restart I/O (subfile format, §5.2.5) ----------------------------------------
-
-    def save_restart(self, directory) -> None:
-        """Write the prognostic ice state as a subfile restart set."""
-        self._check()
-        from ..io.restart import save_restart
-
-        save_restart(
-            directory,
-            fields={
-                "thickness": self.thickness,
-                "concentration": self.concentration,
-                "tsurf": self.tsurf,
-            },
-            scalars={"time": self.time, "n_steps": float(self.n_steps)},
-        )
-
-    def load_restart(self, directory) -> None:
-        """Restore the prognostic ice state bit-exactly."""
-        self._check()
-        from ..io.restart import load_restart
-
-        fields, scalars = load_restart(directory)
-        self.thickness = fields["thickness"]
-        self.concentration = fields["concentration"]
-        self.tsurf = fields["tsurf"]
-        self.time = scalars["time"]
-        self.n_steps = int(scalars["n_steps"])
-
     # -- diagnostics ---------------------------------------------------------------
 
     def total_volume(self) -> float:
@@ -245,7 +175,3 @@ class CiceModel:
 
     def total_area(self) -> float:
         return float(np.sum(self.metrics.area * self.concentration))
-
-    def _check(self) -> None:
-        if not self._initialized:
-            raise RuntimeError("model not initialized (call init())")

@@ -20,8 +20,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..pp import ExecutionSpace, KernelStats, Serial
-from .kernels import run_bucket
+from ..component import ComponentBase
+from .kernels import bucket_kernel, run_bucket
 
 __all__ = ["LandConfig", "LandModel"]
 
@@ -42,10 +42,15 @@ class LandConfig:
 from .kernels import T_SNOW  # noqa: E402
 
 
-class LandModel:
+class LandModel(ComponentBase):
     """Bucket land surface on a set of (atmosphere) land cells."""
 
     name = "lnd"
+    STATE = {
+        "tskin": "tskin", "bucket": "bucket",
+        "snow": "snow", "runoff_total": "runoff_total",
+    }
+    KERNELS = (bucket_kernel,)
 
     def __init__(
         self,
@@ -62,13 +67,7 @@ class LandModel:
         if self.land_mask.shape != (n_cells,):
             raise ValueError("land_mask must have one entry per cell")
         self.config = config if config is not None else LandConfig()
-        self._space: ExecutionSpace = Serial()
-        self._kmetrics = None  # Optional[repro.pp.KernelMetrics]
-        self._kernels = None  # Optional[repro.pp.KernelRegistry]
-        self._initialized = False
-
-    def _kernel_stats(self, kernel: str) -> Optional[KernelStats]:
-        return self._kmetrics.stats(kernel) if self._kmetrics is not None else None
+        super().__init__()
 
     def init(self) -> None:
         cfg = self.config
@@ -84,24 +83,14 @@ class LandModel:
 
     # -- Component protocol (shared context + uniform coupling surface) ----------
 
-    def set_context(self, ctx) -> None:
-        """Bind the shared ComponentContext: the bucket kernel dispatches
-        on the context's space and joins the shared hash registry."""
-        self._space = ctx.space
-        self._kmetrics = ctx.metrics
-        self._kernels = ctx.kernels
-        from .kernels import bucket_kernel
-
-        ctx.kernels.register(bucket_kernel)
-
     def pre_coupling(self, imports: Dict[str, np.ndarray]) -> None:
         """Stage the atmosphere forcing for the next :meth:`step`."""
-        self._check()
+        self._check_alive()
         self._forcing = dict(imports)
 
     def step(self, dt: Optional[float] = None) -> None:
         """Run one bucket step on the staged forcing."""
-        self._check()
+        self._check_alive()
         if dt is None:
             raise ValueError("the land component needs an explicit coupling dt")
         if self._forcing is None:
@@ -114,23 +103,8 @@ class LandModel:
 
     def post_coupling(self) -> Dict[str, np.ndarray]:
         """The surface state the atmosphere reads back."""
-        self._check()
+        self._check_alive()
         return self._outputs
-
-    def state(self) -> Dict[str, np.ndarray]:
-        """The prognostic state (what restarts save and the precision
-        policy round-trips)."""
-        self._check()
-        return {
-            "tskin": self.tskin, "bucket": self.bucket,
-            "snow": self.snow, "runoff_total": self.runoff_total,
-        }
-
-    def set_state(self, state: Dict[str, np.ndarray]) -> None:
-        self._check()
-        for key in ("tskin", "bucket", "snow", "runoff_total"):
-            if key in state:
-                setattr(self, key, state[key])
 
     def effective_albedo(self) -> np.ndarray:
         """Snow-masked surface albedo: blends toward the snow albedo as
@@ -140,7 +114,7 @@ class LandModel:
         return cfg.albedo + (cfg.snow_albedo - cfg.albedo) * cover
 
     def finalize(self) -> Dict[str, float]:
-        self._check()
+        self._check_alive()
         return {
             "steps": float(self.n_steps),
             "mean_tskin": float(self.tskin[self.land_mask].mean()),
@@ -160,7 +134,7 @@ class LandModel:
         """One land step driven by atmosphere fields; returns the surface
         state the atmosphere reads back (tskin, evaporation, runoff).
         """
-        self._check()
+        self._check_alive()
         if dt <= 0:
             raise ValueError("dt must be positive")
         for name, arr in (("gsw", gsw), ("glw", glw), ("precip", precip), ("t_air", t_air)):
@@ -174,7 +148,7 @@ class LandModel:
             self.tskin, self.bucket, self.snow, self.land_mask,
             np.asarray(gsw, dtype=float), np.asarray(glw, dtype=float),
             np.asarray(precip, dtype=float), np.asarray(t_air, dtype=float),
-            dt, cfg, stats=self._kernel_stats("lnd.bucket"),
+            dt, cfg, stats=self._kmetrics.stats("lnd.bucket"),
             registry=self._kernels,
         )
         self.runoff_total += np.where(self.land_mask, runoff, 0.0)
@@ -191,43 +165,10 @@ class LandModel:
             ),
         }
 
-    def save_restart(self, directory) -> None:
-        """Write the prognostic land state as a subfile restart set."""
-        self._check()
-        from ..io.restart import save_restart
-
-        save_restart(
-            directory,
-            fields={
-                "tskin": self.tskin,
-                "bucket": self.bucket,
-                "snow": self.snow,
-                "runoff_total": self.runoff_total,
-            },
-            scalars={"time": self.time, "n_steps": float(self.n_steps)},
-        )
-
-    def load_restart(self, directory) -> None:
-        """Restore the prognostic land state bit-exactly."""
-        self._check()
-        from ..io.restart import load_restart
-
-        fields, scalars = load_restart(directory)
-        self.tskin = fields["tskin"]
-        self.bucket = fields["bucket"]
-        self.snow = fields["snow"]
-        self.runoff_total = fields["runoff_total"]
-        self.time = scalars["time"]
-        self.n_steps = int(scalars["n_steps"])
-
     def water_balance_error(self, total_precip_m: float, total_evap_m: float) -> float:
         """Closure check: d(bucket) = P - E - runoff (per unit area means)."""
-        self._check()
+        self._check_alive()
         cfg = self.config
         d_bucket = float(self.bucket[self.land_mask].mean()) - 0.5 * cfg.bucket_capacity
         runoff = float(self.runoff_total[self.land_mask].mean())
         return abs(d_bucket + runoff - (total_precip_m - total_evap_m))
-
-    def _check(self) -> None:
-        if not self._initialized:
-            raise RuntimeError("model not initialized (call init())")

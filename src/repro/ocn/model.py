@@ -24,8 +24,9 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from ..component import ComponentBase
 from ..grids.tripolar import TripolarGrid
-from ..obs import NULL_OBS
+from . import kernels as _k
 from .barotropic import BarotropicSolver, BarotropicState
 from .baroclinic import BaroclinicSolver
 from .compress import Compressor
@@ -50,19 +51,24 @@ class LicomConfig:
     initial_s: float = 35.0           # psu
 
 
-class LicomModel:
+class LicomModel(ComponentBase):
     """The ocean component (init / run / finalize, import / export)."""
 
     name = "ocn"
+    STATE = {
+        "t": "t", "s": "s", "u": "u", "v": "v",
+        "eta": "bt.eta", "bt_u": "bt.u", "bt_v": "bt.v",
+    }
+    # Forcing slots (set by import_state, held between ocean couplings).
+    RESTART_EXTRA = ("taux", "tauy", "heat_flux", "fresh_flux")
+    KERNELS = (_k.eos_kernel, _k.canuto_kernel, _k.baroclinic_pressure_kernel)
 
     def __init__(
         self,
         config: LicomConfig | None = None,
     ) -> None:
         self.config = config if config is not None else LicomConfig()
-        self.obs = NULL_OBS
-        self._initialized = False
-        self._finalized = False
+        super().__init__()
 
     # -- CPL7 contract -----------------------------------------------------------
 
@@ -124,61 +130,18 @@ class LicomModel:
         self._finalized = True
         return summary
 
-    # -- Component protocol (shared context + uniform coupling surface) -------------
-
-    def set_context(self, ctx) -> None:
-        """Bind the shared ComponentContext: the ocean kernels join the
-        shared hash registry and dispatch on the context's space; phases
-        trace on its obs handle (the coupled driver rebinds ``obs`` to
-        the domain-2 lane when the ocean runs on its own thread)."""
-        self.obs = ctx.obs
-        from . import kernels as _k
-
-        for fn in (_k.eos_kernel, _k.canuto_kernel, _k.baroclinic_pressure_kernel):
-            ctx.kernels.register(fn)
-
-    def pre_coupling(self, imports: Dict[str, np.ndarray]) -> None:
-        self.import_state(imports)
-
-    def post_coupling(self) -> Dict[str, np.ndarray]:
-        return self.export_state()
-
-    def state(self) -> Dict[str, np.ndarray]:
-        """The prognostic state (what restarts save and the precision
-        policy round-trips)."""
-        self._check_alive()
-        return {
-            "t": self.t, "s": self.s, "u": self.u, "v": self.v,
-            "eta": self.bt.eta, "bt_u": self.bt.u, "bt_v": self.bt.v,
-        }
-
-    def set_state(self, state: Dict[str, np.ndarray]) -> None:
-        self._check_alive()
-        for key in ("t", "s", "u", "v"):
-            if key in state:
-                setattr(self, key, state[key])
-        if "eta" in state:
-            self.bt.eta = state["eta"]
-        if "bt_u" in state:
-            self.bt.u = state["bt_u"]
-        if "bt_v" in state:
-            self.bt.v = state["bt_v"]
-
     # -- boundary exchange ----------------------------------------------------------
 
     def import_state(self, fields: Dict[str, np.ndarray]) -> None:
         """Receive atmosphere/ice forcing (already remapped to this grid)."""
         self._check_alive()
         shape = self.metrics.shape
-        for key, target in (
-            ("taux", "taux"), ("tauy", "tauy"),
-            ("heat_flux", "heat_flux"), ("fresh_flux", "fresh_flux"),
-        ):
+        for key in self.RESTART_EXTRA:
             if key in fields:
                 arr = np.asarray(fields[key])
                 if arr.shape != shape:
                     raise ValueError(f"{key} must be (nlat, nlon)")
-                setattr(self, target, np.where(self.metrics.mask_c, arr, 0.0))
+                setattr(self, key, np.where(self.metrics.mask_c, arr, 0.0))
 
     def export_state(self) -> Dict[str, np.ndarray]:
         self._check_alive()
@@ -228,48 +191,6 @@ class LicomModel:
         self.time += self.dt_baroclinic
         self.n_steps += 1
 
-    def run(self, n_steps: int) -> None:
-        for _ in range(n_steps):
-            self.step()
-
-    # -- restart I/O (subfile format, §5.2.5) --------------------------------------------
-
-    def save_restart(self, directory) -> None:
-        """Write the prognostic state as a subfile restart set."""
-        self._check_alive()
-        from ..io.restart import save_restart
-
-        save_restart(
-            directory,
-            fields={
-                "t": self.t, "s": self.s, "u": self.u, "v": self.v,
-                "eta": self.bt.eta, "bt_u": self.bt.u, "bt_v": self.bt.v,
-                "taux": self.taux, "tauy": self.tauy,
-                "heat_flux": self.heat_flux, "fresh_flux": self.fresh_flux,
-            },
-            scalars={"time": self.time, "n_steps": float(self.n_steps)},
-        )
-
-    def load_restart(self, directory) -> None:
-        """Restore the prognostic state bit-exactly from a restart set."""
-        self._check_alive()
-        from ..io.restart import load_restart
-
-        fields, scalars = load_restart(directory)
-        self.t = fields["t"]
-        self.s = fields["s"]
-        self.u = fields["u"]
-        self.v = fields["v"]
-        self.bt.eta = fields["eta"]
-        self.bt.u = fields["bt_u"]
-        self.bt.v = fields["bt_v"]
-        self.taux = fields["taux"]
-        self.tauy = fields["tauy"]
-        self.heat_flux = fields["heat_flux"]
-        self.fresh_flux = fields["fresh_flux"]
-        self.time = scalars["time"]
-        self.n_steps = int(scalars["n_steps"])
-
     # -- compression ledger ------------------------------------------------------------
 
     def memory_report(self) -> Dict[str, float]:
@@ -282,9 +203,3 @@ class LicomModel:
             "packed_bytes": float(packed),
             "reduction": comp.reduction,
         }
-
-    def _check_alive(self) -> None:
-        if not self._initialized:
-            raise RuntimeError("model not initialized (call init())")
-        if self._finalized:
-            raise RuntimeError("model already finalized")

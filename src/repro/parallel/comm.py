@@ -559,29 +559,22 @@ class _SubComm(SimComm):
     """Communicator over a subset of world ranks (result of ``split``)."""
 
     def __init__(self, world: _WorldState, world_ranks: List[int], my_world_rank: int, color_key: str) -> None:
-        self._world = world
-        self._world_ranks = world_ranks
-        self.rank = world_ranks.index(my_world_rank)
+        super().__init__(world, world_ranks.index(my_world_rank), color_key)
         self.size = len(world_ranks)
-        self._color_key = color_key
-        self._coll_seq = 0
-        # P2p translates group ranks to world ranks; tags are offset so that
-        # subcomm traffic cannot be matched by world-comm receives or by a
-        # different split's subcomm (zlib.crc32 is process-stable and
-        # identical across ranks for the same color key).
+        self._world_ranks = world_ranks
+        # P2p goes through the world communicator — the one path that
+        # carries fault injection, the revoked check and the abort
+        # wake-up — with group ranks translated to world ranks and tags
+        # offset so that subcomm traffic cannot be matched by world-comm
+        # receives or by a different split's subcomm (zlib.crc32 is
+        # process-stable and identical across ranks for the same color key).
         import zlib
 
+        self._p2p = SimComm(world, my_world_rank)
         self._TAG_OFFSET = ((zlib.crc32(color_key.encode()) % 997) + 1) << 20
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        world_dest = self._world_ranks[dest]
-        payload = _copy_payload(obj)
-        self._world.ledger.record_p2p(
-            self._world_ranks[self.rank], world_dest, _payload_nbytes(payload)
-        )
-        self._world.mailboxes[world_dest].put(
-            self.rank, tag + self._TAG_OFFSET, payload
-        )
+        self._p2p.send(obj, self._world_ranks[dest], tag + self._TAG_OFFSET)
 
     def recv(
         self,
@@ -589,22 +582,13 @@ class _SubComm(SimComm):
         tag: int = ANY_TAG,
         timeout: Optional[float] = None,
     ) -> Any:
-        wtag = tag if tag == ANY_TAG else tag + self._TAG_OFFSET
-        my_world = self._world_ranks[self.rank]
-        limit = self._world.timeout if timeout is None else timeout
-        try:
-            _, _, payload = self._world.mailboxes[my_world].get(source, wtag, limit)
-        except CommTimeoutError:
-            raise
-        except TimeoutError:
-            raise CommTimeoutError(source, self.rank, tag, limit) from None
-        return payload
+        return self._p2p.recv(
+            None if source is None else self._world_ranks[source],
+            tag if tag == ANY_TAG else tag + self._TAG_OFFSET,
+            timeout=timeout,
+        )
 
     # For subcomms we route collectives through gather-to-0 + bcast over p2p.
-    def _key(self, op: str) -> str:
-        self._coll_seq += 1
-        return f"{self._color_key}:{op}:{self._coll_seq}"
-
     def _gather0(self, obj: Any, tag: int) -> Optional[List[Any]]:
         if self.rank == 0:
             out: List[Any] = [None] * self.size
@@ -635,6 +619,11 @@ class _SubComm(SimComm):
             if self.rank == 0:
                 obj = self.recv(source=root, tag=903)
         return self._bcast0(obj if self.rank == 0 else None, tag=904)
+
+    def scatter(self, objs: Optional[Sequence[Any]], root: int = 0) -> Any:
+        if self.rank == root and (objs is None or len(objs) != self.size):
+            raise ValueError("root must supply one object per rank")
+        return self.bcast(objs, root=root)[self.rank]
 
     def gather(self, obj: Any, root: int = 0) -> Optional[List[Any]]:
         gathered = self._gather0(obj, tag=905)

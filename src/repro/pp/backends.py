@@ -9,7 +9,7 @@ executed: see :class:`repro.machine.ProcessorSpec`.
 
 This lives in ``repro.pp`` because the choice is component-agnostic: the
 same execution space is shared by every component through the
-``ComponentContext`` (see :mod:`repro.esm.component`).
+``ComponentContext`` (see :mod:`repro.component`).
 """
 
 from __future__ import annotations

@@ -55,7 +55,7 @@ class KernelRegistry:
     """Host-side table of device-callable kernels, keyed by hash.
 
     Registries are cheap per-context objects: every
-    :class:`~repro.esm.component.ComponentContext` owns one, and the
+    :class:`~repro.component.ComponentContext` owns one, and the
     component modules expose ``make_*_registry()`` factories so
     concurrent model instances (ensemble members) never share a kernel
     table.  Launch bookkeeping is the ``stats=`` accumulator's job

@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..obs import NULL_OBS
 from ..parallel.comm import CommTransientError, RankFailure
 from ..utils.rng import seeded
 from .errors import WorkerKilled
@@ -397,7 +398,7 @@ class CommFaultInjector:
         # Member-scoped faults belong to the fleet supervisor's boundary,
         # not the interconnect; a mixed plan must not leak them here.
         self._comm = [f for f in plan.comm if f.member is None]
-        self._obs = obs
+        self._obs = obs if obs is not None else NULL_OBS
         self._lock = threading.Lock()
         self._edge_sends: Dict[Tuple[int, int], int] = {}
         self._rank_ops: Dict[int, int] = {}
@@ -410,8 +411,7 @@ class CommFaultInjector:
 
     def _count(self) -> None:
         self.injected += 1
-        if self._obs is not None:
-            self._obs.counter("resilience.faults_injected").inc()
+        self._obs.counter("resilience.faults_injected").inc()
 
     def _check_kill(self, rank: int, op: str) -> None:
         budget = self._kills.get(rank)
@@ -489,7 +489,7 @@ class PhysicsFaultInjector:
                 continue
             self._by_step.setdefault(f.step, []).append(f)
         self._seed = plan.seed
-        self._obs = obs
+        self._obs = obs if obs is not None else NULL_OBS
 
     @property
     def steps(self) -> List[int]:
@@ -516,7 +516,7 @@ class PhysicsFaultInjector:
                 tend.dt[idx, :] = 1.0e6
                 tend.du[idx, :] = 1.0e6
             hit.update(cols)
-        if self._obs is not None and hit:
+        if hit:
             self._obs.counter("resilience.faults_injected").inc(len(faults))
         return len(hit)
 
@@ -536,7 +536,7 @@ class ServiceFaultInjector:
     def __init__(self, plan: FaultPlan, obs=None) -> None:
         self._faults = list(plan.service)
         self._fired: set = set()
-        self._obs = obs
+        self._obs = obs if obs is not None else NULL_OBS
         self._lock = threading.Lock()
         self.injected = 0
 
@@ -553,8 +553,7 @@ class ServiceFaultInjector:
                     continue
                 self._fired.add(i)
                 self.injected += 1
-                if self._obs is not None:
-                    self._obs.counter("resilience.faults_injected").inc()
+                self._obs.counter("resilience.faults_injected").inc()
                 raise WorkerKilled(job_id, coupling)
 
 

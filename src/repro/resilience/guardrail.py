@@ -27,6 +27,7 @@ import numpy as np
 
 from ..atm.columns import ColumnState
 from ..atm.physics import ConventionalPhysics, PhysicsTendencies
+from ..obs import NULL_OBS
 
 __all__ = ["GuardrailLimits", "GuardedPhysics"]
 
@@ -82,7 +83,7 @@ class GuardedPhysics:
         self.primary = primary
         self.fallback = fallback if fallback is not None else ConventionalPhysics()
         self.limits = limits if limits is not None else GuardrailLimits()
-        self.obs = obs
+        self.obs = obs if obs is not None else NULL_OBS
         self.injector = injector
         self.step_fn = step_fn
         self.fallback_columns_total = 0
@@ -136,7 +137,6 @@ class GuardedPhysics:
                      "cloud_fraction", "shflx", "lhflx"):
             getattr(tend, name)[idx] = getattr(fb, name)
         self.fallback_columns_total += int(idx.size)
-        if self.obs is not None:
-            self.obs.counter("resilience.physics_fallback_columns").inc(int(idx.size))
-            self.obs.counter("resilience.physics_fallback_events").inc()
+        self.obs.counter("resilience.physics_fallback_columns").inc(int(idx.size))
+        self.obs.counter("resilience.physics_fallback_events").inc()
         return tend

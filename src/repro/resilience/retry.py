@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Type, TypeVar
 
+from ..obs import NULL_OBS
 from ..parallel.comm import CommTransientError
 from ..utils.rng import seeded
 
@@ -66,7 +67,7 @@ class RetryPolicy:
 def retry_with_backoff(
     fn: Callable[[], T],
     policy: RetryPolicy = RetryPolicy(),
-    obs=None,
+    obs=NULL_OBS,
     counter: str = "resilience.retries",
     sleep: Callable[[float], None] = time.sleep,
 ) -> T:
@@ -85,8 +86,7 @@ def retry_with_backoff(
             attempt += 1
             if attempt > policy.max_retries:
                 raise
-            if obs is not None:
-                obs.counter(counter).inc()
+            obs.counter(counter).inc()
             delay = policy.delay(attempt)
             if delay > 0:
                 sleep(delay)

@@ -46,6 +46,7 @@ try:  # POSIX; exclusivity degrades to best-effort elsewhere
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
+from ..obs import NULL_OBS
 from .spec import JobRecord, JobSpec, ServeError, ServiceCrash
 
 __all__ = ["JobStore"]
@@ -79,7 +80,7 @@ class JobStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self.path = self.root / _JOURNAL
         self.rotate_every = rotate_every
-        self.obs = obs
+        self.obs = obs if obs is not None else NULL_OBS
         self.crash_at = crash_at
         self.jobs: Dict[str, JobRecord] = {}
         self._seq = 0
@@ -156,8 +157,7 @@ class JobStore:
                 self._apply(body)
                 applied += 1
                 self._since_snapshot += 1
-        if self.obs is not None:
-            self.obs.counter("serve.journal.replayed_records").inc(applied)
+        self.obs.counter("serve.journal.replayed_records").inc(applied)
         return applied
 
     def _apply(self, body: Dict) -> None:
@@ -196,8 +196,7 @@ class JobStore:
             f.write(json.dumps(rec, sort_keys=True) + "\n")
             f.flush()
         self._apply(body)
-        if self.obs is not None:
-            self.obs.counter("serve.journal.records").inc()
+        self.obs.counter("serve.journal.records").inc()
         index = self.appends
         self.appends += 1
         self._since_snapshot += 1
@@ -218,8 +217,7 @@ class JobStore:
         tmp.write_text(json.dumps(rec, sort_keys=True) + "\n", encoding="utf-8")
         os.replace(tmp, self.path)
         self._since_snapshot = 0
-        if self.obs is not None:
-            self.obs.counter("serve.journal.rotations").inc()
+        self.obs.counter("serve.journal.rotations").inc()
 
     # -- mutations ---------------------------------------------------------
 

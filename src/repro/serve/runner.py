@@ -38,6 +38,7 @@ from pathlib import Path
 from typing import Callable, Dict, Optional, Union
 
 from ..esm.ap3esm import AP3ESM, AP3ESMConfig
+from ..obs import NULL_OBS
 from ..resilience.config import ResilienceConfig
 from ..utils.rng import seeded
 from .spec import JobSpec
@@ -66,7 +67,7 @@ class JobRunner:
         self.work_dir = Path(work_dir)
         self.checkpoint_every = checkpoint_every
         self.checkpoint_keep = checkpoint_keep
-        self.obs = obs
+        self.obs = obs if obs is not None else NULL_OBS
 
     # -- layout ------------------------------------------------------------
 
@@ -122,8 +123,7 @@ class JobRunner:
             # The atomic publish completed, so the job DID run to the end
             # — only the completed journal record is missing (the service
             # died in between).  Adopt the result instead of re-running.
-            if self.obs is not None:
-                self.obs.counter("serve.adopted").inc()
+            self.obs.counter("serve.adopted").inc()
             return {
                 "restart_dir": str(published),
                 "couplings": spec.couplings,
@@ -141,8 +141,7 @@ class JobRunner:
         if model.checkpoints.latest() is not None:
             model.checkpoints.restore_latest_valid(model.load_restart)
             resumed_from = model.n_couplings
-            if self.obs is not None:
-                self.obs.counter("serve.resumes").inc()
+            self.obs.counter("serve.resumes").inc()
         else:
             self._perturb(spec, model)
             model.checkpoint()  # coupling-0 seed: the perturbed IC is durable
@@ -176,8 +175,7 @@ class JobRunner:
         resumed_from: Optional[int] = None
         if ens.has_checkpoint():
             resumed_from = ens.recover()
-            if self.obs is not None:
-                self.obs.counter("serve.resumes").inc()
+            self.obs.counter("serve.resumes").inc()
         else:
             ens.checkpoint()  # coupling-0 seed (perturbations applied in init)
         try:
@@ -214,8 +212,7 @@ class JobRunner:
             shutil.rmtree(staging)
         saver(staging)
         staging.rename(final)
-        if self.obs is not None:
-            self.obs.counter("serve.published").inc()
+        self.obs.counter("serve.published").inc()
         return {
             "restart_dir": str(final),
             "couplings": spec.couplings,

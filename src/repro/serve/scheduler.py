@@ -41,6 +41,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
 from ..esm.ap3esm import AP3ESMConfig
+from ..obs import NULL_OBS
 from ..resilience.errors import WorkerKilled
 from ..resilience.faults import FaultPlan, ServiceFaultInjector
 from ..resilience.retry import RetryPolicy
@@ -108,7 +109,7 @@ class JobScheduler:
     ) -> None:
         self.store = store
         self.config = config if config is not None else ServeConfig()
-        self.obs = obs
+        self.obs = obs if obs is not None else NULL_OBS
         self.runner = JobRunner(
             base_config,
             work_dir,
@@ -146,13 +147,11 @@ class JobScheduler:
         with self._mutex:
             depth = self.store.depth
             if depth >= self.config.max_queue:
-                if self.obs is not None:
-                    self.obs.counter("serve.rejected").inc()
+                self.obs.counter("serve.rejected").inc()
                 raise ServeBackpressure(spec.job_id, depth, self.config.max_queue)
             self.store.submit(spec)
-            if self.obs is not None:
-                self.obs.counter("serve.submitted").inc()
-                self.obs.gauge("serve.queue_depth").set(float(self.store.depth))
+            self.obs.counter("serve.submitted").inc()
+            self.obs.gauge("serve.queue_depth").set(float(self.store.depth))
         self._event("submitted", spec.job_id, couplings=spec.couplings)
 
     # -- recovery ----------------------------------------------------------
@@ -169,8 +168,7 @@ class JobScheduler:
                 if rec.state == "running":
                     self.store.update(rec.spec.job_id, "queued")
                     requeued += 1
-                    if self.obs is not None:
-                        self.obs.counter("serve.requeued").inc()
+                    self.obs.counter("serve.requeued").inc()
         if requeued:
             self._event("recovered", "*", requeued=requeued)
         return {"requeued": requeued}
@@ -199,8 +197,7 @@ class JobScheduler:
                 self.store.update(job_id, "queued")
                 self.heartbeats.pop(job_id, None)
                 reaped += 1
-                if self.obs is not None:
-                    self.obs.counter("serve.reaped").inc()
+                self.obs.counter("serve.reaped").inc()
         if reaped:
             self._event("reaped", "*", reaped=reaped)
         return reaped
@@ -218,9 +215,8 @@ class JobScheduler:
             self._gen[job_id] = self._gen.get(job_id, 0) + 1
             self.store.update(job_id, "running", attempts=rec.attempts + 1)
             self.heartbeats[job_id] = (self._gen[job_id], -1, self._clock())
-            if self.obs is not None:
-                self.obs.gauge("serve.queue_depth").set(float(self.store.depth))
-                self.obs.counter("serve.dispatched").inc()
+            self.obs.gauge("serve.queue_depth").set(float(self.store.depth))
+            self.obs.counter("serve.dispatched").inc()
             return job_id
 
     def _current(self, job_id: str, gen: int) -> bool:
@@ -261,8 +257,7 @@ class JobScheduler:
         with self._mutex:
             self.store.update(job_id, "queued", error=str(exc))
             self.heartbeats.pop(job_id, None)
-            if self.obs is not None:
-                self.obs.counter("serve.interruptions").inc()
+            self.obs.counter("serve.interruptions").inc()
         self._event("interrupted", job_id, coupling=exc.coupling)
 
     def _failed(self, job_id: str, gen: int, exc: Exception) -> None:
@@ -277,8 +272,7 @@ class JobScheduler:
                 self.store.update(job_id, state, failures=failures,
                                   error=str(exc))
                 self.heartbeats.pop(job_id, None)
-                if self.obs is not None:
-                    self.obs.counter(f"serve.{state}").inc()
+                self.obs.counter(f"serve.{state}").inc()
             self._event(state, job_id, failures=failures, error=str(exc))
             return
         delay = self.config.retry.delay(failures)
@@ -286,8 +280,7 @@ class JobScheduler:
             self.store.update(job_id, "queued", failures=failures,
                               error=str(exc))
             self.heartbeats.pop(job_id, None)
-            if self.obs is not None:
-                self.obs.counter("serve.retries").inc()
+            self.obs.counter("serve.retries").inc()
         self._event("retry", job_id, failures=failures, delay_s=delay,
                     error=str(exc))
         if delay > 0:
@@ -299,9 +292,8 @@ class JobScheduler:
         with self._mutex:
             self.store.update(job_id, "completed", result=result)
             self.heartbeats.pop(job_id, None)
-            if self.obs is not None:
-                self.obs.counter("serve.completed").inc()
-                self.obs.gauge("serve.queue_depth").set(float(self.store.depth))
+            self.obs.counter("serve.completed").inc()
+            self.obs.gauge("serve.queue_depth").set(float(self.store.depth))
         self._event("completed", job_id,
                     adopted=bool(result.get("adopted")),
                     resumed_from=result.get("resumed_from"))

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -45,8 +46,24 @@ def test_run_coupled_short(capsys, tmp_path):
     assert rc == 0
     out = capsys.readouterr().out
     assert "SYPD" in out
-    assert (tmp_path / "atm" / "restart.json").exists()
-    assert (tmp_path / "ocn" / "restart.json").exists()
+    for sub in ("atm", "ocn", "ice", "lnd", "cpl"):
+        assert (tmp_path / sub / "restart.json").exists(), sub
+    # The set is the whole coupled restart: a fresh model loads it and
+    # lands bitwise on a library twin of the same run.
+    from repro.esm import AP3ESM, AP3ESMConfig
+
+    cfg = AP3ESMConfig(atm_level=3, ocn_nlon=48, ocn_nlat=32, ocn_levels=5,
+                       precision="mixed")  # the CLI default
+    twin = AP3ESM(cfg)
+    twin.init()
+    twin.run_days(0.1)
+    fresh = AP3ESM(cfg)
+    fresh.init()
+    fresh.load_restart(tmp_path)
+    assert fresh.n_couplings == twin.n_couplings > 0
+    for got, want in zip(fresh.components, twin.components):
+        for key, value in want.state().items():
+            assert np.array_equal(got.state()[key], value), f"{got.name}.{key}"
 
 
 def test_typhoon_short(capsys):

@@ -219,6 +219,70 @@ def test_split_bcast_nonzero_root():
     assert all(r == "root-data" for r in results)
 
 
+def test_split_p2p_goes_through_fault_injector():
+    """Sub-communicator traffic is world traffic: the injector sees it
+    (world ranks), like any other send/recv."""
+
+    class Recorder:
+        def __init__(self):
+            self.sends, self.recvs = [], []
+
+        def on_send(self, src, dst, tag, payload):
+            self.sends.append((src, dst))
+            return payload
+
+        def on_recv(self, rank, source, tag):
+            self.recvs.append((rank, source))
+
+    inj = Recorder()
+
+    def program(comm):
+        sub = comm.split(0)
+        if sub.rank == 0:
+            sub.send("x", dest=1, tag=3)
+            return None
+        return sub.recv(source=0, tag=3)
+
+    assert SimWorld(2, faults=inj).run(program) == [None, "x"]
+    assert inj.sends == [(0, 1)]
+    assert inj.recvs == [(1, 0)]
+
+
+def test_split_scatter_one_colour_only():
+    """A sub-communicator collective involves its group only: colour 1
+    never calls scatter and colour 0 must not wait for it."""
+
+    def program(comm):
+        sub = comm.split(comm.rank // 2)
+        if comm.rank >= 2:
+            return None
+        return sub.scatter([10, 20] if sub.rank == 1 else None, root=1)
+
+    assert SimWorld(4, timeout=5.0).run(program) == [10, 20, None, None]
+
+
+def test_split_recv_interrupted_by_revocation():
+    import time
+
+    from repro.parallel.comm import CommRevokedError, RankFailure
+
+    def program(comm):
+        sub = comm.split(0 if comm.rank < 2 else 1)
+        if comm.rank == 2:
+            comm.recv(source=0), comm.recv(source=1)
+            time.sleep(0.1)  # let both peers block in their recv
+            raise RankFailure(2, "test")
+        comm.send("blocking next", dest=2)
+        try:
+            sub.recv(source=1 - sub.rank, timeout=5.0)  # never sent
+        except CommRevokedError as exc:
+            return exc.dead
+
+    outcome = SimWorld(3).run_elastic(program)
+    assert outcome.dead == (2,)
+    assert outcome.results == [(2,), (2,), None]
+
+
 def test_ledger_counts_p2p_bytes():
     world = SimWorld(2)
 
