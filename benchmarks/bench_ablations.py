@@ -228,27 +228,11 @@ class TestTaskParallelStrategy:
         rolls off; time-slicing wins while scaling is near-linear."""
         from dataclasses import replace
 
-        from repro.bench import STRONG_SCALING_CURVES, resources_to_processes
-        from repro.esm.config import GRIST_CONFIGS, LICOM_CONFIGS
-        from repro.machine import CoupledPerfModel, atm_workload as _atm
+        from repro.bench import calibrated_component
+        from repro.machine import CoupledPerfModel
 
-        model = PerfModel(sunway_oceanlight(), mode="accelerated")
-        atm_curve = STRONG_SCALING_CURVES["atm_3km_cpe"]
-        wl_a = _atm(int(GRIST_CONFIGS[3.0].cells), 30)
-        cal_a, wl_a = model.calibrated(
-            wl_a,
-            [(resources_to_processes(atm_curve, p.resources), p.sypd)
-             for p in atm_curve.anchors()],
-        )
-        ocn_curve = STRONG_SCALING_CURVES["ocn_2km_cpe"]
-        wl_o = ocn_workload(
-            LICOM_CONFIGS[2.0].nlon * LICOM_CONFIGS[2.0].nlat, 80, compressed=True
-        )
-        cal_o, wl_o = model.calibrated(
-            wl_o,
-            [(resources_to_processes(ocn_curve, p.resources), p.sypd)
-             for p in ocn_curve.anchors()],
-        )
+        cal_a, wl_a = calibrated_component("atm_3km_cpe")
+        cal_o, wl_o = calibrated_component("ocn_2km_cpe")
         cm = replace(
             CoupledPerfModel(
                 model1=cal_a, model2=cal_o, domain1=(wl_a,), domain2=(wl_o,),

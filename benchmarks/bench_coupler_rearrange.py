@@ -25,6 +25,7 @@ from repro.coupler import (
     RearrangePlan,
     Router,
 )
+from repro.obs import NULL_OBS, Obs
 from repro.parallel import SimWorld
 from repro.parallel.collectives import cost_alltoall, cost_alltoall_sparse
 
@@ -46,7 +47,7 @@ def router(maps):
     return Router.build(*maps)
 
 
-def _run_world(maps, router, method, obs=None):
+def _run_world(maps, router, method, obs=NULL_OBS):
     src, dst = maps
     world = SimWorld(N_PES)
     rearranger = Rearranger(router, method=method)
@@ -54,7 +55,7 @@ def _run_world(maps, router, method, obs=None):
 
     def program(comm):
         me = comm.rank
-        rank_obs = obs.fork(me) if (obs is not None and obs.enabled) else None
+        rank_obs = obs.fork(me) if obs.enabled else obs
         av = AttrVect.from_dict({
             "taux": gfield[src.local_indices(me)],
             "tauy": gfield[src.local_indices(me)] * 2,
@@ -99,12 +100,10 @@ def test_coupler_report(maps, router, emit_report, obs):
     led_p2p = _run_world(maps, router, "p2p", obs=obs)
     counts = Rearranger(router).message_counts(N_PES)
 
-    # Tracing-off overhead: the obs=None path must stay in the noise.
+    # Tracing-off overhead: the NULL_OBS path must stay in the noise.
     t0 = time.perf_counter()
     _run_world(maps, router, "p2p")
     t_off = time.perf_counter() - t0
-    from repro.obs import Obs
-
     t0 = time.perf_counter()
     _run_world(maps, router, "p2p", obs=Obs())
     t_on = time.perf_counter() - t0

@@ -15,18 +15,16 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bench import STRONG_SCALING_CURVES, banner, format_table, resources_to_processes
-from repro.esm.config import GRIST_CONFIGS, LICOM_CONFIGS
+from repro.bench import banner, calibrated_component, format_table
+from repro.esm.config import LICOM_CONFIGS
 from repro.machine import (
     CoupledPerfModel,
     CouplingSpec,
     FederatedESM,
     PerfModel,
     WanLink,
-    atm_workload,
     ocn_workload,
     orise,
-    sunway_oceanlight,
 )
 
 SUNWAY_PROCS = 260_000
@@ -35,16 +33,8 @@ ORISE_PROCS = 16_000
 
 @pytest.fixture(scope="module")
 def setup():
-    sunway = PerfModel(sunway_oceanlight(), mode="accelerated")
     ori = PerfModel(orise(), mode="accelerated")
-    atm_curve = STRONG_SCALING_CURVES["atm_3km_cpe"]
-    wl_a = atm_workload(int(GRIST_CONFIGS[3.0].cells), 30)
-    cal_a, wl_a = sunway.calibrated(
-        wl_a,
-        [(resources_to_processes(atm_curve, p.resources), p.sypd)
-         for p in atm_curve.anchors()],
-    )
-    ocn_curve = STRONG_SCALING_CURVES["ocn_1km_orise_opt"]
+    cal_a, wl_a = calibrated_component("atm_3km_cpe")
     wl_o = ocn_workload(
         LICOM_CONFIGS[2.0].nlon * LICOM_CONFIGS[2.0].nlat, 80, compressed=True
     )
@@ -62,11 +52,7 @@ def setup():
         coupling=coupling,
     )
     # Single machine: both components on Sunway (the paper's deployment).
-    cal_o_sw, wl_o_sw = PerfModel(sunway_oceanlight(), mode="accelerated").calibrated(
-        ocn_workload(LICOM_CONFIGS[2.0].nlon * LICOM_CONFIGS[2.0].nlat, 80, compressed=True),
-        [(resources_to_processes(STRONG_SCALING_CURVES["ocn_2km_cpe"], p.resources), p.sypd)
-         for p in STRONG_SCALING_CURVES["ocn_2km_cpe"].anchors()],
-    )
+    cal_o_sw, wl_o_sw = calibrated_component("ocn_2km_cpe")
     single = CoupledPerfModel(
         model1=cal_a, model2=cal_o_sw, domain1=(wl_a,), domain2=(wl_o_sw,),
         coupling=coupling,

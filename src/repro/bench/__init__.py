@@ -20,6 +20,7 @@ from .paper_data import (
 from .report import banner, format_curve_result, format_table
 from .scaling import (
     CurveResult,
+    calibrated_component,
     coupled_curve,
     predict_pairing_sypd,
     evaluate_all_curves,
@@ -38,6 +39,7 @@ __all__ = [
     "HEADLINES",
     "CORES_PER_SUNWAY_PROCESS",
     "CurveResult",
+    "calibrated_component",
     "evaluate_curve",
     "evaluate_all_curves",
     "weak_scaling_series",

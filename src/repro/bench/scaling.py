@@ -4,14 +4,18 @@ Glue between :mod:`repro.bench.paper_data` and :mod:`repro.machine`: builds
 the right machine/workload for each published curve, calibrates on the
 anchor points, and evaluates the model at every published resource count
 (plus optional extra points for smooth figures).
+
+There is one route from a published curve to a priced model:
+:func:`calibrated_component` fits a standalone curve, and
+:func:`_pairing_model` composes two such fits into the coupled model that
+:func:`paper_coupled_model`, :func:`coupled_curve` and
+:func:`predict_pairing_sypd` all evaluate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from ..machine import (
     ComponentWorkload,
@@ -23,7 +27,14 @@ from ..machine import (
     orise,
     sunway_oceanlight,
 )
-from ..esm.config import GRIST_CONFIGS, LICOM_CONFIGS
+from ..esm.config import (
+    AP3ESM_CONFIGS,
+    COUPLING_FREQUENCIES_PER_DAY,
+    GRIST_CONFIGS,
+    LICOM_CONFIGS,
+    GristGridConfig,
+    LicomGridConfig,
+)
 from ..esm.scheduler import paper_layout
 from .paper_data import (
     CORES_PER_SUNWAY_PROCESS,
@@ -36,11 +47,13 @@ __all__ = [
     "CurveResult",
     "resources_to_processes",
     "workload_for",
+    "calibrated_component",
     "evaluate_curve",
     "evaluate_all_curves",
     "weak_scaling_series",
     "coupled_curve",
     "paper_coupled_model",
+    "paper_degraded_estimate",
     "predict_pairing_sypd",
 ]
 
@@ -54,25 +67,48 @@ def resources_to_processes(curve: ScalingCurve, resources: float) -> int:
     return max(1, int(resources) // CORES_PER_SUNWAY_PROCESS)
 
 
+def _atm_grid_workload(cfg: GristGridConfig) -> ComponentWorkload:
+    """Workload columns of a GRIST row = hexagon cells (Table 1's 1-km row
+    counts triangles, whose hexagons are its vertices)."""
+    cells = cfg.cells if cfg.convention == "hexagon" else cfg.vertices
+    return atm_workload(int(cells), cfg.levels)
+
+
+def _ocn_grid_workload(cfg: LicomGridConfig, compressed: bool = True) -> ComponentWorkload:
+    return ocn_workload(cfg.nlon * cfg.nlat, cfg.levels, compressed=compressed)
+
+
 def workload_for(curve: ScalingCurve) -> ComponentWorkload:
     """The grid-sized workload behind a published curve."""
+    res = float(curve.resolution_label.split()[0])
     if curve.component == "atm":
-        res = float(curve.resolution_label.split()[0])
-        cfg = GRIST_CONFIGS[res]
-        # Workload columns = hexagon cells.
-        cells = cfg.cells if cfg.convention == "hexagon" else cfg.vertices
-        return atm_workload(int(cells), cfg.levels)
+        return _atm_grid_workload(GRIST_CONFIGS[res])
     if curve.component == "ocn":
-        res = float(curve.resolution_label.split()[0])
-        cfg = LICOM_CONFIGS[res]
         compressed = "opt" in curve.key or curve.mode == "accelerated"
-        return ocn_workload(cfg.nlon * cfg.nlat, cfg.levels, compressed=compressed)
+        return _ocn_grid_workload(LICOM_CONFIGS[res], compressed)
     raise ValueError(f"no single-component workload for {curve.component!r}")
 
 
-def model_for(curve: ScalingCurve) -> PerfModel:
+def calibrated_component(
+    curve_key: str,
+    workload: Optional[ComponentWorkload] = None,
+    imbalance_cv: float = 0.0,
+) -> Tuple[PerfModel, ComponentWorkload]:
+    """The model calibrated on a published standalone curve's anchors.
+
+    Returns the calibrated :class:`PerfModel` and the curve's own workload
+    carrying the fitted serial term; pass ``workload`` to transfer the fit
+    to another grid (it comes back with only ``serial_seconds_per_day``
+    replaced).
+    """
+    curve = STRONG_SCALING_CURVES[curve_key]
     machine = sunway_oceanlight() if curve.machine == "sunway" else orise()
-    return PerfModel(machine, mode=curve.mode)
+    model = PerfModel(machine, mode=curve.mode, imbalance_cv=imbalance_cv)
+    anchors = [(resources_to_processes(curve, p.resources), p.sypd) for p in curve.anchors()]
+    cal, fitted = model.calibrated(workload_for(curve), anchors)
+    if workload is None:
+        return cal, fitted
+    return cal, replace(workload, serial_seconds_per_day=fitted.serial_seconds_per_day)
 
 
 @dataclass
@@ -113,28 +149,16 @@ class CurveResult:
 
 def evaluate_curve(curve: ScalingCurve, extra_resources: Optional[List[float]] = None) -> CurveResult:
     """Calibrate on the curve's anchors, evaluate everywhere."""
-    workload = workload_for(curve)
-    model = model_for(curve)
-    anchors = [(resources_to_processes(curve, p.resources), p.sypd) for p in curve.anchors()]
-    cal, wl = model.calibrated(workload, anchors)
+    cal, wl = calibrated_component(curve.key)
 
-    resources = [p.resources for p in curve.points]
-    published: List[Optional[float]] = [p.sypd for p in curve.points]
-    anchor_flags = [p.anchor for p in curve.points]
-    for extra in extra_resources or []:
-        resources.append(extra)
-        published.append(None)
-        anchor_flags.append(False)
-
-    modeled = [
-        cal.predict_sypd(wl, resources_to_processes(curve, r)) for r in resources
-    ]
+    extra = list(extra_resources or [])
+    resources = [p.resources for p in curve.points] + extra
     return CurveResult(
         curve=curve,
         resources=resources,
-        published=published,
-        modeled=modeled,
-        anchors=anchor_flags,
+        published=[p.sypd for p in curve.points] + [None] * len(extra),
+        modeled=[cal.predict_sypd(wl, resources_to_processes(curve, r)) for r in resources],
+        anchors=[p.anchor for p in curve.points] + [False] * len(extra),
         compute_scale=cal.compute_scale,
         serial_seconds=wl.serial_seconds_per_day,
     )
@@ -162,33 +186,19 @@ def weak_scaling_series(component: str, imbalance_cv: float = 0.0) -> Dict[str, 
     max of P iid rank times) — the mechanism the paper blames for its
     Fig. 8b efficiency drop; used as a sensitivity knob by the bench.
     """
-    from dataclasses import replace as _replace
-
     spec = WEAK_SCALING[component]
     base_key = "atm_3km_cpe" if component == "atm" else "ocn_2km_cpe"
-    curve = STRONG_SCALING_CURVES[base_key]
-    model = _replace(model_for(curve), imbalance_cv=imbalance_cv)
-    anchors = [
-        (resources_to_processes(curve, p.resources), p.sypd) for p in curve.anchors()
-    ]
-    cal, wl_cal = model.calibrated(workload_for(curve), anchors)
+    cal, wl_cal = calibrated_component(base_key, imbalance_cv=imbalance_cv)
 
     sypd: List[float] = []
     time_per_day: List[float] = []
     for res_km, nodes in spec["ladder"]:
         procs = nodes * 6
         if component == "atm":
-            cfg = GRIST_CONFIGS[res_km]
-            cells = cfg.cells if cfg.convention == "hexagon" else cfg.vertices
-            wl = atm_workload(int(cells), cfg.levels)
+            wl = _atm_grid_workload(GRIST_CONFIGS[res_km])
         else:
-            cfg = LICOM_CONFIGS[res_km]
-            wl = ocn_workload(cfg.nlon * cfg.nlat, cfg.levels, compressed=True)
-        wl = type(wl)(
-            name=wl.name, columns=wl.columns, levels=wl.levels, phases=wl.phases,
-            point_bytes_state=wl.point_bytes_state,
-            serial_seconds_per_day=wl_cal.serial_seconds_per_day,
-        )
+            wl = _ocn_grid_workload(LICOM_CONFIGS[res_km])
+        wl = replace(wl, serial_seconds_per_day=wl_cal.serial_seconds_per_day)
         bd = cal.time_per_day(wl, procs)
         sypd.append(bd.sypd)
         time_per_day.append(bd.total)
@@ -203,180 +213,27 @@ def weak_scaling_series(component: str, imbalance_cv: float = 0.0) -> Dict[str, 
     }
 
 
-def predict_pairing_sypd(label: str, total_cores: float) -> Dict[str, float]:
-    """Model-only coupled SYPD for ANY Table 1 pairing (the paper publishes
-    coupled numbers only for 3v2 and 1v1; this completes the table).
+def _pairing_model(label: str) -> CoupledPerfModel:
+    """Component-calibrated (coupled-uncalibrated) model of a Table 1 pairing.
 
-    Component calibrations come from the published standalone curves (3 km
-    ATM and 2 km OCN on Sunway), transferred to the pairing's grid sizes;
-    the coupled overhead scalar comes from the 3v2 coupled fit.
+    Both domains carry *standalone* calibrations transferred to the
+    pairing's grids: the atmosphere from its own resolution's curve when
+    Table 2 publishes one (1 km), else from the 3 km curve; the ocean from
+    the 2 km Sunway curve (no other standalone Sunway ocean curve exists).
     """
-    from ..esm.config import AP3ESM_CONFIGS
-
     pairing = AP3ESM_CONFIGS[label]
-    machine = sunway_oceanlight()
-    model = PerfModel(machine, mode="accelerated")
-
-    atm_curve = STRONG_SCALING_CURVES["atm_3km_cpe"]
-    acfg = pairing.atm
-    cells = acfg.cells if acfg.convention == "hexagon" else acfg.vertices
-    cal_a, wl_a3 = model.calibrated(
-        atm_workload(int(GRIST_CONFIGS[3.0].cells), 30),
-        [(resources_to_processes(atm_curve, p.resources), p.sypd)
-         for p in atm_curve.anchors()],
-    )
-    wl_a = atm_workload(int(cells), acfg.levels)
-    wl_a = replace_workload(wl_a, wl_a3.serial_seconds_per_day)
-
-    ocn_curve = STRONG_SCALING_CURVES["ocn_2km_cpe"]
-    ocfg = pairing.ocn
-    cal_o, wl_o2 = model.calibrated(
-        ocn_workload(LICOM_CONFIGS[2.0].nlon * LICOM_CONFIGS[2.0].nlat, 80, compressed=True),
-        [(resources_to_processes(ocn_curve, p.resources), p.sypd)
-         for p in ocn_curve.anchors()],
-    )
-    wl_o = ocn_workload(ocfg.nlon * ocfg.nlat, ocfg.levels, compressed=True)
-    wl_o = replace_workload(wl_o, wl_o2.serial_seconds_per_day)
-
+    atm_key = f"atm_{pairing.atm_resolution_km:g}km_cpe"
+    if atm_key not in STRONG_SCALING_CURVES:
+        atm_key = "atm_3km_cpe"
+    cal_a, wl_a = calibrated_component(atm_key, _atm_grid_workload(pairing.atm))
+    cal_o, wl_o = calibrated_component("ocn_2km_cpe", _ocn_grid_workload(pairing.ocn))
+    ocn_columns = float(pairing.ocn.nlon * pairing.ocn.nlat)
     coupling = CouplingSpec(
-        exchanges_per_day={"atm": 180.0, "ocn": 36.0, "ice": 180.0},
+        exchanges_per_day=dict(COUPLING_FREQUENCIES_PER_DAY),
         bytes_per_exchange={
-            "atm": float(cells) * 8 * 8,
-            "ocn": float(ocfg.nlon * ocfg.nlat) * 8 * 8,
-            "ice": float(ocfg.nlon * ocfg.nlat) * 8 * 2,
-        },
-        fields_per_exchange={"atm": 8.0, "ocn": 8.0, "ice": 2.0},
-    )
-    coupled = CoupledPerfModel.from_layout(
-        paper_layout(), {"atm": wl_a, "ocn": wl_o},
-        model1=cal_a, model2=cal_o, coupling=coupling,
-    )
-    # Transfer the 3v2 sync-imbalance scalar (the coupled-only effect).
-    ref = coupled_curve("3v2")
-    from dataclasses import replace as _dc_replace
-
-    coupled = _dc_replace(coupled, sync_imbalance=ref.sync_imbalance)
-    total = max(2, int(total_cores) // CORES_PER_SUNWAY_PROCESS)
-    n1, n2 = coupled.balance_resources(total)
-    return {
-        "sypd": coupled.predict_sypd(n1, n2),
-        "procs_domain1": float(n1),
-        "procs_domain2": float(n2),
-    }
-
-
-def replace_workload(wl: ComponentWorkload, serial: float) -> ComponentWorkload:
-    """Workload copy carrying a calibrated serial term."""
-    return type(wl)(
-        name=wl.name, columns=wl.columns, levels=wl.levels, phases=wl.phases,
-        point_bytes_state=wl.point_bytes_state, serial_seconds_per_day=serial,
-    )
-
-
-def paper_coupled_model(label: str) -> CoupledPerfModel:
-    """The paper-calibrated coupled model for a coupled curve label
-    ('3v2' or '1v1'), without evaluating the curve.
-
-    The same object :func:`coupled_curve` builds internally; elastic
-    recovery uses it to price degraded-mode continuation
-    (:meth:`CoupledPerfModel.degraded_estimate`) after a shrink.
-    """
-    curve = STRONG_SCALING_CURVES[f"coupled_{label}"]
-    coupled = _build_coupled_model(label)
-
-    def split(r: float) -> Tuple[int, int]:
-        total = max(2, int(r) // CORES_PER_SUNWAY_PROCESS)
-        return coupled.balance_resources(total)
-
-    anchor_points = [p for p in curve.points if p.anchor]
-    return coupled.calibrated_coupled(
-        [(*split(p.resources), p.sypd) for p in anchor_points]
-    )
-
-
-def coupled_curve(label: str) -> CurveResult:
-    """AP3ESM coupled curves, assembled from *standalone* calibrations.
-
-    The coupled model is NOT calibrated on the coupled points: its
-    components carry the standalone curves' calibrations, resources are
-    split with :meth:`CoupledPerfModel.balance_resources`, and the
-    published coupled SYPD are pure predictions — the strongest test the
-    machine model faces.
-    """
-    curve = STRONG_SCALING_CURVES[f"coupled_{label}"]
-    coupled = _build_coupled_model(label)
-
-    def split(r: float) -> Tuple[int, int]:
-        total = max(2, int(r) // CORES_PER_SUNWAY_PROCESS)
-        return coupled.balance_resources(total)
-
-    # Calibrate the two coupled-only terms (inter-domain sync imbalance +
-    # driver serial time) on the curve's anchor endpoints; interior points
-    # stay predictions.
-    anchor_points = [p for p in curve.points if p.anchor]
-    coupled = coupled.calibrated_coupled(
-        [(*split(p.resources), p.sypd) for p in anchor_points]
-    )
-
-    resources = [p.resources for p in curve.points]
-    modeled = []
-    for r in resources:
-        n1, n2 = split(r)
-        modeled.append(coupled.predict_sypd(n1, n2))
-    return CurveResult(
-        curve=curve,
-        resources=resources,
-        published=[p.sypd for p in curve.points],
-        modeled=modeled,
-        anchors=[p.anchor for p in curve.points],
-        compute_scale=coupled.model1.compute_scale,
-        serial_seconds=coupled.serial_seconds,
-        sync_imbalance=coupled.sync_imbalance,
-    )
-
-
-def _build_coupled_model(label: str) -> CoupledPerfModel:
-    """Uncalibrated-coupled (component-calibrated) model for a label."""
-    machine = sunway_oceanlight()
-    model = PerfModel(machine, mode="accelerated")
-
-    if label == "3v2":
-        atm_key, atm_res, ocn_res = "atm_3km_cpe", 3.0, 2.0
-    elif label == "1v1":
-        atm_key, atm_res, ocn_res = "atm_1km_cpe", 1.0, 1.0
-    else:
-        raise ValueError(f"unknown coupled label {label!r}")
-
-    atm_curve = STRONG_SCALING_CURVES[atm_key]
-    acfg = GRIST_CONFIGS[atm_res]
-    cells = acfg.cells if acfg.convention == "hexagon" else acfg.vertices
-    wl_a = atm_workload(int(cells), acfg.levels)
-    cal_a, wl_a = model.calibrated(
-        wl_a,
-        [(resources_to_processes(atm_curve, p.resources), p.sypd) for p in atm_curve.anchors()],
-    )
-
-    ocn_curve = STRONG_SCALING_CURVES["ocn_2km_cpe"]
-    ocfg = LICOM_CONFIGS[ocn_res]
-    wl_o = ocn_workload(ocfg.nlon * ocfg.nlat, ocfg.levels, compressed=True)
-    # Reuse the 2 km curve's calibration scale for the 1v1 ocean (no
-    # standalone Sunway 1 km ocean curve is published).
-    cal_o, wl_o2km = model.calibrated(
-        ocn_workload(LICOM_CONFIGS[2.0].nlon * LICOM_CONFIGS[2.0].nlat, 80, compressed=True),
-        [(resources_to_processes(ocn_curve, p.resources), p.sypd) for p in ocn_curve.anchors()],
-    )
-    wl_o = type(wl_o)(
-        name=wl_o.name, columns=wl_o.columns, levels=wl_o.levels, phases=wl_o.phases,
-        point_bytes_state=wl_o.point_bytes_state,
-        serial_seconds_per_day=wl_o2km.serial_seconds_per_day,
-    )
-
-    coupling = CouplingSpec(
-        exchanges_per_day={"atm": 180.0, "ocn": 36.0, "ice": 180.0},
-        bytes_per_exchange={
-            "atm": float(cells) * 8 * 8,
-            "ocn": float(ocfg.nlon * ocfg.nlat) * 8 * 8,
-            "ice": float(ocfg.nlon * ocfg.nlat) * 8 * 2,
+            "atm": float(wl_a.columns) * 8 * 8,
+            "ocn": ocn_columns * 8 * 8,
+            "ice": ocn_columns * 8 * 2,
         },
         fields_per_exchange={"atm": 8.0, "ocn": 8.0, "ice": 2.0},
     )
@@ -384,3 +241,79 @@ def _build_coupled_model(label: str) -> CoupledPerfModel:
         paper_layout(), {"atm": wl_a, "ocn": wl_o},
         model1=cal_a, model2=cal_o, coupling=coupling,
     )
+
+
+def _balanced_split(coupled: CoupledPerfModel, cores: float) -> Tuple[int, int]:
+    """Published Sunway core count -> balanced (domain 1, domain 2) processes."""
+    return coupled.balance_resources(max(2, int(cores) // CORES_PER_SUNWAY_PROCESS))
+
+
+def paper_coupled_model(label: str) -> CoupledPerfModel:
+    """The paper-calibrated coupled model for a coupled curve label
+    ('3v2' or '1v1').
+
+    The coupled model is NOT calibrated on its components' behalf: they
+    carry the standalone curves' calibrations (:func:`_pairing_model`) and
+    resources are split with :meth:`CoupledPerfModel.balance_resources`.
+    Only the two coupled-only terms (inter-domain sync imbalance + driver
+    serial time) are fitted, on the coupled curve's anchor endpoints.
+    """
+    curve = STRONG_SCALING_CURVES[f"coupled_{label}"]
+    coupled = _pairing_model(label)
+    return coupled.calibrated_coupled(
+        [(*_balanced_split(coupled, p.resources), p.sypd) for p in curve.anchors()]
+    )
+
+
+def paper_degraded_estimate(
+    lost1: int = 0, lost2: int = 0, label: str = "3v2", total_cores: float = 2_000_000
+) -> Dict[str, float]:
+    """Degraded-mode continuation priced on the paper-calibrated model:
+    balance ``total_cores``, then dock each domain by the ranks it lost
+    (clamped to leave one process per domain).  Returns the
+    :meth:`CoupledPerfModel.degraded_estimate` dict."""
+    coupled = paper_coupled_model(label)
+    n1, n2 = _balanced_split(coupled, total_cores)
+    return coupled.degraded_estimate(
+        n1, n2, lost1=min(lost1, n1 - 1), lost2=min(lost2, n2 - 1)
+    )
+
+
+def coupled_curve(label: str) -> CurveResult:
+    """AP3ESM coupled curves: :func:`paper_coupled_model` evaluated at every
+    published point.  Interior points are pure predictions — the strongest
+    test the machine model faces."""
+    curve = STRONG_SCALING_CURVES[f"coupled_{label}"]
+    coupled = paper_coupled_model(label)
+    resources = [p.resources for p in curve.points]
+    return CurveResult(
+        curve=curve,
+        resources=resources,
+        published=[p.sypd for p in curve.points],
+        modeled=[coupled.predict_sypd(*_balanced_split(coupled, r)) for r in resources],
+        anchors=[p.anchor for p in curve.points],
+        compute_scale=coupled.model1.compute_scale,
+        serial_seconds=coupled.serial_seconds,
+        sync_imbalance=coupled.sync_imbalance,
+    )
+
+
+def predict_pairing_sypd(label: str, total_cores: float) -> Dict[str, float]:
+    """Model-only coupled SYPD for ANY Table 1 pairing (the paper publishes
+    coupled numbers only for 3v2 and 1v1; this completes the table).
+
+    Component calibrations come from the published standalone curves,
+    transferred to the pairing's grid sizes (:func:`_pairing_model`); the
+    sync-imbalance scalar (the coupled-only effect) comes from the 3v2
+    coupled fit.
+    """
+    coupled = replace(
+        _pairing_model(label),
+        sync_imbalance=paper_coupled_model("3v2").sync_imbalance,
+    )
+    n1, n2 = _balanced_split(coupled, total_cores)
+    return {
+        "sypd": coupled.predict_sypd(n1, n2),
+        "procs_domain1": float(n1),
+        "procs_domain2": float(n2),
+    }

@@ -19,10 +19,11 @@ bitwise identical on every surviving field.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
+from ..obs import NULL_OBS, Obs
 from .attrvect import AttrVect
 from .fields import FieldRegistry
 
@@ -35,7 +36,7 @@ class CoupledExchange:
 
     registry: FieldRegistry
     prune: bool = False
-    obs: Optional[object] = None
+    obs: Obs = NULL_OBS
     #: Per-path running totals for :meth:`report`.
     _traffic: Dict[str, Dict[str, float]] = field(default_factory=dict, repr=False)
 
@@ -101,7 +102,7 @@ class CoupledExchange:
         t["bytes"] += av.nbytes
         t["bytes_saved"] += bytes_saved
         obs = self.obs
-        if obs is not None and getattr(obs, "enabled", False):
+        if obs.enabled:
             obs.counter("coupler.exchange.transfers").inc()
             obs.counter("coupler.exchange.fields").inc(av.n_fields)
             obs.counter("coupler.exchange.bytes").inc(av.nbytes)

@@ -35,6 +35,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..obs import NULL_OBS
 from ..parallel.comm import CommTransientError, Request, SimComm
 from .attrvect import AttrVect
 from .router import Router
@@ -44,6 +45,26 @@ __all__ = ["RearrangePlan"]
 #: Tag space for coalesced plan messages (distinct from the legacy
 #: rearranger's 7300 so mixed traffic cannot cross-match).
 _PLAN_TAG = 7400
+
+
+def isend_with_retry(
+    comm: SimComm, payload, dest: int, tag: int, max_retries: int, backoff_s: float, obs
+) -> Request:
+    """Post a send, retrying transient failures within budget (payload
+    unchanged across attempts, so a retried success stays bit-identical).
+    Shared by the coalesced plan and the legacy rearranger."""
+    attempt = 0
+    while True:
+        try:
+            return comm.isend(payload, dest, tag=tag)
+        except CommTransientError:
+            attempt += 1
+            if attempt > max_retries:
+                raise
+            obs.counter("resilience.retries").inc()
+            delay = backoff_s * (2.0 ** (attempt - 1))
+            if delay > 0:
+                time.sleep(delay)
 
 
 @dataclass
@@ -143,7 +164,7 @@ class RearrangePlan:
         comm: SimComm,
         srcs: Mapping[str, Optional[AttrVect]],
         dst_lsize: int,
-        obs=None,
+        obs=NULL_OBS,
     ) -> Dict[str, AttrVect]:
         """Run the coalesced transfer on this rank.
 
@@ -154,8 +175,6 @@ class RearrangePlan:
         Bitwise-identical to running the legacy per-bundle (or per-field)
         rearranger over the same Router — only the message layout changes.
         """
-        if obs is None or not obs.enabled:
-            return self._execute(comm, srcs, dst_lsize, None)
         with obs.span(
             "cpl.plan.execute",
             bundles=self.n_bundles,
@@ -188,10 +207,9 @@ class RearrangePlan:
                 if self_idx is not None:
                     out[:, self_idx] = payload
             else:
-                if self.max_retries:
-                    reqs.append(self._isend_with_retry(comm, payload, q, obs))
-                else:
-                    reqs.append(comm.isend(payload, q, tag=_PLAN_TAG))
+                reqs.append(isend_with_retry(
+                    comm, payload, q, _PLAN_TAG, self.max_retries, self.retry_backoff_s, obs
+                ))
                 sent_bytes += int(payload.nbytes)
                 sent_messages += 1
         for p, idx in self._recvs.get(me, ()):
@@ -200,7 +218,7 @@ class RearrangePlan:
             out[:, idx] = comm.recv(source=p, tag=_PLAN_TAG, timeout=self.recv_timeout)
         Request.waitall(reqs)
 
-        if obs is not None:
+        if obs.enabled:
             obs.counter("cpl.plan.calls").inc()
             obs.counter("cpl.plan.messages").inc(sent_messages)
             obs.counter("cpl.plan.bytes").inc(sent_bytes)
@@ -247,25 +265,6 @@ class RearrangePlan:
             name: AttrVect(list(fields_), out[self._rows[name]])
             for name, fields_ in self.bundles
         }
-
-    def _isend_with_retry(self, comm: SimComm, payload, dest: int, obs) -> Request:
-        """Post one coalesced send, retrying transient failures within
-        budget — the same contract as the legacy rearranger, applied to
-        the whole coalesced message (payload unchanged across attempts,
-        so a retried success stays bit-identical)."""
-        attempt = 0
-        while True:
-            try:
-                return comm.isend(payload, dest, tag=_PLAN_TAG)
-            except CommTransientError:
-                attempt += 1
-                if attempt > self.max_retries:
-                    raise
-                if obs is not None:
-                    obs.counter("resilience.retries").inc()
-                delay = self.retry_backoff_s * (2.0 ** (attempt - 1))
-                if delay > 0:
-                    time.sleep(delay)
 
     # -- analytics -----------------------------------------------------------
 

@@ -26,14 +26,15 @@ traffic ledger shows the difference the machine model prices.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, Literal, Optional
 
 import numpy as np
 
-from ..parallel.comm import CommTransientError, Request, SimComm
+from ..obs import NULL_OBS
+from ..parallel.comm import Request, SimComm
 from .attrvect import AttrVect
+from .plan import RearrangePlan, isend_with_retry
 from .router import Router
 
 __all__ = ["Rearranger"]
@@ -79,8 +80,6 @@ class Rearranger:
         """Compile a :class:`~repro.coupler.plan.RearrangePlan` over this
         rearranger's Router, inheriting its resilience knobs.  ``bundles``
         maps bundle names to field lists (see ``RearrangePlan.compile``)."""
-        from .plan import RearrangePlan
-
         return RearrangePlan.compile(
             self.router,
             bundles,
@@ -89,28 +88,17 @@ class Rearranger:
             recv_timeout=self.recv_timeout,
         )
 
-    def _isend_with_retry(self, comm: SimComm, payload, dest: int, obs, tag: int = _TAG) -> Request:
-        """Post a send, retrying transient failures within budget."""
-        attempt = 0
-        while True:
-            try:
-                return comm.isend(payload, dest, tag=tag)
-            except CommTransientError:
-                attempt += 1
-                if attempt > self.max_retries:
-                    raise
-                if obs is not None:
-                    obs.counter("resilience.retries").inc()
-                delay = self.retry_backoff_s * (2.0 ** (attempt - 1))
-                if delay > 0:
-                    time.sleep(delay)
+    def _isend(self, comm: SimComm, payload, dest: int, tag: int, obs) -> Request:
+        return isend_with_retry(
+            comm, payload, dest, tag, self.max_retries, self.retry_backoff_s, obs
+        )
 
     def rearrange(
         self,
         comm: SimComm,
         src_av: AttrVect | None,
         dst_lsize: int,
-        obs=None,
+        obs=NULL_OBS,
     ) -> AttrVect:
         """Run the transfer on this rank.
 
@@ -121,8 +109,6 @@ class Rearranger:
         A live ``obs`` handle records a span plus this rank's sent
         bytes/messages counters.
         """
-        if obs is None or not obs.enabled:
-            return self._rearrange(comm, src_av, dst_lsize, None)
         with obs.span(
             "cpl.rearrange",
             method=self.method,
@@ -168,19 +154,11 @@ class Rearranger:
                     # its own tag so matching never depends on ordering.
                     for fi in range(n_fields):
                         row = payload[fi]
-                        if self.max_retries:
-                            reqs.append(
-                                self._isend_with_retry(comm, row, q, obs, tag=_TAG + fi)
-                            )
-                        else:
-                            reqs.append(comm.isend(row, q, tag=_TAG + fi))
+                        reqs.append(self._isend(comm, row, q, _TAG + fi, obs))
                         sent_bytes += int(row.nbytes)
                         sent_messages += 1
                 else:
-                    if self.max_retries:
-                        reqs.append(self._isend_with_retry(comm, payload, q, obs))
-                    else:
-                        reqs.append(comm.isend(payload, q, tag=_TAG))
+                    reqs.append(self._isend(comm, payload, q, _TAG, obs))
                     sent_bytes += int(payload.nbytes)
                     sent_messages += 1
             for p, idx in sorted(recvs.items()):
@@ -209,7 +187,7 @@ class Rearranger:
                 idx = recvs.get(p)
                 if idx is not None and payload.shape[1]:
                     out[:, idx] = payload
-        if obs is not None:
+        if obs.enabled:
             obs.counter("cpl.rearrange.calls").inc()
             obs.counter("cpl.rearrange.messages").inc(sent_messages)
             obs.counter("cpl.rearrange.bytes").inc(sent_bytes)

@@ -664,22 +664,15 @@ class AP3ESM:
 
     def degraded_sypd(self, label: str = "3v2", total_cores: int = 2_000_000):
         """Machine-model SYPD estimate for the current (possibly degraded)
-        layout: the paper-calibrated coupled model is balanced at
-        ``total_cores``, then each domain's modeled process count is
-        docked by the ranks the scheduler recorded as lost.  Emits
-        ``resilience.degraded.*`` gauges and returns the
-        :meth:`~repro.machine.perfmodel.CoupledPerfModel.degraded_estimate`
-        dict."""
-        from ..bench.scaling import CORES_PER_SUNWAY_PROCESS, paper_coupled_model
+        layout: :func:`repro.bench.scaling.paper_degraded_estimate` docked
+        by the ranks the scheduler recorded as lost.  Emits
+        ``resilience.degraded.*`` gauges and returns the estimate dict."""
+        from ..bench.scaling import paper_degraded_estimate
 
-        coupled = paper_coupled_model(label)
-        total = max(2, int(total_cores) // CORES_PER_SUNWAY_PROCESS)
-        n1, n2 = coupled.balance_resources(total)
         lost = self.scheduler.degraded
-        est = coupled.degraded_estimate(
-            n1, n2,
-            lost1=min(lost.get("domain1", 0), n1 - 1),
-            lost2=min(lost.get("domain2", 0), n2 - 1),
+        est = paper_degraded_estimate(
+            lost.get("domain1", 0), lost.get("domain2", 0),
+            label=label, total_cores=total_cores,
         )
         self.obs.gauge("resilience.degraded.sypd").set(est["sypd_degraded"])
         self.obs.gauge("resilience.degraded.slowdown").set(est["slowdown"])

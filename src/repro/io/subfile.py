@@ -25,6 +25,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..obs import NULL_OBS
 from ..parallel.decomp import block_ranges
 
 __all__ = ["SubfileLayout", "write_subfiles", "read_subfiles", "IOCostModel"]
@@ -70,7 +71,7 @@ def write_subfiles(
     base: str,
     layout: SubfileLayout,
     rank_slices: Sequence[Tuple[int, np.ndarray]],
-    obs=None,
+    obs=NULL_OBS,
 ) -> List[Path]:
     """Write per-rank (global_start, values) slices into group subfiles.
 
@@ -85,7 +86,7 @@ def write_subfiles(
     dtype = np.asarray(rank_slices[0][1]).dtype
     if dtype not in _DTYPE_CODES:
         raise ValueError(f"unsupported dtype {dtype}")
-    if obs is None or not obs.enabled:
+    if not obs.enabled:
         return _write_subfiles(directory, base, layout, rank_slices, dtype)
     with obs.span("io.write_subfiles", base=base, n_groups=layout.n_groups):
         paths = _write_subfiles(directory, base, layout, rank_slices, dtype)
@@ -125,10 +126,10 @@ def read_subfiles(
     base: str,
     layout: SubfileLayout,
     global_size: int,
-    obs=None,
+    obs=NULL_OBS,
 ) -> np.ndarray:
     """Reassemble the global array from a subfile set."""
-    if obs is not None and obs.enabled:
+    if obs.enabled:
         with obs.span("io.read_subfiles", base=base, n_groups=layout.n_groups):
             out = read_subfiles(directory, base, layout, global_size)
         obs.counter("io.subfiles_read").inc(layout.n_groups)

@@ -32,12 +32,11 @@ The pass has three parts:
   :mod:`repro.bench.baseline` (non-finite drift always fails the gate —
   ``NaN > tol`` being falsy must never pass silently).
 
-A :class:`CalibrationTable` is applied to the analytic model through the
-explicit ``calibration=`` handles on :class:`~repro.machine.perfmodel.PerfModel`,
-:func:`~repro.machine.sunway.sunway_oceanlight` and
-:func:`~repro.machine.orise.orise`.  With ``calibration=None`` (the
-default) every model output is byte-identical to the uncalibrated
-constants.
+A :class:`CalibrationTable` is applied to the analytic model one way:
+``with_calibration(table)`` on a :class:`~repro.machine.perfmodel.PerfModel`
+or :class:`~repro.machine.perfmodel.CoupledPerfModel` reprices every phase
+with its kernel's fitted terms.  With ``calibration=None`` (the default)
+every model output is byte-identical to the uncalibrated constants.
 """
 
 from __future__ import annotations
@@ -80,6 +79,12 @@ _ZERO_S = 1e-12
 
 class CalibrationError(ValueError):
     """A calibration table is malformed, tampered with, or unusable."""
+
+
+def _intensity(flops: float, bytes_: float) -> float:
+    """Arithmetic intensity (flops/byte) used for phase matching; the
+    epsilons keep zero-flop and zero-byte kernels finite."""
+    return (flops + 1e-9) / (bytes_ + 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +141,6 @@ class KernelProbe:
     bytes_per_iter: float
     n_inputs: int = 1       # input arrays handed to the functor (plus out)
     md: bool = False        # launch through a 2-D MDRangePolicy (tiled)
-
-    @property
-    def intensity(self) -> float:
-        """Arithmetic intensity (flops/byte) used for phase matching."""
-        return (self.flops_per_iter + 1e-9) / (self.bytes_per_iter + 1e-9)
 
 
 PROBES: Dict[str, KernelProbe] = {
@@ -338,7 +338,7 @@ class KernelCalibration:
 
     @property
     def intensity(self) -> float:
-        return (self.flops_per_iter + 1e-9) / (self.bytes_per_iter + 1e-9)
+        return _intensity(self.flops_per_iter, self.bytes_per_iter)
 
     def payload(self) -> Dict[str, float]:
         return {
@@ -368,8 +368,8 @@ IDENTITY_CALIBRATION = KernelCalibration(kernel="identity")
 class CalibrationTable:
     """Versioned, content-addressed set of fitted per-kernel cost terms.
 
-    The table is the artifact ``python -m repro calibrate`` emits and the
-    ``calibration=`` handles consume.  Its identity (:attr:`table_id`) is
+    The table is the artifact ``python -m repro calibrate`` emits and
+    ``PerfModel.calibration`` consumes.  Its identity (:attr:`table_id`) is
     the SHA-256 of the canonical fit payload — version, machine, space,
     reference rates, entries — so two fits agree iff their bytes agree;
     ``meta`` (host info, probe sizes) rides along without affecting
@@ -448,16 +448,11 @@ class CalibrationTable:
 
     # -- lookup -------------------------------------------------------------
 
-    def entry(self, kernel: Optional[str]) -> Optional[KernelCalibration]:
-        if kernel is None:
-            return None
-        return self.entries.get(kernel)
-
     def for_intensity(self, flops_per_point: float, bytes_per_point: float) -> KernelCalibration:
         """Nearest probe class by arithmetic intensity (log distance)."""
         if not self.entries:
             return IDENTITY_CALIBRATION
-        ai = math.log((flops_per_point + 1e-9) / (bytes_per_point + 1e-9))
+        ai = math.log(_intensity(flops_per_point, bytes_per_point))
         return min(
             self.entries.values(), key=lambda e: abs(math.log(e.intensity) - ai)
         )
@@ -466,29 +461,10 @@ class CalibrationTable:
         """Terms for a :class:`~repro.machine.perfmodel.Phase`: the
         phase's explicit ``kernel`` tag when present in the table, else
         the nearest probe by arithmetic intensity."""
-        tagged = self.entry(getattr(phase, "kernel", None))
+        tagged = self.entries.get(getattr(phase, "kernel", None))
         if tagged is not None:
             return tagged
         return self.for_intensity(phase.flops_per_point, phase.bytes_per_point)
-
-    # -- machine-level scales ------------------------------------------------
-
-    def machine_scales(self) -> Dict[str, float]:
-        """Collapse the table into whole-processor rate scales.
-
-        ``mem_bw_scale`` comes from the most bandwidth-bound probe's
-        achieved/reference ratio; ``flops_scale`` from the inverse
-        overhead of the most compute-bound probe.  Used by the machine
-        factories (:func:`repro.machine.sunway.sunway_oceanlight`,
-        :func:`repro.machine.orise.orise`) to rescale their
-        :class:`~repro.machine.spec.ProcessorSpec` sustained rates.
-        """
-        if not self.entries:
-            return {"flops_scale": 1.0, "mem_bw_scale": 1.0}
-        by_intensity = sorted(self.entries.values(), key=lambda e: e.intensity)
-        mem_bw_scale = by_intensity[0].bandwidth_scale
-        flops_scale = 1.0 / by_intensity[-1].overhead_factor
-        return {"flops_scale": flops_scale, "mem_bw_scale": mem_bw_scale}
 
     # -- human report --------------------------------------------------------
 
@@ -508,11 +484,6 @@ class CalibrationTable:
                 f"{name:<16}{e.overhead_factor:>10.3f}{e.per_launch_s * 1e6:>11.2f}"
                 f"{e.bandwidth_scale:>10.3f}{e.measured_s:>10.4f}{e.theoretical_s:>10.4f}"
             )
-        scales = self.machine_scales()
-        lines.append(
-            f"machine scales: flops x{scales['flops_scale']:.3f}, "
-            f"mem_bw x{scales['mem_bw_scale']:.3f}"
-        )
         return "\n".join(lines)
 
 

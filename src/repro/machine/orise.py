@@ -9,12 +9,7 @@ high-speed network.  The ocean model runs one MPI process per GPU
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
-
 from .spec import MachineSpec, NetworkSpec, NodeSpec, ProcessorSpec
-
-if TYPE_CHECKING:  # pp layer stays an optional import for the machine specs
-    from .calibrate import CalibrationTable
 
 __all__ = ["GPU_PROCESSOR", "HOST_PROCESSOR", "orise", "ORISE_NODES"]
 
@@ -43,17 +38,8 @@ HOST_PROCESSOR = ProcessorSpec(
 )
 
 
-def orise(
-    n_nodes: int = ORISE_NODES,
-    calibration: Optional["CalibrationTable"] = None,
-) -> MachineSpec:
-    """The ORISE system (optionally a partition of ``n_nodes``).
-
-    ``calibration`` applies a measurement-fitted table's
-    :meth:`~repro.machine.calibrate.CalibrationTable.machine_scales` to
-    both the GPU and host processor specs; ``None`` (the default) keeps
-    the hand-set constants unchanged.
-    """
+def orise(n_nodes: int = ORISE_NODES) -> MachineSpec:
+    """The ORISE system (optionally a partition of ``n_nodes``)."""
     if not 0 < n_nodes <= ORISE_NODES:
         raise ValueError(f"ORISE model has {ORISE_NODES} nodes")
     node = NodeSpec(
@@ -70,7 +56,4 @@ def orise(
         nodes_per_supernode=ORISE_NODES,  # flat network: no supernode taper
         oversubscription=1.0,
     )
-    spec = MachineSpec("ORISE", n_nodes, node, network)
-    if calibration is not None:
-        spec = spec.calibrated(**calibration.machine_scales())
-    return spec
+    return MachineSpec("ORISE", n_nodes, node, network)

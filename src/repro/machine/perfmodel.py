@@ -139,10 +139,6 @@ class PerfBreakdown:
     def sypd(self) -> float:
         return sypd_from_walltime(SECONDS_PER_DAY, self.total)
 
-    @property
-    def comm_fraction(self) -> float:
-        return (self.t_halo + self.t_collectives + self.t_staging) / self.total
-
 
 @dataclass(frozen=True)
 class PerfModel:
@@ -460,7 +456,6 @@ class CoupledPerfModel:
         model1: PerfModel,
         model2: PerfModel,
         coupling: CouplingSpec,
-        calibration: Optional["CalibrationTable"] = None,
         **kwargs,
     ) -> "CoupledPerfModel":
         """Build from a driver task-domain layout (``AP3ESM.task_domains``
@@ -469,12 +464,8 @@ class CoupledPerfModel:
         ``workloads`` maps component names to their profiles; layout
         members without a workload (the coupler, or components too cheap
         to model) are skipped.  Each domain must keep at least one
-        modeled member.  ``calibration`` (optional) reprices both domain
-        models with one measurement-fitted table.
+        modeled member.
         """
-        if calibration is not None:
-            model1 = model1.with_calibration(calibration)
-            model2 = model2.with_calibration(calibration)
         def pick(name: str) -> Tuple[ComponentWorkload, ...]:
             members = layout[name]["members"]
             picked = tuple(workloads[m] for m in members if m in workloads)
@@ -507,10 +498,17 @@ class CoupledPerfModel:
     def domain_time(self, domain: Sequence[ComponentWorkload], model: PerfModel, n_procs: int) -> float:
         return sum(model.time_per_day(w, n_procs).total for w in domain)
 
+    def _priced(self, n_procs1: int, n_procs2: int) -> Tuple[float, float, float]:
+        """(domain 1, domain 2, coupler) seconds per simulated day; the
+        coupler runs in domain 1 and is priced on its processes."""
+        return (
+            self.domain_time(self.domain1, self.model1, n_procs1),
+            self.domain_time(self.domain2, self.model2, n_procs2),
+            self.coupling.time_per_day(self.model1, n_procs1),
+        )
+
     def time_per_day(self, n_procs1: int, n_procs2: int) -> float:
-        t1 = self.domain_time(self.domain1, self.model1, n_procs1)
-        t2 = self.domain_time(self.domain2, self.model2, n_procs2)
-        t_couple = self.coupling.time_per_day(self.model1, n_procs1)
+        t1, t2, t_couple = self._priced(n_procs1, n_procs2)
         return (
             max(t1, t2)
             + self.sync_imbalance * min(t1, t2)
@@ -530,12 +528,10 @@ class CoupledPerfModel:
         """
         if not anchors:
             raise ValueError("need at least one coupled anchor")
-        base = replace(self, sync_imbalance=0.0, serial_seconds=0.0)
 
         def parts(n1: int, n2: int) -> Tuple[float, float, float]:
-            t1 = base.domain_time(base.domain1, base.model1, n1)
-            t2 = base.domain_time(base.domain2, base.model2, n2)
-            return max(t1, t2), min(t1, t2), base.coupling.time_per_day(base.model1, n1)
+            t1, t2, t_couple = self._priced(n1, n2)
+            return max(t1, t2), min(t1, t2), t_couple
 
         targets = [
             (n1, n2, SECONDS_PER_DAY / (365.0 * sypd)) for n1, n2, sypd in anchors
@@ -608,9 +604,7 @@ class CoupledPerfModel:
         No inter-domain imbalance applies (there is only one domain)."""
         if total_procs < 1:
             raise ValueError("total_procs must be >= 1")
-        t1 = self.domain_time(self.domain1, self.model1, total_procs)
-        t2 = self.domain_time(self.domain2, self.model2, total_procs)
-        t_couple = self.coupling.time_per_day(self.model1, total_procs)
+        t1, t2, t_couple = self._priced(total_procs, total_procs)
         return t1 + t2 + t_couple + self.serial_seconds
 
     def strategy_comparison(self, total_procs: int) -> Dict[str, float]:

@@ -46,25 +46,6 @@ class ProcessorSpec:
             raise ValueError("flops and bytes_ must be >= 0")
         return max(flops / self.flops, bytes_ / (self.mem_bw if mem_bw is None else mem_bw))
 
-    def calibrated(
-        self, flops_scale: float = 1.0, mem_bw_scale: float = 1.0
-    ) -> "ProcessorSpec":
-        """Sustained rates rescaled by measurement-fitted factors.
-
-        This is how a :class:`~repro.machine.calibrate.CalibrationTable`'s
-        :meth:`~repro.machine.calibrate.CalibrationTable.machine_scales`
-        lands on a spec: ratios between processor classes (the published
-        MPE-vs-CPE speedups) are preserved because both are scaled by the
-        same measured factors.
-        """
-        if flops_scale <= 0 or mem_bw_scale <= 0:
-            raise ValueError("calibration scales must be positive")
-        return replace(
-            self,
-            flops=self.flops * flops_scale,
-            mem_bw=self.mem_bw * mem_bw_scale,
-        )
-
 
 @dataclass(frozen=True)
 class NodeSpec:
@@ -125,20 +106,3 @@ class MachineSpec:
         """A copy whose processes drive a different compute element (used to
         switch a curve between MPE-only and CPE-accelerated modes)."""
         return replace(self, node=replace(self.node, processor=processor))
-
-    def calibrated(
-        self, flops_scale: float = 1.0, mem_bw_scale: float = 1.0
-    ) -> "MachineSpec":
-        """Every processor class rescaled by measurement-fitted factors
-        (see :meth:`ProcessorSpec.calibrated`); identity scales return an
-        equal spec."""
-        node = replace(
-            self.node,
-            processor=self.node.processor.calibrated(flops_scale, mem_bw_scale),
-            host_processor=(
-                None
-                if self.node.host_processor is None
-                else self.node.host_processor.calibrated(flops_scale, mem_bw_scale)
-            ),
-        )
-        return replace(self, node=node)

@@ -15,12 +15,7 @@ Sustained-rate defaults below are calibration parameters (see
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
-
 from .spec import MachineSpec, NetworkSpec, NodeSpec, ProcessorSpec
-
-if TYPE_CHECKING:  # pp layer stays an optional import for the machine specs
-    from .calibrate import CalibrationTable
 
 __all__ = [
     "MPE_PROCESSOR",
@@ -60,19 +55,8 @@ CPE_PROCESSOR = ProcessorSpec(
 )
 
 
-def sunway_oceanlight(
-    n_nodes: int = OCEANLIGHT_NODES,
-    calibration: Optional["CalibrationTable"] = None,
-) -> MachineSpec:
-    """The OceanLight system (optionally a partition of ``n_nodes``).
-
-    ``calibration`` (a measurement-fitted
-    :class:`~repro.machine.calibrate.CalibrationTable`) rescales both
-    processor classes by the table's
-    :meth:`~repro.machine.calibrate.CalibrationTable.machine_scales`,
-    preserving the published MPE-vs-CPE ratio; ``None`` (the default)
-    returns the hand-set constants unchanged.
-    """
+def sunway_oceanlight(n_nodes: int = OCEANLIGHT_NODES) -> MachineSpec:
+    """The OceanLight system (optionally a partition of ``n_nodes``)."""
     if not 0 < n_nodes <= OCEANLIGHT_NODES:
         raise ValueError(f"OceanLight has {OCEANLIGHT_NODES} nodes")
     node = NodeSpec(
@@ -89,7 +73,4 @@ def sunway_oceanlight(
         nodes_per_supernode=256,
         oversubscription=256.0 / 48.0,  # the 16:3 fat-tree taper
     )
-    spec = MachineSpec("Sunway OceanLight", n_nodes, node, network)
-    if calibration is not None:
-        spec = spec.calibrated(**calibration.machine_scales())
-    return spec
+    return MachineSpec("Sunway OceanLight", n_nodes, node, network)

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..grids.tripolar import TripolarGrid
+from ..obs import NULL_OBS
 from ..parallel.comm import SimComm, SimWorld
 from ..parallel.decomp import Block2D, factor_2d
 from ..parallel.halo import StructuredHalo
@@ -89,7 +90,7 @@ def distributed_barotropic_run(
     dt: Optional[float] = None,
     taux: Optional[np.ndarray] = None,
     initial_eta: Optional[np.ndarray] = None,
-    obs=None,
+    obs=NULL_OBS,
 ) -> Tuple[BarotropicState, List[float]]:
     """Run ``n_steps`` of the barotropic solver on ``n_ranks`` simulated
     MPI ranks; returns the gathered global state and the per-step norms.
@@ -112,7 +113,7 @@ def distributed_barotropic_run(
     eta0 = initial_eta if initial_eta is not None else np.zeros(metrics.shape)
 
     def program(comm: SimComm):
-        robs = obs.fork(comm.rank) if (obs is not None and obs.enabled) else None
+        robs = obs.fork(comm.rank) if obs.enabled else obs
         block = Block2D(grid.nlat, grid.nlon, py, px, comm.rank)
         local_metrics, local_depth = local_window(grid, metrics, block)
         solver = BarotropicSolver(local_metrics, local_depth)
@@ -140,37 +141,27 @@ def distributed_barotropic_run(
         interior = (slice(PAD, -PAD), slice(PAD, -PAD))
 
         for istep in range(n_steps):
-            if robs is not None:
-                robs.tracer.begin("ocn.parallel_step", step=istep)
-            # Refresh halos from the owning ranks.
-            if robs is not None:
+            with robs.span("ocn.parallel_step", step=istep):
+                # Refresh halos from the owning ranks.
                 with robs.span("ocn.halo_exchange"):
                     for field in (state.eta, state.u, state.v):
                         halo.exchange(comm, field)
                 robs.counter("ocn.halo_exchanges").inc(3)
-            else:
-                for field in (state.eta, state.u, state.v):
-                    halo.exchange(comm, field)
-            if robs is not None:
-                robs.tracer.begin("ocn.solve")
-            new_state, _ = solver.step(state, dt, taux=taux_pad)
-            # Keep only the interior (halo rings are stencil-contaminated).
-            state.eta[interior] = new_state.eta[interior]
-            state.u[interior] = new_state.u[interior]
-            state.v[interior] = new_state.v[interior]
-            if robs is not None:
-                robs.tracer.end("ocn.solve")
+                with robs.span("ocn.solve"):
+                    new_state, _ = solver.step(state, dt, taux=taux_pad)
+                    # Keep only the interior (halo rings are stencil-contaminated).
+                    state.eta[interior] = new_state.eta[interior]
+                    state.u[interior] = new_state.u[interior]
+                    state.v[interior] = new_state.v[interior]
 
-            # Global stabilization norm: fixed-order reduction over ranks,
-            # same normalization as the serial solver (total area; eta is
-            # zero on land anyway).
-            m = local_metrics
-            local_sum = float(np.sum(m.area[interior] * state.eta[interior] ** 2))
-            local_area = float(np.sum(m.area[interior]))
-            total = comm.allreduce(np.array([local_sum, local_area]), op="sum")
-            norms.append(float(np.sqrt(total[0] / max(total[1], 1e-300))))
-            if robs is not None:
-                robs.tracer.end("ocn.parallel_step")
+                # Global stabilization norm: fixed-order reduction over ranks,
+                # same normalization as the serial solver (total area; eta is
+                # zero on land anyway).
+                m = local_metrics
+                local_sum = float(np.sum(m.area[interior] * state.eta[interior] ** 2))
+                local_area = float(np.sum(m.area[interior]))
+                total = comm.allreduce(np.array([local_sum, local_area]), op="sum")
+                norms.append(float(np.sqrt(total[0] / max(total[1], 1e-300))))
 
         return (
             block.y_range,
@@ -183,7 +174,7 @@ def distributed_barotropic_run(
 
     world = SimWorld(n_ranks, timeout=60.0)
     results = world.run(program)
-    if obs is not None and obs.enabled:
+    if obs.enabled:
         obs.metrics.record_traffic(world.ledger, prefix="ocn.comm")
 
     gathered = BarotropicState.zeros(metrics.shape)

@@ -576,17 +576,22 @@ class _SubComm(SimComm):
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         self._p2p.send(obj, self._world_ranks[dest], tag + self._TAG_OFFSET)
 
+    def _to_world(self, source: Optional[int], tag: int) -> Tuple[Optional[int], int]:
+        return (
+            None if source is None else self._world_ranks[source],
+            tag if tag == ANY_TAG else tag + self._TAG_OFFSET,
+        )
+
     def recv(
         self,
         source: Optional[int] = None,
         tag: int = ANY_TAG,
         timeout: Optional[float] = None,
     ) -> Any:
-        return self._p2p.recv(
-            None if source is None else self._world_ranks[source],
-            tag if tag == ANY_TAG else tag + self._TAG_OFFSET,
-            timeout=timeout,
-        )
+        return self._p2p.recv(*self._to_world(source, tag), timeout=timeout)
+
+    def probe(self, source: Optional[int] = None, tag: int = ANY_TAG) -> bool:
+        return self._p2p.probe(*self._to_world(source, tag))
 
     # For subcomms we route collectives through gather-to-0 + bcast over p2p.
     def _gather0(self, obj: Any, tag: int) -> Optional[List[Any]]:

@@ -50,7 +50,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..obs import Obs
+from ..obs import NULL_OBS, Obs
 from ..utils.rng import seeded
 from .faults import (
     CommFaultInjector,
@@ -266,13 +266,13 @@ def _comm_stage(plan: FaultPlan, res, obs: Obs, report: ChaosReport) -> None:
                 comm,
                 av,
                 len(dst.local_indices(comm.rank)),
-                obs=obs_handle.fork(comm.rank) if obs_handle is not None else None,
+                obs=obs_handle.fork(comm.rank) if obs_handle.enabled else obs_handle,
             )
             return out.data.copy()
 
         return world.run(rank_program)
 
-    clean = transfer(None, None)
+    clean = transfer(None, NULL_OBS)
     try:
         faulted = transfer(CommFaultInjector(plan, obs=obs), obs)
     except RuntimeError as exc:
@@ -289,21 +289,6 @@ def _comm_stage(plan: FaultPlan, res, obs: Obs, report: ChaosReport) -> None:
 # -- stage 1b: kill-and-continue (elastic recovery) ------------------------
 
 
-def _kill_perf_estimate():
-    """(coupled model, n_procs1, n_procs2) for the degraded-SYPD gauge —
-    best-effort: the kill stage must not depend on the bench package."""
-    try:
-        from ..bench.scaling import CORES_PER_SUNWAY_PROCESS, paper_coupled_model
-
-        coupled = paper_coupled_model("3v2")
-        n1, n2 = coupled.balance_resources(
-            max(2, 2_000_000 // CORES_PER_SUNWAY_PROCESS)
-        )
-        return coupled, n1, n2
-    except Exception:
-        return None
-
-
 def _kill_stage(plan: FaultPlan, obs: Obs, report: ChaosReport) -> None:
     """Kill-and-continue: replay the plan's ``kill`` faults through the
     elastic recovery loop under each non-abort policy.
@@ -315,17 +300,17 @@ def _kill_stage(plan: FaultPlan, obs: Obs, report: ChaosReport) -> None:
     """
     import tempfile
 
+    from ..bench.scaling import paper_degraded_estimate
     from .elastic import ElasticFieldRun, RecoveryPolicy
 
     kills = [f for f in plan.comm if f.kind == "kill"]
     report.kill_ranks = len({f.rank for f in kills})
-    perf = _kill_perf_estimate()
 
     def run(policy, faults, obs_handle):
         with tempfile.TemporaryDirectory(prefix="chaos-kill-") as d:
             return ElasticFieldRun(
                 d, policy=policy, faults=faults, obs=obs_handle,
-                perf_estimate=perf,
+                perf_estimate=paper_degraded_estimate,
             ).run()
 
     twin = run(RecoveryPolicy.ABORT, None, None)
@@ -564,18 +549,16 @@ def _service_stage(
 
 
 def _final_state(model) -> Dict[str, np.ndarray]:
-    return {
-        "atm.h": model.atm.swe.h.copy(),
-        "atm.u": model.atm.swe.u.copy(),
-        "atm.t_col": model.atm.t_col.copy(),
-        "atm.tracer": model.atm.tracer.copy(),
-        "ocn.t": model.ocn.t.copy(),
-        "ocn.s": model.ocn.s.copy(),
-        "ocn.u": model.ocn.u.copy(),
-        "ocn.eta": model.ocn.bt.eta.copy(),
-        "clock.time": np.asarray(model.clock.time),
-        "n_couplings": np.asarray(float(model.n_couplings)),
+    """Every component's declared state (``ComponentBase.STATE``) plus the
+    coupler clock: what a recovered run must reproduce bit for bit."""
+    state = {
+        f"{comp.name}.{key}": arr.copy()
+        for comp in model.components
+        for key, arr in comp.state().items()
     }
+    state["clock.time"] = np.asarray(model.clock.time)
+    state["n_couplings"] = np.asarray(float(model.n_couplings))
+    return state
 
 
 def _build_model(config, obs, plan: FaultPlan, count_obs):

@@ -38,7 +38,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -168,10 +168,11 @@ class ElasticFieldRun:
     n_spares:
         Idle ranks pre-allocated for ``spare`` promotion.
     perf_estimate:
-        Optional ``(coupled_model, n_procs1, n_procs2)`` triple; after a
-        shrink the degraded SYPD is estimated via
-        :meth:`~repro.machine.CoupledPerfModel.degraded_estimate` and
-        recorded on the event and the ``resilience.recovery.*`` gauges.
+        Optional callable ``lost ranks ->``
+        :meth:`~repro.machine.CoupledPerfModel.degraded_estimate` dict
+        (e.g. :func:`repro.bench.scaling.paper_degraded_estimate`); after
+        a shrink its degraded SYPD is recorded on the event and the
+        ``resilience.recovery.*`` gauges.
     """
 
     def __init__(
@@ -188,7 +189,7 @@ class ElasticFieldRun:
         n_io_groups: int = 2,
         obs=None,
         timeout: float = 15.0,
-        perf_estimate: Optional[Tuple[Any, int, int]] = None,
+        perf_estimate: Optional[Callable[[int], Dict[str, float]]] = None,
     ) -> None:
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
@@ -355,8 +356,7 @@ class ElasticFieldRun:
         if self.perf_estimate is None or self.policy is RecoveryPolicy.SPARE:
             # Spare promotion keeps the proc count: no degradation.
             return {"sypd_degraded": None, "slowdown": None}
-        model, n1, n2 = self.perf_estimate
-        est = model.degraded_estimate(n1, n2, lost1=n_lost)
+        est = self.perf_estimate(n_lost)
         return {
             "sypd_degraded": est["sypd_degraded"],
             "slowdown": est["slowdown"],

@@ -1,6 +1,7 @@
 """Tests for the scaling-study runners and paper reference data."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,15 +11,18 @@ from repro.bench import (
     HEADLINES,
     SOTA_MODELS,
     STRONG_SCALING_CURVES,
+    calibrated_component,
     coupled_curve,
     evaluate_all_curves,
     evaluate_curve,
     format_curve_result,
     format_table,
+    predict_pairing_sypd,
     resources_to_processes,
     weak_scaling_series,
     workload_for,
 )
+from repro.bench.scaling import paper_coupled_model
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +133,44 @@ class TestCoupled:
         cpl = coupled_curve("3v2")
         # At 17M cores: coupled 0.71 vs ATM-alone 1.16 published.
         assert cpl.modeled[3] < atm.modeled[3]
+
+
+class TestOnePricingPath:
+    """One builder behind ``paper_coupled_model`` / ``coupled_curve`` /
+    ``predict_pairing_sypd``: the three cannot disagree about a pairing."""
+
+    def test_pairing_prediction_equals_coupled_curve_endpoint(self):
+        got = predict_pairing_sypd("3v2", 36_553_140)["sypd"]
+        assert got == coupled_curve("3v2").modeled[-1] == 0.9056829854791388
+
+    @pytest.mark.parametrize("key", ["atm_3km_cpe", "ocn_2km_cpe"])
+    def test_calibrated_component_transfers_only_the_serial_term(self, key):
+        cal, fitted = calibrated_component(key)
+        assert fitted == replace(
+            workload_for(STRONG_SCALING_CURVES[key]),
+            serial_seconds_per_day=fitted.serial_seconds_per_day,
+        )
+        other = fitted.scaled(0.25)
+        cal2, moved = calibrated_component(key, replace(other, serial_seconds_per_day=0.0))
+        assert cal2 == cal
+        assert moved == other  # only serial_seconds_per_day was replaced
+
+    def test_1v1_pairing_uses_its_own_atmosphere_curve(self):
+        own = evaluate_curve(STRONG_SCALING_CURVES["atm_1km_cpe"]).compute_scale
+        model = paper_coupled_model("1v1")
+        assert model.model1.compute_scale == own
+        assert own != evaluate_curve(STRONG_SCALING_CURVES["atm_3km_cpe"]).compute_scale
+        # ... and so does the model-only Table 1 row (it transferred the
+        # 3 km fit before): same components, 3v2's sync-imbalance scalar.
+        same = replace(
+            model,
+            sync_imbalance=paper_coupled_model("3v2").sync_imbalance,
+            serial_seconds=0.0,
+        )
+        row = predict_pairing_sypd("1v1", 36_553_140)
+        n1, n2 = int(row["procs_domain1"]), int(row["procs_domain2"])
+        assert (n1, n2) == same.balance_resources(36_553_140 // 65)
+        assert row["sypd"] == same.predict_sypd(n1, n2)
 
 
 def test_model_metrics_equal_committed_baseline_exactly(all_results):

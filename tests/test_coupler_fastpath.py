@@ -22,7 +22,7 @@ from repro.coupler import (
     RearrangePlan,
     Router,
 )
-from repro.obs import Obs
+from repro.obs import NULL_OBS, Obs
 from repro.parallel import SimWorld
 from repro.resilience import CommFault, CommFaultInjector, FaultPlan
 
@@ -209,7 +209,7 @@ class TestRearrangePlan:
                 srcs = {n: _local(b, src, comm.rank) for n, b in bundles.items()}
                 out = plan.execute(
                     comm, srcs, len(dst.local_indices(comm.rank)),
-                    obs=obs.fork(comm.rank) if obs is not None else None,
+                    obs=obs.fork(comm.rank) if obs is not None else NULL_OBS,
                 )
                 return {n: av.data.copy() for n, av in out.items()}
             return program

@@ -2,9 +2,9 @@
 
 Covers the full loop: probe measurement off the pp KernelStats
 accumulators, the fit, the content-addressed CalibrationTable and its
-to_file/from_file protocol, the explicit calibration= handles on the
-perf models and machine factories (byte-identical when absent), and the
-guarded drift metric the perf gate consumes.
+to_file/from_file protocol, the explicit calibration= handle on the
+perf models (byte-identical when absent), and the guarded drift metric
+the perf gate consumes.
 """
 
 import json
@@ -22,7 +22,6 @@ from repro.machine import (
     drift,
     drift_report,
     measure_probes,
-    orise,
     sunway_oceanlight,
 )
 from repro.machine.calibrate import (
@@ -260,25 +259,12 @@ class TestTable:
         ph = Phase(name="p", steps_per_day=1.0, flops_per_point=1.0,
                    bytes_per_point=1.0)
         assert empty.for_phase(ph) is IDENTITY_CALIBRATION
-        assert empty.machine_scales() == {"flops_scale": 1.0, "mem_bw_scale": 1.0}
-
-    def test_machine_scales_from_extreme_probes(self):
-        entries = {
-            "stream": KernelCalibration(kernel="stream", bandwidth_scale=0.25,
-                                        flops_per_iter=0.0, bytes_per_iter=16.0),
-            "fma8": KernelCalibration(kernel="fma8", overhead_factor=4.0,
-                                      flops_per_iter=16.0, bytes_per_iter=24.0),
-        }
-        scales = CalibrationTable(entries=entries).machine_scales()
-        assert scales["mem_bw_scale"] == pytest.approx(0.25)
-        assert scales["flops_scale"] == pytest.approx(0.25)
 
     def test_report_is_human_readable(self, table):
         text = table.report()
         assert table.table_id[:12] in text
         for name in PROBES:
             assert name in text
-        assert "machine scales" in text
 
 
 def _identity_table():
@@ -341,26 +327,6 @@ class TestModelThreading:
         assert cal.time_per_day(64, 64) != coupled.time_per_day(64, 64)
         back = cal.with_calibration(None)
         assert back.time_per_day(64, 64) == coupled.time_per_day(64, 64)
-
-    def test_machine_factories_take_calibration(self, table):
-        for factory in (sunway_oceanlight, orise):
-            plain = factory()
-            assert factory(calibration=None) == plain
-            scaled = factory(calibration=table)
-            scales = table.machine_scales()
-            assert scaled.node.processor.flops == pytest.approx(
-                plain.node.processor.flops * scales["flops_scale"]
-            )
-            assert scaled.node.processor.mem_bw == pytest.approx(
-                plain.node.processor.mem_bw * scales["mem_bw_scale"]
-            )
-            if plain.node.host_processor is not None:
-                # MPE-vs-CPE rate ratios are preserved by a uniform rescale
-                assert (
-                    scaled.node.host_processor.flops / scaled.node.processor.flops
-                ) == pytest.approx(
-                    plain.node.host_processor.flops / plain.node.processor.flops
-                )
 
 
 class TestDrift:

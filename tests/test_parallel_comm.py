@@ -283,6 +283,30 @@ def test_split_recv_interrupted_by_revocation():
     assert outcome.results == [(2,), (2,), None]
 
 
+def test_split_probe_translates_rank_and_tag():
+    """``probe`` on a sub-communicator looks in the caller's own (world)
+    mailbox for sub-comm traffic only: group rank != world rank here, and
+    a world-comm message with the same raw tag must not match."""
+
+    def program(comm):
+        sub = comm.split(comm.rank // 2)  # groups (0,1), (2,3)
+        if comm.rank == 2:
+            sub.send("sub", dest=1, tag=5)
+        if comm.rank == 0:
+            comm.send("world", dest=3, tag=5)
+        comm.barrier()  # both messages are posted
+        if comm.rank != 3:
+            return None
+        seen = [sub.probe(source=0, tag=5), sub.probe(tag=5)]
+        assert sub.recv(source=0, tag=5) == "sub"
+        # Only the world message with raw tag 5 is left in the mailbox.
+        seen += [sub.probe(source=0, tag=5), sub.probe(tag=5), comm.probe(source=0, tag=5)]
+        return seen
+
+    results = SimWorld(4, timeout=5.0).run(program)
+    assert results[3] == [True, True, False, False, True]
+
+
 def test_ledger_counts_p2p_bytes():
     world = SimWorld(2)
 

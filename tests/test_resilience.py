@@ -14,7 +14,7 @@ import pytest
 
 from repro.coupler import AttrVect, GlobalSegMap, Rearranger, Router
 from repro.io.restart import RestartError, load_restart, save_restart
-from repro.obs import Obs
+from repro.obs import NULL_OBS, Obs
 from repro.parallel import (
     CommTimeoutError,
     CommTransientError,
@@ -92,7 +92,7 @@ def _mirror_transfer(n_ranks=4, per_rank=4, faults=None, obs=None, **knobs):
         av = AttrVect.from_dict({"f": gfield[src.local_indices(comm.rank)]})
         out = rearranger.rearrange(
             comm, av, len(dst.local_indices(comm.rank)),
-            obs=obs.fork(comm.rank) if obs is not None else None,
+            obs=obs.fork(comm.rank) if obs is not None else NULL_OBS,
         )
         return out.data.copy()
 
