@@ -36,6 +36,7 @@ titles and flag membership stable).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from typing import List, Optional
@@ -528,14 +529,33 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if report.survived else 1
 
 
-def _print_pool_stats(pstats) -> None:
-    if pstats is None:
-        return
-    print(f"procs backend: {pstats.workers} worker(s), "
-          f"{pstats.dispatches} pool dispatch(es), "
-          f"{pstats.fallbacks} in-process fallback(s), "
-          f"{pstats.bytes_shared / 1e6:.1f} MB staged, "
-          f"occupancy {pstats.occupancy:.2f}")
+@contextlib.contextmanager
+def _session(args: argparse.Namespace, cls, config, restart_note: str):
+    """What run-coupled and run-ensemble share around their own stepping
+    and reporting: the ``--trace`` obs, build + ``init()``; then pool
+    stats, ``--restart-dir`` (``restart_note`` formats the directory into
+    the line printed), ``finalize()`` and the trace dump."""
+    from repro.obs import NULL_OBS, Obs
+
+    obs = Obs() if args.trace else NULL_OBS
+    session = cls(config, obs=obs)
+    session.init()
+    yield session
+    pstats = session.pool_stats()
+    if pstats is not None:
+        print(f"procs backend: {pstats.workers} worker(s), "
+              f"{pstats.dispatches} pool dispatch(es), "
+              f"{pstats.fallbacks} in-process fallback(s), "
+              f"{pstats.bytes_shared / 1e6:.1f} MB staged, "
+              f"occupancy {pstats.occupancy:.2f}")
+    if args.restart_dir:
+        session.save_restart(args.restart_dir)
+        print(restart_note.format(args.restart_dir))
+    session.finalize()
+    if args.trace:
+        path = obs.write_chrome_trace(args.trace)
+        print(obs.report())
+        print(f"trace written to {path} (open in chrome://tracing / Perfetto)")
 
 
 def _cmd_run_coupled(args: argparse.Namespace) -> int:
@@ -543,141 +563,114 @@ def _cmd_run_coupled(args: argparse.Namespace) -> int:
 
     if args.faults:
         return _cmd_chaos(args)
-    obs = None
-    if args.trace:
-        from repro.obs import Obs
-
-        obs = Obs()
-    model = AP3ESM(_coupled_config(args, resilience=_resilience_config(args)),
-                   obs=obs)
-    model.init()
-    schedule = "concurrent" if args.concurrent_domains else "serial"
-    print(f"running {args.days:g} coupled days "
-          f"({schedule} task domains, {args.precision} storage, "
-          f"{args.backend} backend)...")
-    model.run_days(args.days)
-    for ev in model.recovery_events:
-        print(f"recovered ({ev['policy']}) from {ev['error']} in "
-              f"{ev['domain']} at coupling {ev['failed_at_coupling']}: "
-              f"rolled back to {ev['restored_to_coupling']}, replayed "
-              f"{ev['replayed_couplings']} coupling(s)")
-    if model.scheduler.degraded:
-        est = model.degraded_sypd()
-        print(f"degraded layout {model.scheduler.degraded}: modeled "
-              f"{est['sypd_degraded']:.3g} SYPD "
-              f"({est['slowdown']:.3f}x slowdown vs fault-free)")
-    mem = model.memory_report()
-    if mem["n_fp32"] or mem["n_fp32_groupscaled"]:
-        print(f"mixed-precision state: {mem['bytes_fp64']:.0f} -> "
-              f"{mem['bytes_mixed']:.0f} bytes "
-              f"({100 * mem['saving_fraction']:.0f}% saving, "
-              f"{mem['n_fp32']:.0f} FP32 + "
-              f"{mem['n_fp32_groupscaled']:.0f} group-scaled of "
-              f"{mem['n_variables']:.0f} fields)")
-    snap = atm_snapshot(model.atm)
-    sst = model.ocn.export_state()["sst"]
-    wet = model.ocn.mask3d[0]
-    print(f"precip {snap['precip'].mean() * 86400:.2f} mm/day | "
-          f"cloud {snap['cloud_fraction'].mean():.2f} | "
-          f"SST {sst[wet].min():.1f}..{sst[wet].max():.1f} C | "
-          f"ice {model.ice.total_area() / 1e12:.2f} Mkm^2")
-    print(f"throughput: {model.sypd():.1f} SYPD on this machine")
-    _print_pool_stats(model.pool_stats())
-    if args.coupler_cache or args.prune_fields:
-        creport = model.coupler_report()
-        if model.coupler_cache is not None:
-            cs = creport["cache"]
-            print(f"coupler cache: {cs['hits']:.0f} hit(s), "
-                  f"{cs['misses']:.0f} miss(es), "
-                  f"{cs['build_time_saved_s'] * 1e3:.2f} ms of "
-                  f"Router/GSMap construction skipped")
-            for name, counts in creport["plans"].items():
-                print(f"plan {name}: {counts['coalesced_messages_per_edge']:.0f} "
-                      f"message/edge coalesced from "
-                      f"{counts['per_field_messages_per_edge']:.0f} "
-                      f"({counts['message_reduction']:.0f}x fewer)")
-        if args.prune_fields:
-            for path, t in creport["exchange"].items():
-                if t["fields_pruned"]:
-                    print(f"pruned {path}: {t['fields_pruned']:.0f} field "
-                          f"slot(s) ({t['bytes_saved'] / 1e6:.2f} MB) "
-                          f"never exchanged")
-    if args.restart_dir:
-        model.save_restart(args.restart_dir)
-        print(f"restart written to {args.restart_dir}/(atm|ocn|ice|lnd|cpl)")
-    model.finalize()
-    if obs is not None:
-        path = obs.write_chrome_trace(args.trace)
-        print(obs.report())
-        print(f"trace written to {path} (open in chrome://tracing / Perfetto)")
+    config = _coupled_config(args, resilience=_resilience_config(args))
+    with _session(args, AP3ESM, config,
+                  "restart written to {}/(atm|ocn|ice|lnd|cpl)") as model:
+        schedule = "concurrent" if args.concurrent_domains else "serial"
+        print(f"running {args.days:g} coupled days "
+              f"({schedule} task domains, {args.precision} storage, "
+              f"{args.backend} backend)...")
+        model.run_days(args.days)
+        for ev in model.recovery_events:
+            print(f"recovered ({ev['policy']}) from {ev['error']} in "
+                  f"{ev['domain']} at coupling {ev['failed_at_coupling']}: "
+                  f"rolled back to {ev['restored_to_coupling']}, replayed "
+                  f"{ev['replayed_couplings']} coupling(s)")
+        if model.scheduler.degraded:
+            est = model.degraded_sypd()
+            print(f"degraded layout {model.scheduler.degraded}: modeled "
+                  f"{est['sypd_degraded']:.3g} SYPD "
+                  f"({est['slowdown']:.3f}x slowdown vs fault-free)")
+        mem = model.memory_report()
+        if mem["n_fp32"] or mem["n_fp32_groupscaled"]:
+            print(f"mixed-precision state: {mem['bytes_fp64']:.0f} -> "
+                  f"{mem['bytes_mixed']:.0f} bytes "
+                  f"({100 * mem['saving_fraction']:.0f}% saving, "
+                  f"{mem['n_fp32']:.0f} FP32 + "
+                  f"{mem['n_fp32_groupscaled']:.0f} group-scaled of "
+                  f"{mem['n_variables']:.0f} fields)")
+        snap = atm_snapshot(model.atm)
+        sst = model.ocn.export_state()["sst"]
+        wet = model.ocn.mask3d[0]
+        print(f"precip {snap['precip'].mean() * 86400:.2f} mm/day | "
+              f"cloud {snap['cloud_fraction'].mean():.2f} | "
+              f"SST {sst[wet].min():.1f}..{sst[wet].max():.1f} C | "
+              f"ice {model.ice.total_area() / 1e12:.2f} Mkm^2")
+        print(f"throughput: {model.sypd():.1f} SYPD on this machine")
+        if args.coupler_cache or args.prune_fields:
+            creport = model.coupler_report()
+            if model.coupler_cache is not None:
+                cs = creport["cache"]
+                print(f"coupler cache: {cs['hits']:.0f} hit(s), "
+                      f"{cs['misses']:.0f} miss(es), "
+                      f"{cs['build_time_saved_s'] * 1e3:.2f} ms of "
+                      f"Router/GSMap construction skipped")
+                for name, counts in creport["plans"].items():
+                    print(f"plan {name}: {counts['coalesced_messages_per_edge']:.0f} "
+                          f"message/edge coalesced from "
+                          f"{counts['per_field_messages_per_edge']:.0f} "
+                          f"({counts['message_reduction']:.0f}x fewer)")
+            if args.prune_fields:
+                for path, t in creport["exchange"].items():
+                    if t["fields_pruned"]:
+                        print(f"pruned {path}: {t['fields_pruned']:.0f} field "
+                              f"slot(s) ({t['bytes_saved'] / 1e6:.2f} MB) "
+                              f"never exchanged")
     return 0
 
 
 def _cmd_run_ensemble(args: argparse.Namespace) -> int:
     from repro.esm import EnsembleConfig, EnsembleRun
 
-    obs = None
-    if args.trace:
-        from repro.obs import Obs
-
-        obs = Obs()
     resilience, plan = _ensemble_resilience_config(args)
-    ens = EnsembleRun(EnsembleConfig(
+    config = EnsembleConfig(
         base=_coupled_config(args, resilience=resilience),
         members=args.members,
         perturb_seed=args.perturb_seed,
         perturb_amplitude=args.perturb_amplitude,
         batch_physics=args.batch_physics,
         fault_plan=plan,
-    ), obs=obs)
-    ens.init()
-    couplings = max(1, round(args.days * 86400.0 / ens.members[0].dt_couple))
-    mode = "batched" if args.batch_physics else "per-member"
-    print(f"running {args.members} member(s) for {args.days:g} coupled "
-          f"day(s) ({couplings} coupling(s), {mode} physics, "
-          f"{args.precision} storage, {args.backend} backend)...")
-    ens.run_couplings(couplings)
-    summary = ens.summary()
-    for row in summary["members"]:
-        print(f"member {row['member']:.0f}: {row['sypd']:.1f} SYPD "
-              f"({row['couplings']:.0f} coupling(s), "
-              f"{row['wall_s']:.2f} s wall)")
-    sy = summary["sypd"]
-    print(f"ensemble SYPD: mean {sy['mean']:.1f}, min {sy['min']:.1f}, "
-          f"max {sy['max']:.1f}, spread {sy['spread']:.1f}")
-    print(f"member spread: bottom-level T sigma "
-          f"{summary['spread']['t_bot']:.2e} K")
-    bp = summary.get("batched_physics")
-    if bp is not None:
-        print(f"batched physics: {bp['fleet_calls']} fleet call(s) served "
-              f"{bp['columns_total']} member-columns over "
-              f"{bp['fleet_steps']} lockstep step(s)")
-    sup = summary.get("supervisor")
-    if sup is not None:
-        for ev in sup["events"]:
-            extra = ""
-            if ev["action"] == "restart":
-                extra = (f" (replayed {ev['replayed_couplings']} "
-                         f"coupling(s))")
-            print(f"member {ev['member']} {ev['kind']} at coupling "
-                  f"{ev['coupling']} -> {ev['action']}{extra}")
-        print(f"fleet: {sup['alive']:.0f}/{sup['members_total']:.0f} "
-              f"member(s) alive under '{sup['policy']}' "
-              f"({sup['restarts']:.0f} restart(s), "
-              f"{sup['quarantines']:.0f} quarantine(s), "
-              f"{sup['escalations']:.0f} escalation(s))")
-        if sup["quarantined"]:
-            print(f"degraded fleet SYPD (surviving members): "
-                  f"{sup['sypd_degraded']:.1f}")
-    _print_pool_stats(ens.pool_stats())
-    if args.restart_dir:
-        ens.save_restarts(args.restart_dir)
-        print(f"restarts written to {args.restart_dir}/member<k>/")
-    ens.finalize()
-    if obs is not None:
-        path = obs.write_chrome_trace(args.trace)
-        print(obs.report())
-        print(f"trace written to {path} (open in chrome://tracing / Perfetto)")
+    )
+    with _session(args, EnsembleRun, config,
+                  "restarts written to {}/member<k>/") as ens:
+        couplings = max(1, round(args.days * 86400.0 / ens.members[0].dt_couple))
+        mode = "batched" if args.batch_physics else "per-member"
+        print(f"running {args.members} member(s) for {args.days:g} coupled "
+              f"day(s) ({couplings} coupling(s), {mode} physics, "
+              f"{args.precision} storage, {args.backend} backend)...")
+        ens.run_couplings(couplings)
+        summary = ens.summary()
+        for row in summary["members"]:
+            print(f"member {row['member']:.0f}: {row['sypd']:.1f} SYPD "
+                  f"({row['couplings']:.0f} coupling(s), "
+                  f"{row['wall_s']:.2f} s wall)")
+        sy = summary["sypd"]
+        print(f"ensemble SYPD: mean {sy['mean']:.1f}, min {sy['min']:.1f}, "
+              f"max {sy['max']:.1f}, spread {sy['spread']:.1f}")
+        print(f"member spread: bottom-level T sigma "
+              f"{summary['spread']['t_bot']:.2e} K")
+        bp = summary.get("batched_physics")
+        if bp is not None:
+            print(f"batched physics: {bp['fleet_calls']} fleet call(s) served "
+                  f"{bp['columns_total']} member-columns over "
+                  f"{bp['fleet_steps']} lockstep step(s)")
+        sup = summary.get("supervisor")
+        if sup is not None:
+            for ev in sup["events"]:
+                extra = ""
+                if ev["action"] == "restart":
+                    extra = (f" (replayed {ev['replayed_couplings']} "
+                             f"coupling(s))")
+                print(f"member {ev['member']} {ev['kind']} at coupling "
+                      f"{ev['coupling']} -> {ev['action']}{extra}")
+            print(f"fleet: {sup['alive']:.0f}/{sup['members_total']:.0f} "
+                  f"member(s) alive under '{sup['policy']}' "
+                  f"({sup['restarts']:.0f} restart(s), "
+                  f"{sup['quarantines']:.0f} quarantine(s), "
+                  f"{sup['escalations']:.0f} escalation(s))")
+            if sup["quarantined"]:
+                print(f"degraded fleet SYPD (surviving members): "
+                      f"{sup['sypd_degraded']:.1f}")
     return 0
 
 

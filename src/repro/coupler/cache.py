@@ -30,10 +30,12 @@ import zipfile
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 import numpy as np
 
+from ..io.restart import write_atomic_text
+from ..obs import NULL_OBS, Obs
 from .gsmap import GlobalSegMap
 from .router import Router
 
@@ -70,7 +72,7 @@ class CouplerCache:
     """
 
     root: Union[str, Path]
-    obs: Optional[object] = None
+    obs: Obs = NULL_OBS
     hits: int = 0
     misses: int = 0
     build_time_saved_s: float = 0.0
@@ -140,11 +142,8 @@ class CouplerCache:
         self.hits += 1
         saved = self._recorded_build_time(path)
         self.build_time_saved_s += saved
-        if self.obs is not None and getattr(self.obs, "enabled", False):
-            self.obs.counter("coupler.cache.hits").inc()
-            self.obs.gauge("coupler.cache.build_time_saved").set(
-                self.build_time_saved_s
-            )
+        self.obs.counter("coupler.cache.hits").inc()
+        self.obs.gauge("coupler.cache.build_time_saved").set(self.build_time_saved_s)
         return table
 
     def _miss(self, key: str, path: Path, saver, build_s: float) -> None:
@@ -156,11 +155,10 @@ class CouplerCache:
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
-        path.with_suffix(".json").write_text(
-            json.dumps({"key": key, "build_s": build_s})
+        write_atomic_text(
+            path.with_suffix(".json"), json.dumps({"key": key, "build_s": build_s})
         )
-        if self.obs is not None and getattr(self.obs, "enabled", False):
-            self.obs.counter("coupler.cache.misses").inc()
+        self.obs.counter("coupler.cache.misses").inc()
 
     def _recorded_build_time(self, path: Path) -> float:
         sidecar = path.with_suffix(".json")

@@ -54,6 +54,8 @@ from ..obs import NULL_OBS, Obs
 from ..ocn import LicomConfig, LicomModel
 from ..pp import ExecutionSpace, make_backend
 from ..resilience.config import ResilienceConfig
+from ..resilience.elastic import RecoveryPolicy
+from ..resilience.errors import CommRevokedError, CommTimeoutError, RankFailure, WatchdogTimeout
 from ..utils.units import (
     LATENT_HEAT_VAPORIZATION,
     STEFAN_BOLTZMANN,
@@ -62,6 +64,10 @@ from ..utils.units import (
 from .scheduler import PAPER_DOMAINS, TaskDomainScheduler, TaskHandle
 
 __all__ = ["AP3ESMConfig", "AP3ESM"]
+
+#: Rank-loss-class failures an armed :meth:`AP3ESM.run_couplings` rolls
+#: back from; anything else always propagates.
+_RECOVERABLE = (RankFailure, CommRevokedError, CommTimeoutError, WatchdogTimeout)
 
 KELVIN = 273.15
 OCEAN_ALBEDO = 0.07
@@ -311,14 +317,12 @@ class AP3ESM:
                 res.checkpoint_dir, keep=res.checkpoint_keep, obs=self.obs
             )
 
-        # Elastic recovery: None (the default `abort` policy) keeps the
-        # coupling loop on the pre-elastic path behind one `is None`
-        # branch; `shrink`/`spare` arm the recovering loop.
+        # Elastic recovery: None (the default `abort` policy) leaves
+        # `run_couplings` catching nothing; `shrink`/`spare` arm its seed
+        # checkpoint and rollback-and-replay.
         self._recovery = None
         self.recovery_events: list = []
         if res.enabled and res.recovery_policy != "abort":
-            from ..resilience.elastic import RecoveryPolicy
-
             if self.checkpoints is None:
                 raise ValueError(
                     f"recovery_policy={res.recovery_policy!r} needs a "
@@ -493,72 +497,41 @@ class AP3ESM:
             self._pending.wait()
 
     def run_couplings(self, n: int) -> None:
-        if self._recovery is not None:
-            return self._run_couplings_elastic(n)
-        every = self.config.resilience.checkpoint_every
-        for _ in range(n):
-            self.step_coupling()
-            if (
-                self.checkpoints is not None
-                and self.n_couplings % every == 0
-            ):
-                self.checkpoint()
-        # Leave no thread mutating ocean state once control returns.
-        self._wait_ocean()
-
-    def _run_couplings_elastic(self, n: int) -> None:
-        """The recovering coupling loop (``recovery_policy`` shrink/spare).
-
-        A rank-loss-class failure surfacing from either task domain rolls
-        the whole coupled state back to the newest valid checkpoint via
-        :meth:`recover_from_failure`, then the loop replays forward —
-        deterministically, since every component restores bitwise.  The
-        same coupling failing ``max_retries`` consecutive times (a hard
-        fault no rollback can clear) re-raises.
-        """
-        from ..resilience.errors import (
-            CommRevokedError,
-            CommTimeoutError,
-            RankFailure,
-            WatchdogTimeout,
-        )
-
+        """The one coupling loop: step, checkpoint at the cadence when a
+        manager exists and — only when ``recovery_policy`` shrink/spare
+        armed ``_recovery`` — seed-checkpoint coupling 0 and turn a
+        rank-loss-class failure from either task domain into
+        :meth:`recover_from_failure` + deterministic replay (every
+        component restores bitwise).  Unarmed, nothing is caught."""
         every = self.config.resilience.checkpoint_every
         target = self.n_couplings + n
+        recoverable = _RECOVERABLE if self._recovery is not None else ()
         # Seed checkpoint so a failure before the first interval has a
         # rollback target (idempotent: same-step saves replace).
-        if self.n_couplings == 0:
+        if recoverable and self.n_couplings == 0:
             self.checkpoint()
         while True:
             try:
                 if self.n_couplings >= target:
+                    # Leave no thread mutating ocean state — and no
+                    # poisoned run — once control returns.
                     self._check_pending()
                     return
                 self.step_coupling()
-                if self.n_couplings % every == 0:
-                    # A latent ocean-unit failure must surface *before*
-                    # the checkpoint — otherwise the checkpoint bakes in
-                    # an un-stepped ocean and rollback restores poison.
-                    self._check_pending()
+                if self.checkpoints is not None and self.n_couplings % every == 0:
                     self.checkpoint()
-            except (
-                RankFailure,
-                CommRevokedError,
-                CommTimeoutError,
-                WatchdogTimeout,
-            ) as exc:
+            except recoverable as exc:
                 self.recover_from_failure(exc)
 
     def _check_pending(self) -> None:
         """Join any in-flight ocean run and surface its failure *now*.
 
         Lagged coupling keeps a unit failure latent in the handle until
-        publish; the elastic loop calls this before checkpoints and at
-        the end of its window so a poisoned run is never checkpointed or
+        publish; :meth:`checkpoint` and the end of a :meth:`run_couplings`
+        window call this so a poisoned run is never checkpointed or
         handed back to the caller.  The export stays unpublished —
         ``result()`` is idempotent and publishing happens only at the
         alarm."""
-        self._wait_ocean()
         if self._pending is not None:
             self._pending.result()
 
@@ -566,11 +539,19 @@ class AP3ESM:
 
     def checkpoint(self):
         """Write one rotating checkpoint now (requires a configured
-        ``resilience.checkpoint_every``/``checkpoint_dir``)."""
+        ``resilience.checkpoint_every``/``checkpoint_dir``).  A pending
+        domain-2 failure surfaces *first*: a checkpoint must never bake
+        in an un-stepped ocean that a later rollback would restore."""
         if self.checkpoints is None:
             raise RuntimeError("checkpointing is not configured "
                                "(set config.resilience.checkpoint_*)")
+        self._check_pending()
         return self.checkpoints.to_file(self.save_restart, self.n_couplings)
+
+    def has_checkpoint(self) -> bool:
+        """True when the rotation holds a published checkpoint (the cheap
+        "can we resume?" probe)."""
+        return self.checkpoints is not None and self.checkpoints.latest() is not None
 
     def recover(self):
         """Restore the newest *valid* checkpoint (corrupt or truncated
@@ -580,6 +561,16 @@ class AP3ESM:
             raise RuntimeError("checkpointing is not configured "
                                "(set config.resilience.checkpoint_*)")
         self._wait_ocean()
+        return self.checkpoints.restore_latest_valid(self.load_restart)
+
+    def rollback(self):
+        """The one failure rollback (driver recovery and the fleet
+        supervisor's member restart): abandon domain 2's outstanding work
+        without joining it, drop the possibly poisoned lagged-export
+        handle, restore the newest valid checkpoint; returns its
+        directory.  Unlike :meth:`recover` it never waits on the ocean."""
+        self.scheduler.reset("domain2")
+        self._pending = None
         return self.checkpoints.restore_latest_valid(self.load_restart)
 
     #: Consecutive failures of the same coupling before recovery gives up
@@ -611,8 +602,6 @@ class AP3ESM:
             raise RuntimeError(
                 "elastic recovery is not armed (recovery_policy=abort)"
             ) from exc
-        from ..resilience.elastic import RecoveryPolicy
-
         failed_at = self.n_couplings
         if failed_at == self._failed_at:
             self._failed_count += 1
@@ -636,9 +625,7 @@ class AP3ESM:
             if policy is RecoveryPolicy.SPARE and self._spares_left <= 0:
                 obs.counter("resilience.spares_exhausted").inc()
                 raise exc
-            self.scheduler.reset("domain2")
-            self._pending = None
-            restored = self.checkpoints.restore_latest_valid(self.load_restart)
+            restored = self.rollback()
             replayed = failed_at - self.n_couplings
             if policy is RecoveryPolicy.SPARE:
                 self._spares_left -= 1

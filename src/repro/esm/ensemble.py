@@ -595,10 +595,7 @@ class EnsembleRun:
         """True when EVERY member's rotation holds at least one
         published checkpoint (the cheap "can we resume?" probe)."""
         self._check()
-        return all(
-            m.checkpoints is not None and m.checkpoints.latest() is not None
-            for m in self.members
-        )
+        return all(m.has_checkpoint() for m in self.members)
 
     def recover(self) -> int:
         """Fleet-coherent restore: every member rolls back to the newest
@@ -649,7 +646,7 @@ class EnsembleRun:
 
     # -- restart I/O -------------------------------------------------------
 
-    def save_restarts(self, directory) -> None:
+    def save_restart(self, directory) -> None:
         """Write each member's full coupled restart under
         ``<directory>/member<k>/``."""
         self._check()

@@ -494,9 +494,13 @@ class SimComm:
         "prod": lambda vals: _tree_reduce(vals, lambda a, b: a * b),
     }
 
-    def reduce(self, obj: Any, op: str = "sum", root: int = 0) -> Any:
+    def _check_op(self, op: str) -> None:
+        """Every rank rejects an unknown op before any exchange."""
         if op not in self._OPS:
             raise ValueError(f"unknown reduce op {op!r}; choose from {sorted(self._OPS)}")
+
+    def reduce(self, obj: Any, op: str = "sum", root: int = 0) -> Any:
+        self._check_op(op)
         values = self._world.exchange(self._key(f"reduce-{op}"), self.rank, obj)
         if self.rank == root:
             nbytes = _payload_nbytes(obj)
@@ -508,8 +512,7 @@ class SimComm:
         return None
 
     def allreduce(self, obj: Any, op: str = "sum") -> Any:
-        if op not in self._OPS:
-            raise ValueError(f"unknown reduce op {op!r}; choose from {sorted(self._OPS)}")
+        self._check_op(op)
         values = self._world.exchange(self._key(f"allreduce-{op}"), self.rank, obj)
         result = self._OPS[op](values)
         if self.rank == 0:
@@ -646,13 +649,14 @@ class _SubComm(SimComm):
         return self._bcast0(gathered, tag=908)
 
     def allreduce(self, obj: Any, op: str = "sum") -> Any:
-        values = self.allgather(obj)
-        return SimComm._OPS[op](values)
+        self._check_op(op)
+        return self._OPS[op](self.allgather(obj))
 
     def reduce(self, obj: Any, op: str = "sum", root: int = 0) -> Any:
+        self._check_op(op)
         values = self.gather(obj, root=root)
         if values is not None:
-            return SimComm._OPS[op](values)
+            return self._OPS[op](values)
         return None
 
     def alltoall(self, objs: Sequence[Any]) -> List[Any]:

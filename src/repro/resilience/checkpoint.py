@@ -36,6 +36,7 @@ try:  # POSIX; the lock degrades to a no-op where flock is unavailable
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
+from ..io.restart import RestartError, write_atomic_text
 from ..obs import NULL_OBS
 from .errors import CheckpointError
 
@@ -112,11 +113,9 @@ class CheckpointManager:
                 data = f.read_bytes()
                 files[rel] = {"size": len(data), "crc32": zlib.crc32(data)}
             manifest = {"version": _VERSION, "step": int(step), "files": files}
-            tmp_manifest = staging / (_MANIFEST + ".tmp")
-            tmp_manifest.write_text(
-                json.dumps(manifest, indent=2, sort_keys=True)
+            write_atomic_text(
+                staging / _MANIFEST, json.dumps(manifest, indent=2, sort_keys=True)
             )
-            os.replace(tmp_manifest, staging / _MANIFEST)
             os.rename(staging, final)
             self._prune()
         return final
@@ -214,8 +213,6 @@ class CheckpointManager:
         and the next older one is tried.  Raises :class:`CheckpointError`
         when nothing on disk survives.
         """
-        from ..io.restart import RestartError
-
         with self.obs.span("resilience.restore"):
             tried = 0
             for ckpt in reversed(self.checkpoints()):

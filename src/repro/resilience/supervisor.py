@@ -256,9 +256,8 @@ class FleetSupervisor:
         for k, m, exc in failures:
             self._handle_failure(k, m, exc, target)
         for k, m in self.alive_members():
-            ckpts = getattr(m, "checkpoints", None)
             every = m.config.resilience.checkpoint_every
-            if ckpts is not None and every and m.n_couplings % every == 0:
+            if m.checkpoints is not None and m.n_couplings % every == 0:
                 m.checkpoint()
         self.couplings = target
         if not any(self.alive):
@@ -367,10 +366,6 @@ class FleetSupervisor:
             "ensemble.supervisor.restart",
             member=k, attempt=attempt, error=type(exc).__name__,
         ):
-            # Drop in-flight domain-2 work and any poisoned lagged export
-            # handle before restoring (mirrors AP3ESM.recover_from_failure).
-            m.scheduler.reset("domain2")
-            m._pending = None
             runner = m._atm_runner
             m._atm_runner = None
             try:
@@ -379,17 +374,13 @@ class FleetSupervisor:
                     # (and granted a credit) before the failure surfaced;
                     # the rollback invalidates both.
                     self.lockstep.clear_credits(m.atm)
-                restored = m.checkpoints.restore_latest_valid(m.load_restart)
+                restored = m.rollback()
                 replayed = target - m.n_couplings
-                every = m.config.resilience.checkpoint_every
-                for _ in range(replayed):
-                    m.step_coupling()
-                    # Keep the member's checkpoint rotation identical to a
-                    # never-faulted twin's; the final (target) cadence save
-                    # is written by the fleet pass with everyone else's.
-                    if every and m.n_couplings % every == 0 \
-                            and m.n_couplings < target:
-                        m.checkpoint()
+                # The member's own loop keeps its checkpoint rotation
+                # identical to a never-faulted twin's; a cadence save at
+                # the target step is re-written by the fleet pass with
+                # everyone else's (same-step saves replace).
+                m.run_couplings(replayed)
                 self._health_check(k, m)
             finally:
                 m._atm_runner = runner

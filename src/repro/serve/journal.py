@@ -46,6 +46,7 @@ try:  # POSIX; exclusivity degrades to best-effort elsewhere
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
+from ..io.restart import write_atomic_text
 from ..obs import NULL_OBS
 from .spec import JobRecord, JobSpec, ServeError, ServiceCrash
 
@@ -213,9 +214,7 @@ class JobStore:
             "jobs": {job_id: rec.to_dict() for job_id, rec in self.jobs.items()},
         }
         rec = {"v": _VERSION, "seq": self._seq, "crc": _crc(body), "body": body}
-        tmp = self.path.with_suffix(".jsonl.tmp")
-        tmp.write_text(json.dumps(rec, sort_keys=True) + "\n", encoding="utf-8")
-        os.replace(tmp, self.path)
+        write_atomic_text(self.path, json.dumps(rec, sort_keys=True) + "\n")
         self._since_snapshot = 0
         self.obs.counter("serve.journal.rotations").inc()
 

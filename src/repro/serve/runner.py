@@ -38,6 +38,7 @@ from pathlib import Path
 from typing import Callable, Dict, Optional, Union
 
 from ..esm.ap3esm import AP3ESM, AP3ESMConfig
+from ..esm.ensemble import EnsembleConfig, EnsembleRun
 from ..obs import NULL_OBS
 from ..resilience.config import ResilienceConfig
 from ..utils.rng import seeded
@@ -130,69 +131,48 @@ class JobRunner:
                 "resumed_from": None,
                 "adopted": True,
             }
-        if spec.members > 1:
-            return self._run_ensemble(spec, tick)
-        return self._run_solo(spec, tick)
-
-    def _run_solo(self, spec: JobSpec, tick) -> Dict[str, object]:
-        model = AP3ESM(self.job_config(spec))
-        model.init()
+        session = self._session(spec)
+        session.init()
         resumed_from: Optional[int] = None
-        if model.checkpoints.latest() is not None:
-            model.checkpoints.restore_latest_valid(model.load_restart)
-            resumed_from = model.n_couplings
+        if session.has_checkpoint():
+            session.recover()
+            resumed_from = session.n_couplings
             self.obs.counter("serve.resumes").inc()
         else:
-            self._perturb(spec, model)
-            model.checkpoint()  # coupling-0 seed: the perturbed IC is durable
+            # Coupling-0 seed: the perturbed IC is durable (an ensemble
+            # perturbs its members in init()).
+            if spec.members == 1:
+                self._perturb(spec, session)
+            session.checkpoint()
         try:
             every = self.checkpoint_every
-            while model.n_couplings < spec.couplings:
+            while session.n_couplings < spec.couplings:
                 if tick is not None:
-                    tick(model.n_couplings)
-                model.step_coupling()
-                if model.n_couplings % every == 0:
-                    model.checkpoint()
-            if model.n_couplings % every != 0:
-                model.checkpoint()  # final: republish-after-crash is bitwise
-            out = self._publish(spec, model.save_restart)
+                    tick(session.n_couplings)
+                session.step_coupling()
+                if session.n_couplings % every == 0:
+                    session.checkpoint()
+            if session.n_couplings % every != 0:
+                session.checkpoint()  # final: republish-after-crash is bitwise
+            out = self._publish(spec, session.save_restart)
         finally:
-            model.finalize()
+            session.finalize()
         out["resumed_from"] = resumed_from
         return out
 
-    def _run_ensemble(self, spec: JobSpec, tick) -> Dict[str, object]:
-        from ..esm.ensemble import EnsembleConfig, EnsembleRun
-
-        ens = EnsembleRun(EnsembleConfig(
-            base=self.job_config(spec),
+    def _session(self, spec: JobSpec):
+        """The coupled session the spec describes: a solo :class:`AP3ESM`
+        or an :class:`EnsembleRun` — one session surface either way."""
+        config = self.job_config(spec)
+        if spec.members == 1:
+            return AP3ESM(config)
+        return EnsembleRun(EnsembleConfig(
+            base=config,
             members=spec.members,
             perturb_seed=spec.perturb_seed,
             perturb_amplitude=spec.perturb_amplitude,
             batch_physics=spec.batch_physics,
         ))
-        ens.init()
-        resumed_from: Optional[int] = None
-        if ens.has_checkpoint():
-            resumed_from = ens.recover()
-            self.obs.counter("serve.resumes").inc()
-        else:
-            ens.checkpoint()  # coupling-0 seed (perturbations applied in init)
-        try:
-            every = self.checkpoint_every
-            while ens.n_couplings < spec.couplings:
-                if tick is not None:
-                    tick(ens.n_couplings)
-                ens.step_coupling()
-                if ens.n_couplings % every == 0:
-                    ens.checkpoint()
-            if ens.n_couplings % every != 0:
-                ens.checkpoint()
-            out = self._publish(spec, ens.save_restarts)
-        finally:
-            ens.finalize()
-        out["resumed_from"] = resumed_from
-        return out
 
     def _perturb(self, spec: JobSpec, model: AP3ESM) -> None:
         """Seeded IC perturbation for solo jobs, keyed on the job id so

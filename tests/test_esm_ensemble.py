@@ -354,7 +354,59 @@ class TestEnsembleRestarts:
         ens = EnsembleRun(EnsembleConfig(base=_small_config(), members=2))
         ens.init()
         ens.run_couplings(1)
-        ens.save_restarts(tmp_path / "rst")
+        ens.save_restart(tmp_path / "rst")
         for k in range(2):
             assert (tmp_path / "rst" / f"member{k}" / "atm").is_dir()
             assert (tmp_path / "rst" / f"member{k}" / "ocn").is_dir()
+
+
+def _session(kind, directory, policy="abort"):
+    """A solo AP3ESM or a 2-member EnsembleRun over one checkpointing
+    base config — the two implementations of the coupled-session surface."""
+    from repro.resilience import ResilienceConfig
+
+    base = _small_config(resilience=ResilienceConfig(
+        enabled=True, guard_physics=False, checkpoint_every=4,
+        checkpoint_dir=str(directory), recovery_policy=policy))
+    if kind == "solo":
+        return AP3ESM(base), [""]
+    return (EnsembleRun(EnsembleConfig(base=base, members=2)),
+            ["member0/", "member1/"])
+
+
+def _session_state(session):
+    members = getattr(session, "members", [session])
+    return [comp.state() for m in members for comp in m.components]
+
+
+@pytest.mark.parametrize("kind", ["solo", "fleet"])
+def test_coupled_session_conformance(tmp_path, kind):
+    """AP3ESM and EnsembleRun expose one session surface: init /
+    step_coupling / run_couplings / n_couplings / has_checkpoint /
+    checkpoint / recover / save_restart / pool_stats / finalize."""
+    session, prefixes = _session(kind, tmp_path / "ckpt")
+    session.init()
+    assert session.pool_stats() is None  # serial backend
+    assert session.has_checkpoint() is False
+    session.step_coupling()
+    session.checkpoint()
+    assert session.has_checkpoint() is True
+    session.run_couplings(2)
+    assert session.n_couplings == 3
+    session.recover()
+    assert session.n_couplings == 1
+    session.run_couplings(5)
+    session.save_restart(tmp_path / "rst")
+    for prefix in prefixes:
+        for name in ("atm", "ocn", "ice", "lnd", "cpl"):
+            assert (tmp_path / "rst" / f"{prefix}{name}").is_dir()
+
+    # One loop, neutral when armed but idle: `spare` with no fault ends
+    # bitwise-equal to the `abort` run above.
+    armed, _ = _session(kind, tmp_path / "armed", policy="spare")
+    armed.init()
+    armed.run_couplings(6)
+    for got, want in zip(_session_state(armed), _session_state(session)):
+        _assert_state_equal(want, got)
+    session.finalize()
+    armed.finalize()

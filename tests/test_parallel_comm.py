@@ -170,6 +170,17 @@ def test_unknown_reduce_op_raises():
     with pytest.raises(RuntimeError, match="rank 0 failed"):
         SimWorld(2).run(program)
 
+    # A sub-communicator rejects it the same way: ValueError on every
+    # rank (non-root reduce included) before anything is exchanged.
+    def sub_program(comm):
+        sub = comm.split(0)
+        for call in (sub.allreduce, sub.reduce):
+            with pytest.raises(ValueError, match="unknown reduce op 'xor'"):
+                call(1.0, op="xor")
+        return True
+
+    assert all(SimWorld(2, timeout=5.0).run(sub_program))
+
 
 def test_exception_propagates_with_rank():
     def program(comm):

@@ -516,6 +516,55 @@ class TestCoupledResilience:
         assert np.array_equal(reference.ocn.t, revived.ocn.t)
         assert reference.clock.time == revived.clock.time
 
+    @pytest.mark.parametrize("concurrent", [True, False],
+                             ids=["concurrent", "serial"])
+    def test_dead_ocean_launch_never_reaches_the_rotation(self, tmp_path, concurrent):
+        """An ocean unit that dies inside its first launch stays latent in
+        its TaskHandle until the next publish (lagged coupling); the
+        cadence checkpoint must surface it instead of writing a set that
+        contains an un-stepped ocean."""
+        from repro.esm import AP3ESM, AP3ESMConfig
+
+        def config(directory):
+            return AP3ESMConfig(
+                atm_level=2, ocn_nlon=32, ocn_nlat=24, ocn_levels=4,
+                concurrent_domains=concurrent,
+                resilience=ResilienceConfig(
+                    enabled=True, guard_physics=False, recovery_policy="abort",
+                    checkpoint_every=1, checkpoint_dir=str(directory)))
+
+        model = AP3ESM(config(tmp_path / "faulted"))
+        model.init()
+
+        def dying_step(dt):
+            raise RuntimeError("ocean unit died")
+
+        model.ocn.step = dying_step
+        with pytest.raises(RuntimeError, match="ocean unit died"):
+            model.run_couplings(12)
+        model.scheduler.shutdown()
+        # The first launch is made by the step that completes coupling
+        # `ocn_couple_ratio`: the failure surfaces no later than that
+        # step's cadence checkpoint ...
+        launch = model.config.ocn_couple_ratio
+        assert model.n_couplings <= launch
+        # ... and every set left in the rotation predates it.
+        steps = [model.checkpoints.step_of(c)
+                 for c in model.checkpoints.checkpoints()]
+        assert steps and max(steps) < launch
+
+        revived = AP3ESM(config(tmp_path / "faulted"))
+        revived.init()
+        revived.recover()
+        twin = AP3ESM(config(tmp_path / "twin"))
+        twin.init()
+        twin.run_couplings(revived.n_couplings)
+        for got, want in zip(revived.components, twin.components):
+            for key, value in want.state().items():
+                assert np.array_equal(got.state()[key], value), (got.name, key)
+        revived.finalize()
+        twin.finalize()
+
     def test_chaos_end_to_end(self, tmp_path):
         from repro.resilience.chaos import run_chaos
 
