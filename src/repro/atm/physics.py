@@ -188,7 +188,7 @@ class ConventionalPhysics:
         surface-intensified diffusivity (reuses the same tridiagonal
         machinery as the ocean's Canuto scheme — one substrate, two
         components)."""
-        from ..ocn.mixing import implicit_vertical_diffusion
+        from ..ocn.mixing import ColumnDiffusion
 
         prm = self.params
         p = state.p
@@ -211,11 +211,10 @@ class ConventionalPhysics:
         ) * ramp
         kappa = np.tile(k_iface[:, None], (1, state.ncol))
 
-        out = []
-        for field_ in (state.u, state.v, state.t, state.q):
-            mixed = implicit_vertical_diffusion(field_.T.copy(), kappa, dz, dt_s)
-            out.append((mixed.T - field_) / dt_s)
-        return tuple(out)  # type: ignore[return-value]
+        column = ColumnDiffusion(dz)
+        factors = column.factor(kappa, dt_s)  # one coefficient set, four right-hand sides
+        fields = (state.u, state.v, state.t, state.q)
+        return tuple((column.solve(factors, f.T.copy()).T - f) / dt_s for f in fields)  # type: ignore[return-value]
 
     # -- the full suite -------------------------------------------------------
 

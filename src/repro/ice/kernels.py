@@ -2,7 +2,7 @@
 
 The slab energy balance of :meth:`CiceModel._thermodynamics` is pointwise
 over the (nlat, nlon) ocean surface, so it ports directly onto a tiled
-``MDRangePolicy`` launch — one tile per CPE/thread block, ``np.ix_``
+``MDRangePolicy`` launch — one tile per CPE/thread block, slice-view
 indexing, bit-identical to the whole-array reference because every point
 is independent.  The free-drift dynamics stay in plain numpy: their
 upwind stencils read neighbours across tile boundaries, which the
@@ -44,7 +44,11 @@ def thermo_kernel(
     h_min: float,
 ) -> None:
     """Slab energy balance on one (nlat, nlon) tile."""
-    sl = np.ix_(yi, xi)
+    if all(len(i) and (np.diff(i) == 1).all() for i in (yi, xi)):
+        # A tile is two contiguous ranges: views move the same bytes, no gather / scatter copy.
+        sl = (slice(yi[0], yi[-1] + 1), slice(xi[0], xi[-1] + 1))
+    else:
+        sl = np.ix_(yi, xi)
     th = thickness[sl]
     cn = concentration[sl]
     ts = tsurf[sl]

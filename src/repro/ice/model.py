@@ -20,7 +20,7 @@ import numpy as np
 
 from ..component import ComponentBase
 from ..grids.tripolar import TripolarGrid
-from ..ocn.metrics import CGridMetrics
+from ..ocn.metrics import CGridMetrics, face_divergence, shift_x, shift_y
 from .kernels import run_thermodynamics, thermo_kernel
 
 __all__ = ["CiceConfig", "CiceModel"]
@@ -156,15 +156,9 @@ class CiceModel(ComponentBase):
 
         for name in ("thickness", "concentration"):
             c = getattr(self, name)
-            east = np.roll(c, -1, axis=1)
-            c_up_u = np.where(u > 0, c, east)
-            flux_u = u * c_up_u * m.ly_east
-            north = np.vstack([c[1:], c[-1:]])
-            c_up_v = np.where(v > 0, c, north)
-            flux_v = v * c_up_v * m.lx_north
-            fv_south = np.vstack([np.zeros((1, c.shape[1])), flux_v[:-1]])
-            div = (flux_u - np.roll(flux_u, 1, axis=1)) + (flux_v - fv_south)
-            c_new = c - dt * div / m.area
+            flux_u = u * np.where(u > 0, c, shift_x(c, 1)) * m.ly_east
+            flux_v = v * np.where(v > 0, c, shift_y(c, 1)) * m.lx_north
+            c_new = c - dt * face_divergence(flux_u, flux_v) / m.area
             setattr(self, name, np.where(self.grid.mask, np.maximum(c_new, 0.0), 0.0))
         self.concentration = np.clip(self.concentration, 0.0, 1.0)
 

@@ -13,6 +13,7 @@ from .compress import (
 )
 from .metrics import CGridMetrics, divergence_c, grad_x, grad_y
 from .mixing import (
+    ColumnDiffusion,
     MixingParams,
     canuto_kappa,
     implicit_vertical_diffusion,
@@ -36,6 +37,7 @@ __all__ = [
     "richardson_number",
     "canuto_kappa",
     "implicit_vertical_diffusion",
+    "ColumnDiffusion",
     "Compressor",
     "compressed_equals_full",
     "wet_partition",

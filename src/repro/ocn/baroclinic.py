@@ -23,8 +23,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..utils.units import GRAVITY, RHO_OCEAN
-from .metrics import CGridMetrics, grad_x, grad_y
-from .mixing import MixingParams, canuto_kappa, implicit_vertical_diffusion, richardson_number
+from .metrics import CGridMetrics, CoriolisRotation, grad_x, grad_y, level_slabs, neighbour_sum
+from .mixing import ColumnDiffusion, MixingParams, column_kappa
 
 __all__ = ["linear_eos", "BaroclinicSolver"]
 
@@ -53,27 +53,30 @@ class BaroclinicSolver:
     mixing: MixingParams = field(default_factory=MixingParams)
 
     def __post_init__(self) -> None:
-        if self.mask3d.shape[1:] != self.metrics.shape:
-            raise ValueError("mask3d must match the horizontal grid")
-        if self.dz.shape[0] != self.mask3d.shape[0]:
-            raise ValueError("dz must have one entry per level")
-        m = self.metrics
-        self.mask_u3 = self.mask3d & np.roll(self.mask3d, -1, axis=2)
-        mv = np.zeros_like(self.mask3d)
-        mv[:, :-1] = self.mask3d[:, :-1] & self.mask3d[:, 1:]
-        self.mask_v3 = mv
-        self.mask_u3 &= m.mask_u[None, :, :]
-        self.mask_v3 &= m.mask_v[None, :, :]
+        self.mask_u3, self.mask_v3 = self.metrics.face_masks(self.mask3d, self.dz)
+        self.rotation = CoriolisRotation(self.metrics)
+        # u and v share Ri/kappa but not the mask: one factorisation each.
+        self.friction_u = ColumnDiffusion(self.dz, self.mask_u3)
+        self.friction_v = ColumnDiffusion(self.dz, self.mask_v3)
 
     # -- pieces ---------------------------------------------------------------
 
+    def density_pressure(self, t: np.ndarray, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(rho, p): density and the hydrostatic pressure anomaly (Pa) at
+        level centers, p_k = g * (sum of anomalies above + half of own
+        layer), as a running sum over levels (the adds of ``np.cumsum``)."""
+        rho, p = np.empty_like(t), np.empty_like(t)
+        for k in range(t.shape[0]):
+            rho[k] = linear_eos(t[k], s[k])
+            rho_anom = rho[k] - RHO_OCEAN
+            weight = rho_anom * self.dz[k]
+            cum = cum + weight if k else weight
+            p[k] = GRAVITY * (cum - 0.5 * rho_anom * self.dz[k])
+        return rho, p
+
     def pressure(self, t: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Hydrostatic pressure anomaly (Pa) at level centers."""
-        rho_anom = linear_eos(t, s) - RHO_OCEAN
-        dz = self.dz.reshape(-1, 1, 1)
-        # Pressure at center k: g * (sum of anomalies above + half of own layer).
-        cum = np.cumsum(rho_anom * dz, axis=0)
-        return GRAVITY * (cum - 0.5 * rho_anom * dz)
+        return self.density_pressure(t, s)[1]
 
     def step(
         self,
@@ -87,73 +90,31 @@ class BaroclinicSolver:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Advance (u, v) one baroclinic substep; returns new (u, v)."""
         m = self.metrics
-        p = self.pressure(t, s)
-
-        # Pressure-gradient acceleration per level.
-        du = np.stack([-grad_x(m, p[k]) / RHO_OCEAN for k in range(p.shape[0])])
-        dv = np.stack([-grad_y(m, p[k]) / RHO_OCEAN for k in range(p.shape[0])])
-
-        # Horizontal Laplacian friction (5-point, masked).
-        du += self.horizontal_viscosity * self._laplacian(u, self.mask_u3)
-        dv += self.horizontal_viscosity * self._laplacian(v, self.mask_v3)
-
-        # Surface stress enters the top layer; bottom drag the deepest wet layer.
-        if taux is not None:
-            du[0] += np.where(m.mask_u, taux / (RHO_OCEAN * self.dz[0]), 0.0)
-        if tauy is not None:
-            dv[0] += np.where(m.mask_v, tauy / (RHO_OCEAN * self.dz[0]), 0.0)
-        du -= self.bottom_drag * u
-        dv -= self.bottom_drag * v
-
-        u_star = u + dt * du
-        v_star = v + dt * dv
-
-        # Semi-implicit Coriolis rotation per level.
-        f_u = 0.5 * (m.f_c + np.roll(m.f_c, -1, axis=1))
-        f_v = np.zeros_like(m.f_c)
-        f_v[:-1] = 0.5 * (m.f_c[:-1] + m.f_c[1:])
-        fdt_u = (f_u * dt)[None]
-        fdt_v = (f_v * dt)[None]
-        v_at_u = self._v_to_u(v_star)
-        u_at_v = self._u_to_v(u_star)
-        u_new = (u_star + fdt_u * v_at_u) / (1.0 + fdt_u**2)
-        v_new = (v_star - fdt_v * u_at_v) / (1.0 + fdt_v**2)
+        rho, p = self.density_pressure(t, s)
+        u_new, v_new = np.empty_like(u), np.empty_like(v)
+        for sl in level_slabs(u.shape):
+            # Pressure-gradient acceleration + horizontal Laplacian friction.
+            du = -grad_x(m, p[sl]) / RHO_OCEAN
+            dv = -grad_y(m, p[sl]) / RHO_OCEAN
+            du += self.horizontal_viscosity * self._laplacian(u[sl], self.mask_u3[sl])
+            dv += self.horizontal_viscosity * self._laplacian(v[sl], self.mask_v3[sl])
+            # Surface stress enters the top layer; Rayleigh drag every level.
+            if sl.start == 0 and taux is not None:
+                du[0] += np.where(m.mask_u, taux / (RHO_OCEAN * self.dz[0]), 0.0)
+            if sl.start == 0 and tauy is not None:
+                dv[0] += np.where(m.mask_v, tauy / (RHO_OCEAN * self.dz[0]), 0.0)
+            du -= self.bottom_drag * u[sl]
+            dv -= self.bottom_drag * v[sl]
+            u_new[sl], v_new[sl] = self.rotation(u[sl] + dt * du, v[sl] + dt * dv, dt)
 
         # Implicit vertical friction with the Canuto-like coefficient.
-        rho = linear_eos(t, s)
-        ri = richardson_number(rho, u_new, v_new, self.dz, self.mixing)
-        kappa = canuto_kappa(ri, self.mixing)
-        u_new = implicit_vertical_diffusion(u_new, kappa, self.dz, dt, self.mask_u3)
-        v_new = implicit_vertical_diffusion(v_new, kappa, self.dz, dt, self.mask_v3)
-
-        u_new = np.where(self.mask_u3, u_new, 0.0)
-        v_new = np.where(self.mask_v3, v_new, 0.0)
-        return u_new, v_new
-
-    # -- helpers -----------------------------------------------------------------
+        kappa = column_kappa(rho, u_new, v_new, self.dz, self.mixing)
+        u_new = self.friction_u.solve(self.friction_u.factor(kappa, dt), u_new)
+        v_new = self.friction_v.solve(self.friction_v.factor(kappa, dt), v_new)
+        return np.where(self.mask_u3, u_new, 0.0), np.where(self.mask_v3, v_new, 0.0)
 
     def _laplacian(self, f: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Masked 5-point Laplacian with metric scaling (per level)."""
-        m = self.metrics
         fm = np.where(mask, f, 0.0)
-        east = np.roll(fm, -1, axis=2)
-        west = np.roll(fm, 1, axis=2)
-        north = np.concatenate([fm[:, 1:], fm[:, -1:]], axis=1)
-        south = np.concatenate([fm[:, :1], fm[:, :-1]], axis=1)
-        scale = (0.5 * (m.dxu + m.dyv)) ** 2
-        lap = (east + west + north + south - 4.0 * fm) / scale[None]
+        lap = (neighbour_sum(fm) - 4.0 * fm) / self.metrics.lap_scale
         return np.where(mask, lap, 0.0)
-
-    @staticmethod
-    def _v_to_u(v: np.ndarray) -> np.ndarray:
-        v_south = np.concatenate([np.zeros_like(v[:, :1]), v[:, :-1]], axis=1)
-        east = np.roll(v, -1, axis=2)
-        east_south = np.roll(v_south, -1, axis=2)
-        return 0.25 * (v + v_south + east + east_south)
-
-    @staticmethod
-    def _u_to_v(u: np.ndarray) -> np.ndarray:
-        west = np.roll(u, 1, axis=2)
-        north = np.concatenate([u[:, 1:], u[:, -1:]], axis=1)
-        north_west = np.roll(north, 1, axis=2)
-        return 0.25 * (u + west + north + north_west)

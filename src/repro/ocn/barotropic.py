@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..utils.units import GRAVITY, RHO_OCEAN
-from .metrics import CGridMetrics, divergence_c, grad_x, grad_y
+from .metrics import CGridMetrics, CoriolisRotation, divergence_c, grad_x, grad_y, shift_x, shift_y
 
 __all__ = ["BarotropicState", "BarotropicSolver"]
 
@@ -73,11 +73,13 @@ class BarotropicSolver:
         # Face depths: minimum of adjacent columns (no flow through sills
         # shallower than either side's bathymetry).
         d = self.depth
-        east = np.roll(d, -1, axis=1)
-        self.h_u = np.where(m.mask_u, np.minimum(d, east), 0.0)
-        h_v = np.zeros_like(d)
-        h_v[:-1] = np.minimum(d[:-1], d[1:])
-        self.h_v = np.where(m.mask_v, h_v, 0.0)
+        self.h_u = np.where(m.mask_u, np.minimum(d, shift_x(d, 1)), 0.0)
+        self.h_v = np.where(m.mask_v, np.minimum(d, shift_y(d, 1)), 0.0)
+        # Frozen per solver; stress is spread over at least 1 m of water.
+        self._hu_stress = RHO_OCEAN * np.maximum(self.h_u, 1.0)
+        self._hv_stress = RHO_OCEAN * np.maximum(self.h_v, 1.0)
+        self._area_sum = np.sum(m.area)
+        self.rotation = CoriolisRotation(m)
 
     # -- stepping ------------------------------------------------------------
 
@@ -101,37 +103,17 @@ class BarotropicSolver:
         eta_new = eta - dt * divergence_c(m, flux_u, flux_v)
         eta_new = np.where(m.mask_c, eta_new, 0.0)
 
-        # Coriolis parameters averaged to the staggered faces.
-        f_u = 0.5 * (m.f_c + np.roll(m.f_c, -1, axis=1))
-        f_v = np.zeros_like(m.f_c)
-        f_v[:-1] = 0.5 * (m.f_c[:-1] + m.f_c[1:])
-
-        gx = grad_x(m, eta_new)
-        gy = grad_y(m, eta_new)
-        hu = np.maximum(self.h_u, 1.0)
-        hv = np.maximum(self.h_v, 1.0)
-        du = -GRAVITY * gx - self.drag * u
-        dv = -GRAVITY * gy - self.drag * v
+        du = -GRAVITY * grad_x(m, eta_new) - self.drag * u
+        dv = -GRAVITY * grad_y(m, eta_new) - self.drag * v
         if taux is not None:
-            du = du + np.where(m.mask_u, taux / (RHO_OCEAN * hu), 0.0)
+            du = du + np.where(m.mask_u, taux / self._hu_stress, 0.0)
         if tauy is not None:
-            dv = dv + np.where(m.mask_v, tauy / (RHO_OCEAN * hv), 0.0)
+            dv = dv + np.where(m.mask_v, tauy / self._hv_stress, 0.0)
 
-        # Semi-implicit Coriolis rotation: explicit (forward) Coriolis is
-        # unconditionally unstable; the implicit 2x2 rotation
-        #   (u, v) <- (u* + f dt v*, v* - f dt u*) / (1 + (f dt)^2)
-        # is neutrally stable for pure inertial motion.
-        u_star = u + dt * du
-        v_star = v + dt * dv
-        fdt_u = f_u * dt
-        fdt_v = f_v * dt
-        v_star_at_u = self._v_to_u(v_star)
-        u_star_at_v = self._u_to_v(u_star)
-        u_new = (u_star + fdt_u * v_star_at_u) / (1.0 + fdt_u**2)
-        v_new = (v_star - fdt_v * u_star_at_v) / (1.0 + fdt_v**2)
+        u_new, v_new = self.rotation(u + dt * du, v + dt * dv, dt)
         u_new = np.where(m.mask_u, u_new, 0.0)
         v_new = np.where(m.mask_v, v_new, 0.0)
-        norm = float(np.sqrt(np.sum(m.area * eta_new**2) / np.sum(m.area)))
+        norm = float(np.sqrt(np.sum(m.area * eta_new**2) / self._area_sum))
         return BarotropicState(eta_new, u_new, v_new), norm
 
     def max_stable_dt(self, cfl: float = 0.7) -> float:
@@ -156,21 +138,3 @@ class BarotropicSolver:
         ke_u = 0.5 * self.h_u * state.u**2
         ke_v = 0.5 * self.h_v * state.v**2
         return float(np.sum(m.area * (ke_u + ke_v)))
-
-    # -- staggering helpers ----------------------------------------------------------
-
-    @staticmethod
-    def _v_to_u(v: np.ndarray) -> np.ndarray:
-        """Average v (north faces) to u points (east faces): the four
-        surrounding v faces of cell pair (j,i),(j,i+1)."""
-        v_south = np.vstack([np.zeros((1, v.shape[1])), v[:-1]])
-        east = np.roll(v, -1, axis=1)
-        east_south = np.roll(v_south, -1, axis=1)
-        return 0.25 * (v + v_south + east + east_south)
-
-    @staticmethod
-    def _u_to_v(u: np.ndarray) -> np.ndarray:
-        west = np.roll(u, 1, axis=1)
-        north = np.vstack([u[1:], u[-1:]])
-        north_west = np.roll(north, 1, axis=1)
-        return 0.25 * (u + west + north + north_west)

@@ -28,9 +28,9 @@ import numpy as np
 
 from ..pp import ExecutionSpace, KernelRegistry, parallel_for
 from ..utils.units import GRAVITY, RHO_OCEAN
-from .baroclinic import RHO_ALPHA, RHO_BETA, S_REF, T_REF
+from .baroclinic import linear_eos
 from .compress import Compressor
-from .mixing import MixingParams
+from .mixing import MixingParams, canuto_kappa
 
 __all__ = [
     "OCEAN_KERNELS",
@@ -46,7 +46,7 @@ __all__ = [
 
 def eos_kernel(idx: np.ndarray, rho: np.ndarray, t: np.ndarray, s: np.ndarray) -> None:
     """rho = rho0 (1 - alpha (T - T0) + beta (S - S0)) on flat points."""
-    rho[idx] = RHO_OCEAN * (1.0 - RHO_ALPHA * (t[idx] - T_REF) + RHO_BETA * (s[idx] - S_REF))
+    rho[idx] = linear_eos(t[idx], s[idx])
 
 
 def canuto_kernel(
@@ -60,9 +60,8 @@ def canuto_kernel(
     power: float,
 ) -> None:
     """Richardson-closure mixing coefficient on flat interface points."""
-    r = ri[idx]
-    stable = kappa_background + kappa_0 / (1.0 + np.maximum(r, 0.0) / ri_critical) ** power
-    kappa[idx] = np.where(r < 0.0, kappa_max, stable)
+    params = MixingParams(kappa_background, kappa_0, kappa_max, ri_critical, power)
+    kappa[idx] = canuto_kappa(ri[idx], params)
 
 
 def baroclinic_pressure_kernel(
@@ -161,9 +160,7 @@ def run_pressure(
     """
     reg = registry if registry is not None else OCEAN_KERNELS
     nlev = t.shape[0]
-    rho_anom = (
-        RHO_OCEAN * (1.0 - RHO_ALPHA * (t - T_REF) + RHO_BETA * (s - S_REF)) - RHO_OCEAN
-    )
+    rho_anom = linear_eos(t, s) - RHO_OCEAN
     cols = rho_anom.reshape(nlev, -1).T.copy()  # (ncol, nlev)
     p = np.zeros_like(cols)
     handle = reg.register(baroclinic_pressure_kernel)

@@ -17,14 +17,28 @@ parallel halo layer (see DESIGN.md, "Known simplifications").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from functools import cached_property
+from typing import List, Tuple
 
 import numpy as np
 
 from ..grids.sphere import arc_length
 from ..grids.tripolar import TripolarGrid
 
-__all__ = ["CGridMetrics", "divergence_c", "grad_x", "grad_y"]
+__all__ = ["CGridMetrics", "CoriolisRotation", "divergence_c", "face_divergence", "grad_x", "grad_y",
+           "level_slabs", "neighbour_sum", "shift_x", "shift_y", "south_zero"]
+
+#: Elements per level slab of the horizontal-stencil phases: an elementwise
+#: numpy op costs ~0.5 ns/element while its operands stay in L2 and ~1 ns on
+#: a whole 144x96x12 box (cost-vs-size table in PERFORMANCE.md, PR 23).
+SLAB_ELEMENTS = 48_000
+
+
+def level_slabs(shape: Tuple[int, ...]) -> List[slice]:
+    """Slices cutting a (nlev, nlat, nlon) box into runs of whole levels of
+    at most :data:`SLAB_ELEMENTS` elements (at least one level) each."""
+    per = max(1, SLAB_ELEMENTS // (shape[1] * shape[2]))
+    return [slice(k, k + per) for k in range(0, shape[0], per)]
 
 
 @dataclass
@@ -98,6 +112,87 @@ class CGridMetrics:
     def shape(self) -> Tuple[int, int]:
         return self.area.shape
 
+    # -- frozen tables, built on first use (the idiom of ``grid.trsk_tables``) --
+
+    @cached_property
+    def lap_scale(self) -> np.ndarray:
+        """Squared mean spacing dividing every 5-point Laplacian."""
+        return (0.5 * (self.dxu + self.dyv)) ** 2
+
+    def face_masks(self, mask3d: np.ndarray, dz: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(east, north) open-face masks of a level stack: (nlev, nlat, nlon)
+        wet mask ``mask3d``, (nlev,) thicknesses ``dz``."""
+        if mask3d.shape[1:] != self.shape:
+            raise ValueError("mask3d must match the horizontal grid")
+        if dz.shape[0] != mask3d.shape[0]:
+            raise ValueError("dz must have one entry per level")
+        mask_u3 = mask3d & shift_x(mask3d, 1) & self.mask_u
+        mask_v3 = np.zeros_like(mask3d)
+        mask_v3[:, :-1] = mask3d[:, :-1] & mask3d[:, 1:]
+        return mask_u3, mask_v3 & self.mask_v
+
+
+def shift_x(a: np.ndarray, k: int) -> np.ndarray:
+    """Value at column i+k of (..., nlat, nlon), periodic: ``np.roll(a, -k,
+    -1)`` as one concatenate (half the cost of ``roll`` on a level)."""
+    return np.concatenate([a[..., k:], a[..., :k]], axis=-1)
+
+
+def shift_y(a: np.ndarray, k: int) -> np.ndarray:
+    """Value at row j+k (k != 0), clamped at the closed y boundaries."""
+    if k > 0:
+        return np.concatenate([a[..., k:, :]] + [a[..., -1:, :]] * k, axis=-2)
+    return np.concatenate([a[..., :1, :]] * -k + [a[..., :k, :]], axis=-2)
+
+
+def south_zero(a: np.ndarray) -> np.ndarray:
+    """Value at row j-1, zero below the closed south edge (a face flux or
+    velocity through the edge)."""
+    return np.concatenate([np.zeros_like(a[..., :1, :]), a[..., :-1, :]], axis=-2)
+
+
+def neighbour_sum(f: np.ndarray) -> np.ndarray:
+    """east + west + north + south of (..., nlat, nlon)."""
+    return shift_x(f, 1) + shift_x(f, -1) + shift_y(f, 1) + shift_y(f, -1)
+
+
+def face_divergence(flux_u: np.ndarray, flux_v: np.ndarray) -> np.ndarray:
+    """Net outflow of every cell from its east- and north-face transports."""
+    return (flux_u - shift_x(flux_u, -1)) + (flux_v - south_zero(flux_v))
+
+
+class CoriolisRotation:
+    """Semi-implicit Coriolis rotation of (..., nlat, nlon) face velocities,
+
+        (u, v) <- (u* + f dt v*, v* - f dt u*) / (1 + (f dt)^2),
+
+    neutrally stable for pure inertial motion (explicit forward Coriolis is
+    unconditionally unstable).  The factors are memoised on the last ``dt``:
+    each solver owns one instance and steps at one ``dt``."""
+
+    def __init__(self, metrics: CGridMetrics) -> None:
+        self.metrics = metrics
+        self._dt: float | None = None
+
+    def tables(self, dt: float) -> Tuple[np.ndarray, ...]:
+        """(f_u dt, f_v dt, 1 + (f_u dt)^2, 1 + (f_v dt)^2), f averaged to
+        the east / north faces (zero on the closed seam row)."""
+        if dt != self._dt:
+            f_c = self.metrics.f_c
+            f_v = np.zeros_like(f_c)
+            f_v[:-1] = 0.5 * (f_c[:-1] + f_c[1:])
+            fdt_u, fdt_v = 0.5 * (f_c + shift_x(f_c, 1)) * dt, f_v * dt
+            self._dt, self._tables = dt, (fdt_u, fdt_v, 1.0 + fdt_u**2, 1.0 + fdt_v**2)
+        return self._tables
+
+    def __call__(self, u_star: np.ndarray, v_star: np.ndarray, dt: float):
+        fdt_u, fdt_v, den_u, den_v = self.tables(dt)
+        # Each face takes the mean of the four faces of the other kind around it.
+        v_south, u_north = south_zero(v_star), shift_y(u_star, 1)
+        v_at_u = 0.25 * (v_star + v_south + shift_x(v_star, 1) + shift_x(v_south, 1))
+        u_at_v = 0.25 * (u_star + shift_x(u_star, -1) + u_north + shift_x(u_north, -1))
+        return (u_star + fdt_u * v_at_u) / den_u, (v_star - fdt_v * u_at_v) / den_v
+
 
 def divergence_c(m: CGridMetrics, flux_u: np.ndarray, flux_v: np.ndarray) -> np.ndarray:
     """Divergence at centers of face-normal *transports* (m^3/s per face).
@@ -108,18 +203,17 @@ def divergence_c(m: CGridMetrics, flux_u: np.ndarray, flux_v: np.ndarray) -> np.
     """
     fu = np.where(m.mask_u, flux_u, 0.0)
     fv = np.where(m.mask_v, flux_v, 0.0)
-    div = (fu - np.roll(fu, 1, axis=1)) + (fv - np.vstack([np.zeros((1, fv.shape[1])), fv[:-1]]))
-    return np.where(m.mask_c, div / m.area, 0.0)
+    return np.where(m.mask_c, face_divergence(fu, fv) / m.area, 0.0)
 
 
 def grad_x(m: CGridMetrics, phi: np.ndarray) -> np.ndarray:
     """x-gradient at east faces: (phi[j,i+1] - phi[j,i]) / dxu (periodic)."""
-    g = (np.roll(phi, -1, axis=1) - phi) / m.dxu
+    g = (shift_x(phi, 1) - phi) / m.dxu
     return np.where(m.mask_u, g, 0.0)
 
 
 def grad_y(m: CGridMetrics, phi: np.ndarray) -> np.ndarray:
     """y-gradient at north faces: (phi[j+1,i] - phi[j,i]) / dyv."""
     g = np.zeros_like(phi)
-    g[:-1] = (phi[1:] - phi[:-1]) / m.dyv[:-1]
+    g[..., :-1, :] = (phi[..., 1:, :] - phi[..., :-1, :]) / m.dyv[:-1]
     return np.where(m.mask_v, g, 0.0)

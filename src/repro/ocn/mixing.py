@@ -13,17 +13,26 @@ Vertical diffusion is applied *implicitly* (tridiagonal Thomas solve,
 vectorized over all columns) because the mixed-layer kappa at km-scale
 stratification makes explicit diffusion unconditionally impractical — the
 same reason LICOM solves it implicitly.
+
+The column phases are streamed one level / interface at a time on 2-D
+slices that stay in cache, and the solve is split into *factor* (all that
+depends on ``kappa``, ``dz``, ``dt`` and the mask) and *solve* (one
+right-hand side), so fields with one coefficient set (T and S; U, V, T, Q
+in the atmosphere's boundary layer) share a factorisation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..utils.units import GRAVITY, RHO_OCEAN
 
-__all__ = ["MixingParams", "richardson_number", "canuto_kappa", "implicit_vertical_diffusion"]
+__all__ = ["MixingParams", "richardson_number", "canuto_kappa", "column_kappa",
+           "ColumnDiffusion", "implicit_vertical_diffusion"]
 
 
 @dataclass(frozen=True)
@@ -45,7 +54,6 @@ def richardson_number(
     (nlev-1, ...) at the interfaces between adjacent levels (interface k
     sits between levels k and k+1, k increasing downward).
     """
-    params = params or MixingParams()
     dzi = 0.5 * (dz[:-1] + dz[1:])
     shape = (-1,) + (1,) * (rho.ndim - 1)
     dzi = dzi.reshape(shape)
@@ -63,6 +71,75 @@ def canuto_kappa(ri: np.ndarray, params: MixingParams | None = None) -> np.ndarr
     return np.where(ri < 0.0, p.kappa_max, stable)
 
 
+def column_kappa(
+    rho: np.ndarray, u: np.ndarray, v: np.ndarray, dz: np.ndarray, params: MixingParams
+) -> np.ndarray:
+    """``canuto_kappa(richardson_number(...))`` streamed one interface at a
+    time (two-level windows of the inputs): (nlev-1, ...) diffusivities."""
+    kappa = np.empty((rho.shape[0] - 1,) + rho.shape[1:])
+    for k in range(kappa.shape[0]):
+        w = slice(k, k + 2)
+        kappa[k] = canuto_kappa(richardson_number(rho[w], u[w], v[w], dz[w], params), params)[0]
+    return kappa
+
+
+@dataclass
+class ColumnDiffusion:
+    """Backward-Euler vertical diffusion on a fixed column geometry.
+
+    ``dz`` is the (nlev,) layer thicknesses; with the optional (nlev, ...)
+    wet mask ``mask3d`` diffusion never crosses the bathymetry (kappa is
+    zeroed at interfaces touching dry cells) and dry cells are returned
+    unchanged.  The Thomas algorithm runs level by level with all columns
+    vectorized — the layout real models use on GPUs.  The off-diagonals are
+    held by magnitude (``a = -lower``, ``c = -upper``): ``x - (-l) * y`` is
+    the IEEE operation ``x + l * y``, bit for bit the signed textbook form.
+    """
+
+    dz: np.ndarray
+    mask3d: Optional[np.ndarray] = None
+
+    @cached_property
+    def _geometry(self) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """dz_k dzi_k above and dz_{k+1} dzi_k below interface k; wet pairs."""
+        dzi = 0.5 * (self.dz[:-1] + self.dz[1:])
+        wet = None if self.mask3d is None else self.mask3d[:-1] & self.mask3d[1:]
+        return self.dz[:-1] * dzi, self.dz[1:] * dzi, wet
+
+    def factor(self, kappa: np.ndarray, dt: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lower, denom, cp) of the forward sweep for the (nlev-1, ...)
+        interface diffusivities; flux coupling dt kappa_k / (dz_k dzi_k)."""
+        if dt <= 0:
+            raise ValueError("dt must be positive")
+        nlev = self.dz.shape[0]
+        if kappa.shape[0] != nlev - 1:
+            raise ValueError("kappa must live on the nlev-1 interior interfaces")
+        above, below, wet = self._geometry
+        lower, denom, cp = (np.zeros((nlev,) + kappa.shape[1:]) for _ in range(3))
+        for k in range(nlev):
+            upper = 0.0  # nothing below the deepest level, as lower[0] above the first
+            if k < nlev - 1:
+                dtk = dt * (kappa[k] if wet is None else np.where(wet[k], kappa[k], 0.0))
+                upper, lower[k + 1] = dtk / above[k], dtk / below[k]
+            denom[k] = 1.0 + lower[k] + upper - lower[k] * cp[k - 1]
+            cp[k] = upper / denom[k]
+        return lower, denom, cp
+
+    def solve(self, factors: Tuple[np.ndarray, ...], field: np.ndarray) -> np.ndarray:
+        """One right-hand side: the (nlev, ...) field after the implicit step."""
+        lower, denom, cp = factors
+        out = np.empty_like(field)
+        out[0] = field[0] / denom[0]
+        for k in range(1, len(out)):
+            out[k] = (field[k] + lower[k] * out[k - 1]) / denom[k]
+        for k in range(len(out) - 2, -1, -1):
+            out[k] = out[k] + cp[k] * out[k + 1]
+        if self.mask3d is not None:
+            for k in range(len(out)):
+                out[k] = np.where(self.mask3d[k], out[k], field[k])
+        return out
+
+
 def implicit_vertical_diffusion(
     field: np.ndarray,
     kappa: np.ndarray,
@@ -70,62 +147,7 @@ def implicit_vertical_diffusion(
     dt: float,
     mask3d: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Backward-Euler vertical diffusion, tridiagonal solve per column.
-
-    Parameters
-    ----------
-    field:
-        (nlev, ...) level values (T, S, u, or v).
-    kappa:
-        (nlev-1, ...) interface diffusivities.
-    dz:
-        (nlev,) layer thicknesses.
-    dt:
-        Time step (s).
-    mask3d:
-        Optional (nlev, ...) wet mask; diffusion never crosses the
-        bathymetry (kappa is zeroed at interfaces touching dry cells), and
-        dry cells are returned unchanged.
-
-    The Thomas algorithm runs level-by-level (nlev is small) with all
-    columns vectorized — the layout real models use on GPUs.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    nlev = field.shape[0]
-    if kappa.shape[0] != nlev - 1:
-        raise ValueError("kappa must live on the nlev-1 interior interfaces")
-    if mask3d is not None:
-        wet_pair = mask3d[:-1] & mask3d[1:]
-        kappa = np.where(wet_pair, kappa, 0.0)
-
-    dz_col = dz.reshape((-1,) + (1,) * (field.ndim - 1))
-    dzi = 0.5 * (dz_col[:-1] + dz_col[1:])
-    # Flux coupling coefficients c_k = dt * kappa_k / (dz_k * dzi_k).
-    upper = np.zeros_like(field)   # coefficient coupling level k to k+1
-    lower = np.zeros_like(field)   # coupling level k to k-1
-    upper[:-1] = dt * kappa / (dz_col[:-1] * dzi)
-    lower[1:] = dt * kappa / (dz_col[1:] * dzi)
-
-    a = -lower                       # sub-diagonal
-    b = 1.0 + lower + upper          # diagonal
-    c = -upper                       # super-diagonal
-    d = field.copy()
-
-    # Thomas forward sweep.
-    cp = np.zeros_like(field)
-    dp = np.zeros_like(field)
-    cp[0] = c[0] / b[0]
-    dp[0] = d[0] / b[0]
-    for k in range(1, nlev):
-        denom = b[k] - a[k] * cp[k - 1]
-        cp[k] = c[k] / denom
-        dp[k] = (d[k] - a[k] * dp[k - 1]) / denom
-    out = np.empty_like(field)
-    out[-1] = dp[-1]
-    for k in range(nlev - 2, -1, -1):
-        out[k] = dp[k] - cp[k] * out[k + 1]
-
-    if mask3d is not None:
-        out = np.where(mask3d, out, field)
-    return out
+    """Backward-Euler vertical diffusion of one (nlev, ...) field: factor and
+    solve of :class:`ColumnDiffusion`; ``kappa`` is (nlev-1, ...) at interfaces."""
+    column = ColumnDiffusion(dz, mask3d)
+    return column.solve(column.factor(kappa, dt), field)

@@ -5,12 +5,15 @@ Substep hierarchy per §6.1: **barotropic : baroclinic : tracer =
 baroclinic step, tracers at the baroclinic step), with the absolute step
 set by the barotropic CFL of the grid in use.
 
-The model steps on the full (nlev, nlat, nlon) box.  The §5.2.2
-non-ocean-point removal exists here as kernels that run on packed wet
-points (:mod:`repro.ocn.compress`, :mod:`repro.ocn.kernels`) and as the
-memory ledger :meth:`LicomModel.memory_report`, which states the ~30-40 %
-resident-state saving packing would give; stepping on packed fields is not
-implemented.
+The substep is cache-blocked on the full (nlev, nlat, nlon) box: the
+horizontal-stencil phases run over level slabs sized against one constant
+(:func:`repro.ocn.metrics.level_slabs`), the column phases (EOS, pressure,
+Ri/kappa, Thomas sweeps) stream one level at a time, T and S share one
+factorisation of the vertical solve, and everything that depends only on
+grid, mask, ``dz`` and ``dt`` is frozen on first use.  The §5.2.2
+non-ocean-point removal exists as packed-point kernels
+(:mod:`repro.ocn.compress`, :mod:`repro.ocn.kernels`) and the memory ledger
+:meth:`LicomModel.memory_report`; stepping on packed fields is not implemented.
 
 Boundary exchange: imports wind stress, net heat flux, and freshwater
 flux from the coupler; exports SST, SSH, surface currents, and the

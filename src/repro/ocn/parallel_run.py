@@ -35,12 +35,15 @@ __all__ = ["distributed_barotropic_run", "local_window"]
 PAD = 3  # halo depth: enough for the two-stage forward-backward stencils
 
 
-def _window_rows(y0: int, y1: int, nlat: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Padded row indices (clamped) and a validity mask for out-of-range
-    rows (beyond the south edge / the seam)."""
-    rows = np.arange(y0 - PAD, y1 + PAD)
-    valid = (rows >= 0) & (rows < nlat)
-    return np.clip(rows, 0, nlat - 1), valid
+def _padded(arr: np.ndarray, block: Block2D, fill) -> np.ndarray:
+    """Global (nlat, nlon) ``arr`` on a rank's padded window: columns wrap
+    periodically, rows beyond the south edge / the seam are set to ``fill``."""
+    nlat, nlon = arr.shape
+    rows = np.arange(block.y_range[0] - PAD, block.y_range[1] + PAD)
+    cols = np.arange(block.x_range[0] - PAD, block.x_range[1] + PAD) % nlon
+    out = arr[np.ix_(np.clip(rows, 0, nlat - 1), cols)].copy()
+    out[(rows < 0) | (rows >= nlat), :] = fill
+    return out
 
 
 def local_window(
@@ -50,37 +53,14 @@ def local_window(
 ) -> Tuple[CGridMetrics, np.ndarray]:
     """Metrics and depth restricted to a rank's padded window.
 
-    Columns wrap periodically; rows beyond the global domain are cloned
-    from the edge but fully masked, so no flux crosses them (matching the
-    serial solver's closed south edge and seam).
+    Rows beyond the global domain are fully masked, so no flux crosses them
+    (matching the serial solver's closed south edge and seam; the row *at*
+    the seam keeps its serial mask).
     """
-    y0, y1 = block.y_range
-    x0, x1 = block.x_range
-    rows, row_valid = _window_rows(y0, y1, grid.nlat)
-    cols = np.arange(x0 - PAD, x1 + PAD) % grid.nlon
-
-    def slice2(arr: np.ndarray, fill=None) -> np.ndarray:
-        out = arr[np.ix_(rows, cols)].copy()
-        if fill is not None:
-            out[~row_valid, :] = fill
-        return out
-
-    masked = CGridMetrics(
-        area=slice2(metrics.area, fill=1.0),
-        dxu=slice2(metrics.dxu, fill=1.0),
-        dyv=slice2(metrics.dyv, fill=1.0),
-        ly_east=slice2(metrics.ly_east, fill=0.0),
-        lx_north=slice2(metrics.lx_north, fill=0.0),
-        mask_c=slice2(metrics.mask_c, fill=False),
-        mask_u=slice2(metrics.mask_u, fill=False),
-        mask_v=slice2(metrics.mask_v, fill=False),
-        f_c=slice2(metrics.f_c, fill=0.0),
-    )
-    # The global top row's north faces are closed; a padded window whose
-    # top halo rows are clones must keep them closed too (already False
-    # via the fill) — and the row *at* the seam keeps its serial mask.
-    depth = slice2(grid.depth, fill=0.0)
-    return masked, depth
+    fills = dict(area=1.0, dxu=1.0, dyv=1.0, ly_east=0.0, lx_north=0.0,
+                 mask_c=False, mask_u=False, mask_v=False, f_c=0.0)
+    masked = CGridMetrics(**{name: _padded(getattr(metrics, name), block, fill) for name, fill in fills.items()})
+    return masked, _padded(grid.depth, block, 0.0)
 
 
 def distributed_barotropic_run(
@@ -119,24 +99,9 @@ def distributed_barotropic_run(
         solver = BarotropicSolver(local_metrics, local_depth)
         halo = StructuredHalo(block, width=PAD, tripolar_fold=False)
 
-        y0, y1 = block.y_range
-        x0, x1 = block.x_range
-        ny, nx = block.shape
-        shape_pad = (ny + 2 * PAD, nx + 2 * PAD)
-
-        def padded_from_global(garr: np.ndarray) -> np.ndarray:
-            rows, row_valid = _window_rows(y0, y1, grid.nlat)
-            cols = np.arange(x0 - PAD, x1 + PAD) % grid.nlon
-            out = garr[np.ix_(rows, cols)].copy()
-            out[~row_valid, :] = 0.0
-            return out
-
-        state = BarotropicState(
-            eta=padded_from_global(eta0),
-            u=np.zeros(shape_pad),
-            v=np.zeros(shape_pad),
-        )
-        taux_pad = padded_from_global(taux) if taux is not None else None
+        state = BarotropicState.zeros(local_depth.shape)
+        state.eta = _padded(eta0, block, 0.0)
+        taux_pad = _padded(taux, block, 0.0) if taux is not None else None
         norms: List[float] = []
         interior = (slice(PAD, -PAD), slice(PAD, -PAD))
 

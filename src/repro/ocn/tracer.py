@@ -10,16 +10,19 @@ Canuto-like coefficients from :mod:`repro.ocn.mixing`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from ..utils.units import CP_OCEAN, RHO_OCEAN
-from .metrics import CGridMetrics
-from .mixing import MixingParams, canuto_kappa, implicit_vertical_diffusion, richardson_number
+from .metrics import CGridMetrics, face_divergence, level_slabs, neighbour_sum, shift_x, shift_y
+from .mixing import ColumnDiffusion, MixingParams, column_kappa
 from .baroclinic import linear_eos
 
 __all__ = ["TracerSolver"]
+
+SCHEMES = ("upwind", "muscl")
 
 
 @dataclass
@@ -34,13 +37,22 @@ class TracerSolver:
     mixing: MixingParams = field(default_factory=MixingParams)
 
     def __post_init__(self) -> None:
-        if self.mask3d.shape[1:] != self.metrics.shape:
-            raise ValueError("mask3d must match the horizontal grid")
-        m = self.metrics
-        self.mask_u3 = (self.mask3d & np.roll(self.mask3d, -1, axis=2)) & m.mask_u[None]
-        mv = np.zeros_like(self.mask3d)
-        mv[:, :-1] = self.mask3d[:, :-1] & self.mask3d[:, 1:]
-        self.mask_v3 = mv & m.mask_v[None]
+        if self.advection_scheme not in SCHEMES:
+            raise ValueError("advection_scheme must be 'upwind' or 'muscl'")
+        self.mask_u3, self.mask_v3 = self.metrics.face_masks(self.mask3d, self.dz)
+        self.column = ColumnDiffusion(self.dz, self.mask3d)
+
+    # -- frozen tables (mask/grid only, built on first use) ---------------------
+
+    @cached_property
+    def vol(self) -> np.ndarray:
+        """(nlev, nlat, nlon) cell volumes."""
+        return self.metrics.area[None] * self.dz.reshape(-1, 1, 1)
+
+    @cached_property
+    def neigh(self) -> np.ndarray:
+        """Wet four-neighbour count of every cell."""
+        return neighbour_sum(self.mask3d.astype(float))
 
     @staticmethod
     def _face_values(c: np.ndarray, vel: np.ndarray, shift, scheme: str) -> np.ndarray:
@@ -67,64 +79,38 @@ class TracerSolver:
 
     def advect(
         self, c: np.ndarray, u: np.ndarray, v: np.ndarray, dt: float,
-        scheme: str = "upwind",
+        scheme: str = "upwind", levels: slice = slice(None),
     ) -> np.ndarray:
         """One flux-form advection step of tracer ``c`` by face velocities.
 
         ``scheme`` is ``"upwind"`` (first order, the LICOM default here) or
         ``"muscl"`` (second order with a minmod limiter — sharper fronts at
-        the same conservation guarantees).
+        the same conservation guarantees).  ``c``, ``u``, ``v`` hold the
+        ``levels`` of the box (every stencil is horizontal, so a slab of
+        levels advects on its own).
         """
-        if scheme not in ("upwind", "muscl"):
+        if scheme not in SCHEMES:
             raise ValueError("scheme must be 'upwind' or 'muscl'")
         m = self.metrics
-        dz = self.dz.reshape(-1, 1, 1)
-
-        def shift_x(a, k):
-            return np.roll(a, -k, axis=2)  # value at column i+k (periodic)
-
-        def shift_y(a, k):
-            # Value at row j+k, clamped at the closed y boundaries.
-            if k == 0:
-                return a
-            if k > 0:
-                pads = [a[:, -1:]] * k
-                return np.concatenate([a[:, k:]] + pads, axis=1)
-            k = -k
-            pads = [a[:, :1]] * k
-            return np.concatenate(pads + [a[:, :-k]], axis=1)
+        dz = self.dz[levels].reshape(-1, 1, 1)
 
         c_face_u = self._face_values(c, u, shift_x, scheme)
-        flux_u = np.where(self.mask_u3, u * c_face_u, 0.0) * m.ly_east[None] * dz
+        flux_u = np.where(self.mask_u3[levels], u * c_face_u, 0.0) * m.ly_east * dz
 
         c_face_v = self._face_values(c, v, shift_y, scheme)
-        flux_v = np.where(self.mask_v3, v * c_face_v, 0.0) * m.lx_north[None] * dz
+        flux_v = np.where(self.mask_v3[levels], v * c_face_v, 0.0) * m.lx_north * dz
 
-        div = (flux_u - np.roll(flux_u, 1, axis=2)) + (
-            flux_v - np.concatenate([np.zeros_like(flux_v[:, :1]), flux_v[:, :-1]], axis=1)
-        )
-        vol = m.area[None] * dz
-        c_new = c - dt * div / vol
-        return np.where(self.mask3d, c_new, c)
+        c_new = c - dt * face_divergence(flux_u, flux_v) / self.vol[levels]
+        return np.where(self.mask3d[levels], c_new, c)
 
-    def diffuse_horizontal(self, c: np.ndarray, dt: float) -> np.ndarray:
-        """Masked explicit horizontal diffusion (small coefficient)."""
-        m = self.metrics
-        cm = np.where(self.mask3d, c, 0.0)
-        east = np.roll(cm, -1, axis=2)
-        west = np.roll(cm, 1, axis=2)
-        north = np.concatenate([cm[:, 1:], cm[:, -1:]], axis=1)
-        south = np.concatenate([cm[:, :1], cm[:, :-1]], axis=1)
-        neigh = (
-            np.roll(self.mask3d, -1, axis=2).astype(float)
-            + np.roll(self.mask3d, 1, axis=2)
-            + np.concatenate([self.mask3d[:, 1:], self.mask3d[:, -1:]], axis=1)
-            + np.concatenate([self.mask3d[:, :1], self.mask3d[:, :-1]], axis=1)
-        )
-        scale = (0.5 * (m.dxu + m.dyv)) ** 2
-        lap = (east + west + north + south - neigh * cm) / scale[None]
+    def diffuse_horizontal(self, c: np.ndarray, dt: float, levels: slice = slice(None)) -> np.ndarray:
+        """Masked explicit horizontal diffusion (small coefficient) of the
+        ``levels`` of the box held by ``c``."""
+        wet = self.mask3d[levels]
+        cm = np.where(wet, c, 0.0)
+        lap = (neighbour_sum(cm) - self.neigh[levels] * cm) / self.metrics.lap_scale
         out = c + dt * self.horizontal_diffusivity * lap
-        return np.where(self.mask3d, out, c)
+        return np.where(wet, out, c)
 
     def step(
         self,
@@ -137,14 +123,17 @@ class TracerSolver:
         surface_fresh_flux: Optional[np.ndarray] = None,  # kg/m^2/s (P - E)
     ) -> tuple[np.ndarray, np.ndarray]:
         """Advance (T, S) one tracer substep."""
-        t_new = self.diffuse_horizontal(self.advect(t, u, v, dt, self.advection_scheme), dt)
-        s_new = self.diffuse_horizontal(self.advect(s, u, v, dt, self.advection_scheme), dt)
+        t_new, s_new, rho = np.empty_like(t), np.empty_like(s), np.empty_like(t)
+        for sl in level_slabs(t.shape):
+            for c, c_new in ((t, t_new), (s, s_new)):
+                adv = self.advect(c[sl], u[sl], v[sl], dt, self.advection_scheme, sl)
+                c_new[sl] = self.diffuse_horizontal(adv, dt, sl)
+        for k in range(rho.shape[0]):
+            rho[k] = linear_eos(t_new[k], s_new[k])
 
-        rho = linear_eos(t_new, s_new)
-        ri = richardson_number(rho, u, v, self.dz, self.mixing)
-        kappa = canuto_kappa(ri, self.mixing)
-        t_new = implicit_vertical_diffusion(t_new, kappa, self.dz, dt, self.mask3d)
-        s_new = implicit_vertical_diffusion(s_new, kappa, self.dz, dt, self.mask3d)
+        factors = self.column.factor(column_kappa(rho, u, v, self.dz, self.mixing), dt)
+        t_new = self.column.solve(factors, t_new)
+        s_new = self.column.solve(factors, s_new)
 
         surf = self.mask3d[0]
         if surface_heat_flux is not None:
@@ -160,5 +149,4 @@ class TracerSolver:
 
     def content(self, c: np.ndarray) -> float:
         """Volume integral of a tracer over the wet domain."""
-        vol = self.metrics.area[None] * self.dz.reshape(-1, 1, 1)
-        return float(np.sum(np.where(self.mask3d, c * vol, 0.0)))
+        return float(np.sum(np.where(self.mask3d, c * self.vol, 0.0)))
