@@ -189,11 +189,10 @@ class AIPhysicsSuite:
     # but in-distribution predictions must never be clipped.
     tendency_limits: Optional[np.ndarray] = None
 
-    def bind(self, space, metrics=None, registry=None) -> None:
-        """Point the conventional-diagnostics kernels at a (shared) space,
-        stats pool, and per-context registry — the same binding contract
-        as :class:`ConventionalPhysics`."""
-        self.diagnostics.bind(space, metrics, registry=registry)
+    def bind(self, ctx) -> None:
+        """Launch the conventional-diagnostics kernels through ``ctx`` —
+        the same binding contract as :class:`ConventionalPhysics`."""
+        self.diagnostics.bind(ctx)
 
     @staticmethod
     def train(

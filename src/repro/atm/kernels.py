@@ -2,12 +2,12 @@
 
 The §4 portability contract says *every* component's hot loops run
 through the same Kokkos-style dispatch; this module ports the
-conventional-physics schemes from ad-hoc whole-array numpy onto
-``pp.parallel_for`` with the hash-based registry, exactly as
-``ocn/kernels.py`` does for LICOM.  The column dimension is the parallel
-axis: each kernel owns a chunk of columns (what a CPE or a GPU thread
-block would own) and is bit-identical to the whole-array reference
-because columns are independent —
+conventional-physics schemes from ad-hoc whole-array numpy onto the one
+hash-dispatched launch path, exactly as ``ocn/kernels.py`` does for
+LICOM.  The column dimension is the parallel axis: each kernel owns a
+chunk of columns (what a CPE or a GPU thread block would own) and is
+bit-identical to the whole-array reference because columns are
+independent —
 
 * :func:`radiation_kernel` — gray radiation per column chunk (the water
   path integral is per-column, so chunking commutes with it);
@@ -21,24 +21,24 @@ because columns are independent —
 * :func:`condensation_kernel` — large-scale condensation and the
   random-overlap cloud diagnosis per column chunk.
 
-Each host-side ``run_*`` wrapper dispatches through :data:`ATM_KERNELS`
-and accepts an optional :class:`~repro.pp.KernelStats` accumulator so
-launches surface in the obs metrics registry.
+Every kernel joins the process-wide :data:`repro.pp.KERNELS` table once,
+here, at import; each host-side ``run_*`` wrapper takes the caller's
+:class:`~repro.component.ComponentContext` and launches by hash through
+it, so launches count in (and surface through) that context's metrics.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from ..pp import ExecutionSpace, KernelRegistry, KernelStats, MDRangePolicy
+from ..component import ComponentContext
+from ..pp import MDRangePolicy, kernel
 from ..utils.units import CP_AIR, GRAVITY, LATENT_HEAT_VAPORIZATION, STEFAN_BOLTZMANN
 from .columns import ColumnState, saturation_specific_humidity
 
 __all__ = [
-    "ATM_KERNELS",
-    "make_atm_registry",
     "radiation_kernel",
     "surface_flux_kernel",
     "convective_kernel",
@@ -53,6 +53,7 @@ __all__ = [
 SOLAR_CONSTANT = 1361.0  # W/m^2
 
 
+@kernel("atm.radiation")
 def radiation_kernel(
     idx: np.ndarray,
     gsw: np.ndarray,
@@ -90,6 +91,7 @@ def radiation_kernel(
     dt_rad[idx] = sw_heat - lw_cool
 
 
+@kernel("atm.surface_layer")
 def surface_flux_kernel(
     idx: np.ndarray,
     du: np.ndarray,
@@ -128,6 +130,7 @@ def surface_flux_kernel(
     dq[idx, -1] = lhflx[idx] / (LATENT_HEAT_VAPORIZATION * layer_mass)
 
 
+@kernel("atm.convective_adjustment")
 def convective_kernel(
     idx: np.ndarray,
     dT: np.ndarray,
@@ -173,6 +176,7 @@ def convective_kernel(
     precip[idx] = np.maximum(-np.trapezoid(dQ_c, p, axis=1) / GRAVITY, 0.0)
 
 
+@kernel("atm.condensation")
 def saturation_kernel(
     ci: np.ndarray,
     ki: np.ndarray,
@@ -185,6 +189,7 @@ def saturation_kernel(
     qsat[sl] = saturation_specific_humidity(t[sl], p[ki][None, :])
 
 
+@kernel("atm.condensation")
 def condensation_kernel(
     idx: np.ndarray,
     dT: np.ndarray,
@@ -212,35 +217,11 @@ def condensation_kernel(
     cloud[idx] = 1.0 - np.prod(1.0 - 0.5 * cloudy, axis=1)
 
 
-# -- per-context registry factory (§5.3 hash registration) -----------------
-
-
-def make_atm_registry(name: str = "atm") -> KernelRegistry:
-    """A fresh registry with every atmosphere kernel pre-registered.
-
-    Each model instance (each ensemble member) gets its own registry via
-    its :class:`~repro.component.ComponentContext`, so per-kernel
-    launch bookkeeping never aliases across concurrent experiments.
-    """
-    reg = KernelRegistry(name=name)
-    for fn in (
-        radiation_kernel, surface_flux_kernel, convective_kernel,
-        saturation_kernel, condensation_kernel,
-    ):
-        reg.register(fn)
-    return reg
-
-
-#: Backward-compatible module-level registry: the default used by the
-#: ``run_*`` wrappers when no per-context registry is passed.
-ATM_KERNELS = make_atm_registry()
-
-
-# -- host-callable wrappers (dispatch through the registry) ----------------
+# -- host-callable wrappers (launch by hash through the caller's context) --
 
 
 def run_radiation(
-    space: ExecutionSpace,
+    ctx: ComponentContext,
     state: ColumnState,
     cloud_fraction: np.ndarray,
     albedo: float,
@@ -248,102 +229,84 @@ def run_radiation(
     eps_clear: float,
     eps_cloud: float,
     lw_cooling_rate: float,
-    stats: Optional[KernelStats] = None,
-    registry: Optional[KernelRegistry] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(gsw, glw, dT_rad) via the portable radiation kernel."""
-    reg = registry if registry is not None else ATM_KERNELS
     gsw = np.zeros(state.ncol)
     glw = np.zeros(state.ncol)
     dt_rad = np.zeros_like(state.t)
-    handle = reg.register(radiation_kernel)
-    reg.launch(
-        space, handle, state.ncol,
+    ctx.launch(
+        radiation_kernel.handle, state.ncol,
         gsw, glw, dt_rad, state.t, state.q, state.p, state.coszr,
         cloud_fraction, albedo, sw_absorptivity, eps_clear, eps_cloud,
-        lw_cooling_rate, stats=stats,
+        lw_cooling_rate,
     )
     return gsw, glw, dt_rad
 
 
 def run_surface_layer(
-    space: ExecutionSpace,
+    ctx: ComponentContext,
     state: ColumnState,
     drag_coefficient: float,
     exchange_wind_min: float,
-    stats: Optional[KernelStats] = None,
-    registry: Optional[KernelRegistry] = None,
 ) -> Tuple[np.ndarray, ...]:
     """(dU, dV, dT, dQ, shflx, lhflx) via the portable surface kernel."""
-    reg = registry if registry is not None else ATM_KERNELS
     du = np.zeros_like(state.u)
     dv = np.zeros_like(state.v)
     dt = np.zeros_like(state.t)
     dq = np.zeros_like(state.q)
     shflx = np.zeros(state.ncol)
     lhflx = np.zeros(state.ncol)
-    handle = reg.register(surface_flux_kernel)
-    reg.launch(
-        space, handle, state.ncol,
+    ctx.launch(
+        surface_flux_kernel.handle, state.ncol,
         du, dv, dt, dq, shflx, lhflx,
         state.u, state.v, state.t, state.q, state.tskin,
-        float(state.p[-1]), drag_coefficient, exchange_wind_min, stats=stats,
+        float(state.p[-1]), drag_coefficient, exchange_wind_min,
     )
     return du, dv, dt, dq, shflx, lhflx
 
 
 def run_convective_adjustment(
-    space: ExecutionSpace,
+    ctx: ComponentContext,
     state: ColumnState,
     dt_s: float,
     critical_lapse: float,
     adjust_sweeps: int,
-    stats: Optional[KernelStats] = None,
-    registry: Optional[KernelRegistry] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(dT, dQ, precip) via the portable convective-adjustment kernel."""
-    reg = registry if registry is not None else ATM_KERNELS
     p = state.p
     z = 7500.0 * np.log(p[-1] / np.maximum(p, 1.0))  # heights, sfc-relative
     dz = z[:-1] - z[1:]  # positive: level k is above k+1
     dT = np.zeros_like(state.t)
     dQ = np.zeros_like(state.q)
     precip = np.zeros(state.ncol)
-    handle = reg.register(convective_kernel)
-    reg.launch(
-        space, handle, state.ncol,
+    ctx.launch(
+        convective_kernel.handle, state.ncol,
         dT, dQ, precip, state.t, state.q, p, dz,
-        dt_s, critical_lapse, adjust_sweeps, stats=stats,
+        dt_s, critical_lapse, adjust_sweeps,
     )
     return dT, dQ, precip
 
 
 def run_condensation(
-    space: ExecutionSpace,
+    ctx: ComponentContext,
     state: ColumnState,
     condensation_timescale: float,
     cloud_rh_threshold: float,
-    stats: Optional[KernelStats] = None,
-    registry: Optional[KernelRegistry] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(dT, dQ, precip, cloud) via the tiled saturation + condensation
     kernels.  Saturation humidity runs as an MDRange over (ncol, nlev) —
     the two-dimensional launch, tiled to the space's lanes — then the
     per-column condensation chunk kernel consumes it."""
-    reg = registry if registry is not None else ATM_KERNELS
     qsat = np.zeros_like(state.q)
     policy = MDRangePolicy((state.ncol, state.nlev))
-    reg.launch(
-        space, reg.register(saturation_kernel), policy,
-        qsat, state.t, state.p, stats=stats,
-    )
+    ctx.launch(saturation_kernel.handle, policy, qsat, state.t, state.p)
     dT = np.zeros_like(state.t)
     dQ = np.zeros_like(state.q)
     precip = np.zeros(state.ncol)
     cloud = np.zeros(state.ncol)
-    reg.launch(
-        space, reg.register(condensation_kernel), state.ncol,
+    ctx.launch(
+        condensation_kernel.handle, state.ncol,
         dT, dQ, precip, cloud, state.q, qsat, state.p,
-        condensation_timescale, cloud_rh_threshold, stats=stats,
+        condensation_timescale, cloud_rh_threshold,
     )
     return dT, dQ, precip, cloud

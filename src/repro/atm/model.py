@@ -30,7 +30,6 @@ from ..component import ComponentBase
 from ..grids import trsk
 from ..grids.icos import IcosahedralGrid
 from ..utils.units import RHO_AIR
-from . import kernels as _k
 from .columns import ColumnState, pressure_levels, reference_profiles
 from .dycore import ShallowWaterDycore, williamson_tc2
 from .physics import ConventionalPhysics, PhysicsTendencies
@@ -80,10 +79,6 @@ class GristModel(ComponentBase):
         "tracer": "tracer", "tskin": "tskin",
     }
     RESTART_EXTRA = ("ice_fraction",)
-    KERNELS = (
-        _k.radiation_kernel, _k.surface_flux_kernel, _k.convective_kernel,
-        _k.saturation_kernel, _k.condensation_kernel,
-    )
 
     def __init__(
         self,
@@ -144,15 +139,6 @@ class GristModel(ComponentBase):
         }
         self._finalized = True
         return summary
-
-    # -- Component protocol (shared context + uniform coupling surface) -----------
-
-    def set_context(self, ctx) -> None:
-        """Bind the shared ComponentContext; the physics suite dispatches
-        on the same space, stats pool and registry."""
-        super().set_context(ctx)
-        if hasattr(self.physics, "bind"):
-            self.physics.bind(ctx.space, ctx.metrics, registry=ctx.kernels)
 
     # -- boundary exchange -------------------------------------------------------
 
@@ -303,8 +289,16 @@ class GristModel(ComponentBase):
             for _ in range(TRACER_SUBSTEPS):
                 self._advect_tracer(self.dt_tracer)
 
+    def bind_physics(self) -> None:
+        """Hand the suite this atmosphere's dispatch handle.  Done before
+        every suite call rather than once, so a suite object shared by
+        ensemble members launches through — and counts on — its caller."""
+        if hasattr(self.physics, "bind"):
+            self.physics.bind(self.ctx)
+
     def _physics_step(self, dt: float) -> None:
         cols = self.current_columns()
+        self.bind_physics()
         tend = self.physics.compute(cols, dt)
         self._apply_physics(tend, dt)
 

@@ -20,8 +20,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..pp import ExecutionSpace, KernelMetrics, KernelRegistry, KernelStats, Serial
+from ..component import ComponentContext
 from .columns import ColumnState
+from .kernels import run_condensation, run_convective_adjustment, run_radiation, run_surface_layer
 
 __all__ = ["PhysicsTendencies", "PhysicsParams", "ConventionalPhysics"]
 
@@ -90,41 +91,24 @@ class PhysicsParams:
 class ConventionalPhysics:
     """The conventional suite; call :meth:`compute` on a column batch.
 
-    Every scheme dispatches through the portable kernels in
-    :mod:`repro.atm.kernels` on the bound execution space (the shared
-    ``ComponentContext`` space in a coupled run, ``Serial`` standalone).
-    Results are bit-identical on every space — the columns are
-    independent, so chunking commutes with the math.
+    Every scheme launches the portable kernels in
+    :mod:`repro.atm.kernels` through the bound ``ComponentContext`` (the
+    calling atmosphere's in a coupled run, a private serial one
+    standalone).  Results are bit-identical on every space — the columns
+    are independent, so chunking commutes with the math.
     """
 
     def __init__(
         self,
         params: PhysicsParams | None = None,
-        space: Optional[ExecutionSpace] = None,
-        metrics: Optional[KernelMetrics] = None,
-        registry: Optional[KernelRegistry] = None,
+        ctx: Optional[ComponentContext] = None,
     ) -> None:
         self.params = params if params is not None else PhysicsParams()
-        self.space = space if space is not None else Serial()
-        self.metrics = metrics
-        self.registry = registry
+        self.ctx = ctx if ctx is not None else ComponentContext()
 
-    def bind(
-        self,
-        space: ExecutionSpace,
-        metrics: Optional[KernelMetrics] = None,
-        registry: Optional[KernelRegistry] = None,
-    ) -> None:
-        """Point kernel dispatch at a (shared) space + stats pool + per-context
-        registry (``None`` keeps the module-level default registry)."""
-        self.space = space
-        if metrics is not None:
-            self.metrics = metrics
-        if registry is not None:
-            self.registry = registry
-
-    def _stats(self, kernel: str) -> Optional[KernelStats]:
-        return self.metrics.stats(kernel) if self.metrics is not None else None
+    def bind(self, ctx: ComponentContext) -> None:
+        """Launch through (and count on) ``ctx`` from now on."""
+        self.ctx = ctx
 
     # -- individual schemes -------------------------------------------------
 
@@ -132,15 +116,12 @@ class ConventionalPhysics:
         self, state: ColumnState, cloud_fraction: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Gray radiation: (gsw, glw, dT_rad)."""
-        from .kernels import run_radiation
-
         prm = self.params
         return run_radiation(
-            self.space, state, cloud_fraction,
+            self.ctx, state, cloud_fraction,
             prm.albedo, prm.sw_absorptivity,
             prm.lw_emissivity_clear, prm.lw_emissivity_cloud,
-            prm.lw_cooling_rate, stats=self._stats("atm.radiation"),
-            registry=self.registry,
+            prm.lw_cooling_rate,
         )
 
     def surface_layer(
@@ -148,12 +129,9 @@ class ConventionalPhysics:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Bulk fluxes: (dU, dV, dT, dQ tendencies at the lowest level plus
         sensible/latent fluxes)."""
-        from .kernels import run_surface_layer
-
         prm = self.params
         return run_surface_layer(
-            self.space, state, prm.drag_coefficient, prm.exchange_wind_min,
-            stats=self._stats("atm.surface_layer"), registry=self.registry,
+            self.ctx, state, prm.drag_coefficient, prm.exchange_wind_min
         )
 
     def convective_adjustment(self, state: ColumnState, dt_s: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -162,23 +140,16 @@ class ConventionalPhysics:
         Returns (dT, dQ, convective precip rate).  The level loop is short
         (nlev) and fully vectorized over each chunk of columns.
         """
-        from .kernels import run_convective_adjustment
-
         prm = self.params
         return run_convective_adjustment(
-            self.space, state, dt_s, prm.critical_lapse, prm.adjust_sweeps,
-            stats=self._stats("atm.convective_adjustment"), registry=self.registry,
+            self.ctx, state, dt_s, prm.critical_lapse, prm.adjust_sweeps
         )
 
     def large_scale_condensation(self, state: ColumnState, dt_s: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Condense supersaturation: (dT, dQ, precip, cloud fraction)."""
-        from .kernels import run_condensation
-
         prm = self.params
         return run_condensation(
-            self.space, state, prm.condensation_timescale,
-            prm.cloud_rh_threshold, stats=self._stats("atm.condensation"),
-            registry=self.registry,
+            self.ctx, state, prm.condensation_timescale, prm.cloud_rh_threshold
         )
 
     def boundary_layer_diffusion(

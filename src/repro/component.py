@@ -13,16 +13,17 @@ module defines that contract:
   ``post_coupling``), prognostic state access (``state`` /
   ``set_state``), restart I/O, and context binding;
 * :class:`ComponentBase` — that protocol's plumbing, written once: a
-  model declares ``name``, ``STATE``, ``RESTART_EXTRA`` and ``KERNELS``
-  and inherits ``state`` / ``set_state`` / ``save_restart`` /
-  ``load_restart`` / ``set_context`` / ``pre_coupling`` /
-  ``post_coupling`` / ``run`` and the liveness check, so every
-  ``state()`` key is restartable by construction;
-* :class:`ComponentContext` — ONE shared execution space, ONE shared
-  kernel registry (the §5.3 hash table), ONE precision policy, and ONE
-  observability handle, bound into every component by the coupled
-  driver so backend selection and mixed precision are model-wide
-  decisions rather than per-component accidents;
+  model declares ``name``, ``STATE`` and ``RESTART_EXTRA`` and inherits
+  ``state`` / ``set_state`` / ``save_restart`` / ``load_restart`` /
+  ``set_context`` / ``pre_coupling`` / ``post_coupling`` / ``run`` and
+  the liveness check, so every ``state()`` key is restartable by
+  construction;
+* :class:`ComponentContext` — ONE shared execution space, the
+  process-wide kernel table (the §5.3 hash table), ONE precision policy,
+  ONE observability handle and ONE launch path (:meth:`~ComponentContext.
+  launch`), bound into every component by the coupled driver so backend
+  selection and mixed precision are model-wide decisions rather than
+  per-component accidents;
 * :func:`default_mixed_policy` — the §5.2.3 assignment: group-scaled
   FP32 for large-offset prognostics (ocean tracers, atmosphere
   thermodynamics), plain FP32 for velocities/fluxes/surface slabs, FP64
@@ -39,13 +40,13 @@ This module sits *below* the component packages (``repro.atm`` / ``ocn``
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Protocol, Tuple, runtime_checkable
+from typing import Any, ClassVar, Dict, Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
 from .io import restart as _restart
 from .obs import NULL_OBS
-from .pp import ExecutionSpace, KernelMetrics, KernelRegistry, Serial
+from .pp import KERNELS, BoundKernel, ExecutionSpace, KernelMetrics, KernelRegistry, Serial, parallel_for
 from .precision import Precision, PrecisionPolicy
 
 __all__ = [
@@ -92,17 +93,14 @@ class Component(Protocol):
 
 @dataclass
 class ComponentContext:
-    """One shared execution substrate for all components.
+    """One shared execution substrate for all components — and the one
+    dispatch handle their kernel wrappers and physics suites receive.
 
     Parameters
     ----------
     space:
         The execution space every component's kernels dispatch on
         (:func:`repro.pp.make_backend` builds it from the config name).
-    kernels:
-        The shared hash-based registry; each component registers its
-        kernels here at ``set_context`` so the coupled system has one
-        host-side kernel table (the §5.3 registration pass).
     precision:
         The model-wide §5.2.3 precision policy over namespaced
         ``<component>.<variable>`` keys; empty assignments = pure FP64.
@@ -111,17 +109,30 @@ class ComponentContext:
     metrics:
         Per-kernel launch/iteration accumulators feeding the obs
         metrics registry (``pp.<kernel>.launches`` etc.).
+
+    ``kernels`` is the process-wide :data:`repro.pp.KERNELS` table the
+    component kernels joined at import (the §5.3 registration pass).
     """
 
     space: ExecutionSpace = field(default_factory=Serial)
-    kernels: KernelRegistry = field(default_factory=KernelRegistry)
     precision: PrecisionPolicy = field(default_factory=PrecisionPolicy)
     obs: Any = NULL_OBS
     metrics: KernelMetrics = field(default_factory=KernelMetrics)
+    kernels: ClassVar[KernelRegistry] = KERNELS
 
     def __post_init__(self) -> None:
         if self.metrics.obs is None:
             self.metrics.obs = self.obs
+
+    def launch(self, handle: int, policy, *args) -> None:
+        """The one launch path (§5.3): resolve the hash to its registered
+        kernel, run it over ``policy`` (a flat count or an
+        :class:`~repro.pp.MDRangePolicy`) on this context's space, and
+        count the launch in this context's metrics pool."""
+        parallel_for(
+            self.space, policy, BoundKernel(self.kernels.lookup(handle), args),
+            stats=self.metrics.stats(self.kernels.stats_name(handle)),
+        )
 
     # -- the mixed-precision state path (§5.2.3) ---------------------------
 
@@ -180,9 +191,6 @@ class ComponentBase:
     ``RESTART_EXTRA``
         Plain attributes a restart carries beyond ``STATE`` (boundary
         forcing held between couplings).
-    ``KERNELS``
-        The pp kernels ``set_context`` registers in the bound context's
-        hash table.
 
     ``init()`` must set ``time``, ``n_steps`` and ``_initialized``.
     """
@@ -190,29 +198,19 @@ class ComponentBase:
     name: str
     STATE: Dict[str, str] = {}
     RESTART_EXTRA: Tuple[str, ...] = ()
-    KERNELS: Tuple[Callable, ...] = ()
 
     _initialized = False
     _finalized = False
 
     def __init__(self) -> None:
-        # Standalone default: a private serial context.  The base binding
-        # on purpose — a subclass's set_context extension (atm's
-        # physics.bind) applies to contexts the caller hands in, not to
-        # this default, so a suite constructed on its own space keeps it.
-        ComponentBase.set_context(self, ComponentContext())
+        self.set_context(ComponentContext())  # standalone: private, serial
 
     def set_context(self, ctx: "ComponentContext") -> None:
         """Bind a (shared) context: phases trace on its obs handle
         (``obs`` stays reassignable — the coupled driver moves the ocean
-        onto the domain-2 lane), kernels dispatch on its space, count in
-        its metrics pool and join its hash registry."""
+        onto the domain-2 lane) and kernels launch through ``ctx``."""
         self.obs = ctx.obs
-        self._space = ctx.space
-        self._kmetrics = ctx.metrics
-        self._kernels = ctx.kernels
-        for fn in self.KERNELS:
-            ctx.kernels.register(fn)
+        self.ctx = ctx
 
     def pre_coupling(self, imports: Dict[str, np.ndarray]) -> None:
         self.import_state(imports)

@@ -108,15 +108,6 @@ class GlobalSegMap:
 
     # -- elastic repair ------------------------------------------------------------
 
-    def renumber(self, old_to_new: Dict[int, int]) -> "GlobalSegMap":
-        """Relabel ranks through ``old_to_new`` (holes stay holes).
-
-        Used after a spare promotion where slot numbering is unchanged
-        (identity map) or any relabelling that keeps ownership intact.
-        """
-        pes = np.array([old_to_new.get(int(p), int(p)) for p in self.pes], dtype=np.int64)
-        return GlobalSegMap(self.gsize, self.starts.copy(), self.lengths.copy(), pes)
-
     def shrink(self, dead: "List[int]") -> Tuple["GlobalSegMap", Dict[int, int]]:
         """Repaired GSMap after the dead ranks' indices are re-partitioned
         across survivors (nearest surviving owner along index order) and

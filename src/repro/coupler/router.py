@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
@@ -74,12 +74,6 @@ class Router:
         return Router(src.gsize, dst.gsize, send, recv)
 
     # -- queries ------------------------------------------------------------------------
-
-    def partners_of_source(self, pe: int) -> List[int]:
-        return sorted(q for (p, q) in self.send if p == pe)
-
-    def partners_of_destination(self, pe: int) -> List[int]:
-        return sorted(p for (p, q) in self.recv if q == pe)
 
     @property
     def n_pairs(self) -> int:

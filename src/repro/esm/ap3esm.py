@@ -14,8 +14,8 @@ Wiring follows the paper:
   (global flux fixer applied to the heat/water fluxes);
 * all four components inherit :class:`repro.component.ComponentBase` (the
   :class:`~repro.component.Component` protocol's plumbing) and share ONE
-  :class:`ComponentContext` (execution space, kernel registry, precision
-  policy, obs handle).
+  :class:`ComponentContext` (execution space, kernel launch path and
+  metrics, precision policy, obs handle).
 
 Task-domain placement (§5.1.2: domain 1 = coupler+atm+ice+lnd, domain 2 =
 ocn) is executed by a :class:`repro.esm.scheduler.TaskDomainScheduler`:
@@ -227,7 +227,7 @@ class AP3ESM:
         self.lnd.init()
 
         # ONE shared context for all four components: execution space,
-        # kernel registry (the §5.3 hash table), precision policy, obs.
+        # kernel launches + their metrics, precision policy, obs.
         # An explicit `space=` argument wins over the config backend name.
         self._owned_pool = None
         space = self._space

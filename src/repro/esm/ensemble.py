@@ -239,6 +239,8 @@ class LockstepAtmospheres:
 
     def _advance_fleet(self) -> None:
         cols = [a.begin_step() for a in self._atms]
+        # A fleet call runs member 0's suite: it launches through member 0.
+        self._atms[0].bind_physics()
         tends = self.driver.compute(cols, self.dt_model)
         for a, tend in zip(self._atms, tends):
             a.complete_step(tend)

@@ -11,20 +11,22 @@ disjoint-chunk contract of :func:`repro.pp.parallel_for` does not cover.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from ..pp import ExecutionSpace, KernelRegistry, KernelStats, MDRangePolicy
+from ..component import ComponentContext
+from ..pp import MDRangePolicy, kernel
 from ..utils.units import LATENT_HEAT_FUSION, RHO_ICE, STEFAN_BOLTZMANN
 
-__all__ = ["ICE_KERNELS", "make_ice_registry", "thermo_kernel", "run_thermodynamics"]
+__all__ = ["thermo_kernel", "run_thermodynamics"]
 
 T_FREEZE = -1.8       # deg C
 ICE_ALBEDO = 0.65
 MIN_CONCENTRATION = 1e-4
 
 
+@kernel("ice.thermo")
 def thermo_kernel(
     yi: np.ndarray,
     xi: np.ndarray,
@@ -92,20 +94,8 @@ def thermo_kernel(
     )
 
 
-def make_ice_registry(name: str = "ice") -> KernelRegistry:
-    """A fresh per-context registry with the sea-ice kernels registered."""
-    reg = KernelRegistry(name=name)
-    reg.register(thermo_kernel)
-    return reg
-
-
-#: Backward-compatible module-level registry: the default used by
-#: :func:`run_thermodynamics` when no per-context registry is passed.
-ICE_KERNELS = make_ice_registry()
-
-
 def run_thermodynamics(
-    space: ExecutionSpace,
+    ctx: ComponentContext,
     thickness: np.ndarray,
     concentration: np.ndarray,
     tsurf: np.ndarray,
@@ -117,21 +107,18 @@ def run_thermodynamics(
     dt: float,
     conductivity: float,
     h_min: float,
-    stats: Optional[KernelStats] = None,
-    registry: Optional[KernelRegistry] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(thickness, concentration, tsurf) after one thermodynamic step,
     dispatched as an MDRange over the (nlat, nlon) surface, one tile per
-    lane of ``space``."""
-    reg = registry if registry is not None else ICE_KERNELS
+    lane of ``ctx.space``."""
     th_out = np.zeros_like(thickness)
     cn_out = np.zeros_like(concentration)
     ts_out = np.zeros_like(tsurf)
     policy = MDRangePolicy(thickness.shape)
-    reg.launch(
-        space, reg.register(thermo_kernel), policy,
+    ctx.launch(
+        thermo_kernel.handle, policy,
         th_out, cn_out, ts_out,
         thickness, concentration, tsurf, gsw, glw, t_air, freezing, ocean,
-        dt, conductivity, h_min, stats=stats,
+        dt, conductivity, h_min,
     )
     return th_out, cn_out, ts_out

@@ -21,7 +21,7 @@ import numpy as np
 from ..component import ComponentBase
 from ..grids.tripolar import TripolarGrid
 from ..ocn.metrics import CGridMetrics, face_divergence, shift_x, shift_y
-from .kernels import run_thermodynamics, thermo_kernel
+from .kernels import run_thermodynamics
 
 __all__ = ["CiceConfig", "CiceModel"]
 
@@ -49,7 +49,6 @@ class CiceModel(ComponentBase):
         "concentration": "concentration",
         "tsurf": "tsurf",
     }
-    KERNELS = (thermo_kernel,)
 
     def __init__(
         self,
@@ -137,11 +136,10 @@ class CiceModel(ComponentBase):
         cfg = self.config
         freezing = np.asarray(self.freezing, dtype=bool)
         self.thickness, self.concentration, self.tsurf = run_thermodynamics(
-            self._space,
+            self.ctx,
             self.thickness, self.concentration, self.tsurf,
             self.gsw, self.glw, self.t_air, freezing, self.grid.mask,
             dt, cfg.conductivity, cfg.h_min,
-            stats=self._kmetrics.stats("ice.thermo"), registry=self._kernels,
         )
 
     def _dynamics(self, dt: float) -> None:

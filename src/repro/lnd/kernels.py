@@ -1,27 +1,29 @@
 """Bucket land-surface kernel on the performance-portability layer.
 
 The Manabe bucket update of :meth:`LandModel.force` is pointwise over
-the (atmosphere) land cells, so it ports directly onto a flat
-``pp.parallel_for`` launch through the hash-based registry — each chunk
-of cells is independent, making the port bit-identical to the
-whole-array reference on every execution space.
+the (atmosphere) land cells, so it ports directly onto a flat launch by
+hash through the caller's context — each chunk of cells is independent,
+making the port bit-identical to the whole-array reference on every
+execution space.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from ..pp import ExecutionSpace, KernelRegistry, KernelStats
+from ..component import ComponentContext
+from ..pp import kernel
 from ..utils.units import LATENT_HEAT_VAPORIZATION, STEFAN_BOLTZMANN
 
-__all__ = ["LND_KERNELS", "make_lnd_registry", "bucket_kernel", "run_bucket"]
+__all__ = ["bucket_kernel", "run_bucket"]
 
 T_SNOW = 273.15  # precipitation falls as snow below this air temperature
 LATENT_HEAT_FUSION_W = 3.337e5 * 1000.0  # J/m^3 of water equivalent
 
 
+@kernel("lnd.bucket")
 def bucket_kernel(
     idx: np.ndarray,
     tskin_out: np.ndarray,
@@ -93,20 +95,8 @@ def bucket_kernel(
     runoff[idx] = ro
 
 
-def make_lnd_registry(name: str = "lnd") -> KernelRegistry:
-    """A fresh per-context registry with the land kernels registered."""
-    reg = KernelRegistry(name=name)
-    reg.register(bucket_kernel)
-    return reg
-
-
-#: Backward-compatible module-level registry: the default used by
-#: :func:`run_bucket` when no per-context registry is passed.
-LND_KERNELS = make_lnd_registry()
-
-
 def run_bucket(
-    space: ExecutionSpace,
+    ctx: ComponentContext,
     tskin: np.ndarray,
     bucket: np.ndarray,
     snow: np.ndarray,
@@ -117,14 +107,11 @@ def run_bucket(
     t_air: np.ndarray,
     dt: float,
     params,
-    stats: Optional[KernelStats] = None,
-    registry: Optional[KernelRegistry] = None,
 ) -> Tuple[np.ndarray, ...]:
     """(tskin, bucket, snow, runoff, evap, albedo) after one bucket step.
 
     ``params`` is a :class:`repro.lnd.model.LandConfig`-shaped object.
     """
-    reg = registry if registry is not None else LND_KERNELS
     n = tskin.shape[0]
     tskin_out = np.zeros_like(tskin)
     bucket_out = np.zeros_like(bucket)
@@ -132,12 +119,12 @@ def run_bucket(
     runoff = np.zeros(n)
     evap = np.zeros(n)
     albedo = np.zeros(n)
-    reg.launch(
-        space, reg.register(bucket_kernel), n,
+    ctx.launch(
+        bucket_kernel.handle, n,
         tskin_out, bucket_out, snow_out, runoff, evap, albedo,
         tskin, bucket, snow, land_mask, gsw, glw, precip, t_air,
         dt, params.bucket_capacity, params.heat_capacity, params.albedo,
         params.snow_albedo, params.snow_masking_depth, params.emissivity,
-        params.beta_exponent, stats=stats,
+        params.beta_exponent,
     )
     return tskin_out, bucket_out, snow_out, runoff, evap, albedo

@@ -21,7 +21,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..component import ComponentBase
-from .kernels import bucket_kernel, run_bucket
+from .kernels import run_bucket
 
 __all__ = ["LandConfig", "LandModel"]
 
@@ -50,7 +50,6 @@ class LandModel(ComponentBase):
         "tskin": "tskin", "bucket": "bucket",
         "snow": "snow", "runoff_total": "runoff_total",
     }
-    KERNELS = (bucket_kernel,)
 
     def __init__(
         self,
@@ -144,12 +143,11 @@ class LandModel(ComponentBase):
         # The whole bucket update is pointwise over cells; dispatch it
         # through the portable kernel on the bound execution space.
         self.tskin, self.bucket, self.snow, runoff, evap, albedo = run_bucket(
-            self._space,
+            self.ctx,
             self.tskin, self.bucket, self.snow, self.land_mask,
             np.asarray(gsw, dtype=float), np.asarray(glw, dtype=float),
             np.asarray(precip, dtype=float), np.asarray(t_air, dtype=float),
-            dt, cfg, stats=self._kmetrics.stats("lnd.bucket"),
-            registry=self._kernels,
+            dt, cfg,
         )
         self.runoff_total += np.where(self.land_mask, runoff, 0.0)
         self.time += dt

@@ -84,7 +84,7 @@ def kernel_measurements(
     The pp layer publishes ``pp.<kernel>.launches`` (counter),
     ``pp.<kernel>.iterations`` (histogram) and ``pp.<kernel>.seconds``
     (counter of measured wall time) through
-    :class:`repro.pp.stats.ObsKernelStats`.  This exporter inverts those
+    :class:`repro.pp.stats.KernelMetrics`.  This exporter inverts those
     names back into ``{kernel: {launches, iterations, seconds}}`` — the
     measured side of the modeled-vs-measured loop that
     :mod:`repro.machine.calibrate` closes.  Tile gauges (``pp.tile.*``)

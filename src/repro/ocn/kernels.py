@@ -4,7 +4,9 @@ performance-portability layer.
 The paper's LICOMK++ "implemented a performance-portable version using
 Kokkos", with a hash-based registry standing in for template dispatch on
 Sunway and host-device hybrid execution.  This module ports three of this
-library's ocean kernels to that programming model:
+library's ocean kernels to that programming model — they join
+:data:`repro.pp.KERNELS` at import and launch by hash through the
+caller's :class:`~repro.component.ComponentContext`:
 
 * :func:`eos_kernel` — the linear equation of state (pointwise);
 * :func:`canuto_kernel` — the Richardson-closure mixing coefficient
@@ -26,15 +28,14 @@ from typing import Optional
 
 import numpy as np
 
-from ..pp import ExecutionSpace, KernelRegistry, parallel_for
+from ..component import ComponentContext
+from ..pp import kernel
 from ..utils.units import GRAVITY, RHO_OCEAN
 from .baroclinic import linear_eos
 from .compress import Compressor
 from .mixing import MixingParams, canuto_kappa
 
 __all__ = [
-    "OCEAN_KERNELS",
-    "make_ocean_registry",
     "eos_kernel",
     "canuto_kernel",
     "baroclinic_pressure_kernel",
@@ -44,11 +45,13 @@ __all__ = [
 ]
 
 
+@kernel("ocn.eos")
 def eos_kernel(idx: np.ndarray, rho: np.ndarray, t: np.ndarray, s: np.ndarray) -> None:
     """rho = rho0 (1 - alpha (T - T0) + beta (S - S0)) on flat points."""
     rho[idx] = linear_eos(t[idx], s[idx])
 
 
+@kernel("ocn.canuto")
 def canuto_kernel(
     idx: np.ndarray,
     kappa: np.ndarray,
@@ -64,6 +67,7 @@ def canuto_kernel(
     kappa[idx] = canuto_kappa(ri[idx], params)
 
 
+@kernel("ocn.pressure")
 def baroclinic_pressure_kernel(
     idx: np.ndarray,
     p: np.ndarray,
@@ -81,88 +85,63 @@ def baroclinic_pressure_kernel(
         cum = cum + contrib
 
 
-# -- per-context registry factory (§5.3 hash registration) -----------------
-
-
-def make_ocean_registry(name: str = "ocn") -> KernelRegistry:
-    """A fresh per-context registry with the ocean kernels registered."""
-    reg = KernelRegistry(name=name)
-    for fn in (eos_kernel, canuto_kernel, baroclinic_pressure_kernel):
-        reg.register(fn)
-    return reg
-
-
-#: Backward-compatible module-level registry: the default used by the
-#: ``run_*`` wrappers when no per-context registry is passed (the §5.3
-#: hash-based function registration).
-OCEAN_KERNELS = make_ocean_registry()
-
-
-# -- host-callable wrappers (dispatch through the registry) ----------------
+# -- host-callable wrappers (launch by hash through the caller's context) --
 
 
 def run_eos(
-    space: ExecutionSpace,
+    ctx: ComponentContext,
     t: np.ndarray,
     s: np.ndarray,
     compressor: Optional[Compressor] = None,
-    registry: Optional[KernelRegistry] = None,
 ) -> np.ndarray:
     """Density via the portable kernel; optionally on packed wet points."""
-    reg = registry if registry is not None else OCEAN_KERNELS
     if compressor is not None:
         t_p = compressor.compress(t)
         s_p = compressor.compress(s)
         rho_p = np.zeros_like(t_p)
-        reg.launch(space, reg.register(eos_kernel), len(t_p), rho_p, t_p, s_p)
+        ctx.launch(eos_kernel.handle, len(t_p), rho_p, t_p, s_p)
         return compressor.decompress(rho_p)
     flat_t = t.ravel()
     flat_s = s.ravel()
     rho = np.zeros_like(flat_t)
-    reg.launch(space, reg.register(eos_kernel), flat_t.size, rho, flat_t, flat_s)
+    ctx.launch(eos_kernel.handle, flat_t.size, rho, flat_t, flat_s)
     return rho.reshape(t.shape)
 
 
 def run_canuto(
-    space: ExecutionSpace,
+    ctx: ComponentContext,
     ri: np.ndarray,
     params: Optional[MixingParams] = None,
     compressor: Optional[Compressor] = None,
-    registry: Optional[KernelRegistry] = None,
 ) -> np.ndarray:
     """Mixing coefficient via the portable kernel (packed or full)."""
-    reg = registry if registry is not None else OCEAN_KERNELS
     prm = params or MixingParams()
     args = (prm.kappa_background, prm.kappa_0, prm.kappa_max, prm.ri_critical, prm.power)
-    handle = reg.register(canuto_kernel)
     if compressor is not None:
         ri_p = compressor.compress(ri)
         kappa_p = np.zeros_like(ri_p)
-        reg.launch(space, handle, len(ri_p), kappa_p, ri_p, *args)
+        ctx.launch(canuto_kernel.handle, len(ri_p), kappa_p, ri_p, *args)
         return compressor.decompress(kappa_p)
     flat = ri.ravel()
     kappa = np.zeros_like(flat)
-    reg.launch(space, handle, flat.size, kappa, flat, *args)
+    ctx.launch(canuto_kernel.handle, flat.size, kappa, flat, *args)
     return kappa.reshape(ri.shape)
 
 
 def run_pressure(
-    space: ExecutionSpace,
+    ctx: ComponentContext,
     t: np.ndarray,
     s: np.ndarray,
     dz: np.ndarray,
-    registry: Optional[KernelRegistry] = None,
 ) -> np.ndarray:
     """Hydrostatic pressure via the portable column kernel.
 
     ``t``/``s`` are (nlev, nlat, nlon); returns pressure in the same
     layout (columns are the parallel dimension, matching the GPU port).
     """
-    reg = registry if registry is not None else OCEAN_KERNELS
     nlev = t.shape[0]
     rho_anom = linear_eos(t, s) - RHO_OCEAN
     cols = rho_anom.reshape(nlev, -1).T.copy()  # (ncol, nlev)
     p = np.zeros_like(cols)
-    handle = reg.register(baroclinic_pressure_kernel)
-    reg.launch(space, handle, cols.shape[0], p, cols, dz)
+    ctx.launch(baroclinic_pressure_kernel.handle, cols.shape[0], p, cols, dz)
     return p.T.reshape(t.shape)

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..component import ComponentBase
 from ..grids.tripolar import TripolarGrid
-from . import kernels as _k
+from . import kernels  # noqa: F401 — joins pp.KERNELS at start-up (§5.3)
 from .barotropic import BarotropicSolver, BarotropicState
 from .baroclinic import BaroclinicSolver
 from .compress import Compressor
@@ -64,7 +64,6 @@ class LicomModel(ComponentBase):
     }
     # Forcing slots (set by import_state, held between ocean couplings).
     RESTART_EXTRA = ("taux", "tauy", "heat_flux", "fresh_flux")
-    KERNELS = (_k.eos_kernel, _k.canuto_kernel, _k.baroclinic_pressure_kernel)
 
     def __init__(
         self,

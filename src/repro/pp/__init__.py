@@ -15,8 +15,8 @@ from .kernels import (
 )
 from .backends import make_backend
 from .procpool import PoolStats, ProcPool, ProcPoolRuntime, ProcPoolSpace, SharedView
-from .registry import HybridDispatcher, KernelRegistry, kernel_hash
-from .stats import KernelMetrics, ObsKernelStats
+from .registry import KERNELS, HybridDispatcher, KernelRegistry, kernel, kernel_hash
+from .stats import KernelMetrics
 from .swgomp import OffloadStats, TargetLoop, target
 from .view import (
     Layout,
@@ -44,11 +44,12 @@ __all__ = [
     "PoolStats",
     "SharedView",
     "make_backend",
+    "KERNELS",
+    "kernel",
     "KernelRegistry",
     "kernel_hash",
     "HybridDispatcher",
     "KernelMetrics",
-    "ObsKernelStats",
     "target",
     "TargetLoop",
     "OffloadStats",

@@ -10,7 +10,10 @@ a stable hash at host-side start-up; the device receives only the hash and
 This module reproduces that mechanism: kernels are registered under a
 stable content hash (qualified name + arity), lookups go through the hash
 only, and double-registration under a colliding hash is detected — the
-failure mode the real system must guard against.
+failure mode the real system must guard against.  :data:`KERNELS` is the
+one process-wide table: every component kernel joins it exactly once, at
+import, through the :func:`kernel` decorator, and
+:meth:`repro.component.ComponentContext.launch` is handed only the hash.
 
 It also implements the **hybrid host-device parallelism** of §5.3: a
 :class:`HybridDispatcher` splits one iteration space between a host space
@@ -31,7 +34,7 @@ import numpy as np
 from .execspace import ExecutionSpace
 from .kernels import BoundKernel, parallel_for
 
-__all__ = ["KernelRegistry", "kernel_hash", "HybridDispatcher"]
+__all__ = ["KERNELS", "kernel", "KernelRegistry", "kernel_hash", "HybridDispatcher"]
 
 
 def kernel_hash(fn: Callable) -> int:
@@ -54,22 +57,22 @@ def kernel_hash(fn: Callable) -> int:
 class KernelRegistry:
     """Host-side table of device-callable kernels, keyed by hash.
 
-    Registries are cheap per-context objects: every
-    :class:`~repro.component.ComponentContext` owns one, and the
-    component modules expose ``make_*_registry()`` factories so
-    concurrent model instances (ensemble members) never share a kernel
-    table.  Launch bookkeeping is the ``stats=`` accumulator's job
-    (:class:`repro.pp.stats.KernelMetrics` on the same context).
+    A table holds functions and the name each one's launches are counted
+    under, nothing per-run: the coupled model uses the process-wide
+    :data:`KERNELS`, and launch bookkeeping is the
+    :class:`repro.pp.stats.KernelMetrics` pool of whichever
+    :class:`~repro.component.ComponentContext` launches.
     """
 
-    def __init__(self, name: Optional[str] = None) -> None:
-        self.name = name
+    def __init__(self) -> None:
         self._table: Dict[int, Callable] = {}
         self._names: Dict[int, str] = {}
 
     def register(self, fn: Callable, name: Optional[str] = None) -> int:
         """Register ``fn``; returns its hash handle.
 
+        ``name`` is what the kernel's launches are counted under
+        (``atm.radiation``; the qualified name when omitted).
         Re-registering the *same* function is idempotent; registering a
         *different* function under a colliding hash raises (hash collisions
         would silently corrupt device dispatch otherwise).
@@ -82,13 +85,20 @@ class KernelRegistry:
                 f"{getattr(fn, '__qualname__', fn)!r} map to {h:#x}"
             )
         self._table[h] = fn
-        self._names[h] = getattr(fn, "__qualname__", repr(fn))
+        self._names[h] = name or getattr(fn, "__qualname__", repr(fn))
         return h
 
-    def kernel(self, fn: Callable) -> Callable:
-        """Decorator form: ``@registry.kernel``."""
-        self.register(fn)
-        return fn
+    def kernel(self, stats_name: str) -> Callable[[Callable], Callable]:
+        """Decorator form, ``@registry.kernel("atm.radiation")``: register
+        under that metrics name.  Returns the function itself (picklable by
+        reference, as :class:`~repro.pp.kernels.BoundKernel` needs), tagged
+        with the ``handle`` that launches pass instead of it."""
+
+        def join(fn: Callable) -> Callable:
+            fn.handle = self.register(fn, stats_name)
+            return fn
+
+        return join
 
     def lookup(self, handle: int) -> Callable:
         """Device-side callback: resolve a hash to the registered kernel."""
@@ -96,6 +106,10 @@ class KernelRegistry:
             return self._table[handle]
         except KeyError:
             raise KeyError(f"no kernel registered under handle {handle:#x}") from None
+
+    def stats_name(self, handle: int) -> str:
+        """The name ``handle``'s launches are counted under."""
+        return self._names[handle]
 
     def launch(self, space: ExecutionSpace, handle: int, policy, *args, **kwargs):
         """Launch-by-handle: what the device runtime does with the hash.
@@ -114,6 +128,12 @@ class KernelRegistry:
 
     def __contains__(self, handle: int) -> bool:
         return handle in self._table
+
+
+#: The process-wide table (§5.3: registered once, host-side, at start-up)
+#: and the decorator by which a component kernel joins it at import.
+KERNELS = KernelRegistry()
+kernel = KERNELS.kernel
 
 
 @dataclass

@@ -2,13 +2,13 @@
 
 ``parallel_for``/``parallel_reduce`` accept a :class:`KernelStats`
 accumulator but know nothing about :mod:`repro.obs`.  This module closes
-the gap without coupling the layers: :class:`ObsKernelStats` is a
-drop-in ``KernelStats`` whose ``record`` also publishes a launch counter
-and an iteration histogram to any obs-like handle (anything with
-``counter``/``gauge``/``histogram`` methods — :class:`repro.obs.Obs`
-satisfies this by construction), and :class:`KernelMetrics` is the
-per-context pool handing one named accumulator to each kernel so a
-``--trace`` run shows kernel-level activity alongside the spans.
+the gap without coupling the layers: :class:`KernelMetrics` is the
+per-context pool handing one named accumulator to each kernel, and each
+accumulator's ``record`` also publishes a launch counter and an
+iteration histogram to the pool's obs-like handle (anything with
+``counter``/``histogram`` methods — :class:`repro.obs.Obs` satisfies
+this by construction), so a ``--trace`` run shows kernel-level activity
+alongside the spans.
 """
 
 from __future__ import annotations
@@ -18,50 +18,30 @@ from typing import Any, Dict, Optional
 
 from .execspace import KernelStats
 
-__all__ = ["ObsKernelStats", "KernelMetrics"]
-
-
-@dataclass
-class ObsKernelStats(KernelStats):
-    """KernelStats that mirrors each launch into an obs metrics registry.
-
-    Metric names follow ``pp.<kernel>.launches`` (counter),
-    ``pp.<kernel>.iterations`` (histogram of per-launch iteration
-    counts) and ``pp.<kernel>.seconds`` (counter of measured wall
-    seconds — the signal :mod:`repro.machine.calibrate` fits against).
-    With ``obs=None`` this is exactly a ``KernelStats``.
-    """
-
-    kernel: str = "kernel"
-    obs: Optional[Any] = None
-
-    def record(self, n: int, seconds: float = 0.0) -> None:
-        super().record(n, seconds)
-        if self.obs is not None:
-            self.obs.counter(f"pp.{self.kernel}.launches").inc()
-            self.obs.histogram(f"pp.{self.kernel}.iterations").observe(float(n))
-            if seconds > 0.0:
-                self.obs.counter(f"pp.{self.kernel}.seconds").inc(seconds)
+__all__ = ["KernelMetrics"]
 
 
 class KernelMetrics:
-    """Named pool of per-kernel :class:`ObsKernelStats` accumulators.
+    """Named pool of per-kernel :class:`KernelStats` accumulators.
 
-    One instance lives on the shared ``ComponentContext``; each component
-    kernel wrapper asks for its accumulator by name, so every launch in a
-    coupled run lands in one registry regardless of which component
-    issued it.
+    One instance lives on each ``ComponentContext`` and
+    ``ComponentContext.launch`` asks it for the kernel's accumulator, so
+    every launch in a coupled run lands in the pool of the model that
+    issued it.  With an ``obs`` handle each launch is mirrored as
+    ``pp.<kernel>.launches`` (counter), ``pp.<kernel>.iterations``
+    (histogram of per-launch iteration counts) and ``pp.<kernel>.seconds``
+    (counter of measured wall seconds — the signal
+    :mod:`repro.machine.calibrate` fits against).
     """
 
     def __init__(self, obs: Optional[Any] = None) -> None:
         self.obs = obs
-        self._stats: Dict[str, ObsKernelStats] = {}
+        self._stats: Dict[str, KernelStats] = {}
 
-    def stats(self, kernel: str) -> ObsKernelStats:
+    def stats(self, kernel: str) -> KernelStats:
         acc = self._stats.get(kernel)
         if acc is None:
-            acc = ObsKernelStats(kernel=kernel, obs=self.obs)
-            self._stats[kernel] = acc
+            acc = self._stats[kernel] = _Published(kernel=kernel, obs=self.obs)
         return acc
 
     def summary(self) -> Dict[str, Dict[str, float]]:
@@ -74,3 +54,19 @@ class KernelMetrics:
             }
             for name, acc in sorted(self._stats.items())
         }
+
+
+@dataclass
+class _Published(KernelStats):
+    """One of a pool's accumulators: counts, then mirrors into ``obs``."""
+
+    kernel: str = "kernel"
+    obs: Optional[Any] = None
+
+    def record(self, n: int, seconds: float = 0.0) -> None:
+        super().record(n, seconds)
+        if self.obs is not None:
+            self.obs.counter(f"pp.{self.kernel}.launches").inc()
+            self.obs.histogram(f"pp.{self.kernel}.iterations").observe(float(n))
+            if seconds > 0.0:
+                self.obs.counter(f"pp.{self.kernel}.seconds").inc(seconds)

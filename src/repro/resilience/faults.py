@@ -30,7 +30,6 @@ import itertools
 import json
 import re
 import threading
-import zlib
 from dataclasses import asdict, dataclass, field
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
@@ -597,8 +596,3 @@ def corrupt_checkpoint(
         raw[pos] ^= 1 << int(rng.integers(0, 8))
         victim.write_bytes(bytes(raw))
     return victim
-
-
-def file_crc(path: Union[str, Path]) -> int:
-    """crc32 of a file's bytes (the checksum the manifests store)."""
-    return zlib.crc32(Path(path).read_bytes())

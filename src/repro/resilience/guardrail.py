@@ -88,11 +88,11 @@ class GuardedPhysics:
         self.step_fn = step_fn
         self.fallback_columns_total = 0
 
-    def bind(self, space, metrics, registry=None) -> None:
-        """Forward the pp-kernel binding both suites understand."""
+    def bind(self, ctx) -> None:
+        """Forward the dispatch handle both suites launch through."""
         for suite in (self.primary, self.fallback):
             if hasattr(suite, "bind"):
-                suite.bind(space, metrics, registry=registry)
+                suite.bind(ctx)
 
     # -- detection ---------------------------------------------------------
 

@@ -37,10 +37,22 @@ class TestComponentProtocol:
             "atm", "ocn", "ice", "lnd"
         ]
 
-    def test_one_shared_kernel_table(self, serial_model):
+    def test_one_shared_kernel_table(self, serial_model, monkeypatch):
         """Every component registered its kernels into ONE hash registry
-        (atm 5 + ocn 3 + ice 1 + lnd 1)."""
-        assert len(serial_model.ctx.kernels) == 10
+        (atm 5 + ocn 3 + ice 1 + lnd 1) — once, at import: a run launches
+        by hash and registers nothing (§5.3)."""
+        from repro.pp import KERNELS, KernelRegistry
+
+        assert serial_model.ctx.kernels is KERNELS and len(KERNELS) == 10
+        m = AP3ESM(AP3ESMConfig(**TINY))
+        m.init()
+        calls = []
+        monkeypatch.setattr(
+            KernelRegistry, "register", lambda self, fn, name=None: calls.append(fn)
+        )
+        m.run_couplings(2)
+        assert calls == [] and len(m.ctx.kernels) == 10
+        assert m.ctx.metrics.summary()["atm.radiation"]["launches"] > 0
 
     def test_state_set_state_roundtrip(self, serial_model):
         for comp in serial_model.components:
@@ -138,7 +150,8 @@ def test_component_base_contract(name, bound, tmp_path):
     straight = fresh()
     assert isinstance(straight, Component)
     if ctx is not None:
-        assert len(ctx.kernels) == len(straight.KERNELS) > 0
+        # One table whichever component binds: all joined it at import.
+        assert straight.ctx is ctx and len(ctx.kernels) == 10
     _force(straight)
     _advance(straight)
     _advance(straight)

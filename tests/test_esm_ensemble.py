@@ -39,6 +39,14 @@ def _atm_state(model):
     }
 
 
+def _kernel_counts(member):
+    """{kernel: (launches, iterations)} of one member's metrics pool."""
+    return {
+        k: (row["launches"], row["iterations"])
+        for k, row in member.ctx.metrics.summary().items()
+    }
+
+
 def _assert_state_equal(a, b):
     for key in a:
         assert np.array_equal(a[key], b[key]), f"field {key} differs"
@@ -306,47 +314,51 @@ class TestEnsembleObservability:
 
 
 class TestRegistryFactories:
-    """Per-context kernel registries: instances are isolated, module
-    aliases stay the shared default for solo runs."""
-
-    def test_factories_make_isolated_registries(self):
-        from repro.atm.kernels import ATM_KERNELS, make_atm_registry
-        from repro.ice.kernels import make_ice_registry
-        from repro.lnd.kernels import make_lnd_registry
-        from repro.ocn.kernels import make_ocean_registry
-
-        a = make_atm_registry()
-        b = make_atm_registry()
-        assert a is not b
-        assert a is not ATM_KERNELS
-        assert sorted(a._table) == sorted(ATM_KERNELS._table)
-        for make in (make_ice_registry, make_lnd_registry,
-                     make_ocean_registry):
-            r1, r2 = make(), make()
-            assert r1 is not r2
+    """One process-wide kernel table, per-context launch metrics: the
+    table is shared by construction, the counts never are."""
 
     def test_launch_counts_stay_per_instance(self):
-        from repro.atm.kernels import make_atm_registry
-        from repro.atm.physics import ConventionalPhysics
-        from repro.pp import KernelMetrics, Serial
+        from repro.component import ComponentContext
 
         cols = synthetic_columns(8, 10, season=0, step=0)
-        ma, mb = KernelMetrics(), KernelMetrics()
-        pa = ConventionalPhysics()
-        pa.bind(Serial(), metrics=ma, registry=make_atm_registry())
+        ca, cb = ComponentContext(), ComponentContext()
+        assert ca.kernels is cb.kernels and ca.metrics is not cb.metrics
+        pa = ConventionalPhysics(ctx=ca)
         pb = ConventionalPhysics()
-        pb.bind(Serial(), metrics=mb, registry=make_atm_registry())
+        pb.bind(cb)
         pa.compute(cols, 120.0)
         pa.compute(cols, 120.0)
         pb.compute(cols, 120.0)
-        assert ma.summary()["atm.radiation"]["launches"] == 2
-        assert mb.summary()["atm.radiation"]["launches"] == 1
+        assert ca.metrics.summary()["atm.radiation"]["launches"] == 2
+        assert cb.metrics.summary()["atm.radiation"]["launches"] == 1
 
-    def test_ensemble_members_do_not_share_kernel_registries(self):
+        # Metrics follow the caller, not the last bind(): members sharing
+        # ONE suite object each count their own atmosphere's launches ...
+        def atm_counts(ens):
+            ens.init()
+            ens.run_couplings(2)
+            return [
+                {k: v for k, v in _kernel_counts(m).items() if k.startswith("atm.")}
+                for m in ens.members
+            ]
+
+        shared = _small_config(physics=ConventionalPhysics())
+        solo, twin = atm_counts(EnsembleRun(EnsembleConfig(base=shared, members=2)))
+        assert solo == twin and solo["atm.radiation"][0] > 0
+        # ... and a batched fleet call counts on member 0, whose suite runs
+        # it: as many launches as one member made, over both members' columns.
+        lead, rest = atm_counts(EnsembleRun(
+            EnsembleConfig(base=shared, members=2, batch_physics=True)))
+        assert rest == {}
+        assert lead == {k: (n, 2 * its) for k, (n, its) in solo.items()}
+
+    def test_ensemble_members_do_not_share_kernel_metrics(self):
         ens = EnsembleRun(EnsembleConfig(base=_small_config(), members=2))
         ens.init()
-        regs = {id(m.atm.physics.registry) for m in ens.members}
-        assert len(regs) == 2
+        ens.run_couplings(1)
+        a, b = ens.members
+        assert a.ctx.kernels is b.ctx.kernels and a.ctx.metrics is not b.ctx.metrics
+        assert _kernel_counts(a) == _kernel_counts(b) != {}
 
 
 class TestEnsembleRestarts:

@@ -53,6 +53,23 @@ class TestKernelRegistry:
         with pytest.raises(ValueError, match="hash collision"):
             reg.register(_axpy2)
 
+        # The components share ONE table, so a kernel forged to hash like
+        # another component's is caught on joining it, whoever declares it.
+        import inspect
+
+        from repro.ice.kernels import thermo_kernel
+        from repro.pp import KERNELS, kernel
+
+        def impostor():
+            pass
+
+        impostor.__module__ = thermo_kernel.__module__
+        impostor.__qualname__ = thermo_kernel.__qualname__
+        impostor.__signature__ = inspect.signature(thermo_kernel)
+        with pytest.raises(ValueError, match="hash collision"):
+            kernel("lnd.impostor")(impostor)
+        assert KERNELS.lookup(thermo_kernel.handle) is thermo_kernel
+
     def test_unknown_handle(self):
         reg = KernelRegistry()
         with pytest.raises(KeyError, match="no kernel registered"):
@@ -69,12 +86,13 @@ class TestKernelRegistry:
     def test_decorator_form(self):
         reg = KernelRegistry()
 
-        @reg.kernel
+        @reg.kernel("scale")
         def scale(idx, y):
             y[idx] *= 3.0
 
+        assert scale.handle == kernel_hash(scale) and reg.stats_name(scale.handle) == "scale"
         y = np.ones(10)
-        reg.launch(Serial(), kernel_hash(scale), 10, y)
+        reg.launch(Serial(), scale.handle, 10, y)
         assert np.all(y == 3.0)
 
 
