@@ -272,15 +272,7 @@ class RearrangePlan:
         """The coalescing arithmetic the machine model prices: per
         coupling step, every (src, dst) edge carries ONE plan message
         where the per-field path carries ``n_fields``."""
-        send_partners = np.zeros(n_ranks)
-        recv_partners = np.zeros(n_ranks)
-        for (p, q) in self.router.send:
-            if p != q:
-                send_partners[p] += 1
-        for (p, q) in self.router.recv:
-            if p != q:
-                recv_partners[q] += 1
-        posts = send_partners + recv_partners
+        posts = sum(self.router.partner_counts(n_ranks))
         n_fields = float(self.n_fields)
         coalesced_max = float(posts.max()) if n_ranks else 0.0
         return {

@@ -207,14 +207,7 @@ class Rearranger:
         bundle layout (and, across bundles, a compiled
         :class:`~repro.coupler.plan.RearrangePlan`) collapses back to one.
         """
-        send_partners = np.zeros(n_ranks)
-        recv_partners = np.zeros(n_ranks)
-        for (p, q) in self.router.send:
-            if p != q:
-                send_partners[p] += 1
-        for (p, q) in self.router.recv:
-            if p != q:
-                recv_partners[q] += 1
+        send_partners, recv_partners = self.router.partner_counts(n_ranks)
         posts = send_partners + recv_partners
         posts_max = float(posts.max()) if n_ranks else 0.0
         return {

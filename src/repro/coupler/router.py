@@ -82,6 +82,18 @@ class Router:
     def total_points(self) -> int:
         return int(sum(len(v) for v in self.send.values()))
 
+    def partner_counts(self, n_ranks: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-rank message postings of one transfer: ``(sends, recvs)``,
+        one send per non-self destination, one receive per non-self source."""
+        sends, recvs = np.zeros(n_ranks), np.zeros(n_ranks)
+        for (p, q) in self.send:
+            if p != q:
+                sends[p] += 1
+        for (p, q) in self.recv:
+            if p != q:
+                recvs[q] += 1
+        return sends, recvs
+
     def memory_bytes(self) -> int:
         return int(
             sum(v.nbytes for v in self.send.values())

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -205,61 +205,14 @@ def _copy_payload(obj: Any) -> Any:
     return obj
 
 
-class _Mailbox:
-    """Per-rank inbound message store with condition-variable waiting."""
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._messages: deque = deque()  # (src, tag, payload)
-
-    def put(self, src: int, tag: int, payload: Any) -> None:
-        with self._cond:
-            self._messages.append((src, tag, payload))
-            self._cond.notify_all()
-
-    def _match(self, src: Optional[int], tag: int):
-        for i, (msrc, mtag, payload) in enumerate(self._messages):
-            if (src is None or msrc == src) and (tag == ANY_TAG or mtag == tag):
-                del self._messages[i]
-                return msrc, mtag, payload
-        return None
-
-    def get(
-        self,
-        src: Optional[int],
-        tag: int,
-        timeout: float,
-        abort: Optional[Callable[[], None]] = None,
-    ) -> Tuple[int, int, Any]:
-        """Blocking matched receive.  ``abort`` (if given) is polled on
-        every wake-up and may raise to interrupt the wait — the hook the
-        world's revocation uses to free receivers blocked on a dead peer."""
-        deadline = None if timeout is None else (threading.TIMEOUT_MAX if timeout < 0 else timeout)
-        with self._cond:
-            if abort is not None:
-                abort()
-            found = self._match(src, tag)
-            while found is None:
-                if not self._cond.wait(timeout=deadline):
-                    raise TimeoutError(
-                        f"recv(src={src}, tag={tag}) timed out after {timeout}s"
-                    )
-                if abort is not None:
-                    abort()
-                found = self._match(src, tag)
-            return found
-
-    def interrupt(self) -> None:
-        """Wake every blocked getter so it re-polls its abort hook."""
-        with self._cond:
-            self._cond.notify_all()
-
-    def probe(self, src: Optional[int], tag: int) -> bool:
-        with self._cond:
-            for msrc, mtag, _ in self._messages:
-                if (src is None or msrc == src) and (tag == ANY_TAG or mtag == tag):
-                    return True
-            return False
+def _match(inbox: deque, src: Optional[int], tag: int, take: bool = True):
+    """First message in ``inbox`` from ``src`` (None: any) with ``tag``."""
+    for i, msg in enumerate(inbox):
+        if (src is None or msg[0] == src) and (tag == ANY_TAG or msg[1] == tag):
+            if take:
+                del inbox[i]
+            return msg
+    return None
 
 
 class Request:
@@ -286,8 +239,29 @@ class Request:
         return [r.wait() for r in requests]
 
 
+class _Rendezvous:
+    """One communicator's collective primitive: a barrier over its ranks,
+    one slot per rank, and the communicator's p2p tag space."""
+
+    def __init__(self, size: int, tag_offset: int) -> None:
+        self.barrier = threading.Barrier(size)
+        self.tag_offset = tag_offset
+        self._slots: List[Any] = [None] * size
+
+    def exchange(self, rank: int, value: Any) -> List[Any]:
+        """Every rank deposits a value; every rank gets the full list.
+        Two barriers bracket the read, so the next collective cannot
+        overwrite a slot before every rank has copied this one."""
+        self._slots[rank] = value
+        self.barrier.wait()
+        values = list(self._slots)
+        self.barrier.wait()
+        return values
+
+
 class _WorldState:
-    """Shared state for a set of ranks: mailboxes, rendezvous, ledger."""
+    """Shared state for a set of ranks: one mailbox per rank, ledger,
+    fault injector, revocation, and every communicator's rendezvous."""
 
     def __init__(self, n_ranks: int, timeout: float, faults: Any = None) -> None:
         self.n_ranks = n_ranks
@@ -295,70 +269,110 @@ class _WorldState:
         # Opt-in fault injector (e.g. repro.resilience.CommFaultInjector);
         # None keeps the hot path to a single branch per send/recv.
         self.faults = faults
-        self.mailboxes = [_Mailbox() for _ in range(n_ranks)]
+        # Mailbox = a condition variable over a deque of (src, tag, payload).
+        self.mailboxes = [(threading.Condition(), deque()) for _ in range(n_ranks)]
         self.ledger = TrafficLedger()
-        self.barrier = threading.Barrier(n_ranks)
-        self._rendezvous_lock = threading.Lock()
-        self._slots: Dict[str, List[Any]] = {}
         # Revocation state (elastic runs): once a rank dies, the world is
         # revoked and every further comm op raises CommRevokedError.
         self.revoked = False
         self.dead: set = set()
-        self._death_lock = threading.Lock()
+        self._lock = threading.Lock()
+        self._rendezvous: Dict[str, _Rendezvous] = {}
+        self.rendezvous("world", n_ranks)
+
+    def rendezvous(self, name: str, size: int) -> _Rendezvous:
+        """Communicator ``name``'s rendezvous, made by the first member to
+        ask; its place in the registry gives it a tag space of its own."""
+        with self._lock:
+            rv = self._rendezvous.get(name)
+            if rv is None:
+                rv = self._rendezvous[name] = _Rendezvous(size, len(self._rendezvous) << 20)
+            return rv
+
+    def break_barriers(self) -> None:
+        """Abort every communicator's barrier so no rank waits in a
+        collective that can no longer complete.  (A rank that fails has
+        already made the rendezvous of every communicator it belongs to.)"""
+        with self._lock:
+            for rv in self._rendezvous.values():
+                rv.barrier.abort()
 
     def revoke(self, dead_rank: int) -> None:
-        """Record a death and revoke the world: abort the collective
-        barrier and wake every blocked receiver so survivors surface
+        """Record a death and revoke the world: break every barrier and
+        wake every blocked receiver so survivors surface
         :class:`CommRevokedError` promptly instead of timing out."""
-        with self._death_lock:
+        with self._lock:
             self.dead.add(dead_rank)
             self.revoked = True
-        self.barrier.abort()
-        for mb in self.mailboxes:
-            mb.interrupt()
+        self.break_barriers()
+        for cond, _ in self.mailboxes:
+            with cond:
+                cond.notify_all()
 
     def check_revoked(self, rank: int) -> None:
         if self.revoked:
-            with self._death_lock:
+            with self._lock:
                 raise CommRevokedError(rank, self.dead)
 
-    def exchange(self, key: str, rank: int, value: Any) -> List[Any]:
-        """All ranks deposit a value under ``key``; all get the full list.
+    def post(self, src: int, dst: int, tag: int, payload: Any) -> None:
+        cond, inbox = self.mailboxes[dst]
+        with cond:
+            inbox.append((src, tag, payload))
+            cond.notify_all()
 
-        This is the rendezvous primitive on which the collectives are
-        built.  Two barriers bracket the slot table so that consecutive
-        collectives with the same key cannot race.
-        """
-        self.check_revoked(rank)
-        with self._rendezvous_lock:
-            slots = self._slots.setdefault(key, [None] * self.n_ranks)
-        slots[rank] = value
-        try:
-            self.barrier.wait()
-            result = list(slots)
-            self.barrier.wait()
-        except threading.BrokenBarrierError:
-            # A revoked world breaks the barrier by design; translate to
-            # the structured error so survivors reach the recovery path.
+    def take(self, rank: int, src: Optional[int], tag: int, timeout: float) -> Any:
+        """Blocking matched receive into ``rank``'s mailbox.  Every wake-up
+        re-checks revocation, so receivers blocked on a dead peer are freed."""
+        deadline = None if timeout is None else (threading.TIMEOUT_MAX if timeout < 0 else timeout)
+        cond, inbox = self.mailboxes[rank]
+        with cond:
             self.check_revoked(rank)
-            raise
-        if rank == 0:
-            with self._rendezvous_lock:
-                self._slots.pop(key, None)
-        return result
+            found = _match(inbox, src, tag)
+            while found is None:
+                if not cond.wait(timeout=deadline):
+                    raise CommTimeoutError(src, rank, tag, timeout)
+                self.check_revoked(rank)
+                found = _match(inbox, src, tag)
+            return found[2]
+
+    def probe(self, rank: int, src: Optional[int], tag: int) -> bool:
+        cond, inbox = self.mailboxes[rank]
+        with cond:
+            return _match(inbox, src, tag, take=False) is not None
 
 
 class SimComm:
-    """Per-rank communicator handle (the analogue of an ``MPI.Comm``)."""
+    """Per-rank communicator handle (the analogue of an ``MPI.Comm``).
 
-    def __init__(self, world: _WorldState, rank: int, color_key: str = "world") -> None:
+    The world and every :meth:`split` of it are this one class over the
+    same world state: ``world_ranks`` maps group ranks to world ranks
+    (identity for the world).  P2p translates rank and tag into the world
+    mailboxes; collectives run on the communicator's own rendezvous.
+    """
+
+    def __init__(
+        self,
+        world: _WorldState,
+        rank: int,
+        world_ranks: Optional[Sequence[int]] = None,
+        name: str = "world",
+    ) -> None:
         self._world = world
+        self._world_ranks = range(world.n_ranks) if world_ranks is None else world_ranks
         self.rank = rank
-        self.size = world.n_ranks
-        self._color_key = color_key
-        self._coll_seq = 0
+        self.size = len(self._world_ranks)
+        self._me = self._world_ranks[rank]
+        self._name = name
+        self._rv = world.rendezvous(name, self.size)
+        self._n_splits = 0
 
     # -- point to point ------------------------------------------------
+
+    def _to_world(self, rank: Optional[int], tag: int) -> Tuple[Optional[int], int]:
+        return (
+            None if rank is None else self._world_ranks[rank],
+            tag if tag == ANY_TAG else tag + self._rv.tag_offset,
+        )
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Blocking (buffered) send with value semantics.
@@ -370,16 +384,17 @@ class SimComm:
         """
         if not 0 <= dest < self.size:
             raise ValueError(f"dest {dest} out of range for size {self.size}")
-        if self._world.revoked:
-            self._world.check_revoked(self.rank)
+        world = self._world
+        if world.revoked:
+            world.check_revoked(self._me)
+        dest, tag = self._to_world(dest, tag)
         payload = _copy_payload(obj)
-        faults = self._world.faults
-        if faults is not None:
-            payload = faults.on_send(self.rank, dest, tag, payload)
+        if world.faults is not None:
+            payload = world.faults.on_send(self._me, dest, tag, payload)
             if payload is None:  # dropped on the wire
                 return
-        self._world.ledger.record_p2p(self.rank, dest, _payload_nbytes(payload))
-        self._world.mailboxes[dest].put(self.rank, tag, payload)
+        world.ledger.record_p2p(self._me, dest, _payload_nbytes(payload))
+        world.post(self._me, dest, tag, payload)
 
     def recv(
         self,
@@ -392,20 +407,11 @@ class SimComm:
         ``timeout`` overrides the world's default deadlock guard for this
         call; expiry raises :class:`CommTimeoutError` naming the edge.
         """
-        faults = self._world.faults
-        if faults is not None:
-            faults.on_recv(self.rank, source, tag)
-        limit = self._world.timeout if timeout is None else timeout
-        try:
-            _, _, payload = self._world.mailboxes[self.rank].get(
-                source, tag, limit,
-                abort=lambda: self._world.check_revoked(self.rank),
-            )
-        except (CommTimeoutError, CommRevokedError):
-            raise
-        except TimeoutError:
-            raise CommTimeoutError(source, self.rank, tag, limit) from None
-        return payload
+        world = self._world
+        source, tag = self._to_world(source, tag)
+        if world.faults is not None:
+            world.faults.on_recv(self._me, source, tag)
+        return world.take(self._me, source, tag, world.timeout if timeout is None else timeout)
 
     def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
         # Buffered semantics: the copy happens immediately, delivery too —
@@ -431,25 +437,34 @@ class SimComm:
         return out
 
     def probe(self, source: Optional[int] = None, tag: int = ANY_TAG) -> bool:
-        return self._world.mailboxes[self.rank].probe(source, tag)
+        return self._world.probe(self._me, *self._to_world(source, tag))
 
     # -- collectives -----------------------------------------------------
 
-    def _key(self, op: str) -> str:
-        self._coll_seq += 1
-        return f"{self._color_key}:{op}:{self._coll_seq}"
+    def _exchange(self, value: Any) -> List[Any]:
+        """Every rank of this communicator deposits ``value``; all get the list."""
+        self._world.check_revoked(self._me)
+        try:
+            return self._rv.exchange(self.rank, value)
+        except threading.BrokenBarrierError:
+            # A revoked world breaks every barrier by design; translate to
+            # the structured error so survivors reach the recovery path.
+            self._world.check_revoked(self._me)
+            raise
+
+    @property
+    def _tree_depth(self) -> int:
+        return max(1, math.ceil(math.log2(max(2, self.size))))
 
     def barrier(self) -> None:
-        self._world.exchange(self._key("barrier"), self.rank, None)
+        self._exchange(None)
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
-        values = self._world.exchange(self._key("bcast"), self.rank, obj if self.rank == root else None)
-        payload = values[root]
+        payload = self._exchange(obj if self.rank == root else None)[root]
         if self.rank == root:
             nbytes = _payload_nbytes(payload)
-            depth = max(1, math.ceil(math.log2(max(2, self.size))))
             self._world.ledger.record_collective(
-                CollectiveCost("bcast", self.size, self.size - 1, nbytes * depth)
+                CollectiveCost("bcast", self.size, self.size - 1, nbytes * self._tree_depth)
             )
             return payload
         return _copy_payload(payload)
@@ -458,8 +473,7 @@ class SimComm:
         if self.rank == root:
             if objs is None or len(objs) != self.size:
                 raise ValueError("root must supply one object per rank")
-        values = self._world.exchange(self._key("scatter"), self.rank, objs if self.rank == root else None)
-        chunks = values[root]
+        chunks = self._exchange(objs if self.rank == root else None)[root]
         if self.rank == root:
             total = sum(_payload_nbytes(c) for i, c in enumerate(chunks) if i != root)
             self._world.ledger.record_collective(
@@ -469,7 +483,7 @@ class SimComm:
         return _copy_payload(chunks[self.rank])
 
     def gather(self, obj: Any, root: int = 0) -> Optional[List[Any]]:
-        values = self._world.exchange(self._key("gather"), self.rank, obj)
+        values = self._exchange(obj)
         if self.rank == root:
             total = sum(_payload_nbytes(v) for i, v in enumerate(values) if i != root)
             self._world.ledger.record_collective(
@@ -479,7 +493,7 @@ class SimComm:
         return None
 
     def allgather(self, obj: Any) -> List[Any]:
-        values = self._world.exchange(self._key("allgather"), self.rank, obj)
+        values = self._exchange(obj)
         if self.rank == 0:
             per = _payload_nbytes(obj)
             self._world.ledger.record_collective(
@@ -501,23 +515,21 @@ class SimComm:
 
     def reduce(self, obj: Any, op: str = "sum", root: int = 0) -> Any:
         self._check_op(op)
-        values = self._world.exchange(self._key(f"reduce-{op}"), self.rank, obj)
+        values = self._exchange(obj)
         if self.rank == root:
             nbytes = _payload_nbytes(obj)
-            depth = max(1, math.ceil(math.log2(max(2, self.size))))
             self._world.ledger.record_collective(
-                CollectiveCost(f"reduce-{op}", self.size, self.size - 1, nbytes * depth)
+                CollectiveCost(f"reduce-{op}", self.size, self.size - 1, nbytes * self._tree_depth)
             )
             return self._OPS[op](values)
         return None
 
     def allreduce(self, obj: Any, op: str = "sum") -> Any:
         self._check_op(op)
-        values = self._world.exchange(self._key(f"allreduce-{op}"), self.rank, obj)
-        result = self._OPS[op](values)
+        result = self._OPS[op](self._exchange(obj))
         if self.rank == 0:
             nbytes = _payload_nbytes(obj)
-            depth = max(1, math.ceil(math.log2(max(2, self.size))))
+            depth = self._tree_depth
             # Recursive doubling: log2(P) rounds, one message each way/rank.
             self._world.ledger.record_collective(
                 CollectiveCost(f"allreduce-{op}", self.size, self.size * depth, nbytes * self.size * depth)
@@ -528,7 +540,7 @@ class SimComm:
         """Each rank supplies one object per destination rank."""
         if len(objs) != self.size:
             raise ValueError("alltoall needs exactly one object per rank")
-        values = self._world.exchange(self._key("alltoall"), self.rank, list(objs))
+        values = self._exchange(list(objs))
         out = [_copy_payload(values[src][self.rank]) for src in range(self.size)]
         off_diag = sum(_payload_nbytes(o) for i, o in enumerate(objs) if i != self.rank)
         self._world.ledger.record_collective(
@@ -537,136 +549,26 @@ class SimComm:
         return out
 
     def split(self, color: int, key: Optional[int] = None) -> "SimComm":
-        """Partition the communicator by color (like ``MPI_Comm_split``).
+        """Partition the communicator by color (like ``MPI_Comm_split``);
+        ranks are ordered by ``key``, ties by rank in this communicator.
 
-        The sub-communicator reuses the parent world's mailboxes via a rank
-        translation table, so p2p and collectives stay correct within the
-        group.
+        The child is a :class:`SimComm` over the same world.  It is named
+        after this call (``<parent>/split:<seq>/c<color>``), so every
+        split — repeated or nested — has its own rendezvous and tag space.
         """
         key = self.rank if key is None else key
-        entries = self._world.exchange(self._key("split"), self.rank, (color, key, self.rank))
-        members = sorted(
-            (k, wr) for (c, k, wr) in entries if c == color
-        )
-        world_ranks = [wr for _, wr in members]
-        return _SubComm(self._world, world_ranks, self.rank, f"{self._color_key}/c{color}")
+        self._n_splits += 1
+        entries = self._exchange((color, key))
+        members = sorted((k, r) for r, (c, k) in enumerate(entries) if c == color)
+        world_ranks = [self._world_ranks[r] for _, r in members]
+        name = f"{self._name}/split:{self._n_splits}/c{color}"
+        return SimComm(self._world, world_ranks.index(self._me), world_ranks, name)
 
     # -- accounting ------------------------------------------------------
 
     @property
     def ledger(self) -> TrafficLedger:
         return self._world.ledger
-
-
-class _SubComm(SimComm):
-    """Communicator over a subset of world ranks (result of ``split``)."""
-
-    def __init__(self, world: _WorldState, world_ranks: List[int], my_world_rank: int, color_key: str) -> None:
-        super().__init__(world, world_ranks.index(my_world_rank), color_key)
-        self.size = len(world_ranks)
-        self._world_ranks = world_ranks
-        # P2p goes through the world communicator — the one path that
-        # carries fault injection, the revoked check and the abort
-        # wake-up — with group ranks translated to world ranks and tags
-        # offset so that subcomm traffic cannot be matched by world-comm
-        # receives or by a different split's subcomm (zlib.crc32 is
-        # process-stable and identical across ranks for the same color key).
-        import zlib
-
-        self._p2p = SimComm(world, my_world_rank)
-        self._TAG_OFFSET = ((zlib.crc32(color_key.encode()) % 997) + 1) << 20
-
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        self._p2p.send(obj, self._world_ranks[dest], tag + self._TAG_OFFSET)
-
-    def _to_world(self, source: Optional[int], tag: int) -> Tuple[Optional[int], int]:
-        return (
-            None if source is None else self._world_ranks[source],
-            tag if tag == ANY_TAG else tag + self._TAG_OFFSET,
-        )
-
-    def recv(
-        self,
-        source: Optional[int] = None,
-        tag: int = ANY_TAG,
-        timeout: Optional[float] = None,
-    ) -> Any:
-        return self._p2p.recv(*self._to_world(source, tag), timeout=timeout)
-
-    def probe(self, source: Optional[int] = None, tag: int = ANY_TAG) -> bool:
-        return self._p2p.probe(*self._to_world(source, tag))
-
-    # For subcomms we route collectives through gather-to-0 + bcast over p2p.
-    def _gather0(self, obj: Any, tag: int) -> Optional[List[Any]]:
-        if self.rank == 0:
-            out: List[Any] = [None] * self.size
-            out[0] = obj
-            for _ in range(self.size - 1):
-                r, payload = self.recv(tag=tag)
-                out[r] = payload
-            return out
-        self.send((self.rank, obj), 0, tag=tag)
-        return None
-
-    def _bcast0(self, obj: Any, tag: int) -> Any:
-        if self.rank == 0:
-            for dst in range(1, self.size):
-                self.send(obj, dst, tag=tag)
-            return obj
-        return self.recv(source=0, tag=tag)
-
-    def barrier(self) -> None:
-        self._gather0((self.rank, None), tag=901)
-        self._bcast0(None, tag=902)
-
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        if root != 0:
-            # Rotate through rank 0.
-            if self.rank == root:
-                self.send(obj, 0, tag=903)
-            if self.rank == 0:
-                obj = self.recv(source=root, tag=903)
-        return self._bcast0(obj if self.rank == 0 else None, tag=904)
-
-    def scatter(self, objs: Optional[Sequence[Any]], root: int = 0) -> Any:
-        if self.rank == root and (objs is None or len(objs) != self.size):
-            raise ValueError("root must supply one object per rank")
-        return self.bcast(objs, root=root)[self.rank]
-
-    def gather(self, obj: Any, root: int = 0) -> Optional[List[Any]]:
-        gathered = self._gather0(obj, tag=905)
-        if root == 0:
-            return gathered if self.rank == 0 else None
-        if self.rank == 0:
-            self.send(gathered, root, tag=906)
-            return None
-        if self.rank == root:
-            return self.recv(source=0, tag=906)
-        return None
-
-    def allgather(self, obj: Any) -> List[Any]:
-        gathered = self._gather0(obj, tag=907)
-        return self._bcast0(gathered, tag=908)
-
-    def allreduce(self, obj: Any, op: str = "sum") -> Any:
-        self._check_op(op)
-        return self._OPS[op](self.allgather(obj))
-
-    def reduce(self, obj: Any, op: str = "sum", root: int = 0) -> Any:
-        self._check_op(op)
-        values = self.gather(obj, root=root)
-        if values is not None:
-            return self._OPS[op](values)
-        return None
-
-    def alltoall(self, objs: Sequence[Any]) -> List[Any]:
-        if len(objs) != self.size:
-            raise ValueError("alltoall needs exactly one object per rank")
-        matrix = self.allgather(list(objs))
-        return [matrix[src][self.rank] for src in range(self.size)]
-
-    def split(self, color: int, key: Optional[int] = None):  # pragma: no cover
-        raise NotImplementedError("nested splits of subcommunicators are not supported")
 
 
 def _tree_reduce(values: Sequence[Any], op: Callable) -> Any:
@@ -681,6 +583,20 @@ def _tree_reduce(values: Sequence[Any], op: Callable) -> Any:
             nxt.append(vals[-1])
         vals = nxt
     return vals[0]
+
+
+#: What a failure does to its peers, as opposed to a failure of their own.
+_COLLATERAL = (threading.BrokenBarrierError, TimeoutError, CommRevokedError)
+
+
+def _root_causes(errors: List[Tuple[int, BaseException]]) -> List[Tuple[int, BaseException]]:
+    return [e for e in errors if not isinstance(e[1], _COLLATERAL)]
+
+
+def _raise_first(failures: List[Tuple[int, BaseException]]) -> None:
+    if failures:
+        rank, exc = failures[0]
+        raise RuntimeError(f"rank {rank} failed: {exc!r}") from exc
 
 
 class SimWorld:
@@ -741,26 +657,35 @@ class SimWorld:
             raise RuntimeError("world has not run yet")
         return self._state.ledger
 
-    def run(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> List[Any]:
-        """Run ``fn(comm, *args, **kwargs)`` on every rank; return results.
+    def _launch(self, fn: Callable[..., Any], args: tuple, kwargs: dict):
+        """Run ``fn(comm, *args, **kwargs)`` on one thread per rank and
+        join them all.  Returns ``(results, deaths, errors)``, the last two
+        as rank-sorted ``(rank, exception)`` lists.
 
-        Exceptions on any rank are re-raised in the caller (first failing
-        rank wins), after all threads have been joined.
+        A :class:`RankFailure` revokes the world (the ``MPI_Comm_revoke``
+        analogue): every barrier breaks and blocked receivers wake, so
+        survivors raise :class:`CommRevokedError` promptly instead of
+        timing out one by one.  Any other exception breaks every barrier,
+        so no peer waits on a collective the failed rank will never join.
         """
         state = _WorldState(self.n_ranks, self._timeout, faults=self._faults)
         self._state = state
         results: List[Any] = [None] * self.n_ranks
+        deaths: List[Tuple[int, BaseException]] = []
         errors: List[Tuple[int, BaseException]] = []
-        errors_lock = threading.Lock()
+        lock = threading.Lock()
 
         def worker(rank: int) -> None:
-            comm = SimComm(state, rank)
             try:
-                results[rank] = fn(comm, *args, **kwargs)
+                results[rank] = fn(SimComm(state, rank), *args, **kwargs)
+            except RankFailure as exc:
+                with lock:
+                    deaths.append((rank, exc))
+                state.revoke(rank)
             except BaseException as exc:  # noqa: BLE001 - propagate to caller
-                with errors_lock:
+                with lock:
                     errors.append((rank, exc))
-                state.barrier.abort()
+                state.break_barriers()
 
         threads = [
             threading.Thread(target=worker, args=(r,), name=f"simrank-{r}", daemon=True)
@@ -770,18 +695,20 @@ class SimWorld:
             t.start()
         for t in threads:
             t.join()
-        if errors:
-            errors.sort(key=lambda e: e[0])
-            # Prefer the root cause over secondary errors: a killed rank
-            # (RankFailure) makes its peers time out and/or break barriers,
-            # so those must not mask the failure that caused them.
-            killed = [e for e in errors if isinstance(e[1], RankFailure)]
-            primary = killed or [
-                e for e in errors
-                if not isinstance(e[1], (threading.BrokenBarrierError, TimeoutError))
-            ]
-            rank, exc = (primary or errors)[0]
-            raise RuntimeError(f"rank {rank} failed: {exc!r}") from exc
+        # One entry per rank at most, so tuples sort by rank alone.
+        return results, sorted(deaths), sorted(errors)
+
+    def run(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> List[Any]:
+        """Run ``fn(comm, *args, **kwargs)`` on every rank; return results.
+
+        A failure is re-raised in the caller after all threads have been
+        joined, as ``RuntimeError("rank k failed: ...")`` from its root
+        cause: the lowest killed rank (whose death revokes the world, so
+        peers blocked on it are freed at once), else the lowest rank whose
+        error is not collateral (a broken barrier, timeout or revocation).
+        """
+        results, deaths, errors = self._launch(fn, args, kwargs)
+        _raise_first(deaths or _root_causes(errors) or errors)
         return results
 
     # -- elastic (ULFM-style) runs --------------------------------------
@@ -791,76 +718,22 @@ class SimWorld:
     ) -> ElasticOutcome:
         """Run ``fn`` like :meth:`run`, but survive rank deaths.
 
-        A :class:`RankFailure` on any rank revokes the world (the
-        ``MPI_Comm_revoke`` analogue): the collective barrier is aborted
-        and blocked receivers are woken, so survivors raise
-        :class:`CommRevokedError` promptly instead of timing out one by
-        one.  After every thread has been joined — the join is the
-        agreement point, playing the role of ``MPIX_Comm_agree`` in this
-        threaded runtime — the outcome classifies each rank as completed,
-        dead, or interrupted.  Exceptions unrelated to the failure are
-        re-raised exactly as :meth:`run` would.
+        A :class:`RankFailure` on any rank revokes the world, so survivors
+        raise :class:`CommRevokedError` promptly.  After every thread has
+        been joined — the join is the agreement point, playing the role of
+        ``MPIX_Comm_agree`` in this threaded runtime — the outcome
+        classifies each rank as completed, dead, or interrupted.  An error
+        that a death does not explain is re-raised exactly as :meth:`run`
+        would.
         """
-        state = _WorldState(self.n_ranks, self._timeout, faults=self._faults)
-        self._state = state
-        results: List[Any] = [None] * self.n_ranks
-        dead: List[int] = []
-        interrupted: List[int] = []
-        errors: List[Tuple[int, BaseException]] = []
-        lock = threading.Lock()
-
-        def worker(rank: int) -> None:
-            comm = SimComm(state, rank)
-            try:
-                results[rank] = fn(comm, *args, **kwargs)
-            except RankFailure:
-                with lock:
-                    dead.append(rank)
-                state.revoke(rank)
-            except (CommRevokedError, CommTimeoutError, threading.BrokenBarrierError) as exc:
-                # Collateral damage of a death — but only if a death was in
-                # fact recorded by the time we classify (post-join below).
-                with lock:
-                    interrupted.append(rank)
-                    errors.append((rank, exc))
-            except BaseException as exc:  # noqa: BLE001 - propagate to caller
-                with lock:
-                    errors.append((rank, exc))
-                state.barrier.abort()
-
-        threads = [
-            threading.Thread(target=worker, args=(r,), name=f"simrank-{r}", daemon=True)
-            for r in range(self.n_ranks)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if dead:
-            # Agreement reached: deaths explain the interruptions; any
-            # remaining error is a genuine (unrelated) program failure.
-            real = [
-                e for e in errors
-                if e[0] not in interrupted
-            ]
-            if real:
-                real.sort(key=lambda e: e[0])
-                rank, exc = real[0]
-                raise RuntimeError(f"rank {rank} failed: {exc!r}") from exc
-            return ElasticOutcome(
-                results=results,
-                dead=tuple(sorted(dead)),
-                interrupted=tuple(sorted(interrupted)),
-            )
-        if errors:
-            errors.sort(key=lambda e: e[0])
-            primary = [
-                e for e in errors
-                if not isinstance(e[1], (threading.BrokenBarrierError, TimeoutError))
-            ]
-            rank, exc = (primary or errors)[0]
-            raise RuntimeError(f"rank {rank} failed: {exc!r}") from exc
-        return ElasticOutcome(results=results, dead=(), interrupted=())
+        results, deaths, errors = self._launch(fn, args, kwargs)
+        real = _root_causes(errors)
+        _raise_first(real if deaths else real or errors)
+        return ElasticOutcome(
+            results=results,
+            dead=tuple(r for r, _ in deaths),
+            interrupted=tuple(r for r, _ in errors),
+        )
 
     def shrink(self, dead: Sequence[int], faults: Any = None) -> "SimWorld":
         """Repaired world with the dead ranks removed and survivors densely

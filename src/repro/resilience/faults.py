@@ -160,6 +160,15 @@ class PhysicsFault:
             raise ValueError("physics fault needs columns or n_columns > 0")
         _check_member(self.member)
 
+    def pick_columns(self, ncol: int, seed: int) -> List[int]:
+        """The columns this fault corrupts in an ``ncol``-column state:
+        the explicit ``columns`` that fit, else ``n_columns`` drawn from
+        the plan ``seed`` (the same draw on every replay of this step)."""
+        if self.columns:
+            return [c for c in self.columns if 0 <= c < ncol]
+        rng = seeded("physics-fault", seed, self.kind, self.step)
+        return list(rng.choice(ncol, size=min(self.n_columns, ncol), replace=False))
+
 
 @dataclass(frozen=True)
 class ServiceFault:
@@ -501,12 +510,7 @@ class PhysicsFaultInjector:
         ncol = tend.dt.shape[0]
         hit: set = set()
         for f in faults:
-            if f.columns:
-                cols = [c for c in f.columns if 0 <= c < ncol]
-            else:
-                rng = seeded("physics-fault", self._seed, f.kind, f.step)
-                cols = list(rng.choice(ncol, size=min(f.n_columns, ncol),
-                                       replace=False))
+            cols = f.pick_columns(ncol, self._seed)
             idx = np.asarray(cols, dtype=int)
             if f.kind == "nan":
                 tend.dt[idx, :] = np.nan

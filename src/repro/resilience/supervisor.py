@@ -52,7 +52,6 @@ from ..parallel.comm import (
     CommTransientError,
     RankFailure,
 )
-from ..utils.rng import seeded
 from .errors import CheckpointError, ResilienceError, WatchdogTimeout
 from .faults import CommFault, FaultPlan, PhysicsFault
 
@@ -280,14 +279,7 @@ class FleetSupervisor:
         for f in [f for f in pending if lo <= f.step < lo + spc]:
             pending.remove(f)
             t = np.array(m.atm.t_col, dtype=float)
-            ncol = t.shape[0]
-            if f.columns:
-                cols = [c for c in f.columns if 0 <= c < ncol]
-            else:
-                rng = seeded("physics-fault", self._seed, f.kind, f.step)
-                cols = list(rng.choice(ncol, size=min(f.n_columns, ncol),
-                                       replace=False))
-            idx = np.asarray(cols, dtype=int)
+            idx = np.asarray(f.pick_columns(t.shape[0], self._seed), dtype=int)
             t[idx, :] = np.nan if f.kind == "nan" else 1.0e6
             m.atm.t_col = t
             self._count_injected()

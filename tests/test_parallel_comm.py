@@ -318,6 +318,61 @@ def test_split_probe_translates_rank_and_tag():
     assert results[3] == [True, True, False, False, True]
 
 
+def test_splits_sharing_a_colour_have_distinct_tag_spaces():
+    """Two splits that both give rank 0 and 1 colour 0 are two
+    communicators: a receive on one must not match traffic on the other."""
+
+    def program(comm):
+        a = comm.split(0)
+        b = comm.split(comm.rank // 2)
+        if comm.rank == 0:
+            a.send("on a", dest=1, tag=5)
+            b.send("on b", dest=1, tag=5)
+        if comm.rank == 1:
+            return b.recv(source=0, tag=5), a.recv(source=0, tag=5)
+        return None
+
+    assert SimWorld(4, timeout=5.0).run(program)[1] == ("on b", "on a")
+
+
+def test_nested_split_collectives_and_p2p():
+    def program(comm):
+        sub = comm.split(comm.rank % 2)  # evens (0,2,4,6), odds (1,3,5,7)
+        inner = sub.split(sub.rank // 2)  # e.g. evens -> (0,2), (4,6)
+        total = inner.allreduce(comm.rank, op="sum")
+        if inner.rank == 0:
+            inner.send(comm.rank, dest=1, tag=2)
+            peer = None
+        else:
+            peer = inner.recv(source=0, tag=2)
+        return total, inner.size, peer
+
+    results = SimWorld(8, timeout=5.0).run(program)
+    assert [t for t, _, _ in results] == [2, 4, 2, 4, 10, 12, 10, 12]
+    assert all(size == 2 for _, size, _ in results)
+    assert [p for _, _, p in results] == [None, None, 0, 1, None, None, 4, 5]
+
+
+def test_run_kill_frees_blocked_peers_by_revocation():
+    """Under ``run`` a killed rank revokes the world: peers blocked on it
+    are freed at once and the death is the reported root cause."""
+    import time
+
+    from repro.parallel.comm import RankFailure
+
+    def program(comm):
+        if comm.rank == 2:
+            time.sleep(0.1)  # let both peers block in their recv
+            raise RankFailure(2, "test")
+        comm.recv(source=2)
+
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="rank 2 failed") as err:
+        SimWorld(3, timeout=30).run(program)
+    assert isinstance(err.value.__cause__, RankFailure)
+    assert time.monotonic() - start < 10.0
+
+
 def test_ledger_counts_p2p_bytes():
     world = SimWorld(2)
 
