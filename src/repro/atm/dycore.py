@@ -28,7 +28,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from ..grids import trsk
-from ..grids.icos import IcosahedralGrid
+from ..grids.icos import IcosahedralGrid, map_entries, scatter_map
 from ..utils.units import EARTH_OMEGA, GRAVITY
 
 __all__ = ["SWEState", "ShallowWaterDycore", "williamson_tc2", "isolated_mountain"]
@@ -101,6 +101,94 @@ def isolated_mountain(
     return SWEState(h=h_surf - b, u=u), b
 
 
+class TendencyPlan:
+    """The shallow-water right-hand side of one grid as one frozen plan.
+
+    The state is one vector ``y = [h | u]``.  All six scatters of a
+    tendency — div(h_e u), K, div(u), curl(u), the kite-averaged h at dual
+    vertices and the terms of tangential(h_e u) — are row blocks of ONE
+    frozen map applied to ``x = [h | u | h_e u | le de u u / 4]``, and
+    every two-point edge difference and average is one stacked gather of
+    its result.  Each value comes from the same float operations, in the
+    same order, as the operator-by-operator :mod:`repro.grids.trsk`
+    composition
+
+        dh = -div(h_e u)
+        du = q_e tangential(h_e u) - grad(g (h + b) + K) + nu lap(u)
+
+    so the result is bitwise that composition's.  ``x`` is scratch owned
+    by the plan: one plan serves one caller at a time.
+    """
+
+    def __init__(self, grid: IcosahedralGrid, f_dual: np.ndarray) -> None:
+        tb = grid.trsk_tables
+        nc, ne, nd = grid.n_cells, grid.n_edges, grid.n_dual
+        self.n_cells, self.n_dual, self.f_dual, self.ke_weight = nc, nd, f_dual, tb.ke_weight
+        self.x = np.zeros(nc + 3 * ne)
+        u0, flux0, ke0 = nc, nc + ne, nc + 2 * ne
+        # Rows: div(h_e u) | K (-> Bernoulli) | div(u) | zeta | h at duals (-> q)
+        # | the terms of tangential(h_e u).
+        bern0, divu0, zeta0, q0 = nc, 2 * nc, 3 * nc, 3 * nc + nd
+        self.tan0 = 3 * nc + 2 * nd
+        self.scatter = scatter_map(
+            (self.tan0 + tb.tangential.shape[0], len(self.x)),
+            map_entries(tb.div, 0, flux0),
+            map_entries(tb.ke, bern0, ke0),
+            map_entries(tb.div, divu0, u0),
+            map_entries(tb.curl, zeta0, u0),
+            map_entries(tb.kite, q0, 0),
+            map_entries(tb.tangential, self.tan0, flux0),
+        )
+        self.area = np.concatenate([grid.area_cell] * 3 + [grid.area_dual, tb.kite_sum])
+        self.cells = np.stack([tb.c1, tb.c2])
+        # Edge ends of the scatter results: three differences, then q at t1, t2.
+        self.ends = np.stack([
+            bern0 + tb.c2, divu0 + tb.c2, zeta0 + tb.t2,
+            bern0 + tb.c1, divu0 + tb.c1, zeta0 + tb.t1,
+            q0 + tb.t1, q0 + tb.t2,
+        ])
+        self.spacing = np.stack([grid.de, grid.de, grid.le])
+
+    def __call__(self, y: np.ndarray, terrain: np.ndarray, diffusion: float) -> np.ndarray:
+        nc, nd, x = self.n_cells, self.n_dual, self.x
+        n = len(y)
+        h, u = y[:nc], y[nc:]
+        flux, kin = x[n : 2 * n - nc], x[2 * n - nc :]
+        x[:n] = y
+        ends = np.take(h, self.cells)
+        np.add(ends[0], ends[1], out=flux)
+        flux *= 0.5  # h_e
+        flux *= u
+        np.multiply(self.ke_weight, u, out=kin)
+        kin *= u
+
+        out = self.scatter @ x
+        tan = out[self.tan0 :].reshape(-1, len(u))
+        out = out[: self.tan0]
+        out /= self.area
+        bern, zeta, q = out[nc : 2 * nc], out[3 * nc : 3 * nc + nd], out[3 * nc + nd :]
+        bern += GRAVITY * (h + terrain)
+        np.maximum(q, 1e-8, out=q)
+        np.divide(zeta + self.f_dual, q, out=q)
+
+        ends = np.take(out, self.ends)
+        grads = ends[:3] - ends[3:6]
+        grads /= self.spacing  # grad(bern), grad(div u), (zeta_t2 - zeta_t1) / le
+        q_e = ends[6] + ends[7]
+        q_e *= 0.5
+
+        k = np.empty(n)
+        np.negative(out[:nc], out=k[:nc])
+        f_perp = trsk.pairwise_finish(tan[:4], tan[4:])
+        du = np.multiply(q_e, f_perp, out=k[nc:])
+        du -= grads[0]
+        if diffusion > 0.0:
+            lap = grads[1] - grads[2]
+            lap *= diffusion
+            du += lap
+        return k
+
+
 @dataclass
 class ShallowWaterDycore:
     """TRSK shallow-water stepper.
@@ -128,42 +216,33 @@ class ShallowWaterDycore:
             self.terrain = np.zeros(self.grid.n_cells)
         if len(self.terrain) != self.grid.n_cells:
             raise ValueError("terrain must be a cell field")
+        self._plan = TendencyPlan(self.grid, self.f_dual)
 
     # -- spatial tendencies -------------------------------------------------
 
+    def _rhs(self, y: np.ndarray) -> np.ndarray:
+        return self._plan(y, self.terrain, self.diffusion)
+
     def tendencies(self, state: SWEState) -> SWEState:
-        g = self.grid
-        h, u = state.h, state.u
-        h_e = trsk.cell_to_edge(g, h)
-        flux = h_e * u
-
-        dh = -trsk.divergence(g, flux)
-
-        zeta = trsk.curl(g, u)
-        h_dual = trsk.cell_to_dual(g, h)
-        q_dual = (zeta + self.f_dual) / np.maximum(h_dual, 1e-8)
-        q_e = trsk.dual_to_edge(g, q_dual)
-        f_perp = trsk.tangential(g, flux)
-
-        ke = trsk.kinetic_energy_cell(g, u)
-        bern = GRAVITY * (h + self.terrain) + ke
-        du = q_e * f_perp - trsk.gradient(g, bern)
-        if self.diffusion > 0.0:
-            du = du + self.diffusion * trsk.laplacian_edge(g, u)
-        return SWEState(h=dh, u=du)
+        """``(dh/dt, du/dt)`` of ``state`` (see :class:`TendencyPlan`)."""
+        k = self._rhs(np.concatenate((state.h, state.u)))
+        nc = self.grid.n_cells
+        return SWEState(h=k[:nc], u=k[nc:])
 
     # -- time stepping --------------------------------------------------------
 
     def step_rk4(self, state: SWEState, dt: float) -> SWEState:
-        """Classical RK4 step (the accuracy-bearing integrator)."""
-        k1 = self.tendencies(state)
-        k2 = self.tendencies(SWEState(state.h + 0.5 * dt * k1.h, state.u + 0.5 * dt * k1.u))
-        k3 = self.tendencies(SWEState(state.h + 0.5 * dt * k2.h, state.u + 0.5 * dt * k2.u))
-        k4 = self.tendencies(SWEState(state.h + dt * k3.h, state.u + dt * k3.u))
-        return SWEState(
-            h=state.h + (dt / 6.0) * (k1.h + 2 * k2.h + 2 * k3.h + k4.h),
-            u=state.u + (dt / 6.0) * (k1.u + 2 * k2.u + 2 * k3.u + k4.u),
-        )
+        """Classical RK4 step (the accuracy-bearing integrator), on the
+        stacked ``[h | u]`` vector: every stage operation is elementwise,
+        so stacking changes no value."""
+        y = np.concatenate((state.h, state.u))
+        k1 = self._rhs(y)
+        k2 = self._rhs(y + 0.5 * dt * k1)
+        k3 = self._rhs(y + 0.5 * dt * k2)
+        k4 = self._rhs(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        nc = self.grid.n_cells
+        return SWEState(h=y[:nc], u=y[nc:])
 
     def max_stable_dt(self, state: SWEState, cfl: float = 0.5) -> float:
         """Gravity-wave CFL limit: dt <= cfl * min(de) / sqrt(g h_max)."""

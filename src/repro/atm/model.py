@@ -29,6 +29,7 @@ import numpy as np
 from ..component import ComponentBase
 from ..grids import trsk
 from ..grids.icos import IcosahedralGrid
+from ..grids.sphere import tangent_basis
 from ..utils.units import RHO_AIR
 from .columns import ColumnState, pressure_levels, reference_profiles
 from .dycore import ShallowWaterDycore, williamson_tc2
@@ -97,6 +98,9 @@ class GristModel(ComponentBase):
         if cfg.time_scheme not in ("rk4", "semi_implicit"):
             raise ValueError("time_scheme must be 'rk4' or 'semi_implicit'")
         self.grid = IcosahedralGrid.build(cfg.level)
+        # Local (east, north) and edge-normal unit vectors as (3, n) rows.
+        self._east, self._north = (np.ascontiguousarray(b.T) for b in tangent_basis(self.grid.xyz_cell))
+        self._normal = np.ascontiguousarray(self.grid.normal.T)
         self.swe = williamson_tc2(self.grid)
         self.dycore = ShallowWaterDycore(self.grid, diffusion=cfg.diffusion)
         explicit_dt = self.dycore.max_stable_dt(self.swe, cfl=cfg.cfl)
@@ -217,30 +221,17 @@ class GristModel(ComponentBase):
     def _cell_winds(self) -> tuple[np.ndarray, np.ndarray]:
         """Reconstruct (east, north) cell winds from edge normals:
         V_c = (1/A_c) sum_e le u_e (x_e - x_c) projected on the local basis."""
-        g = self.grid
-        vec = np.zeros((g.n_cells, 3))
-        # Each edge contributes its flux moment to both cells.
-        np.add.at(vec, g.edge_cells[:, 0], (g.le * self.swe.u)[:, None] * (g.xyz_edge - g.xyz_cell[g.edge_cells[:, 0]]))
-        np.add.at(vec, g.edge_cells[:, 1], -(g.le * self.swe.u)[:, None] * (g.xyz_edge - g.xyz_cell[g.edge_cells[:, 1]]))
-        vec = vec * (g.radius / g.area_cell[:, None])
-        from ..grids.sphere import tangent_basis
-
-        east, north = tangent_basis(g.xyz_cell)
-        return np.sum(vec * east, axis=-1), np.sum(vec * north, axis=-1)
+        vec = trsk.cell_vector(self.grid, self.swe.u)
+        return trsk.term_sum(vec * self._east), trsk.term_sum(vec * self._north)
 
     def _advect_tracer(self, dt: float) -> None:
         """First-order upwind, flux-form, mass-conserving tracer step."""
         g = self.grid
+        tb = g.trsk_tables
         h_e = trsk.cell_to_edge(g, self.swe.h)
-        upwind = np.where(
-            self.swe.u > 0,
-            self.tracer[g.edge_cells[:, 0]],
-            self.tracer[g.edge_cells[:, 1]],
-        )
+        upwind = np.where(self.swe.u > 0, self.tracer[tb.c1], self.tracer[tb.c2])
         flux = g.le * self.swe.u * h_e * upwind
-        dmass = np.zeros(g.n_cells)
-        np.add.at(dmass, g.edge_cells[:, 0], -flux)
-        np.add.at(dmass, g.edge_cells[:, 1], flux)
+        dmass = tb.inflow @ flux
         mass = self.tracer * self.swe.h * g.area_cell
         mass = mass + dt * dmass
         # h has moved too within the dycore substep bundle; normalize by the
@@ -314,14 +305,10 @@ class GristModel(ComponentBase):
         self.swe.h = self.swe.h * (
             1.0 + self.config.heating_feedback * dt * heating / np.maximum(self.t_col.mean(axis=1), 100.0)
         )
-        du_cell = tend.du[:, -1]
-        dv_cell = tend.dv[:, -1]
-        from ..grids.sphere import tangent_basis
-
-        east, north = tangent_basis(g.xyz_cell)
-        vec = du_cell[:, None] * east + dv_cell[:, None] * north
-        vec_e = 0.5 * (vec[g.edge_cells[:, 0]] + vec[g.edge_cells[:, 1]])
-        self.swe.u = self.swe.u + dt * np.sum(vec_e * g.normal, axis=-1)
+        tb = g.trsk_tables
+        vec = tend.du[:, -1] * self._east + tend.dv[:, -1] * self._north
+        vec_e = 0.5 * (vec[:, tb.c1] + vec[:, tb.c2])
+        self.swe.u = self.swe.u + dt * trsk.term_sum(vec_e * self._normal)
 
         # Land skin temperature responds to radiation where no SST is
         # imported (simple prognostic; the land model refines this).

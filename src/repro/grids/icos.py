@@ -26,6 +26,7 @@ from functools import cached_property
 from typing import Dict, List, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from ..utils.units import EARTH_RADIUS
 from .sphere import (
@@ -37,7 +38,7 @@ from .sphere import (
     xyz_to_lonlat,
 )
 
-__all__ = ["IcosahedralGrid", "TRSKTables", "icosahedral_counts"]
+__all__ = ["IcosahedralGrid", "TRSKTables", "icosahedral_counts", "scatter_map", "map_entries"]
 
 
 def icosahedral_counts(level: int) -> Tuple[int, int, int]:
@@ -92,19 +93,53 @@ def _subdivide(verts: np.ndarray, faces: np.ndarray) -> Tuple[np.ndarray, np.nda
     return np.array(new_verts), new_faces
 
 
+def scatter_map(shape: Tuple[int, int], *parts) -> csr_matrix:
+    """A frozen CSR scatter ``y = map @ x``.
+
+    ``parts`` are ``(rows, cols, data)`` triples; each stands for one
+    ``np.add.at(y, rows, data * x[cols])`` call, in the order given.  Row
+    entries are stored in exactly that accumulation order and never
+    re-sorted, and ``map @ x`` adds them one by one from ``+0.0`` — the
+    same additions, in the same order, as the ``np.add.at`` calls, so the
+    result is bitwise theirs.  The stored arrays are read-only.
+    """
+    rows, cols, data = (np.concatenate(col) for col in zip(*parts))
+    order = np.argsort(rows, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=shape[0]))))
+    m = csr_matrix((data[order], cols[order], indptr), shape=shape)
+    for arr in (m.data, m.indices, m.indptr):
+        arr.flags.writeable = False
+    return m
+
+
+def map_entries(m: csr_matrix, row0: int = 0, col0: int = 0):
+    """``m``'s entries as one :func:`scatter_map` part, in stored order,
+    shifted to rows ``row0 + i`` and columns ``col0 + j``."""
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    return rows + row0, m.indices + col0, m.data
+
+
 @dataclass(frozen=True)
 class TRSKTables:
-    """Static gather/scatter tables the TRSK operators read every call:
-    pure functions of one grid's mesh arrays, built once per grid object
+    """Static gather/scatter maps the TRSK operators read every call: pure
+    functions of one grid's mesh arrays, built once per grid object
     (:attr:`IcosahedralGrid.trsk_tables`) instead of once per operator call.
+
+    Every scatter is a :func:`scatter_map` holding its ``np.add.at``
+    accumulation order (``c1`` entries, then ``c2``; ``t2``, then ``t1``).
     """
 
     c1: np.ndarray         # (ne,) contiguous edge_cells[:, 0]
     c2: np.ndarray         # (ne,) contiguous edge_cells[:, 1]
     t1: np.ndarray         # (ne,) contiguous edge_dual[:, 0]
     t2: np.ndarray         # (ne,) contiguous edge_dual[:, 1]
-    ee_mask: np.ndarray    # (ne, 10) edge_edges >= 0
-    ee_index: np.ndarray   # (ne, 10) edge_edges with the -1 padding -> 0
+    div: csr_matrix        # (nc, ne) +le at c1, -le at c2
+    curl: csr_matrix       # (nd, ne) +de at t2, -de at t1
+    ke: csr_matrix         # (nc, ne) 1 at c1, 1 at c2
+    inflow: csr_matrix     # (nc, ne) -1 at c1, +1 at c2
+    kite: csr_matrix       # (nd, nc) dual_kite along tri
+    perot: csr_matrix      # (3 nc, ne) component k of +(x_e - x_c1) at c1, -(x_e - x_c2) at c2
+    tangential: csr_matrix  # ((w - 4) ne, ne) edge_weights, w slots: 4 pair rows + w - 8 tail rows
     kite_sum: np.ndarray   # (nd,) sum_k dual_kite[:, k]
     ke_weight: np.ndarray  # (ne,) 0.25 * le * de
 
@@ -161,14 +196,34 @@ class IcosahedralGrid:
     def trsk_tables(self) -> TRSKTables:
         """This grid's :class:`TRSKTables`, built on first use and owned
         by the grid object (no table is ever shared between grids)."""
-        mask = self.edge_edges >= 0
+        nc, ne, nd = self.n_cells, self.n_edges, self.n_dual
+        c1, c2 = (np.ascontiguousarray(self.edge_cells[:, k]) for k in (0, 1))
+        t1, t2 = (np.ascontiguousarray(self.edge_dual[:, k]) for k in (0, 1))
+        e = np.arange(ne)
+        one = np.ones(ne)
+        arm1 = self.xyz_edge - self.xyz_cell[c1]
+        arm2 = self.xyz_edge - self.xyz_cell[c2]
+        # numpy sums a row of 8..15 weighted terms as ((p0+p1)+(p2+p3)) +
+        # ((p4+p5)+(p6+p7)), then the tail: one map row per pair, one per tail term.
+        width = self.edge_edges.shape[1]
+        tangential = []
+        for j in range(width):
+            live = self.edge_edges[:, j] >= 0
+            row = j // 2 if j < 8 else j - 4
+            tangential.append((row * ne + e[live], self.edge_edges[live, j], self.edge_weights[live, j]))
         return TRSKTables(
-            c1=np.ascontiguousarray(self.edge_cells[:, 0]),
-            c2=np.ascontiguousarray(self.edge_cells[:, 1]),
-            t1=np.ascontiguousarray(self.edge_dual[:, 0]),
-            t2=np.ascontiguousarray(self.edge_dual[:, 1]),
-            ee_mask=mask,
-            ee_index=np.where(mask, self.edge_edges, 0),
+            c1=c1, c2=c2, t1=t1, t2=t2,
+            div=scatter_map((nc, ne), (c1, e, self.le), (c2, e, -self.le)),
+            curl=scatter_map((nd, ne), (t2, e, self.de), (t1, e, -self.de)),
+            ke=scatter_map((nc, ne), (c1, e, one), (c2, e, one)),
+            inflow=scatter_map((nc, ne), (c1, e, -one), (c2, e, one)),
+            kite=scatter_map((nd, nc), (np.repeat(np.arange(nd), 3), self.tri.ravel(), self.dual_kite.ravel())),
+            perot=scatter_map(
+                (3 * nc, ne),
+                *((k * nc + c1, e, arm1[:, k]) for k in range(3)),
+                *((k * nc + c2, e, -arm2[:, k]) for k in range(3)),
+            ),
+            tangential=scatter_map(((width - 4) * ne, ne), *tangential),
             kite_sum=np.sum(self.dual_kite, axis=1),
             ke_weight=0.25 * self.le * self.de,
         )

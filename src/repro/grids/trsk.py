@@ -12,16 +12,19 @@ operators GRIST-class dycores are built from:
   components via the grid's antisymmetrized TRSK weight table, making the
   nonlinear Coriolis term exactly energy-neutral;
 * ``kinetic_energy_cell``, ``cell_to_edge``, ``cell_to_dual`` are the
-  standard averaging maps.
+  standard averaging maps, ``cell_vector`` the Perot reconstruction of a
+  cell-centre vector from edge normals.
 
-All operators are vectorized gather/scatter over the mesh arrays (numpy
-``add.at`` scatters), per the HPC-python guidance: no python-level loops in
-the time-stepping path.  The static index columns, masks and geometric
-weights they gather through are not rebuilt per call: they live in the
-grid's own :class:`~repro.grids.icos.TRSKTables`
-(``grid.trsk_tables``, built once per grid object), and each operator does
-exactly the float operations, in the same order, that the mesh arrays
-themselves would give.
+Nothing here loops per index or per row.  Every scatter (edges -> cells or
+dual vertices) is one sparse mat-vec over a frozen map of the grid's own
+:class:`~repro.grids.icos.TRSKTables` (``grid.trsk_tables``, built once per
+grid object), whose rows keep their entries in ``np.add.at``'s
+accumulation order.  Every fixed-width row sum keeps numpy's own pairwise
+order as whole-column adds: :func:`term_sum` for short rows and, for
+``tangential``, map rows that hold numpy's accumulator pairs, finished by
+:func:`pairwise_finish`.  So each operator does exactly the float
+operations, in the same order, that the ``np.add.at`` / row-``np.sum``
+forms over the raw mesh arrays do.
 """
 
 from __future__ import annotations
@@ -40,18 +43,45 @@ __all__ = [
     "cell_to_dual",
     "kinetic_energy_cell",
     "laplacian_edge",
+    "cell_vector",
+    "term_sum",
+    "pairwise_finish",
 ]
+
+
+def term_sum(p: np.ndarray) -> np.ndarray:
+    """``out[i] = np.sum(p[:, i])`` for 1..7 terms, bitwise — numpy's row
+    sum over ``p.T`` as whole-column adds instead of one reduction call per
+    row.  numpy sums a row that short left to right onto a ``+0.0`` start
+    (``tests/test_grids_trsk.py`` pins this against the installed numpy)."""
+    if not 0 < len(p) < 8:
+        raise ValueError(f"term_sum takes 1..7 terms, got {len(p)}")
+    out = p[0] + 0.0
+    for row in p[1:]:
+        out += row
+    return out
+
+
+def pairwise_finish(pairs: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """numpy's sum of a row of 8..15 terms ``p``, given its four pair sums
+    ``pairs[j] = p[2j] + p[2j+1]`` and ``tail = p[8:]``:
+    ``(pairs[0] + pairs[1]) + (pairs[2] + pairs[3])`` — numpy's eight
+    accumulators combined pairwise — then the tail left to right, then the
+    ``+0.0`` start.  Operands that differ from numpy's only in the sign of
+    a zero give numpy's result: a sum that is zero either way is ``+0.0``
+    after that start."""
+    out = pairs[0] + pairs[1]
+    out += pairs[2] + pairs[3]
+    for row in tail:
+        out += row
+    out += 0.0
+    return out
 
 
 def divergence(grid: IcosahedralGrid, u: np.ndarray) -> np.ndarray:
     """Divergence at cells of a normal-component edge field (1/s if u is
     velocity; flux divergence if u is already a flux)."""
-    tb = grid.trsk_tables
-    flux = grid.le * u
-    div = np.zeros(grid.n_cells, dtype=np.float64)
-    np.add.at(div, tb.c1, flux)
-    np.add.at(div, tb.c2, -flux)
-    return div / grid.area_cell
+    return (grid.trsk_tables.div @ u) / grid.area_cell
 
 
 def gradient(grid: IcosahedralGrid, phi: np.ndarray) -> np.ndarray:
@@ -68,19 +98,13 @@ def curl(grid: IcosahedralGrid, u: np.ndarray) -> np.ndarray:
     (the primal-edge normal), and orientation gives +1 for the vertex on
     the +tangent side.
     """
-    tb = grid.trsk_tables
-    circ = grid.de * u
-    zeta = np.zeros(grid.n_dual, dtype=np.float64)
-    np.add.at(zeta, tb.t2, circ)
-    np.add.at(zeta, tb.t1, -circ)
-    return zeta / grid.area_dual
+    return (grid.trsk_tables.curl @ u) / grid.area_dual
 
 
 def tangential(grid: IcosahedralGrid, u: np.ndarray) -> np.ndarray:
     """Tangential component at edges reconstructed from normal components."""
-    tb = grid.trsk_tables
-    vals = u[tb.ee_index]
-    return np.sum(grid.edge_weights * np.where(tb.ee_mask, vals, 0.0), axis=1)
+    terms = (grid.trsk_tables.tangential @ u).reshape(-1, grid.n_edges)
+    return pairwise_finish(terms[:4], terms[4:])
 
 
 def cell_to_edge(grid: IcosahedralGrid, phi: np.ndarray) -> np.ndarray:
@@ -98,18 +122,22 @@ def dual_to_edge(grid: IcosahedralGrid, psi: np.ndarray) -> np.ndarray:
 def cell_to_dual(grid: IcosahedralGrid, phi: np.ndarray) -> np.ndarray:
     """Kite-area-weighted average of a cell field onto dual vertices (the
     thickness average used in the PV definition)."""
-    weighted = np.sum(grid.dual_kite * phi[grid.tri], axis=1)
-    return weighted / grid.trsk_tables.kite_sum
+    tb = grid.trsk_tables
+    return (tb.kite @ phi) / tb.kite_sum
 
 
 def kinetic_energy_cell(grid: IcosahedralGrid, u: np.ndarray) -> np.ndarray:
     """Kinetic energy per unit mass at cells: K_c = sum_e (le de / 4) u^2 / A_c."""
     tb = grid.trsk_tables
-    contrib = tb.ke_weight * u * u
-    ke = np.zeros(grid.n_cells, dtype=np.float64)
-    np.add.at(ke, tb.c1, contrib)
-    np.add.at(ke, tb.c2, contrib)
-    return ke / grid.area_cell
+    return (tb.ke @ (tb.ke_weight * u * u)) / grid.area_cell
+
+
+def cell_vector(grid: IcosahedralGrid, u: np.ndarray) -> np.ndarray:
+    """Perot reconstruction of the cell-centre vector from edge normals,
+    ``V_c = (R / A_c) sum_e le u_e (x_e - x_c)``, as ``(3, n_cells)``
+    Cartesian components."""
+    vec = (grid.trsk_tables.perot @ (grid.le * u)).reshape(3, -1)
+    return vec * (grid.radius / grid.area_cell)
 
 
 def laplacian_edge(grid: IcosahedralGrid, u: np.ndarray) -> np.ndarray:

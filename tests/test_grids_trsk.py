@@ -210,8 +210,41 @@ def _ref_laplacian_edge(g, u):
     return grad_div - dzeta
 
 
-_EDGE_OPS = ["divergence", "curl", "tangential", "kinetic_energy_cell", "laplacian_edge"]
+def _ref_cell_vector(g, u):
+    c1, c2 = g.edge_cells[:, 0], g.edge_cells[:, 1]
+    vec = np.zeros((g.n_cells, 3))
+    np.add.at(vec, c1, (g.le * u)[:, None] * (g.xyz_edge - g.xyz_cell[c1]))
+    np.add.at(vec, c2, -(g.le * u)[:, None] * (g.xyz_edge - g.xyz_cell[c2]))
+    return (vec * (g.radius / g.area_cell[:, None])).T
+
+
+_EDGE_OPS = ["divergence", "curl", "tangential", "kinetic_energy_cell", "laplacian_edge", "cell_vector"]
 _CELL_OPS = ["gradient", "cell_to_edge", "cell_to_dual"]
+
+
+@pytest.mark.parametrize("k", range(1, 16))
+def test_column_sums_are_numpys_row_sum(k):
+    """``term_sum`` (1..7 terms) and ``pairwise_finish`` (8..15) spell out
+    numpy's pairwise order; this pins them against ``np.sum(axis=1)`` on
+    the installed numpy, signed zeros and non-finite rows included."""
+    rng = np.random.default_rng(k)
+    rows = rng.standard_normal((4000, k)) * 10.0 ** rng.integers(-12, 12, (4000, k))
+    rows[:5] = -0.0
+    rows[5:10, 0] = -0.0
+    rows[10:15] = np.where(rng.random((5, k)) < 0.5, -0.0, 0.0)
+    rows[15, -1] = np.inf
+    rows[16, 0] = np.nan
+    rows[17] = rows[17, 0]
+    rows[17, k // 2 :] *= -1.0
+    p = np.ascontiguousarray(rows.T)
+    got = trsk.term_sum(p) if k < 8 else trsk.pairwise_finish(p[0:8:2] + p[1:8:2], p[8:])
+    assert got.tobytes() == np.sum(rows, axis=1).tobytes()
+
+
+def test_term_sum_takes_short_rows_only():
+    for k in (0, 8):
+        with pytest.raises(ValueError, match="1..7"):
+            trsk.term_sum(np.zeros((k, 3)))
 
 
 @pytest.fixture(scope="module")
@@ -227,16 +260,19 @@ def test_cached_operators_equal_uncached_reference_bitwise(small_grids):
         assert int(np.sum(g.cell_nedges == 5)) == 12
         assert int((g.edge_edges < 0).any(axis=1).sum()) == 60
         rng = np.random.default_rng(100 + g.level)
-        fields = {
-            **{op: rng.standard_normal(g.n_edges) for op in _EDGE_OPS},
-            **{op: rng.standard_normal(g.n_cells) for op in _CELL_OPS},
-            "dual_to_edge": rng.standard_normal(g.n_dual),
-        }
-        for op, x in fields.items():
-            got = getattr(trsk, op)(g, x)
-            ref = globals()[f"_ref_{op}"](g, x)
-            assert np.array_equal(got, ref), (g.level, op)
-            assert got.tobytes() == ref.tobytes(), (g.level, op)
+        # Random fields, and fields of signed zeros only (sums that are zero
+        # must come out with numpy's sign).
+        for draw in (rng.standard_normal, lambda n: np.where(rng.random(n) < 0.5, -0.0, 0.0)):
+            fields = {
+                **{op: draw(g.n_edges) for op in _EDGE_OPS},
+                **{op: draw(g.n_cells) for op in _CELL_OPS},
+                "dual_to_edge": draw(g.n_dual),
+            }
+            for op, x in fields.items():
+                got = getattr(trsk, op)(g, x)
+                ref = globals()[f"_ref_{op}"](g, x)
+                assert np.array_equal(got, ref), (g.level, op)
+                assert got.tobytes() == ref.tobytes(), (g.level, op)
 
 
 def test_trsk_tables_belong_to_one_grid():
@@ -250,10 +286,14 @@ def test_trsk_tables_belong_to_one_grid():
     assert a.trsk_tables is a.trsk_tables  # built once
     for other in (b, c):
         assert other.trsk_tables is not a.trsk_tables
-        for name in ("c1", "c2", "t1", "t2", "ee_mask", "ee_index", "kite_sum", "ke_weight"):
+        for name in ("c1", "c2", "t1", "t2", "kite_sum", "ke_weight"):
             assert not np.shares_memory(
                 getattr(other.trsk_tables, name), getattr(a.trsk_tables, name)
             ), name
+        for name in ("div", "curl", "ke", "inflow", "kite", "perot", "tangential"):
+            theirs, ours = getattr(other.trsk_tables, name), getattr(a.trsk_tables, name)
+            assert not np.shares_memory(theirs.data, ours.data), name
+            assert not ours.data.flags.writeable and not ours.indices.flags.writeable, name
     # Same connectivity, different geometry: each grid reads its own weights.
     assert np.array_equal(a.trsk_tables.c1, b.trsk_tables.c1)
     assert np.array_equal(b.trsk_tables.ke_weight, 0.25 * b.le * b.de)
