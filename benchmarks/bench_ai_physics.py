@@ -6,9 +6,17 @@ paper's 80-day 7:1 protocol (miniaturized), and measures the headline
 claim: "computational gains by unifying most operations into highly
 efficient tensor kernels" — AI-suite inference vs the conventional suite,
 per column, wall clock.
+
+``test_precision_selects_compute_report`` is §5.2.3's table for the suite:
+the same paper-size nets with their forward passes in fp64 and in fp32 (what
+``precision=mixed`` selects), and a 24-coupling coupled twin at the
+``cpl_ai`` benchmark configuration.  Run it with ``OPENBLAS_NUM_THREADS=1``
+to time the nets as the coupled-model benchmark runs them.
 """
 
+import dataclasses
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +29,10 @@ from repro.atm import (
     synthetic_columns,
 )
 from repro.bench import banner, format_table
+from repro.esm import AP3ESM, AP3ESMConfig, ComponentContext, precision_policy
+from repro.precision import PrecisionPolicy
+from repro.resilience.config import ResilienceConfig
+from repro.utils.units import CP_AIR, GRAVITY, LATENT_HEAT_VAPORIZATION
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +81,10 @@ def test_ai_physics_report(archive, suite, emit_report):
     t_ai = timed(suite.compute)
 
     rows = [
-        ("tendency CNN R^2", skill["tendency"], None),
-        ("radiation MLP R^2", skill["radiation"], None),
+        ("tendency CNN R^2 (channel mean)", skill["tendency"], None),
+        *((f"  {k}", v, None) for k, v in skill.items() if k.startswith("tendency.")),
+        ("radiation MLP R^2 (channel mean)", skill["radiation"], None),
+        *((f"  {k}", v, None) for k, v in skill.items() if k.startswith("radiation.")),
         ("conventional suite [ms/512 col]", t_conv * 1e3, None),
         ("AI suite [ms/512 col]", t_ai * 1e3, None),
         ("AI : conventional time ratio", t_ai / t_conv, None),
@@ -110,3 +124,175 @@ def test_benchmark_conventional_suite(benchmark):
     physics = ConventionalPhysics()
     result = benchmark(physics.compute, cols, 120.0)
     assert np.isfinite(result.dt).all()
+
+
+# -- §5.2.3: the precision switch selects the suite's compute ------------------
+
+#: The coupled-model benchmark's AI recipe and its ``cpl_ai`` configuration:
+#: paper-size nets trained one epoch on a seeded archive, guard rail at 1e-4
+#: of the training range, a level-2 atmosphere over a 48x32x6 ocean.
+NLEV = 30
+RAIL_SCALE = 1e-4
+CPL_AI = dict(atm_level=2, atm_nlev=NLEV, ocn_nlon=48, ocn_nlat=32, ocn_levels=6,
+              ocn_couple_ratio=5)
+TWIN_COUPLINGS = 24
+
+
+def _benchmark_suite(seed: int) -> AIPhysicsSuite:
+    archive = generate_training_archive(n_days=8, steps_per_day=4, ncol_per_step=8,
+                                        nlev=NLEV, seed=seed)
+    suite = AIPhysicsSuite.train(archive, epochs=1, width=128, seed=seed)
+    suite.tendency_limits = suite.tendency_limits * RAIL_SCALE
+    return suite
+
+
+class _Fp64Compute:
+    """The suite bound to the ``fp64`` policy whatever the model's is: the
+    twin that keeps mixed-precision storage but runs the nets in fp64."""
+
+    def __init__(self, suite: AIPhysicsSuite) -> None:
+        self.suite = suite
+
+    def bind(self, ctx) -> None:
+        self.suite.bind(dataclasses.replace(ctx, precision=PrecisionPolicy()))
+
+    def compute(self, state, dt_s):
+        return self.suite.compute(state, dt_s)
+
+
+def _record_budgets(model: AP3ESM, out: list) -> None:
+    """Append, per physics call, the area-weighted global means of the
+    suite's column budget residuals (after the guard rail's fallbacks):
+
+    * water  = sum_k dq_k dp_k / g - (E - P),  E = LH / L_v   [kg m-2 s-1]
+    * energy = sum_k c_p dT_k dp_k / g - (SH + L_v P)          [W m-2]
+
+    (the energy row is the column heating the surface fluxes and latent
+    release do not explain, i.e. the implied radiative divergence)."""
+    atm = model.atm
+    weight = atm.grid.area_cell / atm.grid.area_cell.sum()
+    dp_g = np.gradient(atm.p) / GRAVITY
+    inner = atm.physics.compute
+
+    def compute(state, dt_s):
+        tend = inner(state, dt_s)
+        water = tend.dq @ dp_g - (tend.lhflx / LATENT_HEAT_VAPORIZATION - tend.precip)
+        energy = CP_AIR * (tend.dt @ dp_g) - (tend.shflx + LATENT_HEAT_VAPORIZATION * tend.precip)
+        out.append((float(weight @ water), float(weight @ energy)))
+        return tend
+
+    atm.physics.compute = compute
+
+
+def _coupled_twin(physics, precision: str = "mixed") -> dict:
+    model = AP3ESM(AP3ESMConfig(**CPL_AI, precision=precision, physics=physics,
+                                resilience=ResilienceConfig(enabled=True, guard_physics=True)))
+    model.init()
+    budgets: list = []
+    _record_budgets(model, budgets)
+    t0 = time.perf_counter()
+    model.run_couplings(TWIN_COUPLINGS)
+    wall = time.perf_counter() - t0
+    state = {c.name: {k: v.copy() for k, v in c.state().items()} for c in model.components}
+    fallbacks = model.guarded_physics.fallback_columns_total
+    model.finalize()
+    return dict(state=state, budgets=np.mean(budgets, axis=0), fallbacks=fallbacks, wall=wall)
+
+
+def _state_diff(state: dict, ref: dict) -> dict:
+    """Per component: max over its fields of max |a - b| / max |b|."""
+    return {comp: max(float(np.abs(state[comp][k] - b).max() / max(np.abs(b).max(), 1e-300))
+                      for k, b in fields.items())
+            for comp, fields in ref.items()}
+
+
+def _per_call(suite, ncol: int, policy: str, reps: int = 5) -> tuple:
+    """(best seconds, peak transient bytes) of one ``compute`` call."""
+    cols = synthetic_columns(ncol, NLEV, season=1, step=2, seed=ncol)
+    suite.bind(ComponentContext(precision=precision_policy(policy)))
+    suite.compute(cols, 120.0)  # warm-up
+    best = float("inf")
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        suite.compute(cols, 120.0)
+        best = min(best, time.perf_counter() - t0)
+    tracemalloc.start()
+    suite.compute(cols, 120.0)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return best, peak
+
+
+def _held_out_error(suite, policy: str) -> tuple:
+    """Unclipped CNN and MLP outputs on an unseen archive (seed 1), relative
+    to the fp64 outputs' max magnitude."""
+    archive = generate_training_archive(n_days=8, steps_per_day=4, ncol_per_step=8,
+                                        nlev=NLEV, seed=1)
+    errs = []
+    for trainer, x in ((suite.tendency_trainer, archive["x_column"]),
+                       (suite.radiation_trainer, archive["x_radiation"])):
+        suite.bind(ComponentContext(precision=precision_policy("fp64")))
+        ref = trainer.predict(x)
+        suite.bind(ComponentContext(precision=precision_policy(policy)))
+        errs.append(float(np.abs(trainer.predict(x) - ref).max() / np.abs(ref).max()))
+    return tuple(errs)
+
+
+def test_precision_selects_compute_report(emit_report):
+    suite = _benchmark_suite(seed=0)
+    params = sum(p.value.nbytes for t in (suite.tendency_trainer, suite.radiation_trainer)
+                 for p in t.model.parameters())
+    calls = {(n, pol): _per_call(suite, n, pol) for n in (162, 324) for pol in ("fp64", "mixed")}
+    err = {pol: _held_out_error(suite, pol) for pol in ("fp64", "mixed")}
+    # Three twins: pure fp64; mixed storage with fp64 nets (the behaviour
+    # before the switch selected compute); mixed storage with fp32 nets.  The
+    # fp32 nets are held to the tolerance the mixed policy already admits:
+    # they may move the state and the budgets no more than mixed storage does.
+    pure = _coupled_twin(suite, precision="fp64")
+    twin64 = _coupled_twin(_Fp64Compute(suite))
+    twin32 = _coupled_twin(suite)
+
+    rows = []
+    for n in (162, 324):
+        t64, t32 = calls[n, "fp64"][0], calls[n, "mixed"][0]
+        rows.append((f"suite call, {n} rows [ms]", t64 * 1e3, t32 * 1e3, f"x{t64 / t32:.2f}"))
+    rows.append(("stored parameters [MiB]", params / 2**20, params / 2**20, "fp64 both"))
+    m64, m32 = calls[324, "fp64"][1], calls[324, "mixed"][1]
+    rows.append(("peak transient, 324 rows [MiB]", m64 / 2**20, m32 / 2**20, f"x{m32 / m64:.2f}"))
+    for i, net in enumerate(("CNN", "MLP")):
+        rows.append((f"held-out {net} max |err| / max |y|", err["fp64"][i], err["mixed"][i],
+                     "bound 1e-5"))
+    rows.append((f"{TWIN_COUPLINGS}-coupling twin wall [s]", twin64["wall"], twin32["wall"],
+                 f"x{twin64['wall'] / twin32['wall']:.2f}"))
+    compute = _state_diff(twin32["state"], twin64["state"])
+    storage = _state_diff(twin64["state"], pure["state"])
+    for comp in compute:
+        rows.append((f"  {comp} max rel state diff", 0.0, compute[comp],
+                     f"mixed storage alone: {storage[comp]:.1e}"))
+    budget = []
+    for i, (name, unit) in enumerate((("water", "kg m-2 s-1"), ("energy", "W m-2"))):
+        b64, b32, b_pure = twin64["budgets"][i], twin32["budgets"][i], pure["budgets"][i]
+        budget.append((abs(b32 - b64), abs(b64 - b_pure)))
+        rows.append((f"  {name} budget residual [{unit}]", b64, b32,
+                     f"|diff| {budget[-1][0]:.1e}, storage alone {budget[-1][1]:.1e}"))
+    rows.append(("  GuardedPhysics fallback columns", twin64["fallbacks"], twin32["fallbacks"],
+                 f"pure fp64: {pure['fallbacks']}"))
+
+    emit_report(
+        "ai_precision",
+        "\n".join([
+            banner("§5.2.3 — the precision switch selects AI compute: fp64 vs fp32 forward"),
+            format_table(["metric", "fp64", "fp32 (mixed)", "note"], rows, floatfmt="{:.4g}"),
+            f"\nnotes: paper-size suite (CNN width 128, {NLEV} levels, the coupled-model "
+            "benchmark's one-epoch recipe, guard rail x1e-4); per-call times best of 5 "
+            "on one process; the twins run the cpl_ai configuration with "
+            "guard_physics=True under precision=mixed storage, the fp64 side bound to "
+            "an fp64 policy (the behaviour before the switch selected compute); the "
+            "'storage alone' references are that fp64 side against a pure fp64 run.",
+        ]),
+    )
+    assert calls[162, "mixed"][0] < calls[162, "fp64"][0]
+    assert max(err["mixed"]) <= 1e-5 and max(err["fp64"]) == 0.0
+    assert all(compute[c] <= storage[c] for c in compute)
+    assert all(d32 <= d_storage for d32, d_storage in budget)
+    assert twin32["fallbacks"] == twin64["fallbacks"]

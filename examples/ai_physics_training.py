@@ -54,6 +54,8 @@ def main() -> None:
     skill = suite.skill(archive, test_idx)
     print(f"  held-out skill: tendency R^2 = {skill['tendency']:.2f}, "
           f"radiation R^2 = {skill['radiation']:.2f}")
+    print("  per channel: " + ", ".join(
+        f"{k} {v:.2f}" for k, v in skill.items() if "." in k))
 
     # Inference cost comparison.
     cols = synthetic_columns(512, NLEV, season=1, step=3)

@@ -15,7 +15,7 @@ from .layers import (
 )
 from .network import Sequential, build_radiation_mlp, build_tendency_cnn
 from .optim import SGD, Adam, clip_grad_norm
-from .serialize import load_model, load_state_dict, save_model, state_dict
+from .serialize import load_state_dict, state_dict
 from .train import DatasetSplit, Normalizer, Trainer, mse_loss, split_by_days
 
 __all__ = [
@@ -43,6 +43,4 @@ __all__ = [
     "mse_loss",
     "state_dict",
     "load_state_dict",
-    "save_model",
-    "load_model",
 ]

@@ -9,6 +9,11 @@ and Flatten.  Every layer exposes ``forward``/``backward``/``parameters``
 and every backward pass is verified against finite differences in the
 test suite.
 
+Dtype: ``forward`` computes in its input's dtype.  Parameters are stored
+(and trained) in fp64; :class:`Dense` and :class:`Conv1d` cast them to an
+fp32 input's dtype per call, so an fp32 forward pass stays fp32 end to end
+(``astype(copy=False)`` is a no-op on the fp64 path).
+
 Shapes: Conv1d, ReLU and ResUnit work channels-last, on ``(batch, levels,
 channels)``, so a convolution's GEMM output is the next layer's input with
 no transpose in between; Dense works on ``(batch, features)``.
@@ -124,8 +129,8 @@ class Dense(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        out = row_stable_matmul(x, self.w.value)
-        out += self.b.value
+        out = row_stable_matmul(x, self.w.value.astype(x.dtype, copy=False))
+        out += self.b.value.astype(x.dtype, copy=False)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -192,9 +197,9 @@ class Conv1d(Layer):
         # different contraction paths at different batch sizes — this
         # keeps each row's result bit-identical whether the row is
         # computed alone or inside a larger (ensemble) batch.
-        w_mat = self.w.value.reshape(self.w.value.shape[0], -1)
-        out = row_stable_matmul(self._im2col(x), w_mat.T)
-        out += self.b.value
+        w = self.w.value.astype(x.dtype, copy=False)
+        out = row_stable_matmul(self._im2col(x), w.reshape(w.shape[0], -1).T)
+        out += self.b.value.astype(x.dtype, copy=False)
         return out.reshape(x.shape[0], x.shape[1], -1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

@@ -3,20 +3,20 @@
 Trained AI-physics suites must survive the session (the paper's suite is
 trained once on the 80-day archive and then deployed everywhere), so this
 module provides torch-style state dicts over the :class:`~repro.ai.layers.
-Parameter` tree plus npz persistence.  Loading validates shapes — a
-changed architecture fails loudly instead of silently mis-assigning.
+Parameter` tree (``AIPhysicsSuite.save``/``load`` keep them in its npz).
+Loading validates shapes — a changed architecture fails loudly instead of
+silently mis-assigning.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Dict, Union
+from typing import Dict
 
 import numpy as np
 
 from .layers import Layer
 
-__all__ = ["state_dict", "load_state_dict", "save_model", "load_model"]
+__all__ = ["state_dict", "load_state_dict"]
 
 
 def state_dict(model: Layer) -> Dict[str, np.ndarray]:
@@ -42,13 +42,3 @@ def load_state_dict(model: Layer, state: Dict[str, np.ndarray]) -> None:
             )
         p.value[...] = value
 
-
-def save_model(path: Union[str, Path], model: Layer) -> None:
-    """Persist a model's parameters as a compressed npz."""
-    np.savez_compressed(path, **state_dict(model))
-
-
-def load_model(path: Union[str, Path], model: Layer) -> None:
-    """Load parameters saved by :func:`save_model` into ``model``."""
-    with np.load(path) as data:
-        load_state_dict(model, {k: data[k] for k in data.files})

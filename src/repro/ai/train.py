@@ -124,6 +124,9 @@ class Trainer:
     history: Dict[str, List[float]] = field(default_factory=lambda: {"train": [], "val": []})
     x_norm: Optional[Normalizer] = None
     y_norm: Optional[Normalizer] = None
+    #: The forward pass's dtype in :meth:`predict` (training is always
+    #: fp64).  Not a field: only a bound physics suite sets it (§5.2.3).
+    dtype = np.float64
 
     def fit(
         self,
@@ -172,6 +175,10 @@ class Trainer:
         return loss
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Physical-space predictions."""
+        """Physical-space predictions, as float64.  Only ``forward`` runs in
+        ``dtype``: the per-channel normaliser, in fp64, is the group scale of
+        an fp32 pass — it strips the ~290 K / ~1e5 Pa offsets before the cast."""
         assert self.x_norm is not None and self.y_norm is not None, "fit first"
-        return self.y_norm.invert(self.model.forward(self.x_norm.apply(x)))
+        xn = self.x_norm.apply(x).astype(self.dtype, copy=False)
+        y = self.model.forward(xn).astype(np.float64, copy=False)
+        return self.y_norm.invert(y)

@@ -22,12 +22,17 @@ vertical/horizontal resolution — the "resolution-adaptive" property.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
-from ..ai import Trainer, build_radiation_mlp, build_tendency_cnn, split_by_days
+from ..ai import (
+    Normalizer, Trainer, build_radiation_mlp, build_tendency_cnn, load_state_dict, split_by_days,
+    state_dict,
+)
+from ..precision import Precision
 from ..utils.rng import seeded
 from .columns import ColumnState, pressure_levels, reference_profiles
 from .physics import ConventionalPhysics, PhysicsTendencies
@@ -78,6 +83,37 @@ def synthetic_columns(
     return ColumnState(u=u, v=v, t=t, q=q, p=p, tskin=tskin, coszr=coszr)
 
 
+def _radiation_input(state: ColumnState, chan: np.ndarray) -> np.ndarray:
+    """The radiation MLP's input: the flattened column, ``tskin``, ``coszr``."""
+    flat = chan.reshape(chan.shape[0], -1)
+    return np.concatenate([flat, state.tskin[:, None], state.coszr[:, None]], axis=1)
+
+
+def _archive(columns, physics: Optional[ConventionalPhysics], dt_s: float, n_days: int,
+             steps_per_day: int, ncol_per_step: int) -> Dict[str, np.ndarray]:
+    """(input, target) pairs of the conventional suite (default parameters
+    unless ``physics`` is given) on each of ``columns``, an iterable of
+    :class:`ColumnState`, in the archive layout."""
+    physics = physics if physics is not None else ConventionalPhysics()
+    xs, ys, xr, yr = [], [], [], []
+    for cols in columns:
+        tend = physics.compute(cols, dt_s)
+        chan = cols.as_channels()
+        xs.append(chan)
+        ys.append(np.stack([tend.du, tend.dv, tend.dt, tend.dq], axis=1))
+        xr.append(_radiation_input(cols, chan))
+        yr.append(np.stack([tend.gsw, tend.glw], axis=1))
+    return {
+        "x_column": np.concatenate(xs),
+        "y_tendency": np.concatenate(ys),
+        "x_radiation": np.concatenate(xr),
+        "y_radiation": np.concatenate(yr),
+        "n_days": np.array(n_days),
+        "steps_per_day": np.array(steps_per_day),
+        "ncol_per_step": np.array(ncol_per_step),
+    }
+
+
 def generate_training_archive(
     n_days: int = 80,
     steps_per_day: int = 8,
@@ -95,28 +131,12 @@ def generate_training_archive(
     ``x_radiation`` (N, 5*nlev + 2), ``y_radiation`` (N, 2), plus the
     (day, step) shape metadata used by the splitter.
     """
-    physics = physics if physics is not None else ConventionalPhysics()
-    xs, ys, xr, yr = [], [], [], []
-    for day in range(n_days):
-        season = (day * 4) // max(n_days, 1)
-        for step in range(steps_per_day):
-            cols = synthetic_columns(ncol_per_step, nlev, season, step, seed=seed + day)
-            tend = physics.compute(cols, dt_s)
-            chan = cols.as_channels()
-            xs.append(chan)
-            ys.append(np.stack([tend.du, tend.dv, tend.dt, tend.dq], axis=1))
-            flat = chan.reshape(chan.shape[0], -1)
-            xr.append(np.concatenate([flat, cols.tskin[:, None], cols.coszr[:, None]], axis=1))
-            yr.append(np.stack([tend.gsw, tend.glw], axis=1))
-    return {
-        "x_column": np.concatenate(xs),
-        "y_tendency": np.concatenate(ys),
-        "x_radiation": np.concatenate(xr),
-        "y_radiation": np.concatenate(yr),
-        "n_days": np.array(n_days),
-        "steps_per_day": np.array(steps_per_day),
-        "ncol_per_step": np.array(ncol_per_step),
-    }
+    columns = (
+        synthetic_columns(ncol_per_step, nlev, (day * 4) // max(n_days, 1), step, seed=seed + day)
+        for day in range(n_days)
+        for step in range(steps_per_day)
+    )
+    return _archive(columns, physics, dt_s, n_days, steps_per_day, ncol_per_step)
 
 
 def harvest_archive_from_model(
@@ -138,36 +158,22 @@ def harvest_archive_from_model(
     in-distribution at inference — the property the purely synthetic
     archive cannot guarantee.
     """
-    physics = physics if physics is not None else ConventionalPhysics()
     rng = seeded("harvest", n_days, samples_per_day, ncol_per_sample, seed)
     steps_per_day = max(1, int(round(86400.0 / model.dt_model)))
     stride = max(1, steps_per_day // samples_per_day)
-    xs, ys, xr, yr = [], [], [], []
-    for _day in range(n_days):
-        for _sample in range(samples_per_day):
+
+    def columns():
+        for _ in range(n_days * samples_per_day):
             model.run(stride)
             cols = model.current_columns()
             pick = rng.choice(cols.ncol, size=min(ncol_per_sample, cols.ncol), replace=False)
-            sub = ColumnState(
+            yield ColumnState(
                 u=cols.u[pick], v=cols.v[pick], t=cols.t[pick], q=cols.q[pick],
                 p=cols.p, tskin=cols.tskin[pick], coszr=cols.coszr[pick],
             )
-            tend = physics.compute(sub, model.dt_model)
-            chan = sub.as_channels()
-            xs.append(chan)
-            ys.append(np.stack([tend.du, tend.dv, tend.dt, tend.dq], axis=1))
-            flat = chan.reshape(chan.shape[0], -1)
-            xr.append(np.concatenate([flat, sub.tskin[:, None], sub.coszr[:, None]], axis=1))
-            yr.append(np.stack([tend.gsw, tend.glw], axis=1))
-    return {
-        "x_column": np.concatenate(xs),
-        "y_tendency": np.concatenate(ys),
-        "x_radiation": np.concatenate(xr),
-        "y_radiation": np.concatenate(yr),
-        "n_days": np.array(n_days),
-        "steps_per_day": np.array(samples_per_day),
-        "ncol_per_step": np.array(min(ncol_per_sample, model.grid.n_cells)),
-    }
+
+    return _archive(columns(), physics, model.dt_model, n_days, samples_per_day,
+                    min(ncol_per_sample, model.grid.n_cells))
 
 
 @dataclass
@@ -191,8 +197,15 @@ class AIPhysicsSuite:
 
     def bind(self, ctx) -> None:
         """Launch the conventional-diagnostics kernels through ``ctx`` —
-        the same binding contract as :class:`ConventionalPhysics`."""
+        the same binding contract as :class:`ConventionalPhysics` — and
+        take the nets' compute precision from ``ctx.precision`` (§5.2.3):
+        when the policy stores the suite's own input (``atm.t_col``) in
+        reduced precision, both forward passes run in fp32.  Under the
+        ``fp64`` policy, and unbound, they run in fp64."""
         self.diagnostics.bind(ctx)
+        stored = ctx.precision.precision_of("atm.t_col")
+        dtype = np.float64 if stored is Precision.FP64 else np.float32
+        self.tendency_trainer.dtype = self.radiation_trainer.dtype = dtype
 
     @staticmethod
     def train(
@@ -251,10 +264,6 @@ class AIPhysicsSuite:
     def save(self, path) -> None:
         """Persist the trained suite (weights + normalizers + limits +
         architecture hyperparameters) as one compressed npz."""
-        import json
-
-        from ..ai.serialize import state_dict
-
         tend = self.tendency_trainer
         rad = self.radiation_trainer
         if tend.x_norm is None or rad.x_norm is None:
@@ -285,11 +294,6 @@ class AIPhysicsSuite:
     @staticmethod
     def load(path) -> "AIPhysicsSuite":
         """Rebuild a suite saved by :meth:`save`."""
-        import json
-
-        from ..ai import Normalizer, Trainer, build_radiation_mlp, build_tendency_cnn
-        from ..ai.serialize import load_state_dict
-
         with np.load(path) as data:
             meta = json.loads(bytes(data["meta"]).decode())
             cnn = build_tendency_cnn(levels=meta["levels"], width=meta["width"],
@@ -321,11 +325,7 @@ class AIPhysicsSuite:
         if self.tendency_limits is not None:
             lim = self.tendency_limits[None, :, None]
             np.clip(tend, -lim, lim, out=tend)
-        flat = chan.reshape(chan.shape[0], -1)
-        rad_in = np.concatenate(
-            [flat, state.tskin[:, None], state.coszr[:, None]], axis=1
-        )
-        rad = self.radiation_trainer.predict(rad_in)
+        rad = self.radiation_trainer.predict(_radiation_input(state, chan))
         # Physical flux bounds (solar constant / warm-sky longwave).
         gsw = np.clip(rad[:, 0], 0.0, 1400.0)
         glw = np.clip(rad[:, 1], 0.0, 600.0)
@@ -354,8 +354,15 @@ class AIPhysicsSuite:
             lhflx=lhflx,
         )
 
+    #: Output channels of the two modules, in array order.
+    CHANNELS = {"tendency": ("du", "dv", "dt", "dq"), "radiation": ("gsw", "glw")}
+
     def skill(self, archive: Dict[str, np.ndarray], idx: np.ndarray) -> Dict[str, float]:
-        """R^2 of both modules on the given sample indices."""
+        """R^2 of both modules on the given sample indices: one per output
+        channel (``"tendency.dt"``, ``"radiation.gsw"``, ...) and each
+        module's mean over its channels (``"tendency"``, ``"radiation"``).
+        Every channel is scored against its own mean — pooling channels
+        under one mean would mix their units and offsets."""
         out: Dict[str, float] = {}
         for name, trainer, x, y in (
             ("tendency", self.tendency_trainer, archive["x_column"], archive["y_tendency"]),
@@ -363,7 +370,10 @@ class AIPhysicsSuite:
         ):
             pred = trainer.predict(x[idx])
             target = y[idx]
-            ss_res = float(np.sum((pred - target) ** 2))
-            ss_tot = float(np.sum((target - target.mean()) ** 2))
-            out[name] = 1.0 - ss_res / max(ss_tot, 1e-300)
+            axes = (0,) + tuple(range(2, target.ndim))  # all but the channel axis
+            ss_res = np.sum((pred - target) ** 2, axis=axes)
+            ss_tot = np.sum((target - target.mean(axis=axes, keepdims=True)) ** 2, axis=axes)
+            r2 = 1.0 - ss_res / np.maximum(ss_tot, 1e-300)
+            out.update((f"{name}.{c}", float(v)) for c, v in zip(self.CHANNELS[name], r2))
+            out[name] = float(r2.mean())
         return out

@@ -6,7 +6,6 @@ from .baseline import (
     PerfBaseline,
     compare_baselines,
     emit,
-    load_baseline,
 )
 from .paper_data import (
     CORES_PER_SUNWAY_PROCESS,
@@ -53,6 +52,5 @@ __all__ = [
     "PerfBaseline",
     "BaselineComparison",
     "compare_baselines",
-    "load_baseline",
     "emit",
 ]

@@ -114,10 +114,6 @@ class PerfBaseline:
         return PerfBaseline.from_json(Path(path).read_text())
 
 
-def load_baseline(path: Union[str, Path]) -> PerfBaseline:
-    return PerfBaseline.from_file(path)
-
-
 def emit(
     doc: PerfBaseline,
     directory: Union[str, Path],

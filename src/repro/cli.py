@@ -73,9 +73,10 @@ def _add_core_group(p: argparse.ArgumentParser) -> None:
 
 
 def _add_precision_group(p: argparse.ArgumentParser) -> None:
-    prec = p.add_argument_group("precision", "storage precision (§5.2.3)")
+    prec = p.add_argument_group("precision", "storage and AI compute precision (§5.2.3)")
     prec.add_argument("--precision", choices=("fp64", "mixed"), default="mixed",
-                      help="storage precision policy for prognostic state "
+                      help="storage precision policy for prognostic state; mixed "
+                           "also runs AI physics inference in FP32 "
                            "(§5.2.3; default: mixed group-scaled FP32)")
 
 
@@ -261,7 +262,8 @@ def _add_base_model_group(p: argparse.ArgumentParser) -> None:
     base.add_argument("--ocn-levels", type=int, default=8)
     base.add_argument("--precision", choices=("fp64", "mixed"),
                       default="fp64",
-                      help="base storage precision (jobs may override via "
+                      help="base storage precision; mixed also runs AI physics "
+                           "inference in FP32 (jobs may override via "
                            "--delta precision=...)")
 
 
@@ -736,8 +738,9 @@ def _cmd_train_ai(args: argparse.Namespace) -> int:
     suite = AIPhysicsSuite.train(archive, epochs=args.epochs, width=args.width)
     idx = np.arange(len(archive["x_column"]))
     skill = suite.skill(archive, idx)
+    per = ", ".join(f"{k.split('.')[1]} {v:.2f}" for k, v in skill.items() if "." in k)
     print(f"trained: tendency R^2 {skill['tendency']:.2f}, "
-          f"radiation R^2 {skill['radiation']:.2f}, "
+          f"radiation R^2 {skill['radiation']:.2f} (per channel: {per}), "
           f"CNN params {suite.tendency_trainer.model.n_params:,}")
     return 0
 

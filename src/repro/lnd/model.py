@@ -162,11 +162,3 @@ class LandModel(ComponentBase):
                 self.land_mask, self.bucket / cfg.bucket_capacity, 0.0
             ),
         }
-
-    def water_balance_error(self, total_precip_m: float, total_evap_m: float) -> float:
-        """Closure check: d(bucket) = P - E - runoff (per unit area means)."""
-        self._check_alive()
-        cfg = self.config
-        d_bucket = float(self.bucket[self.land_mask].mean()) - 0.5 * cfg.bucket_capacity
-        runoff = float(self.runoff_total[self.land_mask].mean())
-        return abs(d_bucket + runoff - (total_precip_m - total_evap_m))

@@ -95,15 +95,20 @@ SUITE_GEMMS = [(15, 128), (384, 128), (128, 4), (152, 160), (160, 160), (160, 2)
 
 
 class TestRowStableMatmul:
-    @pytest.mark.parametrize("k,n", SUITE_GEMMS)
-    def test_row_bits_independent_of_batch(self, k, n):
+    @pytest.mark.parametrize("k,n,dtype", [
+        *(pytest.param(k, n, np.float64, id=f"{k}-{n}") for k, n in SUITE_GEMMS),
+        *(pytest.param(k, n, np.float32, id=f"{k}-{n}-float32") for k, n in SUITE_GEMMS),
+    ])
+    def test_row_bits_independent_of_batch(self, k, n, dtype):
         """A row computed alone and inside 7-, 162-, 324- and 4860-row
         batches (a tail, < 1 block, > 1 block, 18 blocks + tail) has the
-        same bytes."""
+        same bytes — in fp64 and in the fp32 the suite computes in under
+        ``precision=mixed``."""
         rng = np.random.default_rng([k, n])
-        a = rng.standard_normal((4860, k))
-        w = rng.standard_normal((k, n))
+        a = rng.standard_normal((4860, k)).astype(dtype)
+        w = rng.standard_normal((k, n)).astype(dtype)
         full = row_stable_matmul(a, w)
+        assert full.dtype == dtype
         assert full.shape == (4860, n)
         for m in (7, 162, 324):
             assert row_stable_matmul(a[:m], w).tobytes() == full[:m].tobytes()
@@ -327,3 +332,35 @@ class TestFlattenSequential:
         c = Dense(4, 4, rng_key="k2")
         assert np.array_equal(a.w.value, b.w.value)
         assert not np.array_equal(a.w.value, c.w.value)
+
+
+class TestFollowsInputDtype:
+    """``forward`` computes in its input's dtype: an fp32 input is never
+    silently promoted to fp64 by the fp64-stored parameters."""
+
+    @pytest.mark.parametrize("make,shape", [
+        (lambda: Dense(6, 4), (9, 6)),
+        (lambda: Conv1d(5, 8, kernel=3), (9, 30, 5)),
+        (lambda: Conv1d(8, 4, kernel=1), (9, 30, 8)),
+        (lambda: ResUnit(8), (9, 30, 8)),
+        (lambda: ResidualDense(6), (9, 6)),
+    ])
+    def test_fp32_in_fp32_out(self, make, shape):
+        layer = make()
+        x = np.random.default_rng(5).standard_normal(shape)
+        y64 = layer.forward(x)
+        y32 = layer.forward(x.astype(np.float32))
+        assert y64.dtype == np.float64
+        assert y32.dtype == np.float32
+        assert np.allclose(y32, y64, rtol=1e-5, atol=1e-5)
+        # The stored (trained) parameters stay fp64.
+        assert all(p.value.dtype == np.float64 for p in layer.parameters())
+
+    def test_suite_nets_fp32_end_to_end(self):
+        from repro.ai import build_radiation_mlp, build_tendency_cnn
+
+        rng = np.random.default_rng(6)
+        cnn = build_tendency_cnn(levels=10, width=16, n_res_units=2)
+        mlp = build_radiation_mlp(levels=10)
+        assert cnn.forward(rng.standard_normal((3, 5, 10)).astype(np.float32)).dtype == np.float32
+        assert mlp.forward(rng.standard_normal((3, 52)).astype(np.float32)).dtype == np.float32

@@ -8,12 +8,14 @@ import sys
 import numpy as np
 import pytest
 
+from repro.ai import split_by_days
 from repro.atm import (
     AIPhysicsSuite,
     ConventionalPhysics,
     generate_training_archive,
     synthetic_columns,
 )
+from repro.esm import ComponentContext, precision_policy
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +71,20 @@ class TestTraining:
         skill = trained_suite.skill(small_archive, idx)
         assert skill["radiation"] > 0.5
         assert skill["tendency"] > 0.2
+
+    def test_skill_is_per_channel(self, trained_suite, small_archive):
+        """Each output channel is scored against its own mean; a module's
+        R^2 is the mean of its channels' (pooling them under one mean
+        would reward getting the channels' offsets apart)."""
+        idx = np.arange(len(small_archive["x_column"]))
+        skill = trained_suite.skill(small_archive, idx)
+        for module, channels in AIPhysicsSuite.CHANNELS.items():
+            per = [skill[f"{module}.{c}"] for c in channels]
+            assert skill[module] == pytest.approx(np.mean(per))
+        pred = trained_suite.tendency_trainer.predict(small_archive["x_column"])[:, 2]
+        target = small_archive["y_tendency"][:, 2]
+        r2 = 1.0 - np.sum((pred - target) ** 2) / np.sum((target - target.mean()) ** 2)
+        assert skill["tendency.dt"] == pytest.approx(r2)
 
 
 #: Prints the BLAS build + runtime kernel, then the SHA-256 of every
@@ -163,6 +179,72 @@ class TestInference:
         assert n_params < 2e5  # the small test net
 
 
+_FIELDS = ("du", "dv", "dt", "dq", "gsw", "glw", "precip", "cloud_fraction", "shflx", "lhflx")
+
+
+def _bound(suite, policy):
+    """``suite`` bound to a context under the named precision policy."""
+    suite.bind(ComponentContext(precision=precision_policy(policy)))
+    return suite
+
+
+class TestPrecisionSelectsCompute:
+    """``bind`` reads the precision policy: fp32 forward passes under
+    ``mixed``, the unchanged fp64 path under ``fp64`` and unbound.  Each
+    test restores the module-scoped suite to fp64 on the way out."""
+
+    @pytest.fixture
+    def suite(self, trained_suite):
+        yield trained_suite
+        _bound(trained_suite, "fp64")
+
+    def test_policy_selects_forward_dtype(self, suite):
+        assert suite.tendency_trainer.dtype == np.float64  # unbound (or restored)
+        _bound(suite, "mixed")
+        assert suite.tendency_trainer.dtype == suite.radiation_trainer.dtype == np.float32
+        _bound(suite, "fp64")
+        assert suite.tendency_trainer.dtype == suite.radiation_trainer.dtype == np.float64
+
+    def test_fp64_bound_equals_unbound_bytes(self, small_archive):
+        """Binding an ``fp64`` context changes no output byte: a fresh
+        (never bound) suite and a bound one agree field by field."""
+        cols = synthetic_columns(40, 10, season=1, step=3, seed=5)
+        fresh = AIPhysicsSuite.train(small_archive, epochs=2, width=16, lr=3e-3)
+        unbound = fresh.compute(cols, 120.0)
+        bound = _bound(fresh, "fp64").compute(cols, 120.0)
+        for name in _FIELDS:
+            assert getattr(bound, name).tobytes() == getattr(unbound, name).tobytes(), name
+
+    @pytest.mark.parametrize("policy", ["fp64", "mixed"])
+    def test_compute_returns_float64(self, suite, policy):
+        tend = _bound(suite, policy).compute(synthetic_columns(9, 10, season=0, step=1), 120.0)
+        for name in _FIELDS:
+            assert getattr(tend, name).dtype == np.float64, name
+
+    def test_mixed_outputs_within_bound_of_fp64(self, suite, small_archive):
+        """Unclipped CNN and MLP outputs on held-out archive columns, fp32
+        vs fp64 forward: within 1e-5 of each output's max magnitude.
+
+        fp32 has a 6e-8 unit roundoff; the inputs reach the nets already
+        normalised (O(1), the offsets stripped in fp64), and the paper-size
+        (width-128) CNN measured 1.3e-6 of its output max, so 1e-5 leaves
+        an order of magnitude for depth and BLAS kernel differences while
+        still failing on any fp16-class or unscaled-cast regression."""
+        split = split_by_days(16, 4, seed=0)
+        idx = (split.test[:, None] * 16 + np.arange(16)[None, :]).ravel()
+        for trainer, x in (
+            (suite.tendency_trainer, small_archive["x_column"][idx]),
+            (suite.radiation_trainer, small_archive["x_radiation"][idx]),
+        ):
+            _bound(suite, "fp64")
+            ref = trainer.predict(x)
+            _bound(suite, "mixed")
+            got = trainer.predict(x)
+            assert got.dtype == np.float64
+            assert not np.array_equal(got, ref)  # really computed in fp32
+            assert np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()
+
+
 class TestSerialization:
     def test_save_load_roundtrip_bitwise(self, trained_suite, tmp_path):
         path = tmp_path / "suite.npz"
@@ -227,12 +309,11 @@ class TestSerialization:
         with pytest.raises(RuntimeError, match="train"):
             fresh.save(tmp_path / "x.npz")
 
-    def test_state_dict_shape_mismatch_detected(self, tmp_path):
+    def test_state_dict_shape_mismatch_detected(self):
         from repro.ai import build_tendency_cnn
-        from repro.ai.serialize import load_model, save_model
+        from repro.ai.serialize import load_state_dict, state_dict
 
         small = build_tendency_cnn(levels=10, width=8, n_res_units=1)
         big = build_tendency_cnn(levels=10, width=16, n_res_units=1)
-        save_model(tmp_path / "m.npz", small)
         with pytest.raises(ValueError, match="mismatch"):
-            load_model(tmp_path / "m.npz", big)
+            load_state_dict(big, state_dict(small))

@@ -15,8 +15,10 @@ from repro.esm import (
     AP3ESM,
     AP3ESMConfig,
     BatchedPhysicsDriver,
+    ComponentContext,
     EnsembleConfig,
     EnsembleRun,
+    precision_policy,
 )
 from repro.obs import Obs
 
@@ -183,11 +185,25 @@ class TestBatchedPhysicsDriver:
         """One CNN/MLP forward over the stacked fleet reproduces the
         per-member forwards bit-for-bit (incl. a single-column member,
         the gemv/gemm edge case)."""
+        self._assert_batched_bitwise(tiny_ai_suite)
+
+    def test_ai_suite_batched_bitwise_mixed(self, tiny_ai_suite):
+        """The same twin with the suite bound to a ``mixed`` context, so
+        both nets run their forward pass in fp32: the fixed GEMM row
+        blocks keep fleet == per-member bitwise in fp32 too."""
+        tiny_ai_suite.bind(ComponentContext(precision=precision_policy("mixed")))
+        try:
+            assert tiny_ai_suite.tendency_trainer.dtype == np.float32
+            self._assert_batched_bitwise(tiny_ai_suite)
+        finally:
+            tiny_ai_suite.bind(ComponentContext())
+
+    def _assert_batched_bitwise(self, suite):
         cols = self._columns([7, 1, 12])
-        driver = BatchedPhysicsDriver([tiny_ai_suite] * 3, batch=True)
+        driver = BatchedPhysicsDriver([suite] * 3, batch=True)
         batched = driver.compute(cols, 120.0)
         for b, c in zip(batched, cols):
-            solo = tiny_ai_suite.compute(c, 120.0)
+            solo = suite.compute(c, 120.0)
             for fld in ("du", "dv", "dt", "dq", "gsw", "glw", "precip"):
                 assert np.array_equal(getattr(b, fld), getattr(solo, fld)), fld
 
