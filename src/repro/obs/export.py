@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..utils.units import SECONDS_PER_DAY, sdpd_from_sypd, sypd_from_walltime
 from .metrics import Histogram, MetricsRegistry
@@ -29,10 +29,27 @@ __all__ = [
     "text_report",
     "TimingReport",
     "timing_summary",
+    "counter_totals",
     "resilience_interventions",
     "coupler_fastpath",
     "kernel_measurements",
 ]
+
+
+def counter_totals(
+    metrics: Iterable[MetricsRegistry], prefixes: Tuple[str, ...]
+) -> Dict[str, float]:
+    """Total every nonzero counter whose name starts with one of
+    ``prefixes``, across ranks; ``{}`` when there is none."""
+    totals: Dict[str, float] = {}
+    for reg in metrics:
+        for name in reg.names():
+            if not name.startswith(prefixes):
+                continue
+            metric = reg.get(name)
+            if getattr(metric, "kind", None) == "counter" and metric.value:
+                totals[name] = totals.get(name, 0.0) + metric.value
+    return totals
 
 
 def resilience_interventions(
@@ -47,16 +64,7 @@ def resilience_interventions(
     (quarantines, restarts, escalations, replayed couplings); a run that
     needed none returns ``{}``.
     """
-    totals: Dict[str, float] = {}
-    for reg in metrics:
-        for name in reg.names():
-            if not (name.startswith("resilience.")
-                    or name.startswith("ensemble.supervisor.")):
-                continue
-            metric = reg.get(name)
-            if getattr(metric, "kind", None) == "counter" and metric.value:
-                totals[name] = totals.get(name, 0.0) + metric.value
-    return totals
+    return counter_totals(metrics, ("resilience.", "ensemble.supervisor."))
 
 
 def coupler_fastpath(metrics: Iterable[MetricsRegistry]) -> Dict[str, float]:
@@ -65,15 +73,7 @@ def coupler_fastpath(metrics: Iterable[MetricsRegistry]) -> Dict[str, float]:
     pruning savings, coalesced-plan messages).  A run that never touched
     the fast path returns ``{}``.
     """
-    totals: Dict[str, float] = {}
-    for reg in metrics:
-        for name in reg.names():
-            if not (name.startswith("coupler.") or name.startswith("cpl.plan.")):
-                continue
-            metric = reg.get(name)
-            if getattr(metric, "kind", None) == "counter" and metric.value:
-                totals[name] = totals.get(name, 0.0) + metric.value
-    return totals
+    return counter_totals(metrics, ("coupler.", "cpl.plan."))
 
 
 def kernel_measurements(

@@ -11,14 +11,18 @@ the distributed run is **bit-for-bit identical** to the serial run — the
 paper's §5.1 validation standard, tested in
 ``tests/test_ocn_parallel_run.py``.
 
+:func:`barotropic_rank` is the one rank program.  Two drivers call it:
+:func:`distributed_barotropic_run` (2-D blocks, one ``SimWorld.run``) and
+:class:`~repro.resilience.elastic.ElasticFieldRun` (latitude slabs, one
+``SimWorld.run_elastic`` per checkpoint epoch, re-cut after a rank loss).
+
 The per-substep stabilization norm is computed with a fixed-order
 allreduce; it is a diagnostic only, so it does not perturb the state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +34,7 @@ from ..parallel.halo import StructuredHalo
 from .barotropic import BarotropicSolver, BarotropicState
 from .metrics import CGridMetrics
 
-__all__ = ["distributed_barotropic_run", "local_window"]
+__all__ = ["barotropic_rank", "distributed_barotropic_run", "local_window"]
 
 PAD = 3  # halo depth: enough for the two-stage forward-backward stencils
 
@@ -63,6 +67,64 @@ def local_window(
     return masked, _padded(grid.depth, block, 0.0)
 
 
+def barotropic_rank(
+    comm: SimComm,
+    grid: TripolarGrid,
+    metrics: CGridMetrics,
+    procs: Tuple[int, int],
+    shards: Sequence[np.ndarray],
+    n_steps: int,
+    dt: float,
+    taux: Optional[np.ndarray] = None,
+    obs=NULL_OBS,
+) -> Tuple[np.ndarray, List[float]]:
+    """The one ocean rank program: ``n_steps`` barotropic steps on this
+    rank's block of the ``procs = (py, px)`` process grid.
+
+    ``shards[comm.rank]`` is the block's interior ``(eta, u, v)`` stacked
+    as a ``(3, ny, nx)`` array; the halo rings start at zero and every
+    in-domain halo cell is filled by the first exchange.  Returns the
+    interior after the steps (same layout) and the per-step norms.
+    """
+    robs = obs.fork(comm.rank) if obs.enabled else obs
+    block = Block2D(grid.nlat, grid.nlon, *procs, comm.rank)
+    local_metrics, local_depth = local_window(grid, metrics, block)
+    solver = BarotropicSolver(local_metrics, local_depth)
+    halo = StructuredHalo(block, width=PAD, tripolar_fold=False)
+    interior = (slice(PAD, -PAD), slice(PAD, -PAD))
+
+    state = BarotropicState.zeros(local_depth.shape)
+    for padded, values in zip((state.eta, state.u, state.v), shards[comm.rank]):
+        padded[interior] = values
+    taux_pad = _padded(taux, block, 0.0) if taux is not None else None
+    norms: List[float] = []
+
+    for istep in range(n_steps):
+        with robs.span("ocn.parallel_step", step=istep):
+            # Refresh halos from the owning ranks.
+            with robs.span("ocn.halo_exchange"):
+                for field in (state.eta, state.u, state.v):
+                    halo.exchange(comm, field)
+            robs.counter("ocn.halo_exchanges").inc(3)
+            with robs.span("ocn.solve"):
+                new_state, _ = solver.step(state, dt, taux=taux_pad)
+                # Keep only the interior (halo rings are stencil-contaminated).
+                state.eta[interior] = new_state.eta[interior]
+                state.u[interior] = new_state.u[interior]
+                state.v[interior] = new_state.v[interior]
+
+            # Global stabilization norm: fixed-order reduction over ranks,
+            # same normalization as the serial solver (total area; eta is
+            # zero on land anyway).
+            m = local_metrics
+            local_sum = float(np.sum(m.area[interior] * state.eta[interior] ** 2))
+            local_area = float(np.sum(m.area[interior]))
+            total = comm.allreduce(np.array([local_sum, local_area]), op="sum")
+            norms.append(float(np.sqrt(total[0] / max(total[1], 1e-300))))
+
+    return np.stack([state.eta[interior], state.u[interior], state.v[interior]]), norms
+
+
 def distributed_barotropic_run(
     grid: TripolarGrid,
     n_steps: int,
@@ -81,73 +143,27 @@ def distributed_barotropic_run(
     counters, and the world's traffic ledger lands in the parent metrics.
     """
     metrics = CGridMetrics.build(grid)
-    serial_solver = BarotropicSolver(metrics, grid.depth)
     if dt is None:
-        dt = serial_solver.max_stable_dt()
+        dt = BarotropicSolver(metrics, grid.depth).max_stable_dt()
     px, py = factor_2d(n_ranks, aspect=grid.nlon / grid.nlat)
     if grid.nlon % px:
         raise ValueError(
             f"nlon={grid.nlon} must divide evenly over px={px} ranks in x"
         )
 
-    eta0 = initial_eta if initial_eta is not None else np.zeros(metrics.shape)
-
-    def program(comm: SimComm):
-        robs = obs.fork(comm.rank) if obs.enabled else obs
-        block = Block2D(grid.nlat, grid.nlon, py, px, comm.rank)
-        local_metrics, local_depth = local_window(grid, metrics, block)
-        solver = BarotropicSolver(local_metrics, local_depth)
-        halo = StructuredHalo(block, width=PAD, tripolar_fold=False)
-
-        state = BarotropicState.zeros(local_depth.shape)
-        state.eta = _padded(eta0, block, 0.0)
-        taux_pad = _padded(taux, block, 0.0) if taux is not None else None
-        norms: List[float] = []
-        interior = (slice(PAD, -PAD), slice(PAD, -PAD))
-
-        for istep in range(n_steps):
-            with robs.span("ocn.parallel_step", step=istep):
-                # Refresh halos from the owning ranks.
-                with robs.span("ocn.halo_exchange"):
-                    for field in (state.eta, state.u, state.v):
-                        halo.exchange(comm, field)
-                robs.counter("ocn.halo_exchanges").inc(3)
-                with robs.span("ocn.solve"):
-                    new_state, _ = solver.step(state, dt, taux=taux_pad)
-                    # Keep only the interior (halo rings are stencil-contaminated).
-                    state.eta[interior] = new_state.eta[interior]
-                    state.u[interior] = new_state.u[interior]
-                    state.v[interior] = new_state.v[interior]
-
-                # Global stabilization norm: fixed-order reduction over ranks,
-                # same normalization as the serial solver (total area; eta is
-                # zero on land anyway).
-                m = local_metrics
-                local_sum = float(np.sum(m.area[interior] * state.eta[interior] ** 2))
-                local_area = float(np.sum(m.area[interior]))
-                total = comm.allreduce(np.array([local_sum, local_area]), op="sum")
-                norms.append(float(np.sqrt(total[0] / max(total[1], 1e-300))))
-
-        return (
-            block.y_range,
-            block.x_range,
-            state.eta[interior].copy(),
-            state.u[interior].copy(),
-            state.v[interior].copy(),
-            norms,
-        )
-
+    start = np.zeros((3,) + metrics.shape)
+    if initial_eta is not None:
+        start[0] = initial_eta
+    blocks = [Block2D(grid.nlat, grid.nlon, py, px, r) for r in range(n_ranks)]
+    windows = [(slice(None), slice(*b.y_range), slice(*b.x_range)) for b in blocks]
     world = SimWorld(n_ranks, timeout=60.0)
-    results = world.run(program)
+    results = world.run(
+        barotropic_rank, grid, metrics, (py, px),
+        [start[w] for w in windows], n_steps, dt, taux, obs,
+    )
     if obs.enabled:
         obs.metrics.record_traffic(world.ledger, prefix="ocn.comm")
 
-    gathered = BarotropicState.zeros(metrics.shape)
-    norms = results[0][5]
-    for (yr, xr, eta, u, v, _n) in results:
-        ys = slice(yr[0], yr[1])
-        xs = slice(xr[0], xr[1])
-        gathered.eta[ys, xs] = eta
-        gathered.u[ys, xs] = u
-        gathered.v[ys, xs] = v
-    return gathered, norms
+    for w, (interior, _) in zip(windows, results):
+        start[w] = interior
+    return BarotropicState(*start), results[0][1]

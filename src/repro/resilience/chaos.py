@@ -22,6 +22,12 @@ end to end, in (up to) three stages:
    replayed steps re-inject identically and recovery restores exact
    state.
 
+Plans with ``kill`` faults run a **kill stage**: the elastic loop
+(:class:`~repro.resilience.elastic.ElasticFieldRun`) over the
+configuration's distributed barotropic ocean, once under ``shrink`` and
+once under ``spare``.  The kill must fire and be recovered, and both
+continuations must end bitwise-identical to the serial solver.
+
 Plans with *member-scoped* faults (a ``member`` key on physics or comm
 entries) additionally run an **ensemble stage**: a batched fleet under
 the :class:`~repro.resilience.supervisor.FleetSupervisor` proves both
@@ -37,8 +43,9 @@ resume + publish adoption — with each completed job's restart set
 bitwise-identical to an uninterrupted twin's and exactly one completed
 record per job in the whole journal history.
 
-The report aggregates every ``resilience.*`` counter so an experiment
-where nothing was actually injected (or nothing actually recovered) is
+The report totals every nonzero ``resilience.*``,
+``ensemble.supervisor.*`` and ``serve.*`` counter so an experiment where
+nothing was actually injected (or nothing actually recovered) is
 visible, not silently green.
 """
 
@@ -51,6 +58,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..obs import NULL_OBS, Obs
+from ..obs.export import counter_totals
 from ..utils.rng import seeded
 from .faults import (
     CommFaultInjector,
@@ -60,48 +68,6 @@ from .faults import (
 )
 
 __all__ = ["ChaosReport", "run_chaos", "default_chaos_config"]
-
-#: Every intervention counter the resilience layer can emit.
-RESILIENCE_COUNTERS = (
-    "resilience.faults_injected",
-    "resilience.retries",
-    "resilience.checkpoints_written",
-    "resilience.checkpoint_fallbacks",
-    "resilience.restores",
-    "resilience.physics_fallback_columns",
-    "resilience.physics_fallback_events",
-    "resilience.watchdog_aborts",
-    "resilience.recoveries",
-    "resilience.ranks_lost",
-    "resilience.replayed_steps",
-    "resilience.replayed_couplings",
-    "resilience.spares_used",
-    "resilience.spares_exhausted",
-    "resilience.domains_degraded",
-    "ensemble.supervisor.events",
-    "ensemble.supervisor.faults_injected",
-    "ensemble.supervisor.quarantines",
-    "ensemble.supervisor.restarts",
-    "ensemble.supervisor.escalations",
-    "ensemble.supervisor.replayed_couplings",
-    "serve.submitted",
-    "serve.dispatched",
-    "serve.completed",
-    "serve.interruptions",
-    "serve.requeued",
-    "serve.retries",
-    "serve.reaped",
-    "serve.rejected",
-    "serve.failed",
-    "serve.quarantined",
-    "serve.adopted",
-    "serve.resumes",
-    "serve.published",
-    "serve.journal.records",
-    "serve.journal.replayed_records",
-    "serve.journal.rotations",
-)
-
 
 @dataclass
 class ChaosReport:
@@ -117,7 +83,7 @@ class ChaosReport:
     kill_ranks: Optional[int] = None
     shrink_recovered: Optional[bool] = None
     shrink_ranks_after: Optional[int] = None
-    shrink_mass_drift: Optional[float] = None
+    shrink_bitwise_identical: Optional[bool] = None
     shrink_sypd_degraded: Optional[float] = None
     spare_bitwise_identical: Optional[bool] = None
     ensemble_members: Optional[int] = None
@@ -134,15 +100,15 @@ class ChaosReport:
     @property
     def survived(self) -> bool:
         """The run completed every coupling it was asked for (a surfaced
-        comm error is still surviving — it is structured, not a hang),
-        the shrink continuation conserved the global invariant, the
-        spare continuation matched the fault-free twin bit for bit, and
+        comm error is still surviving — it is structured, not a hang), a
+        planned kill fired and the shrink recovered from it, the shrink
+        and spare continuations matched the serial ocean bit for bit, and
         both ensemble-supervisor modes kept their bitwise contracts."""
         return (
             self.bitwise_identical is not False
+            and self.shrink_recovered is not False
+            and self.shrink_bitwise_identical is not False
             and self.spare_bitwise_identical is not False
-            and (self.shrink_mass_drift is None
-                 or self.shrink_mass_drift < 1e-9)
             and self.ensemble_quarantine_bitwise is not False
             and self.ensemble_restart_bitwise is not False
             and self.service_bitwise is not False
@@ -173,7 +139,7 @@ class ChaosReport:
                 f"  kill stage: {self.kill_ranks} rank(s) killed; "
                 f"shrink recovered: {self.shrink_recovered} "
                 f"(to {self.shrink_ranks_after} rank(s), "
-                f"mass drift {self.shrink_mass_drift:.3g}); "
+                f"bitwise identical: {self.shrink_bitwise_identical}); "
                 f"spare bitwise identical: {self.spare_bitwise_identical}"
             )
             if self.shrink_sypd_degraded is not None:
@@ -199,10 +165,8 @@ class ChaosReport:
                 f"{self.service_bitwise}; every job completed exactly "
                 f"once: {self.service_exactly_once}"
             )
-        for name in RESILIENCE_COUNTERS:
-            value = self.counters.get(name, 0.0)
-            if value:
-                lines.append(f"  {name} = {value:g}")
+        for name, value in sorted(self.counters.items()):
+            lines.append(f"  {name} = {value:g}")
         return "\n".join(lines)
 
 
@@ -220,17 +184,6 @@ def default_chaos_config(checkpoint_dir=None, checkpoint_every: int = 2):
         recv_timeout_s=5.0,
     )
     return AP3ESMConfig(resilience=resilience)
-
-
-def _sum_counters(obs: Obs) -> Dict[str, float]:
-    """Total every counter across the parent handle and its forks."""
-    totals: Dict[str, float] = {}
-    for handle in obs.all_ranks():
-        for name in handle.metrics.names():
-            metric = handle.metrics.get(name)
-            if getattr(metric, "kind", None) == "counter":
-                totals[name] = totals.get(name, 0.0) + metric.value
-    return totals
 
 
 # -- stage 1: comm faults through the rearranger ---------------------------
@@ -289,45 +242,57 @@ def _comm_stage(plan: FaultPlan, res, obs: Obs, report: ChaosReport) -> None:
 # -- stage 1b: kill-and-continue (elastic recovery) ------------------------
 
 
-def _kill_stage(plan: FaultPlan, obs: Obs, report: ChaosReport) -> None:
+def _kill_stage(plan: FaultPlan, config, obs: Obs, report: ChaosReport) -> None:
     """Kill-and-continue: replay the plan's ``kill`` faults through the
-    elastic recovery loop under each non-abort policy.
+    elastic recovery loop over the configuration's barotropic ocean, under
+    each non-abort policy.
 
-    ``shrink`` must complete every step on the surviving ranks with the
-    global invariant conserved; ``spare`` must match the fault-free twin
-    bit for bit (the decomposition never changed).  The twin runs the
-    same field program with no faults under ``abort``.
+    The kill must fire and the shrink must recover from it; both the
+    shrink (re-cut to fewer slabs) and the spare continuation must end
+    bitwise-identical to the serial solver from the same seeded state.
     """
     import tempfile
 
     from ..bench.scaling import paper_degraded_estimate
+    from ..grids.tripolar import TripolarGrid
+    from ..ocn.barotropic import BarotropicSolver, BarotropicState
+    from ..ocn.metrics import CGridMetrics
     from .elastic import ElasticFieldRun, RecoveryPolicy
 
-    kills = [f for f in plan.comm if f.kind == "kill"]
-    report.kill_ranks = len({f.rank for f in kills})
+    grid = TripolarGrid.build(
+        config.ocn_nlon, config.ocn_nlat, n_levels=config.ocn_levels
+    )
+    metrics = CGridMetrics.build(grid)
+    noise = seeded("chaos-kill", plan.seed).standard_normal(metrics.shape)
+    zeros = np.zeros(metrics.shape)
+    initial = BarotropicState(np.where(metrics.mask_c, 0.1 * noise, 0.0), zeros, zeros)
 
-    def run(policy, faults, obs_handle):
+    def run(policy):
         with tempfile.TemporaryDirectory(prefix="chaos-kill-") as d:
             return ElasticFieldRun(
-                d, policy=policy, faults=faults, obs=obs_handle,
+                d, grid, initial, policy=policy, faults=plan, obs=obs,
                 perf_estimate=paper_degraded_estimate,
             ).run()
 
-    twin = run(RecoveryPolicy.ABORT, None, None)
+    shrink = run(RecoveryPolicy.SHRINK)
+    solver = BarotropicSolver(metrics, grid.depth)
+    serial = initial.copy()
+    for _ in range(shrink.steps):
+        serial, _ = solver.step(serial, solver.max_stable_dt())
 
-    shrink = run(RecoveryPolicy.SHRINK, plan, obs)
-    report.shrink_recovered = (
-        shrink.survived_failure and shrink.steps == twin.steps
-    )
+    def bitwise(out) -> bool:
+        return all(
+            np.array_equal(getattr(out.state, f), getattr(serial, f))
+            for f in ("eta", "u", "v")
+        )
+
+    report.kill_ranks = len({p for e in shrink.recoveries for p in e.dead_parents})
+    report.shrink_recovered = shrink.survived_failure
     report.shrink_ranks_after = shrink.n_ranks
-    report.shrink_mass_drift = shrink.mass_drift
+    report.shrink_bitwise_identical = bitwise(shrink)
     if shrink.recoveries and shrink.recoveries[-1].sypd_degraded is not None:
         report.shrink_sypd_degraded = shrink.recoveries[-1].sypd_degraded
-
-    spare = run(RecoveryPolicy.SPARE, plan, obs)
-    report.spare_bitwise_identical = bool(
-        np.array_equal(spare.field, twin.field)
-    )
+    report.spare_bitwise_identical = bitwise(run(RecoveryPolicy.SPARE))
 
 
 # -- stage 1c: ensemble fleet supervisor -----------------------------------
@@ -661,7 +626,7 @@ def run_chaos(
     if plan.comm:
         _comm_stage(plan, res, obs, report)
     if any(f.kind == "kill" for f in plan.comm):
-        _kill_stage(plan, obs, report)
+        _kill_stage(plan, config, obs, report)
     if plan.member_scoped:
         _ensemble_stage(plan, config, couplings, obs, report)
     if plan.service:
@@ -679,5 +644,8 @@ def run_chaos(
         model.run_couplings(couplings)
         model.scheduler.shutdown()
 
-    report.counters = _sum_counters(obs)
+    report.counters = counter_totals(
+        (h.metrics for h in obs.all_ranks()),
+        ("resilience.", "ensemble.supervisor.", "serve."),
+    )
     return report

@@ -5,50 +5,55 @@ The ULFM-style loop the 40M-core campaigns need (Duan et al.): a rank
 death detected by the runtime must not end the run.  The pieces:
 
 * :class:`RecoveryPolicy` — ``abort`` (pre-elastic behavior, the
-  default), ``shrink`` (survivors absorb the dead ranks' cells and
+  default), ``shrink`` (the survivors are re-cut into even slabs and
   continue degraded), ``spare`` (a pre-allocated idle rank takes the
-  dead slot; the decomposition is unchanged, so the continuation is
-  bitwise-identical to a fault-free twin);
-* :class:`ElasticFieldRun` — the end-to-end driver over a 1-D ring
-  field: per-epoch checkpoints (per-rank subfiles via
-  :class:`~repro.resilience.checkpoint.CheckpointManager`), kill
-  detection via :meth:`~repro.parallel.SimWorld.run_elastic`, communicator
+  dead slot; the decomposition is unchanged);
+* :class:`ElasticFieldRun` — the end-to-end driver over the model's own
+  distributed barotropic ocean: the one rank program
+  :func:`~repro.ocn.parallel_run.barotropic_rank` on latitude slabs, one
+  :meth:`~repro.parallel.SimWorld.run_elastic` per checkpoint epoch,
+  checkpoints through :func:`~repro.io.restart.save_restart` /
+  :func:`~repro.io.restart.load_restart` under a rotating
+  :class:`~repro.resilience.checkpoint.CheckpointManager`, communicator
   repair via :meth:`~repro.parallel.SimWorld.shrink` /
-  :meth:`~repro.parallel.SimWorld.promote_spares`, re-decomposition via
-  :func:`~repro.parallel.decomp.shrink_owners`, survivor-state migration
-  via a :class:`~repro.coupler.Router` between the old and repaired
-  GSMaps, dead-shard restore through
+  :meth:`~repro.parallel.SimWorld.promote_spares`, survivor-state
+  migration via a :class:`~repro.coupler.Router` between the old and the
+  re-cut GSMaps, dead-slab restore through
   :func:`~repro.grids.remap.index_remap`, and deterministic replay from
   the checkpoint step.
 
 Recovery semantics (what rolls back, what survives): every rank keeps an
-in-memory copy of its shard as of the last checkpoint, so on failure
+in-memory copy of its slab as of the last checkpoint, so on failure
 survivor-held state is rolled back *in place* — no I/O, no movement
 beyond what the repaired decomposition requires.  Only the dead ranks'
-cells are read from the checkpoint's subfiles.  All ranks then replay the
-steps since the checkpoint; the stencil computes identical per-cell FP
-operations under any decomposition, so the shrink continuation conserves
-the global invariants and the spare continuation is bitwise-identical to
-a run that never failed.
+cells are read from the checkpoint.  All ranks then replay the steps
+since the checkpoint.  The distributed solver is bitwise equal to the
+serial one under any slab cut, so both the shrink and the spare
+continuation end ``array_equal`` to the serial
+:class:`~repro.ocn.barotropic.BarotropicSolver` from the same initial
+state.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..coupler.gsmap import GlobalSegMap
 from ..coupler.router import Router
 from ..grids.remap import index_remap
+from ..grids.tripolar import TripolarGrid
+from ..io.restart import load_restart, save_restart
 from ..obs import NULL_OBS
-from ..io.subfile import SubfileLayout, read_subfiles, write_subfiles
+from ..ocn.barotropic import BarotropicSolver, BarotropicState
+from ..ocn.metrics import CGridMetrics
+from ..ocn.parallel_run import PAD, barotropic_rank
 from ..parallel.comm import RankFailure, SimWorld
-from ..parallel.decomp import partition_cells_contiguous, shrink_owners
+from ..parallel.decomp import block_ranges
 from .checkpoint import CheckpointManager
 from .faults import CommFaultInjector, FaultPlan
 
@@ -58,6 +63,8 @@ __all__ = [
     "ElasticRunResult",
     "ElasticFieldRun",
 ]
+
+FIELDS = ("eta", "u", "v")
 
 
 class RecoveryPolicy(str, enum.Enum):
@@ -101,64 +108,41 @@ class RecoveryEvent:
 class ElasticRunResult:
     """Final state of an elastic run."""
 
-    field: np.ndarray
+    state: BarotropicState
     steps: int
     n_ranks: int
-    owners: np.ndarray
     recoveries: List[RecoveryEvent] = field(default_factory=list)
-    mass_initial: float = 0.0
-    mass_final: float = 0.0
-
-    @property
-    def mass_drift(self) -> float:
-        denom = max(abs(self.mass_initial), 1e-300)
-        return abs(self.mass_final - self.mass_initial) / denom
 
     @property
     def survived_failure(self) -> bool:
         return len(self.recoveries) > 0
 
 
-def _epoch(comm, shards, owners, nu, n_steps, epoch):
-    """One checkpoint epoch of flux-form diffusion on the periodic ring.
+def _slabs(stacked: np.ndarray, n: int) -> List[np.ndarray]:
+    """``(3, nlat, nlon)`` state cut into ``n`` latitude slabs, the
+    interiors of ``Block2D(nlat, nlon, n, 1, r)``."""
+    return [stacked[:, lo:hi].copy() for lo, hi in block_ranges(stacked.shape[1], n)]
 
-    Each rank owns a contiguous index block; per step it exchanges one
-    edge value with each ring neighbor and applies
-    ``f[i] += nu * (f[i+1] - 2 f[i] + f[i-1])`` — per-cell FP operations
-    independent of the decomposition, which is what makes post-shrink
-    replay conservative and post-spare replay bitwise.
-    """
-    gsize = owners.size
-    mine = np.flatnonzero(owners == comm.rank)
-    f = shards[comm.rank].copy()
-    if mine.size == 0:
-        return f
-    lo, hi = int(mine[0]), int(mine[-1])
-    left = int(owners[(lo - 1) % gsize])
-    right = int(owners[(hi + 1) % gsize])
-    for s in range(n_steps):
-        # Tags separate direction and step so a fast rank one step ahead
-        # cannot have its messages matched early.
-        t_left, t_right = 2 * s, 2 * s + 1
-        comm.send(float(f[0]), left, tag=t_left)
-        comm.send(float(f[-1]), right, tag=t_right)
-        halo_r = comm.recv(source=right, tag=t_left)
-        halo_l = comm.recv(source=left, tag=t_right)
-        ext = np.concatenate([[halo_l], f, [halo_r]])
-        f = f + nu * (ext[2:] - 2.0 * ext[1:-1] + ext[:-2])
-    return f
+
+def _slab_owners(nlat: int, nlon: int, n: int) -> np.ndarray:
+    """Owner of every row-major cell under an ``n``-slab cut."""
+    rows = [hi - lo for lo, hi in block_ranges(nlat, n)]
+    return np.repeat(np.arange(n), np.multiply(rows, nlon))
 
 
 class ElasticFieldRun:
     """Kill-and-continue driver: the complete elastic-recovery loop over
-    a distributed 1-D field, small enough for CI yet exercising every
-    layer (comm revoke/shrink, owner re-partition, GSMap/Router rebuild,
+    the distributed barotropic ocean, small enough for CI yet exercising
+    every layer (comm revoke/shrink, slab re-cut, GSMap/Router rebuild,
     subfile checkpoint restore, index remap, deterministic replay).
 
     Parameters
     ----------
     checkpoint_dir:
         Where the rotating checkpoint sets live.
+    grid, initial:
+        The ocean grid and its barotropic state at step 0; every epoch
+        steps at the serial solver's ``max_stable_dt()``.
     policy:
         :class:`RecoveryPolicy` (or its string value).
     faults:
@@ -178,77 +162,38 @@ class ElasticFieldRun:
     def __init__(
         self,
         checkpoint_dir: Union[str, Path],
-        gsize: int = 64,
+        grid: TripolarGrid,
+        initial: BarotropicState,
         n_ranks: int = 4,
         steps: int = 12,
         checkpoint_every: int = 4,
-        nu: float = 0.05,
         policy: Union[str, RecoveryPolicy] = RecoveryPolicy.ABORT,
         faults: Optional[FaultPlan] = None,
         n_spares: int = 1,
         n_io_groups: int = 2,
-        obs=None,
+        obs=NULL_OBS,
         timeout: float = 15.0,
         perf_estimate: Optional[Callable[[int], Dict[str, float]]] = None,
     ) -> None:
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        if gsize < n_ranks:
-            raise ValueError("need at least one cell per rank")
+        if grid.nlat < PAD * n_ranks:
+            raise ValueError(f"need at least {PAD} latitude rows per rank")
         self.checkpoint_dir = Path(checkpoint_dir)
-        self.gsize = gsize
+        self.grid = grid
+        self.initial = initial
+        self.metrics = CGridMetrics.build(grid)
+        self.dt = BarotropicSolver(self.metrics, grid.depth).max_stable_dt()
         self.n_ranks = n_ranks
         self.steps = steps
         self.checkpoint_every = checkpoint_every
-        self.nu = nu
         self.policy = RecoveryPolicy.parse(policy)
         self.faults = faults
         self.n_spares = n_spares
         self.n_io_groups = n_io_groups
-        self.obs = obs if obs is not None else NULL_OBS
+        self.obs = obs
         self.timeout = timeout
         self.perf_estimate = perf_estimate
-
-    # -- checkpoint I/O ----------------------------------------------------
-
-    def _saver(self, owners: np.ndarray, shards: List[np.ndarray], step: int):
-        layout = SubfileLayout(
-            len(shards), min(self.n_io_groups, len(shards))
-        )
-
-        def save(directory: Path) -> None:
-            slices = []
-            for r, shard in enumerate(shards):
-                mine = np.flatnonzero(owners == r)
-                start = int(mine[0]) if mine.size else 0
-                slices.append((start, np.asarray(shard, dtype=np.float64)))
-            write_subfiles(directory, "field", layout, slices, obs=self.obs)
-            meta = {
-                "step": int(step),
-                "n_ranks": len(shards),
-                "n_groups": layout.n_groups,
-                "owners": [int(o) for o in owners],
-            }
-            (Path(directory) / "meta.json").write_text(json.dumps(meta))
-
-        return save
-
-    def _restore_global(self, manager: CheckpointManager) -> Dict[str, Any]:
-        """Read the newest valid checkpoint set back into a global field
-        (walking past corrupt sets, counting fallbacks/restores)."""
-        restored: Dict[str, Any] = {}
-
-        def load(path: Path) -> None:
-            meta = json.loads((Path(path) / "meta.json").read_text())
-            layout = SubfileLayout(meta["n_ranks"], meta["n_groups"])
-            restored["field"] = read_subfiles(
-                path, "field", layout, self.gsize, obs=self.obs
-            )
-            restored["step"] = int(meta["step"])
-            restored["owners"] = np.asarray(meta["owners"], dtype=np.int64)
-
-        manager.restore_latest_valid(load)
-        return restored
 
     # -- recovery ----------------------------------------------------------
 
@@ -256,78 +201,77 @@ class ElasticFieldRun:
         self,
         world: SimWorld,
         dead: Tuple[int, ...],
-        owners: np.ndarray,
         ckpt_shards: List[np.ndarray],
         manager: CheckpointManager,
         ckpt_step: int,
         failed_epoch_steps: int,
-    ) -> Tuple[SimWorld, np.ndarray, List[np.ndarray], RecoveryEvent]:
-        """Repair the world, re-decompose, restore the lost shard, and
+    ) -> Tuple[SimWorld, List[np.ndarray], RecoveryEvent]:
+        """Repair the world, re-cut the slabs, restore the lost cells, and
         roll survivors back to their in-memory checkpoint copies."""
-        restored = self._restore_global(manager)
-        if restored["step"] != ckpt_step:
+        loaded: List[Dict[str, np.ndarray]] = []
+        path = manager.restore_latest_valid(
+            lambda d: loaded.append(load_restart(d)[0])
+        )
+        if manager.step_of(path) != ckpt_step:
             raise RuntimeError(
-                f"checkpoint on disk is step {restored['step']}, driver "
+                f"checkpoint on disk is step {manager.step_of(path)}, driver "
                 f"expected step {ckpt_step} — rotation and epoch disagree"
             )
-        g_ckpt = restored["field"]
-        dead_gidx = np.flatnonzero(np.isin(owners, list(dead)))
+        g_ckpt = np.stack([loaded[-1][name] for name in FIELDS])
+        nlat, nlon = g_ckpt.shape[1:]
+        owners = _slab_owners(nlat, nlon, world.n_ranks)
+        dead_gidx = np.flatnonzero(np.isin(owners, dead))
         dead_parents = tuple(world.parent_ranks[r] for r in dead)
 
         if self.policy is RecoveryPolicy.SPARE:
             new_world = world.promote_spares(dead)
-            new_owners = owners.copy()
-            new_shards: List[np.ndarray] = []
-            for r in range(world.n_ranks):
-                if r in dead:
-                    mine = np.flatnonzero(owners == r)
-                    new_shards.append(g_ckpt[mine].copy())
-                else:
-                    new_shards.append(ckpt_shards[r].copy())
+            restored = _slabs(g_ckpt, world.n_ranks)
+            new_shards = [
+                restored[r] if r in dead else ckpt_shards[r]
+                for r in range(world.n_ranks)
+            ]
             cells_migrated = 0
         else:  # SHRINK
             new_world = world.shrink(dead)
-            new_owners, old_to_new = shrink_owners(
-                owners, dead, n_ranks=world.n_ranks
-            )
-            new_gsmap = GlobalSegMap.from_owners(new_owners)
-            # Survivor-held state moves (where it moves at all) through a
-            # Router between the hole-masked old decomposition and the
-            # repaired one — the same offline-construction path the
-            # coupler uses, applied driver-side.
-            masked = owners.astype(np.int64).copy()
+            survivors = [r for r in range(world.n_ranks) if r not in dead]
+            new_owners = _slab_owners(nlat, nlon, new_world.n_ranks)
+            # Survivor-held state moves through a Router between the
+            # hole-masked old slabs and the re-cut ones — the same
+            # offline-construction path the coupler uses, applied
+            # driver-side, one field at a time.
+            masked = owners.copy()
             masked[dead_gidx] = -1
-            router = Router.build(GlobalSegMap.from_owners(masked), new_gsmap)
-            src_shards = {
-                r: np.asarray(ckpt_shards[r], dtype=np.float64)
-                for r in range(world.n_ranks)
-                if r not in dead
-            }
+            router = Router.build(
+                GlobalSegMap.from_owners(masked),
+                GlobalSegMap.from_owners(new_owners),
+            )
             dst_sizes = {
                 q: int(np.count_nonzero(new_owners == q))
                 for q in range(new_world.n_ranks)
             }
-            moved = router.redistribute(src_shards, dst_sizes)
-            # The dead ranks' cells are the NaN holes left by the partial
-            # redistribute; fill them from the checkpoint through the
+            moved = [
+                router.redistribute(
+                    {r: ckpt_shards[r][k].ravel() for r in survivors}, dst_sizes
+                )
+                for k in range(len(FIELDS))
+            ]
+            # The dead ranks' cells are the holes the partial
+            # redistribute left; fill them from the checkpoint through the
             # exact (weight-1) index remap.
-            ckpt_dead_vals = g_ckpt[dead_gidx]
-            new_to_old = {v: k for k, v in old_to_new.items()}
+            ckpt_dead = g_ckpt.reshape(len(FIELDS), -1)[:, dead_gidx]
             new_shards = []
             cells_migrated = 0
             for q in range(new_world.n_ranks):
-                shard = moved[q]
                 dst_gidx = np.flatnonzero(new_owners == q)
-                holes = np.flatnonzero(np.isnan(shard))
-                if holes.size:
-                    sel = index_remap(dead_gidx, dst_gidx[holes])
-                    shard[holes] = sel @ ckpt_dead_vals
-                old_owner_here = owners[dst_gidx]
+                shard = np.stack([m[q] for m in moved])
+                was = owners[dst_gidx]
+                holes = np.isin(was, dead)
+                sel = index_remap(dead_gidx, dst_gidx[holes])
+                shard[:, holes] = (sel @ ckpt_dead.T).T
                 cells_migrated += int(np.count_nonzero(
-                    (old_owner_here != new_to_old[q])
-                    & ~np.isin(old_owner_here, list(dead))
+                    (was != survivors[q]) & ~holes
                 ))
-                new_shards.append(shard)
+                new_shards.append(shard.reshape(len(FIELDS), -1, nlon))
 
         event = RecoveryEvent(
             policy=self.policy.value,
@@ -350,7 +294,7 @@ class ElasticFieldRun:
                 event.sypd_degraded
             )
             self.obs.gauge("resilience.recovery.slowdown").set(event.slowdown)
-        return new_world, new_owners, new_shards, event
+        return new_world, new_shards, event
 
     def _degraded_sypd(self, n_lost: int) -> Dict[str, Optional[float]]:
         if self.perf_estimate is None or self.policy is RecoveryPolicy.SPARE:
@@ -365,9 +309,6 @@ class ElasticFieldRun:
     # -- the run -----------------------------------------------------------
 
     def run(self) -> ElasticRunResult:
-        owners = partition_cells_contiguous(self.gsize, self.n_ranks).astype(
-            np.int64
-        )
         injector = (
             CommFaultInjector(self.faults, obs=self.obs)
             if self.faults is not None and self.faults.comm
@@ -380,24 +321,28 @@ class ElasticFieldRun:
             n_spares=self.n_spares if self.policy is RecoveryPolicy.SPARE else 0,
         )
         manager = CheckpointManager(self.checkpoint_dir, keep=3, obs=self.obs)
-
-        x = np.arange(self.gsize, dtype=np.float64)
-        f0 = 1.0 + 0.5 * np.sin(2.0 * np.pi * x / self.gsize)
-        shards = [f0[np.flatnonzero(owners == r)].copy() for r in range(self.n_ranks)]
-        mass0 = float(sum(s.sum() for s in shards))
+        start = self.initial
+        shards = _slabs(np.stack([start.eta, start.u, start.v]), self.n_ranks)
         recoveries: List[RecoveryEvent] = []
 
         step = 0
         while step < self.steps:
             n_do = min(self.checkpoint_every, self.steps - step)
-            ckpt_step = step
-            ckpt_shards = [s.copy() for s in shards]
-            manager.to_file(self._saver(owners, shards, step), step)
+            ckpt_step, ckpt_shards = step, shards
+            n = len(shards)
+            fields = dict(zip(FIELDS, np.concatenate(shards, axis=1)))
+            manager.to_file(
+                lambda d: save_restart(
+                    d, fields, n_ranks=n, n_groups=min(self.n_io_groups, n)
+                ),
+                step,
+            )
             outcome = world.run_elastic(
-                _epoch, shards, owners, self.nu, n_do, step // self.checkpoint_every
+                barotropic_rank, self.grid, self.metrics, (n, 1), shards,
+                n_do, self.dt, obs=self.obs,
             )
             if not outcome.failed:
-                shards = list(outcome.results)
+                shards = [interior for interior, _ in outcome.results]
                 step += n_do
                 continue
             if self.policy is RecoveryPolicy.ABORT:
@@ -411,22 +356,15 @@ class ElasticFieldRun:
                 dead=list(outcome.dead),
                 step=step,
             ):
-                world, owners, shards, event = self._recover(
-                    world, outcome.dead, owners, ckpt_shards,
-                    manager, ckpt_step, n_do,
+                world, shards, event = self._recover(
+                    world, outcome.dead, ckpt_shards, manager, ckpt_step, n_do,
                 )
             recoveries.append(event)
             step = ckpt_step  # deterministic replay of the failed epoch
 
-        final = np.empty(self.gsize, dtype=np.float64)
-        for r in range(world.n_ranks):
-            final[np.flatnonzero(owners == r)] = shards[r]
         return ElasticRunResult(
-            field=final,
+            state=BarotropicState(*np.concatenate(shards, axis=1)),
             steps=self.steps,
             n_ranks=world.n_ranks,
-            owners=owners,
             recoveries=recoveries,
-            mass_initial=mass0,
-            mass_final=float(final.sum()),
         )

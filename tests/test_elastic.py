@@ -1,14 +1,12 @@
 """Tests for elastic rank-failure recovery: revoke/shrink/spare on the
 simulated communicator, owner re-partition, GSMap/Router repair, the
-kill-and-continue field driver, and the coupled driver's recovering loop.
+kill-and-continue ocean driver, and the coupled driver's recovering loop.
 
 The invariants under test mirror the ULFM-style contract:
 
-* ``shrink`` completes every step on the surviving ranks with the global
-  invariant conserved (and, for the decomposition-independent stencil,
-  bitwise-identical results);
-* ``spare`` keeps the decomposition and is bitwise-identical to a twin
-  that never failed;
+* ``shrink`` completes every step on the surviving ranks, re-cut into
+  fewer latitude slabs, bitwise-identical to the serial barotropic ocean;
+* ``spare`` keeps the decomposition and is bitwise-identical too;
 * ``abort`` (the default) surfaces the failure exactly as before — and a
   driver with resilience disabled takes the pre-elastic code paths.
 """
@@ -18,7 +16,7 @@ import pytest
 
 from repro.coupler import GlobalSegMap, Router
 from repro.grids.remap import index_remap
-from repro.obs import Obs
+from repro.obs import NULL_OBS, Obs
 from repro.parallel import (
     RankFailure,
     SimWorld,
@@ -163,38 +161,66 @@ class TestIndexRemap:
             index_remap(np.array([1, 2]), np.array([2, 7]))
 
 
-# -- the kill-and-continue field driver --------------------------------------
+# -- the kill-and-continue ocean driver ---------------------------------------
 
 
 KILL_PLAN = {"seed": 11, "comm": [{"kind": "kill", "rank": 2, "after_ops": 20}]}
 
 
+@pytest.fixture(scope="module")
+def ocean():
+    """A 48x32 barotropic ocean, a seeded initial state, and the serial
+    solver's state after the driver's 12 steps — the oracle every
+    continuation must equal bit for bit."""
+    from repro.grids import TripolarGrid
+    from repro.ocn import BarotropicSolver, BarotropicState, CGridMetrics
+
+    grid = TripolarGrid.build(48, 32, n_levels=6)
+    metrics = CGridMetrics.build(grid)
+    rng = np.random.default_rng(0)
+    zeros = np.zeros(metrics.shape)
+    initial = BarotropicState(
+        np.where(metrics.mask_c, 0.1 * rng.standard_normal(metrics.shape), 0.0),
+        zeros, zeros,
+    )
+    solver = BarotropicSolver(metrics, grid.depth)
+    serial = initial.copy()
+    for _ in range(12):
+        serial, _ = solver.step(serial, solver.max_stable_dt())
+    return grid, initial, serial
+
+
+def _equal_state(a, b):
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("eta", "u", "v"))
+
+
 class TestElasticFieldRun:
-    def _run(self, tmp_path, policy, faults=None, obs=None):
+    def _run(self, tmp_path, ocean, policy, faults=None, obs=NULL_OBS):
+        grid, initial, _ = ocean
         return ElasticFieldRun(
-            tmp_path / str(policy), policy=policy,
+            tmp_path / str(policy), grid, initial, policy=policy,
             faults=FaultPlan.from_dict(faults) if faults else None,
             obs=obs,
         ).run()
 
-    def test_abort_surfaces_failure(self, tmp_path):
+    def test_abort_surfaces_failure(self, tmp_path, ocean):
         with pytest.raises(RankFailure):
-            self._run(tmp_path, "abort", faults=KILL_PLAN)
+            self._run(tmp_path, ocean, "abort", faults=KILL_PLAN)
 
-    def test_shrink_conserves_and_matches_twin(self, tmp_path):
+    def test_shrink_conserves_and_matches_twin(self, tmp_path, ocean):
         obs = Obs()
-        twin = self._run(tmp_path, "abort")
-        out = self._run(tmp_path, "shrink", faults=KILL_PLAN, obs=obs)
+        out = self._run(tmp_path, ocean, "shrink", faults=KILL_PLAN, obs=obs)
         assert out.survived_failure
         assert out.n_ranks == 3
-        assert out.mass_drift < 1e-12
-        # the stencil is decomposition-independent: bitwise, not just close
-        assert np.array_equal(out.field, twin.field)
+        # re-cut to three slabs, the continuation is the serial ocean's bits
+        assert _equal_state(out.state, ocean[2])
         event = out.recoveries[0]
         assert event.policy == "shrink"
         assert event.dead == (2,)
         assert event.n_ranks_after == 3
-        assert event.cells_restored == 16
+        # the dead slab: 32 rows / 4 ranks = 8 rows of 48 columns
+        assert event.cells_restored == 8 * 48
+        assert event.cells_migrated > 0
         assert event.replayed_steps > 0
         counters = {
             name: h.metrics.get(name).value
@@ -204,20 +230,19 @@ class TestElasticFieldRun:
         assert counters["resilience.recoveries"] == 1
         assert counters["resilience.ranks_lost"] == 1
 
-    def test_spare_is_bitwise_twin(self, tmp_path):
-        twin = self._run(tmp_path, "abort")
-        out = self._run(tmp_path, "spare", faults=KILL_PLAN)
+    def test_spare_is_bitwise_twin(self, tmp_path, ocean):
+        out = self._run(tmp_path, ocean, "spare", faults=KILL_PLAN)
         assert out.survived_failure
         assert out.n_ranks == 4  # decomposition unchanged
-        assert np.array_equal(out.field, twin.field)
+        assert _equal_state(out.state, ocean[2])
         assert out.recoveries[0].dead_parents == (2,)
+        assert out.recoveries[0].cells_restored == 8 * 48
 
-    def test_no_fault_runs_identically_under_any_policy(self, tmp_path):
-        twin = self._run(tmp_path, "abort")
-        for policy in ("shrink", "spare"):
-            out = self._run(tmp_path, policy)
+    def test_no_fault_runs_identically_under_any_policy(self, tmp_path, ocean):
+        for policy in ("abort", "shrink", "spare"):
+            out = self._run(tmp_path, ocean, policy)
             assert not out.survived_failure
-            assert np.array_equal(out.field, twin.field)
+            assert _equal_state(out.state, ocean[2])
 
     def test_policy_parse_rejects_unknown(self):
         assert RecoveryPolicy.parse("Shrink") is RecoveryPolicy.SHRINK
@@ -429,10 +454,23 @@ class TestKillChaos:
         assert report.kill_ranks == 1
         assert report.shrink_recovered is True
         assert report.shrink_ranks_after == 3
-        assert report.shrink_mass_drift < 1e-12
+        assert report.shrink_bitwise_identical is True
         assert report.spare_bitwise_identical is True
         assert report.counters["resilience.recoveries"] >= 2
         assert "spare bitwise identical: True" in report.summary()
+
+    @pytest.mark.parametrize("kill", [
+        {"kind": "kill", "rank": 2, "after_ops": 100000},  # never reached
+        {"kind": "kill", "rank": 9, "after_ops": 20},      # no such rank
+    ])
+    def test_kill_that_never_fires_does_not_survive(self, kill):
+        from repro.resilience.chaos import run_chaos
+
+        report = run_chaos(FaultPlan.from_dict({"seed": 11, "comm": [kill]}),
+                           couplings=1)
+        assert report.kill_ranks == 0
+        assert report.shrink_recovered is False
+        assert not report.survived
 
 
 class TestInterventionReport:
