@@ -36,9 +36,7 @@ stamps host metadata (``host.cores``, the speedup-floor switch), writes
 ``BENCH_<suite>.json`` under the report directory and verifies the
 round-trip — instead of hand-rolled ``json.dump`` blocks per suite.
 
-CLI (used by the CI job)::
-
-    python -m repro.bench.baseline compare CURRENT BASELINE [--tolerance 0.15]
+The CI gate is ``python -m repro perf-gate CURRENT BASELINE [--tolerance 0.15]``.
 """
 
 from __future__ import annotations
@@ -48,13 +46,12 @@ import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 __all__ = [
     "PerfBaseline",
     "BaselineComparison",
     "compare_baselines",
-    "load_baseline",
     "emit",
 ]
 
@@ -276,38 +273,3 @@ def compare_baselines(
     cmp.added = sorted(set(current.metrics) - set(baseline.metrics))
     return cmp
 
-
-def _main(argv: Optional[List[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.baseline",
-        description="Compare a BENCH_*.json run against a committed baseline.",
-    )
-    sub = parser.add_subparsers(dest="cmd", required=True)
-    c = sub.add_parser("compare", help="gate a fresh run against a baseline")
-    c.add_argument("current", help="BENCH_*.json emitted by the benchmark run")
-    c.add_argument("baseline", help="committed baseline JSON")
-    c.add_argument("--tolerance", type=float, default=0.15,
-                   help="relative drift allowed on count/model metrics "
-                        "(default 0.15)")
-    c.add_argument("--one-sided", action="store_true",
-                   help="only fail on increases (worse), not improvements")
-    c.add_argument("--drift-tolerance", type=float, default=0.5,
-                   help="|modeled-vs-measured| band allowed on drift "
-                        "metrics (default 0.5)")
-    args = parser.parse_args(argv)
-
-    comparison = compare_baselines(
-        PerfBaseline.from_file(args.current),
-        PerfBaseline.from_file(args.baseline),
-        tolerance=args.tolerance,
-        symmetric=not args.one_sided,
-        drift_tolerance=args.drift_tolerance,
-    )
-    print(comparison.report())
-    return 0 if comparison.ok else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(_main())

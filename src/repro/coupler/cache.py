@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 import zipfile
 import zlib
@@ -34,7 +33,7 @@ from typing import Dict, Union
 
 import numpy as np
 
-from ..io.restart import write_atomic_text
+from ..io.restart import publish_atomic, write_atomic_text
 from ..obs import NULL_OBS, Obs
 from .gsmap import GlobalSegMap
 from .router import Router
@@ -148,13 +147,7 @@ class CouplerCache:
 
     def _miss(self, key: str, path: Path, saver, build_s: float) -> None:
         self.misses += 1
-        # numpy appends ".npz" to any other suffix, so the temp name keeps it.
-        tmp = path.with_name(f".{os.getpid()}-{path.name}")
-        try:
-            saver(tmp)
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        publish_atomic(path, saver)
         write_atomic_text(
             path.with_suffix(".json"), json.dumps({"key": key, "build_s": build_s})
         )

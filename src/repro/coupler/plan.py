@@ -29,14 +29,14 @@ receives are bounded by ``recv_timeout``, surfacing a structured
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..obs import NULL_OBS
-from ..parallel.comm import CommTransientError, Request, SimComm
+from ..parallel.comm import Request, SimComm
+from ..resilience.retry import RetryPolicy, retry_with_backoff
 from .attrvect import AttrVect
 from .router import Router
 
@@ -53,18 +53,11 @@ def isend_with_retry(
     """Post a send, retrying transient failures within budget (payload
     unchanged across attempts, so a retried success stays bit-identical).
     Shared by the coalesced plan and the legacy rearranger."""
-    attempt = 0
-    while True:
-        try:
-            return comm.isend(payload, dest, tag=tag)
-        except CommTransientError:
-            attempt += 1
-            if attempt > max_retries:
-                raise
-            obs.counter("resilience.retries").inc()
-            delay = backoff_s * (2.0 ** (attempt - 1))
-            if delay > 0:
-                time.sleep(delay)
+    return retry_with_backoff(
+        lambda: comm.isend(payload, dest, tag=tag),
+        RetryPolicy(max_retries=max_retries, backoff_s=backoff_s),
+        obs,
+    )
 
 
 @dataclass

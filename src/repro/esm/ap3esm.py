@@ -344,9 +344,6 @@ class AP3ESM:
         with self.obs.span("esm.finalize"):
             out = {comp.name: comp.finalize() for comp in self.components}
         if self._owned_pool is not None:
-            st = self._owned_pool.stats
-            self.obs.gauge("pp.procpool.dispatches_total").set(float(st.dispatches))
-            self.obs.gauge("pp.procpool.fallbacks_total").set(float(st.fallbacks))
             self._owned_pool.shutdown()
         return out
 

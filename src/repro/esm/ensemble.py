@@ -466,9 +466,6 @@ class EnsembleRun:
             # The owned pool is process-level state: it must come down
             # even when a member's finalize raised.
             if self._owned_pool is not None:
-                st = self._owned_pool.stats
-                self.obs.gauge("pp.procpool.dispatches_total").set(float(st.dispatches))
-                self.obs.gauge("pp.procpool.fallbacks_total").set(float(st.fallbacks))
                 self._owned_pool.shutdown()
         if first_error is not None:
             raise first_error

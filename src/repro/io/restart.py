@@ -12,16 +12,20 @@ from __future__ import annotations
 
 import json
 import os
+import uuid
 import zlib
 from pathlib import Path
-from typing import Dict, Tuple, Union
+from typing import Callable, Dict, Tuple, Union
 
 import numpy as np
 
 from ..parallel.decomp import block_ranges
 from .subfile import SubfileLayout, read_subfiles, write_subfiles
 
-__all__ = ["save_restart", "load_restart", "RestartError", "write_atomic_text"]
+__all__ = [
+    "save_restart", "load_restart", "RestartError", "publish_atomic",
+    "write_atomic_text",
+]
 
 MANIFEST = "restart.json"
 
@@ -57,15 +61,27 @@ class RestartError(ValueError):
         self.actual = actual
 
 
-def write_atomic_text(path: Union[str, Path], text: str) -> Path:
-    """Write ``text`` to ``path`` via temp-file + ``os.replace``: a crash
-    mid-write leaves either the old file or none — never a half-parsing
-    one."""
+def publish_atomic(path: Union[str, Path], write: Callable[[Path], object]) -> Path:
+    """Publish ``path`` by ``write(tmp)`` into a temp file + ``os.replace``:
+    a crash mid-write leaves either the old file or none, never a
+    half-parsing one.  Each call stages under its own name in the target
+    directory, so concurrent publishers of one path never rename each
+    other's temp file (the last replace wins); the name keeps ``path``'s
+    suffix because numpy appends ``.npz`` to any other.  The temp file is
+    removed when ``write`` or the replace fails."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    tmp = path.with_name(f".{path.stem}.{uuid.uuid4().hex}{path.suffix}")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
+
+
+def write_atomic_text(path: Union[str, Path], text: str) -> Path:
+    """Publish ``text`` at ``path`` through :func:`publish_atomic`."""
+    return publish_atomic(path, lambda tmp: tmp.write_text(text))
 
 
 def _subfile_crcs(directory: Path, base: str, layout: SubfileLayout) -> Dict[str, int]:

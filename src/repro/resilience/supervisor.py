@@ -54,6 +54,7 @@ from ..parallel.comm import (
 )
 from .errors import CheckpointError, ResilienceError, WatchdogTimeout
 from .faults import CommFault, FaultPlan, PhysicsFault
+from .retry import RetryPolicy
 
 __all__ = [
     "MemberPolicy",
@@ -350,8 +351,9 @@ class FleetSupervisor:
         replay it solo to the fleet clock; on return it is bitwise-equal
         to a never-faulted twin and back in lockstep."""
         attempt = self.restarts_used[k] + 1
-        if self.backoff_s > 0:
-            time.sleep(self.backoff_s * (2 ** (attempt - 1)))
+        delay = RetryPolicy(backoff_s=self.backoff_s).delay(attempt)
+        if delay > 0:
+            time.sleep(delay)
         self.restarts_used[k] = attempt
         failed_at = m.n_couplings
         with self.obs.span(

@@ -1,15 +1,28 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _resilience_config, build_parser, main
 
 
 def test_parser_commands():
     parser = build_parser()
-    for cmd in ("info", "run-coupled", "typhoon", "scaling", "train-ai"):
-        args = parser.parse_args([cmd])
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == [
+        "info", "run-coupled", "run-ensemble", "typhoon", "scaling",
+        "train-ai", "perf-gate", "calibrate", "submit", "run-jobs",
+    ]
+    required = {
+        "perf-gate": ["cur.json", "base.json"],
+        "submit": ["--store", "st", "--job-id", "a"],
+        "run-jobs": ["--store", "st", "--work-dir", "wk"],
+    }
+    for cmd in sub.choices:
+        args = parser.parse_args([cmd, *required.get(cmd, [])])
         assert args.command == cmd
 
 
@@ -94,3 +107,35 @@ def test_run_coupled_procs_backend(capsys):
     out = capsys.readouterr().out
     assert "procs backend" in out
     assert "pool dispatch" in out
+
+
+class TestEnsembleResilience:
+    """run-ensemble's supervisor flags go through the one
+    ``_resilience_config``, with the per-column guard off."""
+
+    def _config(self, *flags):
+        args = build_parser().parse_args(["run-ensemble", *flags])
+        return _resilience_config(args, guard_physics=False)
+
+    def test_default_is_config_free(self):
+        assert self._config() is None
+
+    def test_supervisor_turns_the_guard_off(self, tmp_path):
+        res = self._config("--member-policy", "restart",
+                           "--checkpoint-every", "2",
+                           "--checkpoint-dir", str(tmp_path))
+        assert res.guard_physics is False
+        assert (res.member_policy, res.checkpoint_every) == ("restart", 2)
+
+    def test_restart_without_checkpoints_rejected(self):
+        with pytest.raises(SystemExit, match="rollback target"):
+            self._config("--member-policy", "restart")
+
+    def test_checkpoints_without_a_supervisor_rejected(self, tmp_path):
+        """Member checkpoints are written by the fleet supervisor only: a
+        cadence it would never honour is refused, not silently dropped."""
+        with pytest.raises(SystemExit, match="--member-policy"):
+            main(["run-ensemble", "--days", "0.125", "--atm-level", "2",
+                  "--ocn-nlon", "24", "--ocn-nlat", "16", "--ocn-levels", "4",
+                  "--checkpoint-every", "1", "--checkpoint-dir", str(tmp_path)])
+        assert not any(tmp_path.iterdir())

@@ -1,11 +1,18 @@
 """Tests for restart I/O: bit-exact round-trips and the restart contract
 (run N+M == run N, save, load, run M)."""
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.atm import GristConfig, GristModel
-from repro.io.restart import load_restart, save_restart
+from repro.io.restart import (
+    load_restart,
+    publish_atomic,
+    save_restart,
+    write_atomic_text,
+)
 from repro.ocn import LicomConfig, LicomModel
 
 
@@ -38,6 +45,36 @@ class TestGenericRestart:
         manifest.write_text(text)
         with pytest.raises(ValueError, match="version"):
             load_restart(tmp_path)
+
+
+class TestAtomicPublish:
+    def test_two_publishers_of_one_path_do_not_collide(self, tmp_path, monkeypatch):
+        """A second publisher of the same path, running between the first
+        one's write and its replace (two processes sharing a coupler
+        cache that both miss one key), must not steal its temp file."""
+        target = tmp_path / "x.json"
+        real_replace = os.replace
+        interleaved = []
+
+        def replace(src, dst):
+            if not interleaved:
+                interleaved.append(src)
+                write_atomic_text(target, "second")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        write_atomic_text(target, "first")
+        assert target.read_text() == "first"  # the last replace wins
+        assert sorted(tmp_path.iterdir()) == [target]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        def write(tmp):
+            tmp.write_bytes(b"partial")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            publish_atomic(tmp_path / "t.npz", write)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOceanRestartContract:
