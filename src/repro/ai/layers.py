@@ -66,16 +66,25 @@ def row_stable_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     columns in BLAS's fixed order for that one shape).  This is what
     makes cross-member *batched* ensemble inference bitwise-identical to
     per-member inference.
+
+    The loop is :func:`_blocked_matmul`'s, which :class:`Conv1d` also runs
+    on patch blocks written just before each GEMM: the same shape and bytes.
     """
-    m, k = a.shape
-    out = np.empty((m, w.shape[1]), dtype=np.result_type(a, w))
-    full = m - m % _ROW_BLOCK
-    for i in range(0, full, _ROW_BLOCK):
-        np.matmul(a[i:i + _ROW_BLOCK], w, out=out[i:i + _ROW_BLOCK])
-    if full < m:
-        tail = np.zeros((_ROW_BLOCK, k), dtype=a.dtype)
-        tail[:m - full] = a[full:]
-        out[full:] = (tail @ w)[:m - full]
+    return _blocked_matmul(a.shape[0], w, a.dtype, lambda i, n: a[i:i + n])
+
+
+def _blocked_matmul(m: int, w: np.ndarray, dtype, rows) -> np.ndarray:
+    """``A @ w`` for the ``(m, K)`` operand ``A`` handed over one block at a
+    time: ``rows(i, n)`` returns its rows ``i..i+n`` (``n <= _ROW_BLOCK``)."""
+    out = np.empty((m, w.shape[1]), dtype=np.result_type(dtype, w))
+    for i in range(0, m, _ROW_BLOCK):
+        n = min(_ROW_BLOCK, m - i)
+        if n == _ROW_BLOCK:
+            np.matmul(rows(i, n), w, out=out[i:i + n])
+        else:
+            tail = np.zeros((_ROW_BLOCK, w.shape[0]), dtype=dtype)
+            tail[:n] = rows(i, n)
+            out[i:] = (tail @ w)[:n]
     return out
 
 
@@ -150,12 +159,12 @@ class Conv1d(Layer):
     c_out)``; odd kernel sizes only (symmetric padding).  The weight
     keeps the ``(c_out, c_in, kernel)`` shape saved suites use.
 
-    ``forward`` is one im2col GEMM: ``kernel`` shifted slabs of ``x`` are
-    written into a ``(batch, L, c_in, kernel)`` buffer, whose free reshape
-    to ``(batch*L, c_in*kernel)`` has one row per output position with
-    the reduction axis ordered channel-major, tap-minor — the order of
-    ``w.reshape(c_out, c_in*kernel)``.  The GEMM result *is* the output
-    (bias added in place), so nothing is transposed between layers.
+    ``forward`` is one im2col GEMM whose ``(batch*L, c_in*kernel)`` patch
+    matrix (reduction axis channel-major, tap-minor, as ``w.reshape(c_out,
+    c_in*kernel)``) is never held whole: each ``_ROW_BLOCK``-row block is
+    written into one reused ``(_ROW_BLOCK, c_in, kernel)`` buffer just
+    before its GEMM, whose shape and operand bytes are the whole matrix's,
+    so the output is bitwise too.  The GEMM result *is* the output.
     """
 
     def __init__(self, c_in: int, c_out: int, kernel: int = 3, rng_key: str = "conv") -> None:
@@ -170,23 +179,25 @@ class Conv1d(Layer):
         self.kernel = kernel
         self._x: Optional[np.ndarray] = None
 
-    def _im2col(self, x: np.ndarray) -> np.ndarray:
-        """``(batch*L, c_in*kernel)`` patch matrix of a zero-padded ``x``."""
-        b, length, c = x.shape
-        k = self.kernel
+    def _patch_rows(self, x: np.ndarray):
+        """``rows`` for :func:`_blocked_matmul`: blocks of ``x``'s patch matrix."""
+        length, k = x.shape[1], self.kernel
+        flat = x.reshape(-1, x.shape[2])
         if k == 1:
-            return x.reshape(b * length, c)
-        cols = np.empty((b, length, c, k), dtype=x.dtype)
-        for tap in range(k):
-            # Output level l reads input level l + shift; rows that would
-            # read past either end of the column see the zero padding.
-            shift = tap - k // 2
-            lo = min(max(-shift, 0), length)
-            hi = max(min(length - shift, length), lo)
-            cols[:, :lo, :, tap] = 0.0
-            cols[:, hi:, :, tap] = 0.0
-            cols[:, lo:hi, :, tap] = x[:, lo + shift:hi + shift]
-        return cols.reshape(b * length, c * k)
+            return lambda i, n: flat[i:i + n]
+        buf = np.empty((_ROW_BLOCK, flat.shape[1], k), dtype=x.dtype)
+
+        def rows(i: int, n: int) -> np.ndarray:
+            for tap, shift in enumerate(range(-(k // 2), k // 2 + 1)):
+                # Row r (level l) reads flat row r + shift, 0 where l + shift leaves its column (or flat).
+                lo = min(max(-(i + shift), 0), n)
+                hi = max(min(len(flat) - i - shift, n), lo)
+                buf[lo:hi, :, tap] = flat[i + shift + lo:i + shift + hi]
+                for level in range(length)[-shift:] if shift > 0 else range(length)[:-shift]:
+                    buf[(level - i) % length:n:length, :, tap] = 0.0
+            return buf[:n].reshape(n, -1)
+
+        return rows
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 3:
@@ -197,8 +208,8 @@ class Conv1d(Layer):
         # different contraction paths at different batch sizes — this
         # keeps each row's result bit-identical whether the row is
         # computed alone or inside a larger (ensemble) batch.
-        w = self.w.value.astype(x.dtype, copy=False)
-        out = row_stable_matmul(self._im2col(x), w.reshape(w.shape[0], -1).T)
+        w = self.w.value.reshape(len(self.w.value), -1).T.astype(x.dtype, copy=False)
+        out = _blocked_matmul(x.shape[0] * x.shape[1], w, x.dtype, self._patch_rows(x))
         out += self.b.value.astype(x.dtype, copy=False)
         return out.reshape(x.shape[0], x.shape[1], -1)
 
@@ -309,7 +320,8 @@ class ResUnit(Layer):
         self.conv2 = Conv1d(channels, channels, kernel, rng_key=f"{rng_key}.c2")
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return x + self.conv2.forward(self.act.forward(self.conv1.forward(x)))
+        out = self.conv2.forward(self.act.forward(self.conv1.forward(x)))
+        return np.add(out, x, out=out)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         g = self.conv1.backward(self.act.backward(self.conv2.backward(grad_out)))
@@ -329,7 +341,8 @@ class ResidualDense(Layer):
         self.fc2 = Dense(features, features, rng_key=f"{rng_key}.fc2")
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return x + self.fc2.forward(self.act.forward(self.fc1.forward(x)))
+        out = self.fc2.forward(self.act.forward(self.fc1.forward(x)))
+        return np.add(out, x, out=out)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         g = self.fc1.backward(self.act.backward(self.fc2.backward(grad_out)))

@@ -275,7 +275,9 @@ class AIPhysicsSuite:
         meta = {
             "levels": (n_rad_in - 2) // 5,
             "width": int(stem_w.shape[0]),
+            "kernel": int(stem_w.shape[2]),
             "n_res_units": sum(1 for l in tend.model.layers if hasattr(l, "conv1")),
+            "mlp_width": int(rad.model.parameters()[0].value.shape[1]),
         }
         payload = {
             "meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
@@ -297,11 +299,11 @@ class AIPhysicsSuite:
         with np.load(path) as data:
             meta = json.loads(bytes(data["meta"]).decode())
             cnn = build_tendency_cnn(levels=meta["levels"], width=meta["width"],
-                                     n_res_units=meta["n_res_units"])
+                                     n_res_units=meta["n_res_units"], kernel=meta.get("kernel", 3))
             load_state_dict(
                 cnn, {k[2:]: data[k] for k in data.files if k.startswith("t_p")}
             )
-            mlp = build_radiation_mlp(levels=meta["levels"])
+            mlp = build_radiation_mlp(levels=meta["levels"], width=meta.get("mlp_width", 160))
             load_state_dict(
                 mlp, {k[2:]: data[k] for k in data.files if k.startswith("r_p")}
             )

@@ -3,6 +3,8 @@
 Conv1d, ReLU and ResUnit are channels-last: ``(batch, levels, channels)``.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -156,16 +158,17 @@ def _conv1d_reference(layer, x_cl):
     """The literal forward the channels-last rewrite must reproduce bit for
     bit: pad -> sliding_window_view -> strided im2col gather -> one GEMM
     (reduction channel-major, tap-minor) -> transpose -> bias, all on
-    ``(batch, channels, levels)``."""
+    ``(batch, channels, levels)`` in the input's dtype."""
     x = np.ascontiguousarray(x_cl.transpose(0, 2, 1))
+    dtype = x.dtype
     pad = layer.kernel // 2
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
     win = np.lib.stride_tricks.sliding_window_view(xp, layer.kernel, axis=2)
     b, c, length, k = win.shape
     cols = win.transpose(0, 2, 1, 3).reshape(b * length, c * k)
-    w_mat = layer.w.value.reshape(layer.w.value.shape[0], c * k)
+    w_mat = layer.w.value.astype(dtype).reshape(layer.w.value.shape[0], c * k)
     out = row_stable_matmul(cols, w_mat.T)
-    out = out.reshape(b, length, -1).transpose(0, 2, 1) + layer.b.value[None, :, None]
+    out = out.reshape(b, length, -1).transpose(0, 2, 1) + layer.b.value.astype(dtype)[None, :, None]
     return np.ascontiguousarray(out.transpose(0, 2, 1))
 
 
@@ -192,16 +195,24 @@ class TestConv1d:
         ref = np.correlate(np.pad(x[0, :, 0], 1), w, mode="valid") + layer.b.value[0]
         assert np.allclose(y, ref)
 
-    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("kernel,dtype", [
+        *(pytest.param(k, np.float64, id=f"{k}") for k in (1, 3, 5, 7)),
+        *(pytest.param(k, np.float32, id=f"{k}-float32") for k in (1, 3, 5, 7)),
+    ])
     @pytest.mark.parametrize("length", [1, 2, 30])
-    @pytest.mark.parametrize("batch", [1, 162, 324])
-    def test_forward_bitwise_equals_reference(self, kernel, length, batch):
+    @pytest.mark.parametrize("batch", [1, 9, 162, 324])
+    def test_forward_bitwise_equals_reference(self, kernel, dtype, length, batch):
+        """Patch blocks built per GEMM block equal the whole patch matrix's
+        rows: kernels wider than a 2-level column, tails shorter than a
+        block, and 9 x 30 = 270 rows, whose 256-row block boundary falls
+        inside a column."""
         rng = np.random.default_rng([kernel, length, batch])
         layer = Conv1d(5, 24, kernel=kernel)
         layer.b.value[:] = rng.standard_normal(24)
-        x = rng.standard_normal((batch, length, 5))
+        x = rng.standard_normal((batch, length, 5)).astype(dtype)
         y = layer.forward(x)
         assert y.shape == (batch, length, 24)
+        assert y.dtype == dtype
         assert y.flags.c_contiguous
         assert y.tobytes() == _conv1d_reference(layer, x).tobytes()
 
@@ -217,6 +228,20 @@ class TestConv1d:
         layer = Conv1d(128, 128, kernel=3)
         x = rng.standard_normal((324, 30, 128))
         assert layer.forward(x).tobytes() == _conv1d_reference(layer, x).tobytes()
+
+    def test_forward_never_holds_the_patch_matrix(self):
+        """The paper-size conv at the ensemble's 324 rows peaks at its
+        output plus one block's buffers (< 2 MiB), not the 30 MB fp64
+        ``(324*30, 128*3)`` patch matrix."""
+        layer = Conv1d(128, 128, kernel=3)
+        x = np.random.default_rng(12).standard_normal((324, 30, 128))
+        tracemalloc.start()
+        try:
+            y = layer.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < y.nbytes + 2 * 2**20
 
     def test_gradients(self, rng):
         layer = Conv1d(2, 3, kernel=3)

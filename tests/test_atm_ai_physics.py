@@ -299,6 +299,29 @@ class TestSerialization:
             assert np.array_equal(part.gsw, solo.gsw)
             assert np.array_equal(part.precip, solo.precip)
 
+    def test_roundtrip_keeps_conv_kernel_and_mlp_width(self, small_archive, tmp_path):
+        """A suite built with a non-default CNN kernel and MLP width loads
+        back with the same nets, not the default-size ones."""
+        from repro.ai import Normalizer, Trainer, build_radiation_mlp, build_tendency_cnn
+
+        suite = AIPhysicsSuite(
+            tendency_trainer=Trainer(build_tendency_cnn(levels=10, width=8, n_res_units=1, kernel=5)),
+            radiation_trainer=Trainer(build_radiation_mlp(levels=10, width=32)),
+        )
+        for trainer, x, y in ((suite.tendency_trainer, "x_column", "y_tendency"),
+                              (suite.radiation_trainer, "x_radiation", "y_radiation")):
+            trainer.x_norm = Normalizer.fit(small_archive[x])
+            trainer.y_norm = Normalizer.fit(small_archive[y])
+        path = tmp_path / "suite.npz"
+        suite.save(path)
+        loaded = AIPhysicsSuite.load(path)
+        assert loaded.tendency_trainer.model.layers[1].kernel == 5
+        assert loaded.radiation_trainer.model.layers[0].w.value.shape == (52, 32)
+        cols = synthetic_columns(16, 10, season=2, step=1)
+        a, b = suite.compute(cols, 120.0), loaded.compute(cols, 120.0)
+        assert np.array_equal(a.dt, b.dt)
+        assert np.array_equal(a.gsw, b.gsw)
+
     def test_untrained_suite_cannot_save(self, tmp_path):
         from repro.ai import Trainer, build_radiation_mlp, build_tendency_cnn
 
