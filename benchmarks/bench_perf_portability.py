@@ -48,7 +48,6 @@ from repro.pp import (
     kernel_hash,
     parallel_for,
     parallel_reduce,
-    target,
 )
 
 CUTS = {k: ExecutionSpace("cut", lanes=k) for k in (1, 8, 64, 4096)}
@@ -164,14 +163,15 @@ def test_hash_registry_launch_matches_direct(field):
 
 
 def test_swgomp_offload_matches_host(field):
-    @target(schedule="static")
-    def relax(u):
-        u *= 0.5
-
+    """SWGOMP's loop-space mapping: ``parallel_for`` on the 64-CPE cut."""
     host = field.copy().reshape(-1, 1)
     dev = field.copy().reshape(-1, 1)
-    relax(host)
-    relax.offload(CPE_CUT, dev)
+
+    def relax(idx):
+        dev[idx] *= 0.5
+
+    host *= 0.5
+    parallel_for(CPE_CUT, len(dev), relax)
     assert np.array_equal(host, dev)
 
 

@@ -8,7 +8,8 @@ Subpackages
 ``repro.parallel``
     Simulated MPI runtime, decompositions, halo exchange, topology tools.
 ``repro.pp``
-    Kokkos-style performance-portability layer + SWGOMP loop offload.
+    Kokkos-style performance-portability layer; SWGOMP is its
+    ``parallel_for`` on ``ExecutionSpace("cut", lanes=64)``.
 ``repro.machine``
     Analytic Sunway OceanLight / ORISE models and the calibrated
     performance model behind the scaling reproductions.

@@ -511,10 +511,7 @@ class EnsembleRun:
         ``alive = 0``.  Emits ``ensemble.*`` gauges."""
         self._check()
         sup = self.supervisor
-        live: List[Tuple[int, AP3ESM]] = (
-            list(enumerate(self.members)) if sup is None
-            else (sup.alive_members() or list(enumerate(self.members)))
-        )
+        live = self._live() or list(enumerate(self.members))
         simulated_days = live[0][1].clock.time / 86400.0
         sypds: List[float] = []
         per_member: List[Dict[str, float]] = []
@@ -582,33 +579,45 @@ class EnsembleRun:
 
     # -- fleet-coherent checkpoints (scenario service) ---------------------
 
+    def _live(self) -> List[Tuple[int, AP3ESM]]:
+        """``(k, member)`` for every member the supervisor has not
+        quarantined (all of them when none is armed): the fleet that
+        checkpoints and recovers.  Quarantined members are left as they are."""
+        if self.supervisor is None:
+            return list(enumerate(self.members))
+        return self.supervisor.alive_members()
+
     def checkpoint(self) -> List[Path]:
-        """Write one rotating checkpoint per member, all at the current
-        fleet coupling (requires ``base.resilience.checkpoint_*`` — the
-        per-member rotations live under ``<dir>/member<k>`` via
+        """Write one rotating checkpoint per live member, all at the
+        current fleet coupling (requires ``base.resilience.checkpoint_*``
+        — the per-member rotations live under ``<dir>/member<k>`` via
         :meth:`_scoped_config`).  Returns the published paths."""
         self._check()
-        return [m.checkpoint() for m in self.members]
+        return [m.checkpoint() for _, m in self._live()]
 
     def has_checkpoint(self) -> bool:
-        """True when EVERY member's rotation holds at least one
+        """True when EVERY live member's rotation holds at least one
         published checkpoint (the cheap "can we resume?" probe)."""
         self._check()
-        return all(m.has_checkpoint() for m in self.members)
+        return all(m.has_checkpoint() for _, m in self._live())
 
     def recover(self) -> int:
-        """Fleet-coherent restore: every member rolls back to the newest
-        coupling for which ALL members hold a *valid* checkpoint, so the
-        restored fleet is clock-aligned (members checkpoint at one
-        cadence, so a common step always exists while any rotation is
-        non-empty).  Lockstep credits are cleared — any fleet advance a
-        member received this coupling is invalidated by the restore.
-        Returns the coupling restored to."""
+        """Fleet-coherent restore: every live member rolls back to the
+        newest coupling for which ALL live members hold a *valid*
+        checkpoint, so the restored fleet is clock-aligned (members
+        checkpoint at one cadence, so a common step always exists while
+        any rotation is non-empty).  Newer checkpoints belong to the
+        abandoned timeline and are dropped, and the supervisor's clock is
+        set back, so a later member rollback lands on the fleet's step.
+        Lockstep credits are cleared — any fleet advance a member received
+        this coupling is invalidated by the restore.  Returns the coupling
+        restored to."""
         from ..resilience.errors import CheckpointError
 
         self._check()
+        live = [m for _, m in self._live()]
         common: Optional[set] = None
-        for m in self.members:
+        for m in live:
             if m.checkpoints is None:
                 raise RuntimeError(
                     "ensemble recovery needs per-member checkpoints "
@@ -626,19 +635,22 @@ class EnsembleRun:
         if not common:
             raise CheckpointError(
                 "no coupling step has a valid checkpoint in every member",
-                reason=f"{len(self.members)} member rotation(s) share no step",
+                reason=f"{len(live)} member rotation(s) share no step",
             )
         step = max(common)
-        for m in self.members:
+        for m in live:
             path = next(
                 c for c in m.checkpoints.checkpoints()
                 if m.checkpoints.step_of(c) == step
             )
             m._wait_ocean()
             m.load_restart(path)
+            m.checkpoints.drop_newer_than(step)
             if self.lockstep is not None:
                 self.lockstep.clear_credits(m.atm)
         self.n_couplings = step
+        if self.supervisor is not None:
+            self.supervisor.couplings = step
         self.obs.counter("resilience.restores").inc()
         self.obs.gauge("ensemble.recovered_to").set(float(step))
         return step

@@ -1,7 +1,7 @@
 """Performance-portability layer: execution spaces (executors — what a
 device costs lives in :mod:`repro.machine`), Kokkos-style parallel
-dispatch and Views, the hash-based kernel registry (Sunway TMP
-workaround), and the SWGOMP directive-style loop offload."""
+dispatch and Views, and the hash-based kernel registry (Sunway TMP
+workaround).  SWGOMP is ``parallel_for`` on ``ExecutionSpace("cut", lanes=64)``."""
 
 from .execspace import ExecutionSpace, KernelStats, Serial
 from .kernels import (
@@ -17,7 +17,6 @@ from .backends import make_backend
 from .procpool import PoolStats, ProcPool, ProcPoolRuntime, ProcPoolSpace, SharedView
 from .registry import KERNELS, HybridDispatcher, KernelRegistry, kernel, kernel_hash
 from .stats import KernelMetrics
-from .swgomp import OffloadStats, TargetLoop, target
 from .view import (
     Layout,
     MemorySpace,
@@ -50,9 +49,6 @@ __all__ = [
     "kernel_hash",
     "HybridDispatcher",
     "KernelMetrics",
-    "target",
-    "TargetLoop",
-    "OffloadStats",
     "View",
     "Layout",
     "MemorySpace",

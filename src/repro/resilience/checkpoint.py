@@ -128,6 +128,15 @@ class CheckpointManager:
         for tmp in self.root.glob(f".tmp-{_PREFIX}*"):
             shutil.rmtree(tmp, ignore_errors=True)
 
+    def drop_newer_than(self, step: int) -> None:
+        """Delete every published checkpoint newer than ``step`` (under
+        the rotation lock): after a rollback past them they belong to an
+        abandoned timeline, and no later restore may land on one."""
+        with self._locked():
+            for ckpt in self.checkpoints():
+                if self.step_of(ckpt) > step:
+                    shutil.rmtree(ckpt)
+
     # -- read --------------------------------------------------------------
 
     def checkpoints(self) -> List[Path]:
@@ -165,6 +174,13 @@ class CheckpointManager:
                 path=path, reason=f"version={manifest.get('version')!r}",
             )
         files = manifest.get("files", {})
+        # Input read from disk: a malformed manifest is a set to skip.
+        if not isinstance(files, dict) or not all(
+            isinstance(meta, dict) and "size" in meta and "crc32" in meta
+            for meta in files.values()
+        ):
+            raise CheckpointError("checkpoint manifest is malformed",
+                                  path=path, reason="files entries need size and crc32")
         for rel, meta in files.items():
             f = path / rel
             try:

@@ -20,6 +20,7 @@ from repro.resilience import (
     PhysicsFault,
     PhysicsFaultInjector,
     ResilienceConfig,
+    corrupt_checkpoint,
 )
 
 SMALL = dict(atm_level=2, ocn_nlon=24, ocn_nlat=16, ocn_levels=4)
@@ -229,6 +230,49 @@ class TestRestart:
         ))
         with pytest.raises(ValueError, match="rollback target"):
             ens.init()
+
+
+class TestFleetCheckpoints:
+    """The fleet that checkpoints and recovers is the live fleet, and a
+    recovery leaves no checkpoint of the abandoned timeline behind."""
+
+    @staticmethod
+    def _steps(ens, k):
+        mgr = ens.members[k].checkpoints
+        return [mgr.step_of(c) for c in mgr.checkpoints()]
+
+    def test_quarantined_member_does_not_block_recovery(self, tmp_path):
+        plan = {"seed": 7,
+                "physics": [{"kind": "nan", "step": 0, "n_columns": 4, "member": 2}]}
+        ens = _fleet(members=3, policy="quarantine", plan=plan, couplings=4,
+                     checkpoint_dir=tmp_path / "ck")
+        try:
+            assert ens.supervisor.quarantined == [2]
+            assert [self._steps(ens, k) for k in range(3)] == [[2, 4], [2, 4], []]
+            survivors = [_state(ens.members[k]) for k in (0, 1)]
+            assert ens.recover() == 4
+            for k, before in zip((0, 1), survivors):
+                after = _state(ens.members[k])
+                for key in before:
+                    assert np.array_equal(before[key], after[key]), key
+            assert ens.has_checkpoint()
+            assert len(ens.checkpoint()) == 2
+        finally:
+            ens.finalize()
+
+    def test_recovery_drops_the_abandoned_timeline(self, tmp_path):
+        ens = _fleet(members=2, policy="restart", couplings=4,
+                     checkpoint_dir=tmp_path / "ck")
+        try:
+            assert self._steps(ens, 1) == [0, 2, 4]
+            corrupt_checkpoint(ens.members[0].checkpoints.latest(), "bitflip")
+            assert ens.recover() == 2
+            assert [self._steps(ens, k)[-1] for k in range(2)] == [2, 2]
+            assert ens.supervisor.couplings == 2
+            ens.members[1].rollback()
+            assert ens.members[1].n_couplings == 2
+        finally:
+            ens.finalize()
 
 
 class TestFailFast:

@@ -1,4 +1,5 @@
-"""Tests for the hash-based kernel registry, hybrid dispatch, and SWGOMP."""
+"""Tests for the hash-based kernel registry, hybrid dispatch, and SWGOMP
+(``parallel_for`` on a 64-lane cut)."""
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from repro.pp import (
     ExecutionSpace,
     HybridDispatcher,
     KernelRegistry,
+    MDRangePolicy,
     Serial,
     kernel_hash,
-    target,
+    parallel_for,
 )
 
 
@@ -137,71 +139,48 @@ class TestHybridDispatcher:
 
 
 class TestSWGOMP:
+    """SWGOMP's loop-space mapping is ``parallel_for`` on a lane cut: the
+    same launch path every component kernel takes."""
+
     def test_offload_matches_host_execution(self):
-        @target(schedule="static")
-        def relax(u, f):
-            u += 0.25 * f
+        def relax(idx, u, f):
+            u[idx] += 0.25 * f[idx]
 
         u1 = np.zeros((100, 4))
         u2 = np.zeros((100, 4))
         f = np.random.default_rng(0).standard_normal((100, 4))
-        relax(u1, f)  # plain host call
-        relax.offload(cpe_cut(16), u2, f)
+        relax(slice(None), u1, f)  # whole-array host call
+        parallel_for(cpe_cut(16), 100, lambda idx: relax(idx, u2, f))
         assert np.array_equal(u1, u2)
 
     def test_offload_writes_through_views(self):
-        @target()
-        def bump(x):
-            x += 1.0
-
         x = np.zeros(37)
-        bump.offload(cpe_cut(8), x)
+
+        def bump(idx):
+            x[idx] += 1.0
+
+        parallel_for(cpe_cut(8), 37, bump)
         assert np.all(x == 1.0)
 
     def test_chunked_schedule(self):
-        @target(schedule="chunked", chunk=10)
-        def fill(x):
-            x[:] = 5.0
-
         x = np.zeros(95)
-        fill.offload(Serial(), x)
+        hits = np.zeros(95, dtype=int)
+
+        def fill(idx):
+            x[idx] = 5.0
+            hits[idx] += 1
+
+        prof = parallel_for(Serial(), MDRangePolicy((95,), tile=(10,)), fill, profile=True)
         assert np.all(x == 5.0)
-        assert fill.stats.chunks == 10  # ceil(95/10)
-        assert fill.stats.rows == 95
-        assert fill.stats.offloads == 1
-
-    def test_leading_extent_mismatch(self):
-        @target()
-        def op(a, b):
-            a += b
-
-        with pytest.raises(ValueError, match="leading"):
-            op.offload(Serial(), np.zeros(4), np.zeros(5))
-
-    def test_validate_passes_for_conflict_free(self):
-        @target()
-        def ok(x):
-            x *= 2.0
-
-        x = np.arange(10.0)
-        ok.offload(cpe_cut(4), x, validate=True)
-        assert np.array_equal(x, np.arange(10.0) * 2)
-
-    def test_validate_catches_conflict(self):
-        @target()
-        def bad(x):
-            # Writes depend on the full array: NOT conflict-free.
-            x[:] = x.sum()
-
-        x = np.arange(10.0)
-        with pytest.raises(RuntimeError, match="not conflict-free"):
-            bad.offload(cpe_cut(4), x, validate=True)
+        assert np.all(hits == 1)  # every row written exactly once
+        assert prof.n_tiles == 10  # ceil(95/10)
+        assert prof.total_iterations == 95
 
     def test_bad_schedule_rejected(self):
         with pytest.raises(ValueError):
-            target(schedule="dynamic")(lambda x: None)
+            MDRangePolicy((95,), tile=(0,))
         with pytest.raises(ValueError):
-            target(schedule="chunked")(lambda x: None)
+            MDRangePolicy((95,), tile=(10, 10))
 
 
 class TestHybridDispatcherSplitRatios:
@@ -237,8 +216,6 @@ class TestRegistryMDRangeLaunch:
     def test_launch_dispatches_mdrange_kernels(self):
         """launch() forwards one index array per MDRange dimension plus
         the bound arguments (the coupled components' tiled kernels)."""
-        from repro.pp import MDRangePolicy
-
         reg = KernelRegistry()
 
         def scale2d(yi, xi, out, factor):

@@ -7,6 +7,7 @@ back past corruption, the per-column physics guardrail, the task-domain
 watchdog — and that all of it costs nothing when disabled.
 """
 
+import json
 import threading
 
 import numpy as np
@@ -312,6 +313,28 @@ class TestCheckpointManager:
         assert seen["v"] == 2.0
         assert obs.metrics.get("resilience.checkpoint_fallbacks").value == 1
         assert obs.metrics.get("resilience.restores").value == 1
+
+    @pytest.mark.parametrize("damage", ["entry_without_size", "files_as_list"])
+    def test_malformed_manifest_falls_back(self, tmp_path, damage):
+        """A parseable manifest whose ``files`` are malformed marks the set
+        invalid: restore skips it for the older set instead of raising."""
+        obs = Obs()
+        mgr = CheckpointManager(tmp_path, keep=3, obs=obs)
+        for step in (1, 2):
+            mgr.to_file(_fake_saver(np.full(4, float(step))), step)
+        manifest_path = mgr.checkpoints()[-1] / "checkpoint.json"
+        manifest = json.loads(manifest_path.read_text())
+        if damage == "entry_without_size":
+            del next(iter(manifest["files"].values()))["size"]
+        else:
+            manifest["files"] = list(manifest["files"])
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="malformed"):
+            mgr.validate(mgr.checkpoints()[-1])
+
+        restored = mgr.restore_latest_valid(lambda d: None)
+        assert restored.name == "ckpt-00000001"
+        assert obs.metrics.get("resilience.checkpoint_fallbacks").value == 1
 
     def test_restore_raises_when_everything_corrupt(self, tmp_path):
         mgr = CheckpointManager(tmp_path, keep=2)
