@@ -91,10 +91,10 @@ def _add_core_group(p: argparse.ArgumentParser) -> None:
 
 
 def _add_precision_group(p: argparse.ArgumentParser) -> None:
-    prec = p.add_argument_group("precision", "storage and AI compute precision (§5.2.3)")
+    prec = p.add_argument_group("precision", "storage and compute precision (§5.2.3)")
     prec.add_argument("--precision", choices=("fp64", "mixed"), default="mixed",
                       help="storage precision policy for prognostic state; mixed "
-                           "also runs AI physics inference in FP32 "
+                           "also runs AI physics inference and the ocean in FP32 "
                            "(§5.2.3; default: mixed group-scaled FP32)")
 
 
@@ -265,7 +265,7 @@ def _add_base_model_group(p: argparse.ArgumentParser) -> None:
     base.add_argument("--precision", choices=("fp64", "mixed"),
                       default="fp64",
                       help="base storage precision; mixed also runs AI physics "
-                           "inference in FP32 (jobs may override via "
+                           "inference and the ocean in FP32 (jobs may override via "
                            "--delta precision=...)")
 
 

@@ -147,10 +147,15 @@ class ComponentContext:
         storage precision (quantize + dequantize via GroupScale).
 
         A no-op when no assignment touches this component — pure-FP64
-        components pay nothing.
+        components pay nothing — and when the component already holds its
+        state in reduced precision (the fp32 ocean): fp32 arithmetic keeps
+        every element within 2^-24 |x|, never looser than group scaling,
+        so a round trip would only re-round.
         """
         prefix = f"{component.name}."
         if not any(k.startswith(prefix) for k in self.precision.assignments):
+            return
+        if all(v.dtype == np.float32 for v in component.state().values()):
             return
         rounded = self.precision.apply(self.namespaced_state(component))
         component.set_state({k[len(prefix):]: v for k, v in rounded.items()})
@@ -240,11 +245,21 @@ class ComponentBase:
 
     def set_state(self, state: Dict[str, np.ndarray]) -> None:
         """Rebind the given prognostic arrays; a partial dict leaves the
-        rest untouched and unknown keys are ignored."""
+        rest untouched and unknown keys are ignored.  A floating array
+        takes the live slot's floating dtype (an fp64 restart loaded into
+        an fp32-held model stays fp32, and the reverse)."""
         self._check_alive()
         for key, value in state.items():
             if key in self.STATE:
-                setattr(*self._slot(self.STATE[key]), value)
+                self._rebind(*self._slot(self.STATE[key]), value)
+
+    @staticmethod
+    def _rebind(owner: Any, leaf: str, value: np.ndarray) -> None:
+        """``owner.leaf = value``, cast to the live array's floating dtype."""
+        held = getattr(owner, leaf, None)
+        if isinstance(held, np.ndarray) and held.dtype.kind == value.dtype.kind == "f":
+            value = value.astype(held.dtype, copy=False)
+        setattr(owner, leaf, value)
 
     # -- restart I/O (subfile format, §5.2.5) ------------------------------
 
@@ -265,7 +280,7 @@ class ComponentBase:
         fields, scalars = _restart.load_restart(directory)
         self.set_state({k: fields[k] for k in self.STATE})
         for key in self.RESTART_EXTRA:
-            setattr(self, key, fields[key])
+            self._rebind(self, key, fields[key])
         self.time = scalars["time"]
         self.n_steps = int(scalars["n_steps"])
 

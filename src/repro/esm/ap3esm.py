@@ -102,7 +102,7 @@ class AP3ESMConfig:
     ocn_levels: int = 10
     atm_steps_per_coupling: int = 1
     ocn_couple_ratio: int = 5      # paper: atm 180/day vs ocn 36/day
-    precision: str = "fp64"        # 'fp64' or 'mixed' (§5.2.3; mixed: fp32 AI inference too)
+    precision: str = "fp64"        # 'fp64' or 'mixed' (§5.2.3; mixed: fp32 AI inference and fp32 ocean)
     concurrent_domains: bool = False  # run domain 2 on its own thread
     #: Apply FieldRegistry pruning to every coupling-path handoff
     #: (§5.2.4); surviving fields stay bitwise identical.

@@ -78,7 +78,7 @@ class BarotropicSolver:
         # Frozen per solver; stress is spread over at least 1 m of water.
         self._hu_stress = RHO_OCEAN * np.maximum(self.h_u, 1.0)
         self._hv_stress = RHO_OCEAN * np.maximum(self.h_v, 1.0)
-        self._area_sum = np.sum(m.area)
+        self._area_sum = np.sum(m.area, dtype=np.float64)
         self.rotation = CoriolisRotation(m)
 
     # -- stepping ------------------------------------------------------------
@@ -113,7 +113,7 @@ class BarotropicSolver:
         u_new, v_new = self.rotation(u + dt * du, v + dt * dv, dt)
         u_new = np.where(m.mask_u, u_new, 0.0)
         v_new = np.where(m.mask_v, v_new, 0.0)
-        norm = float(np.sqrt(np.sum(m.area * eta_new**2) / self._area_sum))
+        norm = float(np.sqrt(np.sum(m.area * eta_new**2, dtype=np.float64) / self._area_sum))
         return BarotropicState(eta_new, u_new, v_new), norm
 
     def max_stable_dt(self, cfl: float = 0.7) -> float:
@@ -126,15 +126,15 @@ class BarotropicSolver:
         )
         return cfl * dx_min / float(c.max())
 
-    # -- diagnostics --------------------------------------------------------------
+    # -- diagnostics (accumulated in fp64 whatever the state's dtype) -------------
 
     def total_volume(self, state: BarotropicState) -> float:
         """Free-surface volume anomaly (conserved to round-off)."""
         m = self.metrics
-        return float(np.sum(m.area[m.mask_c] * state.eta[m.mask_c]))
+        return float(np.sum(m.area[m.mask_c] * state.eta[m.mask_c].astype(np.float64, copy=False)))
 
     def kinetic_energy(self, state: BarotropicState) -> float:
         m = self.metrics
-        ke_u = 0.5 * self.h_u * state.u**2
-        ke_v = 0.5 * self.h_v * state.v**2
+        ke_u = 0.5 * self.h_u * state.u.astype(np.float64, copy=False) ** 2
+        ke_v = 0.5 * self.h_v * state.v.astype(np.float64, copy=False) ** 2
         return float(np.sum(m.area * (ke_u + ke_v)))

@@ -16,7 +16,7 @@ parallel halo layer (see DESIGN.md, "Known simplifications").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import List, Tuple
 
@@ -111,6 +111,11 @@ class CGridMetrics:
     @property
     def shape(self) -> Tuple[int, int]:
         return self.area.shape
+
+    def astype(self, dtype) -> "CGridMetrics":
+        """These metrics with every float field held in ``dtype`` (masks stay bool)."""
+        return replace(self, **{f.name: getattr(self, f.name).astype(dtype, copy=False)
+                                for f in fields(self) if getattr(self, f.name).dtype.kind == "f"})
 
     # -- frozen tables, built on first use (the idiom of ``grid.trsk_tables``) --
 

@@ -76,7 +76,7 @@ def column_kappa(
 ) -> np.ndarray:
     """``canuto_kappa(richardson_number(...))`` streamed one interface at a
     time (two-level windows of the inputs): (nlev-1, ...) diffusivities."""
-    kappa = np.empty((rho.shape[0] - 1,) + rho.shape[1:])
+    kappa = np.empty((rho.shape[0] - 1,) + rho.shape[1:], rho.dtype)
     for k in range(kappa.shape[0]):
         w = slice(k, k + 2)
         kappa[k] = canuto_kappa(richardson_number(rho[w], u[w], v[w], dz[w], params), params)[0]
@@ -115,7 +115,7 @@ class ColumnDiffusion:
         if kappa.shape[0] != nlev - 1:
             raise ValueError("kappa must live on the nlev-1 interior interfaces")
         above, below, wet = self._geometry
-        lower, denom, cp = (np.zeros((nlev,) + kappa.shape[1:]) for _ in range(3))
+        lower, denom, cp = (np.zeros((nlev,) + kappa.shape[1:], kappa.dtype) for _ in range(3))
         for k in range(nlev):
             upper = 0.0  # nothing below the deepest level, as lower[0] above the first
             if k < nlev - 1:

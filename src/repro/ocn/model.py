@@ -29,6 +29,7 @@ import numpy as np
 
 from ..component import ComponentBase
 from ..grids.tripolar import TripolarGrid
+from ..precision import Precision
 from . import kernels  # noqa: F401 — joins pp.KERNELS at start-up (§5.3)
 from .barotropic import BarotropicSolver, BarotropicState
 from .baroclinic import BaroclinicSolver
@@ -55,7 +56,14 @@ class LicomConfig:
 
 
 class LicomModel(ComponentBase):
-    """The ocean component (init / run / finalize, import / export)."""
+    """The ocean component (init / run / finalize, import / export).
+
+    The bound context's precision policy selects the compute (§5.2.3):
+    when it stores every ``STATE`` key in reduced precision, the state,
+    the forcing slots and every frozen table are held and stepped in fp32
+    (:meth:`set_context`).  Otherwise they are fp64 and the policy's
+    storage round trip applies.  The exports are fp64 either way.
+    """
 
     name = "ocn"
     STATE = {
@@ -72,18 +80,45 @@ class LicomModel(ComponentBase):
         self.config = config if config is not None else LicomConfig()
         super().__init__()
 
+    def set_context(self, ctx) -> None:
+        """Bind ``ctx`` and take the compute dtype from ``ctx.precision``:
+        fp32 when every ocean prognostic is stored in reduced precision,
+        else fp64.  A live model is re-held in the new dtype."""
+        super().set_context(ctx)
+        reduced = all(
+            ctx.precision.precision_of(f"{self.name}.{k}") is not Precision.FP64
+            for k in self.STATE
+        )
+        self.dtype = np.dtype(np.float32 if reduced else np.float64)
+        if self._initialized:
+            self._hold(self.dtype)
+
+    def _build_tables(self, dtype) -> None:
+        """Metrics, thicknesses and the three solvers, frozen in ``dtype``
+        (always derived from the fp64 grid and metrics)."""
+        self.metrics = self._metrics64.astype(dtype)
+        self.dz = np.diff(self.grid.z_interfaces).astype(dtype, copy=False)
+        self.barotropic = BarotropicSolver(self.metrics, self.grid.depth.astype(dtype, copy=False))
+        self.baroclinic = BaroclinicSolver(self.metrics, self.mask3d, self.dz)
+        self.tracers = TracerSolver(self.metrics, self.mask3d, self.dz)
+
+    def _hold(self, dtype) -> None:
+        """Re-hold the tables, the state and the forcing slots in ``dtype``."""
+        if self.dz.dtype == dtype:
+            return
+        self._build_tables(dtype)
+        for path in (*self.STATE.values(), *self.RESTART_EXTRA):
+            owner, leaf = self._slot(path)
+            setattr(owner, leaf, getattr(owner, leaf).astype(dtype))
+
     # -- CPL7 contract -----------------------------------------------------------
 
     def init(self) -> None:
         cfg = self.config
         self.grid = TripolarGrid.build(cfg.nlon, cfg.nlat, n_levels=cfg.n_levels)
-        self.metrics = CGridMetrics.build(self.grid)
         self.mask3d = self.grid.levels_mask()
-        self.dz = np.diff(self.grid.z_interfaces)
-
-        self.barotropic = BarotropicSolver(self.metrics, self.grid.depth)
-        self.baroclinic = BaroclinicSolver(self.metrics, self.mask3d, self.dz)
-        self.tracers = TracerSolver(self.metrics, self.mask3d, self.dz)
+        self._metrics64 = CGridMetrics.build(self.grid)
+        self._build_tables(np.float64)
 
         self.dt_barotropic = self.barotropic.max_stable_dt(cfg.cfl)
         self.dt_baroclinic = BAROTROPIC_SUBSTEPS * self.dt_barotropic
@@ -120,6 +155,7 @@ class LicomModel(ComponentBase):
         self.time = cfg.start_time
         self.n_steps = 0
         self._initialized = True
+        self._hold(self.dtype)
 
     def finalize(self) -> Dict[str, float]:
         self._check_alive()
@@ -140,19 +176,20 @@ class LicomModel(ComponentBase):
         shape = self.metrics.shape
         for key in self.RESTART_EXTRA:
             if key in fields:
-                arr = np.asarray(fields[key])
+                arr = np.asarray(fields[key], self.dtype)
                 if arr.shape != shape:
                     raise ValueError(f"{key} must be (nlat, nlon)")
                 setattr(self, key, np.where(self.metrics.mask_c, arr, 0.0))
 
     def export_state(self) -> Dict[str, np.ndarray]:
+        """Surface fields for the coupler, always fp64."""
         self._check_alive()
         return {
-            "sst": self.t[0].copy(),
-            "sss": self.s[0].copy(),
-            "ssh": self.bt.eta.copy(),
-            "u_surf": self.u[0] + self.bt.u,
-            "v_surf": self.v[0] + self.bt.v,
+            "sst": self.t[0].astype(np.float64),
+            "sss": self.s[0].astype(np.float64),
+            "ssh": self.bt.eta.astype(np.float64),
+            "u_surf": (self.u[0] + self.bt.u).astype(np.float64, copy=False),
+            "v_surf": (self.v[0] + self.bt.v).astype(np.float64, copy=False),
             "freezing": (self.t[0] <= T_FREEZE) & self.mask3d[0],
         }
 

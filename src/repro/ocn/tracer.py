@@ -52,7 +52,7 @@ class TracerSolver:
     @cached_property
     def neigh(self) -> np.ndarray:
         """Wet four-neighbour count of every cell."""
-        return neighbour_sum(self.mask3d.astype(float))
+        return neighbour_sum(self.mask3d.astype(self.dz.dtype))
 
     @staticmethod
     def _face_values(c: np.ndarray, vel: np.ndarray, shift, scheme: str) -> np.ndarray:
@@ -148,5 +148,6 @@ class TracerSolver:
     # -- diagnostics ---------------------------------------------------------
 
     def content(self, c: np.ndarray) -> float:
-        """Volume integral of a tracer over the wet domain."""
-        return float(np.sum(np.where(self.mask3d, c * self.vol, 0.0)))
+        """Volume integral of a tracer over the wet domain, accumulated in
+        fp64 (an fp32 product is exact there)."""
+        return float(np.sum(np.where(self.mask3d, c.astype(np.float64, copy=False) * self.vol, 0.0)))

@@ -4,9 +4,11 @@
 of GRIST and LICOM" — some variables tolerate FP32 (tendencies, fluxes),
 some need group scaling (large-offset fields like pressure), and some must
 stay FP64 (accumulators, areas).  A :class:`PrecisionPolicy` captures that
-assignment, applies it to a state dict (quantize/dequantize round-trip,
-which is what running the arithmetic in reduced precision does to the
-stored state each step), and reports the memory saving.
+assignment, applies it to a state dict (a quantize/dequantize round trip:
+the storage effect of reduced precision on a component that computes in
+FP64), and reports the memory saving.  The AI suite and the ocean read the
+policy instead and compute in FP32 (``AIPhysicsSuite.bind``,
+``LicomModel.set_context``).
 """
 
 from __future__ import annotations
@@ -44,10 +46,10 @@ class PrecisionPolicy:
     def apply(self, state: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
         """Round-trip each variable through its storage precision.
 
-        This is the storage-precision effect of a mixed-precision step:
-        FP64 variables pass through untouched; FP32 variables lose to a
-        plain cast; group-scaled variables lose only relative-to-group-max
-        bits.
+        This is the storage-precision effect of reduced precision on an
+        FP64-computing component: FP64 variables pass through untouched;
+        FP32 variables lose to a plain cast; group-scaled variables lose
+        only relative-to-group-max bits.
         """
         out: Dict[str, np.ndarray] = {}
         for name, arr in state.items():
