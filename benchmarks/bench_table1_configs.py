@@ -3,12 +3,13 @@
 Regenerates the published grid counts from first principles — icosahedral
 Euler relations for GRIST (including the table's counting-convention
 quirk), nlon x nlat x levels for LICOM, and the coupled totals — and
-verifies them against a really-constructed mesh at small subdivision
-levels.  The timed kernel is the mesh generator itself.
+verifies them against really-constructed meshes at levels 4, 5 and 6.
+The timed kernel is the level-4 mesh generator itself.
 """
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from repro.bench import banner, format_table
 from repro.esm import (
@@ -85,3 +86,23 @@ def test_generated_mesh_matches_formula(benchmark):
     assert grid.n_cells - grid.n_edges + grid.n_dual == 2
     total = 4 * np.pi * grid.radius**2
     assert grid.area_cell.sum() == pytest.approx(total, rel=1e-9)
+
+
+@pytest.mark.parametrize("level", [5, 6])
+def test_larger_mesh_matches_formula(level):
+    """Levels 5 and 6 (10 242 and 40 962 cells): counts, Euler, areas that
+    tile the sphere, kites that sum to 1 per cell, and the energy-norm
+    antisymmetry of the TRSK weights, ``K = diag(le*de) w = -K^T``."""
+    grid = IcosahedralGrid.build(level)
+    assert (grid.n_cells, grid.n_edges, grid.n_dual) == icosahedral_counts(level)
+    assert grid.n_cells - grid.n_edges + grid.n_dual == 2
+    total = 4 * np.pi * grid.radius**2
+    assert grid.area_cell.sum() == pytest.approx(total, rel=1e-9)
+    assert np.allclose(grid.kite.sum(axis=1), 1.0, atol=1e-12)
+    live = grid.edge_edges >= 0
+    rows = np.nonzero(live)[0]
+    k = csr_matrix(
+        ((grid.le * grid.de)[rows] * grid.edge_weights[live], (rows, grid.edge_edges[live])),
+        shape=(grid.n_edges, grid.n_edges),
+    )
+    assert abs(k + k.T).max() <= 1e-12 * abs(k).max()

@@ -16,6 +16,13 @@ The mesh also carries everything the TRSK operators need: ordered
 edge/vertex rings around every cell, kite-area weights ``R_{v,c}``
 (normalized so they sum to 1 per cell), and the tangential-reconstruction
 weight table with its energy-conserving antisymmetry enforced exactly.
+
+The build is whole-mesh array code, with no per-cell or per-edge Python
+loop: new vertices and edges are numbered in first-appearance order, cell
+rings are padded ``(nc, 6)`` arrays, and every area comes from one batched
+:func:`spherical_triangle_area` call.  Its arrays are pinned bitwise
+(``tests/test_grids_icos.py::test_mesh_bytes_pinned``), since every state
+digest rests on them.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -71,26 +78,31 @@ def _base_icosahedron() -> Tuple[np.ndarray, np.ndarray]:
     return normalize(verts), faces
 
 
+def _first_appearance(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Ids for the distinct ``keys``, numbered in order of first appearance
+    (as a dict filled in a loop would number them): each key's id, and each
+    id's first index into ``keys``."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse], first[order]
+
+
+def _face_sides(faces: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every face's sides ``ab, bc, ca`` as ``(3 nf,)`` end arrays, face-major."""
+    return faces.ravel(), faces[:, [1, 2, 0]].ravel()
+
+
 def _subdivide(verts: np.ndarray, faces: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    cache: Dict[Tuple[int, int], int] = {}
-    new_verts: List[np.ndarray] = list(verts)
-
-    def midpoint(a: int, b: int) -> int:
-        key = (a, b) if a < b else (b, a)
-        idx = cache.get(key)
-        if idx is None:
-            idx = len(new_verts)
-            new_verts.append(normalize(verts[a] + verts[b]))
-            cache[key] = idx
-        return idx
-
-    new_faces = np.empty((len(faces) * 4, 3), dtype=np.int64)
-    for i, (a, b, c) in enumerate(faces):
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        new_faces[4 * i : 4 * i + 4] = [
-            (a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)
-        ]
-    return np.array(new_verts), new_faces
+    nv = len(verts)
+    a, b = _face_sides(faces)
+    mid, first = _first_appearance(np.minimum(a, b) * nv + np.maximum(a, b))
+    ab, bc, ca = (mid.reshape(-1, 3) + nv).T
+    fa, fb, fc = faces.T
+    new_faces = np.stack([fa, ab, ca, fb, bc, ab, fc, ca, bc, ab, bc, ca], axis=1)
+    new_verts = np.concatenate([verts, normalize(verts[a[first]] + verts[b[first]])])
+    return new_verts, new_faces.reshape(-1, 3)
 
 
 def scatter_map(shape: Tuple[int, int], *parts) -> csr_matrix:
@@ -248,25 +260,16 @@ class IcosahedralGrid:
         nc = len(verts)
         nd = len(faces)
 
-        # Edges: unique sorted vertex pairs, with adjacent triangles.
-        edge_index: Dict[Tuple[int, int], int] = {}
-        edge_cells_list: List[Tuple[int, int]] = []
-        edge_tris: List[List[int]] = []
-        for t, (i, j, k) in enumerate(faces):
-            for va, vb in ((i, j), (j, k), (k, i)):
-                key = (va, vb) if va < vb else (vb, va)
-                e = edge_index.get(key)
-                if e is None:
-                    e = len(edge_cells_list)
-                    edge_index[key] = e
-                    edge_cells_list.append(key)
-                    edge_tris.append([])
-                edge_tris[e].append(t)
-        ne = len(edge_cells_list)
-        edge_cells = np.array(edge_cells_list, dtype=np.int64)
-        if any(len(ts) != 2 for ts in edge_tris):
+        # Edges: unique sorted vertex pairs numbered in first-appearance order,
+        # each with its two adjacent triangles in face order.
+        i, j = _face_sides(faces)
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        edge_of_side, first = _first_appearance(lo * nc + hi)
+        ne = len(first)
+        edge_cells = np.stack([lo[first], hi[first]], axis=1)
+        if np.any(np.bincount(edge_of_side, minlength=ne) != 2):
             raise RuntimeError("non-manifold mesh: every edge must touch 2 triangles")
-        edge_dual = np.array(edge_tris, dtype=np.int64)
+        edge_dual = (np.argsort(edge_of_side, kind="stable") // 3).reshape(ne, 2)
 
         xyz_dual = triangle_circumcenter(
             verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
@@ -294,74 +297,64 @@ class IcosahedralGrid:
             verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
         )
 
-        # Edges around each cell.
-        cell_edge_lists: List[List[int]] = [[] for _ in range(nc)]
-        for e, (v1, v2) in enumerate(edge_cells):
-            cell_edge_lists[v1].append(e)
-            cell_edge_lists[v2].append(e)
-        maxdeg = max(len(l) for l in cell_edge_lists)
-        if maxdeg > 6:
+        # Edges around each cell (in edge order), padded to 6 slots.
+        ends = edge_cells.ravel()
+        cell_nedges = np.bincount(ends, minlength=nc)
+        if cell_nedges.max() > 6:
             raise RuntimeError("unexpected cell degree > 6")
+        by_cell = np.argsort(ends, kind="stable")
+        first_slot = np.repeat(np.cumsum(cell_nedges) - cell_nedges, cell_nedges)
+        ring = np.full((nc, 6), -1, dtype=np.int64)
+        ring[ends[by_cell], np.arange(2 * ne) - first_slot] = by_cell // 2
+        live = np.arange(6) < cell_nedges[:, None]
 
-        cell_nedges = np.array([len(l) for l in cell_edge_lists], dtype=np.int64)
-        cell_edges = np.full((nc, 6), -1, dtype=np.int64)
-        cell_edge_sign = np.zeros((nc, 6), dtype=np.float64)
-        cell_vertices = np.full((nc, 6), -1, dtype=np.int64)
-
-        # CCW ordering by angle in the local tangent basis.
+        # CCW ordering by angle in the local tangent basis (padded slots last);
+        # the stacked matmul takes the per-cell ``rel @ north[c]`` BLAS path.
         east, north = tangent_basis(verts)
-        for c in range(nc):
-            edges = cell_edge_lists[c]
-            mids = xyz_edge[edges]
-            rel = mids - verts[c]
-            ang = np.arctan2(rel @ north[c], rel @ east[c])
-            order = np.argsort(ang)
-            edges = [edges[i] for i in order]
-            n = len(edges)
-            cell_edges[c, :n] = edges
-            for j, e in enumerate(edges):
-                cell_edge_sign[c, j] = 1.0 if edge_cells[e, 0] == c else -1.0
-                e_next = edges[(j + 1) % n]
-                shared = set(edge_dual[e]) & set(edge_dual[e_next])
-                if len(shared) != 1:
-                    raise RuntimeError("cell edge ring is not consistent")
-                cell_vertices[c, j] = shared.pop()
+        rel = xyz_edge[ring] - verts[:, None]
+        ang = np.arctan2(rel @ north[:, :, None], rel @ east[:, :, None])[..., 0]
+        cell_edges = np.take_along_axis(ring, np.argsort(np.where(live, ang, np.inf), axis=1), axis=1)
+        out_of_cell = edge_cells[cell_edges, 0] == np.arange(nc)[:, None]
+        cell_edge_sign = np.where(live, np.where(out_of_cell, 1.0, -1.0), 0.0)
+        # Slot j's dual vertex is the one triangle edges j and j+1 share.
+        next_slot = np.where(np.arange(1, 7) < cell_nedges[:, None], np.arange(1, 7), 0)
+        next_edges = np.take_along_axis(cell_edges, next_slot, axis=1)
+        pair, pair_next = edge_dual[cell_edges], edge_dual[next_edges]
+        shared = pair[..., :, None] == pair_next[..., None, :]
+        if np.any(shared[live].sum(axis=(1, 2)) != 1):
+            raise RuntimeError("cell edge ring is not consistent")
+        in_pair = np.where(shared[..., 0, :].any(axis=-1), pair[..., 0], pair[..., 1])
+        cell_vertices = np.where(live, in_pair, -1)
 
-        # Voronoi cell areas from the ordered dual-corner ring.
+        # Voronoi cell areas from the ordered dual-corner ring, added slot by
+        # slot from 0 (a padded slot adds +0.0).
+        center = np.repeat(verts[:, None], 6, axis=1)
+        corner = xyz_dual[cell_vertices]
+        corner_next = xyz_dual[np.take_along_axis(cell_vertices, next_slot, axis=1)]
+        sector = np.where(live, spherical_triangle_area(center, corner, corner_next), 0.0)
         area_cell = np.zeros(nc, dtype=np.float64)
-        for c in range(nc):
-            n = cell_nedges[c]
-            ring = cell_vertices[c, :n]
-            for j in range(n):
-                area_cell[c] += spherical_triangle_area(
-                    verts[c], xyz_dual[ring[j]], xyz_dual[ring[(j + 1) % n]]
-                )
+        for j in range(6):
+            area_cell += sector[:, j]
         area_cell *= radius**2
 
         # Kite areas R_{v,c}: region of cell c associated with dual corner v,
         # bounded by the midpoints of the two edges meeting at v.  Vertex
         # slot j (between edges j and j+1) pairs with those two edges.
-        kite = np.zeros((nc, 6), dtype=np.float64)
-        for c in range(nc):
-            n = cell_nedges[c]
-            for j in range(n):
-                e1 = cell_edges[c, j]
-                e2 = cell_edges[c, (j + 1) % n]
-                v = cell_vertices[c, j]
-                kite[c, j] = spherical_triangle_area(
-                    verts[c], xyz_edge[e1], xyz_dual[v]
-                ) + spherical_triangle_area(verts[c], xyz_dual[v], xyz_edge[e2])
-            kite[c, :n] /= kite[c, :n].sum()  # TRSK needs sum_v R_{v,c} = 1
+        halves = spherical_triangle_area(
+            np.stack([center, center]),
+            np.stack([xyz_edge[cell_edges], corner]),
+            np.stack([corner, xyz_edge[next_edges]]),
+        )
+        kite = np.where(live, halves[0] + halves[1], 0.0)
+        kite /= kite.sum(axis=1, keepdims=True)  # TRSK needs sum_v R_{v,c} = 1
 
         # Kite areas regrouped around dual vertices (for PV thickness
         # averaging): dual_kite[t, k] is the kite of cell tri[t, k] at t.
+        c, j = np.nonzero(live)
+        v = cell_vertices[c, j]
+        k = np.argmax(faces[v] == c[:, None], axis=1)
         dual_kite = np.zeros((nd, 3), dtype=np.float64)
-        for c in range(nc):
-            n = cell_nedges[c]
-            for j in range(n):
-                v = cell_vertices[c, j]
-                k = int(np.where(faces[v] == c)[0][0])
-                dual_kite[v, k] = kite[c, j] * area_cell[c]
+        dual_kite[v, k] = kite[c, j] * area_cell[c]
 
         grid = IcosahedralGrid(
             level=level,
@@ -401,45 +394,43 @@ class IcosahedralGrid:
         the nonlinear Coriolis term conserves kinetic energy to round-off.
         """
         ne = self.n_edges
-        acc: List[Dict[int, float]] = [dict() for _ in range(ne)]
-        for e in range(ne):
-            for c, t_sign in ((self.edge_cells[e, 0], -1.0), (self.edge_cells[e, 1], 1.0)):
-                n = int(self.cell_nedges[c])
-                ring = self.cell_edges[c, :n]
-                p = int(np.where(ring == e)[0][0])
-                rsum = 0.0
-                for j in range(1, n):
-                    v_slot = (p + j - 1) % n
-                    rsum += self.kite[c, v_slot]
-                    ep = int(ring[(p + j) % n])
-                    n_sign = self.cell_edge_sign[c, (p + j) % n]
-                    w = (self.le[ep] / self.de[e]) * (rsum - 0.5) * n_sign * t_sign
-                    acc[e][ep] = acc[e].get(ep, 0.0) + w
+        # One row per (edge, side): side 0 walks cell c1 with t_sign -1,
+        # side 1 cell c2 with +1, from the edge after e round the ring.
+        e = np.repeat(np.arange(ne), 2)
+        c = self.edge_cells.ravel()
+        t_sign = np.tile([-1.0, 1.0], ne)
+        n = self.cell_nedges[c]
+        ring = self.cell_edges[c]
+        p = np.argmax(ring == e[:, None], axis=1)
+        rsum = np.zeros(2 * ne)
+        ep = np.empty((2 * ne, 5), dtype=np.int64)
+        w = np.empty((2 * ne, 5))
+        for j in range(1, 6):  # slots past a pentagon's ring are dropped below
+            rsum += self.kite[c, (p + j - 1) % n]
+            slot = (p + j) % n
+            ep[:, j - 1] = ring[np.arange(2 * ne), slot]
+            n_sign = self.cell_edge_sign[c, slot]
+            w[:, j - 1] = ((self.le[ep[:, j - 1]] / self.de[e]) * (rsum - 0.5)) * n_sign * t_sign
+        # Sum repeated (e, e') terms onto zeros in (edge, side, slot) order.
+        live = np.arange(1, 6) < n[:, None]
+        keys, inverse = np.unique((e[:, None] * ne + ep)[live], return_inverse=True)
+        acc = np.zeros(len(keys))
+        np.add.at(acc, inverse, w[live])
 
-        # Antisymmetrize K[e, e'] = le_e * de_e * w[e, e'].
-        kmat: Dict[Tuple[int, int], float] = {}
-        for e, row in enumerate(acc):
-            for ep, w in row.items():
-                kmat[(e, ep)] = self.le[e] * self.de[e] * w
-        for (e, ep) in list(kmat.keys()):
-            if e < ep:
-                a = kmat.get((e, ep), 0.0)
-                b = kmat.get((ep, e), 0.0)
-                anti = 0.5 * (a - b)
-                kmat[(e, ep)] = anti
-                kmat[(ep, e)] = -anti
+        # Antisymmetrize K[e, e'] = le_e * de_e * w[e, e'] from the pre-antisymmetry
+        # K of both entries (the stencil is symmetric: e, e' share a cell ring).
+        row, col = np.divmod(keys, ne)
+        lede = self.le * self.de
+        k = lede[row] * acc
+        k_t = k[np.searchsorted(keys, col * ne + row)]
+        k = np.where(row < col, 0.5 * (k - k_t), -(0.5 * (k_t - k)))
 
-        rows: List[List[Tuple[int, float]]] = [[] for _ in range(ne)]
-        for (e, ep), k in kmat.items():
-            rows[e].append((ep, k / (self.le[e] * self.de[e])))
-        maxk = max(len(r) for r in rows)
-        self.edge_edges = np.full((ne, maxk), -1, dtype=np.int64)
-        self.edge_weights = np.zeros((ne, maxk), dtype=np.float64)
-        for e, row in enumerate(rows):
-            row.sort()
-            for j, (ep, w) in enumerate(row):
-                self.edge_edges[e, j] = ep
-                self.edge_weights[e, j] = w
+        counts = np.bincount(row, minlength=ne)
+        slot = np.arange(len(keys)) - np.repeat(np.cumsum(counts) - counts, counts)
+        self.edge_edges = np.full((ne, counts.max()), -1, dtype=np.int64)
+        self.edge_weights = np.zeros((ne, counts.max()), dtype=np.float64)
+        self.edge_edges[row, slot] = col
+        self.edge_weights[row, slot] = k / lede[row]
 
     # -- vector helpers -----------------------------------------------------
 

@@ -1,7 +1,11 @@
 """Tests for the icosahedral Voronoi C-grid generator."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from repro.grids import IcosahedralGrid, icosahedral_counts
 
@@ -150,3 +154,39 @@ def test_latlon_fields_present(icos3):
     assert g.lon_cell.shape == (g.n_cells,)
     assert np.all(np.abs(g.lat_cell) <= np.pi / 2)
     assert g.lat_dual.shape == (g.n_dual,)
+
+
+# SHA-256 over every ndarray field of IcosahedralGrid and every TRSKTables
+# array (each map's data / indices / indptr), recorded from the per-cell loop
+# build that the whole-mesh array build replaced.  Every state digest rests on
+# these bytes: a mismatch is a real change of the grid, not a constant to refresh.
+MESH_SHA256 = {
+    0: "e270d210ff0d4d60139201ade538fe23801a17e1fa19e6942862834b0e2755b4",
+    1: "97513417099729485594ea95c9ee8a6d0c4a108628e2ec499fb936413f2ded9e",
+    2: "e849eab62127de45d84a2dcba7ac8a88a64ddcba6402c7753f440d36cca49984",
+    3: "e7083a1de86ca1ba49aa4489015ba7410700b158b4fbc22d4e26860001ecfe76",
+    4: "e607e642306ba864c06bfccd2a448e0067bbf746165ad8700ac7f248e62d6587",
+}
+
+
+def _mesh_sha256(g):
+    h = hashlib.sha256()
+    for obj in (g, g.trsk_tables):
+        for f in dataclasses.fields(obj):
+            value = getattr(obj, f.name)
+            if isinstance(value, csr_matrix):
+                parts = [(f"{f.name}.{a}", getattr(value, a)) for a in ("data", "indices", "indptr")]
+            elif isinstance(value, np.ndarray):
+                parts = [(f.name, value)]
+            else:
+                continue
+            for name, a in parts:
+                h.update(f"{name}:{a.dtype.str}:{a.shape}:{a.strides}".encode())
+                h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("level", sorted(MESH_SHA256))
+def test_mesh_bytes_pinned(level, request):
+    g = request.getfixturevalue(f"icos{level}") if level >= 3 else IcosahedralGrid.build(level)
+    assert _mesh_sha256(g) == MESH_SHA256[level]
