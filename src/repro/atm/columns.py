@@ -49,12 +49,24 @@ def reference_profiles(p: np.ndarray, t_surface: float = 288.0) -> Tuple[np.ndar
 
 
 def saturation_specific_humidity(t: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Saturation specific humidity from Tetens' formula (kg/kg)."""
-    t = np.asarray(t, dtype=np.float64)
+    """Saturation specific humidity from Tetens' formula (kg/kg), in place
+    in two full-size buffers: ``0.622 es / max(p - 0.378 es, 1)`` with
+    ``es = min(610.78 exp(17.27 (t - 273.15) / max(t - 35.86, 1)), p / 2)``."""
     p = np.asarray(p, dtype=np.float64)
-    es = 610.78 * np.exp(17.27 * (t - 273.15) / np.maximum(t - 35.86, 1.0))
-    es = np.minimum(es, 0.5 * p)  # keep the formula sane at extremes
-    return 0.622 * es / np.maximum(p - 0.378 * es, 1.0)
+    t = np.asarray(t, dtype=np.float64)
+    t = np.broadcast_to(t, np.broadcast_shapes(t.shape, p.shape))
+    es = t - 273.15
+    es *= 17.27
+    den = t - 35.86
+    es /= np.maximum(den, 1.0, out=den)
+    np.exp(es, out=es)
+    es *= 610.78
+    np.minimum(es, 0.5 * p, out=es)  # keep the formula sane at extremes
+    np.multiply(es, 0.378, out=den)
+    np.subtract(p, den, out=den)
+    es *= 0.622
+    es /= np.maximum(den, 1.0, out=den)
+    return es
 
 
 @dataclass

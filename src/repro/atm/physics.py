@@ -11,6 +11,15 @@ The suite is deliberately branch- and iteration-heavy relative to the AI
 suite's dense tensor kernels — that cost asymmetry is the basis of the
 paper's "computational gains by unifying most operations into highly
 efficient tensor kernels" claim, measured in ``benchmarks/bench_ai_physics``.
+
+The suite runs level-major: :meth:`ConventionalPhysics.compute` transposes
+its ``(ncol, nlev)`` inputs once into C-contiguous ``(nlev, ncol)`` arrays
+(the layout of :mod:`repro.atm.kernels`) and its four 2-D tendencies back
+once; each public scheme method is a transpose adapter over the same
+kernels.  Temporaries die with their scheme; tendencies accumulate in
+place in the left-to-right order of ``dT_rad + dT_s + dT_cv + dT_ls +
+dT_bl``.  The surface layer yields the lowest level only, so above it the
+sum adds ``+0.0``, as adding a zero tendency does (``-0.0`` → ``+0.0``).
 """
 
 from __future__ import annotations
@@ -26,7 +35,18 @@ from .kernels import run_condensation, run_convective_adjustment, run_radiation,
 
 __all__ = ["PhysicsTendencies", "PhysicsParams", "ConventionalPhysics"]
 
-SOLAR_CONSTANT = 1361.0  # W/m^2
+
+def _flip(field: np.ndarray) -> np.ndarray:
+    """A 2-D field transposed into a fresh C-contiguous array."""
+    return np.ascontiguousarray(field.T)
+
+
+def _add_surface(acc: np.ndarray, bottom: np.ndarray) -> np.ndarray:
+    """``acc + s`` in place, for a tendency ``s`` that is zero above the
+    lowest level and ``bottom`` on it."""
+    acc[:-1] += 0.0
+    acc[-1] += bottom
+    return acc
 
 
 @dataclass
@@ -110,29 +130,27 @@ class ConventionalPhysics:
         """Launch through (and count on) ``ctx`` from now on."""
         self.ctx = ctx
 
-    # -- individual schemes -------------------------------------------------
+    # -- individual schemes: (ncol, nlev) adapters over the level-major ones --
 
     def radiation(
         self, state: ColumnState, cloud_fraction: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Gray radiation: (gsw, glw, dT_rad)."""
-        prm = self.params
-        return run_radiation(
-            self.ctx, state, cloud_fraction,
-            prm.albedo, prm.sw_absorptivity,
-            prm.lw_emissivity_clear, prm.lw_emissivity_cloud,
-            prm.lw_cooling_rate,
+        gsw, glw, dT = run_radiation(
+            self.ctx, _flip(state.t), _flip(state.q), state.p, state.coszr, cloud_fraction, self.params
         )
+        return gsw, glw, _flip(dT)
 
     def surface_layer(
         self, state: ColumnState
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Bulk fluxes: (dU, dV, dT, dQ tendencies at the lowest level plus
         sensible/latent fluxes)."""
-        prm = self.params
-        return run_surface_layer(
-            self.ctx, state, prm.drag_coefficient, prm.exchange_wind_min
-        )
+        out = run_surface_layer(self.ctx, state, self.params)
+        fields = tuple(np.zeros_like(f) for f in (state.u, state.v, state.t, state.q))
+        for field, bottom in zip(fields, out):
+            field[:, -1] = bottom
+        return fields + out[4:]
 
     def convective_adjustment(self, state: ColumnState, dt_s: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Relax super-critical lapse rates pairwise, conserving enthalpy.
@@ -140,17 +158,17 @@ class ConventionalPhysics:
         Returns (dT, dQ, convective precip rate).  The level loop is short
         (nlev) and fully vectorized over each chunk of columns.
         """
-        prm = self.params
-        return run_convective_adjustment(
-            self.ctx, state, dt_s, prm.critical_lapse, prm.adjust_sweeps
+        dT, dQ, precip = run_convective_adjustment(
+            self.ctx, _flip(state.t), _flip(state.q), state.p, dt_s, self.params
         )
+        return _flip(dT), _flip(dQ), precip
 
     def large_scale_condensation(self, state: ColumnState, dt_s: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Condense supersaturation: (dT, dQ, precip, cloud fraction)."""
-        prm = self.params
-        return run_condensation(
-            self.ctx, state, prm.condensation_timescale, prm.cloud_rh_threshold
+        dT, dQ, precip, cloud = run_condensation(
+            self.ctx, _flip(state.t), _flip(state.q), state.p, self.params
         )
+        return _flip(dT), _flip(dQ), precip, cloud
 
     def boundary_layer_diffusion(
         self, state: ColumnState, dt_s: float
@@ -159,11 +177,16 @@ class ConventionalPhysics:
         surface-intensified diffusivity (reuses the same tridiagonal
         machinery as the ocean's Canuto scheme — one substrate, two
         components)."""
+        mix = self._mixing(state.p, dt_s)
+        fields = (state.u, state.v, state.t, state.q)
+        return tuple(_flip(mix(_flip(f))) for f in fields)  # type: ignore[return-value]
+
+    def _mixing(self, p, dt_s):
+        """The mixing tendency of one level-major field, as a function."""
         from ..ocn.mixing import ColumnDiffusion
 
         prm = self.params
-        p = state.p
-        nlev = state.nlev
+        nlev = len(p)
         # Level "thicknesses" from the pressure spacing (hydrostatic).
         rho_air = p / (287.0 * 260.0)
         edges = np.concatenate([[p[0] - (p[1] - p[0]) / 2],
@@ -180,12 +203,19 @@ class ConventionalPhysics:
         k_iface[-n_pbl:] = prm.pbl_kappa_free + (
             prm.pbl_kappa_surface - prm.pbl_kappa_free
         ) * ramp
-        kappa = np.tile(k_iface[:, None], (1, state.ncol))
 
         column = ColumnDiffusion(dz)
-        factors = column.factor(kappa, dt_s)  # one coefficient set, four right-hand sides
-        fields = (state.u, state.v, state.t, state.q)
-        return tuple((column.solve(factors, f.T.copy()).T - f) / dt_s for f in fields)  # type: ignore[return-value]
+        # kappa is the same in every column: one (nlev, 1) coefficient set
+        # broadcasts over the columns of every right-hand side.
+        factors = column.factor(k_iface[:, None], dt_s)
+
+        def tendency(f: np.ndarray) -> np.ndarray:
+            tend = column.solve(factors, f)
+            tend -= f
+            tend /= dt_s
+            return tend
+
+        return tendency
 
     # -- the full suite -------------------------------------------------------
 
@@ -193,21 +223,30 @@ class ConventionalPhysics:
         """Run all schemes and combine tendencies (process splitting)."""
         if dt_s <= 0:
             raise ValueError("dt_s must be positive")
-        dT_ls, dQ_ls, precip_ls, cloud = self.large_scale_condensation(state, dt_s)
-        gsw, glw, dT_rad = self.radiation(state, cloud)
-        dU_s, dV_s, dT_s_, dQ_s, shflx, lhflx = self.surface_layer(state)
-        dT_cv, dQ_cv, precip_cv = self.convective_adjustment(state, dt_s)
-        dU_bl, dV_bl, dT_bl, dQ_bl = self.boundary_layer_diffusion(state, dt_s)
-
-        return PhysicsTendencies(
-            du=dU_s + dU_bl,
-            dv=dV_s + dV_bl,
-            dt=dT_rad + dT_s_ + dT_cv + dT_ls + dT_bl,
-            dq=dQ_s + dQ_cv + dQ_ls + dQ_bl,
-            gsw=gsw,
-            glw=glw,
-            precip=precip_cv + precip_ls,
-            cloud_fraction=cloud,
-            shflx=shflx,
-            lhflx=lhflx,
-        )
+        t, q = _flip(state.t), _flip(state.q)
+        p, prm = state.p, self.params
+        # dt = dT_rad + dT_s + dT_cv + dT_ls + dT_bl, dq = dQ_s + dQ_cv + dQ_ls
+        # + dQ_bl: added left to right in place (one add commutes, so dQ_s
+        # joins dQ_cv's array); every other temporary dies once added.
+        du_s, dv_s, dT_s, dQ_s, shflx, lhflx = run_surface_layer(self.ctx, state, prm)
+        dT_cv, dq, precip = run_convective_adjustment(self.ctx, t, q, p, dt_s, prm)
+        _add_surface(dq, dQ_s)
+        dT_ls, dQ_ls, precip_ls, cloud = run_condensation(self.ctx, t, q, p, prm)
+        dq += dQ_ls
+        del dQ_ls
+        precip += precip_ls
+        gsw, glw, dt = run_radiation(self.ctx, t, q, p, state.coszr, cloud, prm)
+        _add_surface(dt, dT_s)
+        dt += dT_cv
+        dt += dT_ls
+        del dT_cv, dT_ls
+        # Each tendency goes back to (ncol, nlev) as soon as it is whole.
+        mix = self._mixing(p, dt_s)
+        dt += mix(t)
+        dt = _flip(dt)
+        dq += mix(q)
+        dq = _flip(dq)
+        del t, q
+        du = _flip(_add_surface(mix(_flip(state.u)), du_s))
+        dv = _flip(_add_surface(mix(_flip(state.v)), dv_s))
+        return PhysicsTendencies(du, dv, dt, dq, gsw, glw, precip, cloud, shflx, lhflx)

@@ -45,20 +45,48 @@ __all__ = [
     "laplacian_edge",
     "cell_vector",
     "term_sum",
+    "pairwise_sum",
     "pairwise_finish",
 ]
 
 
 def term_sum(p: np.ndarray) -> np.ndarray:
-    """``out[i] = np.sum(p[:, i])`` for 1..7 terms, bitwise — numpy's row
-    sum over ``p.T`` as whole-column adds instead of one reduction call per
-    row.  numpy sums a row that short left to right onto a ``+0.0`` start
-    (``tests/test_grids_trsk.py`` pins this against the installed numpy)."""
+    """``out[i] = np.sum(p[:, i])`` for 1..7 terms: :func:`pairwise_sum`
+    held to the short rows the dycore sums."""
     if not 0 < len(p) < 8:
         raise ValueError(f"term_sum takes 1..7 terms, got {len(p)}")
-    out = p[0] + 0.0
-    for row in p[1:]:
+    return pairwise_sum(p)
+
+
+def pairwise_sum(p: np.ndarray) -> np.ndarray:
+    """``out[i] = np.add.reduce(p[:, i])`` for ``n >= 1`` terms, bitwise, as
+    whole-row adds.  numpy sums a contiguous row of ``n < 8`` left to right,
+    of ``n <= 128`` in eight strided accumulators combined pairwise then the
+    tail, above that as two halves cut at a multiple of 8 — onto a ``+0.0``
+    start (``tests/test_grids_trsk.py`` pins this against the installed
+    numpy).  Here each half adds its own ``+0.0``; the sum of two halves
+    that are never ``-0.0`` is never ``-0.0``, so the bits agree."""
+    n = len(p)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return pairwise_sum(p[:half]) + pairwise_sum(p[half:])
+    if n < 8:
+        out = p[0] + 0.0
+        for row in p[1:]:
+            out += row
+        return out
+    body = n - n % 8
+    acc = p[:8]
+    if body > 8:
+        acc = acc.copy()
+        for lo in range(8, body, 8):
+            acc += p[lo:lo + 8]
+    pairs = acc[0::2] + acc[1::2]
+    out = pairs[0::2] + pairs[1::2]
+    out = out[0] + out[1]
+    for row in p[body:]:
         out += row
+    out += 0.0
     return out
 
 

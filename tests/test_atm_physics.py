@@ -275,3 +275,104 @@ class TestBoundaryLayer:
         """The full compute now mixes momentum above the surface level."""
         tend = physics.compute(columns, 600.0)
         assert np.abs(tend.du[:, -3]).max() > 0  # interior level touched
+
+
+def _seeded_state(ncol, nlev, seed):
+    """Noisy columns: unstable lapse pairs, supersaturated and dry levels,
+    night columns, and signed zeros in the lowest winds."""
+    rng = np.random.default_rng(seed)
+    p = pressure_levels(nlev)
+    t_ref, q_ref = reference_profiles(p)
+    q = q_ref * rng.uniform(0.3, 1.8, (ncol, nlev))
+    q[:3] = 0.0
+    u = rng.normal(0.0, 10.0, (ncol, nlev))
+    u[:4, -1] = -0.0
+    t = t_ref + rng.normal(0.0, 4.0, (ncol, nlev))
+    t[-1] = 250.0  # isothermal: a column convection leaves alone
+    return ColumnState(
+        u=u, v=rng.normal(0.0, 10.0, (ncol, nlev)), t=t, q=q, p=p,
+        tskin=288.0 + rng.normal(0.0, 5.0, ncol),
+        coszr=np.clip(rng.uniform(-0.5, 1.0, ncol), 0.0, 1.0),
+    )
+
+
+def _digests(physics, state, dt_s=900.0):
+    import hashlib
+
+    def sha(arrays):
+        return [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16] for a in arrays]
+
+    tend = physics.compute(state, dt_s)
+    return {
+        "compute": sha(vars(tend).values()),
+        "large_scale_condensation": sha(physics.large_scale_condensation(state, dt_s)),
+        "surface_layer": sha(physics.surface_layer(state)),
+    }
+
+
+# SHA-256 prefixes recorded from the (ncol, nlev) row-major suite, before it
+# ran level-major.  Every conventional state digest rests on these bytes: a
+# failing pin is a real change of the physics, not a constant to re-record.
+_PINNED = {
+    (300, 30): {
+        "compute": [
+            "ef1dcb2a452bcdaa", "5617688e1f95bb54", "5ae17ed07fb2ff2b", "90e6dd4522dce541",
+            "4bcde7a43aa11899", "5068fc162553ad77", "8b43caccc0d59593", "42156df7ffc743a8",
+            "2c405f898acd5816", "e18cfe03939f5d1b",
+        ],
+        "large_scale_condensation": [
+            "3184c2646ded85d9", "36ac3adf36e04923", "d1bf3ad637d5250b", "42156df7ffc743a8",
+        ],
+        "surface_layer": [
+            "57db1e78c182760f", "5af385dc01b4642c", "24226a4a44812eb8", "bb667eb3bafceacb",
+            "2c405f898acd5816", "e18cfe03939f5d1b",
+        ],
+    },
+    (97, 12): {
+        "compute": [
+            "82c2c48d6749006a", "6c6a2908bd490a7b", "3b37e6df9926bd10", "786f544a947e9d13",
+            "8cfa8277bd5b8e55", "d2d9cb7e8fb2c61f", "fbf08e6150c746dc", "1f88cf76cf5fb46c",
+            "b6d7e46bd69d1a07", "6e0a82644753119b",
+        ],
+        "large_scale_condensation": [
+            "fe4cc15e5daa2a77", "3cc5017b2829d05c", "3eaa37b95e2fe514", "1f88cf76cf5fb46c",
+        ],
+        "surface_layer": [
+            "cb7dd8fd48d5b882", "07c4aa4e6468719b", "e7cb29f61e991a09", "b74196ab62a19bfc",
+            "b6d7e46bd69d1a07", "6e0a82644753119b",
+        ],
+    },
+}
+
+
+class TestBitsPinned:
+    @pytest.mark.parametrize("shape", sorted(_PINNED))
+    def test_outputs_pinned(self, physics, shape):
+        state = _seeded_state(*shape, seed=sum(shape))
+        assert _digests(physics, state) == _PINNED[shape]
+
+
+@pytest.fixture(scope="module")
+def procpool():
+    from repro.pp import ProcPool
+
+    space = ProcPool(2)
+    yield space
+    space.runtime.shutdown()
+
+
+class TestCutIndependence:
+    @pytest.mark.parametrize("shape", sorted(_PINNED))
+    def test_compute_identical_on_every_cut(self, procpool, shape):
+        """A kernel reads its chunk as a slice, so chunks that start past
+        column 0 (which the one-lane serial path never runs) must give the
+        same bytes: ``Serial``, 7 and 64 lanes, and a 2-worker pool."""
+        from repro.component import ComponentContext
+        from repro.pp import ExecutionSpace, Serial
+
+        state = _seeded_state(*shape, seed=11)
+        spaces = [Serial(), ExecutionSpace("cut", lanes=7), ExecutionSpace("cut", lanes=64), procpool]
+        dispatched = procpool.runtime.stats.dispatches
+        got = [_digests(ConventionalPhysics(ctx=ComponentContext(space)), state) for space in spaces]
+        assert all(g == got[0] for g in got[1:])
+        assert procpool.runtime.stats.dispatches > dispatched  # the pool ran the chunks

@@ -241,6 +241,58 @@ def test_column_sums_are_numpys_row_sum(k):
     assert got.tobytes() == np.sum(rows, axis=1).tobytes()
 
 
+def _hard_rows(rng, shape):
+    """Mixed magnitudes, cancellation, signed zeros and non-finite rows."""
+    rows = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
+    rows[:5] = -0.0
+    rows[5:10, 0] = -0.0
+    rows[10:15] = np.where(rng.random((5, shape[1])) < 0.5, -0.0, 0.0)
+    rows[15, -1] = np.inf
+    rows[16, 0] = np.nan
+    rows[17, 0] = -np.inf
+    rows[18] = rows[18, 0]
+    rows[18, shape[1] // 2 :] *= -1.0
+    rows[19, ::2] = 1e16
+    rows[19, 1::2] = 1.0
+    return rows
+
+
+def test_pairwise_sum_is_numpys_add_reduce():
+    """``pairwise_sum`` over the leading axis equals ``np.add.reduce`` of
+    each contiguous row bitwise, for every length through both of numpy's
+    block sizes (8 accumulators, halving above 128)."""
+    rng = np.random.default_rng(2024)
+    for n in range(1, 301):
+        rows = _hard_rows(rng, (400, n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.add.reduce(rows, axis=1)
+            got = trsk.pairwise_sum(np.ascontiguousarray(rows.T))
+        assert got.tobytes() == want.tobytes(), n
+        if n >= 8:  # the order is what is pinned: left to right differs
+            assert np.cumsum(rows, axis=1)[:, -1].tobytes() != want.tobytes(), n
+
+
+def test_level_product_is_numpys_prod():
+    """The cloud overlap's product down 30 levels, taken left to right as
+    whole rows, is ``np.prod`` over a contiguous row bitwise."""
+    rng = np.random.default_rng(30)
+    rows = rng.uniform(0.5, 1.0, (4000, 30)) * 10.0 ** rng.integers(-40, 40, (4000, 30))
+    rows[:5, 3] = -0.0
+    rows[5, 7] = np.inf
+    rows[6, 0] = np.nan
+    rows[7, 1] = 0.0
+    rows[7, 2] = np.inf
+    p = np.ascontiguousarray(rows.T)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        got = p[0].copy()
+        for row in p[1:]:
+            got *= row
+        want = np.prod(rows, axis=1)
+        reversed_order = np.prod(rows[:, ::-1], axis=1)
+    assert got.tobytes() == want.tobytes()
+    assert reversed_order.tobytes() != want.tobytes()
+
+
 def test_term_sum_takes_short_rows_only():
     for k in (0, 8):
         with pytest.raises(ValueError, match="1..7"):
