@@ -19,6 +19,7 @@ from .scheduler import (
     TaskDomainScheduler,
     paper_layout,
 )
+from .twin import first_difference, snapshot
 from .config import (
     AP3ESM_CONFIGS,
     COUPLING_FREQUENCIES_PER_DAY,
@@ -64,6 +65,8 @@ __all__ = [
     "TaskDomainScheduler",
     "PAPER_DOMAINS",
     "paper_layout",
+    "snapshot",
+    "first_difference",
     "GristGridConfig",
     "LicomGridConfig",
     "AP3ESMPairing",

@@ -1,48 +1,34 @@
 """Chaos harness: prove a coupled run survives an injected fault plan.
 
 ``run_chaos`` executes a :class:`~repro.resilience.faults.FaultPlan`
-end to end, in (up to) three stages:
+end to end; each stage runs only when the plan holds its faults:
 
-1. **Comm stage** — replays the plan's comm faults through a 4-rank
-   simulated world driving a p2p :class:`~repro.coupler.Rearranger`
-   between two block decompositions, with the configured retry budget
-   and receive timeout.  The faulted transfer is compared bit for bit
-   against a fault-free twin: transient faults must be fully *masked*
-   (retried sends deliver the identical buffered payload); drops, kills,
-   and corruption must surface as structured errors or as an unmasked
-   difference — never as a hang.
-2. **Crash stage** — runs the coupled model with the physics injector
-   installed until ``crash_at_coupling``, damages checkpoints on disk
-   per the plan, then builds a *fresh* model, recovers from the newest
-   valid checkpoint (corrupt sets are skipped and counted), and resumes
-   to the target coupling count.
-3. **Bitwise twin** — a no-crash model with the same configuration and
-   the same (step-keyed) physics faults runs straight through; the
-   recovered run's final state must match it bit for bit, because
-   replayed steps re-inject identically and recovery restores exact
-   state.
+* **comm** — the plan's comm faults through a 4-rank p2p
+  :class:`~repro.coupler.Rearranger` with the configured retry budget:
+  transient faults must be *masked* (each rank's payload equals a
+  fault-free twin's); drops, kills and corruption must surface as
+  structured errors or an unmasked difference — never as a hang;
+* **kill** — the elastic loop
+  (:class:`~repro.resilience.elastic.ElasticFieldRun`) over the
+  configuration's barotropic ocean under ``shrink`` and ``spare``: the
+  kill must fire and be recovered, and both continuations must end equal
+  to the serial solver;
+* **ensemble** (member-scoped faults) — both
+  :class:`~repro.resilience.supervisor.FleetSupervisor` modes against
+  never-faulted twin fleets: quarantine survivors and restarted members;
+* **service** (``worker_kill`` faults) — the :mod:`repro.serve` job
+  service killed between EVERY pair of journal records and restarted:
+  restart sets equal to an uninterrupted twin's, one completed record
+  per job;
+* **crash + twin** — run to ``crash_at_coupling``, damage checkpoints
+  per the plan, recover a *fresh* model from the newest valid set and
+  resume; a no-crash twin with the same step-keyed physics faults runs
+  straight through and the two must end equal, because replayed steps
+  re-inject identically and recovery restores exact state.
 
-Plans with ``kill`` faults run a **kill stage**: the elastic loop
-(:class:`~repro.resilience.elastic.ElasticFieldRun`) over the
-configuration's distributed barotropic ocean, once under ``shrink`` and
-once under ``spare``.  The kill must fire and be recovered, and both
-continuations must end bitwise-identical to the serial solver.
-
-Plans with *member-scoped* faults (a ``member`` key on physics or comm
-entries) additionally run an **ensemble stage**: a batched fleet under
-the :class:`~repro.resilience.supervisor.FleetSupervisor` proves both
-recovery modes — quarantine (survivors bitwise-identical to a fleet
-that never held the faulted members' faults) and checkpoint-rollback
-restart (every member bitwise-identical to its never-faulted twin).
-
-Plans with *service* faults (``worker_kill`` entries) run a **service
-stage**: the :mod:`repro.serve` scenario job service is killed between
-EVERY pair of journal records (both instants around each append) and
-restarted; every kill point must recover — journal replay + checkpoint
-resume + publish adoption — with each completed job's restart set
-bitwise-identical to an uninterrupted twin's and exactly one completed
-record per job in the whole journal history.
-
+"Equal" is one check, :func:`repro.esm.twin.first_difference` (of
+snapshots, ``eta`` / ``u`` / ``v``, payloads or restart-file bytes):
+same dtype, shape and bytes, so ``±0.0`` differ and equal NaNs match.
 The report totals every nonzero ``resilience.*``,
 ``ensemble.supervisor.*`` and ``serve.*`` counter so an experiment where
 nothing was actually injected (or nothing actually recovered) is
@@ -52,11 +38,13 @@ visible, not silently green.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..esm.twin import first_difference, snapshot
 from ..obs import NULL_OBS, Obs
 from ..obs.export import counter_totals
 from ..utils.rng import seeded
@@ -234,9 +222,8 @@ def _comm_stage(plan: FaultPlan, res, obs: Obs, report: ChaosReport) -> None:
         cause = exc.__cause__ if exc.__cause__ is not None else exc
         report.comm_error = f"{type(cause).__name__}: {cause}"
         return
-    report.comm_masked = all(
-        np.array_equal(a, b) for a, b in zip(faulted, clean)
-    )
+    report.comm_masked = first_difference(dict(enumerate(faulted)),
+                                          dict(enumerate(clean))) is None
 
 
 # -- stage 1b: kill-and-continue (elastic recovery) ------------------------
@@ -280,19 +267,18 @@ def _kill_stage(plan: FaultPlan, config, obs: Obs, report: ChaosReport) -> None:
     for _ in range(shrink.steps):
         serial, _ = solver.step(serial, solver.max_stable_dt())
 
-    def bitwise(out) -> bool:
-        return all(
-            np.array_equal(getattr(out.state, f), getattr(serial, f))
-            for f in ("eta", "u", "v")
-        )
-
     report.kill_ranks = len({p for e in shrink.recoveries for p in e.dead_parents})
     report.shrink_recovered = shrink.survived_failure
     report.shrink_ranks_after = shrink.n_ranks
-    report.shrink_bitwise_identical = bitwise(shrink)
+    report.shrink_bitwise_identical = (
+        first_difference(vars(shrink.state), vars(serial)) is None
+    )
     if shrink.recoveries and shrink.recoveries[-1].sypd_degraded is not None:
         report.shrink_sypd_degraded = shrink.recoveries[-1].sypd_degraded
-    report.spare_bitwise_identical = bitwise(run(RecoveryPolicy.SPARE))
+    spare = run(RecoveryPolicy.SPARE)
+    report.spare_bitwise_identical = (
+        first_difference(vars(spare.state), vars(serial)) is None
+    )
 
 
 # -- stage 1c: ensemble fleet supervisor -----------------------------------
@@ -340,7 +326,7 @@ def _ensemble_stage(
         ), obs=obs_handle)
         ens.init()
         ens.run_couplings(couplings)
-        states = [_final_state(m) for m in ens.members]
+        states = [snapshot(m) for m in ens.members]
         ens.finalize()
         return ens, states
 
@@ -351,10 +337,8 @@ def _ensemble_stage(
     survivors = [k for k in range(members) if quarantined.supervisor.alive[k]]
     report.ensemble_quarantine_bitwise = (
         set(report.ensemble_quarantined) == targets
-        and all(
-            np.array_equal(q_states[k][f], twin_states[k][f])
-            for k in survivors for f in q_states[k]
-        )
+        and all(first_difference(q_states[k], twin_states[k]) is None
+                for k in survivors)
     )
 
     with tempfile.TemporaryDirectory(prefix="chaos-ensemble-") as d:
@@ -362,42 +346,18 @@ def _ensemble_stage(
         report.ensemble_restart_bitwise = (
             all(restarted.supervisor.alive)
             and restarted.supervisor.restarts > 0
-            and all(
-                np.array_equal(r_states[k][f], twin_states[k][f])
-                for k in range(members) for f in r_states[k]
-            )
+            and all(first_difference(r_states[k], twin_states[k]) is None
+                    for k in range(members))
         )
 
 
 # -- stage 1d: scenario-service kill sweep ---------------------------------
 
 
-def _dirs_bitwise_equal(a, b) -> bool:
-    from pathlib import Path
-
-    a, b = Path(a), Path(b)
-    files_a = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
-    files_b = sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
-    if files_a != files_b:
-        return False
-    return all((a / rel).read_bytes() == (b / rel).read_bytes()
-               for rel in files_a)
-
-
-def _completed_record_counts(journal_path) -> Dict[str, int]:
-    """Per-job count of ``completed`` state records in a journal — the
-    exactly-once ledger (adoption and replay must never double it)."""
-    import json
-
-    counts: Dict[str, int] = {}
-    for line in journal_path.read_text().splitlines():
-        try:
-            body = json.loads(line)["body"]
-        except (ValueError, KeyError):
-            continue
-        if body.get("event") == "state" and body.get("state") == "completed":
-            counts[body["job_id"]] = counts.get(body["job_id"], 0) + 1
-    return counts
+def _tree(root) -> Dict[str, np.ndarray]:
+    """A published restart tree as ``{relative path: file bytes}``."""
+    return {str(p.relative_to(root)): np.frombuffer(p.read_bytes(), np.uint8)
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def _service_stage(
@@ -427,6 +387,7 @@ def _service_stage(
     from pathlib import Path
 
     from ..serve import JobScheduler, JobSpec, JobStore, ServeConfig, ServiceCrash
+    from ..serve.journal import read_journal
 
     res = config.resilience
     every = res.checkpoint_every if res.checkpoint_every > 0 else 2
@@ -464,18 +425,21 @@ def _service_stage(
         base = Path(d)
         twin_root = base / "twin"
         twin, _ = service_life(twin_root, with_faults=False)
-        twin_dirs = {s.job_id: twin.runner.published_dir(s.job_id)
-                     for s in specs}
+        twin_trees = {s.job_id: _tree(twin.runner.published_dir(s.job_id))
+                      for s in specs}
+
+        def published_bitwise(sched) -> bool:
+            return all(
+                first_difference(_tree(sched.runner.published_dir(s.job_id)),
+                                 twin_trees[s.job_id]) is None
+                for s in specs
+            )
 
         ref_root = base / "ref"
         ref, _ = service_life(ref_root, count_obs=obs)
         records = ref.store.appends
         report.service_journal_records = records
-        bitwise = all(
-            _dirs_bitwise_equal(ref.runner.published_dir(s.job_id),
-                                twin_dirs[s.job_id])
-            for s in specs
-        )
+        bitwise = published_bitwise(ref)
 
         crash_points = 0
         exactly_once = True
@@ -496,14 +460,16 @@ def _service_stage(
                 if final.store.counts().get("completed", 0) != len(specs):
                     bitwise = False  # a job was lost
                     continue
-                bitwise = bitwise and all(
-                    _dirs_bitwise_equal(final.runner.published_dir(s.job_id),
-                                        twin_dirs[s.job_id])
-                    for s in specs
+                bitwise = bitwise and published_bitwise(final)
+                # The exactly-once ledger: every decoded `completed` record
+                # in file order (adoption and replay must never double one).
+                done = Counter(
+                    body["job_id"] for _, body in read_journal(final.store.path)
+                    if body.get("event") == "state"
+                    and body.get("state") == "completed"
                 )
-                done = _completed_record_counts(final.store.path)
                 exactly_once = exactly_once and all(
-                    done.get(s.job_id) == 1 for s in specs
+                    done[s.job_id] == 1 for s in specs
                 )
         report.service_crash_points = crash_points
         report.service_bitwise = bitwise
@@ -511,19 +477,6 @@ def _service_stage(
 
 
 # -- stages 2+3: crash, recover, and the bitwise twin ----------------------
-
-
-def _final_state(model) -> Dict[str, np.ndarray]:
-    """Every component's declared state (``ComponentBase.STATE``) plus the
-    coupler clock: what a recovered run must reproduce bit for bit."""
-    state = {
-        f"{comp.name}.{key}": arr.copy()
-        for comp in model.components
-        for key, arr in comp.state().items()
-    }
-    state["clock.time"] = np.asarray(model.clock.time)
-    state["n_couplings"] = np.asarray(float(model.n_couplings))
-    return state
 
 
 def _build_model(config, obs, plan: FaultPlan, count_obs):
@@ -537,8 +490,7 @@ def _build_model(config, obs, plan: FaultPlan, count_obs):
         )
     return model
 
-def _corrupt_planned(plan: FaultPlan, manager) -> List[str]:
-    damaged = []
+def _corrupt_planned(plan: FaultPlan, manager) -> None:
     ckpts = manager.checkpoints()
     for i, fault in enumerate(plan.checkpoints):
         if not ckpts:
@@ -548,8 +500,6 @@ def _corrupt_planned(plan: FaultPlan, manager) -> List[str]:
             victim, fault.kind,
             rng=seeded("chaos-corrupt", plan.seed, i),
         )
-        damaged.append(victim.name)
-    return damaged
 
 
 def _crash_stage(
@@ -577,7 +527,7 @@ def _crash_stage(
     restored = survivor.recover()
     report.recovered_from = restored.name
     survivor.run_couplings(couplings - survivor.n_couplings)
-    state = _final_state(survivor)
+    state = snapshot(survivor)
     survivor.scheduler.shutdown()
 
     # The twin never crashes (and never checkpoints — same physics
@@ -591,12 +541,10 @@ def _crash_stage(
     )
     twin = _build_model(twin_config, None, plan, count_obs=None)
     twin.run_couplings(couplings)
-    twin_state = _final_state(twin)
+    twin_state = snapshot(twin)
     twin.scheduler.shutdown()
 
-    report.bitwise_identical = all(
-        np.array_equal(state[k], twin_state[k]) for k in state
-    )
+    report.bitwise_identical = first_difference(state, twin_state) is None
 
 
 def run_chaos(

@@ -29,7 +29,7 @@ beyond what the repaired decomposition requires.  Only the dead ranks'
 cells are read from the checkpoint.  All ranks then replay the steps
 since the checkpoint.  The distributed solver is bitwise equal to the
 serial one under any slab cut, so both the shrink and the spare
-continuation end ``array_equal`` to the serial
+continuation end byte-identical to the serial
 :class:`~repro.ocn.barotropic.BarotropicSolver` from the same initial
 state.
 """

@@ -39,7 +39,7 @@ import json
 import os
 import zlib
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 try:  # POSIX; exclusivity degrades to best-effort elsewhere
     import fcntl
@@ -50,7 +50,7 @@ from ..io.restart import write_atomic_text
 from ..obs import NULL_OBS
 from .spec import JobRecord, JobSpec, ServeError, ServiceCrash
 
-__all__ = ["JobStore"]
+__all__ = ["JobStore", "read_journal"]
 
 _JOURNAL = "journal.jsonl"
 _LOCKFILE = ".serve.lock"
@@ -63,6 +63,25 @@ def _canonical(body: Dict) -> str:
 
 def _crc(body: Dict) -> int:
     return zlib.crc32(_canonical(body).encode("utf-8"))
+
+
+def read_journal(path: Union[str, Path]) -> Iterator[Tuple[int, Dict]]:
+    """The one record decoder: ``(seq, body)`` per record in file order,
+    up to the first torn, other-version or bad-CRC line (the valid prefix)."""
+    with Path(path).open("r", encoding="utf-8") as f:
+        for line in f:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+                body = rec["body"]
+                if rec["v"] != _VERSION or rec["crc"] != _crc(body):
+                    return
+                seq = int(rec["seq"])
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                return
+            yield seq, body
 
 
 class JobStore:
@@ -135,29 +154,15 @@ class JobStore:
         applied = 0
         if not self.path.exists():
             return 0
-        with self.path.open("r", encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                    if rec["v"] != _VERSION:
-                        break
-                    body = rec["body"]
-                    if rec["crc"] != _crc(body):
-                        break
-                    seq = int(rec["seq"])
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                    break  # torn tail: the valid prefix is the journal
-                if seq <= self._seq:
-                    continue  # duplicated record: idempotent replay skips
-                if seq != self._seq + 1 and self._seq != 0:
-                    break  # a gap means a damaged suffix
-                self._seq = seq
-                self._apply(body)
-                applied += 1
-                self._since_snapshot += 1
+        for seq, body in read_journal(self.path):
+            if seq <= self._seq:
+                continue  # duplicated record: idempotent replay skips
+            if seq != self._seq + 1 and self._seq != 0:
+                break  # a gap means a damaged suffix
+            self._seq = seq
+            self._apply(body)
+            applied += 1
+            self._since_snapshot += 1
         self.obs.counter("serve.journal.replayed_records").inc(applied)
         return applied
 

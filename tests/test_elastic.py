@@ -16,6 +16,7 @@ import pytest
 
 from repro.coupler import GlobalSegMap, Router
 from repro.grids.remap import index_remap
+from repro.esm import first_difference, snapshot
 from repro.obs import NULL_OBS, Obs
 from repro.parallel import (
     RankFailure,
@@ -190,10 +191,6 @@ def ocean():
     return grid, initial, serial
 
 
-def _equal_state(a, b):
-    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("eta", "u", "v"))
-
-
 class TestElasticFieldRun:
     def _run(self, tmp_path, ocean, policy, faults=None, obs=NULL_OBS):
         grid, initial, _ = ocean
@@ -213,7 +210,7 @@ class TestElasticFieldRun:
         assert out.survived_failure
         assert out.n_ranks == 3
         # re-cut to three slabs, the continuation is the serial ocean's bits
-        assert _equal_state(out.state, ocean[2])
+        assert first_difference(vars(out.state), vars(ocean[2])) is None
         event = out.recoveries[0]
         assert event.policy == "shrink"
         assert event.dead == (2,)
@@ -234,7 +231,7 @@ class TestElasticFieldRun:
         out = self._run(tmp_path, ocean, "spare", faults=KILL_PLAN)
         assert out.survived_failure
         assert out.n_ranks == 4  # decomposition unchanged
-        assert _equal_state(out.state, ocean[2])
+        assert first_difference(vars(out.state), vars(ocean[2])) is None
         assert out.recoveries[0].dead_parents == (2,)
         assert out.recoveries[0].cells_restored == 8 * 48
 
@@ -242,7 +239,7 @@ class TestElasticFieldRun:
         for policy in ("abort", "shrink", "spare"):
             out = self._run(tmp_path, ocean, policy)
             assert not out.survived_failure
-            assert _equal_state(out.state, ocean[2])
+            assert first_difference(vars(out.state), vars(ocean[2])) is None
 
     def test_policy_parse_rejects_unknown(self):
         assert RecoveryPolicy.parse("Shrink") is RecoveryPolicy.SHRINK
@@ -345,13 +342,13 @@ class TestCoupledRecovery:
         twin = AP3ESM(cfg)
         twin.init()
         twin.run_couplings(couplings)
-        return twin.ocn.t.copy(), twin.atm.t_col.copy()
+        return snapshot(twin)
 
     @pytest.mark.parametrize("policy", ["shrink", "spare"])
     def test_recovers_and_matches_twin(self, tmp_path, policy):
         from repro.esm import AP3ESM
 
-        twin_ocn, twin_atm = self._twin_state(tmp_path)
+        twin = self._twin_state(tmp_path)
         model = AP3ESM(_coupled_config(tmp_path / policy, policy))
         model.init()
         assert model._recovery is not None
@@ -362,8 +359,7 @@ class TestCoupledRecovery:
         assert event["policy"] == policy
         assert event["domain"] == "domain2"
         assert event["restored_to_coupling"] <= event["failed_at_coupling"]
-        assert np.array_equal(model.ocn.t, twin_ocn)
-        assert np.array_equal(model.atm.t_col, twin_atm)
+        assert first_difference(snapshot(model), twin) is None
         if policy == "shrink":
             assert model.scheduler.degraded == {"domain2": 1}
             assert model.task_domains()["domain2"]["lost_ranks"] == 1
@@ -377,7 +373,7 @@ class TestCoupledRecovery:
         bitwise-identical to the serial fault-free twin."""
         from repro.esm import AP3ESM
 
-        twin_ocn, twin_atm = self._twin_state(tmp_path)
+        twin = self._twin_state(tmp_path)
         model = AP3ESM(
             _coupled_config(tmp_path / "conc", "shrink", concurrent=True)
         )
@@ -387,8 +383,7 @@ class TestCoupledRecovery:
         model.scheduler.shutdown()
         assert len(model.recovery_events) == 1
         assert model.recovery_events[0]["domain"] == "domain2"
-        assert np.array_equal(model.ocn.t, twin_ocn)
-        assert np.array_equal(model.atm.t_col, twin_atm)
+        assert first_difference(snapshot(model), twin) is None
 
     def test_concurrent_domain_kill_abort_surfaces_cleanly(self, tmp_path):
         """Under the default abort policy the same kill surfaces as a

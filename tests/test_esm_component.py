@@ -12,8 +12,10 @@ from repro.esm import (
     TaskDomain,
     TaskDomainScheduler,
     default_mixed_policy,
+    first_difference,
     paper_layout,
     precision_policy,
+    snapshot,
 )
 from repro.obs import Obs
 from repro.precision import Precision
@@ -60,9 +62,7 @@ class TestComponentProtocol:
             assert state, comp.name
             copied = {k: np.array(v, copy=True) for k, v in state.items()}
             comp.set_state(copied)
-            after = comp.state()
-            for key, value in copied.items():
-                assert np.array_equal(after[key], value), f"{comp.name}.{key}"
+            assert first_difference(copied, comp.state()) is None, comp.name
 
     def test_context_namespaces_state(self, serial_model):
         keys = serial_model.ctx.namespaced_state(serial_model.ocn)
@@ -170,8 +170,7 @@ def test_component_base_contract(name, bound, tmp_path):
     second.load_restart(tmp_path)
     _advance(second)
     assert (second.time, second.n_steps) == (straight.time, straight.n_steps)
-    for key, value in straight.state().items():
-        assert np.array_equal(second.state()[key], value), f"{name}.{key}"
+    assert first_difference(straight.state(), second.state()) is None, name
 
     # set_state: partial dicts rebind only what they name, unknown keys
     # are ignored, and state() hands back the live arrays.
@@ -201,10 +200,7 @@ def test_coupled_restart_at_split_point(split, tmp_path):
     second.init()
     second.load_restart(tmp_path)
     second.run_couplings(m)
-    assert second.n_couplings == straight.n_couplings
-    for got, want in zip(second.components, straight.components):
-        for key, value in want.state().items():
-            assert np.array_equal(got.state()[key], value), f"{got.name}.{key}"
+    assert first_difference(snapshot(straight), snapshot(second)) is None
 
 
 class TestTaskDomainScheduler:
@@ -266,11 +262,7 @@ class TestConcurrentSchedule:
         conc = AP3ESM(AP3ESMConfig(concurrent_domains=True, **TINY))
         conc.init()
         conc.run_couplings(12)
-        for comp_s, comp_c in zip(serial_model.components, conc.components):
-            for key, value in comp_s.state().items():
-                assert np.array_equal(value, comp_c.state()[key]), (
-                    f"{comp_s.name}.{key}"
-                )
+        assert first_difference(snapshot(serial_model), snapshot(conc)) is None
         assert conc.ocn.n_steps == serial_model.ocn.n_steps
 
     def test_procs_backend_bitwise_identical_to_serial(self, serial_model):
@@ -281,11 +273,7 @@ class TestConcurrentSchedule:
         procs.init()
         try:
             procs.run_couplings(12)
-            for comp_s, comp_p in zip(serial_model.components, procs.components):
-                for key, value in comp_s.state().items():
-                    assert np.array_equal(value, comp_p.state()[key]), (
-                        f"{comp_s.name}.{key}"
-                    )
+            assert first_difference(snapshot(serial_model), snapshot(procs)) is None
             stats = procs.pool_stats()
             assert stats is not None
             assert stats.workers == 2
@@ -330,12 +318,9 @@ class TestConcurrentSchedule:
             )
             m.init()
             m.run_couplings(10)
-            states.append({
-                f"{c.name}.{k}": np.ascontiguousarray(v).tobytes()
-                for c in m.components for k, v in c.state().items()
-            })
+            states.append(snapshot(m))
             m.finalize()
-        assert states[0] == states[1]
+        assert first_difference(*states) is None
 
 
 class TestPrecisionCoupled:
@@ -385,8 +370,7 @@ class TestPrecisionCoupled:
         ice = serial_model.ice
         before = {k: np.array(v, copy=True) for k, v in ice.state().items()}
         ctx.apply_precision(ice)
-        for key, value in before.items():
-            assert np.array_equal(ice.state()[key], value)
+        assert first_difference(before, ice.state()) is None
 
     def test_default_mixed_policy_keeps_accumulators_fp64(self):
         policy = default_mixed_policy()

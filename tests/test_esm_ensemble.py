@@ -18,7 +18,9 @@ from repro.esm import (
     ComponentContext,
     EnsembleConfig,
     EnsembleRun,
+    first_difference,
     precision_policy,
+    snapshot,
 )
 from repro.obs import Obs
 
@@ -31,27 +33,12 @@ def _small_config(**overrides) -> AP3ESMConfig:
     return AP3ESMConfig(**kwargs)
 
 
-def _atm_state(model):
-    atm = model.atm
-    return {
-        "h": atm.swe.h.copy(), "u": atm.swe.u.copy(),
-        "t_col": np.asarray(atm.t_col).copy(),
-        "q_col": np.asarray(atm.q_col).copy(),
-        "tskin": np.asarray(atm.tskin).copy(),
-    }
-
-
 def _kernel_counts(member):
     """{kernel: (launches, iterations)} of one member's metrics pool."""
     return {
         k: (row["launches"], row["iterations"])
         for k, row in member.ctx.metrics.summary().items()
     }
-
-
-def _assert_state_equal(a, b):
-    for key in a:
-        assert np.array_equal(a[key], b[key]), f"field {key} differs"
 
 
 class TestEnsembleConfig:
@@ -85,12 +72,9 @@ class TestPerturbations:
         ens.init()
         solo = AP3ESM(_small_config())
         solo.init()
-        assert np.array_equal(ens.members[0].atm.t_col, solo.atm.t_col)
-        t0 = np.asarray(ens.members[0].atm.t_col)
-        t1 = np.asarray(ens.members[1].atm.t_col)
-        t2 = np.asarray(ens.members[2].atm.t_col)
-        assert not np.array_equal(t0, t1)
-        assert not np.array_equal(t1, t2)
+        s0, s1, s2 = map(snapshot, ens.members)
+        assert first_difference(s0, snapshot(solo)) is None
+        assert first_difference(s0, s1) == first_difference(s1, s2) == "atm.t_col"
 
     def test_perturbations_deterministic(self):
         a = EnsembleRun(EnsembleConfig(base=_small_config(), members=2,
@@ -99,19 +83,18 @@ class TestPerturbations:
         b = EnsembleRun(EnsembleConfig(base=_small_config(), members=2,
                                        perturb_seed=7))
         b.init()
-        assert np.array_equal(a.members[1].atm.t_col, b.members[1].atm.t_col)
+        assert first_difference(snapshot(a), snapshot(b)) is None
         c = EnsembleRun(EnsembleConfig(base=_small_config(), members=2,
                                        perturb_seed=8))
         c.init()
-        assert not np.array_equal(a.members[1].atm.t_col,
-                                  c.members[1].atm.t_col)
+        # Only member 1's atmosphere temperature is perturbed.
+        assert first_difference(snapshot(a), snapshot(c)) == "member1.atm.t_col"
 
     def test_zero_amplitude_disables_perturbation(self):
         ens = EnsembleRun(EnsembleConfig(base=_small_config(), members=2,
                                          perturb_amplitude=0.0))
         ens.init()
-        assert np.array_equal(ens.members[0].atm.t_col,
-                              ens.members[1].atm.t_col)
+        assert first_difference(*map(snapshot, ens.members)) is None
 
 
 class TestLockstepBitwise:
@@ -124,7 +107,6 @@ class TestLockstepBitwise:
         solo = AP3ESM(_small_config())
         solo.init()
         solo.run_couplings(self.COUPLINGS)
-        solo._wait_ocean()
         return solo
 
     def _run_ensemble(self, batch):
@@ -137,9 +119,7 @@ class TestLockstepBitwise:
     def test_member0_bitwise_vs_solo_batched(self):
         solo = self._run_solo()
         ens = self._run_ensemble(batch=True)
-        _assert_state_equal(_atm_state(solo), _atm_state(ens.members[0]))
-        assert np.array_equal(solo.ocn.t, ens.members[0].ocn.t)
-        assert np.array_equal(solo.ocn.u, ens.members[0].ocn.u)
+        assert first_difference(snapshot(solo), snapshot(ens.members[0])) is None
         # Perturbed members really diverged.
         assert not np.array_equal(ens.members[0].atm.t_col,
                                   ens.members[1].atm.t_col)
@@ -147,8 +127,7 @@ class TestLockstepBitwise:
     def test_batched_equals_unbatched_stepping(self):
         batched = self._run_ensemble(batch=True)
         plain = self._run_ensemble(batch=False)
-        for mb, mp in zip(batched.members, plain.members):
-            _assert_state_equal(_atm_state(mb), _atm_state(mp))
+        assert first_difference(snapshot(batched), snapshot(plain)) is None
 
     def test_fleet_call_accounting(self):
         ens = self._run_ensemble(batch=True)
@@ -402,11 +381,6 @@ def _session(kind, directory, policy="abort"):
             ["member0/", "member1/"])
 
 
-def _session_state(session):
-    members = getattr(session, "members", [session])
-    return [comp.state() for m in members for comp in m.components]
-
-
 @pytest.mark.parametrize("kind", ["solo", "fleet"])
 def test_coupled_session_conformance(tmp_path, kind):
     """AP3ESM and EnsembleRun expose one session surface: init /
@@ -434,7 +408,6 @@ def test_coupled_session_conformance(tmp_path, kind):
     armed, _ = _session(kind, tmp_path / "armed", policy="spare")
     armed.init()
     armed.run_couplings(6)
-    for got, want in zip(_session_state(armed), _session_state(session)):
-        _assert_state_equal(want, got)
+    assert first_difference(snapshot(session), snapshot(armed)) is None
     session.finalize()
     armed.finalize()

@@ -4,10 +4,9 @@ escalation, FaultPlan member scoping, and the EnsembleRun lifecycle
 fixes that ride along (teardown on failed init, pool shutdown on a
 raising finalize)."""
 
-import numpy as np
 import pytest
 
-from repro.esm import AP3ESM, AP3ESMConfig, EnsembleConfig, EnsembleRun
+from repro.esm import AP3ESM, AP3ESMConfig, EnsembleConfig, EnsembleRun, first_difference, snapshot
 from repro.obs import Obs
 from repro.resilience import (
     CommFault,
@@ -56,20 +55,6 @@ def _fleet(members=3, policy="fail_fast", plan=None, batch=True,
     ens.init()
     ens.run_couplings(couplings)
     return ens
-
-
-def _state(m):
-    return {
-        "h": m.atm.swe.h.copy(), "u": m.atm.swe.u.copy(),
-        "t_col": np.asarray(m.atm.t_col).copy(),
-        "ocn.t": m.ocn.t.copy(), "ocn.u": m.ocn.u.copy(),
-    }
-
-
-def _assert_members_equal(a, b):
-    sa, sb = _state(a), _state(b)
-    for key in sa:
-        assert np.array_equal(sa[key], sb[key]), f"field {key} differs"
 
 
 class TestFaultPlanMemberScoping:
@@ -153,7 +138,8 @@ class TestQuarantine:
         # that contains them, so a 2-member clean fleet is the twin.
         clean = _fleet(members=2, batch=batch)
         for k in (0, 1):
-            _assert_members_equal(faulted.members[k], clean.members[k])
+            assert first_difference(snapshot(faulted.members[k]),
+                                    snapshot(clean.members[k])) is None
         # The quarantined member stopped at the failed coupling.
         assert faulted.members[2].n_couplings < COUPLINGS
         assert faulted.members[0].n_couplings == COUPLINGS
@@ -192,9 +178,7 @@ class TestRestart:
         assert sup.events[0].replayed_couplings > 0
         assert sup.events[0].restored_from is not None
         twin = _fleet(members=3)
-        for k in range(3):
-            _assert_members_equal(faulted.members[k], twin.members[k])
-            assert faulted.members[k].n_couplings == COUPLINGS
+        assert first_difference(snapshot(faulted), snapshot(twin)) is None
 
     def test_armed_but_fault_free_fleet_is_bitwise_clean(self, tmp_path):
         armed = _fleet(members=2, policy="restart",
@@ -203,8 +187,7 @@ class TestRestart:
         assert armed.supervisor.events == []
         plain = _fleet(members=2)
         assert plain.supervisor is None
-        for k in range(2):
-            _assert_members_equal(armed.members[k], plain.members[k])
+        assert first_difference(snapshot(armed), snapshot(plain)) is None
 
     def test_restart_cap_escalates_to_quarantine(self, tmp_path):
         # A 4-coupling timeout window defeats rollback-and-replay: the
@@ -249,12 +232,10 @@ class TestFleetCheckpoints:
         try:
             assert ens.supervisor.quarantined == [2]
             assert [self._steps(ens, k) for k in range(3)] == [[2, 4], [2, 4], []]
-            survivors = [_state(ens.members[k]) for k in (0, 1)]
+            survivors = [snapshot(ens.members[k]) for k in (0, 1)]
             assert ens.recover() == 4
             for k, before in zip((0, 1), survivors):
-                after = _state(ens.members[k])
-                for key in before:
-                    assert np.array_equal(before[key], after[key]), key
+                assert first_difference(before, snapshot(ens.members[k])) is None
             assert ens.has_checkpoint()
             assert len(ens.checkpoint()) == 2
         finally:

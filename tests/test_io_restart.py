@@ -134,7 +134,7 @@ class TestAtmRestartContract:
 
 class TestCoupledRestartContract:
     def test_coupled_run_save_load_run_is_bitwise(self, tmp_path):
-        from repro.esm import AP3ESM, AP3ESMConfig
+        from repro.esm import AP3ESM, AP3ESMConfig, first_difference, snapshot
 
         def fresh():
             m = AP3ESM(AP3ESMConfig(
@@ -155,8 +155,4 @@ class TestCoupledRestartContract:
         assert resumed.n_couplings == 5
         resumed.run_couplings(5)
 
-        assert np.array_equal(resumed.atm.swe.h, reference.atm.swe.h)
-        assert np.array_equal(resumed.ocn.t, reference.ocn.t)
-        assert np.array_equal(resumed.ice.thickness, reference.ice.thickness)
-        assert np.array_equal(resumed.lnd.bucket, reference.lnd.bucket)
-        assert resumed.clock.time == reference.clock.time
+        assert first_difference(snapshot(resumed), snapshot(reference)) is None
