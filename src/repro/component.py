@@ -46,7 +46,7 @@ import numpy as np
 
 from .io import restart as _restart
 from .obs import NULL_OBS
-from .pp import KERNELS, BoundKernel, ExecutionSpace, KernelMetrics, KernelRegistry, Serial, parallel_for
+from .pp import KERNELS, ExecutionSpace, KernelMetrics, KernelRegistry, Serial
 from .precision import Precision, PrecisionPolicy
 
 __all__ = [
@@ -129,8 +129,8 @@ class ComponentContext:
         kernel, run it over ``policy`` (a flat count or an
         :class:`~repro.pp.MDRangePolicy`) on this context's space, and
         count the launch in this context's metrics pool."""
-        parallel_for(
-            self.space, policy, BoundKernel(self.kernels.lookup(handle), args),
+        self.kernels.launch(
+            self.space, handle, policy, *args,
             stats=self.metrics.stats(self.kernels.stats_name(handle)),
         )
 

@@ -27,7 +27,7 @@ import json
 import time
 import zipfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Union
 
@@ -75,7 +75,6 @@ class CouplerCache:
     hits: int = 0
     misses: int = 0
     build_time_saved_s: float = 0.0
-    _index: Dict[str, str] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)

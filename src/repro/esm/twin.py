@@ -4,9 +4,11 @@ names the leaf that differs."""
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict
 
 import numpy as np
+
+from ..utils import first_difference
 
 __all__ = ["snapshot", "first_difference"]
 
@@ -28,16 +30,3 @@ def snapshot(session) -> Dict[str, np.ndarray]:
     state["n_couplings"] = np.array(float(session.n_couplings))
     return state
 
-
-def first_difference(a: Mapping, b: Mapping) -> Optional[str]:
-    """The first leaf, in ``a``'s order, missing from one side or differing
-    in dtype, shape or bytes; ``None`` when the two are identical.  Unlike
-    ``np.array_equal``: ``-0.0`` differs from ``+0.0``, equal NaNs match,
-    and fp32 never equals fp64."""
-    for leaf in [*a, *(k for k in b if k not in a)]:
-        if leaf not in a or leaf not in b:
-            return leaf
-        x, y = np.asarray(a[leaf]), np.asarray(b[leaf])
-        if x.dtype != y.dtype or x.shape != y.shape or x.tobytes() != y.tobytes():
-            return leaf
-    return None

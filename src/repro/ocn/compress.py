@@ -28,6 +28,7 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 from ..parallel.decomp import Block2D, block_ranges
+from ..utils import first_difference
 
 __all__ = [
     "Compressor",
@@ -89,7 +90,7 @@ def compressed_equals_full(
     full = np.where(compressor.mask3d, kernel(field), field)
     packed = compressor.decompress(kernel(compressor.compress(field)))
     packed = np.where(compressor.mask3d, packed, field)
-    return bool(np.array_equal(full, packed))
+    return first_difference({"f": full}, {"f": packed}) is None
 
 
 def wet_partition(mask3d: np.ndarray, n_ranks: int) -> np.ndarray:

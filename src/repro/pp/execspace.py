@@ -10,13 +10,12 @@ applied to disjoint slices, every cut produces bit-identical results —
 the property tested by ``tests/test_pp_kernels.py`` and claimed in §5.3.
 
 A space is an **executor** and nothing else: a name, a lane count and
-four overridable hooks (``run_chunks`` / ``map_chunks`` / ``run_tiles`` /
-``map_tiles``).  What a device *costs* is a descriptor's business —
-:class:`repro.machine.ProcessorSpec` prices a kernel, and nothing in
-``repro.pp`` returns modeled seconds.  The base class executes every
-chunk or tile serially in-process; the one other executor — the
-shared-memory :func:`repro.pp.procpool.ProcPool` — overrides the hooks to
-fan the same decomposition across host cores.  The kernel layer
+one overridable hook, :meth:`ExecutionSpace.run`.  What a device *costs*
+is a descriptor's business — :class:`repro.machine.ProcessorSpec` prices
+a kernel, and nothing in ``repro.pp`` returns modeled seconds.  The base
+class executes every tile serially in-process; the one other executor —
+the shared-memory :func:`repro.pp.procpool.ProcPool` — overrides ``run``
+to fan the same decomposition across host cores.  The kernel layer
 (:mod:`repro.pp.kernels`) decides *what* the chunks are; the space
 decides only *where* they execute, which is how the serial path stays
 bitwise-identical when the parallel executor is swapped in.
@@ -24,8 +23,8 @@ bitwise-identical when the parallel executor is swapped in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, List, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,22 +33,32 @@ __all__ = ["ExecutionSpace", "Serial", "KernelStats"]
 
 @dataclass
 class KernelStats:
-    """Per-space accumulated kernel launch statistics.
+    """One kernel's accumulated launch statistics.
 
     ``seconds`` accumulates measured wall time per launch (supplied by the
     kernel layer, which times each dispatch) — the raw signal the
     measurement-calibrated machine model (:mod:`repro.machine.calibrate`)
-    fits its per-kernel cost terms against.
+    fits its per-kernel cost terms against.  With an ``obs`` handle each
+    ``record`` is mirrored as ``pp.<kernel>.launches`` (counter),
+    ``pp.<kernel>.iterations`` (histogram) and ``pp.<kernel>.seconds``
+    (counter).
     """
 
     launches: int = 0
     iterations: int = 0
     seconds: float = 0.0
+    kernel: str = field(default="kernel", repr=False, compare=False)
+    obs: Optional[Any] = field(default=None, repr=False, compare=False)
 
     def record(self, n: int, seconds: float = 0.0) -> None:
         self.launches += 1
         self.iterations += n
         self.seconds += seconds
+        if self.obs is not None:
+            self.obs.counter(f"pp.{self.kernel}.launches").inc()
+            self.obs.histogram(f"pp.{self.kernel}.iterations").observe(float(n))
+            if seconds > 0.0:
+                self.obs.counter(f"pp.{self.kernel}.seconds").inc(seconds)
 
 
 @dataclass(frozen=True)
@@ -87,36 +96,21 @@ class ExecutionSpace:
             if hi > lo:
                 yield np.arange(lo, hi, dtype=np.int64)
 
-    # -- execution hooks (overridden by real parallel backends) ------------
+    # -- the execution hook (overridden by real parallel backends) --------
 
-    def run_chunks(self, functor: Callable, chunks: Sequence[np.ndarray]) -> None:
-        """Execute ``functor(chunk)`` for every chunk (side effects only).
+    def run(self, functor: Callable, tiles: Sequence[Tuple[np.ndarray, ...]],
+            pure: bool = False) -> List:
+        """``[functor(*tile) for tile in tiles]``, in tile order.
 
-        The base class runs serially in-process; a real backend may fan
-        the chunks across workers, provided writes land in the caller's
-        arrays (see :mod:`repro.pp.procpool`).
+        A flat launch passes each chunk as a one-axis tile ``(chunk,)``.
+        The base class runs serially in-process; a backend may compute the
+        tiles concurrently, but writes must land in the caller's arrays
+        (see :mod:`repro.pp.procpool`) and the returned list is always
+        ordered like ``tiles`` — the fixed-order pairwise reduction tree in
+        :func:`repro.pp.kernels.parallel_reduce` relies on this.  ``pure``
+        declares the functor free of side effects on its array arguments
+        (Kokkos reducer contract): only its return values matter.
         """
-        for chunk in chunks:
-            functor(chunk)
-
-    def map_chunks(self, functor: Callable, chunks: Sequence[np.ndarray]) -> List:
-        """``[functor(chunk) for chunk in chunks]``, in chunk order.
-
-        Backends may compute the results concurrently, but the returned
-        list is always ordered like ``chunks`` — the fixed-order pairwise
-        reduction tree in :func:`repro.pp.kernels.parallel_reduce` relies
-        on this.  Functors used with ``map_chunks`` must be pure with
-        respect to their array arguments (Kokkos reducer contract).
-        """
-        return [functor(chunk) for chunk in chunks]
-
-    def run_tiles(self, functor: Callable, tiles: Sequence[Tuple[np.ndarray, ...]]) -> None:
-        """Execute ``functor(*tile)`` for every MDRange tile."""
-        for tile in tiles:
-            functor(*tile)
-
-    def map_tiles(self, functor: Callable, tiles: Sequence[Tuple[np.ndarray, ...]]) -> List:
-        """``[functor(*tile) for tile in tiles]``, in tile order."""
         return [functor(*tile) for tile in tiles]
 
 

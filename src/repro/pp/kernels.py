@@ -210,27 +210,25 @@ def parallel_for(
     Returns a :class:`TileProfile` when ``profile=True`` and the policy is
     an MDRange.
     """
+    prof = None
     if isinstance(policy, MDRangePolicy):
+        n = policy.n_iterations
         tiles = policy.tiles(space)
-        t0 = time.perf_counter() if stats is not None else 0.0
-        space.run_tiles(functor, tiles)
-        elapsed = time.perf_counter() - t0 if stats is not None else 0.0
-        prof = None
+        t0 = time.perf_counter()
+        space.run(functor, tiles)
+        elapsed = time.perf_counter() - t0
         if profile:
             prof = TileProfile()
             for tile in tiles:
                 prof.record(tuple(len(ix) for ix in tile))
-        if stats is not None:
-            stats.record(policy.n_iterations, elapsed)
-        return prof
-    n = int(policy)
-    if stats is not None:
-        t0 = time.perf_counter()
-        space.run_chunks(functor, list(space.chunks(n)))
-        stats.record(n, time.perf_counter() - t0)
     else:
-        space.run_chunks(functor, list(space.chunks(n)))
-    return None
+        n = int(policy)
+        t0 = time.perf_counter()
+        space.run(functor, [(c,) for c in space.chunks(n)])
+        elapsed = time.perf_counter() - t0
+    if stats is not None:
+        stats.record(n, elapsed)
+    return prof
 
 
 def parallel_reduce(
@@ -259,10 +257,10 @@ def parallel_reduce(
     t0 = time.perf_counter() if stats is not None else 0.0
     if isinstance(policy, MDRangePolicy):
         n = policy.n_iterations
-        partials = space.map_tiles(functor, policy.tiles())
+        partials = space.run(functor, policy.tiles(), pure=True)
     else:
         n = int(policy)
-        partials = space.map_chunks(functor, reduction_chunks(n))
+        partials = space.run(functor, [(c,) for c in reduction_chunks(n)], pure=True)
     if stats is not None:
         stats.record(n, time.perf_counter() - t0)
     if not partials:
@@ -319,8 +317,9 @@ def parallel_scan(
     chunk_list = reduction_chunks(n)
     starts = np.array([c[0] for c in chunk_list], dtype=np.int64)
     totals = np.zeros((len(chunk_list),) + values.shape[1:], dtype=out.dtype)
-    space.run_chunks(
-        BoundKernel(_scan_local, (values, out, totals, starts)), chunk_list
+    space.run(
+        BoundKernel(_scan_local, (values, out, totals, starts)),
+        [(c,) for c in chunk_list],
     )
     offset = np.zeros_like(values[0])
     for k, chunk in enumerate(chunk_list):

@@ -5,9 +5,10 @@ serially in-process.  ``ProcPool`` actually occupies the host: a
 persistent ``multiprocessing`` worker pool executes chunks and tiles
 concurrently, with kernel array arguments staged into
 ``multiprocessing.shared_memory`` segments so workers map them zero-copy
-(:class:`SharedView`).  Dispatch goes through the same four execution
-hooks every space implements, so ``parallel_for`` / ``parallel_reduce`` /
-``parallel_scan`` and all registered component kernels run unchanged —
+(:class:`SharedView`).  Dispatch goes through the one execution hook
+every space implements, ``ExecutionSpace.run``, so ``parallel_for`` /
+``parallel_reduce`` / ``parallel_scan`` and all registered component
+kernels run unchanged —
 and, because the chunk decomposition and the fixed-order combine tree are
 space-independent, **bit-for-bit identically** to the serial backend
 (the §5.1 validation property).
@@ -15,18 +16,16 @@ space-independent, **bit-for-bit identically** to the serial backend
 What parallelizes, and what falls back
 --------------------------------------
 
-* Side-effecting paths (``run_chunks`` / ``run_tiles``) ship work to the
-  pool only for :class:`~repro.pp.kernels.BoundKernel` functors — a
-  module-level kernel bound to its arguments, the form every
-  ``KernelRegistry.launch`` produces.  Worker writes land in the caller's
-  arrays because every ndarray argument is remapped into shared memory
-  and copied back after the dispatch.  Closures cannot make that
-  guarantee (their captured arrays would be silently copied by fork/
-  pickle and the writes lost), so they run in-process, counted as
-  fallbacks.
-* Pure paths (``map_chunks`` / ``map_tiles`` — the reducer contract) also
-  accept any picklable functor, since only the *return values* travel
-  back.
+* Side-effecting launches (``pure=False``) ship work to the pool only for
+  :class:`~repro.pp.kernels.BoundKernel` functors — a module-level kernel
+  bound to its arguments, the form every ``KernelRegistry.launch``
+  produces.  Worker writes land in the caller's arrays because every
+  ndarray argument is remapped into shared memory and copied back after
+  the dispatch.  Closures cannot make that guarantee (their captured
+  arrays would be silently copied by fork/pickle and the writes lost), so
+  they run in-process, counted as fallbacks.
+* Pure launches (``pure=True`` — the reducer contract) also accept any
+  picklable functor, since only the *return values* travel back.
 * Single-chunk launches and unpicklable functors always fall back to
   in-process execution; correctness never depends on the pool.
 
@@ -116,27 +115,10 @@ def _unpack_index(spec) -> np.ndarray:
     return spec
 
 
-def _exec_bound(fn: Callable, arg_specs: Tuple, idx_specs: List, tiled: bool) -> List:
-    """Run a batch of chunks/tiles of one bound kernel in this worker."""
+def _exec(fn: Callable, arg_specs: Tuple, tiles: List) -> List:
+    """Run a batch of tiles of one kernel in this worker."""
     args = tuple(_attach(a) if isinstance(a, SharedView) else a for a in arg_specs)
-    out = []
-    for spec in idx_specs:
-        if tiled:
-            out.append(fn(*(_unpack_index(s) for s in spec), *args))
-        else:
-            out.append(fn(_unpack_index(spec), *args))
-    return out
-
-
-def _exec_plain(functor: Callable, idx_specs: List, tiled: bool) -> List:
-    """Run a batch of chunks/tiles of a self-contained picklable functor."""
-    out = []
-    for spec in idx_specs:
-        if tiled:
-            out.append(functor(*(_unpack_index(s) for s in spec)))
-        else:
-            out.append(functor(_unpack_index(spec)))
-    return out
+    return [fn(*(_unpack_index(ix) for ix in tile), *args) for tile in tiles]
 
 
 # -- parent side -----------------------------------------------------------
@@ -310,17 +292,12 @@ class ProcPoolRuntime:
         except Exception:
             return False
 
-    def _fallback(self) -> None:
-        self.stats.fallbacks += 1
-        if self.obs is not None:
-            self.obs.counter("pp.procpool.fallbacks").inc()
-
     def _stage_args(self, args: Tuple):
         """Replace ndarray args with SharedViews; returns (specs, staged).
 
         Deduplicates by object identity so aliased arguments share one
         segment (writes through either name stay coherent in workers).
-        Returns ``None`` if an argument cannot cross the boundary.
+        Returns ``(None, None)`` if an argument cannot cross the boundary.
         """
         specs: List[Any] = []
         staged: Dict[int, Tuple[np.ndarray, shared_memory.SharedMemory]] = {}
@@ -344,8 +321,8 @@ class ProcPoolRuntime:
                 specs.append(a)
         return specs, staged
 
-    def _submit(self, worker_fn, payloads: List[Tuple]) -> List:
-        batches = self._pool.starmap(worker_fn, payloads)
+    def _submit(self, payloads: List[Tuple]) -> List:
+        batches = self._pool.starmap(_exec, payloads)
         self.stats.dispatches += 1
         self.stats.tasks += len(payloads)
         if self.obs is not None:
@@ -357,47 +334,41 @@ class ProcPoolRuntime:
             )
         return [r for batch in batches for r in batch]
 
-    def _batched(self, idx_sets: Sequence, tiled: bool) -> List[List]:
-        """Pack index sets into at most ``2 * n_workers`` ordered batches."""
-        n_tasks = min(len(idx_sets), self.n_workers * 2)
-        bounds = np.linspace(0, len(idx_sets), n_tasks + 1).astype(int)
-        packed = [
-            tuple(_pack_index(ix) for ix in s) if tiled else _pack_index(s)
-            for s in idx_sets
-        ]
+    def _batched(self, tiles: Sequence) -> List[List]:
+        """Pack tiles into at most ``2 * n_workers`` ordered batches."""
+        n_tasks = min(len(tiles), self.n_workers * 2)
+        bounds = np.linspace(0, len(tiles), n_tasks + 1).astype(int)
+        packed = [tuple(_pack_index(ix) for ix in t) for t in tiles]
         return [
             list(packed[lo:hi])
             for lo, hi in zip(bounds[:-1], bounds[1:])
             if hi > lo
         ]
 
-    def try_bound(
-        self,
-        functor: Callable,
-        idx_sets: Sequence,
-        tiled: bool,
-        writeback: bool,
-    ) -> Optional[List]:
-        """Dispatch a BoundKernel launch; ``None`` means caller must fall back."""
-        if not isinstance(functor, BoundKernel) or len(idx_sets) < 2:
-            self._fallback()
-            return None
-        if not self._fn_picklable(functor.fn):
-            self._fallback()
-            return None
-        specs, staged = self._stage_args(functor.args)
-        if specs is None:
-            self._fallback()
+    def dispatch(self, functor: Callable, tiles: Sequence, pure: bool) -> Optional[List]:
+        """Fan ``functor`` over ``tiles`` across the pool, results in tile
+        order; ``None`` means the caller must run them in-process.
+
+        A :class:`BoundKernel` ships its ``fn`` and stages its ndarray
+        arguments; a bare functor ships whole, and only when ``pure``.
+        Staged arrays are copied back unless ``pure``.
+        """
+        bound = isinstance(functor, BoundKernel)
+        fn, args = (functor.fn, functor.args) if bound else (functor, ())
+        specs = staged = None
+        if len(tiles) >= 2 and (bound or pure) and self._fn_picklable(fn):
+            specs, staged = self._stage_args(args)
+        if staged is None:
+            self.stats.fallbacks += 1
+            if self.obs is not None:
+                self.obs.counter("pp.procpool.fallbacks").inc()
             return None
         self.ensure_started()
         try:
-            payloads = [
-                (functor.fn, tuple(specs), batch, tiled)
-                for batch in self._batched(idx_sets, tiled)
-            ]
-            results = self._submit(_exec_bound, payloads)
+            payloads = [(fn, tuple(specs), batch) for batch in self._batched(tiles)]
+            results = self._submit(payloads)
         finally:
-            if writeback:
+            if not pure:
                 for a, shm in staged.values():
                     if a.flags.writeable:
                         a[...] = np.ndarray(a.shape, dtype=a.dtype, buffer=shm.buf)
@@ -405,64 +376,23 @@ class ProcPoolRuntime:
                 self._arena.release(shm)
         return results
 
-    def try_plain(self, functor: Callable, idx_sets: Sequence, tiled: bool) -> Optional[List]:
-        """Dispatch a pure self-contained functor (map paths only)."""
-        if len(idx_sets) < 2 or not self._fn_picklable(functor):
-            self._fallback()
-            return None
-        self.ensure_started()
-        payloads = [
-            (functor, batch, tiled) for batch in self._batched(idx_sets, tiled)
-        ]
-        return self._submit(_exec_plain, payloads)
-
 
 @dataclass(frozen=True)
 class ProcPoolSpace(ExecutionSpace):
-    """ExecutionSpace whose hooks fan chunks/tiles across a worker pool.
+    """ExecutionSpace whose ``run`` fans tiles across a worker pool.
 
     Decomposition (``chunks`` / ``reduction_chunks`` / tiles) is inherited
     unchanged, so results are bitwise-identical to Serial; only the
     *where* changes.  Launches the pool cannot take (closure functors on
-    write paths, single chunks, unpicklable anything) run in-process via
-    the base-class hooks and are counted as fallbacks.
+    write paths, single tiles, unpicklable anything) run in-process via
+    the base-class ``run`` and are counted as fallbacks.
     """
 
     runtime: ProcPoolRuntime = field(default=None)  # type: ignore[assignment]
 
-    def run_chunks(self, functor, chunks) -> None:
-        if isinstance(functor, BoundKernel):
-            if self.runtime.try_bound(functor, chunks, tiled=False, writeback=True) is not None:
-                return
-        else:
-            self.runtime._fallback()
-        super().run_chunks(functor, chunks)
-
-    def run_tiles(self, functor, tiles) -> None:
-        if isinstance(functor, BoundKernel):
-            if self.runtime.try_bound(functor, tiles, tiled=True, writeback=True) is not None:
-                return
-        else:
-            self.runtime._fallback()
-        super().run_tiles(functor, tiles)
-
-    def map_chunks(self, functor, chunks):
-        if isinstance(functor, BoundKernel):
-            out = self.runtime.try_bound(functor, chunks, tiled=False, writeback=False)
-        else:
-            out = self.runtime.try_plain(functor, chunks, tiled=False)
-        if out is not None:
-            return out
-        return super().map_chunks(functor, chunks)
-
-    def map_tiles(self, functor, tiles):
-        if isinstance(functor, BoundKernel):
-            out = self.runtime.try_bound(functor, tiles, tiled=True, writeback=False)
-        else:
-            out = self.runtime.try_plain(functor, tiles, tiled=True)
-        if out is not None:
-            return out
-        return super().map_tiles(functor, tiles)
+    def run(self, functor, tiles, pure=False):
+        out = self.runtime.dispatch(functor, tiles, pure)
+        return super().run(functor, tiles, pure) if out is None else out
 
 
 def ProcPool(n_workers: Optional[int] = None) -> ProcPoolSpace:
@@ -476,8 +406,4 @@ def ProcPool(n_workers: Optional[int] = None) -> ProcPoolSpace:
     n = n_workers if n_workers is not None else (mp.cpu_count() or 1)
     if n < 1:
         raise ValueError("n_workers must be >= 1")
-    return ProcPoolSpace(
-        name="ProcPool",
-        lanes=n,
-        runtime=ProcPoolRuntime(n),
-    )
+    return ProcPoolSpace(name="ProcPool", lanes=n, runtime=ProcPoolRuntime(n))

@@ -3,17 +3,15 @@
 ``parallel_for``/``parallel_reduce`` accept a :class:`KernelStats`
 accumulator but know nothing about :mod:`repro.obs`.  This module closes
 the gap without coupling the layers: :class:`KernelMetrics` is the
-per-context pool handing one named accumulator to each kernel, and each
-accumulator's ``record`` also publishes a launch counter and an
-iteration histogram to the pool's obs-like handle (anything with
-``counter``/``histogram`` methods — :class:`repro.obs.Obs` satisfies
-this by construction), so a ``--trace`` run shows kernel-level activity
-alongside the spans.
+per-context pool handing one named accumulator to each kernel, built with
+the pool's obs-like handle (anything with ``counter``/``histogram``
+methods — :class:`repro.obs.Obs` satisfies this by construction) so each
+``record`` also publishes a launch counter and an iteration histogram,
+and a ``--trace`` run shows kernel-level activity alongside the spans.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from .execspace import KernelStats
@@ -41,7 +39,7 @@ class KernelMetrics:
     def stats(self, kernel: str) -> KernelStats:
         acc = self._stats.get(kernel)
         if acc is None:
-            acc = self._stats[kernel] = _Published(kernel=kernel, obs=self.obs)
+            acc = self._stats[kernel] = KernelStats(kernel=kernel, obs=self.obs)
         return acc
 
     def summary(self) -> Dict[str, Dict[str, float]]:
@@ -55,18 +53,3 @@ class KernelMetrics:
             for name, acc in sorted(self._stats.items())
         }
 
-
-@dataclass
-class _Published(KernelStats):
-    """One of a pool's accumulators: counts, then mirrors into ``obs``."""
-
-    kernel: str = "kernel"
-    obs: Optional[Any] = None
-
-    def record(self, n: int, seconds: float = 0.0) -> None:
-        super().record(n, seconds)
-        if self.obs is not None:
-            self.obs.counter(f"pp.{self.kernel}.launches").inc()
-            self.obs.histogram(f"pp.{self.kernel}.iterations").observe(float(n))
-            if seconds > 0.0:
-                self.obs.counter(f"pp.{self.kernel}.seconds").inc(seconds)

@@ -1,5 +1,7 @@
-"""Shared utilities: namelists, units/constants, deterministic RNG."""
+"""Shared utilities: namelists, units/constants, deterministic RNG, the
+bitwise compare."""
 
+from .bitwise import first_difference
 from .namelist import NamelistError, parse_namelist, read_namelist, write_namelist
 from .rng import derive_seed, seeded
 from .units import (
@@ -18,6 +20,7 @@ from .units import (
 )
 
 __all__ = [
+    "first_difference",
     "parse_namelist",
     "read_namelist",
     "write_namelist",

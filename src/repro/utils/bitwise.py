@@ -1,0 +1,23 @@
+"""The one bitwise compare of two ``{leaf: array}`` mappings."""
+
+from __future__ import annotations
+
+from typing import Mapping, Optional
+
+import numpy as np
+
+__all__ = ["first_difference"]
+
+
+def first_difference(a: Mapping, b: Mapping) -> Optional[str]:
+    """The first leaf, in ``a``'s order, missing from one side or differing
+    in dtype, shape or bytes; ``None`` when the two are identical.  Unlike
+    ``np.array_equal``: ``-0.0`` differs from ``+0.0``, equal NaNs match,
+    and fp32 never equals fp64."""
+    for leaf in [*a, *(k for k in b if k not in a)]:
+        if leaf not in a or leaf not in b:
+            return leaf
+        x, y = np.asarray(a[leaf]), np.asarray(b[leaf])
+        if x.dtype != y.dtype or x.shape != y.shape or x.tobytes() != y.tobytes():
+            return leaf
+    return None

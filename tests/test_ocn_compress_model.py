@@ -47,6 +47,17 @@ class TestCompressor:
 
         assert compressed_equals_full(comp, kernel, field)
 
+    def test_kernel_equivalence_sees_signed_zero(self, mask3d):
+        """The compare is byte for byte: a kernel that yields -0.0 only on
+        the packed path breaks the equivalence that np.array_equal misses."""
+        comp = Compressor(mask3d)
+        field = np.ones(mask3d.shape)
+
+        def kernel(x):
+            return np.zeros_like(x) * (-1.0 if x.ndim == 1 else 1.0)
+
+        assert not compressed_equals_full(comp, kernel, field)
+
     def test_memory_bytes(self, mask3d):
         comp = Compressor(mask3d)
         full, packed = comp.memory_bytes(n_fields=4)

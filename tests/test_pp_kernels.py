@@ -64,6 +64,31 @@ def test_all_spaces_bit_identical():
             assert np.array_equal(got, ref), lanes
 
 
+@dataclasses.dataclass(frozen=True)
+class _RecordingSpace(ExecutionSpace):
+    """Overrides only ``run``: records (tile rank, pure) per launch."""
+
+    calls: list = dataclasses.field(default_factory=list)
+
+    def run(self, functor, tiles, pure=False):
+        self.calls.append((len(tiles[0]), pure))
+        return super().run(functor, tiles, pure)
+
+
+def test_one_run_hook_sees_every_launch_kind():
+    """Every launch kind goes through ``ExecutionSpace.run``: flat and
+    MDRange ``parallel_for`` and ``parallel_scan`` write (``pure=False``),
+    ``parallel_reduce`` is pure; the results are Serial()'s bits."""
+    space = _RecordingSpace("rec", lanes=3)
+    for got, ref in zip(_every_launch_kind(space, n=5000),
+                        _every_launch_kind(Serial(), n=5000)):
+        assert np.array_equal(got, ref)
+    x = np.random.default_rng(5).standard_normal((12, 7))
+    tiled = parallel_reduce(space, MDRangePolicy((12, 7)), BoundKernel(_bit_tile_partial, (x,)))
+    assert tiled == parallel_reduce(Serial(), MDRangePolicy((12, 7)), BoundKernel(_bit_tile_partial, (x,)))
+    assert space.calls == [(1, False), (2, False), (1, True), (1, False), (2, True)]
+
+
 def test_chunks_partition_disjoint():
     space = cut(64)
     seen = np.zeros(1000, dtype=int)

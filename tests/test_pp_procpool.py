@@ -7,6 +7,8 @@ falling back in-process (never crashing, never losing writes) for
 functors it cannot ship.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,10 @@ def _fill_tile(kz, jy, out):
 
 def _chunk_sum(idx, x):
     return x[idx].sum()
+
+
+def _tile_sum(kz, jy, x):
+    return x[np.ix_(kz, jy)].sum()
 
 
 def _rw_alias(idx, a, b):
@@ -119,6 +125,27 @@ def test_lambda_reduce_falls_back_correctly(pool):
     x = np.arange(10_000, dtype=float)
     total = parallel_reduce(pool, len(x), lambda idx: x[idx].sum())
     assert total == parallel_reduce(Serial(), len(x), lambda idx: x[idx].sum())
+
+
+def test_picklable_plain_functor_reduce_dispatches_once(pool):
+    """A pure launch ships any picklable functor, not only a BoundKernel."""
+    x = np.random.default_rng(6).standard_normal(30_000) * 1e6
+    functor = functools.partial(_chunk_sum, x=x)
+    st = pool.runtime.stats
+    before, fallbacks = st.dispatches, st.fallbacks
+    r_p = parallel_reduce(pool, len(x), functor)
+    assert (st.dispatches, st.fallbacks) == (before + 1, fallbacks)
+    assert np.asarray(r_p).tobytes() == np.asarray(parallel_reduce(Serial(), len(x), functor)).tobytes()
+
+
+def test_mdrange_reduce_bitwise_vs_serial(pool):
+    x = np.random.default_rng(7).standard_normal((40, 30)) * 1e6
+    policy = MDRangePolicy(extents=(40, 30))
+    before = pool.runtime.stats.dispatches
+    r_p = parallel_reduce(pool, policy, BoundKernel(_tile_sum, (x,)))
+    assert pool.runtime.stats.dispatches == before + 1
+    assert np.asarray(r_p).tobytes() == np.asarray(
+        parallel_reduce(Serial(), policy, BoundKernel(_tile_sum, (x,)))).tobytes()
 
 
 def test_aliased_array_args_share_one_segment(pool):
