@@ -5,9 +5,9 @@ The AI physics suite (§5.2.1) needs exactly two architectures — an
 one-dimensional convolution along the vertical column", and a 7-layer MLP
 with residual connections — so this module implements the minimal layer
 zoo for them: Dense, Conv1d (same-padded), ReLU/Tanh, LayerNorm, ResUnit,
-and Flatten.  Every layer exposes ``forward``/``backward``/``parameters``
-and every backward pass is verified against finite differences in the
-test suite.
+and Flatten.  Every layer exposes ``forward`` (which records the tape),
+``backward``, ``parameters`` and ``infer`` (``forward``'s bits, no tape);
+every backward pass is verified against finite differences in the tests.
 
 Dtype: ``forward`` computes in its input's dtype.  Parameters are stored
 (and trained) in fp64; :class:`Dense` and :class:`Conv1d` cast them to an
@@ -24,6 +24,7 @@ layout the physics suite, the training archive and saved weights use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,6 +43,7 @@ __all__ = [
     "ResidualDense",
     "Flatten",
     "Transpose",
+    "Workspace",
     "row_stable_matmul",
 ]
 
@@ -70,22 +72,54 @@ def row_stable_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     The loop is :func:`_blocked_matmul`'s, which :class:`Conv1d` also runs
     on patch blocks written just before each GEMM: the same shape and bytes.
     """
-    return _blocked_matmul(a.shape[0], w, a.dtype, lambda i, n: a[i:i + n])
+    out = np.empty((a.shape[0], w.shape[1]), dtype=np.result_type(a, w))
+    return _blocked_matmul(a.shape[0], w, a.dtype, lambda i, n: a[i:i + n], out, Workspace())
 
 
-def _blocked_matmul(m: int, w: np.ndarray, dtype, rows) -> np.ndarray:
-    """``A @ w`` for the ``(m, K)`` operand ``A`` handed over one block at a
-    time: ``rows(i, n)`` returns its rows ``i..i+n`` (``n <= _ROW_BLOCK``)."""
-    out = np.empty((m, w.shape[1]), dtype=np.result_type(dtype, w))
+def _blocked_matmul(m: int, w: np.ndarray, dtype, rows, out, ws, b=None, res=None, relu=False):
+    """``out = A @ w`` for the ``(m, K)`` operand ``A`` handed over one block
+    at a time: ``rows(i, n)`` returns its rows ``i..i+n`` (``n <= _ROW_BLOCK``).
+    Each block then gets ``+= b``, ``+= res`` (a residual block's input, may
+    be ``out``) and ReLU while cache-resident, in ``forward``'s order."""
     for i in range(0, m, _ROW_BLOCK):
         n = min(_ROW_BLOCK, m - i)
-        if n == _ROW_BLOCK:
-            np.matmul(rows(i, n), w, out=out[i:i + n])
-        else:
-            tail = np.zeros((_ROW_BLOCK, w.shape[0]), dtype=dtype)
-            tail[:n] = rows(i, n)
-            out[i:] = (tail @ w)[:n]
+        a, dst = rows(i, n), out[i:i + n]
+        if n < _ROW_BLOCK:
+            tail = ws.view("tail", (_ROW_BLOCK, w.shape[0]), dtype)
+            tail[:n], tail[n:] = a, 0.0
+            a = tail
+        direct = n == _ROW_BLOCK and res is None
+        blk = np.matmul(a, w, out=dst if direct else ws.view("block", (len(a), w.shape[1]), out.dtype))[:n]
+        if b is not None:
+            blk += b
+        if res is not None:
+            np.add(blk, res[i:i + n], out=dst)
+        elif not direct:
+            dst[...] = blk
+        if relu:
+            np.fmax(dst, 0.0, out=dst)
+            dst += 0.0
     return out
+
+
+class Workspace(dict):
+    """A network's kept inference buffers (one caller at a time): flat arrays
+    that grow to the largest request and are viewed for smaller ones; ``act0``
+    / ``act1`` ping-pong activations, ``patch`` / ``tail`` / ``block`` scratch."""
+
+    def view(self, name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
+        buf, size = self.get(name), prod(shape)
+        if buf is None or buf.dtype != dtype or buf.size < size:
+            buf = self[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+    def holds(self, x: np.ndarray) -> bool:
+        return any(np.may_share_memory(x, buf) for buf in self.values())
+
+    def act(self, x: np.ndarray, shape: Tuple[int, ...], dtype) -> np.ndarray:
+        """The ping-pong activation buffer that does not hold ``x``."""
+        held = np.may_share_memory(x, self.get("act0", np.empty(0)))
+        return self.view("act1" if held else "act0", shape, dtype)
 
 
 @dataclass
@@ -121,12 +155,38 @@ class Layer:
     def parameters(self) -> List[Parameter]:
         return []
 
+    def infer(self, x: np.ndarray, ws: Workspace, relu: bool = False) -> np.ndarray:
+        """``forward(x)``, its tape slots restored (``ws`` / fused ``relu``: below)."""
+        tape = dict(vars(self))
+        try:
+            return self.forward(x)
+        finally:
+            vars(self).update(tape)
+
     @property
     def n_params(self) -> int:
         return sum(p.size for p in self.parameters())
 
 
-class Dense(Layer):
+class _Affine(Layer):
+    """GEMM ``_operands(x, ws) = (m, w, rows)`` + bias; ``forward`` infers into fresh buffers."""
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        out = self.infer(x, Workspace())
+        self._x = x
+        return out
+
+    def infer(self, x, ws, relu=False, res=None):
+        """Over a kept residual input ``res``, else into the other act buffer."""
+        m, w, rows = self._operands(x, ws)
+        res = None if res is None else res.reshape(m, -1)
+        out = res if res is not None and ws.holds(res) else ws.act(x, (m, w.shape[1]), x.dtype)
+        b = self.b.value.astype(x.dtype, copy=False)
+        _blocked_matmul(m, w, x.dtype, rows, out, ws, b, res, relu)
+        return out.reshape(x.shape[:-1] + (-1,))
+
+
+class Dense(_Affine):
     """Affine layer ``y = x @ W + b``."""
 
     def __init__(self, n_in: int, n_out: int, rng_key: str = "dense") -> None:
@@ -136,11 +196,8 @@ class Dense(Layer):
         self.b = Parameter(np.zeros(n_out), name=f"{rng_key}.b")
         self._x: Optional[np.ndarray] = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
-        out = row_stable_matmul(x, self.w.value.astype(x.dtype, copy=False))
-        out += self.b.value.astype(x.dtype, copy=False)
-        return out
+    def _operands(self, x, ws):
+        return len(x), self.w.value.astype(x.dtype, copy=False), lambda i, n: x[i:i + n]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         assert self._x is not None, "forward before backward"
@@ -152,7 +209,7 @@ class Dense(Layer):
         return [self.w, self.b]
 
 
-class Conv1d(Layer):
+class Conv1d(_Affine):
     """Same-padded 1-D convolution over the vertical (level) axis.
 
     Channels-last: input ``(batch, L, c_in)`` -> output ``(batch, L,
@@ -179,13 +236,13 @@ class Conv1d(Layer):
         self.kernel = kernel
         self._x: Optional[np.ndarray] = None
 
-    def _patch_rows(self, x: np.ndarray):
+    def _patch_rows(self, x: np.ndarray, ws: Workspace):
         """``rows`` for :func:`_blocked_matmul`: blocks of ``x``'s patch matrix."""
         length, k = x.shape[1], self.kernel
         flat = x.reshape(-1, x.shape[2])
         if k == 1:
             return lambda i, n: flat[i:i + n]
-        buf = np.empty((_ROW_BLOCK, flat.shape[1], k), dtype=x.dtype)
+        buf = ws.view("patch", (_ROW_BLOCK, flat.shape[1], k), x.dtype)
 
         def rows(i: int, n: int) -> np.ndarray:
             for tap, shift in enumerate(range(-(k // 2), k // 2 + 1)):
@@ -199,19 +256,16 @@ class Conv1d(Layer):
 
         return rows
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def _operands(self, x, ws):
         if x.ndim != 3:
             raise ValueError("Conv1d expects (batch, levels, channels)")
-        self._x = x
         # One row-stable matmul with a fixed (c_in*kernel) reduction order
         # per output row.  Unlike einsum's optimizer — which may pick
         # different contraction paths at different batch sizes — this
         # keeps each row's result bit-identical whether the row is
         # computed alone or inside a larger (ensemble) batch.
         w = self.w.value.reshape(len(self.w.value), -1).T.astype(x.dtype, copy=False)
-        out = _blocked_matmul(x.shape[0] * x.shape[1], w, x.dtype, self._patch_rows(x))
-        out += self.b.value.astype(x.dtype, copy=False)
-        return out.reshape(x.shape[0], x.shape[1], -1)
+        return x.shape[0] * x.shape[1], w, self._patch_rows(x, ws)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         assert self._x is not None, "forward before backward"
@@ -306,7 +360,28 @@ class LayerNorm(Layer):
         return [self.gamma, self.beta]
 
 
-class ResUnit(Layer):
+class _Residual(Layer):
+    """``y = x + second(ReLU(first(x)))``: :class:`ResUnit`, :class:`ResidualDense`."""
+
+    def __init__(self, first: _Affine, second: _Affine) -> None:
+        self.first, self.act, self.second = first, ReLU(), second
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        out = self.second.forward(self.act.forward(self.first.forward(x)))
+        return np.add(out, x, out=out)
+
+    def infer(self, x, ws, relu=False):
+        return self.second.infer(self.first.infer(x, ws, relu=True), ws, relu, res=x)
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        g = self.first.backward(self.act.backward(self.second.backward(grad_out)))
+        return grad_out + g
+
+    def parameters(self) -> List[Parameter]:
+        return self.first.parameters() + self.second.parameters()
+
+
+class ResUnit(_Residual):
     """Residual unit: ``y = x + Conv(ReLU(Conv(x)))`` (two conv layers).
 
     Five of these plus a stem conv give the paper's "five ResUnits within
@@ -316,40 +391,18 @@ class ResUnit(Layer):
 
     def __init__(self, channels: int, kernel: int = 3, rng_key: str = "res") -> None:
         self.conv1 = Conv1d(channels, channels, kernel, rng_key=f"{rng_key}.c1")
-        self.act = ReLU()
         self.conv2 = Conv1d(channels, channels, kernel, rng_key=f"{rng_key}.c2")
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = self.conv2.forward(self.act.forward(self.conv1.forward(x)))
-        return np.add(out, x, out=out)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        g = self.conv1.backward(self.act.backward(self.conv2.backward(grad_out)))
-        return grad_out + g
-
-    def parameters(self) -> List[Parameter]:
-        return self.conv1.parameters() + self.conv2.parameters()
+        super().__init__(self.conv1, self.conv2)
 
 
-class ResidualDense(Layer):
+class ResidualDense(_Residual):
     """Residual MLP block: ``y = x + Dense(ReLU(Dense(x)))`` — the building
     block of the 7-layer radiation MLP."""
 
     def __init__(self, features: int, rng_key: str = "rd") -> None:
         self.fc1 = Dense(features, features, rng_key=f"{rng_key}.fc1")
-        self.act = ReLU()
         self.fc2 = Dense(features, features, rng_key=f"{rng_key}.fc2")
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = self.fc2.forward(self.act.forward(self.fc1.forward(x)))
-        return np.add(out, x, out=out)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        g = self.fc1.backward(self.act.backward(self.fc2.backward(grad_out)))
-        return grad_out + g
-
-    def parameters(self) -> List[Parameter]:
-        return self.fc1.parameters() + self.fc2.parameters()
+        super().__init__(self.fc1, self.fc2)
 
 
 class Flatten(Layer):

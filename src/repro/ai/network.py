@@ -7,7 +7,7 @@
 * :func:`build_radiation_mlp` — the AI radiation diagnosis module: a
   "7-layer multi-layer perceptron with residual connections" taking the
   flattened column plus ``tskin`` and ``coszr`` and estimating the surface
-  downward shortwave/longwave fluxes (gsw, glw).
+  downward shortwave/longwave fluxes (gsw, glw); both infer tape-free.
 """
 
 from __future__ import annotations
@@ -26,21 +26,37 @@ from .layers import (
     ResidualDense,
     ResUnit,
     Transpose,
+    Workspace,
+    _Affine,
+    _Residual,
 )
 
 __all__ = ["Sequential", "build_tendency_cnn", "build_radiation_mlp"]
 
 
 class Sequential(Layer):
-    """A chain of layers with whole-net forward/backward."""
+    """A chain of layers with whole-net forward/backward and tape-free infer."""
 
     def __init__(self, layers: Sequence[Layer]) -> None:
         self.layers = list(layers)
+        self.workspace = Workspace()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:
             x = layer.forward(x)
         return x
+
+    def infer(self, x: np.ndarray, ws: Optional[Workspace] = None, relu: bool = False) -> np.ndarray:
+        """``forward(x)``'s bits with no tape: activations in ``ws`` (the net's
+        unless nested), a ReLU after an affine or residual layer fused into it,
+        a result never aliasing a kept buffer.  One caller at a time."""
+        top, ws = ws is None, self.workspace if ws is None else ws
+        layers, i = self.layers + [None], 0
+        while layers[i] is not None:
+            fuse = isinstance(layers[i], (_Affine, _Residual)) and isinstance(layers[i + 1], ReLU)
+            x = layers[i].infer(x, ws, fuse)
+            i += 1 + fuse
+        return x.copy(order="K") if top and ws.holds(x) else x
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         for layer in reversed(self.layers):

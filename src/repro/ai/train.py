@@ -168,17 +168,18 @@ class Trainer:
         return self.history
 
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Normalized-space MSE on held-out data."""
+        """Normalized-space MSE on held-out data (tape-free, as ``predict``)."""
         assert self.x_norm is not None and self.y_norm is not None, "fit first"
-        pred = self.model.forward(self.x_norm.apply(x))
+        pred = self.model.infer(self.x_norm.apply(x))
         loss, _ = mse_loss(pred, self.y_norm.apply(y))
         return loss
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Physical-space predictions, as float64.  Only ``forward`` runs in
-        ``dtype``: the per-channel normaliser, in fp64, is the group scale of
-        an fp32 pass — it strips the ~290 K / ~1e5 Pa offsets before the cast."""
+        """Physical-space predictions, a fresh float64 array, from the tape-free
+        :meth:`Sequential.infer` (``forward``'s bits; one caller at a time).  Only
+        the net runs in ``dtype``: the per-channel fp64 normaliser is the group scale
+        of an fp32 pass — it strips the ~290 K / ~1e5 Pa offsets before the cast."""
         assert self.x_norm is not None and self.y_norm is not None, "fit first"
         xn = self.x_norm.apply(x).astype(self.dtype, copy=False)
-        y = self.model.forward(xn).astype(np.float64, copy=False)
+        y = self.model.infer(xn).astype(np.float64, copy=False)
         return self.y_norm.invert(y)

@@ -297,15 +297,17 @@ class ProcPoolRuntime:
 
         Deduplicates by object identity so aliased arguments share one
         segment (writes through either name stay coherent in workers).
-        Returns ``(None, None)`` if an argument cannot cross the boundary.
+        Returns ``(None, None)`` if an argument cannot cross the boundary,
+        decided before any segment is acquired.
         """
+        if any(a.dtype.hasobject if isinstance(a, np.ndarray)
+               else callable(a) and not self._fn_picklable(a) for a in args):
+            return None, None
         specs: List[Any] = []
         staged: Dict[int, Tuple[np.ndarray, shared_memory.SharedMemory]] = {}
         views: Dict[int, SharedView] = {}
         for a in args:
             if isinstance(a, np.ndarray):
-                if a.dtype.hasobject:
-                    return None, None
                 key = id(a)
                 if key not in staged:
                     shm = self._arena.acquire(a.nbytes)
@@ -316,8 +318,6 @@ class ProcPoolRuntime:
                     self.stats.bytes_shared += int(a.nbytes)
                 specs.append(views[key])
             else:
-                if callable(a) and not self._fn_picklable(a):
-                    return None, None
                 specs.append(a)
         return specs, staged
 

@@ -1,5 +1,7 @@
 """Tests for the §5.2.1 architectures and the training harness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -199,3 +201,163 @@ class TestTrainer:
             trainer.fit(np.zeros((3, 2)), np.zeros((4, 1)))
         with pytest.raises(ValueError):
             trainer.fit(np.zeros((0, 2)), np.zeros((0, 1)))
+
+
+# -- tape-free inference (Sequential.infer behind Trainer.predict / evaluate) --
+
+
+def _identity_trainer(net, dtype=np.float64):
+    """A Trainer whose normalisers are the identity, so ``predict`` is the
+    net's output (cast to fp64)."""
+    trainer = Trainer(net)
+    trainer.x_norm = trainer.y_norm = Normalizer(mean=0.0, std=1.0)
+    trainer.dtype = dtype
+    return trainer
+
+
+def _tape(net):
+    """Every ``_x`` / ``_y`` / ``_cache`` slot of every layer, by path."""
+    out = {}
+
+    def walk(layer, path):
+        for name in ("_x", "_y", "_cache"):
+            if name in vars(layer):
+                out[f"{path}.{name}"] = vars(layer)[name]
+        for name, sub in vars(layer).items():
+            if name in ("first", "second", "act", "conv1", "conv2", "fc1", "fc2"):
+                walk(sub, f"{path}.{name}")
+        for i, sub in enumerate(getattr(layer, "layers", ())):
+            walk(sub, f"{path}[{i}]")
+
+    walk(net, "net")
+    return out
+
+
+def _random_weights(net, seed):
+    rng = np.random.default_rng(seed)
+    for p in net.parameters():
+        p.value[...] = rng.standard_normal(p.value.shape) * (0.2 if p.value.ndim > 1 else 0.1)
+
+
+def _specials(x):
+    """Sprinkle NaN, +-inf and -0.0 through ``x`` (in place)."""
+    flat = x.reshape(-1)
+    flat[::37], flat[5::41], flat[7::43], flat[11::47] = np.nan, np.inf, -np.inf, -0.0
+    return x
+
+
+def test_predict_is_forward_bitwise():
+    """``infer`` / ``predict`` reproduce ``forward``'s bytes at row counts
+    that give a lone tail block (1, 7), a full block plus a tail (9 x 30 =
+    270 rows) and block edges cutting through a column (162, 324), in both
+    dtypes, through NaN / +-inf / -0.0 inputs and mixed row counts."""
+    rng = np.random.default_rng(11)
+    cnn, mlp = build_tendency_cnn(), build_radiation_mlp()
+    _random_weights(cnn, 1)
+    _random_weights(mlp, 2)
+    for dtype in (np.float32, np.float64):
+        for rows in (1, 7, 9, 162, 324, 9):
+            for net, shape in ((cnn, (rows, 5, 30)), (mlp, (rows, 152))):
+                x = _specials(rng.standard_normal(shape).astype(dtype))
+                with np.errstate(invalid="ignore"):
+                    want = net.forward(x)
+                    got = net.infer(x)
+                    pred = _identity_trainer(net, dtype).predict(x)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (dtype, rows, shape)
+                assert not net.workspace.holds(got)
+                assert pred.tobytes() == want.astype(np.float64).tobytes()
+
+
+def test_evaluate_matches_forward_loss():
+    rng = np.random.default_rng(12)
+    net = build_radiation_mlp(levels=4, width=16)
+    trainer = Trainer(net, batch_size=8)
+    x, y = rng.standard_normal((40, 22)), rng.standard_normal((40, 2))
+    trainer.fit(x[:32], y[:32], epochs=1)
+    want, _ = mse_loss(net.forward(trainer.x_norm.apply(x[32:])), trainer.y_norm.apply(y[32:]))
+    assert trainer.evaluate(x[32:], y[32:]) == want
+
+
+def test_predict_records_no_tape():
+    net = build_tendency_cnn(levels=10, width=8, n_res_units=2)
+    trainer = _identity_trainer(net)
+    slots = _tape(net)
+    assert slots and all(v is None for v in slots.values())
+    trainer.predict(np.random.default_rng(13).standard_normal((20, 5, 10)))
+    assert all(v is None for v in _tape(net).values())
+
+
+def test_predict_leaves_a_training_tape_alone():
+    """forward -> predict -> backward gives the grads of forward -> backward."""
+    rng = np.random.default_rng(14)
+    net = build_tendency_cnn(levels=10, width=8, n_res_units=2)
+    _random_weights(net, 3)
+    trainer = _identity_trainer(net)
+    x, z = rng.standard_normal((6, 5, 10)), rng.standard_normal((40, 5, 10))
+    g = rng.standard_normal((6, 4, 10))
+
+    def grads(between):
+        net.zero_grad()
+        net.forward(x)
+        tape = _tape(net)
+        between()
+        assert all(_tape(net)[k] is v for k, v in tape.items())
+        gx = net.backward(g)
+        return [gx] + [p.grad.copy() for p in net.parameters()]
+
+    plain = grads(lambda: None)
+    with_predict = grads(lambda: trainer.predict(z))
+    for a, b in zip(plain, with_predict):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_predict_results_never_alias():
+    rng = np.random.default_rng(15)
+    for net, shape in ((build_tendency_cnn(levels=10, width=8, n_res_units=1), (12, 5, 10)),
+                       (build_radiation_mlp(levels=10, width=16), (12, 52))):
+        trainer = _identity_trainer(net)
+        a = trainer.predict(rng.standard_normal(shape))
+        a_bytes = a.tobytes()
+        b = trainer.predict(rng.standard_normal(shape))
+        assert not np.may_share_memory(a, b) and a.tobytes() == a_bytes
+        assert not net.workspace.holds(a) and not net.workspace.holds(b)
+
+
+def test_kept_buffers_survive_alternating_row_counts():
+    """``ens_ckpt``'s alternating 324-row batched and 162-row member calls
+    reuse the buffers grown by the first large call."""
+    net = build_tendency_cnn(width=16)
+    trainer = _identity_trainer(net)
+    rng = np.random.default_rng(16)
+    trainer.predict(rng.standard_normal((324, 5, 30)))
+    kept = dict(net.workspace)
+    assert {"act0", "act1", "patch", "tail", "block"} <= set(kept)
+    for rows in (162, 324, 162, 1, 324):
+        trainer.predict(rng.standard_normal((rows, 5, 30)))
+        assert all(net.workspace[k] is v for k, v in kept.items())
+
+
+def test_predict_memory_is_two_kept_activations():
+    """Width-128 CNN at 324 rows fp64: one activation is 324*30*128*8 B =
+    9.5 MiB.  The first call peaks at <= 3 of them (the two kept ping-pong
+    buffers plus block scratch); a repeat call allocates < 1 at peak and
+    keeps nothing but its result.  The training pass kept ~11 (its tape)."""
+    trainer = _identity_trainer(build_tendency_cnn())
+    x = np.random.default_rng(17).standard_normal((324, 5, 30))
+    act = 324 * 30 * 128 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        first = trainer.predict(x)
+        peak_first = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        second = trainer.predict(x)
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak_first <= 3 * act
+    assert peak - base < act
+    assert now - base <= second.nbytes + 64 * 1024
+    assert first.tobytes() == second.tobytes()

@@ -45,6 +45,10 @@ def _tile_sum(kz, jy, x):
     return x[np.ix_(kz, jy)].sum()
 
 
+def _copy_tagged(idx, out, tags):
+    out[idx] = idx * 2.0
+
+
 def _rw_alias(idx, a, b):
     # a and b may be the same array: writes through one name must be
     # visible through the other inside the worker.
@@ -167,6 +171,30 @@ def test_pool_reuses_shared_segments(pool):
     # arena recycles segments: capacity must not grow on a repeat launch.
     assert pool.runtime.stats.bytes_shared > staged_once
     assert pool.runtime._arena.total_bytes == capacity
+
+
+def test_refused_argument_stages_nothing():
+    """An argument the pool cannot ship (an object array) is found before
+    any segment is acquired: the launch falls back in-process, and neither
+    the arena nor ``bytes_shared`` grows however often it repeats."""
+    space = ProcPool(2)
+    st, arena = space.runtime.stats, space.runtime._arena
+    try:
+        n = 6_000
+        tags = np.empty(3, dtype=object)
+        for k in (1, 2, 3):
+            out = np.zeros(n)
+            parallel_for(space, n, BoundKernel(_copy_tagged, (out, tags)))
+            assert np.array_equal(out, np.arange(n) * 2.0)
+            assert (st.fallbacks, st.bytes_shared, arena.total_bytes) == (k, 0, 0)
+        x = np.linspace(0.0, 3.0, n)
+        out_s, out_p = np.zeros(n), np.zeros(n)
+        parallel_for(Serial(), n, BoundKernel(_saxpy, (out_s, x, 2.0)))
+        parallel_for(space, n, BoundKernel(_saxpy, (out_p, x, 2.0)))
+        assert (st.dispatches, st.fallbacks) == (1, 3)
+        assert out_s.tobytes() == out_p.tobytes()
+    finally:
+        space.runtime.shutdown()
 
 
 def test_shutdown_is_idempotent():
