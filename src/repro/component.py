@@ -100,7 +100,8 @@ class ComponentContext:
     ----------
     space:
         The execution space every component's kernels dispatch on
-        (:func:`repro.pp.make_backend` builds it from the config name).
+        (:func:`repro.pp.make_backend` builds it from the config name,
+        ``serial`` or ``procs``).
     precision:
         The model-wide §5.2.3 precision policy over namespaced
         ``<component>.<variable>`` keys; empty assignments = pure FP64.

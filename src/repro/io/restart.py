@@ -134,6 +134,10 @@ def save_restart(
     )
 
 
+def _is_count(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 def _validate_manifest(manifest: object, path: Path) -> Dict[str, object]:
     """Structural validation of a parsed manifest, before any data I/O.
 
@@ -151,8 +155,13 @@ def _validate_manifest(manifest: object, path: Path) -> Dict[str, object]:
     for key in ("n_ranks", "n_groups", "fields", "scalars"):
         if key not in manifest:
             raise RestartError(f"manifest missing {key!r} key", manifest=path)
-    if not isinstance(manifest["fields"], dict):
-        raise RestartError("manifest 'fields' is not an object", manifest=path)
+    for key in ("fields", "scalars"):
+        if not isinstance(manifest[key], dict):
+            raise RestartError(f"manifest {key!r} is not an object", manifest=path)
+    n_ranks, n_groups = manifest["n_ranks"], manifest["n_groups"]
+    if not (_is_count(n_ranks) and _is_count(n_groups) and 1 <= n_groups <= n_ranks):
+        raise RestartError("manifest needs integers 1 <= n_groups <= n_ranks",
+                           manifest=path, actual=[n_ranks, n_groups])
     for name, meta in manifest["fields"].items():
         if not isinstance(meta, dict):
             raise RestartError("field entry is not an object",
@@ -167,12 +176,20 @@ def _validate_manifest(manifest: object, path: Path) -> Dict[str, object]:
             raise RestartError(f"bad field dtype: {exc}",
                                manifest=path, field=name,
                                actual=meta["dtype"]) from None
-        declared = int(np.prod(meta["shape"], dtype=np.int64)) if meta["shape"] else 1
-        if declared != int(meta["size"]):
+        shape, size, crcs = meta["shape"], meta["size"], meta.get("crc32")
+        for key, ok in (
+            ("shape", isinstance(shape, list) and all(map(_is_count, shape))),
+            ("size", _is_count(size)),
+            ("crc32", crcs is None or isinstance(crcs, dict) and all(map(_is_count, crcs.values()))),
+        ):
+            if not ok:
+                raise RestartError(f"field entry {key!r} has the wrong type",
+                                   manifest=path, field=name, actual=meta[key])
+        declared = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        if declared != size:
             raise RestartError(
                 "field size inconsistent with shape",
-                manifest=path, field=name,
-                expected=declared, actual=int(meta["size"]),
+                manifest=path, field=name, expected=declared, actual=size,
             )
     return manifest
 

@@ -15,9 +15,10 @@ The pass has three parts:
   chain, transcendental column) through :func:`repro.pp.parallel_for`,
   instrumented with the same :class:`repro.pp.KernelMetrics` /
   ``KernelStats`` accumulators every component kernel uses.  Measured
-  seconds are read back *from the accumulators* (and the MDRange probe's
-  :class:`repro.pp.TileProfile`), not from ad-hoc timers — the calibration
-  consumes exactly the observability signal production runs emit.
+  seconds are read back *from the accumulators*, not from ad-hoc timers —
+  the calibration consumes exactly the observability signal production
+  runs emit.  The MDRange probe's tile imbalance is read off the tiles its
+  launch runs, ``policy.tiles(space)``.
 * **fit** — :func:`calibrate` fits, per probe kernel, a line
   ``t(n) = per_launch_s + slope * n`` over the probe sizes and decomposes
   the slope into roofline terms: bandwidth-bound probes yield an effective
@@ -219,6 +220,12 @@ def _probe_arrays(
     return n, (out,) + inputs, n
 
 
+def _tile_imbalance(policy: MDRangePolicy, space: ExecutionSpace) -> float:
+    """max / mean size of the tiles ``policy`` runs on ``space`` (0.0: none)."""
+    sizes = [math.prod(map(len, tile)) for tile in policy.tiles(space)]
+    return max(sizes) / (sum(sizes) / len(sizes)) if sizes else 0.0
+
+
 def measure_probes(
     space: Optional[ExecutionSpace] = None,
     sizes: Sequence[int] = (16_384, 65_536),
@@ -261,10 +268,10 @@ def measure_probes(
             best = math.inf
             for _ in range(repeats):
                 before = acc.seconds
-                prof = parallel_for(space, policy, functor, stats=acc, profile=probe.md)
+                parallel_for(space, policy, functor, stats=acc)
                 best = min(best, acc.seconds - before)
-                if prof is not None:
-                    worst_imbalance = max(worst_imbalance, prof.imbalance)
+            if probe.md:
+                worst_imbalance = max(worst_imbalance, _tile_imbalance(policy, space))
             actual_sizes.append(actual)
             best_s.append(best)
         out[name] = KernelMeasurement(

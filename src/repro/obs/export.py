@@ -84,17 +84,17 @@ def kernel_measurements(
     The pp layer publishes ``pp.<kernel>.launches`` (counter),
     ``pp.<kernel>.iterations`` (histogram) and ``pp.<kernel>.seconds``
     (counter of measured wall time) through
-    :class:`repro.pp.stats.KernelMetrics`.  This exporter inverts those
+    :class:`repro.pp.KernelStats`.  This exporter inverts those
     names back into ``{kernel: {launches, iterations, seconds}}`` — the
     measured side of the modeled-vs-measured loop that
-    :mod:`repro.machine.calibrate` closes.  Tile gauges (``pp.tile.*``)
-    and totals gauges are excluded; a run that launched no instrumented
-    kernels returns ``{}``.
+    :mod:`repro.machine.calibrate` closes.  Other ``pp.*`` names (the
+    pool's ``pp.procpool.*``) are skipped; a run that launched no
+    instrumented kernels returns ``{}``.
     """
     out: Dict[str, Dict[str, float]] = {}
     for reg in metrics:
         for name in reg.names():
-            if not name.startswith("pp.") or name.startswith("pp.tile."):
+            if not name.startswith("pp."):
                 continue
             kernel, _, field = name[len("pp."):].rpartition(".")
             if field not in ("launches", "iterations", "seconds") or not kernel:

@@ -32,6 +32,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..utils import pairwise_tree
+
 __all__ = [
     "SimWorld",
     "SimComm",
@@ -502,11 +504,16 @@ class SimComm:
         return [_copy_payload(v) for v in values]
 
     _OPS: Dict[str, Callable] = {
-        "sum": lambda vals: _tree_reduce(vals, lambda a, b: a + b),
-        "max": lambda vals: _tree_reduce(vals, np.maximum),
-        "min": lambda vals: _tree_reduce(vals, np.minimum),
-        "prod": lambda vals: _tree_reduce(vals, lambda a, b: a * b),
+        "sum": lambda a, b: a + b,
+        "max": np.maximum,
+        "min": np.minimum,
+        "prod": lambda a, b: a * b,
     }
+
+    def _combine(self, values: List[Any], op: str) -> Any:
+        """A fixed-order pairwise tree over copied payloads: the same bits
+        whatever order the rank threads arrive in."""
+        return pairwise_tree([_copy_payload(v) for v in values], self._OPS[op])
 
     def _check_op(self, op: str) -> None:
         """Every rank rejects an unknown op before any exchange."""
@@ -521,12 +528,12 @@ class SimComm:
             self._world.ledger.record_collective(
                 CollectiveCost(f"reduce-{op}", self.size, self.size - 1, nbytes * self._tree_depth)
             )
-            return self._OPS[op](values)
+            return self._combine(values, op)
         return None
 
     def allreduce(self, obj: Any, op: str = "sum") -> Any:
         self._check_op(op)
-        result = self._OPS[op](self._exchange(obj))
+        result = self._combine(self._exchange(obj), op)
         if self.rank == 0:
             nbytes = _payload_nbytes(obj)
             depth = self._tree_depth
@@ -569,20 +576,6 @@ class SimComm:
     @property
     def ledger(self) -> TrafficLedger:
         return self._world.ledger
-
-
-def _tree_reduce(values: Sequence[Any], op: Callable) -> Any:
-    """Fixed-order pairwise reduction: deterministic regardless of thread
-    arrival order (the bit-for-bit property the paper validates)."""
-    vals = [(_copy_payload(v)) for v in values]
-    while len(vals) > 1:
-        nxt = []
-        for i in range(0, len(vals) - 1, 2):
-            nxt.append(op(vals[i], vals[i + 1]))
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
 
 
 #: What a failure does to its peers, as opposed to a failure of their own.

@@ -3,20 +3,17 @@ device costs lives in :mod:`repro.machine`), Kokkos-style parallel
 dispatch and Views, and the hash-based kernel registry (Sunway TMP
 workaround).  SWGOMP is ``parallel_for`` on ``ExecutionSpace("cut", lanes=64)``."""
 
-from .execspace import ExecutionSpace, KernelStats, Serial
+from .execspace import ExecutionSpace, KernelMetrics, KernelStats, Serial
 from .kernels import (
     BoundKernel,
     MDRangePolicy,
-    TileProfile,
     parallel_for,
     parallel_reduce,
     parallel_scan,
     reduction_chunks,
 )
-from .backends import make_backend
-from .procpool import PoolStats, ProcPool, ProcPoolRuntime, ProcPoolSpace, SharedView
+from .procpool import PoolStats, ProcPool, ProcPoolRuntime, ProcPoolSpace, SharedView, make_backend
 from .registry import KERNELS, HybridDispatcher, KernelRegistry, kernel, kernel_hash
-from .stats import KernelMetrics
 from .view import (
     Layout,
     MemorySpace,
@@ -31,7 +28,6 @@ __all__ = [
     "Serial",
     "KernelStats",
     "MDRangePolicy",
-    "TileProfile",
     "BoundKernel",
     "parallel_for",
     "parallel_reduce",

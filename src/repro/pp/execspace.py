@@ -19,16 +19,20 @@ to fan the same decomposition across host cores.  The kernel layer
 (:mod:`repro.pp.kernels`) decides *what* the chunks are; the space
 decides only *where* they execute, which is how the serial path stays
 bitwise-identical when the parallel executor is swapped in.
+
+A launch's one record is a :class:`KernelStats` accumulator (launches,
+iterations, measured seconds); :class:`KernelMetrics` is the named pool
+of them each ``ComponentContext`` counts its launches in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["ExecutionSpace", "Serial", "KernelStats"]
+__all__ = ["ExecutionSpace", "Serial", "KernelStats", "KernelMetrics"]
 
 
 @dataclass
@@ -59,6 +63,39 @@ class KernelStats:
             self.obs.histogram(f"pp.{self.kernel}.iterations").observe(float(n))
             if seconds > 0.0:
                 self.obs.counter(f"pp.{self.kernel}.seconds").inc(seconds)
+
+
+class KernelMetrics:
+    """Named pool of per-kernel :class:`KernelStats` accumulators.
+
+    One instance lives on each ``ComponentContext`` and
+    ``ComponentContext.launch`` asks it for the kernel's accumulator, so
+    every launch in a coupled run lands in the pool of the model that
+    issued it.  The pool's ``obs`` handle (anything with ``counter`` /
+    ``histogram`` methods, e.g. :class:`repro.obs.Obs`) is handed to each
+    accumulator, which mirrors its launches into it.
+    """
+
+    def __init__(self, obs: Optional[Any] = None) -> None:
+        self.obs = obs
+        self._stats: Dict[str, KernelStats] = {}
+
+    def stats(self, kernel: str) -> KernelStats:
+        acc = self._stats.get(kernel)
+        if acc is None:
+            acc = self._stats[kernel] = KernelStats(kernel=kernel, obs=self.obs)
+        return acc
+
+    def summary(self) -> Dict[str, Dict[str, float]]:
+        """{kernel: {launches, iterations, seconds}} for every accumulator."""
+        return {
+            name: {
+                "launches": acc.launches,
+                "iterations": acc.iterations,
+                "seconds": acc.seconds,
+            }
+            for name, acc in sorted(self._stats.items())
+        }
 
 
 @dataclass(frozen=True)

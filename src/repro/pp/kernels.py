@@ -21,26 +21,28 @@ top-level kernel bound to its runtime arguments) that real process
 backends (:mod:`repro.pp.procpool`) can ship to workers; closures still
 work everywhere but execute in-process.
 
-``MDRangePolicy`` supports the "finer-grained tile profiling" the paper
-attributes to its Kokkos port: pass ``profile=True`` and per-tile
-iteration counts/shapes are recorded on the returned :class:`TileProfile`.
+A launch's one record is the :class:`KernelStats` accumulator it is
+handed (launches, iterations, seconds).  Its tiles need no record of
+their own: an MDRange ``parallel_for`` runs exactly
+``policy.tiles(space)``, so the "finer-grained tile profiling" the paper
+attributes to its Kokkos port is read off the policy.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from ..utils import pairwise_tree
 from .execspace import ExecutionSpace, KernelStats
 
 __all__ = [
     "BoundKernel",
     "MDRangePolicy",
-    "TileProfile",
     "parallel_for",
     "parallel_reduce",
     "parallel_scan",
@@ -163,72 +165,34 @@ class MDRangePolicy:
         return n
 
 
-@dataclass
-class TileProfile:
-    """Per-tile execution record (shape and iteration count)."""
-
-    tiles: List[Tuple[Tuple[int, ...], int]] = field(default_factory=list)
-
-    def record(self, shape: Tuple[int, ...]) -> None:
-        n = 1
-        for s in shape:
-            n *= s
-        self.tiles.append((shape, n))
-
-    @property
-    def n_tiles(self) -> int:
-        return len(self.tiles)
-
-    @property
-    def total_iterations(self) -> int:
-        return sum(n for _, n in self.tiles)
-
-    @property
-    def imbalance(self) -> float:
-        """max/mean tile size — 1.0 means perfectly uniform tiles."""
-        if not self.tiles:
-            return 0.0
-        sizes = [n for _, n in self.tiles]
-        return max(sizes) / (sum(sizes) / len(sizes))
-
-
 def parallel_for(
     space: ExecutionSpace,
     policy,
     functor: Callable,
     stats: Optional[KernelStats] = None,
-    profile: bool = False,
-) -> Optional[TileProfile]:
+) -> None:
     """Execute ``functor`` over an iteration space on ``space``.
 
     ``policy`` is either an int ``n`` (flat range; functor receives an index
     array) or an :class:`MDRangePolicy` (functor receives one index array
     per dimension).  Both are cut to fit the space: a flat range into
-    ``space.chunks(n)``, an MDRange without an explicit ``tile`` into one
-    tile per lane along its leading dimension (``Serial`` launches one
-    tile, ``ProcPool(2)`` two); an explicit ``tile`` is honoured unchanged.
-    Returns a :class:`TileProfile` when ``profile=True`` and the policy is
-    an MDRange.
+    ``space.chunks(n)``, an MDRange into ``policy.tiles(space)`` — without
+    an explicit ``tile``, one tile per lane along its leading dimension
+    (``Serial`` launches one tile, ``ProcPool(2)`` two); an explicit
+    ``tile`` is honoured unchanged.
     """
-    prof = None
     if isinstance(policy, MDRangePolicy):
         n = policy.n_iterations
         tiles = policy.tiles(space)
         t0 = time.perf_counter()
         space.run(functor, tiles)
-        elapsed = time.perf_counter() - t0
-        if profile:
-            prof = TileProfile()
-            for tile in tiles:
-                prof.record(tuple(len(ix) for ix in tile))
     else:
         n = int(policy)
         t0 = time.perf_counter()
         space.run(functor, [(c,) for c in space.chunks(n)])
-        elapsed = time.perf_counter() - t0
+    elapsed = time.perf_counter() - t0
     if stats is not None:
         stats.record(n, elapsed)
-    return prof
 
 
 def parallel_reduce(
@@ -268,7 +232,7 @@ def parallel_reduce(
             "empty iteration space has no reduction identity here "
             "(flat n == 0 and MDRange zero extents both raise)"
         )
-    return _tree_combine(partials, combine)
+    return pairwise_tree(partials, combine)
 
 
 def _scan_local(
@@ -329,14 +293,3 @@ def parallel_scan(
         stats.record(n, time.perf_counter() - t0)
     return out
 
-
-def _tree_combine(partials: Sequence, combine: Callable):
-    vals = list(partials)
-    while len(vals) > 1:
-        nxt = []
-        for i in range(0, len(vals) - 1, 2):
-            nxt.append(combine(vals[i], vals[i + 1]))
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]

@@ -1,4 +1,5 @@
-"""ProcPool: a real multi-core execution backend for the pp layer.
+"""ProcPool: a real multi-core execution backend for the pp layer, and
+:func:`make_backend`, the executor selection by name.
 
 The base :class:`~repro.pp.execspace.ExecutionSpace` executes its chunks
 serially in-process.  ``ProcPool`` actually occupies the host: a
@@ -58,10 +59,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .execspace import ExecutionSpace
+from .execspace import ExecutionSpace, Serial
 from .kernels import BoundKernel
 
-__all__ = ["ProcPool", "ProcPoolRuntime", "ProcPoolSpace", "PoolStats", "SharedView"]
+__all__ = ["ProcPool", "ProcPoolRuntime", "ProcPoolSpace", "PoolStats", "SharedView", "make_backend"]
 
 
 @dataclass(frozen=True)
@@ -407,3 +408,15 @@ def ProcPool(n_workers: Optional[int] = None) -> ProcPoolSpace:
     if n < 1:
         raise ValueError("n_workers must be >= 1")
     return ProcPoolSpace(name="ProcPool", lanes=n, runtime=ProcPoolRuntime(n))
+
+
+def make_backend(name: str, workers: Optional[int] = None) -> ExecutionSpace:
+    """The execution space ``--backend`` / ``AP3ESMConfig.backend`` names:
+    ``serial`` (one in-process lane) or ``procs`` (:func:`ProcPool` over
+    ``workers`` cores, 0 / None meaning all), bitwise-identical to each
+    other.  Devices are priced, not executed (:mod:`repro.machine`)."""
+    if name == "serial":
+        return Serial()
+    if name == "procs":
+        return ProcPool(workers or None)
+    raise ValueError(f"unknown backend {name!r}; expected 'serial' or 'procs'")

@@ -60,7 +60,7 @@ class KernelRegistry:
     A table holds functions and the name each one's launches are counted
     under, nothing per-run: the coupled model uses the process-wide
     :data:`KERNELS`, and launch bookkeeping is the
-    :class:`repro.pp.stats.KernelMetrics` pool of whichever
+    :class:`repro.pp.KernelMetrics` pool of whichever
     :class:`~repro.component.ComponentContext` launches.
     """
 
@@ -111,7 +111,7 @@ class KernelRegistry:
         """The name ``handle``'s launches are counted under."""
         return self._names[handle]
 
-    def launch(self, space: ExecutionSpace, handle: int, policy, *args, **kwargs):
+    def launch(self, space: ExecutionSpace, handle: int, policy, *args, **kwargs) -> None:
         """Launch-by-handle: what the device runtime does with the hash.
 
         Works for flat ranges (kernel receives one index-array chunk) and
@@ -121,7 +121,7 @@ class KernelRegistry:
         backends can ship registered kernels to workers; serial behavior
         is unchanged (``BoundKernel(fn, args)(*idx) == fn(*idx, *args)``).
         """
-        return parallel_for(space, policy, BoundKernel(self.lookup(handle), args), **kwargs)
+        parallel_for(space, policy, BoundKernel(self.lookup(handle), args), **kwargs)
 
     def __len__(self) -> int:
         return len(self._table)

@@ -168,13 +168,16 @@ class CheckpointManager:
         except json.JSONDecodeError as exc:
             raise CheckpointError("checkpoint manifest is not valid JSON",
                                   path=path, reason=str(exc)) from None
+        # Input read from disk: a malformed manifest is a set to skip.
+        if not isinstance(manifest, dict):
+            raise CheckpointError("checkpoint manifest is malformed",
+                                  path=path, reason="not a JSON object")
         if manifest.get("version") != _VERSION:
             raise CheckpointError(
                 "checkpoint manifest has unsupported version",
                 path=path, reason=f"version={manifest.get('version')!r}",
             )
         files = manifest.get("files", {})
-        # Input read from disk: a malformed manifest is a set to skip.
         if not isinstance(files, dict) or not all(
             isinstance(meta, dict) and "size" in meta and "crc32" in meta
             for meta in files.values()

@@ -1,7 +1,7 @@
 """Shared utilities: namelists, units/constants, deterministic RNG, the
-bitwise compare."""
+bitwise compare and the fixed-order pairwise combine tree."""
 
-from .bitwise import first_difference
+from .bitwise import first_difference, pairwise_tree
 from .namelist import NamelistError, parse_namelist, read_namelist, write_namelist
 from .rng import derive_seed, seeded
 from .units import (
@@ -21,6 +21,7 @@ from .units import (
 
 __all__ = [
     "first_difference",
+    "pairwise_tree",
     "parse_namelist",
     "read_namelist",
     "write_namelist",

@@ -1,12 +1,13 @@
-"""The one bitwise compare of two ``{leaf: array}`` mappings."""
+"""The one bitwise compare of two ``{leaf: array}`` mappings, and the one
+fixed-order pairwise combine tree."""
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["first_difference"]
+__all__ = ["first_difference", "pairwise_tree"]
 
 
 def first_difference(a: Mapping, b: Mapping) -> Optional[str]:
@@ -21,3 +22,15 @@ def first_difference(a: Mapping, b: Mapping) -> Optional[str]:
         if x.dtype != y.dtype or x.shape != y.shape or x.tobytes() != y.tobytes():
             return leaf
     return None
+
+
+def pairwise_tree(values: Sequence[Any], combine: Callable) -> Any:
+    """``values`` combined pairwise in a fixed order (an odd one out joins
+    the next round): the same bits whatever order they were produced in."""
+    vals = list(values)
+    while len(vals) > 1:
+        nxt = [combine(vals[i], vals[i + 1]) for i in range(0, len(vals) - 1, 2)]
+        if len(vals) % 2:
+            nxt.append(vals[-1])
+        vals = nxt
+    return vals[0]

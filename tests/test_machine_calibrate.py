@@ -34,7 +34,7 @@ from repro.machine.calibrate import (
 )
 from repro.machine.perfmodel import Phase
 from repro.machine.workloads import atm_workload, ocn_workload
-from repro.pp import KernelMetrics
+from repro.pp import ExecutionSpace, KernelMetrics
 
 SIZES = (256, 1_024)
 REPEATS = 2
@@ -91,12 +91,19 @@ class TestMeasureProbes:
             assert all(t > 0 for t in m.best_s)
             assert m.seconds >= sum(m.best_s)
 
-    def test_mdrange_probe_rounds_to_square_and_profiles(self, measurements):
+    def test_mdrange_probe_rounds_to_square_and_profiles(self, measurements, record_tiles):
         m = measurements["stencil"]
         for requested, actual in zip(SIZES, m.sizes):
             side = math.isqrt(requested)
             assert actual == side * side
         assert m.tile_imbalance >= 1.0  # max/mean of real tile sizes
+        # On an uneven cut it is the worst launch's max/mean of the tiles run.
+        space, launches = record_tiles(ExecutionSpace("cut", lanes=3))
+        got = measure_probes(space, sizes=SIZES, repeats=1, probes={"stencil": PROBES["stencil"]})
+        ran = [[math.prod(shape) for shape in tiles] for tiles in launches]
+        assert len(ran) == len(SIZES)
+        worst = max(max(s) / (sum(s) / len(s)) for s in ran)
+        assert got["stencil"].tile_imbalance == worst > 1.0
 
     def test_validates_inputs(self):
         with pytest.raises(CalibrationError, match="repeats"):

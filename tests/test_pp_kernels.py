@@ -2,6 +2,7 @@
 identical results however the launch is cut, wherever the chunks run)."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -183,13 +184,15 @@ def test_mdrange_parallel_for_matches_dense():
     assert np.array_equal(a, kz * 100.0 + jy)
 
 
-def test_tile_profiling():
+def test_tile_profiling(record_tiles):
+    space, launches = record_tiles(Serial())
     policy = MDRangePolicy(extents=(5, 5), tile=(2, 2))
-    prof = parallel_for(Serial(), policy, lambda a, b: None, profile=True)
-    assert prof is not None
-    assert prof.n_tiles == 9  # ceil(5/2)^2
-    assert prof.total_iterations == 25
-    assert prof.imbalance > 1.0  # edge tiles are smaller
+    assert parallel_for(space, policy, lambda a, b: None) is None
+    (tiles,) = launches
+    sizes = [math.prod(shape) for shape in tiles]
+    assert len(tiles) == 9  # ceil(5/2)^2
+    assert sum(sizes) == 25
+    assert max(sizes) / (sum(sizes) / len(sizes)) > 1.0  # edge tiles are smaller
 
 
 def test_kernel_stats_accumulate():
@@ -375,30 +378,30 @@ def lane_spaces(procpool):
 
 
 @pytest.mark.parametrize("extents", [(24, 40), (3, 5), (1, 7, 2)])
-def test_mdrange_default_tile_is_one_tile_per_lane(lane_spaces, extents):
+def test_mdrange_default_tile_is_one_tile_per_lane(lane_spaces, record_tiles, extents):
     """A default-tile MDRange ``parallel_for`` runs ``min(lanes, extent[0])``
     tiles on every space and writes the bits explicit pencil tiles write."""
     pencils = MDRangePolicy(extents, tile=(1,) + extents[1:])
     ref = np.zeros(extents[:2])
     parallel_for(Serial(), pencils, BoundKernel(_bit_tile_nd, (ref,)))
     for space in lane_spaces:
+        rec, launches = record_tiles(space)
         out = np.zeros(extents[:2])
-        prof = parallel_for(
-            space, MDRangePolicy(extents), BoundKernel(_bit_tile_nd, (out,)), profile=True
-        )
-        assert prof.n_tiles == min(space.lanes, extents[0]), space.name
-        assert prof.total_iterations == int(np.prod(extents)), space.name
+        parallel_for(rec, MDRangePolicy(extents), BoundKernel(_bit_tile_nd, (out,)))
+        (tiles,) = launches
+        assert len(tiles) == min(space.lanes, extents[0]), space.name
+        assert sum(map(math.prod, tiles)) == int(np.prod(extents)), space.name
         assert np.array_equal(out, ref), space.name
 
 
-def test_mdrange_default_tile_zero_extent_runs_zero_tiles(lane_spaces):
+def test_mdrange_default_tile_zero_extent_runs_zero_tiles(lane_spaces, record_tiles):
     for space in lane_spaces:
         for extents in [(0, 4), (4, 0)]:
-            prof = parallel_for(
-                space, MDRangePolicy(extents), BoundKernel(_bit_tile, (np.zeros(extents),)),
-                profile=True,
+            rec, launches = record_tiles(space)
+            parallel_for(
+                rec, MDRangePolicy(extents), BoundKernel(_bit_tile, (np.zeros(extents),))
             )
-            assert prof.n_tiles == 0, (space.name, extents)
+            assert launches == [[]], (space.name, extents)
 
 
 def test_mdrange_reduce_decomposition_is_not_lane_dependent(lane_spaces):

@@ -162,7 +162,7 @@ class TestSWGOMP:
         parallel_for(cpe_cut(8), 37, bump)
         assert np.all(x == 1.0)
 
-    def test_chunked_schedule(self):
+    def test_chunked_schedule(self, record_tiles):
         x = np.zeros(95)
         hits = np.zeros(95, dtype=int)
 
@@ -170,11 +170,13 @@ class TestSWGOMP:
             x[idx] = 5.0
             hits[idx] += 1
 
-        prof = parallel_for(Serial(), MDRangePolicy((95,), tile=(10,)), fill, profile=True)
+        space, launches = record_tiles(Serial())
+        parallel_for(space, MDRangePolicy((95,), tile=(10,)), fill)
         assert np.all(x == 5.0)
         assert np.all(hits == 1)  # every row written exactly once
-        assert prof.n_tiles == 10  # ceil(95/10)
-        assert prof.total_iterations == 95
+        (tiles,) = launches
+        assert len(tiles) == 10  # ceil(95/10)
+        assert sum(n for (n,) in tiles) == 95
 
     def test_bad_schedule_rejected(self):
         with pytest.raises(ValueError):

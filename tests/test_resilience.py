@@ -255,6 +255,32 @@ class TestRestartCorruption:
             load_restart(tmp_path)
         assert err.value.field == "q"
 
+    @pytest.mark.parametrize(
+        "key, value", [("shape", "ab"), ("size", "x"), ("crc32", [1, 2])]
+    )
+    def test_field_entry_of_wrong_type_structured(self, tmp_path, key, value):
+        self._save(tmp_path)
+        manifest = tmp_path / "restart.json"
+        data = json.loads(manifest.read_text())
+        data["fields"]["q"][key] = value
+        manifest.write_text(json.dumps(data))
+        with pytest.raises(RestartError, match=f"'{key}'") as err:
+            load_restart(tmp_path)
+        assert err.value.field == "q"
+        assert err.value.actual == value
+
+    @pytest.mark.parametrize(
+        "key, value", [("n_ranks", "x"), ("n_groups", [1]), ("n_ranks", 0), ("scalars", [1, 2])]
+    )
+    def test_manifest_entry_of_wrong_type_structured(self, tmp_path, key, value):
+        self._save(tmp_path)
+        manifest = tmp_path / "restart.json"
+        data = json.loads(manifest.read_text())
+        data[key] = value
+        manifest.write_text(json.dumps(data))
+        with pytest.raises(RestartError, match="manifest"):
+            load_restart(tmp_path)
+
     def test_manifest_written_atomically(self, tmp_path):
         self._save(tmp_path)
         assert not list(tmp_path.glob("*.tmp"))
@@ -314,10 +340,13 @@ class TestCheckpointManager:
         assert obs.metrics.get("resilience.checkpoint_fallbacks").value == 1
         assert obs.metrics.get("resilience.restores").value == 1
 
-    @pytest.mark.parametrize("damage", ["entry_without_size", "files_as_list"])
+    @pytest.mark.parametrize(
+        "damage", ["entry_without_size", "files_as_list", "manifest_not_an_object"]
+    )
     def test_malformed_manifest_falls_back(self, tmp_path, damage):
-        """A parseable manifest whose ``files`` are malformed marks the set
-        invalid: restore skips it for the older set instead of raising."""
+        """A parseable manifest that is not an object, or whose ``files`` are
+        malformed, marks the set invalid: restore skips it for the older set
+        instead of raising."""
         obs = Obs()
         mgr = CheckpointManager(tmp_path, keep=3, obs=obs)
         for step in (1, 2):
@@ -326,8 +355,10 @@ class TestCheckpointManager:
         manifest = json.loads(manifest_path.read_text())
         if damage == "entry_without_size":
             del next(iter(manifest["files"].values()))["size"]
-        else:
+        elif damage == "files_as_list":
             manifest["files"] = list(manifest["files"])
+        else:
+            manifest = [1, 2]
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(CheckpointError, match="malformed"):
             mgr.validate(mgr.checkpoints()[-1])
