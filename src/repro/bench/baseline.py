@@ -18,7 +18,7 @@ baselines under ``benchmarks/baselines/``:
   parallel backend must not be slower than serial on a multi-core host);
   on single-core runners it is informational.
 * ``drift`` — modeled-vs-measured drift fraction per kernel (see
-  :func:`repro.machine.calibrate.drift`).  Like ``speedup``, the
+  :func:`repro.machine.calibration.drift`).  Like ``speedup``, the
   committed value is never a target (measurements are machine-dependent);
   the **band is gated**: the current run fails when ``|drift|`` exceeds
   ``drift_tolerance`` or is non-finite (``NaN > tol`` is falsy — a

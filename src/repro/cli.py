@@ -397,8 +397,6 @@ def _resilience_config(args: argparse.Namespace, guard_physics: bool = True):
         checkpoint_every=args.checkpoint_every,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_keep=args.checkpoint_keep,
-        max_retries=3,
-        recv_timeout_s=5.0,
         **fields,
     )
 
@@ -667,7 +665,7 @@ def _cmd_perf_gate(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    from repro.machine.calibrate import (
+    from repro.machine.calibration import (
         CalibrationError,
         CalibrationTable,
         calibrate,
@@ -753,14 +751,17 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 def _cmd_run_jobs(args: argparse.Namespace) -> int:
     from repro.serve import JobScheduler, JobStore, ServeConfig
 
-    config = ServeConfig(
-        workers=args.workers,
-        max_queue=args.max_queue,
-        heartbeat_timeout_s=args.heartbeat_timeout_s,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_keep=args.checkpoint_keep,
-        mode="threads" if args.threads else "inline",
-    )
+    try:
+        config = ServeConfig(
+            workers=args.workers,
+            max_queue=args.max_queue,
+            heartbeat_timeout_s=args.heartbeat_timeout_s,
+            checkpoint_every=args.checkpoint_every,
+            checkpoint_keep=args.checkpoint_keep,
+            mode="threads" if args.threads else "inline",
+        )
+    except ValueError as exc:
+        raise SystemExit(f"invalid service config: {exc}") from None
 
     def stream(ev: dict) -> None:
         detail = ", ".join(

@@ -387,7 +387,6 @@ class EnsembleRun:
             self.members,
             MemberPolicy.parse(res.member_policy),
             restart_max=res.member_restart_max,
-            backoff_s=res.backoff_s,
             lockstep=self.lockstep,
             plan=plan,
             obs=self.obs,

@@ -245,15 +245,20 @@ class TaskDomainScheduler:
             self._domain_obs[name] = handle
         return handle
 
-    def execute(self, name: str, unit: Callable[[Any], Any]) -> Any:
-        """Run ``unit(obs)`` inline under the domain's span."""
-        domain = self._by_name[name]
-        with self.obs.span(f"cpl.domain.{domain.name}"):
+    @staticmethod
+    def _run_unit(domain: TaskDomain, unit: Callable[[Any], Any], obs: Any) -> Any:
+        """Run ``unit(obs)`` under the ``cpl.domain.<name>`` span, tagging
+        an escaping exception with the domain."""
+        with obs.span(f"cpl.domain.{domain.name}"):
             try:
-                return unit(self.obs)
+                return unit(obs)
             except BaseException as exc:
                 _tag_domain(exc, domain.name)
                 raise
+
+    def execute(self, name: str, unit: Callable[[Any], Any]) -> Any:
+        """Run ``unit(obs)`` inline under the domain's span."""
+        return self._run_unit(self._by_name[name], unit, self.obs)
 
     def launch(self, name: str, unit: Callable[[Any], Any]) -> TaskHandle:
         """Schedule ``unit(obs)``; returns a join handle.
@@ -265,24 +270,9 @@ class TaskDomainScheduler:
         """
         domain = self._by_name[name]
         if self._executor is None:
-            with self.obs.span(f"cpl.domain.{domain.name}"):
-                try:
-                    return TaskHandle(value=unit(self.obs), name=domain.name)
-                except BaseException as exc:
-                    _tag_domain(exc, domain.name)
-                    raise
-        domain_obs = self.domain_obs(name)
-
-        def run() -> Any:
-            with domain_obs.span(f"cpl.domain.{domain.name}"):
-                try:
-                    return unit(domain_obs)
-                except BaseException as exc:
-                    _tag_domain(exc, domain.name)
-                    raise
-
+            return TaskHandle(value=self._run_unit(domain, unit, self.obs), name=domain.name)
         handle = TaskHandle(
-            future=self._executor.submit(run),
+            future=self._executor.submit(self._run_unit, domain, unit, self.domain_obs(name)),
             name=domain.name,
             watchdog_s=self.watchdog_s,
             obs=self.obs,

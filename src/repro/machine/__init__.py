@@ -1,7 +1,7 @@
 """Analytic machine models (Sunway OceanLight, ORISE) and the performance
 model that regenerates the paper's scaling tables and figures."""
 
-from .calibrate import (
+from .calibration import (
     CalibrationError,
     CalibrationTable,
     DriftReport,

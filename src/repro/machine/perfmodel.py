@@ -37,7 +37,7 @@ from ..utils.units import SECONDS_PER_DAY, sypd_from_walltime
 from .spec import MachineSpec, ProcessorSpec
 
 if TYPE_CHECKING:  # avoid importing the pp layer at module import time
-    from .calibrate import CalibrationTable
+    from .calibration import CalibrationTable
 
 __all__ = [
     "Phase",
@@ -67,7 +67,7 @@ class Phase:
         Global reductions per step (CFL checks, solver dot products).
     kernel:
         Optional calibration-class tag naming the probe kernel in a
-        :class:`~repro.machine.calibrate.CalibrationTable` that prices
+        :class:`~repro.machine.calibration.CalibrationTable` that prices
         this phase (``stencil``, ``axpy``, ``stream``, ``fma8``,
         ``transcendental``).  Untagged phases fall back to
         nearest-arithmetic-intensity matching; without a calibration
@@ -155,7 +155,7 @@ class PerfModel:
     comm_scale:
         Multiplier on communication time (calibrated).
     calibration:
-        Optional measurement-fitted :class:`~repro.machine.calibrate.CalibrationTable`.
+        Optional measurement-fitted :class:`~repro.machine.calibration.CalibrationTable`.
         When set, each phase's roofline step time is repriced with the
         matching kernel's fitted ``overhead_factor`` / ``bandwidth_scale``
         / ``per_launch_s``; when ``None`` (the default) the compute term

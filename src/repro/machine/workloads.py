@@ -18,7 +18,7 @@ respective numerical schemes; the calibration layer absorbs the absolute
 scale, so only their *ratios across phases* shape the predictions.
 
 Each phase also carries a ``kernel`` tag naming its probe class in a
-:class:`~repro.machine.calibrate.CalibrationTable` (``stencil`` for the
+:class:`~repro.machine.calibration.CalibrationTable` (``stencil`` for the
 dycore/baroclinic/EVP stencils, ``axpy`` for tracer advection, ``stream``
 for the 2-D barotropic sub-stepping, ``fma8`` for dense AI-physics tensor
 kernels, ``transcendental`` for column physics) — necessary because phase

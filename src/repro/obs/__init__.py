@@ -6,11 +6,11 @@ script.  See :class:`Obs` for the facade components accept, and
 ``docs/API.md`` for the quickstart.
 """
 
-from .core import NULL_OBS, Obs, PrefixedObs
+from .core import NULL_OBS, Obs
 from .export import (
     TimingReport,
     chrome_trace_events,
-    coupler_fastpath,
+    counter_totals,
     kernel_measurements,
     text_report,
     timing_summary,
@@ -21,7 +21,6 @@ from .tracer import Span, Tracer
 
 __all__ = [
     "Obs",
-    "PrefixedObs",
     "NULL_OBS",
     "Span",
     "Tracer",
@@ -34,6 +33,6 @@ __all__ = [
     "text_report",
     "timing_summary",
     "TimingReport",
-    "coupler_fastpath",
+    "counter_totals",
     "kernel_measurements",
 ]

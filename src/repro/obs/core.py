@@ -12,6 +12,7 @@ Chrome trace and as separate rows in cross-rank metric aggregation.
 
 from __future__ import annotations
 
+import copy
 import threading
 import time
 from pathlib import Path
@@ -21,7 +22,7 @@ from .export import TimingReport, text_report, timing_summary, write_chrome_trac
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .tracer import Tracer
 
-__all__ = ["Obs", "PrefixedObs", "NULL_OBS"]
+__all__ = ["Obs", "NULL_OBS"]
 
 
 class _NoopCtx:
@@ -70,6 +71,10 @@ class Obs:
         allocation); :data:`NULL_OBS` is the ready-made disabled handle.
     rank:
         The (simulated) MPI rank, stamped on spans and metrics.
+
+    Every handle records under its ``prefix`` (empty on the root handle,
+    see :meth:`prefixed`); the root owns the lane table every
+    :meth:`fork` registers in, so the root's exports see every lane.
     """
 
     def __init__(
@@ -80,70 +85,91 @@ class Obs:
     ) -> None:
         self.enabled = enabled
         self.rank = rank
+        self.prefix = ""
         self._clock = clock if clock is not None else time.perf_counter
         self.tracer = Tracer(clock=self._clock, rank=rank)
         self.metrics = MetricsRegistry(rank=rank)
-        self._children: Dict[int, "Obs"] = {}
+        self._root = self
+        self._lanes: Dict[int, "Obs"] = {}  # the root's: every fork, by rank
+        self._forks: Dict[int, "Obs"] = {}  # this handle's, by requested rank
         self._lock = threading.Lock()
 
     # -- recording ---------------------------------------------------------
 
+    def _name(self, name: str) -> str:
+        return f"{self.prefix}.{name}" if self.prefix else name
+
     def span(self, name: str, **attrs: Any):
         if not self.enabled:
             return _NOOP_CTX
-        return self.tracer.span(name, **attrs)
+        return self.tracer.span(self._name(name), **attrs)
 
     def counter(self, name: str) -> Union[Counter, _NoopMetric]:
-        return self.metrics.counter(name) if self.enabled else _NOOP_METRIC
+        return self.metrics.counter(self._name(name)) if self.enabled else _NOOP_METRIC
 
     def gauge(self, name: str) -> Union[Gauge, _NoopMetric]:
-        return self.metrics.gauge(name) if self.enabled else _NOOP_METRIC
+        return self.metrics.gauge(self._name(name)) if self.enabled else _NOOP_METRIC
 
     def histogram(self, name: str) -> Union[Histogram, _NoopMetric]:
-        return self.metrics.histogram(name) if self.enabled else _NOOP_METRIC
+        return self.metrics.histogram(self._name(name)) if self.enabled else _NOOP_METRIC
 
     # -- namespacing -------------------------------------------------------
 
     def prefixed(self, prefix: str) -> "Obs":
-        """A view of this handle that prepends ``prefix + '.'`` to every
-        span and metric name — how ensemble members share one parent
-        registry without colliding (``member.<k>.*``).  Disabled handles
+        """A view of this handle that records every span and metric under
+        ``<prefix>.<name>`` (prefixes chain: ``obs.prefixed('member.0')
+        .prefixed('cpl')`` records ``member.0.cpl.*``) — how ensemble
+        members share one registry without colliding.  The view shares
+        this handle's tracer, metrics and lane table.  Disabled handles
         return themselves: the no-op fast path stays a single branch.
         """
         if not self.enabled:
             return self
-        return PrefixedObs(self, prefix)
+        view = copy.copy(self)
+        view.prefix = self._name(prefix)
+        view._forks = {}
+        return view
 
     # -- SPMD --------------------------------------------------------------
 
     def fork(self, rank: int) -> "Obs":
-        """Per-rank child handle (thread-safe; idempotent per rank).
+        """Per-rank child handle (thread-safe; idempotent per handle).
 
-        Children share the parent's clock and enabled flag and are
-        included in the parent's exports.
+        The child keeps this handle's prefix and owns its tracer.  Two
+        handles forking one rank — two ensemble members' ocean domains —
+        run on two threads, and a tracer stack is per-thread state, so a
+        rank another handle already holds moves to the next free one.
+        Every child is registered on the root handle, shares its clock
+        and enabled flag, and is included in the root's exports.
         """
-        with self._lock:
-            child = self._children.get(rank)
+        root = self._root
+        with root._lock:
+            child = self._forks.get(rank)
             if child is None:
-                child = Obs(clock=self._clock, enabled=self.enabled, rank=rank)
-                self._children[rank] = child
+                free = rank
+                while free in root._lanes:
+                    free += 1
+                child = Obs(clock=self._clock, enabled=self.enabled, rank=free)
+                child.prefix, child._root = self.prefix, root
+                root._lanes[free] = self._forks[rank] = child
             return child
 
     def all_ranks(self) -> List["Obs"]:
-        """This handle plus every fork, ordered by rank."""
-        with self._lock:
-            children = sorted(self._children.values(), key=lambda o: o.rank)
-        return [self] + children
+        """The root handle plus every fork, ordered by rank."""
+        root = self._root
+        with root._lock:
+            lanes = sorted(root._lanes.values(), key=lambda o: o.rank)
+        return [root] + lanes
 
     # -- export ------------------------------------------------------------
 
     def _recorded(self) -> List["Obs"]:
-        """Handles that actually recorded something (drops an idle parent)."""
+        """Handles that actually recorded something (drops an idle root)."""
         handles = [
             o for o in self.all_ranks()
             if o.tracer.spans or o.metrics.names()
         ]
-        return handles or [self]
+        return handles or [self._root]
 
     def write_chrome_trace(self, path: Union[str, Path]) -> Path:
         handles = self._recorded()
@@ -164,72 +190,6 @@ class Obs:
         return timing_summary(
             [o.tracer for o in self._recorded()], span, simulated_days
         )
-
-
-class PrefixedObs:
-    """Name-prefixing view over a base :class:`Obs` handle.
-
-    Records through the *base* tracer/metrics (so exports aggregate all
-    members in one place) but under ``<prefix>.<name>``.  Everything not
-    name-shaped — exports, ``tracer``/``metrics`` attributes — delegates
-    to the base handle unchanged.
-    """
-
-    def __init__(self, base: Obs, prefix: str) -> None:
-        self._base = base
-        self.prefix = prefix
-        self._forks: Dict[int, "PrefixedObs"] = {}
-
-    @property
-    def enabled(self) -> bool:
-        return self._base.enabled
-
-    @property
-    def rank(self) -> int:
-        return self._base.rank
-
-    def _name(self, name: str) -> str:
-        return f"{self.prefix}.{name}"
-
-    def span(self, name: str, **attrs: Any):
-        return self._base.span(self._name(name), **attrs)
-
-    def counter(self, name: str):
-        return self._base.counter(self._name(name))
-
-    def gauge(self, name: str):
-        return self._base.gauge(self._name(name))
-
-    def histogram(self, name: str):
-        return self._base.histogram(self._name(name))
-
-    def prefixed(self, prefix: str) -> "Obs | PrefixedObs":
-        """Chain prefixes: ``obs.prefixed('member.0').prefixed('cpl')``
-        records under ``member.0.cpl.*``."""
-        if not self._base.enabled:
-            return self._base
-        return PrefixedObs(self._base, self._name(prefix))
-
-    def fork(self, rank: int) -> "PrefixedObs":
-        """Per-rank child of *this view* (idempotent per rank): keeps the
-        prefix and owns its tracer.  Two views forking one rank — two
-        ensemble members' ocean domains — run on two threads, and a
-        tracer stack is per-thread state, so a rank another view already
-        holds moves to the next free one.
-        """
-        child = self._forks.get(rank)
-        if child is None:
-            base, free = self._base, rank
-            with base._lock:
-                while free in base._children:
-                    free += 1
-                lane = Obs(clock=base._clock, enabled=base.enabled, rank=free)
-                base._children[free] = lane
-            child = self._forks[rank] = PrefixedObs(lane, self.prefix)
-        return child
-
-    def __getattr__(self, attr: str):
-        return getattr(self._base, attr)
 
 
 NULL_OBS = Obs(enabled=False)

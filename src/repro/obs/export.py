@@ -30,8 +30,6 @@ __all__ = [
     "TimingReport",
     "timing_summary",
     "counter_totals",
-    "resilience_interventions",
-    "coupler_fastpath",
     "kernel_measurements",
 ]
 
@@ -52,28 +50,11 @@ def counter_totals(
     return totals
 
 
-def resilience_interventions(
-    metrics: Iterable[MetricsRegistry],
-) -> Dict[str, float]:
-    """Total every nonzero ``resilience.*`` and ``ensemble.supervisor.*``
-    counter across ranks.
-
-    The resilience layer counts each intervention (retries, checkpoint
-    fallbacks, physics fallbacks, recoveries, replayed work, spares
-    used), and the fleet supervisor counts its member-level ones
-    (quarantines, restarts, escalations, replayed couplings); a run that
-    needed none returns ``{}``.
-    """
-    return counter_totals(metrics, ("resilience.", "ensemble.supervisor."))
-
-
-def coupler_fastpath(metrics: Iterable[MetricsRegistry]) -> Dict[str, float]:
-    """Total every nonzero ``coupler.*``/``cpl.plan.*`` counter across
-    ranks — the fast-path ledger (cache hits/misses, exchange traffic,
-    pruning savings, coalesced-plan messages).  A run that never touched
-    the fast path returns ``{}``.
-    """
-    return counter_totals(metrics, ("coupler.", "cpl.plan."))
+# ``text_report``'s counter roll-ups: (section title, counter-name prefixes).
+_ROLLUPS = (
+    ("resilience interventions", ("resilience.", "ensemble.supervisor.")),
+    ("coupler fast path", ("coupler.", "cpl.plan.")),
+)
 
 
 def kernel_measurements(
@@ -87,7 +68,7 @@ def kernel_measurements(
     :class:`repro.pp.KernelStats`.  This exporter inverts those
     names back into ``{kernel: {launches, iterations, seconds}}`` — the
     measured side of the modeled-vs-measured loop that
-    :mod:`repro.machine.calibrate` closes.  Other ``pp.*`` names (the
+    :mod:`repro.machine.calibration` closes.  Other ``pp.*`` names (the
     pool's ``pp.procpool.*``) are skipped; a run that launched no
     instrumented kernels returns ``{}``.
     """
@@ -243,18 +224,12 @@ def text_report(
                 f"{summary['sum']:>16.6g}"
             )
         sections.append("\n".join(lines))
-    interventions = resilience_interventions(metric_list)
-    if interventions:
-        lines = ["== resilience interventions =="]
-        for name in sorted(interventions):
-            lines.append(f"{name:<44}{interventions[name]:>14g}")
-        sections.append("\n".join(lines))
-    fastpath = coupler_fastpath(metric_list)
-    if fastpath:
-        lines = ["== coupler fast path =="]
-        for name in sorted(fastpath):
-            lines.append(f"{name:<44}{fastpath[name]:>14g}")
-        sections.append("\n".join(lines))
+    for title, prefixes in _ROLLUPS:
+        totals = counter_totals(metric_list, prefixes)
+        if totals:
+            lines = [f"== {title} =="]
+            lines += [f"{name:<44}{totals[name]:>14g}" for name in sorted(totals)]
+            sections.append("\n".join(lines))
     kernels = kernel_measurements(metric_list)
     if any(rec["seconds"] > 0 for rec in kernels.values()):
         lines = [

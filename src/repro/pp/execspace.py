@@ -41,7 +41,7 @@ class KernelStats:
 
     ``seconds`` accumulates measured wall time per launch (supplied by the
     kernel layer, which times each dispatch) — the raw signal the
-    measurement-calibrated machine model (:mod:`repro.machine.calibrate`)
+    measurement-calibrated machine model (:mod:`repro.machine.calibration`)
     fits its per-kernel cost terms against.  With an ``obs`` handle each
     ``record`` is mirrored as ``pp.<kernel>.launches`` (counter),
     ``pp.<kernel>.iterations`` (histogram) and ``pp.<kernel>.seconds``

@@ -168,16 +168,20 @@ def default_chaos_config(checkpoint_dir=None, checkpoint_every: int = 2):
         enabled=True,
         checkpoint_every=checkpoint_every if checkpoint_dir else 0,
         checkpoint_dir=checkpoint_dir,
-        max_retries=3,
-        recv_timeout_s=5.0,
     )
     return AP3ESMConfig(resilience=resilience)
 
 
 # -- stage 1: comm faults through the rearranger ---------------------------
 
+#: The comm stage's rearranger re-posts a failed send up to this many
+#: times, with no backoff (the simulated runtime needs no real waiting).
+COMM_RETRIES = 3
+#: Per-receive timeout surfacing a dead peer as ``CommTimeoutError``.
+COMM_RECV_TIMEOUT_S = 5.0
 
-def _comm_stage(plan: FaultPlan, res, obs: Obs, report: ChaosReport) -> None:
+
+def _comm_stage(plan: FaultPlan, obs: Obs, report: ChaosReport) -> None:
     from ..coupler import AttrVect, GlobalSegMap, Rearranger, Router
     from ..parallel.comm import SimWorld
 
@@ -189,17 +193,15 @@ def _comm_stage(plan: FaultPlan, res, obs: Obs, report: ChaosReport) -> None:
     dst = GlobalSegMap.from_owners(np.repeat(np.arange(n_ranks)[::-1], per_rank))
     router = Router.build(src, dst)
     gfield = np.arange(float(gsize))
-    recv_timeout = res.recv_timeout_s if res.recv_timeout_s is not None else 5.0
 
     def transfer(injector, obs_handle) -> List[np.ndarray]:
         rearranger = Rearranger(
             router,
             method="p2p",
-            max_retries=res.max_retries,
-            retry_backoff_s=res.backoff_s,
-            recv_timeout=recv_timeout,
+            max_retries=COMM_RETRIES,
+            recv_timeout=COMM_RECV_TIMEOUT_S,
         )
-        world = SimWorld(n_ranks, timeout=2 * recv_timeout, faults=injector)
+        world = SimWorld(n_ranks, timeout=2 * COMM_RECV_TIMEOUT_S, faults=injector)
 
         def rank_program(comm):
             av = AttrVect.from_dict({"f": gfield[src.local_indices(comm.rank)]})
@@ -572,7 +574,7 @@ def run_chaos(
     report = ChaosReport(plan_faults=plan.n_faults, couplings=couplings)
 
     if plan.comm:
-        _comm_stage(plan, res, obs, report)
+        _comm_stage(plan, obs, report)
     if any(f.kind == "kill" for f in plan.comm):
         _kill_stage(plan, config, obs, report)
     if plan.member_scoped:

@@ -32,14 +32,6 @@ class ResilienceConfig:
     checkpoint_dir: Optional[str] = None
     #: How many checkpoints the rotation keeps on disk.
     checkpoint_keep: int = 3
-    #: Retries for transient comm failures (rearranger sends).
-    max_retries: int = 3
-    #: Base backoff between retries, doubling per attempt (0 = immediate;
-    #: the simulated runtime needs no real waiting).
-    backoff_s: float = 0.0
-    #: Per-receive timeout surfacing a dead peer as CommTimeoutError
-    #: (None = the world's default deadlock guard).
-    recv_timeout_s: Optional[float] = None
     #: Abort waiting on a task domain after this many seconds
     #: (None = wait forever, the pre-resilience behavior).
     watchdog_s: Optional[float] = None
@@ -65,8 +57,8 @@ class ResilienceConfig:
     def __post_init__(self) -> None:
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+        if self.checkpoint_keep < 1:
+            raise ValueError("checkpoint_keep must be >= 1")
         if self.checkpoint_every and not self.checkpoint_dir:
             raise ValueError("checkpoint_every > 0 requires checkpoint_dir")
         if self.recovery_policy not in ("abort", "shrink", "spare"):

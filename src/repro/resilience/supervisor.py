@@ -38,7 +38,6 @@ faults) and an ``ensemble.supervisor.alive`` gauge.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -54,7 +53,6 @@ from ..parallel.comm import (
 )
 from .errors import CheckpointError, ResilienceError, WatchdogTimeout
 from .faults import CommFault, FaultPlan, PhysicsFault
-from .retry import RetryPolicy
 
 __all__ = [
     "MemberPolicy",
@@ -157,7 +155,6 @@ class FleetSupervisor:
         policy: MemberPolicy,
         *,
         restart_max: int = 2,
-        backoff_s: float = 0.0,
         lockstep=None,
         plan: Optional[FaultPlan] = None,
         obs=None,
@@ -167,7 +164,6 @@ class FleetSupervisor:
         self.members = list(members)
         self.policy = policy
         self.restart_max = restart_max
-        self.backoff_s = backoff_s
         self.lockstep = lockstep
         self.obs = obs if obs is not None else NULL_OBS
         self.alive: List[bool] = [True] * len(self.members)
@@ -351,9 +347,6 @@ class FleetSupervisor:
         replay it solo to the fleet clock; on return it is bitwise-equal
         to a never-faulted twin and back in lockstep."""
         attempt = self.restarts_used[k] + 1
-        delay = RetryPolicy(backoff_s=self.backoff_s).delay(attempt)
-        if delay > 0:
-            time.sleep(delay)
         self.restarts_used[k] = attempt
         failed_at = m.n_couplings
         with self.obs.span(

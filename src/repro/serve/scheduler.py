@@ -87,6 +87,8 @@ class ServeConfig:
             raise ValueError("max_queue must be >= 1")
         if self.heartbeat_timeout_s <= 0:
             raise ValueError("heartbeat_timeout_s must be positive")
+        if self.checkpoint_every < 1 or self.checkpoint_keep < 1:
+            raise ValueError("checkpoint_every and checkpoint_keep must be >= 1")
         if self.mode not in ("inline", "threads"):
             raise ValueError(f"unknown mode {self.mode!r}; "
                              "choose from ('inline', 'threads')")

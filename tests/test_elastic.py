@@ -470,13 +470,13 @@ class TestKillChaos:
 
 class TestInterventionReport:
     def test_resilience_section_appears_when_nonzero(self):
-        from repro.obs.export import resilience_interventions, text_report
+        from repro.obs.export import counter_totals, text_report
 
         obs = Obs()
         obs.counter("resilience.recoveries").inc()
         obs.fork(1).counter("resilience.ranks_lost").inc(2)
         regs = [h.metrics for h in obs.all_ranks()]
-        totals = resilience_interventions(regs)
+        totals = counter_totals(regs, ("resilience.", "ensemble.supervisor."))
         assert totals == {"resilience.recoveries": 1.0,
                           "resilience.ranks_lost": 2.0}
         report = text_report([h.tracer for h in obs.all_ranks()], regs)

@@ -331,12 +331,12 @@ class TestSupervisorObservability:
         assert faulted.members[2].clock.time < faulted.members[0].clock.time
 
     def test_counters_render_in_interventions_report(self):
-        from repro.obs.export import resilience_interventions, text_report
+        from repro.obs.export import counter_totals, text_report
 
         obs = Obs()
         obs.counter("ensemble.supervisor.restarts").inc()
         regs = [h.metrics for h in obs.all_ranks()]
-        assert resilience_interventions(regs) == \
+        assert counter_totals(regs, ("resilience.", "ensemble.supervisor.")) == \
             {"ensemble.supervisor.restarts": 1.0}
         report = text_report([h.tracer for h in obs.all_ranks()], regs)
         assert "resilience interventions" in report

@@ -24,7 +24,7 @@ from repro.machine import (
     measure_probes,
     sunway_oceanlight,
 )
-from repro.machine.calibrate import (
+from repro.machine.calibration import (
     IDENTITY_CALIBRATION,
     PROBES,
     KernelCalibration,
@@ -64,6 +64,18 @@ def _synthetic(kernel="fma8", per_launch=1e-5, per_iter=1e-8,
         flops_per_iter=flops,
         bytes_per_iter=bytes_,
     )
+
+
+def test_calibration_module_is_reachable_by_its_dotted_name():
+    """The module's name is not shadowed by the function the package
+    re-exports: the dotted import binds the module."""
+    import types
+
+    import repro.machine
+    import repro.machine.calibration as cal
+
+    assert isinstance(cal, types.ModuleType)
+    assert repro.machine.calibrate is cal.calibrate
 
 
 class TestMeasureProbes:

@@ -6,6 +6,8 @@ driver, the rearranger, subfile I/O, and the distributed ocean run.
 """
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ import pytest
 from repro.coupler import AttrVect, GlobalSegMap, Rearranger, Router
 from repro.io import SubfileLayout, read_subfiles, write_subfiles
 from repro.obs import (
+    NULL_OBS,
     MetricsRegistry,
     Obs,
     Tracer,
@@ -247,6 +250,64 @@ class TestObsFacade:
         report = obs.report()
         assert "phase" in report
         assert "io.bytes" in report
+
+    def test_prefixed_views_chain_into_the_root_registry(self):
+        obs = Obs()
+        obs.prefixed("a").prefixed("b").counter("x").inc()
+        assert obs.metrics.names() == ["a.b.x"]
+        assert obs.metrics.get("a.b.x").value == 1.0
+
+    def test_prefixed_returns_an_obs(self):
+        view = Obs().prefixed("m")
+        assert isinstance(view, Obs)
+        assert view.prefix == "m"
+
+    def test_disabled_prefixed_is_itself(self):
+        assert NULL_OBS.prefixed("m") is NULL_OBS
+
+    def test_view_fork_keeps_prefix_and_takes_next_free_rank(self):
+        obs = Obs(clock=FakeClock())
+        held = obs.fork(1)
+        view = obs.prefixed("member.0")
+        lane = view.fork(1)
+        assert lane is not held and lane.rank == 2
+        assert view.fork(1) is lane and lane.prefix == "member.0"
+        with lane.span("ocn.run"):
+            lane.counter("ocn.steps").inc()
+        assert [s.name for s in lane.tracer.spans] == ["member.0.ocn.run"]
+        assert lane.metrics.names() == ["member.0.ocn.steps"]
+
+    def test_concurrent_view_forks_get_one_lane_each(self):
+        """Forks race on the root's lane table: each view still gets one
+        lane, and no two views share a rank."""
+        obs = Obs(clock=FakeClock())
+        views = [obs.prefixed(f"member.{k}") for k in range(4)]
+        got = [[] for _ in views]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lambda k=k: got[k % 4].append(views[k % 4].fork(1)))
+                for k in range(16)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        lanes = [lanes_k[0] for lanes_k in got]
+        assert all(all(lane is lanes[k] for lane in got[k]) for k in range(4))
+        assert sorted(lane.rank for lane in lanes) == [1, 2, 3, 4]
+        assert [h.rank for h in obs.all_ranks()] == [0, 1, 2, 3, 4]
+
+    def test_view_fork_lane_is_in_root_all_ranks(self):
+        obs = Obs(clock=FakeClock())
+        obs.fork(1)
+        lane = obs.prefixed("member.0").fork(1)
+        assert any(h is lane for h in obs.all_ranks())
+        assert [h.rank for h in obs.all_ranks()] == [0, 1, 2]
 
 
 class TestWiring:

@@ -623,8 +623,7 @@ class TestCoupledResilience:
             physics=[PhysicsFault(kind="nan", step=2, n_columns=3)],
         )
         res = ResilienceConfig(enabled=True, checkpoint_every=2,
-                               checkpoint_dir=str(tmp_path),
-                               max_retries=3, recv_timeout_s=5.0)
+                               checkpoint_dir=str(tmp_path))
         report = run_chaos(plan, config=_small_config(resilience=res),
                            couplings=6)
         assert report.survived
@@ -640,6 +639,11 @@ class TestResilienceConfig:
     def test_checkpoint_requires_dir(self):
         with pytest.raises(ValueError, match="checkpoint_dir"):
             ResilienceConfig(enabled=True, checkpoint_every=2)
+
+    def test_checkpoint_keep_must_be_positive(self):
+        with pytest.raises(ValueError, match="checkpoint_keep"):
+            ResilienceConfig(enabled=True, checkpoint_every=2,
+                             checkpoint_dir="ckpt", checkpoint_keep=0)
 
     def test_namelist_ignores_resilience_field(self, tmp_path):
         from repro.esm import AP3ESMConfig

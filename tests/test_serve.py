@@ -452,6 +452,13 @@ class TestSchedulerBookkeeping:
         with pytest.raises(ValueError, match="unknown mode"):
             ServeConfig(mode="fork")
 
+    @pytest.mark.parametrize("field", ["checkpoint_every", "checkpoint_keep"])
+    def test_checkpoint_rotation_must_be_positive(self, field):
+        """A zero rotation is the service's own misconfiguration: it is
+        refused up front, not blamed on (and quarantining) every job."""
+        with pytest.raises(ValueError, match=field):
+            ServeConfig(**{field: 0})
+
 
 # -- the scheduler driving real jobs -----------------------------------------
 
