@@ -36,8 +36,9 @@ def main() -> None:
     print(f"\nserial reference: {N_STEPS} steps...")
     state = BarotropicState(eta0.copy(), np.zeros_like(eta0), np.zeros_like(eta0))
     t0 = time.perf_counter()
+    wind = solver.wind_acceleration(taux, None)
     for _ in range(N_STEPS):
-        state, norm = solver.step(state, dt, taux=taux)
+        state, norm = solver.step(state, dt, wind=wind)
     t_serial = time.perf_counter() - t0
     print(f"  {t_serial * 1e3:.0f} ms, final eta norm {norm:.4e}")
 

@@ -391,14 +391,17 @@ def _resilience_config(args: argparse.Namespace, guard_physics: bool = True):
             "fleet supervisor: pass --member-policy quarantine|restart "
             "or --faults"
         )
-    return ResilienceConfig(
-        enabled=True,
-        guard_physics=guard_physics,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_keep=args.checkpoint_keep,
-        **fields,
-    )
+    try:
+        return ResilienceConfig(
+            enabled=True,
+            guard_physics=guard_physics,
+            checkpoint_every=args.checkpoint_every,
+            checkpoint_dir=args.checkpoint_dir,
+            checkpoint_keep=args.checkpoint_keep,
+            **fields,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"invalid resilience config: {exc}") from None
 
 
 def _fault_plan(args: argparse.Namespace):

@@ -65,9 +65,8 @@ class BaroclinicSolver:
         """(rho, p): density and the hydrostatic pressure anomaly (Pa) at
         level centers, p_k = g * (sum of anomalies above + half of own
         layer), as a running sum over levels (the adds of ``np.cumsum``)."""
-        rho, p = np.empty_like(t), np.empty_like(t)
+        rho, p = linear_eos(t, s), np.empty_like(t)
         for k in range(t.shape[0]):
-            rho[k] = linear_eos(t[k], s[k])
             rho_anom = rho[k] - RHO_OCEAN
             weight = rho_anom * self.dz[k]
             cum = cum + weight if k else weight

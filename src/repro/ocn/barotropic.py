@@ -83,20 +83,28 @@ class BarotropicSolver:
 
     # -- stepping ------------------------------------------------------------
 
+    def wind_acceleration(self, taux: Optional[np.ndarray], tauy: Optional[np.ndarray]) -> Tuple:
+        """The (u, v) accelerations tau / (rho H) on the open faces, None for an
+        absent stress: one pair serves every substep under the same stresses."""
+        m = self.metrics
+        return (None if taux is None else np.where(m.mask_u, taux / self._hu_stress, 0.0),
+                None if tauy is None else np.where(m.mask_v, tauy / self._hv_stress, 0.0))
+
     def step(
         self,
         state: BarotropicState,
         dt: float,
-        taux: Optional[np.ndarray] = None,
-        tauy: Optional[np.ndarray] = None,
+        wind: Tuple = (None, None),
     ) -> Tuple[BarotropicState, float]:
-        """One forward-backward substep; returns (new state, |eta| norm).
+        """One forward-backward substep under the accelerations ``wind``
+        (:meth:`wind_acceleration`); returns (new state, |eta| norm).
 
         The returned norm is the global stabilization diagnostic — the
         allreduce the paper's solver performs every barotropic substep.
         """
         m = self.metrics
         eta, u, v = state.eta, state.u, state.v
+        au, av = wind
 
         flux_u = u * self.h_u * m.ly_east
         flux_v = v * self.h_v * m.lx_north
@@ -105,10 +113,10 @@ class BarotropicSolver:
 
         du = -GRAVITY * grad_x(m, eta_new) - self.drag * u
         dv = -GRAVITY * grad_y(m, eta_new) - self.drag * v
-        if taux is not None:
-            du = du + np.where(m.mask_u, taux / self._hu_stress, 0.0)
-        if tauy is not None:
-            dv = dv + np.where(m.mask_v, tauy / self._hv_stress, 0.0)
+        if au is not None:
+            du = du + au
+        if av is not None:
+            dv = dv + av
 
         u_new, v_new = self.rotation(u + dt * du, v + dt * dv, dt)
         u_new = np.where(m.mask_u, u_new, 0.0)

@@ -14,11 +14,13 @@ vectorized over all columns) because the mixed-layer kappa at km-scale
 stratification makes explicit diffusion unconditionally impractical — the
 same reason LICOM solves it implicitly.
 
-The column phases are streamed one level / interface at a time on 2-D
-slices that stay in cache, and the solve is split into *factor* (all that
-depends on ``kappa``, ``dz``, ``dt`` and the mask) and *solve* (one
-right-hand side), so fields with one coefficient set (T and S; U, V, T, Q
-in the atmosphere's boundary layer) share a factorisation.
+The column phases run on whole (nlev-1, ...) interface and (nlev, ...)
+level stacks with in-place ops; only the Thomas recurrences loop over
+levels, a row at a time.  The solve is split into *factor* (all that depends
+on ``kappa``, ``dz``, ``dt`` and the mask) and *solve* (one right-hand side),
+so fields with one coefficient set (T and S; U, V, T, Q in the atmosphere's
+boundary layer) share a factorisation.  An in-place op rounds in its
+buffer's dtype, so each phase raises ``TypeError`` on arrays of two dtypes.
 """
 
 from __future__ import annotations
@@ -42,7 +44,11 @@ class MixingParams:
     kappa_max: float = 1.0e-1          # m^2/s convective limit
     ri_critical: float = 0.3
     power: float = 2.0
-    n2_floor: float = 1.0e-10
+
+
+def _one_dtype(phase: str, *arrays: np.ndarray) -> None:
+    if len({a.dtype for a in arrays}) > 1:
+        raise TypeError(f"{phase} takes its arrays in one dtype, got {[str(a.dtype) for a in arrays]}")
 
 
 def richardson_number(
@@ -50,37 +56,49 @@ def richardson_number(
 ) -> np.ndarray:
     """Gradient Richardson number at interior interfaces.
 
-    Inputs are (nlev, ...) level fields and (nlev,) thicknesses; output is
-    (nlev-1, ...) at the interfaces between adjacent levels (interface k
-    sits between levels k and k+1, k increasing downward).
+    Inputs are (nlev, ...) level fields and (nlev,) thicknesses in one
+    dtype; output is (nlev-1, ...) at the interfaces between adjacent levels
+    (interface k sits between levels k and k+1, k increasing downward).
     """
-    dzi = 0.5 * (dz[:-1] + dz[1:])
-    shape = (-1,) + (1,) * (rho.ndim - 1)
-    dzi = dzi.reshape(shape)
-    n2 = -(GRAVITY / RHO_OCEAN) * (rho[:-1] - rho[1:]) / dzi  # z up: rho increases down
-    du = (u[:-1] - u[1:]) / dzi
-    dv = (v[:-1] - v[1:]) / dzi
-    s2 = du**2 + dv**2 + 1.0e-12
-    return n2 / s2
+    _one_dtype("richardson_number", rho, u, v, dz)
+    dzi = (0.5 * (dz[:-1] + dz[1:])).reshape((-1,) + (1,) * (rho.ndim - 1))
+    s2, ri = (np.subtract(f[:-1], f[1:]) for f in (u, v))
+    for d in (s2, ri):
+        d /= dzi
+        d **= 2
+    s2 += ri
+    s2 += 1.0e-12                       # S^2 = du^2 + dv^2 + eps
+    np.subtract(rho[:-1], rho[1:], out=ri)
+    ri *= -(GRAVITY / RHO_OCEAN)        # z up: rho increases down
+    ri /= dzi                           # N^2
+    ri /= s2
+    return ri
 
 
-def canuto_kappa(ri: np.ndarray, params: MixingParams | None = None) -> np.ndarray:
-    """Mixing coefficient from the Richardson number (see module docs)."""
+def canuto_kappa(
+    ri: np.ndarray, params: MixingParams | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Mixing coefficient from the Richardson number (see module docs).
+
+    Written into ``out`` if given, which may be ``ri`` itself."""
     p = params or MixingParams()
-    stable = p.kappa_background + p.kappa_0 / (1.0 + np.maximum(ri, 0.0) / p.ri_critical) ** p.power
-    return np.where(ri < 0.0, p.kappa_max, stable)
+    unstable = ri < 0.0
+    kappa = np.maximum(ri, 0.0, out=out)
+    kappa /= p.ri_critical
+    kappa += 1.0
+    kappa **= p.power
+    np.divide(p.kappa_0, kappa, out=kappa)
+    kappa += p.kappa_background
+    np.copyto(kappa, p.kappa_max, where=unstable)
+    return kappa
 
 
 def column_kappa(
     rho: np.ndarray, u: np.ndarray, v: np.ndarray, dz: np.ndarray, params: MixingParams
 ) -> np.ndarray:
-    """``canuto_kappa(richardson_number(...))`` streamed one interface at a
-    time (two-level windows of the inputs): (nlev-1, ...) diffusivities."""
-    kappa = np.empty((rho.shape[0] - 1,) + rho.shape[1:], rho.dtype)
-    for k in range(kappa.shape[0]):
-        w = slice(k, k + 2)
-        kappa[k] = canuto_kappa(richardson_number(rho[w], u[w], v[w], dz[w], params), params)[0]
-    return kappa
+    """``canuto_kappa(richardson_number(...))`` in one (nlev-1, ...) buffer."""
+    ri = richardson_number(rho, u, v, dz, params)
+    return canuto_kappa(ri, params, out=ri)
 
 
 @dataclass
@@ -100,43 +118,64 @@ class ColumnDiffusion:
     mask3d: Optional[np.ndarray] = None
 
     @cached_property
-    def _geometry(self) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        """dz_k dzi_k above and dz_{k+1} dzi_k below interface k; wet pairs."""
+    def _geometry(self) -> Tuple[np.ndarray, ...]:
+        """dz_k dzi_k above and dz_{k+1} dzi_k below interface k; dry
+        interface pairs and dry cells (None without a mask)."""
         dzi = 0.5 * (self.dz[:-1] + self.dz[1:])
-        wet = None if self.mask3d is None else self.mask3d[:-1] & self.mask3d[1:]
-        return self.dz[:-1] * dzi, self.dz[1:] * dzi, wet
+        m = self.mask3d
+        dry = (None, None) if m is None else (~(m[:-1] & m[1:]), ~m)
+        return (self.dz[:-1] * dzi, self.dz[1:] * dzi) + dry
 
     def factor(self, kappa: np.ndarray, dt: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(lower, denom, cp) of the forward sweep for the (nlev-1, ...)
-        interface diffusivities; flux coupling dt kappa_k / (dz_k dzi_k)."""
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        interface diffusivities; flux coupling dt kappa_k / (dz_k dzi_k).
+
+        ``dt`` is taken as a Python float, so dt kappa rounds in kappa's
+        dtype whatever the type of ``dt``."""
+        dt = float(dt)
+        if not 0.0 < dt < np.inf:
+            raise ValueError("dt must be positive and finite")
         nlev = self.dz.shape[0]
         if kappa.shape[0] != nlev - 1:
             raise ValueError("kappa must live on the nlev-1 interior interfaces")
-        above, below, wet = self._geometry
-        lower, denom, cp = (np.zeros((nlev,) + kappa.shape[1:], kappa.dtype) for _ in range(3))
-        for k in range(nlev):
-            upper = 0.0  # nothing below the deepest level, as lower[0] above the first
-            if k < nlev - 1:
-                dtk = dt * (kappa[k] if wet is None else np.where(wet[k], kappa[k], 0.0))
-                upper, lower[k + 1] = dtk / above[k], dtk / below[k]
-            denom[k] = 1.0 + lower[k] + upper - lower[k] * cp[k - 1]
-            cp[k] = upper / denom[k]
+        _one_dtype("ColumnDiffusion.factor", kappa, self.dz)
+        above, below, dry, _ = self._geometry
+        lower, denom, cp = (np.empty((nlev,) + kappa.shape[1:], kappa.dtype) for _ in range(3))
+        dtk = np.multiply(kappa, dt, out=lower[1:])  # dt kappa, zero across a dry pair
+        if dry is not None:
+            np.copyto(dtk, 0.0, where=dry)
+        levels = (-1,) + (1,) * (dtk.ndim - 1)
+        np.divide(dtk, above.reshape(levels), out=cp[:-1])  # upper, held in cp
+        dtk /= below.reshape(levels)
+        lower[0] = cp[-1] = 0.0  # nothing above the first level or below the last
+        np.add(lower, 1.0, out=denom)
+        denom += cp
+        cp[0] /= denom[0]
+        row = np.empty_like(cp[0])
+        for k in range(1, nlev):
+            np.multiply(lower[k], cp[k - 1], out=row)
+            denom[k] -= row
+            cp[k] /= denom[k]
         return lower, denom, cp
 
     def solve(self, factors: Tuple[np.ndarray, ...], field: np.ndarray) -> np.ndarray:
-        """One right-hand side: the (nlev, ...) field after the implicit step."""
+        """One right-hand side, in the factors' dtype: the (nlev, ...) field
+        after the implicit step."""
         lower, denom, cp = factors
+        _one_dtype("ColumnDiffusion.solve", field, denom)
         out = np.empty_like(field)
-        out[0] = field[0] / denom[0]
+        np.divide(field[0], denom[0], out=out[0, ...])  # row views, 0-d for one column
         for k in range(1, len(out)):
-            out[k] = (field[k] + lower[k] * out[k - 1]) / denom[k]
+            row = out[k, ...]
+            np.multiply(lower[k], out[k - 1], out=row)
+            row += field[k]
+            row /= denom[k]
+        row = np.empty_like(out[0, ...])
         for k in range(len(out) - 2, -1, -1):
-            out[k] = out[k] + cp[k] * out[k + 1]
+            np.multiply(cp[k], out[k + 1], out=row)
+            out[k, ...] += row
         if self.mask3d is not None:
-            for k in range(len(out)):
-                out[k] = np.where(self.mask3d[k], out[k], field[k])
+            np.copyto(out, field, where=self._geometry[3])
         return out
 
 

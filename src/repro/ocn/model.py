@@ -7,10 +7,12 @@ set by the barotropic CFL of the grid in use.
 
 The substep is cache-blocked on the full (nlev, nlat, nlon) box: the
 horizontal-stencil phases run over level slabs sized against one constant
-(:func:`repro.ocn.metrics.level_slabs`), the column phases (EOS, pressure,
-Ri/kappa, Thomas sweeps) stream one level at a time, T and S share one
-factorisation of the vertical solve, and everything that depends only on
-grid, mask, ``dz`` and ``dt`` is frozen on first use.  The §5.2.2
+(:func:`repro.ocn.metrics.level_slabs`), the column phases (Ri/kappa and the
+Thomas factor and sweeps, :mod:`repro.ocn.mixing`) run as in-place
+whole-stack and row ops, T and S share one factorisation of the vertical
+solve, the wind-stress accelerations are computed once per step for all
+barotropic substeps, and everything that depends only on grid, mask,
+``dz`` and ``dt`` is frozen on first use.  The §5.2.2
 non-ocean-point removal exists as packed-point kernels
 (:mod:`repro.ocn.compress`, :mod:`repro.ocn.kernels`) and the memory ledger
 :meth:`LicomModel.memory_report`; stepping on packed fields is not implemented.
@@ -205,10 +207,9 @@ class LicomModel(ComponentBase):
             return
         self._check_alive()
         with self.obs.span("ocn.barotropic"):
+            wind = self.barotropic.wind_acceleration(self.taux, self.tauy)
             for _ in range(BAROTROPIC_SUBSTEPS):
-                self.bt, _ = self.barotropic.step(
-                    self.bt, self.dt_barotropic, self.taux, self.tauy
-                )
+                self.bt, _ = self.barotropic.step(self.bt, self.dt_barotropic, wind=wind)
         with self.obs.span("ocn.baroclinic"):
             self.u, self.v = self.baroclinic.step(
                 self.u, self.v, self.t, self.s, self.dt_baroclinic,

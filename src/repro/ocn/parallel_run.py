@@ -96,7 +96,7 @@ def barotropic_rank(
     state = BarotropicState.zeros(local_depth.shape)
     for padded, values in zip((state.eta, state.u, state.v), shards[comm.rank]):
         padded[interior] = values
-    taux_pad = _padded(taux, block, 0.0) if taux is not None else None
+    wind = solver.wind_acceleration(_padded(taux, block, 0.0) if taux is not None else None, None)
     norms: List[float] = []
 
     for istep in range(n_steps):
@@ -107,7 +107,7 @@ def barotropic_rank(
                     halo.exchange(comm, field)
             robs.counter("ocn.halo_exchanges").inc(3)
             with robs.span("ocn.solve"):
-                new_state, _ = solver.step(state, dt, taux=taux_pad)
+                new_state, _ = solver.step(state, dt, wind=wind)
                 # Keep only the interior (halo rings are stencil-contaminated).
                 state.eta[interior] = new_state.eta[interior]
                 state.u[interior] = new_state.u[interior]

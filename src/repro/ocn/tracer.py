@@ -123,14 +123,13 @@ class TracerSolver:
         surface_fresh_flux: Optional[np.ndarray] = None,  # kg/m^2/s (P - E)
     ) -> tuple[np.ndarray, np.ndarray]:
         """Advance (T, S) one tracer substep."""
-        t_new, s_new, rho = np.empty_like(t), np.empty_like(s), np.empty_like(t)
+        t_new, s_new = np.empty_like(t), np.empty_like(s)
         for sl in level_slabs(t.shape):
             for c, c_new in ((t, t_new), (s, s_new)):
                 adv = self.advect(c[sl], u[sl], v[sl], dt, self.advection_scheme, sl)
                 c_new[sl] = self.diffuse_horizontal(adv, dt, sl)
-        for k in range(rho.shape[0]):
-            rho[k] = linear_eos(t_new[k], s_new[k])
 
+        rho = linear_eos(t_new, s_new)
         factors = self.column.factor(column_kappa(rho, u, v, self.dz, self.mixing), dt)
         t_new = self.column.solve(factors, t_new)
         s_new = self.column.solve(factors, s_new)

@@ -17,10 +17,12 @@ exchange").  This module provides the graph machinery for that:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "comm_graph_from_matrix",
@@ -32,6 +34,8 @@ __all__ = [
 
 def comm_graph_from_matrix(matrix: np.ndarray) -> nx.Graph:
     """Undirected weighted communication graph from a (P, P) byte matrix."""
+    import networkx as nx  # here, so a model run that builds no graph never loads it
+
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("traffic matrix must be square")

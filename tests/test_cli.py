@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -136,3 +140,19 @@ class TestEnsembleResilience:
                   "--ocn-nlon", "24", "--ocn-nlat", "16", "--ocn-levels", "4",
                   "--checkpoint-every", "1", "--checkpoint-dir", str(tmp_path)])
         assert not any(tmp_path.iterdir())
+
+
+def test_invalid_resilience_config_exits_with_one_line(tmp_path):
+    """A ResilienceConfig the flags cannot describe ends the run with one
+    ``invalid resilience config`` line and exit status 1, no traceback."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "run-coupled", "--checkpoint-every", "1",
+         "--checkpoint-dir", str(tmp_path / "ckpt"), "--checkpoint-keep", "0"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "invalid resilience config: checkpoint_keep must be >= 1"
+    ]

@@ -108,9 +108,9 @@ class TestBarotropic:
         solver = BarotropicSolver(m, g.depth)
         s = BarotropicState.zeros(m.shape)
         dt = solver.max_stable_dt()
-        taux = np.where(m.mask_u, 0.1, 0.0)
+        wind = solver.wind_acceleration(np.where(m.mask_u, 0.1, 0.0), None)
         for _ in range(10):
-            s, _ = solver.step(s, dt, taux=taux)
+            s, _ = solver.step(s, dt, wind=wind)
         assert solver.kinetic_energy(s) > 0
 
     def test_step_returns_norm(self, ocean_pieces):

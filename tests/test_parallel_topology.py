@@ -1,5 +1,10 @@
 """Tests for communication-topology analysis and rank remapping."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -98,3 +103,19 @@ def test_greedy_mapping_places_every_rank():
     placement = greedy_locality_mapping(g, n_nodes=4, ranks_per_node=3)
     assert set(placement.node_of.tolist()) == {0, 1, 2, 3}
     assert np.all(np.bincount(placement.node_of) == 3)
+
+
+def test_model_import_path_leaves_networkx_out():
+    """networkx is imported where a graph is built, so importing the
+    coupled model and the atmosphere never loads it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import sys\n"
+        "import repro.esm, repro.atm\n"
+        "assert 'networkx' not in sys.modules\n"
+        "import repro.parallel\n"
+        "repro.parallel.comm_graph_from_matrix([[0, 1], [1, 0]])\n"
+        "assert 'networkx' in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
