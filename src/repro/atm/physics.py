@@ -125,6 +125,7 @@ class ConventionalPhysics:
     ) -> None:
         self.params = params if params is not None else PhysicsParams()
         self.ctx = ctx if ctx is not None else ComponentContext()
+        self._mix_key = None
 
     def bind(self, ctx: ComponentContext) -> None:
         """Launch through (and count on) ``ctx`` from now on."""
@@ -182,7 +183,24 @@ class ConventionalPhysics:
         return tuple(_flip(mix(_flip(f))) for f in fields)  # type: ignore[return-value]
 
     def _mixing(self, p, dt_s):
-        """The mixing tendency of one level-major field, as a function."""
+        """The mixing tendency of one level-major field, as a function.  Its
+        column geometry and factorisation depend only on ``p``, the params and
+        ``dt_s``, so they are memoised on the last of those."""
+        key = (p.dtype.str, p.tobytes(), self.params, float(dt_s))
+        if key != self._mix_key:
+            self._mix_key, self._mix = key, self._boundary_layer(p, dt_s)
+        column, factors = self._mix
+
+        def tendency(f: np.ndarray) -> np.ndarray:
+            tend = column.solve(factors, f)
+            tend -= f
+            tend /= dt_s
+            return tend
+
+        return tendency
+
+    def _boundary_layer(self, p, dt_s):
+        """(ColumnDiffusion, its factors for ``dt_s``) of the boundary layer."""
         from ..ocn.mixing import ColumnDiffusion
 
         prm = self.params
@@ -207,15 +225,7 @@ class ConventionalPhysics:
         column = ColumnDiffusion(dz)
         # kappa is the same in every column: one (nlev, 1) coefficient set
         # broadcasts over the columns of every right-hand side.
-        factors = column.factor(k_iface[:, None], dt_s)
-
-        def tendency(f: np.ndarray) -> np.ndarray:
-            tend = column.solve(factors, f)
-            tend -= f
-            tend /= dt_s
-            return tend
-
-        return tendency
+        return column, column.factor(k_iface[:, None], dt_s)
 
     # -- the full suite -------------------------------------------------------
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..component import ComponentBase
 from ..grids.tripolar import TripolarGrid
-from ..ocn.metrics import CGridMetrics, face_divergence, shift_x, shift_y
+from ..ocn.metrics import CGridMetrics, transport, upwind_faces
 from .kernels import run_thermodynamics
 
 __all__ = ["CiceConfig", "CiceModel"]
@@ -143,22 +143,19 @@ class CiceModel(ComponentBase):
         )
 
     def _dynamics(self, dt: float) -> None:
-        """Free drift + upwind transport of thickness/concentration."""
+        """Free drift + upwind transport of thickness and concentration,
+        stacked, through the ocean tracer's flux-form kernel."""
         cfg = self.config
         m = self.metrics
-        u = cfg.drift_ocean_factor * self.u_drift
-        v = cfg.drift_ocean_factor * self.v_drift
-        # Mask to open faces.
-        u = np.where(m.mask_u, u, 0.0)
-        v = np.where(m.mask_v, v, 0.0)
-
-        for name in ("thickness", "concentration"):
-            c = getattr(self, name)
-            flux_u = u * np.where(u > 0, c, shift_x(c, 1)) * m.ly_east
-            flux_v = v * np.where(v > 0, c, shift_y(c, 1)) * m.lx_north
-            c_new = c - dt * face_divergence(flux_u, flux_v) / m.area
-            setattr(self, name, np.where(self.grid.mask, np.maximum(c_new, 0.0), 0.0))
-        self.concentration = np.clip(self.concentration, 0.0, 1.0)
+        # Drift on the open faces only.
+        u = np.where(m.mask_u, cfg.drift_ocean_factor * self.u_drift, 0.0)
+        v = np.where(m.mask_v, cfg.drift_ocean_factor * self.v_drift, 0.0)
+        c = np.stack((self.thickness, self.concentration))
+        new = transport(c, upwind_faces(c, u, v), (u, v), ((m.ly_east,), (m.lx_north,)), dt, m.area)
+        np.maximum(new, 0.0, out=new)
+        np.copyto(new, 0.0, where=m.closed[0])
+        np.clip(new[1], 0.0, 1.0, out=new[1])
+        self.thickness, self.concentration = new
 
     # -- diagnostics ---------------------------------------------------------------
 

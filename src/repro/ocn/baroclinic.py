@@ -23,8 +23,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..utils.units import GRAVITY, RHO_OCEAN
-from .metrics import CGridMetrics, CoriolisRotation, grad_x, grad_y, level_slabs, neighbour_sum
-from .mixing import ColumnDiffusion, MixingParams, column_kappa
+from .metrics import CGridMetrics, CoriolisRotation, grad_x, grad_y, level_slabs
+from .mixing import ColumnDiffusion, MixingParams, _one_dtype, column_kappa
 
 __all__ = ["linear_eos", "BaroclinicSolver"]
 
@@ -87,33 +87,44 @@ class BaroclinicSolver:
         taux: Optional[np.ndarray] = None,
         tauy: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Advance (u, v) one baroclinic substep; returns new (u, v)."""
+        """Advance (u, v) one baroclinic substep; returns new (u, v).  The
+        horizontal phases run per level slab on u and v stacked (2, levels,
+        nlat, nlon)."""
+        _one_dtype("BaroclinicSolver.step", u, v, t, s, self.dz)
+        dt = float(dt)
         m = self.metrics
         rho, p = self.density_pressure(t, s)
+        # Surface stress enters the top layer.
+        stress = [None if tau is None else np.where(mask, tau / (RHO_OCEAN * self.dz[0]), 0.0)
+                  for tau, mask in ((taux, m.mask_u), (tauy, m.mask_v))]
+        closed = m.stack_masks(self.mask3d)[3]
         u_new, v_new = np.empty_like(u), np.empty_like(v)
         for sl in level_slabs(u.shape):
+            uv = np.stack((u[sl], v[sl]))
             # Pressure-gradient acceleration + horizontal Laplacian friction.
-            du = -grad_x(m, p[sl]) / RHO_OCEAN
-            dv = -grad_y(m, p[sl]) / RHO_OCEAN
-            du += self.horizontal_viscosity * self._laplacian(u[sl], self.mask_u3[sl])
-            dv += self.horizontal_viscosity * self._laplacian(v[sl], self.mask_v3[sl])
-            # Surface stress enters the top layer; Rayleigh drag every level.
-            if sl.start == 0 and taux is not None:
-                du[0] += np.where(m.mask_u, taux / (RHO_OCEAN * self.dz[0]), 0.0)
-            if sl.start == 0 and tauy is not None:
-                dv[0] += np.where(m.mask_v, tauy / (RHO_OCEAN * self.dz[0]), 0.0)
-            du -= self.bottom_drag * u[sl]
-            dv -= self.bottom_drag * v[sl]
-            u_new[sl], v_new[sl] = self.rotation(u[sl] + dt * du, v[sl] + dt * dv, dt)
+            duv = np.empty_like(uv)
+            grad_x(m, p[sl], out=duv[0])
+            grad_y(m, p[sl], out=duv[1])
+            np.negative(duv, out=duv)
+            duv /= RHO_OCEAN
+            lap = m.laplacian(uv, closed[:, sl], 4.0)
+            np.copyto(lap, 0.0, where=closed[:, sl])
+            lap *= self.horizontal_viscosity
+            duv += lap
+            for k, a in enumerate(stress):
+                if sl.start == 0 and a is not None:
+                    duv[k, 0] += a
+            # Rayleigh drag every level.
+            duv -= np.multiply(self.bottom_drag, uv, out=lap)
+            duv *= dt
+            np.add(uv, duv, out=duv)
+            self.rotation(duv[0], duv[1], dt, out=(u_new[sl], v_new[sl]))
+        del p, uv, duv, lap  # not held through the column phase
 
         # Implicit vertical friction with the Canuto-like coefficient.
         kappa = column_kappa(rho, u_new, v_new, self.dz, self.mixing)
         u_new = self.friction_u.solve(self.friction_u.factor(kappa, dt), u_new)
         v_new = self.friction_v.solve(self.friction_v.factor(kappa, dt), v_new)
-        return np.where(self.mask_u3, u_new, 0.0), np.where(self.mask_v3, v_new, 0.0)
-
-    def _laplacian(self, f: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Masked 5-point Laplacian with metric scaling (per level)."""
-        fm = np.where(mask, f, 0.0)
-        lap = (neighbour_sum(fm) - 4.0 * fm) / self.metrics.lap_scale
-        return np.where(mask, lap, 0.0)
+        np.copyto(u_new, 0.0, where=closed[0])
+        np.copyto(v_new, 0.0, where=closed[1])
+        return u_new, v_new

@@ -10,9 +10,9 @@ system on the tripolar C-grid:
 Updating the pressure-gradient with the *new* eta (forward-backward) is
 what lets LICOM-class models run the barotropic mode at CFL ~ 1 without
 subcycling instability.  Volume is conserved to round-off (flux form +
-closed/masked boundaries); the stabilization each substep includes one
-global diagnostic reduction, matching the solver-norm allreduce the
-machine model charges per 2 s step.
+closed/masked boundaries).  The stabilization diagnostic is one global
+reduction, :meth:`BarotropicSolver.norm`: the solver-norm allreduce the
+machine model charges per 2 s step, computed only where it is read.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..utils.units import GRAVITY, RHO_OCEAN
-from .metrics import CGridMetrics, CoriolisRotation, divergence_c, grad_x, grad_y, shift_x, shift_y
+from .metrics import CGridMetrics, CoriolisRotation, divergence_c, grad_x, grad_y
+from .mixing import _one_dtype
 
 __all__ = ["BarotropicState", "BarotropicSolver"]
 
@@ -73,8 +74,8 @@ class BarotropicSolver:
         # Face depths: minimum of adjacent columns (no flow through sills
         # shallower than either side's bathymetry).
         d = self.depth
-        self.h_u = np.where(m.mask_u, np.minimum(d, shift_x(d, 1)), 0.0)
-        self.h_v = np.where(m.mask_v, np.minimum(d, shift_y(d, 1)), 0.0)
+        self.h_u = np.where(m.mask_u, np.minimum(d, np.roll(d, -1, axis=-1)), 0.0)
+        self.h_v = np.where(m.mask_v, np.minimum(d, np.concatenate((d[1:], d[-1:]))), 0.0)
         # Frozen per solver; stress is spread over at least 1 m of water.
         self._hu_stress = RHO_OCEAN * np.maximum(self.h_u, 1.0)
         self._hv_stress = RHO_OCEAN * np.maximum(self.h_v, 1.0)
@@ -90,39 +91,42 @@ class BarotropicSolver:
         return (None if taux is None else np.where(m.mask_u, taux / self._hu_stress, 0.0),
                 None if tauy is None else np.where(m.mask_v, tauy / self._hv_stress, 0.0))
 
-    def step(
-        self,
-        state: BarotropicState,
-        dt: float,
-        wind: Tuple = (None, None),
-    ) -> Tuple[BarotropicState, float]:
+    def step(self, state: BarotropicState, dt: float, wind: Tuple = (None, None)) -> BarotropicState:
         """One forward-backward substep under the accelerations ``wind``
-        (:meth:`wind_acceleration`); returns (new state, |eta| norm).
-
-        The returned norm is the global stabilization diagnostic — the
-        allreduce the paper's solver performs every barotropic substep.
-        """
+        (:meth:`wind_acceleration`): the new state."""
         m = self.metrics
         eta, u, v = state.eta, state.u, state.v
-        au, av = wind
+        _one_dtype("BarotropicSolver.step", eta, u, v, self.h_u, *(a for a in wind if a is not None))
+        dt = float(dt)
+        flux_u = np.multiply(u, self.h_u)
+        flux_u *= m.ly_east
+        flux_v = np.multiply(v, self.h_v)
+        flux_v *= m.lx_north
+        eta_new = divergence_c(m, flux_u, flux_v)
+        eta_new *= dt
+        np.subtract(eta, eta_new, out=eta_new)
+        np.copyto(eta_new, 0.0, where=m.closed[0])
 
-        flux_u = u * self.h_u * m.ly_east
-        flux_v = v * self.h_v * m.lx_north
-        eta_new = eta - dt * divergence_c(m, flux_u, flux_v)
-        eta_new = np.where(m.mask_c, eta_new, 0.0)
+        star = []
+        for grad, vel, accel in ((grad_x, u, wind[0]), (grad_y, v, wind[1])):
+            d = grad(m, eta_new)
+            d *= -GRAVITY
+            d -= np.multiply(self.drag, vel)
+            if accel is not None:
+                d += accel
+            d *= dt
+            star.append(np.add(vel, d, out=d))
+        u_new, v_new = self.rotation(*star, dt)
+        np.copyto(u_new, 0.0, where=m.closed[1])
+        np.copyto(v_new, 0.0, where=m.closed[2])
+        return BarotropicState(eta_new, u_new, v_new)
 
-        du = -GRAVITY * grad_x(m, eta_new) - self.drag * u
-        dv = -GRAVITY * grad_y(m, eta_new) - self.drag * v
-        if au is not None:
-            du = du + au
-        if av is not None:
-            dv = dv + av
-
-        u_new, v_new = self.rotation(u + dt * du, v + dt * dv, dt)
-        u_new = np.where(m.mask_u, u_new, 0.0)
-        v_new = np.where(m.mask_v, v_new, 0.0)
-        norm = float(np.sqrt(np.sum(m.area * eta_new**2, dtype=np.float64) / self._area_sum))
-        return BarotropicState(eta_new, u_new, v_new), norm
+    def norm(self, state: BarotropicState) -> float:
+        """The stabilization diagnostic: area-weighted RMS of eta over the
+        whole grid, summed in fp64 (the allreduce the paper's solver performs
+        every barotropic substep)."""
+        area = self.metrics.area
+        return float(np.sqrt(np.sum(area * state.eta**2, dtype=np.float64) / self._area_sum))
 
     def max_stable_dt(self, cfl: float = 0.7) -> float:
         """Gravity-wave limit on the open faces."""

@@ -51,9 +51,7 @@ def _one_dtype(phase: str, *arrays: np.ndarray) -> None:
         raise TypeError(f"{phase} takes its arrays in one dtype, got {[str(a.dtype) for a in arrays]}")
 
 
-def richardson_number(
-    rho: np.ndarray, u: np.ndarray, v: np.ndarray, dz: np.ndarray, params: MixingParams | None = None
-) -> np.ndarray:
+def richardson_number(rho: np.ndarray, u: np.ndarray, v: np.ndarray, dz: np.ndarray) -> np.ndarray:
     """Gradient Richardson number at interior interfaces.
 
     Inputs are (nlev, ...) level fields and (nlev,) thicknesses in one
@@ -97,7 +95,7 @@ def column_kappa(
     rho: np.ndarray, u: np.ndarray, v: np.ndarray, dz: np.ndarray, params: MixingParams
 ) -> np.ndarray:
     """``canuto_kappa(richardson_number(...))`` in one (nlev-1, ...) buffer."""
-    ri = richardson_number(rho, u, v, dz, params)
+    ri = richardson_number(rho, u, v, dz)
     return canuto_kappa(ri, params, out=ri)
 
 

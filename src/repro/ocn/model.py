@@ -7,12 +7,15 @@ set by the barotropic CFL of the grid in use.
 
 The substep is cache-blocked on the full (nlev, nlat, nlon) box: the
 horizontal-stencil phases run over level slabs sized against one constant
-(:func:`repro.ocn.metrics.level_slabs`), the column phases (Ri/kappa and the
-Thomas factor and sweeps, :mod:`repro.ocn.mixing`) run as in-place
-whole-stack and row ops, T and S share one factorisation of the vertical
-solve, the wind-stress accelerations are computed once per step for all
-barotropic substeps, and everything that depends only on grid, mask,
-``dz`` and ``dt`` is frozen on first use.  The §5.2.2
+(:func:`repro.ocn.metrics.level_slabs`) as in-place slice ops (an x-shift is
+a flat offset, a y-shift a row slice, a mask an ``np.copyto(..., where=)``
+over a frozen inverted mask), with T and S, and u and v, stacked on a
+leading axis; the column phases (Ri/kappa and the Thomas factor and sweeps,
+:mod:`repro.ocn.mixing`) run as in-place whole-stack and row ops, T and S
+share one factorisation of the vertical solve, the wind-stress
+accelerations are computed once per step for all barotropic substeps, the
+freezing clamp is in place, and everything that depends only on grid,
+mask, ``dz`` and ``dt`` is frozen on first use.  The §5.2.2
 non-ocean-point removal exists as packed-point kernels
 (:mod:`repro.ocn.compress`, :mod:`repro.ocn.kernels`) and the memory ledger
 :meth:`LicomModel.memory_report`; stepping on packed fields is not implemented.
@@ -209,7 +212,7 @@ class LicomModel(ComponentBase):
         with self.obs.span("ocn.barotropic"):
             wind = self.barotropic.wind_acceleration(self.taux, self.tauy)
             for _ in range(BAROTROPIC_SUBSTEPS):
-                self.bt, _ = self.barotropic.step(self.bt, self.dt_barotropic, wind=wind)
+                self.bt = self.barotropic.step(self.bt, self.dt_barotropic, wind=wind)
         with self.obs.span("ocn.baroclinic"):
             self.u, self.v = self.baroclinic.step(
                 self.u, self.v, self.t, self.s, self.dt_baroclinic,
@@ -225,9 +228,7 @@ class LicomModel(ComponentBase):
             )
             # Seawater cannot cool below freezing; the deficit is the
             # ice-formation signal exported to the sea-ice component.
-            self.t = np.where(
-                self.mask3d, np.maximum(self.t, T_FREEZE), self.t
-            )
+            np.maximum(self.t, T_FREEZE, out=self.t, where=self.mask3d)
         self.time += self.dt_baroclinic
         self.n_steps += 1
 

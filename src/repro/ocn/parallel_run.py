@@ -107,7 +107,7 @@ def barotropic_rank(
                     halo.exchange(comm, field)
             robs.counter("ocn.halo_exchanges").inc(3)
             with robs.span("ocn.solve"):
-                new_state, _ = solver.step(state, dt, wind=wind)
+                new_state = solver.step(state, dt, wind=wind)
                 # Keep only the interior (halo rings are stencil-contaminated).
                 state.eta[interior] = new_state.eta[interior]
                 state.u[interior] = new_state.u[interior]

@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from ..utils.units import CP_OCEAN, RHO_OCEAN
-from .metrics import CGridMetrics, face_divergence, level_slabs, neighbour_sum, shift_x, shift_y
-from .mixing import ColumnDiffusion, MixingParams, column_kappa
+from .metrics import CGridMetrics, level_slabs, neighbour_sum, transport, upwind_faces
+from .mixing import ColumnDiffusion, MixingParams, _one_dtype, column_kappa
 from .baroclinic import linear_eos
 
 __all__ = ["TracerSolver"]
@@ -52,23 +52,18 @@ class TracerSolver:
     @cached_property
     def neigh(self) -> np.ndarray:
         """Wet four-neighbour count of every cell."""
-        return neighbour_sum(self.mask3d.astype(self.dz.dtype))
+        wet = self.mask3d.astype(self.dz.dtype)
+        return neighbour_sum(wet, np.empty_like(wet))
 
     @staticmethod
-    def _face_values(c: np.ndarray, vel: np.ndarray, shift, scheme: str) -> np.ndarray:
-        """Upwind or minmod-limited second-order face reconstruction.
-
-        ``shift(a, k)`` must return the value at index i+k along the face
-        axis.  The face sits between cells i and i+1.
-        """
-        c_p1 = shift(c, 1)   # cell i+1 (downwind for vel > 0)
-        if scheme == "upwind":
-            return np.where(vel > 0, c, c_p1)
-        # MUSCL with the minmod limiter: face value = upwind cell + half of
-        # the limited slope at the upwind cell.  Reverts to first order at
-        # extrema, keeping the scheme essentially monotone.
-        c_m1 = shift(c, -1)  # cell i-1
-        c_p2 = shift(c, 2)   # cell i+2
+    def _muscl_face(c: np.ndarray, vel: np.ndarray, axis: int) -> np.ndarray:
+        """Minmod-limited second-order value at the face between cells i and
+        i+1 along ``axis`` (-1: x, periodic; -2: y, clamped at the closed
+        edges): the upwind cell plus half its limited slope, first order at
+        extrema, which keeps the scheme essentially monotone."""
+        n = c.shape[axis]
+        at = (lambda i: i % n) if axis == -1 else (lambda i: np.clip(i, 0, n - 1))
+        c_p1, c_m1, c_p2 = (np.take(c, at(np.arange(n) + k), axis) for k in (1, -1, 2))
 
         def minmod(a, b):
             return np.where(a * b > 0, np.sign(a) * np.minimum(np.abs(a), np.abs(b)), 0.0)
@@ -85,32 +80,33 @@ class TracerSolver:
 
         ``scheme`` is ``"upwind"`` (first order, the LICOM default here) or
         ``"muscl"`` (second order with a minmod limiter — sharper fronts at
-        the same conservation guarantees).  ``c``, ``u``, ``v`` hold the
-        ``levels`` of the box (every stencil is horizontal, so a slab of
-        levels advects on its own).
+        the same conservation guarantees).  ``c`` holds the ``levels`` of the
+        box, optionally stacked on a leading axis (T and S advect as one
+        array); ``u``, ``v`` hold the same levels (every stencil is
+        horizontal, so a slab of levels advects on its own).
         """
         if scheme not in SCHEMES:
             raise ValueError("scheme must be 'upwind' or 'muscl'")
         m = self.metrics
         dz = self.dz[levels].reshape(-1, 1, 1)
-
-        c_face_u = self._face_values(c, u, shift_x, scheme)
-        flux_u = np.where(self.mask_u3[levels], u * c_face_u, 0.0) * m.ly_east * dz
-
-        c_face_v = self._face_values(c, v, shift_y, scheme)
-        flux_v = np.where(self.mask_v3[levels], v * c_face_v, 0.0) * m.lx_north * dz
-
-        c_new = c - dt * face_divergence(flux_u, flux_v) / self.vol[levels]
-        return np.where(self.mask3d[levels], c_new, c)
+        if scheme == "upwind":
+            faces = upwind_faces(c, u, v)
+        else:
+            faces = self._muscl_face(c, u, -1), self._muscl_face(c, v, -2)
+        # A dry cell's faces are all closed: its divergence is +0.0 and it keeps c.
+        return transport(c, faces, (u, v), ((m.ly_east, dz), (m.lx_north, dz)), dt, self.vol[levels],
+                         tuple(self.metrics.stack_masks(self.mask3d)[3][:, levels]))
 
     def diffuse_horizontal(self, c: np.ndarray, dt: float, levels: slice = slice(None)) -> np.ndarray:
         """Masked explicit horizontal diffusion (small coefficient) of the
-        ``levels`` of the box held by ``c``."""
-        wet = self.mask3d[levels]
-        cm = np.where(wet, c, 0.0)
-        lap = (neighbour_sum(cm) - self.neigh[levels] * cm) / self.metrics.lap_scale
-        out = c + dt * self.horizontal_diffusivity * lap
-        return np.where(wet, out, c)
+        ``levels`` of the box held by ``c`` (optionally stacked, as in
+        :meth:`advect`)."""
+        dry = self.metrics.stack_masks(self.mask3d)[2][levels]
+        lap = self.metrics.laplacian(c, dry, self.neigh[levels])
+        lap *= float(dt) * self.horizontal_diffusivity
+        np.add(c, lap, out=lap)
+        np.copyto(lap, c, where=dry)
+        return lap
 
     def step(
         self,
@@ -122,26 +118,28 @@ class TracerSolver:
         surface_heat_flux: Optional[np.ndarray] = None,   # W/m^2, positive down
         surface_fresh_flux: Optional[np.ndarray] = None,  # kg/m^2/s (P - E)
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Advance (T, S) one tracer substep."""
+        """Advance (T, S) one tracer substep: T and S advect and diffuse as one
+        (2, levels, nlat, nlon) stack per level slab and share one column
+        factorisation."""
+        _one_dtype("TracerSolver.step", t, s, u, v, self.dz)
+        dt = float(dt)
         t_new, s_new = np.empty_like(t), np.empty_like(s)
         for sl in level_slabs(t.shape):
-            for c, c_new in ((t, t_new), (s, s_new)):
-                adv = self.advect(c[sl], u[sl], v[sl], dt, self.advection_scheme, sl)
-                c_new[sl] = self.diffuse_horizontal(adv, dt, sl)
-
-        rho = linear_eos(t_new, s_new)
-        factors = self.column.factor(column_kappa(rho, u, v, self.dz, self.mixing), dt)
+            adv = self.advect(np.stack((t[sl], s[sl])), u[sl], v[sl], dt, self.advection_scheme, sl)
+            t_new[sl], s_new[sl] = self.diffuse_horizontal(adv, dt, sl)
+        del adv  # neither it nor density and kappa are held through the column phase
+        factors = self.column.factor(column_kappa(linear_eos(t_new, s_new), u, v, self.dz, self.mixing), dt)
         t_new = self.column.solve(factors, t_new)
         s_new = self.column.solve(factors, s_new)
 
         surf = self.mask3d[0]
         if surface_heat_flux is not None:
             dT = surface_heat_flux * dt / (RHO_OCEAN * CP_OCEAN * self.dz[0])
-            t_new[0] = np.where(surf, t_new[0] + dT, t_new[0])
+            np.add(t_new[0], dT, out=t_new[0], where=surf)
         if surface_fresh_flux is not None:
             # Freshwater dilutes salinity: dS = -S * F dt / (rho dz).
             dS = -s_new[0] * surface_fresh_flux * dt / (RHO_OCEAN * self.dz[0])
-            s_new[0] = np.where(surf, s_new[0] + dS, s_new[0])
+            np.add(s_new[0], dS, out=s_new[0], where=surf)
         return t_new, s_new
 
     # -- diagnostics ---------------------------------------------------------

@@ -267,7 +267,7 @@ def _kill_stage(plan: FaultPlan, config, obs: Obs, report: ChaosReport) -> None:
     solver = BarotropicSolver(metrics, grid.depth)
     serial = initial.copy()
     for _ in range(shrink.steps):
-        serial, _ = solver.step(serial, solver.max_stable_dt())
+        serial = solver.step(serial, solver.max_stable_dt())
 
     report.kill_ranks = len({p for e in shrink.recoveries for p in e.dead_parents})
     report.shrink_recovered = shrink.survived_failure

@@ -187,7 +187,7 @@ def ocean():
     solver = BarotropicSolver(metrics, grid.depth)
     serial = initial.copy()
     for _ in range(12):
-        serial, _ = solver.step(serial, solver.max_stable_dt())
+        serial = solver.step(serial, solver.max_stable_dt())
     return grid, initial, serial
 
 
