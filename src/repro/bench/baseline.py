@@ -48,6 +48,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Union
 
+from ..io.restart import write_atomic_text
+
 __all__ = [
     "PerfBaseline",
     "BaselineComparison",
@@ -92,10 +94,7 @@ class PerfBaseline:
         )
 
     def write(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json() + "\n")
-        return path
+        return write_atomic_text(path, self.to_json() + "\n")
 
     @staticmethod
     def from_json(text: str) -> "PerfBaseline":

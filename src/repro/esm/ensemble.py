@@ -615,35 +615,22 @@ class EnsembleRun:
 
         self._check()
         live = [m for _, m in self._live()]
-        common: Optional[set] = None
-        for m in live:
-            if m.checkpoints is None:
-                raise RuntimeError(
-                    "ensemble recovery needs per-member checkpoints "
-                    "(set base.resilience.checkpoint_*)"
-                )
-            steps = set()
-            for ckpt in m.checkpoints.checkpoints():
-                try:
-                    m.checkpoints.validate(ckpt)
-                except CheckpointError:
-                    self.obs.counter("resilience.checkpoint_fallbacks").inc()
-                    continue
-                steps.add(m.checkpoints.step_of(ckpt))
-            common = steps if common is None else (common & steps)
+        if any(m.checkpoints is None for m in live):
+            raise RuntimeError(
+                "ensemble recovery needs per-member checkpoints "
+                "(set base.resilience.checkpoint_*)"
+            )
+        valid = [m.checkpoints.valid_steps() for m in live]
+        common = set.intersection(*map(set, valid)) if valid else set()
         if not common:
             raise CheckpointError(
                 "no coupling step has a valid checkpoint in every member",
                 reason=f"{len(live)} member rotation(s) share no step",
             )
         step = max(common)
-        for m in live:
-            path = next(
-                c for c in m.checkpoints.checkpoints()
-                if m.checkpoints.step_of(c) == step
-            )
+        for m, steps in zip(live, valid):
             m._wait_ocean()
-            m.load_restart(path)
+            m.load_restart(steps[step])
             m.checkpoints.drop_newer_than(step)
             if self.lockstep is not None:
                 self.lockstep.clear_credits(m.atm)

@@ -12,19 +12,25 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import uuid
 import zlib
 from pathlib import Path
-from typing import Callable, Dict, Tuple, Union
+from typing import IO, Callable, Dict, Tuple, Union
 
 import numpy as np
+
+try:  # POSIX; the lock degrades to a no-op where flock is unavailable
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX platforms
+    fcntl = None
 
 from ..parallel.decomp import block_ranges
 from .subfile import SubfileLayout, read_subfiles, write_subfiles
 
 __all__ = [
     "save_restart", "load_restart", "RestartError", "publish_atomic",
-    "write_atomic_text",
+    "write_atomic_text", "publish_dir", "lock_exclusive",
 ]
 
 MANIFEST = "restart.json"
@@ -65,11 +71,12 @@ def publish_atomic(path: Union[str, Path], write: Callable[[Path], object]) -> P
     """Publish ``path`` by ``write(tmp)`` into a temp file + ``os.replace``:
     a crash mid-write leaves either the old file or none, never a
     half-parsing one.  Each call stages under its own name in the target
-    directory, so concurrent publishers of one path never rename each
-    other's temp file (the last replace wins); the name keeps ``path``'s
-    suffix because numpy appends ``.npz`` to any other.  The temp file is
-    removed when ``write`` or the replace fails."""
+    directory (created if missing), so concurrent publishers of one path
+    never rename each other's temp file (the last replace wins); the name
+    keeps ``path``'s suffix because numpy appends ``.npz`` to any other.
+    The temp file is removed when ``write`` or the replace fails."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.stem}.{uuid.uuid4().hex}{path.suffix}")
     try:
         write(tmp)
@@ -82,6 +89,45 @@ def publish_atomic(path: Union[str, Path], write: Callable[[Path], object]) -> P
 def write_atomic_text(path: Union[str, Path], text: str) -> Path:
     """Publish ``text`` at ``path`` through :func:`publish_atomic`."""
     return publish_atomic(path, lambda tmp: tmp.write_text(text))
+
+
+def publish_dir(path: Union[str, Path], write: Callable[[Path], object]) -> Path:
+    """Publish directory ``path`` by ``write(staging)`` into the empty
+    staging directory ``.tmp-<name>`` beside it, then one ``os.rename``:
+    readers see the previous directory or the whole new one, never a
+    half-written one.  A staging directory left by a crashed writer is
+    removed first, an existing ``path`` is replaced once the write has
+    succeeded, and the staging directory is removed when ``write`` raises.
+    Writers of one ``path`` must serialise (:func:`lock_exclusive`)."""
+    path = Path(path)
+    staging = path.with_name(f".tmp-{path.name}")
+    if staging.exists():
+        shutil.rmtree(staging)
+    try:
+        staging.mkdir(parents=True)
+        write(staging)
+        if path.exists():
+            shutil.rmtree(path)
+        os.rename(staging, path)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return path
+
+
+def lock_exclusive(path: Union[str, Path], blocking: bool = True) -> IO:
+    """An exclusive ``flock`` on lock file ``path`` (created if missing),
+    held until the returned file is closed (``with lock_exclusive(p):``).
+    Non-blocking, a lock another process holds raises ``OSError``.  The
+    kernel releases the lock with the fd, so a SIGKILL'd holder never
+    wedges the next one."""
+    f = open(path, "a")
+    if fcntl is not None:
+        try:
+            fcntl.flock(f, fcntl.LOCK_EX | (0 if blocking else fcntl.LOCK_NB))
+        except BaseException:
+            f.close()
+            raise
+    return f
 
 
 def _subfile_crcs(directory: Path, base: str, layout: SubfileLayout) -> Dict[str, int]:

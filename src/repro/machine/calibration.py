@@ -51,6 +51,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..io.restart import write_atomic_text
 from ..pp import BoundKernel, ExecutionSpace, KernelMetrics, MDRangePolicy, Serial, parallel_for
 from .spec import ProcessorSpec
 
@@ -411,13 +412,10 @@ class CalibrationTable:
     # -- persistence (unified protocol) -------------------------------------
 
     def to_file(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
         doc = self.payload()
         doc["table_id"] = self.table_id
         doc["meta"] = self.meta
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        return path
+        return write_atomic_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "CalibrationTable":

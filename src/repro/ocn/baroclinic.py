@@ -58,6 +58,7 @@ class BaroclinicSolver:
         # u and v share Ri/kappa but not the mask: one factorisation each.
         self.friction_u = ColumnDiffusion(self.dz, self.mask_u3)
         self.friction_v = ColumnDiffusion(self.dz, self.mask_v3)
+        self.friction_u._dry, self.friction_v._dry = self.metrics.stack_masks(self.mask3d)[3]
 
     # -- pieces ---------------------------------------------------------------
 

@@ -25,7 +25,7 @@ buffer's dtype, so each phase raises ``TypeError`` on arrays of two dtypes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Tuple
 
@@ -114,6 +114,8 @@ class ColumnDiffusion:
 
     dz: np.ndarray
     mask3d: Optional[np.ndarray] = None
+    #: ``~mask3d`` shared from its owner (``CGridMetrics.stack_masks``), set before the first factor.
+    _dry: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def _geometry(self) -> Tuple[np.ndarray, ...]:
@@ -121,7 +123,7 @@ class ColumnDiffusion:
         interface pairs and dry cells (None without a mask)."""
         dzi = 0.5 * (self.dz[:-1] + self.dz[1:])
         m = self.mask3d
-        dry = (None, None) if m is None else (~(m[:-1] & m[1:]), ~m)
+        dry = (None, None) if m is None else (~(m[:-1] & m[1:]), ~m if self._dry is None else self._dry)
         return (self.dz[:-1] * dzi, self.dz[1:] * dzi) + dry
 
     def factor(self, kappa: np.ndarray, dt: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -41,6 +41,7 @@ class TracerSolver:
             raise ValueError("advection_scheme must be 'upwind' or 'muscl'")
         self.mask_u3, self.mask_v3 = self.metrics.face_masks(self.mask3d, self.dz)
         self.column = ColumnDiffusion(self.dz, self.mask3d)
+        self.column._dry = self.metrics.stack_masks(self.mask3d)[2]
 
     # -- frozen tables (mask/grid only, built on first use) ---------------------
 

@@ -5,38 +5,33 @@ engineering (Duan et al.): a checkpoint that cannot half-exist, a
 manifest that can prove every byte, and a rotation that always holds a
 fallback.
 
-* **Atomic**: a checkpoint is staged under a dot-prefixed temp directory
-  and renamed into place only after its manifest (itself written
-  temp-then-``os.replace``) covers every file — a crash at any instant
-  leaves either the previous complete set or an ignorable temp.
+* **Atomic**: a checkpoint is published by :func:`~repro.io.restart.publish_dir`
+  only after its manifest (itself written by ``write_atomic_text``) covers
+  every file — a crash at any instant leaves either the previous complete
+  set or an ignorable ``.tmp-`` staging directory.
 * **Checksummed**: the manifest records size + crc32 of every file in the
   set (including the per-component ``restart.json`` manifests, which are
   themselves CRC'd per subfile — two independent layers).
 * **Rotating**: the newest ``keep`` checkpoints survive; restore walks
   newest → oldest, skipping invalid sets and counting each skip as a
-  ``resilience.checkpoint_fallbacks`` intervention.
-* **Exclusive**: publish and prune hold an inter-process ``flock`` on a
-  ``.lock`` file in the root, so two writers sharing one rotation (two
-  service jobs, or a worker racing the reaper that requeued it) cannot
-  interleave ``os.rename``/``rmtree`` and shred each other's sets.
+  ``resilience.checkpoint_fallbacks`` intervention (:meth:`valid_steps`
+  lists every set that validates, for a fleet choosing a common step).
+* **Exclusive**: publish, prune and drop hold
+  :func:`~repro.io.restart.lock_exclusive` on a ``.lock`` file in the
+  root, so two writers sharing one rotation (two service jobs, or a worker
+  racing the reaper that requeued it) cannot interleave renames and
+  ``rmtree`` and shred each other's sets.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
-import os
 import shutil
 import zlib
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
-try:  # POSIX; the lock degrades to a no-op where flock is unavailable
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None
-
-from ..io.restart import RestartError, write_atomic_text
+from ..io.restart import RestartError, lock_exclusive, publish_dir, write_atomic_text
 from ..obs import NULL_OBS
 from .errors import CheckpointError
 
@@ -51,11 +46,9 @@ _VERSION = 1
 class CheckpointManager:
     """Owns one rotating checkpoint directory.
 
-    ``to_file``/``restore_latest_valid`` (alias ``from_file``) take
-    callables (e.g. ``model.save_restart`` / ``model.load_restart``) so
-    the manager works for any component or the whole coupled system
-    without importing them.  (The pre-unification ``save`` alias is gone;
-    ``to_file``/``from_file`` is the one persistence idiom.)
+    ``to_file``/``restore_latest_valid`` take callables (e.g.
+    ``model.save_restart`` / ``model.load_restart``) so the manager works
+    for any component or the whole coupled system without importing them.
     """
 
     def __init__(self, root: Union[str, Path], keep: int = 3, obs=None) -> None:
@@ -74,38 +67,7 @@ class CheckpointManager:
         ``saver(directory)`` must materialize the state under the given
         (staging) directory; the manager then manifests and publishes it.
         """
-        with self.obs.span("resilience.checkpoint", step=step):
-            path = self._save(saver, step)
-        self.obs.counter("resilience.checkpoints_written").inc()
-        return path
-
-    @contextlib.contextmanager
-    def _locked(self):
-        """Inter-process exclusive lock on the rotation (flock on
-        ``<root>/.lock``).  Held across stage → manifest → publish →
-        prune so concurrent writers serialize whole rotations; a holder
-        dying (SIGKILL) releases the flock with its fd, so a crashed
-        writer never wedges the rotation."""
-        if fcntl is None:  # pragma: no cover - non-POSIX platforms
-            yield
-            return
-        fd = os.open(self.root / _LOCKFILE, os.O_CREAT | os.O_RDWR, 0o644)
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            yield
-        finally:
-            fcntl.flock(fd, fcntl.LOCK_UN)
-            os.close(fd)
-
-    def _save(self, saver: Callable[[Path], None], step: int) -> Path:
-        final = self.root / f"{_PREFIX}{step:08d}"
-        staging = self.root / f".tmp-{final.name}"
-        with self._locked():
-            if staging.exists():
-                shutil.rmtree(staging)
-            if final.exists():  # re-checkpoint of the same step: replace it
-                shutil.rmtree(final)
-            staging.mkdir(parents=True)
+        def write(staging: Path) -> None:
             saver(staging)
             files: Dict[str, Dict[str, int]] = {}
             for f in sorted(p for p in staging.rglob("*") if p.is_file()):
@@ -116,23 +78,20 @@ class CheckpointManager:
             write_atomic_text(
                 staging / _MANIFEST, json.dumps(manifest, indent=2, sort_keys=True)
             )
-            os.rename(staging, final)
-            self._prune()
-        return final
 
-    def _prune(self) -> None:
-        ckpts = self.checkpoints()
-        for old in ckpts[: -self.keep]:
-            shutil.rmtree(old, ignore_errors=True)
-        # Leftover staging directories from a crashed writer are garbage.
-        for tmp in self.root.glob(f".tmp-{_PREFIX}*"):
-            shutil.rmtree(tmp, ignore_errors=True)
+        with self.obs.span("resilience.checkpoint", step=step), lock_exclusive(self.root / _LOCKFILE):
+            path = publish_dir(self.root / f"{_PREFIX}{step:08d}", write)
+            # Sets past ``keep`` and a crashed writer's staging directories go.
+            for old in self.checkpoints()[: -self.keep] + list(self.root.glob(f".tmp-{_PREFIX}*")):
+                shutil.rmtree(old, ignore_errors=True)
+        self.obs.counter("resilience.checkpoints_written").inc()
+        return path
 
     def drop_newer_than(self, step: int) -> None:
         """Delete every published checkpoint newer than ``step`` (under
         the rotation lock): after a rollback past them they belong to an
         abandoned timeline, and no later restore may land on one."""
-        with self._locked():
+        with lock_exclusive(self.root / _LOCKFILE):
             for ckpt in self.checkpoints():
                 if self.step_of(ckpt) > step:
                     shutil.rmtree(ckpt)
@@ -213,6 +172,19 @@ class CheckpointManager:
                 path=path, reason=", ".join(sorted(extra)[:3]),
             )
 
+    def valid_steps(self) -> Dict[int, Path]:
+        """``{step: path}`` of every published set that validates; counts
+        each invalid set as a checkpoint fallback."""
+        out: Dict[int, Path] = {}
+        for ckpt in self.checkpoints():
+            try:
+                self.validate(ckpt)
+            except CheckpointError:
+                self.obs.counter("resilience.checkpoint_fallbacks").inc()
+                continue
+            out[self.step_of(ckpt)] = ckpt
+        return out
+
     def latest_valid(self) -> Optional[Path]:
         """Newest checkpoint that passes validation (None if none do);
         counts every invalid set skipped as a checkpoint fallback."""
@@ -248,8 +220,3 @@ class CheckpointManager:
             "no valid checkpoint to restore from",
             path=self.root, reason=f"{tried} candidate(s) all failed",
         )
-
-    def from_file(self, loader: Callable[[Path], None]) -> Path:
-        """Alias for :meth:`restore_latest_valid` — the restore half of
-        the repo-wide ``to_file``/``from_file`` persistence convention."""
-        return self.restore_latest_valid(loader)

@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..io.restart import write_atomic_text
 from ..obs import NULL_OBS
 from ..parallel.comm import CommTransientError, RankFailure
 from ..utils.rng import seeded
@@ -277,10 +278,7 @@ class FaultPlan:
 
     def to_file(self, path: Union[str, Path]) -> Path:
         """Write the plan as JSON (the inverse of :meth:`from_file`)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json())
-        return path
+        return write_atomic_text(path, self.to_json())
 
     def to_json(self) -> str:
         data = asdict(self)

@@ -10,6 +10,7 @@ service killed at ANY instant restarts into a consistent state:
 
   where ``C`` is the crc32 of the canonical (sorted-keys, tight-
   separator) JSON encoding of ``body``.  ``seq`` is strictly monotone.
+  :func:`_encode` writes a record and :func:`read_journal` reads one.
 * **Torn-tail tolerance** — replay stops at the first record that fails
   to parse, fails its CRC, or breaks the seq order: a write cut short by
   SIGKILL loses at most the record being appended, never the prefix.
@@ -19,13 +20,14 @@ service killed at ANY instant restarts into a consistent state:
   journal with a duplicated or re-read suffix converges to the same
   table as replaying it once.
 * **Segment rotation** — past ``rotate_every`` appends the journal is
-  compacted: one snapshot record holding the full table is written to a
-  temp file and ``os.replace``'d over the journal, so the log stays
+  compacted: one snapshot record holding the full table is published
+  over the journal by ``write_atomic_text``, so the log stays
   bounded and the swap is atomic (a crash leaves either the old full
   journal or the new compacted one, never a mix).
-* **Exclusive** — the store holds a non-blocking ``flock`` on
-  ``<root>/.serve.lock`` for its lifetime: two services cannot share one
-  journal, and a SIGKILL'd holder releases the lock with its fd.
+* **Exclusive** — the store holds a non-blocking
+  :func:`~repro.io.restart.lock_exclusive` on ``<root>/.serve.lock`` for
+  its lifetime: two services cannot share one journal, and a SIGKILL'd
+  holder releases the lock with its fd.
 
 Chaos hooks: ``crash_at=("before"|"after", k)`` raises
 :class:`~repro.serve.spec.ServiceCrash` immediately before (after) the
@@ -36,17 +38,11 @@ SIGKILL landing between any two journal records.
 from __future__ import annotations
 
 import json
-import os
 import zlib
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import IO, Dict, Iterator, List, Optional, Tuple, Union
 
-try:  # POSIX; exclusivity degrades to best-effort elsewhere
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None
-
-from ..io.restart import write_atomic_text
+from ..io.restart import lock_exclusive, write_atomic_text
 from ..obs import NULL_OBS
 from .spec import JobRecord, JobSpec, ServeError, ServiceCrash
 
@@ -57,12 +53,15 @@ _LOCKFILE = ".serve.lock"
 _VERSION = 1
 
 
-def _canonical(body: Dict) -> str:
-    return json.dumps(body, sort_keys=True, separators=(",", ":"))
-
-
 def _crc(body: Dict) -> int:
-    return zlib.crc32(_canonical(body).encode("utf-8"))
+    """crc32 of ``body``'s canonical (sorted-keys, tight-separator) JSON."""
+    return zlib.crc32(json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+
+
+def _encode(seq: int, body: Dict) -> str:
+    """The one record encoder: one JSONL line, the inverse of :func:`read_journal`."""
+    rec = {"v": _VERSION, "seq": seq, "crc": _crc(body), "body": body}
+    return json.dumps(rec, sort_keys=True) + "\n"
 
 
 def read_journal(path: Union[str, Path]) -> Iterator[Tuple[int, Dict]]:
@@ -107,33 +106,24 @@ class JobStore:
         #: Appends performed by THIS process (the chaos crash-hook index).
         self.appends = 0
         self._since_snapshot = 0
-        self._lock_fd: Optional[int] = None
-        self._acquire_lock()
-        self.replay()
-
-    # -- exclusivity -------------------------------------------------------
-
-    def _acquire_lock(self) -> None:
-        if fcntl is None:  # pragma: no cover - non-POSIX platforms
-            return
-        fd = os.open(self.root / _LOCKFILE, os.O_CREAT | os.O_RDWR, 0o644)
         try:
-            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            self._lock: Optional[IO] = lock_exclusive(self.root / _LOCKFILE, blocking=False)
         except OSError:
-            os.close(fd)
             raise ServeError(
                 f"journal {self.root} is already owned by a live service "
                 "(flock held); refusing to double-serve one job table"
             ) from None
-        self._lock_fd = fd
+        self.replay()
+
+    # -- exclusivity -------------------------------------------------------
 
     def close(self) -> None:
         """Release the journal lock (a real service exiting cleanly, or
         the chaos harness standing in for kernel fd cleanup after a
         simulated SIGKILL — nothing is flushed or written here)."""
-        if self._lock_fd is not None:
-            os.close(self._lock_fd)
-            self._lock_fd = None
+        if self._lock is not None:
+            self._lock.close()
+            self._lock = None
 
     def __enter__(self) -> "JobStore":
         return self
@@ -197,9 +187,8 @@ class JobStore:
         if self.crash_at == ("before", self.appends):
             raise ServiceCrash("before", self.appends)
         self._seq += 1
-        rec = {"v": _VERSION, "seq": self._seq, "crc": _crc(body), "body": body}
         with self.path.open("a", encoding="utf-8") as f:
-            f.write(json.dumps(rec, sort_keys=True) + "\n")
+            f.write(_encode(self._seq, body))
             f.flush()
         self._apply(body)
         self.obs.counter("serve.journal.records").inc()
@@ -218,8 +207,7 @@ class JobStore:
             "event": "snapshot",
             "jobs": {job_id: rec.to_dict() for job_id, rec in self.jobs.items()},
         }
-        rec = {"v": _VERSION, "seq": self._seq, "crc": _crc(body), "body": body}
-        write_atomic_text(self.path, json.dumps(rec, sort_keys=True) + "\n")
+        write_atomic_text(self.path, _encode(self._seq, body))
         self._since_snapshot = 0
         self.obs.counter("serve.journal.rotations").inc()
 

@@ -16,9 +16,10 @@ Crash-safety invariants the scheduler's bitwise guarantee rests on:
   ``checkpoint_every`` does not divide the budget, so an attempt killed
   between "run finished" and "result published" republishes from the
   final checkpoint bitwise.
-* **Atomic publish** — the restart set is staged under
-  ``restart.tmp-*`` and ``os.rename``'d to ``restart/``; existence of
-  the published directory therefore PROVES the job ran to completion,
+* **Atomic publish** — the restart set is written through
+  :func:`~repro.io.restart.publish_dir` (staged under ``.tmp-restart``,
+  then one rename to ``restart/``); existence of the published
+  directory therefore PROVES the job ran to completion,
   which is what :meth:`JobRunner.run`'s adoption shortcut and the
   scheduler's recovery lean on ("no job is ever run to completion
   twice").
@@ -33,12 +34,12 @@ next attempt resumes from the rotation.
 from __future__ import annotations
 
 import dataclasses
-import shutil
 from pathlib import Path
 from typing import Callable, Dict, Optional, Union
 
 from ..esm.ap3esm import AP3ESM, AP3ESMConfig
 from ..esm.ensemble import EnsembleConfig, EnsembleRun
+from ..io.restart import publish_dir
 from ..obs import NULL_OBS
 from ..resilience.config import ResilienceConfig
 from ..utils.rng import seeded
@@ -47,7 +48,6 @@ from .spec import JobSpec
 __all__ = ["JobRunner"]
 
 _PUBLISH = "restart"
-_STAGING = "restart.tmp"
 
 
 class JobRunner:
@@ -184,14 +184,9 @@ class JobRunner:
         model.atm.t_col = model.atm.t_col + spec.perturb_amplitude * noise
 
     def _publish(self, spec: JobSpec, saver) -> Dict[str, object]:
-        """Stage the restart set, then make it visible with ONE atomic
-        rename — the commit point of the whole job."""
-        final = self.published_dir(spec.job_id)
-        staging = self.job_dir(spec.job_id) / f"{_STAGING}-{spec.job_id}"
-        if staging.exists():
-            shutil.rmtree(staging)
-        saver(staging)
-        staging.rename(final)
+        """Publish the restart set with ONE atomic rename — the commit
+        point of the whole job."""
+        final = publish_dir(self.published_dir(spec.job_id), saver)
         self.obs.counter("serve.published").inc()
         return {
             "restart_dir": str(final),

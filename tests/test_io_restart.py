@@ -2,18 +2,24 @@
 (run N+M == run N, save, load, run M)."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.atm import GristConfig, GristModel
+from repro.bench import PerfBaseline
 from repro.io.restart import (
     load_restart,
+    lock_exclusive,
     publish_atomic,
+    publish_dir,
     save_restart,
     write_atomic_text,
 )
+from repro.machine.calibration import CalibrationTable
 from repro.ocn import LicomConfig, LicomModel
+from repro.resilience import FaultPlan
 
 
 class TestGenericRestart:
@@ -75,6 +81,74 @@ class TestAtomicPublish:
         with pytest.raises(OSError, match="disk full"):
             publish_atomic(tmp_path / "t.npz", write)
         assert list(tmp_path.iterdir()) == []
+
+
+    @pytest.mark.parametrize("writer", [
+        lambda path: CalibrationTable().to_file(path),
+        lambda path: FaultPlan(seed=3).to_file(path),
+        lambda path: PerfBaseline("suite", {}).write(path),
+    ], ids=["calibration", "fault_plan", "baseline"])
+    def test_json_writer_killed_mid_write_keeps_the_old_file(self, tmp_path, monkeypatch, writer):
+        """Every JSON document the program writes publishes atomically: a
+        write cut off half-way leaves the previous file byte-identical."""
+        target = tmp_path / "out" / "doc.json"
+        writer(target)
+        before = target.read_bytes()
+        real_write_text = Path.write_text
+
+        def torn_write_text(self, text, *args, **kwargs):
+            real_write_text(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("killed mid-write")
+
+        monkeypatch.setattr(Path, "write_text", torn_write_text)
+        with pytest.raises(OSError, match="killed mid-write"):
+            writer(target)
+        assert target.read_bytes() == before
+        assert sorted(target.parent.iterdir()) == [target]
+
+
+def _files(root: Path) -> dict:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestPublishDir:
+    def test_failed_write_leaves_previous_set_and_no_staging(self, tmp_path):
+        target = tmp_path / "set"
+        publish_dir(target, lambda d: (d / "a.bin").write_bytes(b"old"))
+        before = _files(target)
+
+        def write(staging):
+            (staging / "a.bin").write_bytes(b"new, half")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            publish_dir(target, write)
+        assert _files(target) == before
+        assert sorted(tmp_path.iterdir()) == [target]
+
+    def test_leftover_staging_is_replaced(self, tmp_path):
+        target = tmp_path / "set"
+        leftover = tmp_path / ".tmp-set"
+        leftover.mkdir()
+        (leftover / "junk.bin").write_bytes(b"crashed writer")
+        assert publish_dir(target, lambda d: (d / "a.bin").write_bytes(b"x")) == target
+        assert _files(target) == {"a.bin": b"x"}
+        assert sorted(tmp_path.iterdir()) == [target]
+
+    def test_existing_target_is_replaced(self, tmp_path):
+        target = tmp_path / "set"
+        publish_dir(target, lambda d: (d / "old.bin").write_bytes(b"old"))
+        publish_dir(target, lambda d: (d / "new.bin").write_bytes(b"new"))
+        assert _files(target) == {"new.bin": b"new"}
+        assert sorted(tmp_path.iterdir()) == [target]
+
+    def test_lock_exclusive_refuses_a_second_holder_until_closed(self, tmp_path):
+        path = tmp_path / ".lock"
+        with lock_exclusive(path):
+            with pytest.raises(OSError):
+                lock_exclusive(path, blocking=False)
+        lock_exclusive(path, blocking=False).close()
 
 
 class TestOceanRestartContract:

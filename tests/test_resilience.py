@@ -15,7 +15,7 @@ import pytest
 
 from repro.coupler import AttrVect, GlobalSegMap, Rearranger, Router
 from repro.io.restart import RestartError, load_restart, save_restart
-from repro.esm import first_difference, snapshot
+from repro.esm import AP3ESMConfig, first_difference, snapshot
 from repro.obs import NULL_OBS, Obs
 from repro.parallel import (
     CommTimeoutError,
@@ -39,6 +39,7 @@ from repro.resilience import (
     corrupt_checkpoint,
     retry_with_backoff,
 )
+from repro.serve import JobRunner, JobSpec
 
 
 # -- fault plans -------------------------------------------------------------
@@ -339,6 +340,24 @@ class TestCheckpointManager:
         assert seen["v"] == 2.0
         assert obs.metrics.get("resilience.checkpoint_fallbacks").value == 1
         assert obs.metrics.get("resilience.restores").value == 1
+
+    def test_valid_steps_skip_a_bitflipped_set_and_count_it_once(self, tmp_path):
+        obs = Obs()
+        mgr = CheckpointManager(tmp_path, keep=3, obs=obs)
+        paths = {step: mgr.to_file(_fake_saver(np.full(4, float(step))), step)
+                 for step in (1, 2, 3)}
+        corrupt_checkpoint(paths[2], "bitflip")
+        assert mgr.valid_steps() == {1: paths[1], 3: paths[3]}
+        assert obs.metrics.get("resilience.checkpoint_fallbacks").value == 1
+
+    def test_job_dir_holds_only_the_rotation_and_the_published_set(self, tmp_path):
+        runner = JobRunner(AP3ESMConfig(atm_level=2, ocn_nlon=24, ocn_nlat=16, ocn_levels=4),
+                           work_dir=tmp_path, checkpoint_every=1)
+        out = runner.run(JobSpec("solo", couplings=2))
+        job = runner.job_dir("solo")
+        assert sorted(p.name for p in job.iterdir()) == ["ckpt", "restart"]
+        assert out["restart_dir"] == str(job / "restart")
+        assert not list((job / "ckpt").glob(".tmp-*"))
 
     @pytest.mark.parametrize(
         "damage", ["entry_without_size", "files_as_list", "manifest_not_an_object"]
