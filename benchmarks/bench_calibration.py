@@ -1,18 +1,16 @@
 """Calibration drift benchmark: keep the machine model honest.
 
 Fits a :class:`repro.machine.CalibrationTable` from the probe portfolio,
-re-measures, and emits per-kernel modeled-vs-measured drift through the
-``drift`` metric kind — the committed value in
-``benchmarks/baselines/BENCH_calibration.json`` is never a target
-(measurements are machine-dependent), but CI fails when |drift| leaves
-the tolerance band or goes non-finite.  Deterministic structure (probe
-count, launch count, tagged workload phases, table round-trip) is gated
-hard like any other ``count`` metric.
+re-measures, and checks every kernel's modeled-vs-measured drift: the
+drift itself is machine-dependent and never a target, but the suite fails
+when any |drift| leaves the tolerance band or goes non-finite
+(``DriftReport.ok``).  Deterministic structure (probe count, launch count,
+tagged workload phases, table round-trip) is pinned exactly.
 """
 
 import pytest
 
-from repro.bench import PerfBaseline, banner, compare_baselines, emit, format_table
+from repro.bench import banner, format_table
 from repro.machine import (
     CalibrationTable,
     calibrate,
@@ -21,11 +19,8 @@ from repro.machine import (
 )
 from repro.machine.workloads import atm_workload, ice_workload, lnd_workload, ocn_workload
 
-BENCH_JSON = "BENCH_calibration.json"
-BASELINE_DIR = __import__("pathlib").Path(__file__).parent / "baselines"
-
-#: Wider than the count/model gate: probe timings on shared CI runners are
-#: noisy, and the drift band only has to catch order-of-magnitude rot.
+#: Probe timings on shared CI runners are noisy, and the drift band only
+#: has to catch order-of-magnitude rot.
 DRIFT_TOLERANCE = 1.0
 
 SIZES = (16_384, 65_536)
@@ -53,48 +48,31 @@ def _tagged_phases() -> int:
     )
 
 
-def _bench_document(table: CalibrationTable, fresh, tmp_path) -> PerfBaseline:
-    doc = PerfBaseline(suite="calibration")
-
-    # Deterministic structure: gated hard.
-    doc.record("calibration.kernels", len(table.entries))
-    doc.record("calibration.probe_launches", table.meta["probe_launches"])
-    doc.record("calibration.tagged_phases", _tagged_phases())
-    roundtrip = CalibrationTable.from_file(table.to_file(tmp_path / "table.json"))
-    doc.record(
-        "calibration.table_roundtrip_ok",
-        float(roundtrip.table_id == table.table_id),
-    )
-
-    # The loop-closing signal: modeled-vs-measured drift per kernel.
-    report = drift_report(table, fresh, tolerance=DRIFT_TOLERANCE)
-    for entry in report.entries:
-        doc.record(f"calibration.drift.{entry.kernel}", entry.drift, kind="drift")
-
-    # Machine-dependent context, informational only.
-    doc.record("wall.worst_abs_drift", report.worst, kind="wall")
-    doc.record(
-        "wall.probe_total_s",
-        sum(e.measured_s for e in table.entries.values()),
-        kind="wall",
-        unit="s",
-    )
-    return doc.stamp_host()
-
-
 def test_table_fits_every_probe(fit):
     table, fresh = fit
     assert set(table.entries) == set(fresh)
     assert len(table.entries) == 5
 
 
+def test_table_structure_pinned(fit, tmp_path):
+    """30 probe launches, twelve kernel-tagged workload phases, and a table
+    that round-trips to the same identity."""
+    table, _ = fit
+    assert table.meta["probe_launches"] == 30
+    assert _tagged_phases() == 12
+    roundtrip = CalibrationTable.from_file(table.to_file(tmp_path / "table.json"))
+    assert roundtrip.table_id == table.table_id
+
+
 def test_drift_report_covers_table(fit):
-    """Every table kernel is re-measured — nothing is left unverifiable."""
+    """Every table kernel is re-measured — nothing is left unverifiable —
+    and every drift is finite and inside the band."""
     table, fresh = fit
     report = drift_report(table, fresh, tolerance=DRIFT_TOLERANCE)
     assert not report.missing_measurements
     assert not report.uncalibrated
     assert len(report.entries) == len(table.entries)
+    assert report.ok, report.report()
 
 
 def test_report(fit, emit_report):
@@ -117,33 +95,6 @@ def test_report(fit, emit_report):
             f"\nworst |drift|: {report.worst:.1%} "
             f"(band +/-{DRIFT_TOLERANCE:.0%}) -> "
             f"{'OK' if report.ok else 'FAIL'}",
+            f"probe total: {sum(e.measured_s for e in table.entries.values()):.4f} s",
         ]),
     )
-
-
-def test_emit_bench_calibration_json(fit, tmp_path, report_dir):
-    """Emit BENCH_calibration.json — the document the CI perf gate compares
-    against benchmarks/baselines/BENCH_calibration.json."""
-    table, fresh = fit
-    doc = _bench_document(table, fresh, tmp_path)
-    emit(doc, report_dir)
-
-
-def test_gate_against_committed_baseline(fit, tmp_path):
-    """The acceptance check the CI job runs: structural counts must match
-    the committed baseline within 15 %, and every drift metric must sit
-    inside the +/-100 % band (fresh value only — the committed drift is
-    documentation, not a target)."""
-    baseline_path = BASELINE_DIR / BENCH_JSON
-    if not baseline_path.exists():
-        pytest.skip("no committed baseline yet")
-    table, fresh = fit
-    doc = _bench_document(table, fresh, tmp_path)
-    comparison = compare_baselines(
-        doc,
-        PerfBaseline.from_file(baseline_path),
-        tolerance=0.15,
-        drift_tolerance=DRIFT_TOLERANCE,
-    )
-    print("\n" + comparison.report())
-    assert comparison.ok, comparison.report()

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.bench import banner, format_table
-from repro.bench import PerfBaseline, compare_baselines, emit
 from repro.coupler import (
     AttrVect,
     CouplerCache,
@@ -31,6 +30,11 @@ from repro.parallel.collectives import cost_alltoall, cost_alltoall_sparse
 
 N_PES = 8
 GSIZE = 4096
+X2O_USED = ["Foxx_taux", "Foxx_tauy", "Foxx_swnet",
+            "Foxx_lwdn", "Foxx_sen", "Foxx_lat", "Foxx_rain"]
+# Modeled time at paper scale: 100k ranks, 16 real partners, a 64 KiB
+# message, and the link's latency / bandwidth.
+P_PAPER, NBYTES, LAT, BW = 100_000, 64 * 1024, 2.5e-6, 2.0e10
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +78,21 @@ def _run_world(maps, router, method, obs=NULL_OBS):
     return world.ledger
 
 
+def _x2o_savings():
+    reg = FieldRegistry.cesm_default()
+    reg.mark_used("x2o", X2O_USED)
+    return reg.savings("x2o", lsize=GSIZE // N_PES)
+
+
+def _modeled_dense_sparse():
+    """Modeled seconds of a dense alltoall and of the sparse p2p exchange
+    at paper scale."""
+    msgs_dense, bytes_dense = cost_alltoall(NBYTES, P_PAPER)
+    msgs_sparse, bytes_sparse = cost_alltoall_sparse(NBYTES, 16, P_PAPER)
+    return (msgs_dense * LAT + bytes_dense / BW,
+            msgs_sparse * LAT + bytes_sparse / BW)
+
+
 def test_coupler_report(maps, router, emit_report, obs):
     src, dst = maps
     # 1. Offline precompute.
@@ -90,10 +109,7 @@ def test_coupler_report(maps, router, emit_report, obs):
         load_s = time.perf_counter() - t0
 
     # 2. Field pruning.
-    reg = FieldRegistry.cesm_default()
-    reg.mark_used("x2o", ["Foxx_taux", "Foxx_tauy", "Foxx_swnet",
-                          "Foxx_lwdn", "Foxx_sen", "Foxx_lat", "Foxx_rain"])
-    savings = reg.savings("x2o", lsize=GSIZE // N_PES)
+    savings = _x2o_savings()
 
     # 3. Rearranger traffic (traced when --trace is given).
     led_a2a = _run_world(maps, router, "alltoall", obs=obs)
@@ -108,14 +124,7 @@ def test_coupler_report(maps, router, emit_report, obs):
     _run_world(maps, router, "p2p", obs=Obs())
     t_on = time.perf_counter() - t0
 
-    # Modeled time at paper scale (100k ranks, 16 real partners).
-    p = 100_000
-    nbytes = 64 * 1024
-    msgs_dense, bytes_dense = cost_alltoall(nbytes, p)
-    msgs_sparse, bytes_sparse = cost_alltoall_sparse(nbytes, 16, p)
-    lat, bw = 2.5e-6, 2.0e10
-    t_dense = msgs_dense * lat + bytes_dense / bw
-    t_sparse = msgs_sparse * lat + bytes_sparse / bw
+    t_dense, t_sparse = _modeled_dense_sparse()
 
     rows = [
         ("Router build [ms]", build_s * 1e3, None),
@@ -144,6 +153,7 @@ def test_coupler_report(maps, router, emit_report, obs):
 def test_p2p_moves_less_than_alltoall(maps, router):
     led_a2a = _run_world(maps, router, "alltoall")
     led_p2p = _run_world(maps, router, "p2p")
+    assert led_a2a.total_messages == 63
     assert led_p2p.total_messages < led_a2a.total_messages
 
 
@@ -159,18 +169,19 @@ def test_offline_tables_roundtrip(maps, router, tmp_path):
 
 def test_sparse_beats_dense_at_scale():
     """The latency term dominates at 100k ranks: 16 partners vs P-1."""
-    p, nbytes = 100_000, 64 * 1024
-    m_d, b_d = cost_alltoall(nbytes, p)
-    m_s, b_s = cost_alltoall_sparse(nbytes, 16, p)
+    m_d, b_d = cost_alltoall(NBYTES, P_PAPER)
+    m_s, b_s = cost_alltoall_sparse(NBYTES, 16, P_PAPER)
     assert m_s < m_d / 1000
     assert b_s < b_d
+    t_dense, t_sparse = _modeled_dense_sparse()
+    assert t_dense == pytest.approx(0.5776742232000001, rel=1e-9)
+    assert t_sparse == pytest.approx(9.24288e-05, rel=1e-9)
 
 
 def test_pruning_halves_x2o(maps):
-    reg = FieldRegistry.cesm_default()
-    reg.mark_used("x2o", ["Foxx_taux", "Foxx_tauy", "Foxx_swnet",
-                          "Foxx_lwdn", "Foxx_sen", "Foxx_lat", "Foxx_rain"])
-    assert reg.savings("x2o", 1000)["fraction_saved"] == pytest.approx(0.5)
+    savings = _x2o_savings()
+    assert savings["fraction_saved"] == 0.5
+    assert savings["bytes_after"] == 28672
 
 
 def test_benchmark_router_build(benchmark, maps):
@@ -182,16 +193,13 @@ def test_benchmark_p2p_rearrange(benchmark, maps, router):
     benchmark(_run_world, maps, router, "p2p")
 
 
-# -- coalesced plans, the cache, and the JSON perf baseline ------------------
+# -- coalesced plans and the cache ---------------------------------------------
 
 PLAN_BUNDLES = {
     "x2o": ["taux", "tauy", "swnet", "lwdn"],
     "i2x": ["ifrac", "tsurf"],
 }
 N_PLAN_FIELDS = sum(len(f) for f in PLAN_BUNDLES.values())
-
-BENCH_JSON = "BENCH_coupler.json"
-BASELINE_DIR = __import__("pathlib").Path(__file__).parent / "baselines"
 
 
 def _bundle_values(src, rank):
@@ -244,12 +252,14 @@ def test_plan_beats_field_granularity_on_the_ledger(maps, router):
     led_field = _run_granularity_world(maps, router, "field")
     led_bundle = _run_granularity_world(maps, router, "bundle")
     plan, led_plan = _run_plan_world(maps, router)
-    edges = _edges(router)
-    assert led_plan.p2p_messages == edges
-    assert led_bundle.p2p_messages == edges * len(PLAN_BUNDLES)
-    assert led_field.p2p_messages == edges * N_PLAN_FIELDS
-    assert led_field.p2p_messages >= N_PLAN_FIELDS * led_plan.p2p_messages
-    assert plan.message_counts(N_PES)["message_reduction"] == N_PLAN_FIELDS
+    assert _edges(router) == 16
+    assert led_plan.p2p_messages == 16
+    assert led_bundle.p2p_messages == 32
+    assert led_field.p2p_messages == 96
+    assert plan.message_counts(N_PES)["message_reduction"] == 6
+    # Modeled latency of one exchange per layout at the paper's link.
+    assert led_plan.p2p_messages * LAT == pytest.approx(4e-05, rel=1e-9)
+    assert led_field.p2p_messages * LAT == pytest.approx(2.4e-04, rel=1e-9)
 
 
 def test_cache_cold_build_warm_load(maps, tmp_path):
@@ -267,82 +277,3 @@ def test_cache_cold_build_warm_load(maps, tmp_path):
     warm.get_router("src", "dst", src, dst)
     assert (warm.hits, warm.misses) == (3, 0)
     assert warm.build_time_saved_s > 0.0
-
-
-def _bench_document(maps, router, tmp_path):
-    src, dst = maps
-    doc = PerfBaseline(suite="coupler")
-    edges = _edges(router)
-
-    # Deterministic message arithmetic (gated).
-    led_field = _run_granularity_world(maps, router, "field")
-    led_bundle = _run_granularity_world(maps, router, "bundle")
-    plan, led_plan = _run_plan_world(maps, router)
-    led_a2a = _run_world(maps, router, "alltoall")
-    doc.record("router.edges", edges)
-    doc.record("plan.p2p_messages", led_plan.p2p_messages)
-    doc.record("bundle.p2p_messages", led_bundle.p2p_messages)
-    doc.record("field.p2p_messages", led_field.p2p_messages)
-    doc.record("alltoall.total_messages", led_a2a.total_messages)
-    doc.record("plan.message_reduction",
-               plan.message_counts(N_PES)["message_reduction"])
-
-    # Pruning arithmetic (gated).
-    reg = FieldRegistry.cesm_default()
-    reg.mark_used("x2o", ["Foxx_taux", "Foxx_tauy", "Foxx_swnet",
-                          "Foxx_lwdn", "Foxx_sen", "Foxx_lat", "Foxx_rain"])
-    savings = reg.savings("x2o", lsize=GSIZE // N_PES)
-    doc.record("prune.x2o_fraction_saved", savings["fraction_saved"])
-    doc.record("prune.x2o_bytes_after", savings["bytes_after"], unit="B")
-
-    # Cache behaviour (gated counts).
-    cold = CouplerCache(tmp_path / "bench-cache")
-    cold.get_router("src", "dst", src, dst)
-    warm = CouplerCache(tmp_path / "bench-cache")
-    warm.get_router("src", "dst", src, dst)
-    doc.record("cache.cold_misses", cold.misses)
-    doc.record("cache.warm_hits", warm.hits)
-
-    # Modeled time at paper scale (gated, deterministic model output).
-    p, nbytes, lat, bw = 100_000, 64 * 1024, 2.5e-6, 2.0e10
-    m_d, b_d = cost_alltoall(nbytes, p)
-    m_s, b_s = cost_alltoall_sparse(nbytes, 16, p)
-    doc.record("model.dense_alltoall_s", m_d * lat + b_d / bw, kind="model", unit="s")
-    doc.record("model.sparse_p2p_s", m_s * lat + b_s / bw, kind="model", unit="s")
-    doc.record("model.plan_latency_s", edges * lat, kind="model", unit="s")
-    doc.record("model.field_latency_s", edges * N_PLAN_FIELDS * lat,
-               kind="model", unit="s")
-
-    # Wall times (informational only — never gated).
-    t0 = time.perf_counter()
-    Router.build(src, dst)
-    doc.record("wall.router_build_ms", (time.perf_counter() - t0) * 1e3,
-               kind="wall", unit="ms")
-    path = tmp_path / "bench-router.npz"
-    router.to_file(path)
-    t0 = time.perf_counter()
-    Router.from_file(path)
-    doc.record("wall.router_load_ms", (time.perf_counter() - t0) * 1e3,
-               kind="wall", unit="ms")
-    return doc.stamp_host()
-
-
-def test_emit_bench_coupler_json(maps, router, tmp_path, report_dir):
-    """Emit BENCH_coupler.json — the document the CI perf gate compares
-    against benchmarks/baselines/BENCH_coupler.json."""
-    doc = _bench_document(maps, router, tmp_path)
-    emit(doc, report_dir)
-
-
-def test_gate_against_committed_baseline(maps, router, tmp_path):
-    """The acceptance check the CI job runs: the fresh document must pass
-    the 15 % gate against the committed baseline."""
-    baseline_path = BASELINE_DIR / BENCH_JSON
-    if not baseline_path.exists():
-        pytest.skip("no committed baseline yet")
-    doc = _bench_document(maps, router, tmp_path)
-    comparison = compare_baselines(
-        doc, PerfBaseline.from_file(baseline_path), tolerance=0.15
-    )
-    print("\n" + comparison.report())
-    assert comparison.ok, comparison.report()

@@ -126,45 +126,3 @@ def test_all_pairings_prediction_report(emit_report):
     sypds = [predict_pairing_sypd(l, 36_553_140)["sypd"]
              for l in ("25v10", "10v5", "6v3", "3v2", "1v1")]
     assert all(a >= b for a, b in zip(sypds, sypds[1:]))
-
-
-# -- JSON perf baseline (model outputs are deterministic -> gated) -----------
-
-BENCH_JSON = "BENCH_scaling.json"
-BASELINE_DIR = __import__("pathlib").Path(__file__).parent / "baselines"
-
-
-def _bench_document(component_results, coupled_results):
-    from repro.bench import PerfBaseline
-
-    doc = PerfBaseline(suite="scaling")
-    for key, r in component_results.items():
-        doc.record(f"sypd.{key}", r.modeled[-1], kind="model", unit="SYPD")
-        doc.record(f"prediction_error.{key}", r.max_prediction_error(),
-                   kind="model")
-    for label, r in coupled_results.items():
-        doc.record(f"sypd.coupled_{label}", r.modeled[-1],
-                   kind="model", unit="SYPD")
-    return doc.stamp_host()
-
-
-def test_emit_bench_scaling_json(component_results, coupled_results, report_dir):
-    """Emit BENCH_scaling.json for the CI perf gate."""
-    from repro.bench import emit
-
-    doc = _bench_document(component_results, coupled_results)
-    emit(doc, report_dir)
-
-
-def test_gate_against_committed_baseline(component_results, coupled_results):
-    from repro.bench import PerfBaseline, compare_baselines
-
-    baseline_path = BASELINE_DIR / BENCH_JSON
-    if not baseline_path.exists():
-        pytest.skip("no committed baseline yet")
-    doc = _bench_document(component_results, coupled_results)
-    comparison = compare_baselines(
-        doc, PerfBaseline.from_file(baseline_path), tolerance=0.15
-    )
-    print("\n" + comparison.report())
-    assert comparison.ok, comparison.report()

@@ -1,5 +1,6 @@
-"""Benchmark support: published reference data, scaling runners, reports,
-and the JSON perf-baseline regression gate."""
+"""Benchmark support: published reference data, scaling runners and
+reports (plus :mod:`repro.bench.baseline`, the unused perf-document
+comparison)."""
 
 from .baseline import (
     BaselineComparison,

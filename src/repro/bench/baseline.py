@@ -1,42 +1,17 @@
-"""JSON perf baselines and the CI regression gate.
+"""JSON perf-metric documents and their tolerance comparison.
 
-Benchmarks emit ``BENCH_<suite>.json`` documents — flat metric maps with
-a *kind* per metric — and CI compares them against the committed
-baselines under ``benchmarks/baselines/``:
+A :class:`PerfBaseline` is a flat metric map with a *kind* per metric
+(``count``, ``model``, ``wall``, ``speedup``, ``drift``);
+:func:`compare_baselines` judges a fresh document against a reference
+one (``count`` / ``model`` within a relative tolerance, ``wall`` never,
+``speedup`` against a 1.0 floor on a multi-core host, ``drift`` inside a
+finite band) and :func:`emit` writes ``BENCH_<suite>.json``.
 
-* ``count`` — deterministic arithmetic (message counts, bytes moved,
-  cache hits): gated hard, any drift beyond tolerance fails;
-* ``model`` — deterministic performance-model output (modeled seconds,
-  SYPD): gated with the same tolerance;
-* ``wall`` — measured wall time on whatever machine ran the suite:
-  **informational only**, reported but never failed (CI runners are too
-  noisy to gate on);
-* ``speedup`` — measured wall-time ratio (serial time / parallel time).
-  The committed value is never a target — speedup is machine-dependent —
-  but the **floor is gated**: when the current document reports a
-  ``host.cores`` metric greater than 1, a speedup below 1.0 fails (a
-  parallel backend must not be slower than serial on a multi-core host);
-  on single-core runners it is informational.
-* ``drift`` — modeled-vs-measured drift fraction per kernel (see
-  :func:`repro.machine.calibration.drift`).  Like ``speedup``, the
-  committed value is never a target (measurements are machine-dependent);
-  the **band is gated**: the current run fails when ``|drift|`` exceeds
-  ``drift_tolerance`` or is non-finite (``NaN > tol`` is falsy — a
-  silent pass — so finiteness is checked explicitly).  The boundary
-  exactly met passes.
-
-The gate is symmetric by default — an unexplained 10× *improvement* in a
-``count`` metric usually means the benchmark stopped measuring the thing
-it used to measure, which is just as much a regression of the baseline's
-meaning.  Refresh the baseline deliberately by re-running the suite and
-committing the new JSON.
-
-Every benchmark writes its document through :func:`emit` — one place that
-stamps host metadata (``host.cores``, the speedup-floor switch), writes
-``BENCH_<suite>.json`` under the report directory and verifies the
-round-trip — instead of hand-rolled ``json.dump`` blocks per suite.
-
-The CI gate is ``python -m repro perf-gate CURRENT BASELINE [--tolerance 0.15]``.
+Nothing in the program, the benchmarks or CI calls this module any more:
+the fixed numbers it used to compare within ±15 % are exact assertions in
+the benchmark suites that compute them, and the drift band is
+:attr:`repro.machine.calibration.DriftReport.ok`.  The module stays, ruled
+dead, until its own tests can be retired (ROADMAP item 5).
 """
 
 from __future__ import annotations
@@ -80,9 +55,7 @@ class PerfBaseline:
     def stamp_host(self) -> "PerfBaseline":
         """Record ``host.cores`` (kind ``wall`` — informational, but it
         switches the speedup floor and documents where measurements came
-        from) unless the suite already did.  The one home of the stamp:
-        :func:`emit` and every suite's document builder call it, so the
-        emitted file and an in-test gate see the same metric set."""
+        from) unless the document already has it; :func:`emit` calls it."""
         if "host.cores" not in self.metrics:
             self.record("host.cores", float(os.cpu_count() or 1), kind="wall")
         return self
@@ -116,12 +89,11 @@ def emit(
     host_metadata: bool = True,
     echo: bool = True,
 ) -> Path:
-    """The one way a benchmark suite writes its ``BENCH_<suite>.json``.
+    """Write ``doc`` as ``BENCH_<suite>.json`` under ``directory``.
 
-    Stamps host metadata (:meth:`PerfBaseline.stamp_host`), writes
-    ``BENCH_<suite>.json`` under ``directory``, verifies the document
-    round-trips, and returns the path.  ``echo=True`` prints the
-    ``[bench-json] <path>`` line the CI logs grep for.
+    Stamps host metadata (:meth:`PerfBaseline.stamp_host`), verifies the
+    document round-trips, and returns the path.  ``echo=True`` prints a
+    ``[bench-json] <path>`` line.
     """
     if host_metadata:
         doc.stamp_host()
@@ -149,7 +121,7 @@ class MetricDelta:
 
 @dataclass
 class BaselineComparison:
-    """Outcome of comparing a fresh run against the committed baseline."""
+    """Outcome of comparing a fresh document against a reference one."""
 
     suite: str
     tolerance: float
@@ -206,7 +178,7 @@ def compare_baselines(
     symmetric: bool = True,
     drift_tolerance: float = 0.5,
 ) -> BaselineComparison:
-    """Compare a fresh suite run against the committed baseline.
+    """Compare a fresh suite document against a reference one.
 
     ``count``/``model`` metrics whose relative change exceeds
     ``tolerance`` (in either direction when ``symmetric``, else only

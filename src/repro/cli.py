@@ -16,9 +16,6 @@ Commands
     Regenerate the Table 2 / Fig. 8a strong-scaling tables.
 ``train-ai``
     Harvest a training archive from the model and train the AI suite.
-``perf-gate``
-    Compare a benchmark's ``BENCH_*.json`` against a committed baseline
-    (the CI regression gate; wall-time metrics are informational only).
 ``submit``
     Journal one scenario job (config delta + perturbed IC + coupling
     budget) into a durable job store.
@@ -285,20 +282,6 @@ def _add_train_ai_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--days", type=int, default=6)
     p.add_argument("--epochs", type=int, default=40)
     p.add_argument("--width", type=int, default=32)
-
-
-def _add_perf_gate_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("current", help="BENCH_*.json emitted by a benchmark run")
-    p.add_argument("baseline", help="committed baseline JSON")
-    p.add_argument("--tolerance", type=float, default=0.15,
-                   help="relative drift allowed on count/model metrics "
-                        "(default 0.15); wall metrics never gate")
-    p.add_argument("--one-sided", action="store_true",
-                   help="only fail on increases, not improvements")
-    p.add_argument("--drift-tolerance", type=float, default=0.5,
-                   help="|modeled-vs-measured| band allowed on drift "
-                        "metrics (default 0.5); non-finite drift always "
-                        "fails")
 
 
 def _add_calibration_group(p: argparse.ArgumentParser) -> None:
@@ -653,20 +636,6 @@ def _cmd_train_ai(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_perf_gate(args: argparse.Namespace) -> int:
-    from repro.bench import PerfBaseline, compare_baselines
-
-    comparison = compare_baselines(
-        PerfBaseline.from_file(args.current),
-        PerfBaseline.from_file(args.baseline),
-        tolerance=args.tolerance,
-        symmetric=not args.one_sided,
-        drift_tolerance=args.drift_tolerance,
-    )
-    print(comparison.report())
-    return 0 if comparison.ok else 1
-
-
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     from repro.machine.calibration import (
         CalibrationError,
@@ -823,8 +792,6 @@ _COMMANDS = {
     "scaling": ("Table 2 / Fig. 8a tables", (_add_scaling_args,), _cmd_scaling),
     "train-ai": ("train the AI physics suite", (_add_train_ai_args,),
                  _cmd_train_ai),
-    "perf-gate": ("compare a BENCH_*.json run against a committed baseline",
-                  (_add_perf_gate_args,), _cmd_perf_gate),
     "calibrate": ("fit machine-model cost terms from measured probe kernels",
                   (_add_calibration_group,), _cmd_calibrate),
     "submit": ("journal one scenario job into a durable job store",

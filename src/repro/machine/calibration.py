@@ -6,7 +6,8 @@ silently widens the gap between what the model predicts and what the pp
 layer actually measures.  This module closes that loop the way the
 csl-experiments compute model does — derive an ``overhead_factor`` from
 measured-vs-theoretical time — and keeps it honest over time through the
-perf-baseline gate (a ``drift`` metric kind in ``BENCH_calibration.json``).
+drift band that ``benchmarks/bench_calibration.py`` asserts
+(``DriftReport.ok``).
 
 The pass has three parts:
 
@@ -29,9 +30,8 @@ The pass has three parts:
   ``to_file`` / ``from_file`` protocol.
 * **drift** — :func:`drift_report` re-measures and compares the table's
   modeled per-kernel time against fresh measurements; :func:`drift` is the
-  guarded scalar used by the ``drift`` metric kind in
-  :mod:`repro.bench.baseline` (non-finite drift always fails the gate —
-  ``NaN > tol`` being falsy must never pass silently).
+  guarded scalar behind each entry, and ``DriftReport.ok`` fails on any
+  non-finite drift (``NaN > tol`` being falsy must never pass silently).
 
 A :class:`CalibrationTable` is applied to the analytic model one way:
 ``with_calibration(table)`` on a :class:`~repro.machine.perfmodel.PerfModel`
@@ -572,7 +572,7 @@ def drift(modeled_s: float, measured_s: float) -> float:
 
     ``(modeled - measured) / measured``, except:
 
-    * any non-finite or negative input → ``inf`` (the gate must fail
+    * any non-finite or negative input → ``inf`` (the band check must fail
       loudly; ``NaN > tol`` is falsy in Python and would pass silently);
     * measured ≈ 0: ``0.0`` when the model also predicts ≈ 0, else
       ``inf`` (the model claims cost where none was measured).

@@ -15,6 +15,7 @@ Three output formats, matching how the paper's numbers were consumed:
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
@@ -34,15 +35,20 @@ __all__ = [
 ]
 
 
+#: The one scope ``Obs.prefixed`` gives a name: an ensemble member's.
+_MEMBER_SCOPE = re.compile(r"^member\.\d+\.")
+
+
 def counter_totals(
     metrics: Iterable[MetricsRegistry], prefixes: Tuple[str, ...]
 ) -> Dict[str, float]:
-    """Total every nonzero counter whose name starts with one of
-    ``prefixes``, across ranks; ``{}`` when there is none."""
+    """Total every nonzero counter whose name, without one leading
+    ``member.<k>.`` scope, starts with one of ``prefixes``, across ranks;
+    each is listed under its name as recorded.  ``{}`` when there is none."""
     totals: Dict[str, float] = {}
     for reg in metrics:
         for name in reg.names():
-            if not name.startswith(prefixes):
+            if not _MEMBER_SCOPE.sub("", name, count=1).startswith(prefixes):
                 continue
             metric = reg.get(name)
             if getattr(metric, "kind", None) == "counter" and metric.value:

@@ -108,17 +108,6 @@ class TestCompare:
         slow = _doc(s=(0.5, "speedup"))
         assert compare_baselines(slow, base).ok
 
-    def test_cli_subcommand(self, tmp_path, capsys):
-        from repro.cli import main
-
-        cur = _doc(a=(100.0, "count")).write(tmp_path / "cur.json")
-        base = _doc(a=(100.0, "count")).write(tmp_path / "base.json")
-        assert main(["perf-gate", str(cur), str(base)]) == 0
-        assert "OK" in capsys.readouterr().out
-        bad = _doc(a=(200.0, "count")).write(tmp_path / "bad.json")
-        assert main(["perf-gate", str(bad), str(base)]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
 
 class TestDriftKind:
     """The calibration loop's metric kind: gated on the band, never on
@@ -180,17 +169,6 @@ class TestDriftKind:
         cmp = compare_baselines(_doc(), _doc(d=(0.0, "drift")))
         assert not cmp.ok
         assert cmp.missing == ["d"]
-
-    def test_cli_drift_tolerance_flag(self, tmp_path, capsys):
-        from repro.cli import main
-
-        cur = _doc(d=(0.8, "drift")).write(tmp_path / "cur.json")
-        base = _doc(d=(0.0, "drift")).write(tmp_path / "base.json")
-        assert main(["perf-gate", str(cur), str(base)]) == 1
-        capsys.readouterr()
-        assert main(["perf-gate", str(cur), str(base),
-                     "--drift-tolerance", "1.0"]) == 0
-        assert "within" in capsys.readouterr().out
 
 
 class TestEmit:

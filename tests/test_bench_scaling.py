@@ -1,8 +1,6 @@
 """Tests for the scaling-study runners and paper reference data."""
 
-import json
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,19 +172,31 @@ class TestOnePricingPath:
 
 
 def test_model_metrics_equal_committed_baseline_exactly(all_results):
-    """Every modeled second goes through ``ProcessorSpec.roofline_s``: the
-    gated ``model`` metrics of BENCH_scaling.json must not move by a bit."""
-    baseline = Path(__file__).parents[1] / "benchmarks" / "baselines" / "BENCH_scaling.json"
+    """Every modeled second goes through ``ProcessorSpec.roofline_s``: no
+    Table 2 headline SYPD or prediction error may move by a bit."""
     want = {
-        name: m["value"]
-        for name, m in json.loads(baseline.read_text())["metrics"].items()
-        if m["kind"] == "model"
+        "prediction_error.atm_1km_cpe": 0.0,
+        "prediction_error.atm_3km_cpe": 0.15124682464779907,
+        "prediction_error.atm_3km_mpe": 0.0,
+        "prediction_error.ocn_1km_orise_opt": 0.018786718266963286,
+        "prediction_error.ocn_1km_orise_original": 0.03397809093265316,
+        "prediction_error.ocn_2km_cpe": 0.11143666147509208,
+        "prediction_error.ocn_2km_mpe": 0.17310617938357925,
+        "sypd.atm_1km_cpe": 0.8500000000000003,
+        "sypd.atm_3km_cpe": 1.16,
+        "sypd.atm_3km_mpe": 0.006299999999999999,
+        "sypd.coupled_1v1": 0.501940376537615,
+        "sypd.coupled_3v2": 0.9056829854791388,
+        "sypd.ocn_1km_orise_opt": 1.9800000000000002,
+        "sypd.ocn_1km_orise_original": 1.7000000000000006,
+        "sypd.ocn_2km_cpe": 1.5900000000000014,
+        "sypd.ocn_2km_mpe": 0.018999999999999993,
     }
     got = {f"sypd.coupled_{label}": coupled_curve(label).modeled[-1] for label in ("3v2", "1v1")}
     for key, r in all_results.items():
         got[f"sypd.{key}"] = r.modeled[-1]
         got[f"prediction_error.{key}"] = r.max_prediction_error()
-    assert len(want) == 16 and got == want
+    assert got == want
 
 
 class TestWeakScaling:

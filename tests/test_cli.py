@@ -17,10 +17,9 @@ def test_parser_commands():
                if isinstance(a, argparse._SubParsersAction))
     assert list(sub.choices) == [
         "info", "run-coupled", "run-ensemble", "typhoon", "scaling",
-        "train-ai", "perf-gate", "calibrate", "submit", "run-jobs",
+        "train-ai", "calibrate", "submit", "run-jobs",
     ]
     required = {
-        "perf-gate": ["cur.json", "base.json"],
         "submit": ["--store", "st", "--job-id", "a"],
         "run-jobs": ["--store", "st", "--work-dir", "wk"],
     }

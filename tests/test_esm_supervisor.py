@@ -255,6 +255,19 @@ class TestFleetCheckpoints:
         finally:
             ens.finalize()
 
+    def test_member_fallback_reaches_the_resilience_rollup(self, tmp_path):
+        """A member-scoped counter is rolled up under its recorded name."""
+        obs = Obs()
+        ens = _fleet(members=2, policy="restart", couplings=4,
+                     checkpoint_dir=tmp_path / "ck", obs=obs)
+        try:
+            corrupt_checkpoint(ens.members[0].checkpoints.latest(), "bitflip")
+            assert ens.recover() == 2
+        finally:
+            ens.finalize()
+        section = obs.report().split("== resilience interventions ==")[1]
+        assert "member.0.resilience.checkpoint_fallbacks" in section
+
 
 class TestFailFast:
     def test_reraises_original_exception(self):

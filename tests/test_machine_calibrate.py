@@ -4,7 +4,7 @@ Covers the full loop: probe measurement off the pp KernelStats
 accumulators, the fit, the content-addressed CalibrationTable and its
 to_file/from_file protocol, the explicit calibration= handle on the
 perf models (byte-identical when absent), and the guarded drift metric
-the perf gate consumes.
+behind ``DriftReport.ok``, the band the calibration benchmark asserts.
 """
 
 import json
