@@ -221,15 +221,18 @@ def _heavy(idx, out, x):
     out[idx] = acc
 
 
-def _time_heavy(space, x, reps=3):
-    """Best-of-reps wall time of the heavy kernel on ``space``."""
-    out = np.zeros(HEAVY_N)
-    best = float("inf")
+def _time_heavy(spaces, x, reps=3):
+    """Best-of-reps wall time of the heavy kernel on each of ``spaces``,
+    which take turns within every rep, so a load swing on a shared host
+    falls on all of them rather than on whichever ran last."""
+    outs = [np.zeros(HEAVY_N) for _ in spaces]
+    best = [float("inf")] * len(spaces)
     for _ in range(reps):
-        t0 = time.perf_counter()
-        parallel_for(space, HEAVY_N, BoundKernel(_heavy, (out, x)))
-        best = min(best, time.perf_counter() - t0)
-    return best, out
+        for i, space in enumerate(spaces):
+            t0 = time.perf_counter()
+            parallel_for(space, HEAVY_N, BoundKernel(_heavy, (outs[i], x)))
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return best, outs
 
 
 def test_procpool_bitwise_and_measured_speedup(field, emit_report):
@@ -238,8 +241,8 @@ def test_procpool_bitwise_and_measured_speedup(field, emit_report):
     x = np.random.default_rng(1).standard_normal(HEAVY_N)
     pool = ProcPool()  # all cores
     try:
-        t_serial, out_serial = _time_heavy(Serial(), x)
-        t_procs, out_procs = _time_heavy(pool, x)
+        (t_serial, t_procs), (out_serial, out_procs) = _time_heavy(
+            (Serial(), pool), x)
         stats = pool.runtime.stats
     finally:
         pool.runtime.shutdown()

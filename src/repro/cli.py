@@ -59,9 +59,9 @@ def _add_model_size(group) -> None:
 def _add_checkpoint_flags(group) -> None:
     group.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
                        help="write a rotating checksummed checkpoint every N "
-                            "couplings (requires --checkpoint-dir; run-ensemble: "
-                            "per member under <dir>/member<k>/, and only with "
-                            "a --member-policy or --faults)")
+                            "couplings and roll a rank loss back to it (requires "
+                            "--checkpoint-dir; run-ensemble: per member under "
+                            "<dir>/member<k>/, only with --member-policy or --faults)")
     group.add_argument("--checkpoint-dir", default=None,
                        help="rotating checkpoint (root) directory")
     group.add_argument("--checkpoint-keep", type=int, default=3,
@@ -100,17 +100,6 @@ def _add_resilience_group(p: argparse.ArgumentParser) -> None:
         "resilience", "checkpoints, recovery, and chaos testing"
     )
     _add_checkpoint_flags(res)
-    res.add_argument("--recovery-policy", choices=("abort", "shrink", "spare"),
-                     default="abort",
-                     help="what to do when a rank dies mid-run: abort "
-                          "(default, pre-elastic behavior), shrink "
-                          "(survivors absorb the lost work and continue "
-                          "degraded), or spare (an idle rank takes the slot; "
-                          "bitwise-identical to a fault-free run); non-abort "
-                          "policies require --checkpoint-every/--checkpoint-dir")
-    res.add_argument("--spare-ranks", type=int, default=1, metavar="K",
-                     help="idle ranks pre-allocated for --recovery-policy "
-                          "spare (default 1)")
     res.add_argument("--faults", default=None, metavar="PLAN_JSON",
                      help="chaos mode: inject this FaultPlan, crash, recover "
                           "from the newest valid checkpoint, and verify the "
@@ -346,24 +335,17 @@ def _resilience_config(args: argparse.Namespace, guard_physics: bool = True):
     injected blow-ups before the supervisor sees them and is incompatible
     with --batch-physics).  None when no such flag was given: the
     zero-overhead default, byte-identical to a plain run."""
-    if guard_physics:
-        flag, policy = "--recovery-policy", args.recovery_policy
-        armed = needs_target = policy != "abort"
-        fields = dict(recovery_policy=policy, spare_ranks=args.spare_ranks)
-    else:
-        flag, policy = "--member-policy", args.member_policy
-        armed, needs_target = policy != "fail_fast", policy == "restart"
-        fields = dict(member_policy=policy,
-                      member_restart_max=args.member_restart_max)
+    policy = "fail_fast" if guard_physics else args.member_policy
+    armed = policy != "fail_fast"
     if not (armed or args.faults or args.checkpoint_every or args.checkpoint_dir):
         return None
     from repro.resilience import ResilienceConfig
 
     if args.checkpoint_every and not args.checkpoint_dir:
         raise SystemExit("--checkpoint-every requires --checkpoint-dir")
-    if needs_target and not (args.checkpoint_every and args.checkpoint_dir):
+    if policy == "restart" and not (args.checkpoint_every and args.checkpoint_dir):
         raise SystemExit(
-            f"{flag} {policy} needs a rollback target: pass "
+            "--member-policy restart needs a rollback target: pass "
             "--checkpoint-every and --checkpoint-dir"
         )
     if not guard_physics and args.checkpoint_every and not (armed or args.faults):
@@ -374,6 +356,8 @@ def _resilience_config(args: argparse.Namespace, guard_physics: bool = True):
             "fleet supervisor: pass --member-policy quarantine|restart "
             "or --faults"
         )
+    fields = {} if guard_physics else dict(
+        member_policy=policy, member_restart_max=args.member_restart_max)
     try:
         return ResilienceConfig(
             enabled=True,
@@ -470,15 +454,10 @@ def _cmd_run_coupled(args: argparse.Namespace) -> int:
               f"{args.backend} backend)...")
         model.run_days(args.days)
         for ev in model.recovery_events:
-            print(f"recovered ({ev['policy']}) from {ev['error']} in "
+            print(f"recovered from {ev['error']} in "
                   f"{ev['domain']} at coupling {ev['failed_at_coupling']}: "
                   f"rolled back to {ev['restored_to_coupling']}, replayed "
                   f"{ev['replayed_couplings']} coupling(s)")
-        if model.scheduler.degraded:
-            est = model.degraded_sypd()
-            print(f"degraded layout {model.scheduler.degraded}: modeled "
-                  f"{est['sypd_degraded']:.3g} SYPD "
-                  f"({est['slowdown']:.3f}x slowdown vs fault-free)")
         mem = model.memory_report()
         if mem["n_fp32"] or mem["n_fp32_groupscaled"]:
             print(f"mixed-precision state: {mem['bytes_fp64']:.0f} -> "

@@ -54,7 +54,6 @@ from ..obs import NULL_OBS, Obs
 from ..ocn import LicomConfig, LicomModel
 from ..pp import ExecutionSpace, make_backend
 from ..resilience.config import ResilienceConfig
-from ..resilience.elastic import RecoveryPolicy
 from ..resilience.errors import CommRevokedError, CommTimeoutError, RankFailure, WatchdogTimeout
 from ..utils.units import (
     LATENT_HEAT_VAPORIZATION,
@@ -65,8 +64,8 @@ from .scheduler import PAPER_DOMAINS, TaskDomainScheduler, TaskHandle
 
 __all__ = ["AP3ESMConfig", "AP3ESM"]
 
-#: Rank-loss-class failures an armed :meth:`AP3ESM.run_couplings` rolls
-#: back from; anything else always propagates.
+#: Rank-loss-class failures a checkpointed :meth:`AP3ESM.run_couplings`
+#: rolls back from; anything else always propagates.
 _RECOVERABLE = (RankFailure, CommRevokedError, CommTimeoutError, WatchdogTimeout)
 
 KELVIN = 273.15
@@ -317,22 +316,11 @@ class AP3ESM:
                 res.checkpoint_dir, keep=res.checkpoint_keep, obs=self.obs
             )
 
-        # Elastic recovery: None (the default `abort` policy) leaves
-        # `run_couplings` catching nothing; `shrink`/`spare` arm its seed
-        # checkpoint and rollback-and-replay.
-        self._recovery = None
+        # Driver recovery (`run_couplings`): the failed coupling and how
+        # many times in a row it failed, for the retry cap.
         self.recovery_events: list = []
-        if res.enabled and res.recovery_policy != "abort":
-            if self.checkpoints is None:
-                raise ValueError(
-                    f"recovery_policy={res.recovery_policy!r} needs a "
-                    "checkpoint to roll back to: set "
-                    "resilience.checkpoint_every/checkpoint_dir"
-                )
-            self._recovery = RecoveryPolicy.parse(res.recovery_policy)
-            self._spares_left = res.spare_ranks
-            self._failed_at: Optional[int] = None
-            self._failed_count = 0
+        self._failed_at: Optional[int] = None
+        self._failed_count = 0
 
         self.n_couplings = 0
         self._initialized = True
@@ -494,19 +482,14 @@ class AP3ESM:
             self._pending.wait()
 
     def run_couplings(self, n: int) -> None:
-        """The one coupling loop: step, checkpoint at the cadence when a
-        manager exists and — only when ``recovery_policy`` shrink/spare
-        armed ``_recovery`` — seed-checkpoint coupling 0 and turn a
-        rank-loss-class failure from either task domain into
-        :meth:`recover_from_failure` + deterministic replay (every
-        component restores bitwise).  Unarmed, nothing is caught."""
+        """The one coupling loop: step, and when a checkpoint manager
+        exists, checkpoint at the cadence and turn a rank-loss-class
+        failure from either task domain into :meth:`recover_from_failure`
+        + deterministic replay (every component restores bitwise).
+        Without a manager nothing is caught."""
         every = self.config.resilience.checkpoint_every
         target = self.n_couplings + n
-        recoverable = _RECOVERABLE if self._recovery is not None else ()
-        # Seed checkpoint so a failure before the first interval has a
-        # rollback target (idempotent: same-step saves replace).
-        if recoverable and self.n_couplings == 0:
-            self.checkpoint()
+        recoverable = _RECOVERABLE if self.checkpoints is not None else ()
         while True:
             try:
                 if self.n_couplings >= target:
@@ -577,28 +560,23 @@ class AP3ESM:
     def recover_from_failure(self, exc: BaseException) -> str:
         """ULFM-style driver recovery: abandon the failed domain's
         outstanding work (*revoke*), roll the whole coupled state back to
-        the newest valid checkpoint (*shrink*'s state repair), and let
-        the caller replay forward deterministically.
+        the newest valid checkpoint, and let the caller replay forward
+        deterministically.  The task-domain layout never changes, so the
+        replay is bitwise-identical to a fault-free twin.
 
-        Under ``spare`` a pre-allocated idle rank replaces the dead one —
-        the decomposition is unchanged, so the replay is bitwise-identical
-        to a fault-free twin; the spare pool is decremented and, once
-        exhausted, the failure surfaces.  Under ``shrink`` the domain the
-        failure was attributed to is marked degraded (fewer ranks carry
-        the same decomposed work) and the layout/metrics report it.
+        ``exc`` itself is re-raised when the rotation holds no set yet
+        (nothing to roll back to) or after the same coupling failed
+        :attr:`MAX_RECOVERY_RETRIES` times in a row.
 
-        Attribution heuristic: ``WatchdogTimeout`` names its domain; any
-        other failure is charged to domain 2 when an unpublished ocean run
-        was outstanding, else to domain 1.  Attribution only affects
-        degradation bookkeeping — rollback always covers the full coupled
-        state.
+        Attribution (reported in the span and ``recovery_events``):
+        ``WatchdogTimeout`` names its domain; any other failure is charged
+        to domain 2 when an unpublished ocean run was outstanding, else to
+        domain 1.  Rollback always covers the full coupled state.
 
         Returns the checkpoint directory restored from.
         """
-        if self._recovery is None:
-            raise RuntimeError(
-                "elastic recovery is not armed (recovery_policy=abort)"
-            ) from exc
+        if not self.has_checkpoint():
+            raise exc
         failed_at = self.n_couplings
         if failed_at == self._failed_at:
             self._failed_count += 1
@@ -607,28 +585,18 @@ class AP3ESM:
         if self._failed_count > self.MAX_RECOVERY_RETRIES:
             raise exc
 
-        policy = self._recovery
         domain = getattr(exc, "domain", None) or (
             "domain2" if self._pending is not None else "domain1"
         )
         obs = self.obs
         with obs.span(
             "resilience.recovery",
-            policy=policy.value,
             domain=domain,
             error=type(exc).__name__,
             coupling=failed_at,
         ):
-            if policy is RecoveryPolicy.SPARE and self._spares_left <= 0:
-                obs.counter("resilience.spares_exhausted").inc()
-                raise exc
             restored = self.rollback()
             replayed = failed_at - self.n_couplings
-            if policy is RecoveryPolicy.SPARE:
-                self._spares_left -= 1
-                obs.counter("resilience.spares_used").inc()
-            else:
-                self.scheduler.mark_degraded(domain)
             obs.counter("resilience.recoveries").inc()
             obs.counter("resilience.ranks_lost").inc(
                 len(getattr(exc, "dead", ())) or 1
@@ -636,7 +604,6 @@ class AP3ESM:
             obs.counter("resilience.replayed_couplings").inc(replayed)
             obs.gauge("resilience.recovery.coupling").set(float(self.n_couplings))
         self.recovery_events.append({
-            "policy": policy.value,
             "domain": domain,
             "error": type(exc).__name__,
             "failed_at_coupling": failed_at,
@@ -645,22 +612,6 @@ class AP3ESM:
             "checkpoint": str(restored),
         })
         return restored
-
-    def degraded_sypd(self, label: str = "3v2", total_cores: int = 2_000_000):
-        """Machine-model SYPD estimate for the current (possibly degraded)
-        layout: :func:`repro.bench.scaling.paper_degraded_estimate` docked
-        by the ranks the scheduler recorded as lost.  Emits
-        ``resilience.degraded.*`` gauges and returns the estimate dict."""
-        from ..bench.scaling import paper_degraded_estimate
-
-        lost = self.scheduler.degraded
-        est = paper_degraded_estimate(
-            lost.get("domain1", 0), lost.get("domain2", 0),
-            label=label, total_cores=total_cores,
-        )
-        self.obs.gauge("resilience.degraded.sypd").set(est["sypd_degraded"])
-        self.obs.gauge("resilience.degraded.slowdown").set(est["slowdown"])
-        return est
 
     def run_days(self, days: float) -> None:
         per_day = 86400.0 / self.dt_couple

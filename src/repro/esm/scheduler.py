@@ -199,7 +199,6 @@ class TaskDomainScheduler:
         )
         self._domain_obs: Dict[str, Any] = {}
         self._outstanding: List[TaskHandle] = []
-        self._degraded: Dict[str, int] = {}
 
     # -- layout ------------------------------------------------------------
 
@@ -207,28 +206,8 @@ class TaskDomainScheduler:
         return self._by_name[name]
 
     def layout(self) -> Dict[str, Dict[str, object]]:
-        """The layout dict the machine model prices (§5.1.2).  Domains
-        running degraded after elastic recovery additionally carry their
-        ``lost_ranks`` count (absent when nothing was lost, so the
-        fault-free layout is unchanged)."""
-        out = _layout(self.domains)
-        for name, lost in self._degraded.items():
-            if lost:
-                out[name]["lost_ranks"] = lost
-        return out
-
-    @property
-    def degraded(self) -> Dict[str, int]:
-        """Ranks lost per domain (empty when no recovery happened)."""
-        return dict(self._degraded)
-
-    def mark_degraded(self, name: str, lost_ranks: int = 1) -> None:
-        """Record that a domain continues with fewer ranks after a
-        shrink recovery."""
-        if name not in self._by_name:
-            raise KeyError(name)
-        self._degraded[name] = self._degraded.get(name, 0) + int(lost_ranks)
-        self.obs.counter("resilience.domains_degraded").inc()
+        """The layout dict the machine model prices (§5.1.2)."""
+        return _layout(self.domains)
 
     # -- execution ---------------------------------------------------------
 

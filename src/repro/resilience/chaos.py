@@ -315,7 +315,6 @@ def _ensemble_stage(
             config.resilience,
             enabled=True,
             guard_physics=False,  # batching needs the unguarded suite
-            recovery_policy="abort",
             member_policy=policy,
             checkpoint_every=2 if ckpt_dir else 0,
             checkpoint_dir=ckpt_dir,

@@ -35,13 +35,6 @@ class ResilienceConfig:
     #: Abort waiting on a task domain after this many seconds
     #: (None = wait forever, the pre-resilience behavior).
     watchdog_s: Optional[float] = None
-    #: What to do when a rank dies mid-run: ``abort`` (default, the
-    #: pre-elastic behavior), ``shrink`` (survivors absorb the lost cells
-    #: and continue degraded), or ``spare`` (a pre-allocated idle rank
-    #: takes the slot; continuation bitwise-identical to a no-failure twin).
-    recovery_policy: str = "abort"
-    #: Idle ranks pre-allocated for ``spare`` promotion.
-    spare_ranks: int = 1
     #: What the ensemble fleet supervisor does when ONE member's coupling
     #: step fails: ``fail_fast`` (default, the pre-supervisor behavior —
     #: the exception propagates and kills the fleet), ``quarantine``
@@ -61,13 +54,6 @@ class ResilienceConfig:
             raise ValueError("checkpoint_keep must be >= 1")
         if self.checkpoint_every and not self.checkpoint_dir:
             raise ValueError("checkpoint_every > 0 requires checkpoint_dir")
-        if self.recovery_policy not in ("abort", "shrink", "spare"):
-            raise ValueError(
-                f"unknown recovery_policy {self.recovery_policy!r}; "
-                "choose from ('abort', 'shrink', 'spare')"
-            )
-        if self.spare_ranks < 0:
-            raise ValueError("spare_ranks must be >= 0")
         if self.member_policy not in ("fail_fast", "quarantine", "restart"):
             raise ValueError(
                 f"unknown member_policy {self.member_policy!r}; "

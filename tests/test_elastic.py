@@ -7,8 +7,9 @@ The invariants under test mirror the ULFM-style contract:
 * ``shrink`` completes every step on the surviving ranks, re-cut into
   fewer latitude slabs, bitwise-identical to the serial barotropic ocean;
 * ``spare`` keeps the decomposition and is bitwise-identical too;
-* ``abort`` (the default) surfaces the failure exactly as before — and a
-  driver with resilience disabled takes the pre-elastic code paths.
+* a checkpointed coupled driver rolls a rank loss back and replays it,
+  bitwise-identical to a fault-free twin; without a checkpoint manager
+  (or before its first set) the failure surfaces exactly as before.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.grids.remap import index_remap
 from repro.esm import first_difference, snapshot
 from repro.obs import NULL_OBS, Obs
 from repro.parallel import (
+    CommRevokedError,
     RankFailure,
     SimWorld,
     reassign_dead_ranks,
@@ -299,30 +301,31 @@ class TestDegradedEstimate:
 # -- the coupled driver's recovering loop ------------------------------------
 
 
-def _coupled_config(tmp_path, policy, concurrent=False, spares=1):
+def _coupled_config(tmp_path, concurrent=False, every=2):
     from repro.esm import AP3ESMConfig
 
     return AP3ESMConfig(
         atm_level=3, ocn_nlon=48, ocn_nlat=32, ocn_levels=6,
         concurrent_domains=concurrent,
         resilience=ResilienceConfig(
-            enabled=True, checkpoint_every=2, checkpoint_dir=str(tmp_path),
-            recovery_policy=policy, spare_ranks=spares,
+            enabled=True, checkpoint_every=every, checkpoint_dir=str(tmp_path),
             watchdog_s=20.0 if concurrent else None,
         ),
     )
 
 
-def _inject_ocean_failure(model, at=3, times=1):
+def _inject_ocean_failure(model, at=3, times=1, error=None):
     """Monkeypatch ocn.pre_coupling to die like a lost node, ``times``
-    times, once the coupling counter reaches ``at``."""
+    times, once the coupling counter reaches ``at``.  ``error`` builds
+    the raised exception (default: the dead rank's ``RankFailure``)."""
     orig = model.ocn.pre_coupling
     fired = {"n": 0}
+    error = error or (lambda: RankFailure(0, "injected node loss in ocean domain"))
 
     def failing(forcing):
         if model.n_couplings >= at and fired["n"] < times:
             fired["n"] += 1
-            raise RankFailure(0, "injected node loss in ocean domain")
+            raise error()
         return orig(forcing)
 
     model.ocn.pre_coupling = failing
@@ -344,39 +347,60 @@ class TestCoupledRecovery:
         twin.run_couplings(couplings)
         return snapshot(twin)
 
-    @pytest.mark.parametrize("policy", ["shrink", "spare"])
-    def test_recovers_and_matches_twin(self, tmp_path, policy):
+    # The case ids are the driver's two former recovery policies, which
+    # ran this same rollback; each case now injects one of the two forms
+    # a lost ocean rank takes: the dead rank's own ``RankFailure``, and
+    # the revoked communicator its survivors see.
+    @pytest.mark.parametrize("error", [
+        pytest.param(lambda: RankFailure(0, "injected node loss"), id="shrink"),
+        pytest.param(lambda: CommRevokedError(1, {0}), id="spare"),
+    ])
+    def test_recovers_and_matches_twin(self, tmp_path, error):
+        """A checkpointed run recovers a rank loss in the ocean although no
+        recovery option exists: rollback + replay is the one path, and the
+        task-domain layout is the fault-free one afterwards."""
         from repro.esm import AP3ESM
 
         twin = self._twin_state(tmp_path)
-        model = AP3ESM(_coupled_config(tmp_path / policy, policy))
+        model = AP3ESM(_coupled_config(tmp_path / "faulted"))
         model.init()
-        assert model._recovery is not None
-        _inject_ocean_failure(model)
+        layout = model.task_domains()
+        _inject_ocean_failure(model, error=error)
         model.run_couplings(6)
         assert len(model.recovery_events) == 1
         event = model.recovery_events[0]
-        assert event["policy"] == policy
         assert event["domain"] == "domain2"
+        assert event["error"] == type(error()).__name__
         assert event["restored_to_coupling"] <= event["failed_at_coupling"]
         assert first_difference(snapshot(model), twin) is None
-        if policy == "shrink":
-            assert model.scheduler.degraded == {"domain2": 1}
-            assert model.task_domains()["domain2"]["lost_ranks"] == 1
-        else:
-            assert model.scheduler.degraded == {}
+        assert model.task_domains() == layout
+
+    def test_loss_before_first_checkpoint_surfaces(self, tmp_path):
+        """With no set in the rotation yet there is nothing to roll back
+        to: the original failure surfaces and nothing is written."""
+        from repro.esm import AP3ESM
+
+        model = AP3ESM(_coupled_config(tmp_path, every=10))
+        model.init()
+        _inject_ocean_failure(model, at=0)
+        with pytest.raises(RankFailure) as info:
+            model.run_couplings(6)
+        model.scheduler.shutdown()
+        assert model.recovery_events == []
+        assert model.checkpoints.checkpoints() == []
+        with pytest.raises(RankFailure) as again:
+            model.recover_from_failure(info.value)
+        assert again.value is info.value
 
     def test_concurrent_domain_kill_recovers_without_deadlock(self, tmp_path):
-        """Satellite: a rank kill inside the threaded ocean domain, with
-        --concurrent-domains and the watchdog armed, recovers (shrink)
-        without deadlocking the watchdog — and the continuation is
+        """A rank kill inside the threaded ocean domain, with
+        --concurrent-domains and the watchdog armed, recovers without
+        deadlocking the watchdog — and the continuation is
         bitwise-identical to the serial fault-free twin."""
         from repro.esm import AP3ESM
 
         twin = self._twin_state(tmp_path)
-        model = AP3ESM(
-            _coupled_config(tmp_path / "conc", "shrink", concurrent=True)
-        )
+        model = AP3ESM(_coupled_config(tmp_path / "conc", concurrent=True))
         model.init()
         _inject_ocean_failure(model)
         model.run_couplings(6)
@@ -386,7 +410,7 @@ class TestCoupledRecovery:
         assert first_difference(snapshot(model), twin) is None
 
     def test_concurrent_domain_kill_abort_surfaces_cleanly(self, tmp_path):
-        """Under the default abort policy the same kill surfaces as a
+        """Without a checkpoint manager the same kill surfaces as a
         structured error (not a hang) and leaves no stuck thread."""
         from repro.esm import AP3ESM, AP3ESMConfig
 
@@ -397,43 +421,22 @@ class TestCoupledRecovery:
         )
         model = AP3ESM(cfg)
         model.init()
-        assert model._recovery is None
+        assert model.checkpoints is None
         _inject_ocean_failure(model)
         with pytest.raises(RankFailure):
             model.run_couplings(10)
             model._publish_ocean()  # surface the latent lagged failure
         model.scheduler.shutdown()
 
-    def test_spare_pool_exhaustion_surfaces(self, tmp_path):
-        from repro.esm import AP3ESM
-
-        model = AP3ESM(_coupled_config(tmp_path, "spare", spares=1))
-        model.init()
-        _inject_ocean_failure(model, times=5)
-        with pytest.raises(RankFailure):
-            model.run_couplings(6)
-        assert len(model.recovery_events) == 1  # one spare spent, then out
-
     def test_persistent_fault_gives_up_after_retry_cap(self, tmp_path):
         from repro.esm import AP3ESM
 
-        model = AP3ESM(_coupled_config(tmp_path, "shrink"))
+        model = AP3ESM(_coupled_config(tmp_path))
         model.init()
         _inject_ocean_failure(model, times=100)
         with pytest.raises(RankFailure):
             model.run_couplings(6)
         assert len(model.recovery_events) == model.MAX_RECOVERY_RETRIES
-
-    def test_non_abort_policy_requires_checkpointing(self):
-        from repro.esm import AP3ESM, AP3ESMConfig
-
-        cfg = AP3ESMConfig(
-            atm_level=3, ocn_nlon=48, ocn_nlat=32, ocn_levels=6,
-            resilience=ResilienceConfig(enabled=True,
-                                        recovery_policy="shrink"),
-        )
-        with pytest.raises(ValueError, match="checkpoint"):
-            AP3ESM(cfg).init()
 
 
 # -- chaos + reporting -------------------------------------------------------
@@ -497,27 +500,8 @@ class TestInterventionReport:
 
 
 class TestCliFlag:
-    def test_recovery_policy_roundtrip(self, tmp_path):
-        from repro.cli import _resilience_config, build_parser
-
-        args = build_parser().parse_args([
-            "run-coupled", "--recovery-policy", "spare", "--spare-ranks", "2",
-            "--checkpoint-every", "2", "--checkpoint-dir", str(tmp_path),
-        ])
-        res = _resilience_config(args)
-        assert res.recovery_policy == "spare"
-        assert res.spare_ranks == 2
-
     def test_default_is_abort_and_config_free(self):
         from repro.cli import _resilience_config, build_parser
 
         args = build_parser().parse_args(["run-coupled"])
         assert _resilience_config(args) is None
-
-    def test_non_abort_without_checkpoints_rejected(self):
-        from repro.cli import _resilience_config, build_parser
-
-        args = build_parser().parse_args(
-            ["run-coupled", "--recovery-policy", "shrink"])
-        with pytest.raises(SystemExit, match="rollback target"):
-            _resilience_config(args)

@@ -367,14 +367,14 @@ class TestEnsembleRestarts:
             assert (tmp_path / "rst" / f"member{k}" / "ocn").is_dir()
 
 
-def _session(kind, directory, policy="abort"):
+def _session(kind, directory):
     """A solo AP3ESM or a 2-member EnsembleRun over one checkpointing
     base config — the two implementations of the coupled-session surface."""
     from repro.resilience import ResilienceConfig
 
     base = _small_config(resilience=ResilienceConfig(
         enabled=True, guard_physics=False, checkpoint_every=4,
-        checkpoint_dir=str(directory), recovery_policy=policy))
+        checkpoint_dir=str(directory)))
     if kind == "solo":
         return AP3ESM(base), [""]
     return (EnsembleRun(EnsembleConfig(base=base, members=2)),
@@ -403,11 +403,11 @@ def test_coupled_session_conformance(tmp_path, kind):
         for name in ("atm", "ocn", "ice", "lnd", "cpl"):
             assert (tmp_path / "rst" / f"{prefix}{name}").is_dir()
 
-    # One loop, neutral when armed but idle: `spare` with no fault ends
-    # bitwise-equal to the `abort` run above.
-    armed, _ = _session(kind, tmp_path / "armed", policy="spare")
-    armed.init()
-    armed.run_couplings(6)
-    assert first_difference(snapshot(session), snapshot(armed)) is None
+    # One loop, neutral when idle: a straight checkpointed run with no
+    # fault ends bitwise-equal to the recovered session above.
+    straight, _ = _session(kind, tmp_path / "straight")
+    straight.init()
+    straight.run_couplings(6)
+    assert first_difference(snapshot(session), snapshot(straight)) is None
     session.finalize()
-    armed.finalize()
+    straight.finalize()

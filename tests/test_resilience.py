@@ -599,7 +599,7 @@ class TestCoupledResilience:
                 atm_level=2, ocn_nlon=32, ocn_nlat=24, ocn_levels=4,
                 concurrent_domains=concurrent,
                 resilience=ResilienceConfig(
-                    enabled=True, guard_physics=False, recovery_policy="abort",
+                    enabled=True, guard_physics=False,
                     checkpoint_every=1, checkpoint_dir=str(directory)))
 
         model = AP3ESM(config(tmp_path / "faulted"))
