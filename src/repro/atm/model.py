@@ -3,10 +3,10 @@ behind the CPL7 component contract (init / run / finalize, import / export).
 
 Structure mirrors the paper's §5.1.1 and §6.1:
 
-* timestep hierarchy **dycore : tracer : model(physics) = 8 s : 30 s :
-  120 s** — kept as the exact substep ratio (15 dycore and 4 tracer
-  substeps per model step) with the absolute step scaled to the grid's CFL
-  limit;
+* timestep hierarchy **dycore : tracer : model(physics)**: a one-hour model
+  step at every level, split into the fewest equal dycore substeps the
+  gravity-wave CFL allows (the paper's 8 s : 120 s at 1-3 km) and 4 tracer
+  substeps (the paper's 4 per 15 dycore substeps once that is more);
 * a physics suite that is either the conventional parameterizations or the
   **AI suite**, exchanged through the same physics-dynamics coupling
   interface ("this suite gets the input variables from the dynamical core
@@ -37,6 +37,7 @@ from .physics import ConventionalPhysics, PhysicsTendencies
 
 __all__ = ["GristConfig", "GristModel"]
 
+# The paper's 8 s : 30 s : 120 s hierarchy, kept as the tracer-to-dycore ratio.
 DYCORE_SUBSTEPS = 15  # 120 s / 8 s
 TRACER_SUBSTEPS = 4   # 120 s / 30 s
 
@@ -47,7 +48,7 @@ class PhysicsSuite(Protocol):
 
 @dataclass
 class GristConfig:
-    """Configuration for one GRIST instance."""
+    """Configuration for one GRIST instance (a 3 600 s model step; CFL-following dycore substeps)."""
 
     level: int = 4
     nlev: int = 30
@@ -55,14 +56,9 @@ class GristConfig:
     diffusion: float = 1.0e5
     start_time: float = 0.0
     heating_feedback: float = 0.02  # column heating -> thickness coupling
-    # Cap on the dycore substep: keeps the model (physics) step at most
-    # ~1 h on coarse test grids, where the gravity-wave CFL alone would
-    # allow physics steps too long for the explicit surface-drag terms.
-    max_dt_dycore: float = 240.0
     # Time scheme: "rk4" (explicit) or "semi_implicit" (theta-method with
     # the CG Helmholtz solve — the paper's method class, §2).  The
-    # semi-implicit path may take gravity-wave-free steps up to 5x the
-    # explicit CFL (still bounded by max_dt_dycore).
+    # semi-implicit path splits the model step on 5x the explicit CFL.
     time_scheme: str = "rk4"
 
 
@@ -103,18 +99,20 @@ class GristModel(ComponentBase):
         self._normal = np.ascontiguousarray(self.grid.normal.T)
         self.swe = williamson_tc2(self.grid)
         self.dycore = ShallowWaterDycore(self.grid, diffusion=cfg.diffusion)
-        explicit_dt = self.dycore.max_stable_dt(self.swe, cfl=cfg.cfl)
+        dt_cfl = self.dycore.max_stable_dt(self.swe, cfl=cfg.cfl)
         if cfg.time_scheme == "semi_implicit":
             from .semi_implicit import SemiImplicitDycore
 
             self._si = SemiImplicitDycore(self.grid, diffusion=cfg.diffusion)
             # Gravity waves are implicit: allow up to 5x the explicit step.
-            self.dt_dycore = min(5.0 * explicit_dt, cfg.max_dt_dycore)
+            dt_cfl *= 5.0
         else:
             self._si = None
-            self.dt_dycore = min(explicit_dt, cfg.max_dt_dycore)
-        self.dt_model = DYCORE_SUBSTEPS * self.dt_dycore
-        self.dt_tracer = self.dt_model / TRACER_SUBSTEPS
+        self.dt_model = 3600.0  # the physics (and coupling) step at every level
+        n = self.dycore_substeps = math.ceil(self.dt_model / dt_cfl)
+        self.tracer_substeps = max(TRACER_SUBSTEPS, math.ceil(TRACER_SUBSTEPS * n / DYCORE_SUBSTEPS))
+        self.dt_dycore = self.dt_model / n
+        self.dt_tracer = self.dt_model / self.tracer_substeps
 
         nc = self.grid.n_cells
         self.p = pressure_levels(cfg.nlev)
@@ -182,7 +180,8 @@ class GristModel(ComponentBase):
     # -- stepping -----------------------------------------------------------------
 
     def step(self, dt: Optional[float] = None) -> None:
-        """One model (physics) step = 15 dycore + 4 tracer substeps + physics.
+        """One model (physics) step of ``dt_model`` = 3 600 s: ``dycore_substeps``
+        CFL-bounded dycore substeps, ``tracer_substeps`` tracer substeps, physics.
 
         With an explicit ``dt`` (the Component-protocol form) the model
         advances ``round(dt / dt_model)`` internal steps — the coupled
@@ -271,13 +270,13 @@ class GristModel(ComponentBase):
     def _dynamics_substeps(self) -> None:
         """The dynamics half of one model step (dycore + tracer bundles)."""
         with self.obs.span("atm.dycore"):
-            for _ in range(DYCORE_SUBSTEPS):
+            for _ in range(self.dycore_substeps):
                 if self._si is not None:
                     self.swe = self._si.step(self.swe, self.dt_dycore)
                 else:
                     self.swe = self.dycore.step_rk4(self.swe, self.dt_dycore)
         with self.obs.span("atm.tracer"):
-            for _ in range(TRACER_SUBSTEPS):
+            for _ in range(self.tracer_substeps):
                 self._advect_tracer(self.dt_tracer)
 
     def bind_physics(self) -> None:

@@ -216,12 +216,7 @@ class LockstepAtmospheres:
         self._index = {id(a): i for i, a in enumerate(self._atms)}
         self._credits = [0] * len(self._atms)
         self.driver = driver
-        dts = {float(a.dt_model) for a in self._atms}
-        if len(dts) != 1:
-            raise ValueError(
-                f"lockstep members must share the atmosphere model step; got {sorted(dts)}"
-            )
-        self.dt_model = dts.pop()
+        self.dt_model = float(self._atms[0].dt_model)  # 3 600 s for every GristModel
         self.fleet_steps = 0
 
     def install(self, members: Sequence[AP3ESM]) -> None:

@@ -36,8 +36,48 @@ def test_lifecycle_enforced():
 
 def test_clock_advances_consistently(model):
     assert model.time == pytest.approx(model.n_steps * model.dt_model)
-    assert model.dt_model == pytest.approx(DYCORE_SUBSTEPS * model.dt_dycore)
-    assert model.dt_tracer == pytest.approx(model.dt_model / TRACER_SUBSTEPS)
+    assert model.dt_model == 3600.0
+    assert model.dt_model == pytest.approx(model.dycore_substeps * model.dt_dycore)
+    assert model.dt_tracer == pytest.approx(model.dt_model / model.tracer_substeps)
+
+
+@pytest.mark.parametrize("level, substeps", [(1, 1), (2, 2), (3, 3), (4, 5), (5, 10)])
+def test_dycore_substeps_follow_cfl(level, substeps):
+    """The dycore takes the fewest equal substeps of the one-hour model step
+    that hold the gravity-wave CFL; the tracer keeps 4 per hour."""
+    m = GristModel(GristConfig(level=level))
+    m.init()
+    dt_cfl = m.dycore.max_stable_dt(m.swe, cfl=0.35)
+    assert m.dycore_substeps == substeps
+    assert m.dt_dycore <= dt_cfl
+    assert substeps == 1 or m.dt_model / (substeps - 1) > dt_cfl
+    assert m.tracer_substeps == TRACER_SUBSTEPS
+    si = GristModel(GristConfig(level=level, time_scheme="semi_implicit"))
+    si.init()
+    assert si.dt_dycore <= 5.0 * dt_cfl
+    assert si.dycore_substeps == 1 or si.dt_model / (si.dycore_substeps - 1) > 5.0 * dt_cfl
+    assert si.dt_model == pytest.approx(si.dycore_substeps * si.dt_dycore)
+
+
+def test_cfl_substep_costs_no_tc2_accuracy():
+    """Williamson TC2 at level 4 for one day: RK4 at the model's own 720 s
+    substep stays within 2 % of the l2(h) error a 240 s step gives, and both
+    hold mass to round-off."""
+    m = GristModel(GristConfig(level=4))
+    m.init()
+    assert m.dt_dycore == 720.0
+    s0 = m.swe.copy()
+    mass0 = m.dycore.total_mass(s0)
+    area = m.grid.area_cell
+
+    def l2_h(dt):
+        s = s0.copy()
+        for _ in range(round(86400.0 / dt)):
+            s = m.dycore.step_rk4(s, dt)
+        assert m.dycore.total_mass(s) == pytest.approx(mass0, rel=1e-12)
+        return np.sqrt(np.sum(area * (s.h - s0.h) ** 2) / np.sum(area * s0.h**2))
+
+    assert l2_h(m.dt_dycore) == pytest.approx(l2_h(240.0), rel=0.02)
 
 
 def test_export_provides_coupling_fields(model):
