@@ -38,7 +38,10 @@ See DESIGN.md for the system inventory and substitution ledger, and
 EXPERIMENTS.md for paper-vs-measured results.
 """
 
+from .utils.heap import keep_heap
+
 __version__ = "1.0.0"
+keep_heap()
 
 __all__ = [
     "utils",

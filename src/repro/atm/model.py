@@ -4,9 +4,9 @@ behind the CPL7 component contract (init / run / finalize, import / export).
 Structure mirrors the paper's §5.1.1 and §6.1:
 
 * timestep hierarchy **dycore : tracer : model(physics)**: a one-hour model
-  step at every level, split into the fewest equal dycore substeps the
-  gravity-wave CFL allows (the paper's 8 s : 120 s at 1-3 km) and 4 tracer
-  substeps (the paper's 4 per 15 dycore substeps once that is more);
+  step at every level, split into the fewest (and at least two) equal dycore
+  substeps inside RK4's stability bound (the paper's 8 s : 120 s at 1-3 km) and
+  4 tracer substeps (the paper's 4 per 15 dycore substeps once that is more);
 * a physics suite that is either the conventional parameterizations or the
   **AI suite**, exchanged through the same physics-dynamics coupling
   interface ("this suite gets the input variables from the dynamical core
@@ -40,6 +40,9 @@ __all__ = ["GristConfig", "GristModel"]
 # The paper's 8 s : 30 s : 120 s hierarchy, kept as the tracer-to-dycore ratio.
 DYCORE_SUBSTEPS = 15  # 120 s / 8 s
 TRACER_SUBSTEPS = 4   # 120 s / 30 s
+# ``max_stable_dt(cfl=1)`` is RK4's 2*sqrt(2) limit for a Gershgorin bound on
+# the TRSK operator (the power-iterated radius puts the true one 1.3-1.6x out).
+RK4_MARGIN = 0.9
 
 
 class PhysicsSuite(Protocol):
@@ -48,17 +51,16 @@ class PhysicsSuite(Protocol):
 
 @dataclass
 class GristConfig:
-    """Configuration for one GRIST instance (a 3 600 s model step; CFL-following dycore substeps)."""
+    """One GRIST instance: a 3 600 s model step, ≤ 1 800 s dycore substeps inside RK4's bound."""
 
     level: int = 4
     nlev: int = 30
-    cfl: float = 0.35
     diffusion: float = 1.0e5
     start_time: float = 0.0
     heating_feedback: float = 0.02  # column heating -> thickness coupling
     # Time scheme: "rk4" (explicit) or "semi_implicit" (theta-method with
     # the CG Helmholtz solve — the paper's method class, §2).  The
-    # semi-implicit path splits the model step on 5x the explicit CFL.
+    # semi-implicit path splits the model step on 2x the explicit bound.
     time_scheme: str = "rk4"
 
 
@@ -99,17 +101,19 @@ class GristModel(ComponentBase):
         self._normal = np.ascontiguousarray(self.grid.normal.T)
         self.swe = williamson_tc2(self.grid)
         self.dycore = ShallowWaterDycore(self.grid, diffusion=cfg.diffusion)
-        dt_cfl = self.dycore.max_stable_dt(self.swe, cfl=cfg.cfl)
+        self.dt_model = 3600.0  # the physics (and coupling) step at every level
+        dt_rk4 = RK4_MARGIN * self.dycore.max_stable_dt(self.swe, cfl=1.0)
         if cfg.time_scheme == "semi_implicit":
             from .semi_implicit import SemiImplicitDycore
 
             self._si = SemiImplicitDycore(self.grid, diffusion=cfg.diffusion)
-            # Gravity waves are implicit: allow up to 5x the explicit step.
-            dt_cfl *= 5.0
+            # Gravity waves are implicit: allow 2x the explicit step.
+            dt_limit = 2.0 * dt_rk4
         else:
             self._si = None
-        self.dt_model = 3600.0  # the physics (and coupling) step at every level
-        n = self.dycore_substeps = math.ceil(self.dt_model / dt_cfl)
+            # Two substeps at least: one 3 600 s step is ~16x less accurate at level 2.
+            dt_limit = min(dt_rk4, self.dt_model / 2)
+        n = self.dycore_substeps = math.ceil(self.dt_model / dt_limit)
         self.tracer_substeps = max(TRACER_SUBSTEPS, math.ceil(TRACER_SUBSTEPS * n / DYCORE_SUBSTEPS))
         self.dt_dycore = self.dt_model / n
         self.dt_tracer = self.dt_model / self.tracer_substeps
@@ -181,7 +185,7 @@ class GristModel(ComponentBase):
 
     def step(self, dt: Optional[float] = None) -> None:
         """One model (physics) step of ``dt_model`` = 3 600 s: ``dycore_substeps``
-        CFL-bounded dycore substeps, ``tracer_substeps`` tracer substeps, physics.
+        dycore substeps inside RK4's bound, ``tracer_substeps`` tracer substeps, physics.
 
         With an explicit ``dt`` (the Component-protocol form) the model
         advances ``round(dt / dt_model)`` internal steps — the coupled

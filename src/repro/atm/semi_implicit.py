@@ -141,15 +141,6 @@ class SemiImplicitDycore:
         u_new = u_star - dt * GRAVITY * theta * trsk.gradient(g, h_new)
         return SWEState(h=h_new, u=u_new)
 
-    def max_stable_dt(self, state: SWEState, cfl: float = 0.5) -> float:
-        """Advective CFL only — the gravity waves are implicit.
-
-        (The explicit stepper's limit is ``cfl * dx / (c + |u|)``; here
-        only ``|u|`` remains, a ~5-10x larger step at TC2 speeds.)
-        """
-        umax = float(np.abs(state.u).max())
-        return cfl * float(self.grid.de.min()) / max(umax, 1e-12)
-
     # Delegate the invariants to the shared spatial discretization.
     def total_mass(self, state: SWEState) -> float:
         return self._explicit.total_mass(state)
